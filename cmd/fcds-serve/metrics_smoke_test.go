@@ -176,20 +176,14 @@ func TestMetricsEndpointSmoke(t *testing.T) {
 			t.Errorf("%s = %v, want > 0", name, samples[name])
 		}
 	}
-	// Writer-pool families: the successor counter and idle gauge exist,
-	// and the deprecated slot-waits family is still emitted — pinned at
-	// 0 now that connection-pinned slots are gone.
+	// Writer-pool families: the waits counter and the idle gauge.
 	for _, fam := range []string{
 		"fcds_server_writer_pool_waits_total",
 		"fcds_server_writer_pool_idle",
-		"fcds_server_writer_slot_waits_total",
 	} {
 		if !families[fam] {
 			t.Errorf("family %s missing from /metrics", fam)
 		}
-	}
-	if v, ok := samples[`fcds_server_writer_slot_waits_total{table="lat"}`]; !ok || v != 0 {
-		t.Errorf(`fcds_server_writer_slot_waits_total{table="lat"} = %v (present=%v), want constant 0`, v, ok)
 	}
 	if v, ok := samples[`fcds_server_writer_pool_idle{table="lat"}`]; !ok || v <= 0 {
 		t.Errorf(`fcds_server_writer_pool_idle{table="lat"} = %v (present=%v), want > 0 at rest`, v, ok)

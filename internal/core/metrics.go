@@ -20,7 +20,7 @@ func RegisterPoolMetrics(reg *metrics.Registry, p *PropagatorPool) {
 		"Number of propagator goroutines in the pool.",
 		func() float64 { return float64(p.Workers()) })
 	reg.GaugeFunc("fcds_pool_sketches",
-		"Sketches currently attached to the pool.",
+		"Sketches currently attached to the pool. For a pool owned by a keyed theta table, fcds_table_keys minus this is the number of keys still in their flat eager phase.",
 		func() float64 { return float64(p.Sketches()) })
 	reg.GaugeFunc("fcds_pool_parked_workers",
 		"Workers currently parked on their wake channel.",

@@ -140,7 +140,10 @@ func NewPropagatorPool(workers int) *PropagatorPool {
 // Workers returns the number of propagator goroutines.
 func (p *PropagatorPool) Workers() int { return len(p.ws) }
 
-// Sketches returns the number of sketches currently attached.
+// Sketches returns the number of sketches currently attached. A keyed
+// Θ table attaches a key only when it leaves its eager phase, so for a
+// table-owned pool the table's Keys() minus Sketches() is the number
+// of keys still flat.
 func (p *PropagatorPool) Sketches() int64 { return p.sketches.Load() }
 
 // Steals returns the pool-wide count of cross-queue steals: sketches

@@ -33,8 +33,7 @@ var checkpointDurationBounds = []float64{
 // fcds_server_table_keys, fcds_server_table_frames_total,
 // fcds_server_table_items_total, fcds_server_table_bytes_total,
 // fcds_server_table_errors_total, fcds_server_writer_pool_waits_total,
-// fcds_server_writer_pool_idle, and the deprecated always-zero
-// fcds_server_writer_slot_waits_total (kept for scrape compatibility).
+// fcds_server_writer_pool_idle.
 // Per accepted named push (labels "table", "source"):
 // fcds_server_snapshot_push_age_seconds.
 func (s *Server) RegisterMetrics(reg *metrics.Registry) {
@@ -197,12 +196,6 @@ func (s *Server) registerTableMetrics(reg *metrics.Registry, name string, b back
 	reg.GaugeFunc("fcds_server_writer_pool_idle",
 		"Writer handles currently checked in (idle) in the table's ingest pool.",
 		func() float64 { return float64(b.poolIdle()) }, "table", name)
-	// Predecessor of the pool-waits counter, kept emitted for scrape
-	// compatibility: connection-pinned writer slots no longer exist
-	// (any idle handle serves any frame), so the series is constant 0.
-	reg.CounterFunc("fcds_server_writer_slot_waits_total",
-		"Deprecated: connection-pinned writer slots were replaced by the writer-handle pool (see fcds_server_writer_pool_waits_total); always 0.",
-		func() float64 { return 0 }, "table", name)
 }
 
 // registerPushLag exports one (table, source) pair's push-lag gauge:

@@ -256,7 +256,15 @@ func unmarshalSnapshot[K Key, C any](data []byte, wantKind byte, newCodec func(p
 	if err != nil {
 		return nil, err
 	}
-	s := NewTableSnapshot[K](newCodec(h.param))
+	// Presize the map from the header's count, so admission does not
+	// grow and rehash it entry by entry — but never beyond what the body
+	// can hold: the count is the sender's claim, the body length is a
+	// fact. An entry is at least its key plus one blob-length byte.
+	minEntry := 8 + 1
+	if keyTypeOf[K]() == keyTypeString {
+		minEntry = 1 + 1
+	}
+	s := &TableSnapshot[K, C]{codec: newCodec(h.param), entries: make(map[K]C, min(h.count, len(body)/minEntry))}
 	if err := s.parseEntries(body, h.count); err != nil {
 		return nil, err
 	}

@@ -32,6 +32,22 @@
 // a binary snapshot that merges with snapshots from other processes for
 // distributed aggregation.
 //
+// A Θ key has three representations, chosen from its own update count
+// (flat → concurrent → promoted), never by an option. While it is in
+// the paper's eager phase (§5.3: fewer than 2/e² updates, processed
+// sequentially because r would dominate so short a stream) it is flat:
+// one mutex and one array of distinct hashes inside the engine's
+// sketch adapter, not attached to the pool, every update visible on
+// return. The update that reaches the eager limit builds the
+// concurrent sketch from that array, and from then on the key is what
+// the paragraphs above describe. A HotKeyPolicy can promote it further.
+// For a table-owned pool, Keys() − Pool().Sketches() is the number of
+// keys still flat. Measured on the benchmark's table_wide workload
+// (47.8k live zipf keys, 47k of them never past the limit, K=256):
+// ~510 B of heap per key (map slot, entry and sketch together) against
+// ~1 850 B when every key was concurrent from its first update (~15
+// heap objects). Quantiles and HLL keys are concurrent from creation.
+//
 // A HotKeyPolicy adds adaptive per-key configurations: keys whose
 // ingest volume crosses a threshold are rebuilt through the engine's
 // ScaleUp ladder (larger accuracy parameter and/or local buffers), with

@@ -1,6 +1,9 @@
 package table
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -106,10 +109,14 @@ func TestThetaTableErrorBoundLargeKeys(t *testing.T) {
 
 // TestTableGoroutineCountIndependentOfKeys pins the acceptance
 // criterion: a table with 100k keys runs on one fixed propagator pool,
-// so the goroutine count does not grow with the key count.
+// so the goroutine count does not grow with the key count. A key still
+// in its eager phase is flat and not attached to the pool at all;
+// every key is attached once it is pushed past the eager limit.
 func TestTableGoroutineCountIndependentOfKeys(t *testing.T) {
+	const eagerLimit = 8 // 2/e² at MaxError 0.5
 	tab := NewTheta(ThetaConfig[uint64]{
-		Table: Config[uint64]{Writers: 1, Shards: 1024, Propagators: 4},
+		Table:    Config[uint64]{Writers: 1, Shards: 1024, Propagators: 4},
+		MaxError: 0.5,
 	})
 	defer tab.Close()
 	w := tab.Writer(0)
@@ -117,23 +124,39 @@ func TestTableGoroutineCountIndependentOfKeys(t *testing.T) {
 	base := runtime.NumGoroutine()
 	ks := make([]uint64, 0, 1024)
 	vs := make([]uint64, 0, 1024)
-	for i := 0; i < keys; i++ {
-		ks = append(ks, uint64(i))
-		vs = append(vs, uint64(i))
-		if len(ks) == cap(ks) {
-			w.UpdateKeyedBatch(ks, vs)
-			ks, vs = ks[:0], vs[:0]
+	// pass sends one more update to every key.
+	pass := func(round int) {
+		for i := 0; i < keys; i++ {
+			ks = append(ks, uint64(i))
+			vs = append(vs, uint64(round*keys+i))
+			if len(ks) == cap(ks) {
+				w.UpdateKeyedBatch(ks, vs)
+				ks, vs = ks[:0], vs[:0]
+			}
+		}
+		w.UpdateKeyedBatch(ks, vs)
+		ks, vs = ks[:0], vs[:0]
+	}
+	check := func() {
+		t.Helper()
+		if got := tab.Keys(); got != keys {
+			t.Fatalf("Keys() = %d, want %d", got, keys)
+		}
+		if got := runtime.NumGoroutine(); got > base+8 {
+			t.Fatalf("goroutines grew from %d to %d across %d keys; want growth independent of key count", base, got, keys)
 		}
 	}
-	w.UpdateKeyedBatch(ks, vs)
-	if got := tab.Keys(); got != keys {
-		t.Fatalf("Keys() = %d, want %d", got, keys)
+	pass(0)
+	check()
+	if got := tab.Pool().Sketches(); got > keys {
+		t.Errorf("pool serves %d sketches, want <= %d", got, keys)
 	}
-	if got := runtime.NumGoroutine(); got > base+8 {
-		t.Fatalf("goroutines grew from %d to %d across %d keys; want growth independent of key count", base, got, keys)
+	for r := 1; r < eagerLimit; r++ {
+		pass(r)
 	}
+	check()
 	if got := tab.Pool().Sketches(); got != keys {
-		t.Errorf("pool serves %d sketches, want %d", got, keys)
+		t.Errorf("pool serves %d sketches after every key passed the eager limit, want %d", got, keys)
 	}
 }
 
@@ -641,6 +664,38 @@ func TestSnapshotCorruptParamRejected(t *testing.T) {
 	bad[8] = 0 // param = 0
 	if _, err := UnmarshalThetaSnapshot[string](bad); err == nil {
 		t.Fatal("corrupt param 0 accepted")
+	}
+}
+
+// TestSnapshotCountBeyondBody: the header's key count is the sender's
+// claim. A count far larger than the body can hold must fail as
+// corrupt without sizing the entries map by it (a 4-billion-entry map
+// would be tens of GB); a truthful count still round-trips.
+func TestSnapshotCountBeyondBody(t *testing.T) {
+	tab := NewTheta(ThetaConfig[uint64]{Table: Config[uint64]{Writers: 1, Shards: 4}})
+	defer tab.Close()
+	w := tab.Writer(0)
+	for key := uint64(0); key < 100; key++ {
+		w.UpdateKeyed(key, key)
+	}
+	data, err := tab.SnapshotBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap, err := UnmarshalThetaSnapshot[uint64](data); err != nil || snap.Len() != 100 {
+		t.Fatalf("honest snapshot: %v, %d keys; want 100", err, snap.Len())
+	}
+	bad := bytes.Clone(data)
+	binary.LittleEndian.PutUint32(bad[12:16], 0xFFFFFFFF)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = UnmarshalThetaSnapshot[uint64](bad)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrSnapCorrupt) {
+		t.Fatalf("count 2^32-1 over a 100-entry body: err = %v, want ErrSnapCorrupt", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("rejecting the snapshot allocated %d bytes; the map was sized by the claimed count", grew)
 	}
 }
 

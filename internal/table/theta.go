@@ -20,12 +20,16 @@ type ThetaConfig[K Key] struct {
 	// against the paper's standalone default of 4096.
 	K int
 	// MaxError is e, the per-key tolerated relaxation error; it sizes
-	// the eager cutoff 2/e² exactly as for a standalone sketch. The
-	// default is the per-key sketch's own RSE 1/sqrt(K-2) (6.3% at the
-	// default K=256), never below 0.04: a relaxation-error target
-	// tighter than the sketch's inherent error would only lengthen the
-	// serialised (mutex-guarded) per-key eager phase, which multi-
-	// writer ingest pays for directly.
+	// the eager cutoff 2/e² exactly as for a standalone sketch. A key
+	// below the cutoff is flat (see the package comment): one array of
+	// its distinct item hashes, deduplicated by linear scan, so 2/e² is
+	// also the most that array can hold (8 bytes each) and bounds the
+	// scan. The default is the per-key sketch's own RSE 1/sqrt(K-2)
+	// (6.3% at the default K=256, cutoff 508 updates), never below
+	// 0.04: a relaxation-error target tighter than the sketch's
+	// inherent error would only lengthen the serialised (mutex-guarded)
+	// per-key eager phase, which multi-writer ingest pays for directly.
+	// MaxError >= 1 means no eager phase and no flat keys.
 	MaxError float64
 	// BufferSize is b, each writer slot's local buffer per key; the
 	// per-key relaxation is r = 2·N·b. Default 8 (the error-derived

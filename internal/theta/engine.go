@@ -1,6 +1,10 @@
 package theta
 
 import (
+	"slices"
+	"sync"
+	"sync/atomic"
+
 	"github.com/fcds/fcds/internal/core"
 	"github.com/fcds/fcds/internal/hash"
 )
@@ -49,22 +53,13 @@ func (e *Engine) NewSketch(pool *core.PropagatorPool) core.EngineSketch[uint64, 
 }
 
 // NewSketchAffine implements core.Engine: NewSketch pinned to the pool
-// worker the affinity key maps to.
+// worker the affinity key maps to. With the eager phase configured the
+// sketch starts flat (see engineSketch) and attaches to the pool only
+// when it leaves that phase.
 func (e *Engine) NewSketchAffine(pool *core.PropagatorPool, affinityKey uint64) core.EngineSketch[uint64, float64, *Compact] {
-	return &engineSketch{
-		eng:  e,
-		pool: pool,
-		aff:  affinityKey,
-		c:    e.newConcurrent(pool, affinityKey),
-		ws:   make([]*ConcurrentWriter, e.cfg.Writers),
-	}
-}
-
-func (e *Engine) newConcurrent(pool *core.PropagatorPool, affinityKey uint64) *Concurrent {
-	cfg := e.cfg
-	cfg.Pool = pool
-	cfg.AffinityKey = affinityKey
-	return NewConcurrent(cfg)
+	s := &engineSketch{eng: e, pool: pool, aff: affinityKey}
+	s.start(nil)
+	return s
 }
 
 // NewSketchSeeded implements core.ScalableEngine: the new sketch's
@@ -73,20 +68,9 @@ func (e *Engine) newConcurrent(pool *core.PropagatorPool, affinityKey uint64) *C
 // with a foreign seed (impossible within one engine family) falls back
 // to an empty sketch.
 func (e *Engine) NewSketchSeeded(pool *core.PropagatorPool, affinityKey uint64, from *Compact) core.EngineSketch[uint64, float64, *Compact] {
-	cfg := e.cfg
-	cfg.Pool = pool
-	cfg.AffinityKey = affinityKey
-	c, err := NewConcurrentFrom(cfg, from)
-	if err != nil {
-		c = NewConcurrent(cfg)
-	}
-	return &engineSketch{
-		eng:  e,
-		pool: pool,
-		aff:  affinityKey,
-		c:    c,
-		ws:   make([]*ConcurrentWriter, e.cfg.Writers),
-	}
+	s := &engineSketch{eng: e, pool: pool, aff: affinityKey}
+	s.start(from)
+	return s
 }
 
 // carryHintHeadroom loosens a carried Θ hint by this factor. A hint
@@ -173,71 +157,201 @@ type unionAggregator struct{ u *Union }
 func (a *unionAggregator) Add(c *Compact) error { return a.u.Add(c) }
 func (a *unionAggregator) Result() *Compact     { return a.u.Result() }
 
-// engineSketch adapts one Concurrent to core.EngineSketch. Writer
-// handles are created lazily per slot: slot i is only touched by the
-// composite's writer i, or by an owner holding exclusive access.
+// engineSketch is one per-key / per-epoch Θ sketch as core.EngineSketch.
+//
+// §5.3 processes a short stream sequentially, because the relaxation
+// r = 2·N·b would otherwise dominate it; while a sketch is in that
+// phase none of the concurrent machinery does any work. So a sketch of
+// an engine with the eager phase configured starts flat: its whole
+// state is mu, the unsorted distinct Θ-space hashes it has seen (exact
+// mode, Θ = 1, deduplicated by linear scan) and their count, which
+// Query reads wait-free. Every update is visible on return (r = 0), as
+// in core's mutex-guarded eager phase, which this replaces for keyed
+// tables and windows — in about a hundred bytes plus eight per distinct
+// item instead of a Concurrent's ~15 heap objects and a pool
+// attachment. The run that would bring the applied-update count to
+// EagerLimit builds the Concurrent once, seeded from the hashes and
+// with its own eager phase off, and goes through the buffered path (by
+// then the stream is ≥ 2/e² long, where r/n ≤ e holds); from there on
+// every path is the concurrent one. Engines without an eager phase
+// build the Concurrent at construction.
 type engineSketch struct {
 	eng  *Engine
 	pool *core.PropagatorPool
 	aff  uint64
-	c    *Concurrent
-	ws   []*ConcurrentWriter
+
+	// mu guards flat and applied, and serialises materialization.
+	mu      sync.Mutex
+	flat    []uint64
+	applied int
+	n       atomic.Int64 // len(flat)
+
+	// c is nil while flat. ws is allocated before c is published and
+	// filled lazily per slot: slot i is only touched by the composite's
+	// writer i, or by an owner holding exclusive access.
+	c  atomic.Pointer[Concurrent]
+	ws []*ConcurrentWriter
 }
 
-func (s *engineSketch) writer(i int) *ConcurrentWriter {
-	if s.ws[i] == nil {
-		s.ws[i] = s.c.Writer(i)
+// closedSketch is what Close leaves in engineSketch.c: every later use
+// reaches its nil core sketch (or the nil ws) and panics.
+var closedSketch = &Concurrent{}
+
+// start puts a new or just-closed sketch into its initial state:
+// concurrent when it is seeded or the engine has no eager phase, flat
+// otherwise. Callers hold mu or own the sketch exclusively.
+func (s *engineSketch) start(from *Compact) {
+	s.applied = 0
+	s.n.Store(0)
+	if from != nil || s.eng.cfg.EagerLimit <= 0 {
+		s.materialize(from, s.eng.cfg)
+		return
 	}
-	return s.ws[i]
+	s.flat, s.ws = s.flat[:0], nil
+	s.c.Store(nil)
 }
 
-func (s *engineSketch) Update(i int, v uint64)               { s.writer(i).UpdateUint64(v) }
-func (s *engineSketch) UpdateBatch(i int, vals []uint64)     { s.writer(i).UpdateUint64Batch(vals) }
-func (s *engineSketch) UpdateHashedBatch(i int, hs []uint64) { s.writer(i).UpdateHashBatch(hs) }
-func (s *engineSketch) Flush(i int) {
-	if s.ws[i] != nil {
-		s.ws[i].Flush()
-	}
-}
-func (s *engineSketch) Query() float64    { return s.c.Estimate() }
-func (s *engineSketch) Compact() *Compact { return s.c.Compact() }
-
-// Close drops the concurrent sketch after closing it: writer entry
-// caches may keep a reference to an evicted table entry (and through
-// it, this adapter) until the slot is overwritten, and releasing the
-// sketch graph here bounds that retention to the adapter stub. Any
-// use after Close is a contract violation and now fails loudly.
-func (s *engineSketch) Close() {
-	if s.c != nil {
-		s.c.Close()
-		s.c = nil
-		s.ws = nil
-	}
-}
-
-// Reset implements core.EngineSketch: equivalent to Close followed by a
-// fresh sketch on the same executor. The caller must hold the same
-// exclusivity as for Close.
-func (s *engineSketch) Reset() {
-	s.c.Close()
-	s.c = s.eng.newConcurrent(s.pool, s.aff)
-	clear(s.ws)
-}
-
-// ResetSeeded implements core.ReseedableSketch: Reset, but the fresh
-// sketch starts from the compact (for a HintCompact result: empty
-// sample set, carried Θ as every writer's initial pre-filter hint).
-// Same exclusivity contract as Reset; an incompatible compact falls
-// back to the empty sketch, like NewSketchSeeded.
-func (s *engineSketch) ResetSeeded(from *Compact) {
-	s.c.Close()
-	cfg := s.eng.cfg
+// materialize builds the Concurrent (seeded from the compact when
+// non-nil; an incompatible compact — foreign seed, impossible within
+// one engine family — falls back to empty) and publishes it. The flat
+// array is dropped: a caller that wants its hashes kept passes them in
+// from. Callers hold mu or own the sketch exclusively.
+func (s *engineSketch) materialize(from *Compact, cfg ConcurrentConfig) {
 	cfg.Pool = s.pool
 	cfg.AffinityKey = s.aff
 	c, err := NewConcurrentFrom(cfg, from)
 	if err != nil {
 		c = NewConcurrent(cfg)
 	}
-	s.c = c
-	clear(s.ws)
+	s.flat = nil
+	s.ws = make([]*ConcurrentWriter, cfg.Writers)
+	s.c.Store(c)
+}
+
+// flatAdd applies a run to a flat sketch and reports whether it did.
+// false means the sketch is concurrent — it already was, or this run
+// would reach the eager limit and materialized it — and the caller
+// takes the writer path.
+func (s *engineSketch) flatAdd(vals []uint64, hashed bool) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.c.Load() != nil {
+		return false
+	}
+	seed := s.eng.cfg.Seed
+	if s.applied+len(vals) >= s.eng.cfg.EagerLimit {
+		cfg := s.eng.cfg
+		cfg.EagerLimit = -1
+		// The compact takes ownership of the array.
+		s.materialize(newCompactFromUnsorted(s.flat, hash.MaxThetaValue, seed), cfg)
+		return false
+	}
+	for _, h := range vals {
+		if !hashed {
+			h = hash.ThetaHashUint64(h, seed)
+		}
+		if h < hash.MaxThetaValue && !slices.Contains(s.flat, h) {
+			s.flat = append(s.flat, h)
+		}
+	}
+	s.applied += len(vals)
+	s.n.Store(int64(len(s.flat)))
+	return true
+}
+
+func (s *engineSketch) writer(i int) *ConcurrentWriter {
+	if s.ws[i] == nil {
+		s.ws[i] = s.c.Load().Writer(i)
+	}
+	return s.ws[i]
+}
+
+func (s *engineSketch) Update(i int, v uint64) {
+	if s.c.Load() == nil && s.flatAdd([]uint64{v}, false) {
+		return
+	}
+	s.writer(i).UpdateUint64(v)
+}
+
+func (s *engineSketch) UpdateBatch(i int, vals []uint64) {
+	if s.c.Load() == nil && s.flatAdd(vals, false) {
+		return
+	}
+	s.writer(i).UpdateUint64Batch(vals)
+}
+
+func (s *engineSketch) UpdateHashedBatch(i int, hs []uint64) {
+	if s.c.Load() == nil && s.flatAdd(hs, true) {
+		return
+	}
+	s.writer(i).UpdateHashBatch(hs)
+}
+
+// Flush on a flat sketch is a no-op: nothing is ever buffered.
+func (s *engineSketch) Flush(i int) {
+	if s.c.Load() != nil && s.ws[i] != nil {
+		s.ws[i].Flush()
+	}
+}
+
+func (s *engineSketch) Query() float64 {
+	if c := s.c.Load(); c != nil {
+		return c.Estimate()
+	}
+	return float64(s.n.Load())
+}
+
+// Compact of a flat sketch copies the hashes under mu (the only point
+// where a compact briefly waits for a writer) and sorts outside it.
+func (s *engineSketch) Compact() *Compact {
+	s.mu.Lock()
+	if c := s.c.Load(); c != nil {
+		s.mu.Unlock()
+		return c.Compact()
+	}
+	hs := slices.Clone(s.flat)
+	s.mu.Unlock()
+	return newCompactFromUnsorted(hs, hash.MaxThetaValue, s.eng.cfg.Seed)
+}
+
+// Close closes the concurrent sketch, if there is one, and drops the
+// state: writer entry caches may keep a reference to an evicted table
+// entry (and through it, this adapter) until the slot is overwritten,
+// and releasing the sketch graph here bounds that retention to the
+// adapter stub. Any use after Close is a contract violation and fails
+// loudly (see closedSketch).
+func (s *engineSketch) Close() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	c := s.c.Load()
+	if c == closedSketch {
+		return
+	}
+	if c != nil {
+		c.Close()
+	}
+	s.c.Store(closedSketch)
+	s.ws, s.flat = nil, nil
+}
+
+// Reset implements core.EngineSketch: equivalent to Close followed by a
+// fresh sketch on the same executor — flat again when the engine has an
+// eager phase. The caller must hold the same exclusivity as for Close.
+func (s *engineSketch) Reset() { s.restart(nil) }
+
+// ResetSeeded implements core.ReseedableSketch: Reset, but the fresh
+// sketch starts from the compact (for a HintCompact result: empty
+// sample set, carried Θ as every writer's initial pre-filter hint), so
+// it is concurrent from the start. Same exclusivity contract as Reset;
+// an incompatible compact falls back to the empty sketch, like
+// NewSketchSeeded.
+func (s *engineSketch) ResetSeeded(from *Compact) { s.restart(from) }
+
+func (s *engineSketch) restart(from *Compact) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if c := s.c.Load(); c != nil {
+		c.Close()
+	}
+	s.start(from)
 }

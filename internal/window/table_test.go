@@ -1,6 +1,7 @@
 package window
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -180,5 +181,59 @@ func TestWindowTableConcurrent(t *testing.T) {
 	}
 	if wt.Epoch() != int64(rotations) {
 		t.Fatalf("epoch = %d, want %d", wt.Epoch(), rotations)
+	}
+}
+
+// TestWindowTableFlatKeysAcrossRotation: with the eager phase on, a
+// key that never reaches the eager limit is flat in every epoch it
+// appears in — no pool attachment, every update visible on return
+// without a Drain — and still travels the whole ring: active, draining,
+// sealed snapshot, expiry. Its window compact is byte-identical to that
+// of a table that buffered the same items.
+func TestWindowTableFlatKeysAcrossRotation(t *testing.T) {
+	cfg := table.ThetaConfig[uint64]{
+		Table: table.Config[uint64]{Writers: 1, Shards: 8},
+		K:     1024, MaxError: 0.1, // eager limit 2/e² = 200
+	}
+	tcfg, eng := cfg.Engine()
+	wt := NewTable(tcfg, eng, Config{Slots: 3, Width: time.Hour})
+	defer wt.Close()
+	cfg.MaxError = 1 // the same table without an eager phase
+	rcfg, reng := cfg.Engine()
+	ref := NewTable(rcfg, reng, Config{Slots: 3, Width: time.Hour})
+	defer ref.Close()
+	w, rw := wt.Writer(0), ref.Writer(0)
+
+	const key, perEpoch = uint64(7), 30
+	for e := 0; e < 5; e++ {
+		if e > 0 {
+			wt.Rotate()
+			ref.Rotate()
+		}
+		for i := 0; i < perEpoch; i++ {
+			w.UpdateKeyed(key, uint64(1000*e+i))
+			rw.UpdateKeyed(key, uint64(1000*e+i))
+		}
+		want := float64(perEpoch * min(e+1, 3)) // slots = 3
+		if got, ok := wt.QueryWindow(key); !ok || got != want {
+			t.Fatalf("epoch %d: window query without Drain = %v (ok=%v), want %v", e, got, ok, want)
+		}
+		if n := wt.Pool().Sketches(); n != 0 {
+			t.Fatalf("epoch %d: pool serves %d sketches; the key should be flat in every epoch", e, n)
+		}
+		ref.Drain()
+		got, _ := wt.CompactWindowKey(key)
+		wantC, _ := ref.CompactWindowKey(key)
+		gb, err := got.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wb, err := wantC.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gb, wb) {
+			t.Fatalf("epoch %d: window compact of the flat key differs from the buffered table's", e)
+		}
 	}
 }

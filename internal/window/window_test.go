@@ -285,3 +285,32 @@ func TestWindowConcurrentWritersRotate(t *testing.T) {
 		t.Fatalf("epoch = %d, want 8", w.Epoch())
 	}
 }
+
+// TestWindowRecycledEpochStartsFlat: with the eager phase on, every
+// epoch's sketch is flat — visible without a flush, off the pool — and
+// a recycled sketch (Reset) starts from zero, not from its previous
+// epoch's items.
+func TestWindowRecycledEpochStartsFlat(t *testing.T) {
+	eng := theta.NewEngine(theta.ConcurrentConfig{K: 2048, Writers: 1, MaxError: 0.1}) // eager limit 200
+	w := New(eng, Config{Slots: 2, Width: time.Hour})
+	defer w.Close()
+	wr := w.Writer(0)
+	for e := 0; e < 4; e++ {
+		if e > 0 {
+			w.Rotate()
+		}
+		for i := 0; i < 10; i++ {
+			wr.Update(uint64(100*e + i))
+		}
+		want := float64(10 * min(e+1, 2)) // slots = 2
+		if got := w.QueryWindow(); got != want {
+			t.Fatalf("epoch %d: window = %v without a flush, want %v", e, got, want)
+		}
+		if n := w.Pool().Sketches(); n != 0 {
+			t.Fatalf("epoch %d: pool serves %d sketches, want 0", e, n)
+		}
+	}
+	if w.Recycles() == 0 {
+		t.Fatal("no epoch sketch was recycled; the test did not reach Reset")
+	}
+}
