@@ -135,7 +135,12 @@
 // compact) plus, for rollups, one merge into the accumulator and, for
 // snapshots, one serialization. Per-key compaction dominates; with
 // K=4096 Θ sketches a compaction is a few microseconds, so a million
-// keys is seconds of work per pass if done serially. Reads never
+// keys is seconds of work per pass if done serially. A Θ compaction
+// is a copy, not a sort: a compact takes its samples as the sketch
+// held them and is put in order by the first call that needs order
+// (MarshalBinary, Hashes, ForEachHash — see ThetaCompact), so rollups
+// and window reads, which only merge, never sort, and snapshots and
+// checkpoints sort once, outside every sketch lock. Reads never
 // block ingestion (writers only take shard read locks briefly per
 // key), but a long pass holds down cache and memory bandwidth.
 //
@@ -465,7 +470,12 @@ type (
 	// HeapQuickSelectSketch family used in the evaluation).
 	ThetaQuickSelect = theta.QuickSelect
 	// ThetaCompact is an immutable Θ sketch snapshot with confidence
-	// bounds and binary serialization.
+	// bounds and binary serialization. Its samples are ordered on
+	// demand: estimates, bounds and merges (ThetaUnion.Add) read them
+	// as collected; MarshalBinary, Hashes and ForEachHash sort them
+	// once, the first time any of them runs, after which unions of the
+	// compact stop early at their running Θ. All of it is safe from any
+	// number of goroutines sharing one compact.
 	ThetaCompact = theta.Compact
 	// ThetaUnion merges Θ sketches (mergeability, §3).
 	ThetaUnion = theta.Union

@@ -88,8 +88,8 @@ type Config struct {
 	BufferSize int
 	// EagerLimit is the stream length (in updates applied to the
 	// global sketch) below which writers propagate eagerly —
-	// sequentially, under a lock — instead of buffering (§5.3). Zero
-	// disables the eager phase.
+	// sequentially, under a lock — instead of buffering (§5.3). Zero or
+	// less disables the eager phase.
 	EagerLimit int
 	// DoubleBuffering selects OptParSketch (true, Algorithm 2 with the
 	// gray lines) or the non-optimised ParSketch (false), in which a

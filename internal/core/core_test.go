@@ -119,6 +119,21 @@ func TestEagerLimitFor(t *testing.T) {
 	}
 }
 
+// TestCommonConfigDefaultsResolveOnce: an engine resolves its config
+// and every sketch it builds resolves it again, so a second pass must
+// change nothing — in particular not turn "disabled" into "derived".
+func TestCommonConfigDefaultsResolveOnce(t *testing.T) {
+	for _, limit := range []int{-1, 0, 77} {
+		once := CommonConfig{EagerLimit: limit}.WithDefaults(1250, 9)
+		if twice := once.WithDefaults(1250, 9); twice != once {
+			t.Errorf("EagerLimit %d: second pass changed %+v to %+v", limit, once, twice)
+		}
+		if (limit < 0) != (once.EagerLimit < 0) {
+			t.Errorf("EagerLimit %d resolved to %d", limit, once.EagerLimit)
+		}
+	}
+}
+
 func TestSingleWriterFlushVisibility(t *testing.T) {
 	s, _ := newCounting(Config{Writers: 1, BufferSize: 7, DoubleBuffering: true})
 	defer s.Close()

@@ -25,15 +25,15 @@ type CommonConfig struct {
 }
 
 // WithDefaults resolves the shared zero-value conventions against the
-// instantiation's derived eager limit and default seed.
+// instantiation's derived eager limit and default seed. A disabled
+// eager limit stays negative, so resolving a resolved config again (an
+// engine resolves once, each sketch it builds once more) changes
+// nothing; core.Config treats every value <= 0 as "no eager phase".
 func (c CommonConfig) WithDefaults(derivedEagerLimit int, defaultSeed uint64) CommonConfig {
 	if c.Writers == 0 {
 		c.Writers = 1
 	}
-	switch {
-	case c.EagerLimit < 0:
-		c.EagerLimit = 0
-	case c.EagerLimit == 0:
+	if c.EagerLimit == 0 {
 		c.EagerLimit = derivedEagerLimit
 	}
 	if c.Seed == 0 {

@@ -82,8 +82,9 @@ type EngineSketch[V, S, C any] interface {
 	Query() S
 	// Compact returns an immutable serializable point-in-time copy. It
 	// briefly synchronises with the propagator (with a writer only while
-	// a Θ sketch is still flat, for the length of one copy) and may miss
-	// up to the relaxation bound of recent updates.
+	// a Θ sketch is still flat) for the length of one copy — never for a
+	// sort: a Θ compact is ordered later, by whoever first serializes it
+	// — and may miss up to the relaxation bound of recent updates.
 	Compact() C
 	// Reset restores the empty state. The caller must hold the same
 	// exclusivity as for Close: no concurrent writer-slot use.

@@ -73,3 +73,31 @@ func BenchmarkTableQuery(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkTableRollup measures the all-keys read: 1 000 keys, a third
+// of them still flat, the rest in estimation mode; one op is one
+// Rollup (per key: a compact and an order-free merge).
+func BenchmarkTableRollup(b *testing.B) {
+	tab := NewTheta(ThetaConfig[uint64]{Table: Config[uint64]{Writers: 1, Shards: 64}, K: 256})
+	defer tab.Close()
+	w := tab.Writer(0)
+	const keys = 1000
+	for k := uint64(0); k < keys; k++ {
+		n := uint64(3000)
+		if k%3 == 0 {
+			n = 300 // below the eager limit: flat
+		}
+		for i := uint64(0); i < n; i++ {
+			w.UpdateKeyed(k, k<<32|i)
+		}
+	}
+	tab.Drain()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if tab.Rollup().Retained() == 0 {
+			b.Fatal("empty rollup")
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/keys, "ns/key")
+}

@@ -1,0 +1,118 @@
+package table
+
+import (
+	"bytes"
+	"sync"
+	"testing"
+
+	"github.com/fcds/fcds/internal/core"
+	"github.com/fcds/fcds/internal/theta"
+)
+
+// recordingEngine is the Θ engine with every compact its sketches hand
+// out kept, so a test can look at what a whole-table read did to the
+// per-key compacts it made and dropped.
+type recordingEngine struct {
+	*theta.Engine
+	mu   sync.Mutex
+	seen []*theta.Compact
+}
+
+type recordingSketch struct {
+	core.EngineSketch[uint64, float64, *theta.Compact]
+	rec *recordingEngine
+}
+
+func (r *recordingEngine) NewSketchAffine(pool *core.PropagatorPool, aff uint64) core.EngineSketch[uint64, float64, *theta.Compact] {
+	return recordingSketch{r.Engine.NewSketchAffine(pool, aff), r}
+}
+
+func (s recordingSketch) Compact() *theta.Compact {
+	c := s.EngineSketch.Compact()
+	s.rec.mu.Lock()
+	s.rec.seen = append(s.rec.seen, c)
+	s.rec.mu.Unlock()
+	return c
+}
+
+// orderTestTable holds 60 keys in every state a Θ key has: flat (a few
+// items), concurrent in exact mode, concurrent in estimation mode.
+func orderTestTable(t *testing.T) (*SketchTable[uint64, uint64, float64, *theta.Compact], *recordingEngine) {
+	t.Helper()
+	tcfg, eng := ThetaConfig[uint64]{
+		Table: Config[uint64]{Writers: 1, Shards: 8},
+		K:     64, MaxError: 0.2, // eager limit 2/e² = 50
+	}.Engine()
+	rec := &recordingEngine{Engine: eng}
+	tab := NewEngineTable[uint64](tcfg, core.Engine[uint64, float64, *theta.Compact](rec))
+	w := tab.Writer(0)
+	for key := uint64(0); key < 60; key++ {
+		n := []uint64{10, 60, 2000}[key%3]
+		for i := uint64(0); i < n; i++ {
+			w.UpdateKeyed(key, key<<32|i)
+		}
+	}
+	tab.Drain()
+	if flat := int64(tab.Keys()) - tab.Pool().Sketches(); flat != 20 {
+		t.Fatalf("%d flat keys, want 20", flat)
+	}
+	return tab, rec
+}
+
+// TestRollupLeavesPerKeyCompactsUnordered: a rollup merges every key's
+// compact and needs none of them in order, at any read degree — no
+// sort hides in the path.
+func TestRollupLeavesPerKeyCompactsUnordered(t *testing.T) {
+	tab, rec := orderTestTable(t)
+	defer tab.Close()
+	for _, degree := range []int{1, 4} {
+		rec.seen = rec.seen[:0]
+		tab.t.rollup(degree)
+		if len(rec.seen) != tab.Keys() {
+			t.Fatalf("degree %d: rollup compacted %d keys of %d", degree, len(rec.seen), tab.Keys())
+		}
+		for _, c := range rec.seen {
+			if c.Retained() < 10 {
+				t.Fatalf("degree %d: a key compact holds %d samples", degree, c.Retained())
+			}
+			if c.IsOrdered() {
+				t.Fatalf("degree %d: rollup ordered a per-key compact (%d samples)", degree, c.Retained())
+			}
+		}
+	}
+}
+
+// TestRollupOrderedInputsMatchUnordered: the same keys rolled up from
+// the live table (compacts as collected) and from its parsed snapshot
+// (ordered compacts: the union stops early on each) are the same
+// sketch, byte for byte.
+func TestRollupOrderedInputsMatchUnordered(t *testing.T) {
+	tab, rec := orderTestTable(t)
+	defer tab.Close()
+	live, err := rec.MarshalCompact(tab.Rollup())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := tab.SnapshotBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := UnmarshalThetaSnapshot[uint64](data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg := rec.NewAggregator()
+	snap.ForEach(func(_ uint64, c *theta.Compact) {
+		if !c.IsOrdered() {
+			t.Fatal("parsed compact is not ordered")
+		}
+		_ = agg.Add(c)
+	})
+	parsed, err := rec.MarshalCompact(agg.Result())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(live, parsed) {
+		t.Fatal("rollup of ordered compacts differs from the rollup of the same keys unordered")
+	}
+}

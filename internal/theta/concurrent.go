@@ -124,7 +124,7 @@ func (g *GlobalSketch) AbsorbCompact(c *Compact) error {
 	if ab, ok := g.qs.(interface{ AbsorbCompact(*Compact) error }); ok {
 		err = ab.AbsorbCompact(c)
 	} else {
-		c.ForEachHash(g.qs.UpdateHash)
+		forEachHashUnordered(c, g.qs.UpdateHash)
 	}
 	g.publish()
 	return err
@@ -133,7 +133,9 @@ func (g *GlobalSketch) AbsorbCompact(c *Compact) error {
 // Compact returns an immutable point-in-time snapshot of the full
 // sample set, serialised against concurrent merges. Unlike Snapshot
 // (the wait-free estimate read) it retains the hashes, so it can be
-// serialized, merged and persisted.
+// serialized, merged and persisted. The propagator waits only for the
+// copy: the samples leave unsorted, and whoever first needs them in
+// order sorts them outside this lock (see Compact).
 func (g *GlobalSketch) Compact() *Compact {
 	g.mu.Lock()
 	defer g.mu.Unlock()

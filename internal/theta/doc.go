@@ -21,7 +21,7 @@
 //
 // The package also provides the set operations a downstream user
 // expects from a Θ sketch library (Union, Intersection, AnotB), compact
-// immutable snapshots with confidence bounds, and binary
-// serialization. Concurrency adapters for the generic framework of
+// immutable snapshots with confidence bounds (ordered on demand, see
+// Compact), and binary serialization. Concurrency adapters for the generic framework of
 // package core live in concurrent.go.
 package theta

@@ -204,7 +204,7 @@ func (s *engineSketch) start(from *Compact) {
 	s.applied = 0
 	s.n.Store(0)
 	if from != nil || s.eng.cfg.EagerLimit <= 0 {
-		s.materialize(from, s.eng.cfg)
+		s.materialize(from)
 		return
 	}
 	s.flat, s.ws = s.flat[:0], nil
@@ -213,10 +213,14 @@ func (s *engineSketch) start(from *Compact) {
 
 // materialize builds the Concurrent (seeded from the compact when
 // non-nil; an incompatible compact — foreign seed, impossible within
-// one engine family — falls back to empty) and publishes it. The flat
-// array is dropped: a caller that wants its hashes kept passes them in
-// from. Callers hold mu or own the sketch exclusively.
-func (s *engineSketch) materialize(from *Compact, cfg ConcurrentConfig) {
+// one engine family — falls back to empty) and publishes it. Core's
+// own eager phase is always off: the sketch is past its flat phase,
+// seeded with a history that already is, or of an engine without one.
+// The flat array is dropped: a caller that wants its hashes kept
+// passes them in from. Callers hold mu or own the sketch exclusively.
+func (s *engineSketch) materialize(from *Compact) {
+	cfg := s.eng.cfg
+	cfg.EagerLimit = -1
 	cfg.Pool = s.pool
 	cfg.AffinityKey = s.aff
 	c, err := NewConcurrentFrom(cfg, from)
@@ -240,10 +244,8 @@ func (s *engineSketch) flatAdd(vals []uint64, hashed bool) bool {
 	}
 	seed := s.eng.cfg.Seed
 	if s.applied+len(vals) >= s.eng.cfg.EagerLimit {
-		cfg := s.eng.cfg
-		cfg.EagerLimit = -1
 		// The compact takes ownership of the array.
-		s.materialize(newCompactFromUnsorted(s.flat, hash.MaxThetaValue, seed), cfg)
+		s.materialize(newCompactFromUnsorted(s.flat, hash.MaxThetaValue, seed))
 		return false
 	}
 	for _, h := range vals {
@@ -302,7 +304,8 @@ func (s *engineSketch) Query() float64 {
 }
 
 // Compact of a flat sketch copies the hashes under mu (the only point
-// where a compact briefly waits for a writer) and sorts outside it.
+// where a compact briefly waits for a writer); like every compact it
+// leaves unsorted.
 func (s *engineSketch) Compact() *Compact {
 	s.mu.Lock()
 	if c := s.c.Load(); c != nil {

@@ -91,7 +91,7 @@ func (s *KMV) Merge(other Sketch) error {
 	if other.Seed() != s.seed {
 		return ErrSeedMismatch
 	}
-	other.ForEachHash(s.UpdateHash)
+	forEachHashUnordered(other, s.UpdateHash)
 	return nil
 }
 

@@ -121,7 +121,7 @@ func (s *QuickSelect) Merge(other Sketch) error {
 	if other.Seed() != s.seed {
 		return ErrSeedMismatch
 	}
-	other.ForEachHash(s.UpdateHash)
+	forEachHashUnordered(other, s.UpdateHash)
 	return nil
 }
 
@@ -158,7 +158,8 @@ func (s *QuickSelect) Reset() {
 	s.theta = hash.MaxThetaValue
 }
 
-// Compact returns an immutable snapshot of the sketch.
+// Compact returns an immutable snapshot of the sketch, its samples in
+// table order (see Compact for when they get sorted).
 func (s *QuickSelect) Compact() *Compact {
 	hashes := s.table.appendAll(make([]uint64, 0, s.table.count))
 	return newCompactFromUnsorted(hashes, s.theta, s.seed)
@@ -170,6 +171,11 @@ func (s *QuickSelect) Compact() *Compact {
 // filters exactly as hard as the sketch the compact was taken from —
 // the hot-key promotion path relies on this to rebuild without losing
 // pre-filtering strength. Seeds must match.
+//
+// An empty sketch handed more samples than the table holds between
+// rebuilds (a flat table key materializing) rebuilds first: it keeps
+// the k smallest with Θ the (k+1)-th, so its state is a function of the
+// sample set alone, not of the order the samples lie in.
 func (s *QuickSelect) AbsorbCompact(c *Compact) error {
 	if c.Seed() != s.seed {
 		return ErrSeedMismatch
@@ -187,6 +193,14 @@ func (s *QuickSelect) AbsorbCompact(c *Compact) error {
 			}
 		}
 	}
-	c.ForEachHash(s.UpdateHash)
+	c.read(func(hashes []uint64, _ bool) {
+		if s.table.count == 0 && len(hashes) >= s.thresh {
+			s.scratch = append(s.scratch[:0], hashes...)
+			s.theta = selectKth(s.scratch, s.k+1)
+		}
+		for _, h := range hashes {
+			s.UpdateHash(h)
+		}
+	})
 	return nil
 }

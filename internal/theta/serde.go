@@ -40,18 +40,21 @@ var (
 	ErrCountBounds = errors.New("theta: retained count out of bounds")
 )
 
-// MarshalBinary serializes the compact sketch.
+// MarshalBinary serializes the compact sketch. The format is ascending,
+// so this is an ordering call (see Compact): the first one on a compact
+// sorts its samples, every later one only copies them.
 func (c *Compact) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, headerSize+8*len(c.hashes))
+	hashes := c.order()
+	buf := make([]byte, headerSize+8*len(hashes))
 	copy(buf[0:4], serdeMagic)
 	buf[4] = serdeVersion
-	if len(c.hashes) == 0 {
+	if len(hashes) == 0 {
 		buf[5] = flagEmpty
 	}
 	binary.LittleEndian.PutUint64(buf[8:16], c.seed)
 	binary.LittleEndian.PutUint64(buf[16:24], c.theta)
-	binary.LittleEndian.PutUint32(buf[24:28], uint32(len(c.hashes)))
-	for i, h := range c.hashes {
+	binary.LittleEndian.PutUint32(buf[24:28], uint32(len(hashes)))
+	for i, h := range hashes {
 		binary.LittleEndian.PutUint64(buf[headerSize+8*i:], h)
 	}
 	return buf, nil
@@ -59,7 +62,9 @@ func (c *Compact) MarshalBinary() ([]byte, error) {
 
 // UnmarshalCompact parses a compact sketch serialized by MarshalBinary,
 // validating every structural invariant so corrupt input cannot
-// produce a sketch that later panics or estimates garbage.
+// produce a sketch that later panics or estimates garbage. The result
+// is ordered: the format is strictly ascending and anything else is
+// rejected.
 func UnmarshalCompact(data []byte) (*Compact, error) {
 	if len(data) < headerSize {
 		return nil, fmt.Errorf("%w: %d bytes < header", ErrCorrupt, len(data))
@@ -79,8 +84,18 @@ func UnmarshalCompact(data []byte) (*Compact, error) {
 	if count < 0 || len(data) != headerSize+8*count {
 		return nil, ErrCountBounds
 	}
-	if data[5]&flagEmpty != 0 && count != 0 {
-		return nil, fmt.Errorf("%w: empty flag with %d hashes", ErrCorrupt, count)
+	// One encoding per sketch: the empty flag says exactly "no hashes",
+	// no other flag exists and reserved bytes are zero, as MarshalBinary
+	// writes them — so accepted bytes always marshal back to themselves.
+	wantFlags := byte(0)
+	if count == 0 {
+		wantFlags = flagEmpty
+	}
+	if data[5] != wantFlags {
+		return nil, fmt.Errorf("%w: flags %#x with %d hashes", ErrCorrupt, data[5], count)
+	}
+	if data[6]|data[7]|data[28]|data[29]|data[30]|data[31] != 0 {
+		return nil, fmt.Errorf("%w: nonzero reserved bytes", ErrCorrupt)
 	}
 	hashes := make([]uint64, count)
 	var prev uint64
@@ -98,5 +113,5 @@ func UnmarshalCompact(data []byte) (*Compact, error) {
 		hashes[i] = h
 		prev = h
 	}
-	return &Compact{hashes: hashes, theta: theta, seed: seed}, nil
+	return newCompactOrdered(hashes, theta, seed), nil
 }

@@ -24,7 +24,11 @@ func NewUnionSeeded(k int, seed uint64) *Union {
 	}
 }
 
-// Add folds a sketch into the union. Seeds must match.
+// Add folds a sketch into the union. Seeds must match. A compact is
+// read in whatever order it has: unordered, every sample is offered to
+// the gadget; ordered, the walk stops at the first sample that the
+// union's running Θ — min(unionMin, gadget Θ) — already excludes, since
+// every later one is larger still.
 func (u *Union) Add(s Sketch) error {
 	if s.Seed() != u.gadget.seed {
 		return ErrSeedMismatch
@@ -32,9 +36,23 @@ func (u *Union) Add(s Sketch) error {
 	if t := s.Theta(); t < u.unionMin {
 		u.unionMin = t
 	}
-	s.ForEachHash(func(h uint64) {
-		if h < u.unionMin {
-			u.gadget.UpdateHash(h)
+	c, ok := s.(*Compact)
+	if !ok {
+		s.ForEachHash(func(h uint64) {
+			if h < u.unionMin {
+				u.gadget.UpdateHash(h)
+			}
+		})
+		return nil
+	}
+	c.read(func(hashes []uint64, ordered bool) {
+		for _, h := range hashes {
+			// The gadget's Θ falls when an insert rebuilds it.
+			if h < min(u.unionMin, u.gadget.theta) {
+				u.gadget.UpdateHash(h)
+			} else if ordered {
+				return
+			}
 		}
 	})
 	return nil
@@ -96,7 +114,7 @@ func (x *Intersection) Add(s Sketch) error {
 		x.theta = t
 	}
 	incoming := make(map[uint64]struct{}, s.Retained())
-	s.ForEachHash(func(h uint64) { incoming[h] = struct{}{} })
+	forEachHashUnordered(s, func(h uint64) { incoming[h] = struct{}{} })
 	if x.hashes == nil {
 		x.hashes = incoming
 		return nil
@@ -136,9 +154,9 @@ func AnotB(a, b Sketch) (*Compact, error) {
 		theta = bt
 	}
 	inB := make(map[uint64]struct{}, b.Retained())
-	b.ForEachHash(func(h uint64) { inB[h] = struct{}{} })
+	forEachHashUnordered(b, func(h uint64) { inB[h] = struct{}{} })
 	hashes := make([]uint64, 0, a.Retained())
-	a.ForEachHash(func(h uint64) {
+	forEachHashUnordered(a, func(h uint64) {
 		if h < theta {
 			if _, ok := inB[h]; !ok {
 				hashes = append(hashes, h)

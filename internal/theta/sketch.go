@@ -19,7 +19,10 @@ type Sketch interface {
 	// sampling rather than counting exactly.
 	IsEstimationMode() bool
 	// ForEachHash calls fn for every retained hash, in unspecified
-	// order. Used by set operations and serialization.
+	// order — except on a Compact, which promises ascending order and
+	// sorts itself for the first such call. The set operations in this
+	// package therefore read a Compact's samples directly, unordered,
+	// and call ForEachHash only on the updatable sketches.
 	ForEachHash(fn func(uint64))
 	// Seed returns the hash seed; sketches are only mergeable when
 	// their seeds match.

@@ -1,6 +1,9 @@
 package theta
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // hashTable is an insert-only open-addressing set of nonzero Θ-space
 // hashes. Zero marks an empty slot (Θ hashes are never zero). Probing
@@ -61,11 +64,19 @@ func (t *hashTable) contains(h uint64) bool {
 	return false
 }
 
-// appendAll appends every stored hash to dst and returns it.
+// appendAll appends every stored hash to dst and returns it. Whether a
+// slot is occupied is a coin toss to the branch predictor, so the loop
+// has no branch on it: every slot is stored at the write position and
+// the position advances only past a hash (a conditional move), until
+// the last hash is in place.
 func (t *hashTable) appendAll(dst []uint64) []uint64 {
-	for _, v := range t.slots {
+	n, end := len(dst), len(dst)+t.count
+	dst = slices.Grow(dst, t.count)[:end]
+	for i := 0; n < end; i++ {
+		v := t.slots[i]
+		dst[n] = v
 		if v != 0 {
-			dst = append(dst, v)
+			n++
 		}
 	}
 	return dst

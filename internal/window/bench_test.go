@@ -54,3 +54,18 @@ func BenchmarkWindowTableKeyedBatch(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkWindowRollup measures the all-keys window read on a full
+// ring (sealed aggregate, draining and active epoch, 15 keys each):
+// one op is one RollupWindow.
+func BenchmarkWindowRollup(b *testing.B) {
+	wt, _ := orderTestWindow(b)
+	defer wt.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if wt.RollupWindow().Retained() == 0 {
+			b.Fatal("empty rollup")
+		}
+	}
+}

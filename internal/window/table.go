@@ -119,7 +119,7 @@ func (w *Table[K, V, S, C]) Keys() int { return w.view.Load().active.Keys() }
 // QueryWindow returns the key's query answer over the last Slots
 // epochs; false when the key appears nowhere in the window. It merges
 // at most three per-key compacts (sealed aggregate, draining epoch,
-// active epoch); ingestion is never blocked.
+// active epoch; see CompactWindowKey); ingestion is never blocked.
 func (w *Table[K, V, S, C]) QueryWindow(k K) (S, bool) {
 	c, ok := w.CompactWindowKey(k)
 	if !ok {
@@ -131,29 +131,32 @@ func (w *Table[K, V, S, C]) QueryWindow(k K) (S, bool) {
 
 // CompactWindowKey returns a mergeable serializable compact of one
 // key's whole-window state; false when the key is not in the window.
+// Only a key found in two or three of (sealed aggregate, draining,
+// active) costs a merge: a key found in one gets that compact as it
+// is (mergeSealed's zero-merge rule), a miss allocates nothing.
 func (w *Table[K, V, S, C]) CompactWindowKey(k K) (C, bool) {
 	v := w.view.Load()
-	agg := w.eng.NewAggregator()
-	found := false
+	var places [3]C
+	found := places[:0]
 	if sa := v.aggregate(w); sa != nil {
 		if c, ok := sa.Get(k); ok {
-			_ = agg.Add(c)
-			found = true
+			found = append(found, c)
 		}
 	}
 	if v.draining != nil {
 		if c, ok := v.draining.CompactKey(k); ok {
-			_ = agg.Add(c)
-			found = true
+			found = append(found, c)
 		}
 	}
 	if c, ok := v.active.CompactKey(k); ok {
-		_ = agg.Add(c)
-		found = true
+		found = append(found, c)
 	}
-	if !found {
-		var zero C
-		return zero, false
+	if len(found) < 2 {
+		return places[0], len(found) == 1
+	}
+	agg := w.eng.NewAggregator()
+	for _, c := range found {
+		_ = agg.Add(c)
 	}
 	return agg.Result(), true
 }
