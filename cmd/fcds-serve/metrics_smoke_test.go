@@ -176,10 +176,13 @@ func TestMetricsEndpointSmoke(t *testing.T) {
 			t.Errorf("%s = %v, want > 0", name, samples[name])
 		}
 	}
-	// Writer-pool families: the waits counter and the idle gauge.
+	// Writer-pool families: the waits counter and the idle gauge; and
+	// the table writers' filter counter (0 on a quantiles table, whose
+	// family has no writer-side filter, but always exported).
 	for _, fam := range []string{
 		"fcds_server_writer_pool_waits_total",
 		"fcds_server_writer_pool_idle",
+		"fcds_table_prefiltered_items_total",
 	} {
 		if !families[fam] {
 			t.Errorf("family %s missing from /metrics", fam)

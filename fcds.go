@@ -58,8 +58,8 @@
 // cardinality per device — across millions of keys. The table types
 // (ThetaTable, QuantilesTable, HLLTable, plus *U64 variants for
 // uint64 keys) map keys to lightweight per-key concurrent sketches:
-// sharded lazy creation, keyed batch ingestion that groups a batch by
-// key and shard before running the fused hash+pre-filter pipeline,
+// sharded lazy creation, keyed batch ingestion that hashes, pre-filters
+// and groups a batch by key and shard in one pass over its items,
 // wait-free per-key queries with the full per-key r = 2·N·b
 // guarantee, an all-keys rollup, TTL/size-cap eviction that spills
 // evicted keys as serialized snapshots, and whole-table binary
@@ -94,13 +94,41 @@
 // depth/steal/run counters. Liveness never depends on a steal — every
 // submission leaves a wake token with the home worker.
 //
-// On top of the shard map, every table Writer keeps a small
-// direct-mapped key→entry cache, so repeat keys in a batch skip the
-// shard read-lock and map lookup. Coherence is one epoch stamp per
-// shard, bumped whenever a key leaves that shard's map (eviction, TTL
-// expiry, Close); a cached entry is used only after the stamp
-// re-validates under the entry's liveness lock, so an evicted key can
-// never be resurrected through a stale cache slot.
+// Keyed batch ingestion is two passes, and the first is where a hot
+// table's time is won. The paper's writer asks shouldAdd(hint, u)
+// before it buffers u (Algorithm 1 lines 24/26; §5.2 calls the filter
+// instrumental for performance): a Θ sketch that has seen n ≫ k
+// distinct items can still be changed by only a k/n fraction of what
+// arrives. A table writer asks the same question before it does
+// anything else with an item. Every Writer keeps a direct-mapped
+// key→entry cache (2 048 slots of one cache line each); a slot holds the key, its
+// entry, a shard-epoch stamp, the hint the key's sketch gave when it
+// last took a run from this writer, and the key's group in the batch
+// being staged. Pass 1 hashes each item once into Θ space, finds the
+// key's slot, and drops the item there and then if its hash is not
+// below the hint — no map, no lock, no sketch call; survivors are
+// appended through the slot's group index, and only keys without a
+// slot go through a per-batch map. Pass 2 resolves those keys under
+// their shard's read lock, hands each key's surviving run to its
+// sketch under the entry's liveness lock alone, and refreshes the
+// slot's hint. A key whose run was dropped whole costs pass 2 nothing
+// but its credit: it was updated, so TTL/LRU eviction and the hot-key
+// counter see it exactly as if the run had reached the sketch.
+//
+// Coherence is one epoch stamp per shard, bumped inside the critical
+// section that removes a key from that shard's map (eviction, TTL
+// expiry, Close). A slot is trusted, for filtering as for resolving,
+// only after its stamp re-validates — once per key per batch, before
+// the first drop: the batch's items were all handed over by then, so
+// the dropped ones take effect at that instant, on an entry that is
+// provably in the map and whose Θ is at or below any hint it ever
+// gave, and change nothing. An evicted key is never filtered against,
+// or resurrected through, a stale slot, and since a dropped item never
+// occupies a buffer the per-key relaxation r = 2·N·b is untouched.
+// Quantiles and HLL have no such filter (any sample can move a
+// quantile, any hash can raise a register); their writers use the
+// cache to resolve and group only. Stats().Prefiltered, exported as
+// fcds_table_prefiltered_items_total, counts the drops.
 //
 // Tables can also adapt per key: an optional HotKeyPolicy counts each
 // key's ingest volume and, past HotThreshold, rebuilds that key's
@@ -141,8 +169,10 @@
 // (MarshalBinary, Hashes, ForEachHash — see ThetaCompact), so rollups
 // and window reads, which only merge, never sort, and snapshots and
 // checkpoints sort once, outside every sketch lock. Reads never
-// block ingestion (writers only take shard read locks briefly per
-// key), but a long pass holds down cache and memory bandwidth.
+// block ingestion — a writer takes a shard read lock only for keys its
+// entry cache does not hold, and an entry's lock only for a run that
+// survived its filter, so on a hot table most batches touch neither —
+// but a long pass holds down cache and memory bandwidth.
 //
 // The read path therefore fans out: entry pointers are collected
 // under each shard's read lock, then per-key compaction runs on a
@@ -414,6 +444,17 @@
 // shift of an otherwise-stable histogram toward higher buckets with a
 // flat key count means per-key compaction got more expensive (hot-key
 // promotions, estimation-mode transitions), not more keys.
+// fcds_table_prefiltered_items_total over the table's ingested items
+// is the share of a Θ table's traffic its writers dropped in pass 1. On
+// a table whose keys are far above K it should sit near 1 − k/n per
+// key (above 0.9 on the benchmark's 1 000-key zipf stream); a low
+// ratio there, with fcds_table_writer_cache_hits_total low against
+// fcds_table_shard_lookups_total, means the live hot keys outnumber a
+// writer's 2 048 cache slots (or keep being evicted and recreated), so
+// their items take the unfiltered path — shard lock, entry lock, sketch
+// call — only to be discarded by the sketch. A low ratio with a high
+// hit rate is not a fault: the keys are still below K (flat or in exact
+// mode), where every distinct item counts.
 // -stats-every logs the same registry through WriteValues, so the log
 // dump and the scrape endpoint can never disagree.
 //

@@ -70,10 +70,11 @@ type EngineSketch[V, S, C any] interface {
 	// UpdateBatch ingests a slice of values through writer slot i via
 	// the family's fused hash+pre-filter batch pipeline.
 	UpdateBatch(writer int, vals []V)
-	// UpdateHashedBatch ingests values that were already hashed by the
-	// family's item hash (the keyed string-ingestion path hashes in the
-	// grouping pass). Families whose value type is not a hash space
-	// (quantiles) treat it as UpdateBatch.
+	// UpdateHashedBatch ingests values that were already mapped by the
+	// engine's HashValue (or its string twin): keyed tables hash in
+	// their grouping pass and commit every run through here. Families
+	// whose value type is not a hash space (quantiles) treat it as
+	// UpdateBatch.
 	UpdateHashedBatch(writer int, hs []V)
 	// Flush hands off writer slot i's buffered updates and waits until
 	// they are folded into the global sketch.
@@ -111,6 +112,14 @@ type Engine[V, S, C any] interface {
 	// key) keeps its home worker and its global sketch stays hot in one
 	// worker's cache. Zero behaves like NewSketch.
 	NewSketchAffine(pool *PropagatorPool, affinityKey uint64) EngineSketch[V, S, C]
+	// HashValue maps a raw value to the form UpdateHashedBatch ingests:
+	// UpdateBatch(i, vs) and UpdateHashedBatch(i, HashValue of each v)
+	// leave a sketch in the same state. The identity for families whose
+	// values are not hashed (quantiles). Composites that look at items
+	// before a sketch does (a keyed table's grouping pass) call it once
+	// per item, so staged values have one meaning whatever entry point
+	// they came through.
+	HashValue(v V) V
 	// NewAggregator returns a fresh many-compact merger.
 	NewAggregator() Aggregator[C]
 	// QueryCompact answers the family's query from a compact alone —
@@ -148,6 +157,46 @@ type ScalableEngine[V, S, C any] interface {
 	// Seeding happens before the sketch is exposed to any writer or
 	// propagator, so it needs no synchronisation.
 	NewSketchSeeded(pool *PropagatorPool, affinityKey uint64, from C) EngineSketch[V, S, C]
+}
+
+// FilterEngine and FilterSketch are one optional capability in two
+// halves: Algorithm 1's calcHint (line 24) and shouldAdd (line 26),
+// offered to a composite's writer instead of only to the sketch's own.
+// The paper's writer tests shouldAdd(hint, u) before it buffers u —
+// §5.2 calls that filter instrumental for performance — and a
+// composite that routes items to many sketches (a keyed table) has
+// more to skip than a buffer slot: grouping, the entry lock and the
+// sketch call itself. A composite that finds FilterEngine on its
+// engine may remember each sketch's last CalcHint and drop an item
+// whose HashValue fails ShouldAdd against it without going near the
+// sketch.
+//
+// That is sound under two conditions the implementer guarantees. A
+// hint never goes stale the wrong way: an item ShouldAdd rejects
+// against a hint a sketch once returned would change nothing if that
+// sketch ingested it at any later time (Θ only falls). And a rebuild
+// seeded from the sketch's own compact (ScalableEngine.NewSketchSeeded,
+// hot-key promotion and demotion) inherits the filter, so the hint
+// outlives the sketch object for as long as the composite keeps the
+// key. A dropped item is an update that took effect at once and
+// changed nothing; it never occupies a buffer, so r = 2·N·b is
+// untouched.
+//
+// Θ implements both halves; quantiles and HLL neither (any sample can
+// move a quantile, any hash can raise a register).
+type FilterEngine[V any] interface {
+	// ShouldAdd reports whether the hashed value h can still affect a
+	// sketch whose CalcHint returned hint (Algorithm 1 line 26).
+	ShouldAdd(hint, h V) bool
+}
+
+// FilterSketch is the EngineSketch half of the FilterEngine capability.
+type FilterSketch[V any] interface {
+	// CalcHint returns the sketch's current pre-filtering hint
+	// (Algorithm 1 line 24); ok=false while it has none to give — a Θ
+	// sketch that is flat, in exact mode or built with filtering
+	// disabled. Wait-free, like Query.
+	CalcHint() (hint V, ok bool)
 }
 
 // HintedEngine is an optional Engine capability: deriving a compact

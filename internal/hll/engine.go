@@ -39,6 +39,12 @@ func (e *Engine) HashString(s string) uint64 {
 	return h
 }
 
+// HashValue implements core.Engine: the item's 64-bit register hash.
+func (e *Engine) HashValue(v uint64) uint64 {
+	h, _ := hash.SumUint64(v, e.cfg.Seed)
+	return h
+}
+
 // NumWriters implements core.Engine.
 func (e *Engine) NumWriters() int { return e.cfg.Writers }
 

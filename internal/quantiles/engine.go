@@ -27,6 +27,9 @@ func (e *Engine) Kind() byte { return core.KindQuantiles }
 // Param implements core.CompactCodec: the accuracy parameter k.
 func (e *Engine) Param() uint32 { return uint32(e.cfg.K) }
 
+// HashValue implements core.Engine: quantiles ingest raw samples.
+func (e *Engine) HashValue(v float64) float64 { return v }
+
 // NumWriters implements core.Engine.
 func (e *Engine) NumWriters() int { return e.cfg.Writers }
 

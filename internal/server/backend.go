@@ -338,13 +338,7 @@ func (b *tableBackend[K, V, S, C]) ingest(r *wire.Reader, stringItems bool) (int
 		w.BatchReset()
 		return 0, err
 	}
-	if stringItems {
-		// Items were hashed into the family's space during the decode,
-		// exactly like the table's own keyed string-batch path.
-		w.BatchCommitHashed()
-	} else {
-		w.BatchCommit()
-	}
+	w.BatchCommit()
 	return count, nil
 }
 
@@ -367,7 +361,10 @@ func (b *tableBackend[K, V, S, C]) decodeInto(w *table.Writer[K, V, S, C], r *wi
 		vr := wire.Reader{Buf: r.Rest()}
 		if stringItems {
 			for i := 0; i < count; i++ {
-				w.BatchAdd(u64Key[K](kr.Uint64()), b.hashItem(viewString(vr.StringView())))
+				// String items are hashed into the family's space here,
+				// exactly like the table's own keyed string-batch path,
+				// and staged as hashes; raw values are hashed by BatchAdd.
+				w.BatchAddHashed(u64Key[K](kr.Uint64()), b.hashItem(viewString(vr.StringView())))
 			}
 		} else {
 			if vr.Remaining() != count*8 {
@@ -397,8 +394,8 @@ func (b *tableBackend[K, V, S, C]) decodeInto(w *table.Writer[K, V, S, C], r *wi
 		vr := wire.Reader{Buf: all[rem-vlen:]}
 		for i := 0; i < count; i++ {
 			// Probe with a view of the key bytes; copy off the read
-			// buffer only on first sight (the grouping scratch retains
-			// registered keys).
+			// buffer only when the table has no copy of the key yet (the
+			// grouping scratch retains registered keys).
 			view := kr.StringView()
 			gi, ok := w.BatchLookup(strKey[K](viewString(view)))
 			if !ok {
@@ -437,7 +434,7 @@ func (b *tableBackend[K, V, S, C]) decodeInto(w *table.Writer[K, V, S, C], r *wi
 			return errBadPayload("truncated batch body")
 		}
 		for i := range gis {
-			w.BatchAppend(int(gis[i]), b.hashItem(viewString(r.StringView())))
+			w.BatchAppendHashed(int(gis[i]), b.hashItem(viewString(r.StringView())))
 		}
 		if r.Err != nil {
 			return errBadPayload("truncated batch body")

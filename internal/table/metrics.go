@@ -33,6 +33,7 @@ func (t *Table[K, V, S, C]) observeDur(p *atomic.Pointer[metrics.Histogram], sta
 // Families: fcds_table_keys, fcds_table_evictions_total{cause},
 // fcds_table_promotions_total, fcds_table_demotions_total,
 // fcds_table_writer_cache_hits_total, fcds_table_shard_lookups_total,
+// fcds_table_prefiltered_items_total,
 // fcds_table_rollup_duration_seconds,
 // fcds_table_snapshot_duration_seconds.
 func (st *SketchTable[K, V, S, C]) RegisterMetrics(reg *metrics.Registry, name string) {
@@ -58,6 +59,9 @@ func (st *SketchTable[K, V, S, C]) RegisterMetrics(reg *metrics.Registry, name s
 	reg.CounterFunc("fcds_table_shard_lookups_total",
 		"Key resolutions that missed the writer cache and went through a shard map.",
 		func() float64 { return float64(t.Stats().ShardLookups) }, "table", name)
+	reg.CounterFunc("fcds_table_prefiltered_items_total",
+		"Items a table writer dropped against its key's cached filter hint before grouping them (summed from per-writer cells).",
+		func() float64 { return float64(t.Stats().Prefiltered) }, "table", name)
 	t.rollupHist.Store(reg.Histogram("fcds_table_rollup_duration_seconds",
 		"Wall time of whole-table rollups (collect, fan-out compaction, pairwise merge).",
 		readDurationBounds, "table", name))

@@ -20,17 +20,44 @@
 // lock-guarded map; sketches are created lazily on first update. The
 // shard lock protects only map membership — never sketch state — so
 // per-key queries are a brief read-lock plus the framework's wait-free
-// atomic snapshot read, and batch ingestion touches each shard lock
-// once per batch. On top of that, each Writer keeps a small
-// direct-mapped key→entry cache so repeat keys skip the shard lock and
-// map lookup entirely; coherence is one epoch stamp per shard, bumped
-// whenever a key leaves the shard's map, so a cached entry is used only
-// after re-validating the stamp under the entry's liveness lock — an
-// evicted key can never be resurrected through a stale cache slot.
-// Size-cap and TTL eviction spill evicted keys as compact serialized
-// snapshots through the OnEvict callback, and whole tables serialize to
-// a binary snapshot that merges with snapshots from other processes for
-// distributed aggregation.
+// atomic snapshot read, and batch ingestion touches each shard lock at
+// most once per batch. Size-cap and TTL eviction spill evicted keys as
+// compact serialized snapshots through the OnEvict callback, and whole
+// tables serialize to a binary snapshot that merges with snapshots from
+// other processes for distributed aggregation.
+//
+// A keyed batch is ingested in two passes. Pass 1 looks at every item
+// once: it hashes the value into the family's space (core.Engine's
+// HashValue — staged values have that one meaning whatever entry point
+// they came through), finds the key's group in the batch, and appends.
+// Pass 2 resolves each distinct key's entry and hands the key's run to
+// its sketch under the entry's lock. Each Writer keeps a direct-mapped
+// key→entry cache whose slot holds, for a resident key, its entry and
+// a shard-epoch stamp (bumped whenever a key leaves the shard's map),
+// its group in the batch being staged, and — for a family with
+// core.FilterEngine, which is Θ — the hint the key's sketch last gave
+// this writer. With those, pass 1 filters before it groups: an item
+// whose hash fails ShouldAdd against the slot's hint is dropped on the
+// spot, before it reaches a map, a lock or a sketch. That is Algorithm
+// 1's calcHint/shouldAdd (lines 24/26) lifted from the per-sketch
+// writer to the composite's; on a table whose keys are far above K it
+// disposes of nearly every item, as the paper's filter does for a
+// single sketch (§5.2).
+//
+// Why dropping is sound: a slot is trusted only after its stamp
+// re-validates, once per key per batch and before the first drop. The
+// stamp is bumped inside the critical section that removes a key, so a
+// current stamp means the entry is in the map at that instant, and its
+// sketch's Θ — which only falls, through promotion rebuilds too — is at
+// or below the cached hint. Every item of the batch was handed over
+// before that instant, so the dropped ones may all linearise there: as
+// updates to a live key that took effect at once and changed nothing.
+// They never occupy a buffer, so r = 2·N·b is untouched; they are
+// updates, so the key's touched time and hit count are credited for
+// them as for a run that reached the sketch. A stale stamp empties the
+// slot and the key takes the unfiltered path through the shard map, so
+// an evicted key is never resurrected, or filtered against, through the
+// cache.
 //
 // A Θ key has three representations, chosen from its own update count
 // (flat → concurrent → promoted), never by an option. While it is in
@@ -198,14 +225,10 @@ type entry[V, S, C any] struct {
 }
 
 // shard is one power-of-two slice of the key space. mu protects m
-// (membership only, never sketch state). epoch counts map removals —
-// the coherence stamp for per-writer entry caches: any eviction,
-// expiry or close that deletes a key bumps it, invalidating every
-// cached entry of this shard at its next validation.
+// (membership only, never sketch state).
 type shard[K Key, V, S, C any] struct {
-	mu    sync.RWMutex
-	m     map[K]*entry[V, S, C]
-	epoch atomic.Uint64
+	mu sync.RWMutex
+	m  map[K]*entry[V, S, C]
 }
 
 // Table is the generic keyed sketch table; the exported ThetaTable /
@@ -220,8 +243,29 @@ type Table[K Key, V, S, C any] struct {
 
 	shards []shard[K, V, S, C]
 	mask   uint64
+	// epochs[i] counts shard i's map removals — the coherence stamp for
+	// per-writer entry caches: any eviction, expiry or close that
+	// deletes a key bumps it (inside the shard's critical section, which
+	// is therefore the removal's linearisation point), invalidating
+	// every cached entry of that shard at its next validation. Writers
+	// load a stamp once per key per batch, so the stamps live apart from
+	// the shard locks: next to shard.mu every reader-count update of a
+	// miss would invalidate the line the hits are polling.
+	epochs []atomic.Uint64
 	// perShardCap is ceil(MaxKeys/Shards), 0 when uncapped.
 	perShardCap int
+	// ages is true when anything reads entry.touched — a key cap, a TTL
+	// or a demotion policy. Without one a writer does not stamp a key
+	// whose whole run it dropped in pass 1: it holds no lock on that
+	// entry and would dirty, from every writer on every batch, a line of
+	// a hot entry it otherwise only reads. A run that reaches the sketch
+	// stamps its entry regardless, as it always did, under the lock it
+	// holds anyway.
+	ages bool
+
+	// filt is the engine's writer-side filter (Algorithm 1's shouldAdd),
+	// nil for families without one; see Writer.
+	filt core.FilterEngine[V]
 
 	// hot is the active hot-key policy (nil when disabled or the
 	// engine is not scalable); ladder[i] is the engine for promotion
@@ -264,6 +308,7 @@ func newTable[K Key, V, S, C any](cfg Config[K], eng core.Engine[V, S, C]) *Tabl
 		pool:   cfg.Pool,
 		shards: make([]shard[K, V, S, C], cfg.Shards),
 		mask:   uint64(cfg.Shards - 1),
+		epochs: make([]atomic.Uint64, cfg.Shards),
 		now:    func() int64 { return time.Now().UnixNano() },
 	}
 	if t.pool == nil {
@@ -277,6 +322,7 @@ func newTable[K Key, V, S, C any](cfg Config[K], eng core.Engine[V, S, C]) *Tabl
 		t.shards[i].m = make(map[K]*entry[V, S, C])
 	}
 	t.wstats = make([]writerCells, cfg.Writers)
+	t.filt, _ = any(eng).(core.FilterEngine[V])
 	if cfg.HotKeys != nil && cfg.HotKeys.HotThreshold > 0 {
 		if se, ok := any(eng).(core.ScalableEngine[V, S, C]); ok {
 			t.scal = se
@@ -303,6 +349,7 @@ func newTable[K Key, V, S, C any](cfg Config[K], eng core.Engine[V, S, C]) *Tabl
 			}
 		}
 	}
+	t.ages = t.perShardCap > 0 || cfg.TTL > 0 || (t.hot != nil && t.hot.CoolAfter > 0)
 	return t
 }
 
@@ -335,9 +382,10 @@ func affinityKeyOf(h uint64) uint64 {
 // writerCells is one writer's table-side stat cells, padded to 128
 // bytes so adjacent writers' cells never share a cache line.
 type writerCells struct {
-	hits   atomic.Int64
-	misses atomic.Int64
-	_      [112]byte
+	hits        atomic.Int64
+	misses      atomic.Int64
+	prefiltered atomic.Int64
+	_           [104]byte
 }
 
 // Stats is a point-in-time snapshot of the table's operational
@@ -354,9 +402,15 @@ type Stats struct {
 	Promotions int64
 	Demotions  int64
 	// CacheHits counts key resolutions served by writer entry caches;
-	// ShardLookups counts the misses resolved through shard maps.
+	// ShardLookups counts the misses resolved through shard maps. A
+	// batch resolves each of its distinct keys once, whether or not any
+	// of the key's items survived the writer-side filter.
 	CacheHits    int64
 	ShardLookups int64
+	// Prefiltered counts items a writer dropped in pass 1 against its
+	// key's cached filter hint (families with core.FilterEngine only):
+	// updates that never reached a lock or a sketch.
+	Prefiltered int64
 }
 
 // Pool returns the table's propagation executor.
@@ -387,6 +441,7 @@ func (t *Table[K, V, S, C]) Stats() Stats {
 	for i := range t.wstats {
 		s.CacheHits += t.wstats[i].hits.Load()
 		s.ShardLookups += t.wstats[i].misses.Load()
+		s.Prefiltered += t.wstats[i].prefiltered.Load()
 	}
 	return s
 }
@@ -395,9 +450,16 @@ func (t *Table[K, V, S, C]) Stats() Stats {
 func (t *Table[K, V, S, C]) NumWriters() int { return t.cfg.Writers }
 
 // writerCacheSize is the per-writer direct-mapped entry-cache size (a
-// power of two). 512 slots cover the hot set of a zipfian key draw at
-// a few KB per writer.
-const writerCacheSize = 512
+// power of two). A key without a slot is neither grouped nor filtered
+// through the cache, and on a hot table that is most of what a batch
+// costs. Measured with BenchmarkTableHotKeys (the benchmark's table_hot
+// shape: 1 000 zipf(1.2) keys, 2 048-item batches of ~350 distinct
+// keys, 100 passes): 512 slots leave 150 of a batch's keys to the shard
+// map and pass 1 drops 89 % of all items; 2 048 slots leave 52 and drop
+// 95 %; 4 096 leave 31 (96 %) and 8 192 leave 15 (97 %), each doubling
+// past 2 048 worth a few percent of throughput. 2 048 slots of 64 B
+// (uint64 keys) are 128 KB per writer handle.
+const writerCacheSize = 2048
 
 // Writer returns the i-th writer handle (0 <= i < Config.Writers).
 // Each handle must be used by at most one goroutine at a time.
@@ -409,11 +471,9 @@ func (t *Table[K, V, S, C]) Writer(i int) *Writer[K, V, S, C] {
 		t:           t,
 		id:          i,
 		gidx:        make(map[K]int),
+		gen:         1, // a just-filled slot's zero gen must never match
 		shardGroups: make([][]int, t.cfg.Shards),
-		ckeys:       make([]K, writerCacheSize),
-		centries:    make([]*entry[V, S, C], writerCacheSize),
-		chashes:     make([]uint64, writerCacheSize),
-		cepochs:     make([]uint64, writerCacheSize),
+		cache:       make([]cslot[K, V, S, C], writerCacheSize),
 	}
 }
 
@@ -501,16 +561,17 @@ func (t *Table[K, V, S, C]) forEachCompact(fn func(k K, c C)) {
 	}
 }
 
-// getOrCreate resolves the entry for a key, creating it lazily, and
-// returns it with its liveness lock held shared (the caller must
-// release it after the sketch call) plus the shard epoch observed
+// getOrCreate resolves the entry for a key of shard si, creating it
+// lazily, and returns it with its liveness lock held shared (the caller
+// must release it after the sketch call) plus the shard epoch observed
 // while the entry was provably in the map — the stamp a writer cache
 // slot needs. Lock coupling with the shard lock guarantees an evictor
 // cannot close the sketch in between.
-func (t *Table[K, V, S, C]) getOrCreate(sh *shard[K, V, S, C], k K, h uint64) (*entry[V, S, C], uint64) {
+func (t *Table[K, V, S, C]) getOrCreate(si uint64, k K, h uint64) (*entry[V, S, C], uint64) {
+	sh := &t.shards[si]
 	sh.mu.RLock()
 	if e := sh.m[k]; e != nil {
-		ep := sh.epoch.Load()
+		ep := t.epochs[si].Load()
 		e.mu.RLock()
 		sh.mu.RUnlock()
 		return e, ep
@@ -523,7 +584,7 @@ func (t *Table[K, V, S, C]) getOrCreate(sh *shard[K, V, S, C], k K, h uint64) (*
 		sh.m[k] = e
 		t.keys.Add(1)
 	}
-	ep := sh.epoch.Load()
+	ep := t.epochs[si].Load()
 	e.mu.RLock()
 	sh.mu.Unlock()
 	return e, ep
@@ -587,9 +648,10 @@ func (t *Table[K, V, S, C]) maybeEvictCap(si uint64) {
 	}
 	if len(victims) > 0 {
 		// Invalidate writer caches before any victim is finalized: a
-		// cached hit re-validates this stamp under the entry lock, so
-		// after the bump no writer can start using a victim.
-		sh.epoch.Add(1)
+		// cached hit re-validates this stamp (under the entry lock before
+		// it uses the sketch), so after the bump no writer can start
+		// using a victim.
+		t.epochs[si].Add(1)
 	}
 	sh.mu.Unlock()
 	for _, v := range victims {
@@ -624,7 +686,7 @@ func (t *Table[K, V, S, C]) EvictExpired() int {
 			}
 		}
 		if removed {
-			sh.epoch.Add(1)
+			t.epochs[i].Add(1)
 		}
 		sh.mu.Unlock()
 	}
@@ -799,7 +861,7 @@ func (t *Table[K, V, S, C]) Close() {
 		sh.mu.Lock()
 		m := sh.m
 		sh.m = make(map[K]*entry[V, S, C])
-		sh.epoch.Add(1)
+		t.epochs[i].Add(1)
 		sh.mu.Unlock()
 		for _, e := range m {
 			e.mu.Lock()
@@ -823,48 +885,86 @@ func (t *Table[K, V, S, C]) Close() {
 // allocate only when a batch introduces new distinct keys or values
 // outgrow their run buffers.
 //
-// Each writer owns a direct-mapped key→entry cache: a repeat key
-// resolves its entry from the cache and re-validates the shard's
-// eviction epoch under the entry's liveness lock, skipping the shard
-// read-lock and map lookup of the slow path. A slot whose stamp went
-// stale (any key left that shard's map since the slot was filled) is
-// dropped and resolved through the shard map again, so an evicted
-// key's entry is never written through the cache.
+// Each writer owns a direct-mapped key→entry cache that does three
+// jobs for a batch. It resolves: a resident key's entry comes from its
+// slot, skipping the shard read-lock and map lookup, after the slot's
+// shard-epoch stamp is re-validated — a stale stamp (any key left that
+// shard's map since the slot was filled) drops the slot and the key
+// resolves through the shard map again, so an evicted key's entry is
+// never written, or filtered against, through the cache. It groups: the
+// slot remembers the key's group in the batch being staged, so only
+// keys that are not resident go through the gidx map. And, for a family
+// with core.FilterEngine, it filters: the slot remembers the hint the
+// key's sketch gave when it last took a run from this writer, and pass
+// 1 drops an item that fails ShouldAdd against it on the spot — before
+// the item reaches a map, a lock or a sketch.
 type Writer[K Key, V, S, C any] struct {
 	t  *Table[K, V, S, C]
 	id int
 
-	// gidx maps a batch's distinct keys to group indices; gkeys/ghash/
-	// gvals are the parallel key, key-hash and value-run storage, and
-	// entries the resolved per-group entries. shardGroups buckets
-	// group indices by shard (len = Shards) and shardOrder lists
-	// touched shards.
+	// groups are the distinct keys of the batch being staged, in order
+	// of first sight (elements past the end keep their run buffers, and
+	// whatever else the last batch left in them, until register reuses
+	// them). gidx indexes the groups of keys not resident in the
+	// entry cache; shardGroups buckets group indices by shard (len =
+	// Shards) and shardOrder lists touched shards. gen numbers the
+	// handle's batches: a slot's group index counts only while the
+	// slot's gen equals it.
+	groups      []bgroup[K, V, S, C]
 	gidx        map[K]int
-	gkeys       []K
-	ghash       []uint64
-	gvals       [][]V
-	entries     []*entry[V, S, C]
-	gepochs     []uint64
+	gen         uint64
 	shardGroups [][]int
 	shardOrder  []int
 	missing     []int
 	creating    []int
 
-	// The direct-mapped entry cache, indexed by key hash. A slot is
-	// (key, hash, entry, shard-epoch stamp); centries[j] == nil means
-	// empty. chits/cmisses count lookups (single-goroutine, like the
+	// cache is the entry cache, indexed by key hash. chits/cmisses count
+	// key resolutions, one per key per batch (single-goroutine, like the
 	// writer itself).
-	ckeys    []K
-	centries []*entry[V, S, C]
-	chashes  []uint64
-	cepochs  []uint64
-	chits    int64
-	cmisses  int64
+	cache   []cslot[K, V, S, C]
+	chits   int64
+	cmisses int64
 
 	// hotPending collects entries whose promotion threshold a batch
 	// crossed; promotions run after every entry lock of the batch is
 	// released (promotion takes the entry lock exclusively).
 	hotPending []hotRef[V, S, C]
+}
+
+// keyRef is what a writer knows about one key without asking the table:
+// the key and its hash, its entry, the shard-epoch stamp under which the
+// entry was seen in the map, and the last filter hint of the entry's
+// sketch (filter false: none). hint and filter belong to e and are
+// forgotten whenever e changes.
+type keyRef[K Key, V, S, C any] struct {
+	key    K
+	hash   uint64
+	e      *entry[V, S, C] // nil: unresolved (a group) or empty (a slot)
+	epoch  uint64
+	hint   V
+	filter bool
+}
+
+// cslot is one slot of a writer's entry cache: a key's keyRef and, while
+// gen is the writer's current batch, the key's group in it — all pass 1
+// needs to be done with an item. 64 bytes for a uint64 key, so a probe
+// is one cache line.
+type cslot[K Key, V, S, C any] struct {
+	keyRef[K, V, S, C]
+	gen uint64
+	gi  int32
+}
+
+// bgroup is one distinct key of a staged batch: its run of staged
+// values and the count of further items pass 1 dropped against hint.
+// For a key found in the entry cache the keyRef is the slot's at the
+// moment its stamp was validated (a copy, so the slot may change hands
+// before the batch commits); for any other key e is nil until apply
+// resolves it, and nothing is filtered.
+type bgroup[K Key, V, S, C any] struct {
+	keyRef[K, V, S, C]
+	drops int
+	vals  []V
 }
 
 // hotRef is one deferred hot-key promotion.
@@ -879,20 +979,20 @@ type hotRef[V, S, C any] struct {
 // miss (empty slot, different key, stale stamp) it returns nil; stale
 // slots are cleared. Callers must hold no other locks (the single-key
 // update path).
-func (w *Writer[K, V, S, C]) cacheLookup(k K, h uint64, sh *shard[K, V, S, C]) *entry[V, S, C] {
-	j := h & (writerCacheSize - 1)
-	e := w.centries[j]
-	if e == nil || w.chashes[j] != h || w.ckeys[j] != k {
+func (w *Writer[K, V, S, C]) cacheLookup(k K, h uint64) *entry[V, S, C] {
+	s := w.resident(k, h)
+	if s == nil {
 		w.cmisses++
 		return nil
 	}
+	e := s.e
 	e.mu.RLock()
-	if sh.epoch.Load() != w.cepochs[j] {
+	if w.t.epochs[h&w.t.mask].Load() != s.epoch {
 		// A key left this shard since the slot was filled: the cached
 		// entry may be the one evicted. Drop the slot and resolve
 		// through the map.
 		e.mu.RUnlock()
-		w.centries[j] = nil
+		s.e = nil
 		w.cmisses++
 		return nil
 	}
@@ -900,19 +1000,13 @@ func (w *Writer[K, V, S, C]) cacheLookup(k K, h uint64, sh *shard[K, V, S, C]) *
 	return e
 }
 
-// cacheProbe is the lock-free half of cacheLookup, used by the batch
-// path: it returns the cached entry candidate and its stamp without
-// acquiring any lock; the batch's apply round re-validates the stamp
-// under the entry lock just before use.
-func (w *Writer[K, V, S, C]) cacheProbe(k K, h uint64) (*entry[V, S, C], uint64) {
-	j := h & (writerCacheSize - 1)
-	e := w.centries[j]
-	if e == nil || w.chashes[j] != h || w.ckeys[j] != k {
-		w.cmisses++
-		return nil, 0
+// resident returns k's cache slot, nil when the slot is empty or holds
+// another key.
+func (w *Writer[K, V, S, C]) resident(k K, h uint64) *cslot[K, V, S, C] {
+	if s := &w.cache[h&(writerCacheSize-1)]; s.e != nil && s.hash == h && s.key == k {
+		return s
 	}
-	w.chits++
-	return e, w.cepochs[j]
+	return nil
 }
 
 // CacheStats returns the writer's entry-cache hit/miss counters. Like
@@ -921,13 +1015,39 @@ func (w *Writer[K, V, S, C]) CacheStats() (hits, misses int64) { return w.chits,
 
 // cacheStore fills the cache slot for a key resolved through the slow
 // path. epoch must have been loaded while the entry was provably in
-// the shard map (under the shard lock).
+// the shard map (under the shard lock). Whatever the slot knew about
+// its previous entry — hint, group — is forgotten.
 func (w *Writer[K, V, S, C]) cacheStore(k K, h uint64, e *entry[V, S, C], epoch uint64) {
-	j := h & (writerCacheSize - 1)
-	w.ckeys[j] = k
-	w.chashes[j] = h
-	w.centries[j] = e
-	w.cepochs[j] = epoch
+	w.cache[h&(writerCacheSize-1)] = cslot[K, V, S, C]{keyRef: keyRef[K, V, S, C]{key: k, hash: h, e: e, epoch: epoch}}
+}
+
+// admit caches a key apply just resolved through the shard map, unless
+// the slot's resident is a key of this same batch with a run at least
+// as long: two keys that share a slot would otherwise evict each other
+// every batch and neither would ever be grouped or filtered through it,
+// so the slot goes to the hotter one.
+func (w *Writer[K, V, S, C]) admit(g *bgroup[K, V, S, C]) {
+	if s := &w.cache[g.hash&(writerCacheSize-1)]; s.e != nil && s.gen == w.gen {
+		if r := &w.groups[s.gi]; len(r.vals)+r.drops >= len(g.vals)+g.drops {
+			return
+		}
+	}
+	w.cacheStore(g.key, g.hash, g.e, g.epoch)
+}
+
+// rehint refreshes the cached filter hint of a key from the sketch that
+// was just handed a run, if the key still owns its slot. The caller
+// holds e.mu, which pins e.sk.
+func (w *Writer[K, V, S, C]) rehint(h uint64, e *entry[V, S, C]) {
+	s := &w.cache[h&(writerCacheSize-1)]
+	if s.e != e {
+		return
+	}
+	fs, ok := e.sk.(core.FilterSketch[V])
+	if ok {
+		s.hint, ok = fs.CalcHint()
+	}
+	s.filter = ok
 }
 
 // UpdateKeyed processes one (key, value) update.
@@ -935,12 +1055,11 @@ func (w *Writer[K, V, S, C]) UpdateKeyed(k K, v V) {
 	t := w.t
 	h := keyHash(k)
 	si := h & t.mask
-	sh := &t.shards[si]
-	e := w.cacheLookup(k, h, sh)
+	e := w.cacheLookup(k, h)
 	created := e == nil
 	if created {
 		var ep uint64
-		e, ep = t.getOrCreate(sh, k, h)
+		e, ep = t.getOrCreate(si, k, h)
 		w.cacheStore(k, h, e, ep)
 		t.wstats[w.id].misses.Add(1)
 	} else {
@@ -958,10 +1077,12 @@ func (w *Writer[K, V, S, C]) UpdateKeyed(k K, v V) {
 	}
 }
 
-// UpdateKeyedBatch processes parallel slices of keys and values: values
-// are grouped by key, the distinct keys grouped by shard so each shard
-// lock is taken once, and each key's run enters its sketch through the
-// fused hash+pre-filter batch path. Slices must have equal length.
+// UpdateKeyedBatch processes parallel slices of keys and values: each
+// value is hashed into the family's space and staged under its key
+// (dropped at once if the key's cached hint rules it out), the distinct
+// keys are grouped by shard so each shard lock is taken at most once,
+// and each key's surviving run enters its sketch through the pre-hashed
+// batch path. Slices must have equal length.
 func (w *Writer[K, V, S, C]) UpdateKeyedBatch(keys []K, vals []V) {
 	if len(keys) != len(vals) {
 		panic(fmt.Sprintf("table: UpdateKeyedBatch length mismatch: %d keys, %d values", len(keys), len(vals)))
@@ -969,18 +1090,16 @@ func (w *Writer[K, V, S, C]) UpdateKeyedBatch(keys []K, vals []V) {
 	if len(keys) == 0 {
 		return
 	}
-	// Pass 1: group values by key and distinct keys by shard.
+	eng := w.t.eng
 	for i, k := range keys {
-		gi := w.group(k)
-		w.gvals[gi] = append(w.gvals[gi], vals[i])
+		w.stage(k, eng.HashValue(vals[i]))
 	}
-	w.apply(false)
+	w.apply()
 }
 
 // UpdateKeyedHashedBatch is UpdateKeyedBatch for values that are
-// already item hashes in the sketch family's hash space; each key's run
-// enters its sketch through the pre-hashed batch path. The keyed
-// string-ingestion paths hash in their grouping pass and land here.
+// already item hashes in the sketch family's hash space (the engine's
+// HashValue or its string twin).
 func (w *Writer[K, V, S, C]) UpdateKeyedHashedBatch(keys []K, hs []V) {
 	if len(keys) != len(hs) {
 		panic(fmt.Sprintf("table: UpdateKeyedHashedBatch length mismatch: %d keys, %d hashes", len(keys), len(hs)))
@@ -989,15 +1108,13 @@ func (w *Writer[K, V, S, C]) UpdateKeyedHashedBatch(keys []K, hs []V) {
 		return
 	}
 	for i, k := range keys {
-		gi := w.group(k)
-		w.gvals[gi] = append(w.gvals[gi], hs[i])
+		w.stage(k, hs[i])
 	}
-	w.apply(true)
+	w.apply()
 }
 
-// updateKeyedStringBatch groups string items by key while hashing each
-// item with hashItem in the same pass — one scan, no intermediate
-// hashed slice — then applies the runs through the pre-hashed path.
+// updateKeyedStringBatch stages string items while hashing each with
+// hashItem in the same pass — one scan, no intermediate hashed slice.
 // The Θ and HLL table writers bind hashItem to their seed once.
 func (w *Writer[K, V, S, C]) updateKeyedStringBatch(keys []K, items []string, hashItem func(string) V) {
 	if len(keys) != len(items) {
@@ -1007,107 +1124,165 @@ func (w *Writer[K, V, S, C]) updateKeyedStringBatch(keys []K, items []string, ha
 		return
 	}
 	for i, k := range keys {
-		gi := w.group(k)
-		w.gvals[gi] = append(w.gvals[gi], hashItem(items[i]))
+		w.stage(k, hashItem(items[i]))
 	}
-	w.apply(true)
+	w.apply()
 }
 
-// BatchAdd stages one (key, value) update in the writer's grouping
-// scratch without applying it. It is pass 1 of the grouped ingestion
-// exposed as a streaming entry point: a decoder walking a wire frame
-// can feed pairs one at a time — no intermediate key/value slices —
-// and commit the whole batch with BatchCommit (or BatchCommitHashed
-// when the values are already item hashes). Staged state is invisible
-// to queries until committed.
-func (w *Writer[K, V, S, C]) BatchAdd(k K, v V) {
-	gi := w.group(k)
-	w.gvals[gi] = append(w.gvals[gi], v)
-}
+// BatchAdd stages one (key, raw value) update without applying it. It
+// is pass 1 of the grouped ingestion exposed as a streaming entry
+// point: a decoder walking a wire frame can feed pairs one at a time —
+// no intermediate key/value slices — and commit the whole batch with
+// BatchCommit. Staged state is invisible to queries until committed.
+//
+// Staged values have one meaning, the family's hashed form: BatchAdd
+// and BatchAppend hash the raw value on the way in, BatchAddHashed and
+// BatchAppendHashed take a value that already is a hash.
+func (w *Writer[K, V, S, C]) BatchAdd(k K, v V) { w.stage(k, w.t.eng.HashValue(v)) }
 
-// BatchLookup reports the group index k is already staged under,
-// without registering it. It lets a streaming decoder probe with a
-// transient view of a key (bytes aliasing a network buffer) and only
-// materialize an owned copy — via BatchGroup — when the key is new to
-// the batch; the grouping scratch retains registered keys, so a view
-// must never reach BatchGroup.
-func (w *Writer[K, V, S, C]) BatchLookup(k K) (int, bool) {
-	gi, ok := w.gidx[k]
-	return gi, ok
-}
+// BatchAddHashed is BatchAdd for a value that is already an item hash
+// in the sketch family's hash space.
+func (w *Writer[K, V, S, C]) BatchAddHashed(k K, h V) { w.stage(k, h) }
+
+// BatchLookup reports the group index k is staged under, without
+// retaining k. It lets a streaming decoder probe with a transient view
+// of a key (bytes aliasing a network buffer) and only materialize an
+// owned copy — via BatchGroup — when the table has no copy of its own:
+// a key resident in the writer's entry cache is registered from the
+// slot's copy on first sight, any other key must have been registered
+// by BatchGroup already. The grouping scratch retains registered keys,
+// so a view must never reach BatchGroup.
+func (w *Writer[K, V, S, C]) BatchLookup(k K) (int, bool) { return w.lookup(k, keyHash(k)) }
 
 // BatchGroup registers k in the staged batch (first sight allowed) and
 // returns its group index for BatchAppend.
 func (w *Writer[K, V, S, C]) BatchGroup(k K) int { return w.group(k) }
 
-// BatchAppend stages one value onto a group obtained from BatchLookup
-// or BatchGroup.
-func (w *Writer[K, V, S, C]) BatchAppend(gi int, v V) {
-	w.gvals[gi] = append(w.gvals[gi], v)
-}
+// BatchAppend stages one raw value onto a group obtained from
+// BatchLookup or BatchGroup.
+func (w *Writer[K, V, S, C]) BatchAppend(gi int, v V) { w.add(gi, w.t.eng.HashValue(v)) }
+
+// BatchAppendHashed is BatchAppend for a value that is already an item
+// hash.
+func (w *Writer[K, V, S, C]) BatchAppendHashed(gi int, h V) { w.add(gi, h) }
 
 // BatchCommit applies every staged update and leaves the scratch
-// empty, exactly as UpdateKeyedBatch's pass 2 would.
+// empty, exactly as UpdateKeyedBatch's pass 2 would. A batch whose
+// items were all dropped in pass 1 still commits: its keys were
+// updated, and are credited as such.
 func (w *Writer[K, V, S, C]) BatchCommit() {
-	if len(w.gkeys) == 0 {
+	if len(w.groups) == 0 {
 		return
 	}
-	w.apply(false)
+	w.apply()
 }
 
-// BatchCommitHashed is BatchCommit for staged values that are already
-// item hashes in the sketch family's hash space.
-func (w *Writer[K, V, S, C]) BatchCommitHashed() {
-	if len(w.gkeys) == 0 {
-		return
-	}
-	w.apply(true)
-}
-
-// BatchReset discards every staged update, restoring the scratch to
-// the state a committed batch leaves behind. A decoder that fails
-// mid-stream must reset, or its partial batch would leak into the
-// handle's next commit.
+// BatchReset discards every staged update — values, drop counts and
+// the slots' group marks — restoring the scratch to the state a
+// committed batch leaves behind; nothing is credited to any key. A
+// decoder that fails mid-stream must reset, or its partial batch would
+// leak into the handle's next commit.
 func (w *Writer[K, V, S, C]) BatchReset() {
 	for _, si := range w.shardOrder {
-		for _, gi := range w.shardGroups[si] {
-			w.gvals[gi] = w.gvals[gi][:0]
-		}
 		w.shardGroups[si] = w.shardGroups[si][:0]
 	}
-	clear(w.gidx)
-	w.gkeys = w.gkeys[:0]
-	w.ghash = w.ghash[:0]
-	w.shardOrder = w.shardOrder[:0]
+	w.endBatch()
 }
 
-// group resolves the batch group index for a key, registering the key
-// with its shard on first sight (pass 1 of the grouped ingestion).
+// endBatch empties the grouping scratch behind a committed or discarded
+// batch; the new generation retires every slot's group mark at once.
+func (w *Writer[K, V, S, C]) endBatch() {
+	if len(w.gidx) > 0 {
+		clear(w.gidx) // one bulk reset beats a delete per distinct key
+	}
+	w.groups = w.groups[:0]
+	w.shardOrder = w.shardOrder[:0]
+	w.gen++
+}
+
+// stage is pass 1 for one item, whatever entry point it came through:
+// h is the value in the family's hashed form.
+func (w *Writer[K, V, S, C]) stage(k K, h V) { w.add(w.group(k), h) }
+
+// add stages h onto group gi, unless the group's hint says the key's
+// sketch would discard it (Algorithm 1 line 26, asked before the item
+// is buffered anywhere): then the item is only counted.
+func (w *Writer[K, V, S, C]) add(gi int, h V) {
+	g := &w.groups[gi]
+	if g.filter && !w.t.filt.ShouldAdd(g.hint, h) {
+		g.drops++
+		return
+	}
+	g.vals = append(g.vals, h)
+}
+
+// group resolves k's group in the staged batch, registering the key
+// with its shard on first sight.
 func (w *Writer[K, V, S, C]) group(k K) int {
-	gi, ok := w.gidx[k]
+	h := keyHash(k)
+	gi, ok := w.lookup(k, h)
 	if !ok {
-		gi = len(w.gkeys)
+		gi = w.register(k, h)
 		w.gidx[k] = gi
-		w.gkeys = append(w.gkeys, k)
-		h := keyHash(k)
-		w.ghash = append(w.ghash, h)
-		if len(w.gvals) <= gi {
-			w.gvals = append(w.gvals, nil)
-			w.entries = append(w.entries, nil)
-			w.gepochs = append(w.gepochs, 0)
-		}
-		si := h & w.t.mask
-		if len(w.shardGroups[si]) == 0 {
-			w.shardOrder = append(w.shardOrder, int(si))
-		}
-		w.shardGroups[si] = append(w.shardGroups[si], gi)
 	}
 	return gi
 }
 
-// apply drains the grouped runs into the per-key sketches (pass 2 of
-// the grouped ingestion), leaving the grouping scratch empty. hashed
-// selects the pre-hashed ingestion path.
+// lookup finds k's group: through its cache slot when the key is
+// resident (entering it into the batch on first sight), through gidx
+// otherwise. No slot is filled or handed to another key while a batch
+// is being staged, so a key is found the same way every time.
+func (w *Writer[K, V, S, C]) lookup(k K, h uint64) (int, bool) {
+	if s := w.resident(k, h); s != nil && (s.gen == w.gen || w.enter(s)) {
+		return int(s.gi), true
+	}
+	gi, ok := w.gidx[k]
+	return gi, ok
+}
+
+// enter registers a resident key on its first item of a batch, after
+// validating the slot's stamp: the epoch is bumped inside the critical
+// section that removes a key, so a stamp still current now means the
+// entry is in the map now, and its sketch's Θ is at or below any hint
+// it ever gave. Every item of the batch was handed over before this
+// point, so the ones pass 1 drops may all take effect here — on a live
+// key, changing nothing — whatever happens to the entry before the
+// survivors are applied. A stale stamp empties the slot and reports
+// false: the key takes the unfiltered path through the shard map.
+func (w *Writer[K, V, S, C]) enter(s *cslot[K, V, S, C]) bool {
+	if w.t.epochs[s.hash&w.t.mask].Load() != s.epoch {
+		s.e = nil
+		return false
+	}
+	gi := w.register(s.key, s.hash)
+	w.groups[gi].keyRef = s.keyRef
+	s.gen, s.gi = w.gen, int32(gi)
+	return true
+}
+
+// register appends an empty, unresolved group for a key new to the
+// batch, reusing the run buffer a previous batch left at that index, and
+// files it under its shard.
+func (w *Writer[K, V, S, C]) register(k K, h uint64) int {
+	gi := len(w.groups)
+	if gi < cap(w.groups) {
+		w.groups = w.groups[:gi+1]
+	} else {
+		w.groups = append(w.groups, bgroup[K, V, S, C]{})
+	}
+	g := &w.groups[gi]
+	g.keyRef = keyRef[K, V, S, C]{key: k, hash: h}
+	g.drops, g.vals = 0, g.vals[:0]
+	si := h & w.t.mask
+	if len(w.shardGroups[si]) == 0 {
+		w.shardOrder = append(w.shardOrder, int(si))
+	}
+	w.shardGroups[si] = append(w.shardGroups[si], gi)
+	return gi
+}
+
+// apply drains the staged runs into the per-key sketches (pass 2 of
+// the grouped ingestion), leaving the grouping scratch empty.
 //
 // Locking discipline: the resolve rounds record (entry, shard-epoch
 // stamp) pairs without holding any entry lock, and the apply round
@@ -1117,24 +1292,26 @@ func (w *Writer[K, V, S, C]) group(k K) int {
 // held together — which is what lets hot-key promotion take entry
 // locks exclusively while the entry is still mapped, without forming
 // a reader/writer lock cycle against concurrent batches and queries.
-func (w *Writer[K, V, S, C]) apply(hashed bool) {
+func (w *Writer[K, V, S, C]) apply() {
 	t := w.t
 	now := t.now()
-	// Fold this batch's entry-cache hit/miss deltas into the writer's
-	// table-side cell on the way out: two uncontended atomic adds per
+	// Fold this batch's hit/miss/drop counts into the writer's
+	// table-side cell on the way out: three uncontended atomic adds per
 	// batch, nothing per key.
 	h0, m0 := w.chits, w.cmisses
+	dropped := 0
 	for _, si := range w.shardOrder {
 		sh := &t.shards[si]
+		epoch := &t.epochs[si]
 		groups := w.shardGroups[si]
 		w.missing = w.missing[:0]
 		created := false
-		// Round 0: writer entry cache — lock-free candidate probes.
+		// Round 0: keys pass 1 found in the entry cache arrive resolved.
 		for _, gi := range groups {
-			if e, ep := w.cacheProbe(w.gkeys[gi], w.ghash[gi]); e != nil {
-				w.entries[gi] = e
-				w.gepochs[gi] = ep
+			if w.groups[gi].e != nil {
+				w.chits++
 			} else {
+				w.cmisses++
 				w.missing = append(w.missing, gi)
 			}
 		}
@@ -1143,12 +1320,12 @@ func (w *Writer[K, V, S, C]) apply(hashed bool) {
 			// the read lock, collecting absent keys.
 			w.creating = w.creating[:0]
 			sh.mu.RLock()
-			ep := sh.epoch.Load()
+			ep := epoch.Load()
 			for _, gi := range w.missing {
-				if e := sh.m[w.gkeys[gi]]; e != nil {
-					w.entries[gi] = e
-					w.gepochs[gi] = ep
-					w.cacheStore(w.gkeys[gi], w.ghash[gi], e, ep)
+				g := &w.groups[gi]
+				if e := sh.m[g.key]; e != nil {
+					g.e, g.epoch = e, ep
+					w.admit(g)
 				} else {
 					w.creating = append(w.creating, gi)
 				}
@@ -1158,61 +1335,64 @@ func (w *Writer[K, V, S, C]) apply(hashed bool) {
 				// Round 2: create absent keys under the write lock.
 				created = true
 				sh.mu.Lock()
-				epw := sh.epoch.Load()
+				epw := epoch.Load()
 				for _, gi := range w.creating {
-					k := w.gkeys[gi]
-					e := sh.m[k]
+					g := &w.groups[gi]
+					e := sh.m[g.key]
 					if e == nil {
-						e = t.newEntry(w.ghash[gi])
-						sh.m[k] = e
+						e = t.newEntry(g.hash)
+						sh.m[g.key] = e
 						t.keys.Add(1)
 					}
-					w.entries[gi] = e
-					w.gepochs[gi] = epw
-					w.cacheStore(k, w.ghash[gi], e, epw)
+					g.e, g.epoch = e, epw
+					w.admit(g)
 				}
 				sh.mu.Unlock()
 			}
 		}
 		// Round 3: apply each run under its entry's lock alone.
 		for _, gi := range groups {
-			e := w.entries[gi]
-			e.mu.RLock()
-			if sh.epoch.Load() != w.gepochs[gi] {
-				// A key left this shard between resolve and use; the
-				// entry may be the one evicted. Re-resolve through the
-				// map (creating a fresh incarnation if needed) — no
-				// other lock is held here, so getOrCreate's coupling
-				// is safe.
-				e.mu.RUnlock()
-				var ep uint64
-				e, ep = t.getOrCreate(sh, w.gkeys[gi], w.ghash[gi])
-				w.cacheStore(w.gkeys[gi], w.ghash[gi], e, ep)
-				created = true
-			}
-			run := w.gvals[gi]
-			if hashed {
-				e.sk.UpdateHashedBatch(w.id, run)
+			g := &w.groups[gi]
+			e := g.e
+			dropped += g.drops
+			if len(g.vals) == 0 && g.drops > 0 {
+				// Pass 1 dropped the key's whole run against an entry it
+				// had just seen in the map: the key was updated and
+				// nothing changed, so there is no sketch call to hold a
+				// lock for — only the credit a run would have left.
+				if t.ages {
+					e.touched.Store(now)
+				}
+				w.noteHot(g, e)
 			} else {
-				e.sk.UpdateBatch(w.id, run)
+				e.mu.RLock()
+				if epoch.Load() != g.epoch {
+					// A key left this shard between resolve and use; the
+					// entry may be the one evicted. Re-resolve through the
+					// map (creating a fresh incarnation if needed) — no
+					// other lock is held here, so getOrCreate's coupling
+					// is safe.
+					e.mu.RUnlock()
+					var ep uint64
+					e, ep = t.getOrCreate(uint64(si), g.key, g.hash)
+					w.cacheStore(g.key, g.hash, e, ep)
+					created = true
+				}
+				e.sk.UpdateHashedBatch(w.id, g.vals)
+				if t.filt != nil {
+					w.rehint(g.hash, e)
+				}
+				e.touched.Store(now)
+				w.noteHot(g, e)
+				e.mu.RUnlock()
 			}
-			e.touched.Store(now)
-			if t.noteHot(e, len(run)) {
-				w.hotPending = append(w.hotPending, hotRef[V, S, C]{e: e, h: w.ghash[gi]})
-			}
-			e.mu.RUnlock()
-			w.entries[gi] = nil
-			w.gvals[gi] = w.gvals[gi][:0]
 		}
 		w.shardGroups[si] = w.shardGroups[si][:0]
 		if created {
 			t.maybeEvictCap(uint64(si))
 		}
 	}
-	clear(w.gidx) // one bulk reset beats a delete per distinct key
-	w.gkeys = w.gkeys[:0]
-	w.ghash = w.ghash[:0]
-	w.shardOrder = w.shardOrder[:0]
+	w.endBatch()
 	// Promote after the batch's own entry locks are all released;
 	// promote itself takes each entry's lock exclusively, one at a
 	// time, holding nothing else.
@@ -1220,8 +1400,20 @@ func (w *Writer[K, V, S, C]) apply(hashed bool) {
 		t.promote(p.e, p.h)
 	}
 	w.hotPending = w.hotPending[:0]
-	t.wstats[w.id].hits.Add(w.chits - h0)
-	t.wstats[w.id].misses.Add(w.cmisses - m0)
+	cells := &t.wstats[w.id]
+	cells.hits.Add(w.chits - h0)
+	cells.misses.Add(w.cmisses - m0)
+	cells.prefiltered.Add(int64(dropped))
+}
+
+// noteHot credits e with group g's whole run — the items staged and the
+// items pass 1 dropped alike, since the hot-key policy, like TTL/LRU
+// eviction, counts updates, not what the sketch kept of them — and
+// queues the promotion if that crossed the threshold.
+func (w *Writer[K, V, S, C]) noteHot(g *bgroup[K, V, S, C], e *entry[V, S, C]) {
+	if w.t.noteHot(e, len(g.vals)+g.drops) {
+		w.hotPending = append(w.hotPending, hotRef[V, S, C]{e: e, h: g.hash})
+	}
 }
 
 // FlushKey hands off this writer's buffered updates for one key and

@@ -18,7 +18,11 @@ type Engine struct {
 	cfg ConcurrentConfig
 }
 
-var _ core.Engine[uint64, float64, *Compact] = (*Engine)(nil)
+var (
+	_ core.Engine[uint64, float64, *Compact] = (*Engine)(nil)
+	_ core.FilterEngine[uint64]              = (*Engine)(nil)
+	_ core.FilterSketch[uint64]              = (*engineSketch)(nil)
+)
 
 // NewEngine returns a Θ engine for the given configuration (zero fields
 // take the ConcurrentConfig defaults). The Pool field is ignored: the
@@ -40,6 +44,13 @@ func (e *Engine) Seed() uint64 { return e.cfg.Seed }
 // HashString maps a string item to its Θ-space hash (zero-alloc); used
 // by keyed string-batch ingestion to hash in the grouping pass.
 func (e *Engine) HashString(s string) uint64 { return hash.ThetaHashString(s, e.cfg.Seed) }
+
+// HashValue implements core.Engine: the item's Θ-space hash.
+func (e *Engine) HashValue(v uint64) uint64 { return hash.ThetaHashUint64(v, e.cfg.Seed) }
+
+// ShouldAdd implements core.FilterEngine (Algorithm 1 line 26): only
+// hashes below the hinted Θ can affect the sketch.
+func (e *Engine) ShouldAdd(hint, h uint64) bool { return h < hint }
 
 // NumWriters implements core.Engine.
 func (e *Engine) NumWriters() int { return e.cfg.Writers }
@@ -301,6 +312,21 @@ func (s *engineSketch) Query() float64 {
 		return c.Estimate()
 	}
 	return float64(s.n.Load())
+}
+
+// CalcHint implements core.FilterSketch (Algorithm 1 line 24): the
+// last published Θ. None while the sketch is flat or in exact mode
+// (every hash would pass) or when the engine was built with
+// DisableFiltering. Θ only falls and a seeded rebuild absorbs it, so
+// the hint stays a valid static shouldAdd threshold for as long as the
+// key lives.
+func (s *engineSketch) CalcHint() (uint64, bool) {
+	c := s.c.Load()
+	if c == nil || s.eng.cfg.DisableFiltering {
+		return 0, false
+	}
+	t := c.global.PublishedTheta()
+	return t, t < hash.MaxThetaValue
 }
 
 // Compact of a flat sketch copies the hashes under mu (the only point

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -149,6 +150,11 @@ func TestWindowTableConcurrent(t *testing.T) {
 	}.Engine()
 	wt := NewTable(tcfg, eng, Config{Slots: 3, Width: time.Hour})
 	defer wt.Close()
+	// With Slots: 3 what an epoch holds is gone three rotations later, so
+	// writers that finished early would leave a window that is correctly
+	// empty. Each writer therefore keeps ingesting through all six
+	// rotations and ends with one batch begun after the last of them.
+	var rotated atomic.Bool
 	var wg sync.WaitGroup
 	for wi := 0; wi < writers; wi++ {
 		wg.Add(1)
@@ -157,10 +163,11 @@ func TestWindowTableConcurrent(t *testing.T) {
 			w := wt.Writer(wi)
 			keys := make([]uint64, 64)
 			vals := make([]uint64, 64)
-			for n := 0; n < 200; n++ {
+			for n, last := 0, false; !last; n++ {
+				last = n >= 199 && rotated.Load()
 				for j := range keys {
 					keys[j] = uint64(j % 16)
-					vals[j] = uint64(wi*1_000_000 + n*64 + j)
+					vals[j] = uint64(wi)<<32 | uint64(n*64+j)
 				}
 				w.UpdateKeyedBatch(keys, vals)
 			}
@@ -174,6 +181,7 @@ func TestWindowTableConcurrent(t *testing.T) {
 		}
 		_ = wt.RollupWindow()
 	}
+	rotated.Store(true)
 	wg.Wait()
 	wt.Drain()
 	if _, ok := wt.QueryWindow(0); !ok {
