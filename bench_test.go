@@ -1,6 +1,7 @@
 // Benchmarks regenerating the paper's evaluation, one per table/figure
-// (full parameterised sweeps live in cmd/fcds-bench; these are the
-// `go test -bench` entry points with fixed representative parameters).
+// (the full parameterised sweeps are `fcds-bench figure1` and its
+// siblings in cmd/fcds-bench; these are the `go test -bench` entry
+// points with fixed representative parameters).
 //
 // Reading results: throughput figures (1, 6, 7) report ns per update —
 // the paper's Mops/s is 1000/(ns/op). Figure 8 and Table 2 compare

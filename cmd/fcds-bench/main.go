@@ -3,1004 +3,98 @@
 //
 // Usage:
 //
-//	fcds-bench <experiment> [flags]
+//	fcds-bench <experiment> [-full] [-k N]
 //
 // Experiments: figure1, figure5a, figure5b, figure6, figure7, figure8,
-// table1, table2, quantiles-error, all.
+// table1, table2, quantiles-error, sketches, all.
 //
 // Output is TSV on stdout (one header line, then rows), matching the
 // DataSketches characterization suite's SpeedProfile/AccuracyProfile
 // schema where applicable. By default the sweeps are scaled to finish
 // in minutes on a small machine; pass -full for the paper-scale
-// parameters (hours).
+// parameters (hours). The system's own numbers come from benchmark/.
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
-	"runtime"
-	"runtime/pprof"
-	"sync"
 	"time"
 
-	fcds "github.com/fcds/fcds"
 	"github.com/fcds/fcds/internal/adversary"
 	"github.com/fcds/fcds/internal/characterization"
-	"github.com/fcds/fcds/internal/stream"
 )
 
-// scale selects an experiment's parameter tier: the default finishes
-// in minutes, -full is paper-scale (hours), -smoke is a CI-sized run
-// that keeps every curve and configuration of the default tier but
-// shrinks stream sizes and trial counts — so a smoke report is
-// point-for-point comparable (same curve/threads set) with a committed
-// default-tier BENCH_*.json, which is what the -check gate relies on.
-type scale struct {
-	full, smoke bool
+// experiment is one subcommand: its name, its usage line and what it
+// runs. full selects the paper-scale parameters; k is -k.
+type experiment struct {
+	name, help string
+	run        func(full bool, k int)
 }
 
-func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
+// experiments is the one list the dispatcher, the usage text and `all`
+// read; `all` runs it in this order.
+var experiments = []experiment{
+	{"figure1", "scalability: concurrent vs lock-based, update-only", func(full bool, _ int) { figure1(full) }},
+	{"figure5a", "accuracy pitchfork, no eager propagation (e=1.0)", func(full bool, k int) { figure5(full, 1.0, k) }},
+	{"figure5b", "accuracy pitchfork, eager propagation (e=0.04)", func(full bool, k int) { figure5(full, 0.04, k) }},
+	{"figure6", "write-only throughput vs stream size", figure6},
+	{"figure7", "mixed workload: writers + background readers", figure7},
+	{"figure8", "eager vs no-eager speedup", figure8},
+	{"table1", "Θ error analysis (adversaries; closed-form/numerical/MC)", func(full bool, _ int) { table1(full) }},
+	{"table2", "throughput/accuracy tradeoff vs k", func(full bool, _ int) { table2(full) }},
+	{"quantiles-error", "§6.2 relaxed quantiles bound vs attack", func(full bool, _ int) { quantilesError(full) }},
+	{"sketches", "Θ vs Quantiles vs HLL under the framework (extension)", func(full bool, _ int) { sketches(full) }},
+}
+
+func main() { os.Exit(run(os.Args[1:])) }
+
+// run dispatches one command line and returns the exit code: 2 for a
+// missing or unknown experiment.
+func run(args []string) int {
+	var todo []experiment
+	if len(args) > 0 {
+		todo = pick(args[0])
 	}
-	cmd := os.Args[1]
-	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
+	if todo == nil {
+		usage(os.Stderr)
+		return 2
+	}
+	fs := flag.NewFlagSet(args[0], flag.ExitOnError)
 	full := fs.Bool("full", false, "paper-scale parameters (much slower)")
-	smoke := fs.Bool("smoke", false, "CI-sized run: same curves, tiny streams (overrides -full)")
 	k := fs.Int("k", 4096, "global sketch nominal entries")
-	jsonPath := fs.String("json", "", "also write results as JSON to this file (BENCH_*.json trajectory)")
-	checkPath := fs.String("check", "", "compare this run's JSON report against a committed BENCH_*.json and fail on schema drift")
-	timeout := fs.Duration("timeout", 20*time.Minute, "abort the run (exit 1) if the experiment exceeds this; 0 disables")
-	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the whole experiment to this file (go tool pprof)")
-	_ = fs.Parse(os.Args[2:])
-	sc := scale{full: *full && !*smoke, smoke: *smoke}
-
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fcds-bench: -cpuprofile: %v\n", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "fcds-bench: -cpuprofile: %v\n", err)
-			os.Exit(1)
-		}
-		// Stopped explicitly on every exit path below: os.Exit skips
-		// defers, and a profile cut off mid-write is unreadable.
-		defer pprof.StopCPUProfile()
-	}
-	stopProfile := func() {
-		if *cpuProfile != "" {
-			pprof.StopCPUProfile()
+	_ = fs.Parse(args[1:])
+	for _, e := range todo {
+		e.run(*full, *k)
+		if len(todo) > 1 {
+			fmt.Println()
 		}
 	}
-
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-
-	// Every experiment returns its JSON report (nil when the experiment
-	// defines none); -json and -check are honoured uniformly here
-	// rather than inside each experiment. The experiment runs under a
-	// watchdog: a hung run fails with a diagnostic instead of stalling
-	// the CI job until the job-level timeout reaps it.
-	done := make(chan *benchReport, 1)
-	go func() {
-		var rep *benchReport
-		switch cmd {
-		case "batch":
-			rep = batch(ctx, sc, *k)
-		case "table":
-			rep = tableExp(ctx, sc)
-		case "pool":
-			rep = poolExp(ctx, sc)
-		case "window":
-			rep = windowExp(ctx, sc)
-		case "serve":
-			rep = serveExp(ctx, sc)
-		case "rollup":
-			rep = rollupExp(ctx, sc)
-		case "figure1":
-			figure1(sc.full)
-		case "figure5a":
-			figure5(sc.full, 1.0, *k)
-		case "figure5b":
-			figure5(sc.full, 0.04, *k)
-		case "figure6":
-			figure6(sc.full, *k)
-		case "figure7":
-			figure7(sc.full, *k)
-		case "figure8":
-			figure8(sc.full, *k)
-		case "table1":
-			table1(sc.full)
-		case "table2":
-			table2(sc.full)
-		case "quantiles-error":
-			quantilesError(sc.full)
-		case "sketches":
-			sketches(sc.full)
-		case "all":
-			all(ctx, sc, *k)
-		default:
-			usage()
-			os.Exit(2)
-		}
-		done <- rep
-	}()
-	var rep *benchReport
-	select {
-	case rep = <-done:
-	case <-ctx.Done():
-		fmt.Fprintf(os.Stderr, "fcds-bench: experiment %q did not finish within %s: %v\n",
-			cmd, *timeout, ctx.Err())
-		stopProfile()
-		os.Exit(1)
-	}
-	if err := ctx.Err(); err != nil {
-		// A cooperative cancellation mid-run returned a partial report;
-		// never emit or gate on partial numbers.
-		fmt.Fprintf(os.Stderr, "fcds-bench: experiment %q aborted: %v\n", cmd, err)
-		stopProfile()
-		os.Exit(1)
-	}
-	if *jsonPath != "" {
-		if rep == nil || len(rep.Results) == 0 {
-			// A trajectory file silently not written would make the next
-			// comparison read stale numbers as current; fail loudly.
-			fmt.Fprintf(os.Stderr,
-				"fcds-bench: experiment %q produced no JSON report; -json %s not written\n",
-				cmd, *jsonPath)
-			stopProfile()
-			os.Exit(1)
-		}
-		writeBenchJSON(*jsonPath, *rep)
-	}
-	if *checkPath != "" {
-		if rep == nil || len(rep.Results) == 0 {
-			fmt.Fprintf(os.Stderr,
-				"fcds-bench: experiment %q produced no JSON report to check against %s\n",
-				cmd, *checkPath)
-			stopProfile()
-			os.Exit(1)
-		}
-		if err := checkReport(*rep, *checkPath); err != nil {
-			fmt.Fprintf(os.Stderr, "fcds-bench: check against %s FAILED:\n%v\n", *checkPath, err)
-			stopProfile()
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "fcds-bench: check ok: %s matches this run's %d points\n",
-			*checkPath, len(rep.Results))
-	}
+	return 0
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage: fcds-bench <experiment> [-full|-smoke] [-k N] [-json FILE] [-check FILE] [-timeout D] [-cpuprofile FILE]
-experiments:
-  batch            batched vs per-item ingestion throughput (the batch pipeline)
-  table            keyed multi-tenant tables: zipfian keys, shared propagator pool
-  pool             propagator pool: throughput and steal counts vs worker count
-  window           sliding-window keyed tables: zipfian keys, rotating epochs vs plain tables
-  serve            network ingest server: loopback throughput vs connection count
-  rollup           parallel read path: whole-table rollup + snapshot-append vs fan-out degree
-  figure1          scalability: concurrent vs lock-based, update-only
-  figure5a         accuracy pitchfork, no eager propagation (e=1.0)
-  figure5b         accuracy pitchfork, eager propagation (e=0.04)
-  figure6          write-only throughput vs stream size
-  figure7          mixed workload: writers + background readers
-  figure8          eager vs no-eager speedup
-  table1           Θ error analysis (adversaries; closed-form/numerical/MC)
-  table2           throughput/accuracy tradeoff vs k
-  quantiles-error  §6.2 relaxed quantiles bound vs attack
-  sketches         Θ vs Quantiles vs HLL under the framework (extension)
-  all              run everything (scaled)`)
-}
-
-func all(ctx context.Context, sc scale, k int) {
-	for _, f := range []func(){
-		func() { table1(sc.full) },
-		func() { batch(ctx, sc, k) },
-		func() { tableExp(ctx, sc) },
-		func() { poolExp(ctx, sc) },
-		func() { windowExp(ctx, sc) },
-		func() { serveExp(ctx, sc) },
-		func() { rollupExp(ctx, sc) },
-		func() { figure1(sc.full) },
-		func() { figure5(sc.full, 1.0, k) },
-		func() { figure5(sc.full, 0.04, k) },
-		func() { figure6(sc.full, k) },
-		func() { figure7(sc.full, k) },
-		func() { figure8(sc.full, k) },
-		func() { table2(sc.full) },
-		func() { quantilesError(sc.full) },
-	} {
-		if ctx.Err() != nil {
-			return
+// pick returns the experiments a command name selects: every one for
+// "all", the named one otherwise, nil for an unknown name.
+func pick(name string) []experiment {
+	if name == "all" {
+		return experiments
+	}
+	for _, e := range experiments {
+		if e.name == name {
+			return []experiment{e}
 		}
-		f()
-		fmt.Println()
-	}
-}
-
-// benchRecord is one measured point of a JSON bench report.
-type benchRecord struct {
-	Curve   string  `json:"curve"`
-	Threads int     `json:"threads"`
-	Chunk   int     `json:"chunk,omitempty"` // 0 = per-item ingestion
-	MopsSec float64 `json:"mops_sec"`
-	// Keyed-table experiments: distinct key count and the goroutine
-	// count observed mid-run (pinning pool-not-per-key propagation).
-	Keys       int `json:"keys,omitempty"`
-	Goroutines int `json:"goroutines,omitempty"`
-	// Pool experiment: cross-queue steals observed during the best
-	// trial (the work-stealing half of the shard-affine scheduler).
-	Steals int64 `json:"steals,omitempty"`
-	// Counters is the subsystem metrics-registry snapshot from the best
-	// trial (name{labels} -> value), attributing the point's throughput
-	// to pool/table/window/server internals: evictions, steals, writer
-	// cache hits, slot waits, and so on. Keys vary by experiment;
-	// encoding/json drops unknown fields on decode, so adding families
-	// never breaks -check against an older committed trajectory.
-	Counters map[string]float64 `json:"counters,omitempty"`
-}
-
-// benchReport is the schema of the BENCH_*.json trajectory files: one
-// self-describing JSON document per experiment run, so successive PRs
-// can be compared point for point.
-type benchReport struct {
-	Experiment string        `json:"experiment"`
-	Unix       int64         `json:"unix"`
-	GoMaxProcs int           `json:"gomaxprocs"`
-	N          uint64        `json:"n"`
-	Trials     int           `json:"trials"`
-	K          int           `json:"k"`
-	Results    []benchRecord `json:"results"`
-}
-
-// writeBenchJSON emits a benchReport to path (the bench JSON emitter).
-func writeBenchJSON(path string, rep benchReport) {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fcds-bench: marshal json:", err)
-		os.Exit(1)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "fcds-bench: write json:", err)
-		os.Exit(1)
-	}
-	fmt.Fprintln(os.Stderr, "wrote", path)
-}
-
-// batch: the batched ingestion pipeline vs the per-item path, across
-// writer counts and chunk sizes.
-func batch(ctx context.Context, sc scale, k int) *benchReport {
-	n := uint64(1 << 21)
-	trials := 3
-	writers := []int{1, 2, 4}
-	chunks := []int{64, 256, 4096}
-	if sc.full {
-		n = 1 << 24
-		trials = 16
-		writers = []int{1, 2, 4, 8, 12}
-	}
-	if sc.smoke {
-		n = 1 << 17
-		trials = 1
-	}
-	fmt.Printf("# Batch pipeline: batched vs per-item ingestion, k=%d, e=1.0, b=64\n", k)
-	fmt.Println("curve\tthreads\tchunk\tMops_sec")
-	rep := benchReport{
-		Experiment: "batch", Unix: time.Now().Unix(),
-		GoMaxProcs: runtime.GOMAXPROCS(0), N: n, Trials: trials, K: k,
-	}
-	profile := func(curve string, chunk int, build func(th int) characterization.Runner) {
-		if ctx.Err() != nil {
-			return
-		}
-		pts := characterization.ScalabilityProfile(characterization.ScalabilityConfig{
-			Threads: writers, N: n, Trials: trials, Build: build,
-		})
-		for _, p := range pts {
-			fmt.Printf("%s\t%d\t%d\t%.2f\n", curve, p.Threads, chunk, p.MopsSec)
-			rep.Results = append(rep.Results, benchRecord{
-				Curve: curve, Threads: p.Threads, Chunk: chunk, MopsSec: p.MopsSec,
-			})
-		}
-	}
-	profile("item", 0, func(th int) characterization.Runner {
-		return &characterization.ConcurrentThetaRunner{
-			K: k, Writers: th, MaxError: 1.0, BufferSize: 64,
-		}
-	})
-	for _, chunk := range chunks {
-		profile(fmt.Sprintf("batch%d", chunk), chunk, func(th int) characterization.Runner {
-			return &characterization.ConcurrentThetaBatchRunner{
-				K: k, Writers: th, MaxError: 1.0, BufferSize: 64, ChunkSize: chunk,
-			}
-		})
-	}
-	return &rep
-}
-
-// tableExp: keyed multi-tenant Θ tables under a zipfian key draw —
-// throughput and goroutine count across key-space sizes and ingest
-// goroutine counts, all key sketches propagated by one shared pool.
-// The zipfian key/value streams are pregenerated outside the timed
-// section, so the curves measure table ingestion, not math.Log.
-func tableExp(ctx context.Context, sc scale) *benchReport {
-	n := uint64(1 << 22)
-	trials := 3
-	keySpaces := []int{1_000, 10_000, 100_000}
-	writerCounts := []int{1, 2, 4, 8}
-	if sc.full {
-		n = 1 << 23
-		trials = 5
-		keySpaces = []int{1_000, 10_000, 100_000, 1_000_000}
-		writerCounts = []int{1, 2, 4, 8, 12}
-	}
-	if sc.smoke {
-		n = 1 << 18
-		trials = 1
-	}
-	const chunk = 2048
-	fmt.Println("# Table: keyed Θ tables, zipfian keys (s=1.2), K=256 per key, shared propagator pool")
-	fmt.Println("curve\tthreads\tkeys\tgoroutines\tMops_sec")
-	rep := benchReport{
-		Experiment: "table", Unix: time.Now().Unix(),
-		GoMaxProcs: runtime.GOMAXPROCS(0), N: n, Trials: trials, K: 256,
-	}
-	// Interleave configurations within each trial round — and walk the
-	// configuration list in alternating (serpentine) order across
-	// rounds — so slow drifts of the host (thermal, noisy neighbours)
-	// hit every configuration evenly instead of systematically
-	// favouring whichever end of the sweep runs first.
-	type cfgKey = [2]int
-	var order []cfgKey
-	for _, keys := range keySpaces {
-		for _, writers := range writerCounts {
-			order = append(order, cfgKey{keys, writers})
-		}
-	}
-	best := make(map[cfgKey]float64)
-	gor := make(map[cfgKey]int)
-	ctrs := make(map[cfgKey]map[string]float64)
-	for trial := 0; trial < trials; trial++ {
-		for i := range order {
-			if ctx.Err() != nil {
-				return nil
-			}
-			k := order[i]
-			if trial%2 == 1 {
-				k = order[len(order)-1-i]
-			}
-			mops, g, vals := runTableTrial(n, k[0], k[1], writerCounts[len(writerCounts)-1], chunk, uint64(trial))
-			if mops > best[k] {
-				best[k] = mops
-				ctrs[k] = vals
-			}
-			gor[k] = g
-		}
-	}
-	for _, keys := range keySpaces {
-		for _, writers := range writerCounts {
-			k := [2]int{keys, writers}
-			curve := fmt.Sprintf("keys%d", keys)
-			fmt.Printf("%s\t%d\t%d\t%d\t%.2f\n", curve, writers, keys, gor[k], best[k])
-			rep.Results = append(rep.Results, benchRecord{
-				Curve: curve, Threads: writers, Chunk: chunk,
-				MopsSec: best[k], Keys: keys, Goroutines: gor[k],
-				Counters: ctrs[k],
-			})
-		}
-	}
-	return &rep
-}
-
-// runTableTrial ingests n zipfian-keyed updates from `writers` ingest
-// goroutines (goroutine g drives handle g of a table configured with
-// maxWriters handles, so the per-key structure and relaxation bound
-// are identical across every point of a curve — the sweep varies
-// parallelism, nothing else) and returns Mops/sec plus the goroutine
-// count observed at the end of ingestion (before Close), which stays
-// O(GOMAXPROCS) however many keys are live. Key and value streams are
-// generated before the clock starts. The returned counters map is the
-// trial's table-subsystem registry snapshot (shard lookups, writer
-// cache hits, promotions, evictions) for bench attribution.
-func runTableTrial(n uint64, keys, writers, maxWriters, chunk int, seed uint64) (mops float64, goroutines int, counters map[string]float64) {
-	tab := fcds.NewThetaTableU64(fcds.ThetaTableU64Config{
-		Table: fcds.TableU64Config{Writers: maxWriters, Shards: 1024},
-	})
-	defer tab.Close()
-	reg := fcds.NewMetricsRegistry()
-	tab.RegisterMetrics(reg, "bench")
-	parts := stream.Partition(n, writers)
-	allKs := make([][]uint64, writers)
-	allVs := make([][]uint64, writers)
-	for wi := 0; wi < writers; wi++ {
-		z := stream.NewZipf(uint64(keys), 1.2, seed*1000+uint64(wi)+1)
-		vals := stream.NewScrambled(parts[wi].Start)
-		ks := make([]uint64, parts[wi].Count)
-		vs := make([]uint64, parts[wi].Count)
-		for i := range ks {
-			ks[i] = z.Next()
-			vs[i] = vals.Next()
-		}
-		allKs[wi], allVs[wi] = ks, vs
-	}
-	var wg sync.WaitGroup
-	start := time.Now()
-	for wi := 0; wi < writers; wi++ {
-		wg.Add(1)
-		go func(wi int) {
-			defer wg.Done()
-			w := tab.Writer(wi)
-			ks, vs := allKs[wi], allVs[wi]
-			for off := 0; off < len(ks); off += chunk {
-				end := off + chunk
-				if end > len(ks) {
-					end = len(ks)
-				}
-				w.UpdateKeyedBatch(ks[off:end], vs[off:end])
-			}
-		}(wi)
-	}
-	wg.Wait()
-	goroutines = runtime.NumGoroutine()
-	elapsed := time.Since(start)
-	return float64(n) / 1e6 / elapsed.Seconds(), goroutines, reg.Values()
-}
-
-// poolExp: the propagator pool in isolation — many small sketches on
-// one shared pool, ingestion from a fixed set of goroutines, across
-// pool worker counts. Reports propagation-bound throughput and the
-// cross-queue steal count of the shard-affine scheduler (affine
-// submission keeps a sketch on one worker; steals kick in when a
-// worker backs up).
-func poolExp(ctx context.Context, sc scale) *benchReport {
-	n := uint64(1 << 21)
-	trials := 3
-	workerCounts := []int{1, 2, 4, 8}
-	if sc.full {
-		n = 1 << 23
-		trials = 5
-		workerCounts = []int{1, 2, 4, 8, 16}
-	}
-	if sc.smoke {
-		n = 1 << 18
-		trials = 1
-	}
-	const sketches = 64
-	const ingesters = 4
-	const chunk = 512
-	fmt.Println("# Pool: 64 pooled Θ sketches (K=256, b=4), 4 ingest goroutines, propagation throughput vs pool workers")
-	fmt.Println("curve\tworkers\tgoroutines\tsteals\tMops_sec")
-	rep := benchReport{
-		Experiment: "pool", Unix: time.Now().Unix(),
-		GoMaxProcs: runtime.GOMAXPROCS(0), N: n, Trials: trials, K: 256,
-	}
-	best := make(map[int]float64)
-	steals := make(map[int]int64)
-	ctrs := make(map[int]map[string]float64)
-	for trial := 0; trial < trials; trial++ {
-		for _, workers := range workerCounts {
-			if ctx.Err() != nil {
-				return nil
-			}
-			mops, st, vals := runPoolTrial(n, workers, sketches, ingesters, chunk, uint64(trial))
-			if mops > best[workers] {
-				best[workers] = mops
-				steals[workers] = st
-				ctrs[workers] = vals
-			}
-		}
-	}
-	for _, workers := range workerCounts {
-		fmt.Printf("sketches%d\t%d\t%d\t%d\t%.2f\n", sketches, workers, ingesters, steals[workers], best[workers])
-		rep.Results = append(rep.Results, benchRecord{
-			Curve: fmt.Sprintf("sketches%d", sketches), Threads: workers, Chunk: chunk,
-			MopsSec: best[workers], Goroutines: ingesters, Steals: steals[workers],
-			Counters: ctrs[workers],
-		})
-	}
-	return &rep
-}
-
-// runPoolTrial drives `sketches` pooled concurrent Θ sketches from
-// `ingesters` goroutines (goroutine g owns writer slot g of every
-// sketch, rotating over its sketch subset batch by batch) and returns
-// Mops/sec plus the pool's cross-queue steal count for the run. The
-// tiny b keeps the workload handoff-dense, so the pool's scheduling —
-// not the sketch math — dominates. The returned counters map is the
-// trial's pool-subsystem registry snapshot (per-worker runs, steals,
-// wake tokens, queue depths) for bench attribution.
-func runPoolTrial(n uint64, workers, sketches, ingesters, chunk int, seed uint64) (mops float64, steals int64, counters map[string]float64) {
-	pool := fcds.NewPropagatorPool(workers)
-	defer pool.Close()
-	reg := fcds.NewMetricsRegistry()
-	fcds.RegisterPoolMetrics(reg, pool)
-	sks := make([]*fcds.ConcurrentTheta, sketches)
-	for i := range sks {
-		sks[i] = fcds.NewConcurrentTheta(fcds.ConcurrentThetaConfig{
-			K: 256, Writers: ingesters, MaxError: 1, BufferSize: 4, Pool: pool,
-		})
-	}
-	defer func() {
-		for _, s := range sks {
-			s.Close()
-		}
-	}()
-	parts := stream.Partition(n, ingesters)
-	steals0 := pool.Steals()
-	var wg sync.WaitGroup
-	start := time.Now()
-	for g := 0; g < ingesters; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			vals := stream.NewScrambled(seed*1e9 + parts[g].Start)
-			vs := make([]uint64, chunk)
-			si := g
-			for sent := uint64(0); sent < parts[g].Count; sent += uint64(chunk) {
-				m := uint64(chunk)
-				if rem := parts[g].Count - sent; rem < m {
-					m = rem
-				}
-				for i := uint64(0); i < m; i++ {
-					vs[i] = vals.Next()
-				}
-				sks[si%sketches].Writer(g).UpdateUint64Batch(vs[:m])
-				si++
-			}
-			for i := 0; i < sketches; i++ {
-				sks[i].Writer(g).Flush()
-			}
-		}(g)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	return float64(n) / 1e6 / elapsed.Seconds(), pool.Steals() - steals0, reg.Values()
-}
-
-// windowExp: sliding-window keyed Θ tables under the same zipfian draw
-// as the table experiment, rotating through 16 epochs per trial, with
-// the plain (non-windowed) keyed table as the in-run baseline — the
-// epoch-ring overhead is the gap between the two curves.
-func windowExp(ctx context.Context, sc scale) *benchReport {
-	n := uint64(1 << 21)
-	trials := 2
-	keySpaces := []int{1_000, 100_000}
-	writerCounts := []int{1, 4}
-	if sc.full {
-		n = 1 << 23
-		trials = 5
-		keySpaces = []int{1_000, 100_000, 1_000_000}
-		writerCounts = []int{1, 4, 8, 12}
-	}
-	if sc.smoke {
-		n = 1 << 17
-		trials = 1
-	}
-	const chunk = 512
-	const rotations = 16
-	fmt.Println("# Window: sliding-window keyed Θ tables, zipfian keys (s=1.2), 6-slot epoch ring, 16 rotations/trial")
-	fmt.Println("curve\tthreads\tkeys\tgoroutines\tMops_sec")
-	rep := benchReport{
-		Experiment: "window", Unix: time.Now().Unix(),
-		GoMaxProcs: runtime.GOMAXPROCS(0), N: n, Trials: trials, K: 256,
-	}
-	record := func(curve string, writers, keys, goroutines int, mops float64, counters map[string]float64) {
-		fmt.Printf("%s\t%d\t%d\t%d\t%.2f\n", curve, writers, keys, goroutines, mops)
-		rep.Results = append(rep.Results, benchRecord{
-			Curve: curve, Threads: writers, Chunk: chunk,
-			MopsSec: mops, Keys: keys, Goroutines: goroutines,
-			Counters: counters,
-		})
-	}
-	for _, keys := range keySpaces {
-		for _, writers := range writerCounts {
-			var bestW, bestP float64
-			var gor int
-			var ctrW, ctrP map[string]float64
-			for trial := 0; trial < trials; trial++ {
-				if ctx.Err() != nil {
-					return nil
-				}
-				mops, g, vals := runWindowTrial(n, keys, writers, chunk, rotations, uint64(trial))
-				if mops > bestW {
-					bestW = mops
-					ctrW = vals
-				}
-				gor = g
-				if mops, _, vals := runTableTrial(n, keys, writers, writers, chunk, uint64(trial)); mops > bestP {
-					bestP = mops
-					ctrP = vals
-				}
-			}
-			record(fmt.Sprintf("windowed-keys%d", keys), writers, keys, gor, bestW, ctrW)
-			record(fmt.Sprintf("plain-keys%d", keys), writers, keys, 0, bestP, ctrP)
-		}
-	}
-	return &rep
-}
-
-// runWindowTrial ingests n zipfian-keyed updates into a 6-slot
-// windowed table; writer 0 rotates the ring `rotations` times evenly
-// through its share of the stream, so every trial exercises epoch
-// sealing (drain + snapshot-spill) while the other writers keep
-// ingesting. The returned counters map is the trial's window-subsystem
-// registry snapshot (epoch, rotations, sealed rebuilds, expiries) for
-// bench attribution.
-func runWindowTrial(n uint64, keys, writers, chunk, rotations int, seed uint64) (mops float64, goroutines int, counters map[string]float64) {
-	wt := fcds.NewWindowedThetaTableU64(
-		fcds.ThetaTableU64Config{
-			Table: fcds.TableU64Config{Writers: writers, Shards: 1024},
-		},
-		fcds.WindowConfig{Slots: 6, Width: time.Hour},
-	)
-	defer wt.Close()
-	reg := fcds.NewMetricsRegistry()
-	wt.RegisterMetrics(reg, "bench")
-	parts := stream.Partition(n, writers)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for wi := 0; wi < writers; wi++ {
-		wg.Add(1)
-		go func(wi int) {
-			defer wg.Done()
-			w := wt.Writer(wi)
-			z := stream.NewZipf(uint64(keys), 1.2, seed*1000+uint64(wi)+1)
-			vals := stream.NewScrambled(parts[wi].Start)
-			ks := make([]uint64, chunk)
-			vs := make([]uint64, chunk)
-			batches := uint64(0)
-			rotEvery := parts[wi].Count/uint64(chunk)/uint64(rotations) + 1
-			for sent := uint64(0); sent < parts[wi].Count; sent += uint64(chunk) {
-				m := uint64(chunk)
-				if rem := parts[wi].Count - sent; rem < m {
-					m = rem
-				}
-				for i := uint64(0); i < m; i++ {
-					ks[i] = z.Next()
-					vs[i] = vals.Next()
-				}
-				w.UpdateKeyedBatch(ks[:m], vs[:m])
-				if batches++; wi == 0 && batches%rotEvery == 0 {
-					wt.Rotate()
-				}
-			}
-		}(wi)
-	}
-	wg.Wait()
-	goroutines = runtime.NumGoroutine()
-	elapsed := time.Since(start)
-	return float64(n) / 1e6 / elapsed.Seconds(), goroutines, reg.Values()
-}
-
-// serveExp: the network ingest server over loopback TCP — keyed Θ
-// ingest throughput vs client connection count. Each connection runs
-// the client's batched asynchronous ingest path (pipelined acks) into
-// one shared uint64-keyed table; the curve exposes the wire+framing
-// overhead against the in-process `table` experiment and how it
-// amortises across connections.
-func serveExp(ctx context.Context, sc scale) *benchReport {
-	n := uint64(1 << 20)
-	trials := 3
-	connCounts := []int{1, 2, 4, 8}
-	if sc.full {
-		n = 1 << 22
-		trials = 5
-	}
-	if sc.smoke {
-		n = 1 << 16
-		trials = 1
-	}
-	const keys = 10_000
-	const chunk = 2048
-	fmt.Println("# Serve: loopback network ingest, keyed Θ table (K=256), zipfian keys (s=1.2), batched client pipeline")
-	fmt.Println("curve\tconns\tkeys\tMops_sec")
-	rep := benchReport{
-		Experiment: "serve", Unix: time.Now().Unix(),
-		GoMaxProcs: runtime.GOMAXPROCS(0), N: n, Trials: trials, K: 256,
-	}
-	best := make(map[int]float64)
-	ctrs := make(map[int]map[string]float64)
-	for trial := 0; trial < trials; trial++ {
-		for _, conns := range connCounts {
-			if ctx.Err() != nil {
-				return nil
-			}
-			mops, vals, err := runServeTrial(n, conns, keys, chunk, uint64(trial))
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "fcds-bench: serve:", err)
-				os.Exit(1)
-			}
-			if mops > best[conns] {
-				best[conns] = mops
-				ctrs[conns] = vals
-			}
-		}
-	}
-	for _, conns := range connCounts {
-		fmt.Printf("conns\t%d\t%d\t%.2f\n", conns, keys, best[conns])
-		rep.Results = append(rep.Results, benchRecord{
-			Curve: "conns", Threads: conns, Chunk: chunk,
-			MopsSec: best[conns], Keys: keys,
-			Counters: ctrs[conns],
-		})
-	}
-	return &rep
-}
-
-// runServeTrial stands up a loopback ingest server over one keyed Θ
-// table and drives n zipfian-keyed updates through `conns` client
-// connections (pregenerated streams; the clock covers dial-to-flush).
-// The returned counters map snapshots the server and table registries
-// after the flush (per-table frames/items/bytes, writer-slot waits,
-// connection totals) for bench attribution.
-func runServeTrial(n uint64, conns, keys, chunk int, seed uint64) (float64, map[string]float64, error) {
-	tab := fcds.NewThetaTableU64(fcds.ThetaTableU64Config{
-		Table: fcds.TableU64Config{Writers: conns, Shards: 1024},
-	})
-	defer tab.Close()
-	srv, err := fcds.Serve("127.0.0.1:0", fcds.IngestServerConfig{})
-	if err != nil {
-		return 0, nil, err
-	}
-	defer srv.Close()
-	if err := fcds.RegisterThetaTableU64(srv, "bench", tab); err != nil {
-		return 0, nil, err
-	}
-	reg := fcds.NewMetricsRegistry()
-	srv.RegisterMetrics(reg)
-	tab.RegisterMetrics(reg, "bench")
-	addr := srv.Addr().String()
-
-	parts := stream.Partition(n, conns)
-	allKs := make([][]uint64, conns)
-	allVs := make([][]uint64, conns)
-	for ci := 0; ci < conns; ci++ {
-		z := stream.NewZipf(uint64(keys), 1.2, seed*1000+uint64(ci)+1)
-		vals := stream.NewScrambled(parts[ci].Start)
-		ks := make([]uint64, parts[ci].Count)
-		vs := make([]uint64, parts[ci].Count)
-		for i := range ks {
-			ks[i] = z.Next()
-			vs[i] = vals.Next()
-		}
-		allKs[ci], allVs[ci] = ks, vs
-	}
-
-	errs := make(chan error, conns)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for ci := 0; ci < conns; ci++ {
-		wg.Add(1)
-		go func(ci int) {
-			defer wg.Done()
-			c, err := fcds.Dial(addr)
-			if err != nil {
-				errs <- err
-				return
-			}
-			defer c.Close()
-			ks, vs := allKs[ci], allVs[ci]
-			for off := 0; off < len(ks); off += chunk {
-				end := min(off+chunk, len(ks))
-				if err := c.IngestU64("bench", ks[off:end], vs[off:end]); err != nil {
-					errs <- err
-					return
-				}
-			}
-			if err := c.Flush(); err != nil {
-				errs <- err
-			}
-		}(ci)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	select {
-	case err := <-errs:
-		return 0, nil, err
-	default:
-	}
-	return float64(n) / 1e6 / elapsed.Seconds(), reg.Values(), nil
-}
-
-// rollupExp: the parallel read path — whole-table rollup and
-// streaming snapshot-append throughput across read fan-out degrees
-// and key counts. The table is populated once per configuration and
-// quiesced; the timed section is pure read-path work (collect,
-// per-key compaction, merge/serialize), so degree scaling here is the
-// direct measure of the shard-fanned rollup pipeline. Throughput is
-// per-key compaction ops (keys × passes / second), which is
-// comparable across key counts.
-func rollupExp(ctx context.Context, sc scale) *benchReport {
-	trials := 3
-	keySpaces := []int{1_000, 100_000}
-	degrees := []int{1, 2, 4}
-	itemsPerKey := 8
-	opsTarget := 2_000_000
-	if sc.full {
-		trials = 5
-		opsTarget = 8_000_000
-	}
-	if sc.smoke {
-		trials = 1
-		opsTarget = 100_000
-		itemsPerKey = 2
-	}
-	fmt.Println("# Rollup: parallel read path — whole-table rollup and snapshot-append vs read fan-out degree, keyed Θ (K=256)")
-	fmt.Println("curve\tdegree\tkeys\tMops_sec")
-	rep := benchReport{
-		Experiment: "rollup", Unix: time.Now().Unix(),
-		GoMaxProcs: runtime.GOMAXPROCS(0), N: uint64(opsTarget), Trials: trials, K: 256,
-	}
-	for _, keys := range keySpaces {
-		iters := opsTarget / keys
-		if iters < 1 {
-			iters = 1
-		}
-		for _, degree := range degrees {
-			if ctx.Err() != nil {
-				return nil
-			}
-			rollMops, snapMops, ctrs := runRollupTrials(keys, degree, itemsPerKey, iters, trials)
-			fmt.Printf("rollup-keys%d\t%d\t%d\t%.2f\n", keys, degree, keys, rollMops)
-			fmt.Printf("snapshot-keys%d\t%d\t%d\t%.2f\n", keys, degree, keys, snapMops)
-			rep.Results = append(rep.Results,
-				benchRecord{
-					Curve: fmt.Sprintf("rollup-keys%d", keys), Threads: degree,
-					MopsSec: rollMops, Keys: keys, Counters: ctrs,
-				},
-				benchRecord{
-					Curve: fmt.Sprintf("snapshot-keys%d", keys), Threads: degree,
-					MopsSec: snapMops, Keys: keys,
-				})
-		}
-	}
-	return &rep
-}
-
-// runRollupTrials builds one quiesced keyed Θ table with the given
-// read fan-out degree, then times `trials` rounds of `iters`
-// whole-table rollups and snapshot-appends (best round wins, the
-// snapshot buffer is reused across passes so the steady state is
-// allocation-free on the caller side). Returns per-key compaction
-// Mops for each path plus the table-subsystem registry snapshot.
-func runRollupTrials(keys, degree, itemsPerKey, iters, trials int) (rollMops, snapMops float64, counters map[string]float64) {
-	tab := fcds.NewThetaTableU64(fcds.ThetaTableU64Config{
-		Table: fcds.TableU64Config{Writers: 1, Shards: 1024, ReadParallelism: degree},
-	})
-	defer tab.Close()
-	reg := fcds.NewMetricsRegistry()
-	tab.RegisterMetrics(reg, "bench")
-	const chunk = 2048
-	w := tab.Writer(0)
-	ks := make([]uint64, 0, chunk)
-	vs := make([]uint64, 0, chunk)
-	vals := stream.NewScrambled(uint64(keys))
-	for k := 0; k < keys; k++ {
-		for i := 0; i < itemsPerKey; i++ {
-			ks = append(ks, uint64(k))
-			vs = append(vs, vals.Next())
-			if len(ks) == chunk {
-				w.UpdateKeyedBatch(ks, vs)
-				ks, vs = ks[:0], vs[:0]
-			}
-		}
-	}
-	if len(ks) > 0 {
-		w.UpdateKeyedBatch(ks, vs)
-	}
-	tab.Drain()
-
-	ops := float64(keys) * float64(iters) / 1e6
-	var buf []byte
-	for trial := 0; trial < trials; trial++ {
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			tab.Rollup()
-		}
-		if mops := ops / time.Since(start).Seconds(); mops > rollMops {
-			rollMops = mops
-		}
-		start = time.Now()
-		for i := 0; i < iters; i++ {
-			out, err := tab.SnapshotAppend(buf[:0])
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "fcds-bench: rollup: snapshot-append:", err)
-				os.Exit(1)
-			}
-			buf = out
-		}
-		if mops := ops / time.Since(start).Seconds(); mops > snapMops {
-			snapMops = mops
-		}
-	}
-	return rollMops, snapMops, reg.Values()
-}
-
-// checkReport is the bench-JSON regression gate: it compares this
-// run's report against a committed BENCH_*.json and fails on schema
-// drift (experiment renamed, curve/threads point set changed), missing
-// required fields, or zero-throughput points on either side — so CI
-// catches both a broken emitter and a stale committed trajectory
-// before a human compares numbers point for point.
-func checkReport(fresh benchReport, path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var committed benchReport
-	if err := json.Unmarshal(data, &committed); err != nil {
-		return fmt.Errorf("committed file is not a bench report: %w", err)
-	}
-	validate := func(who string, rep benchReport) error {
-		if rep.Experiment == "" || rep.GoMaxProcs <= 0 || rep.N == 0 || rep.Trials <= 0 {
-			return fmt.Errorf("%s report missing required fields (experiment=%q gomaxprocs=%d n=%d trials=%d)",
-				who, rep.Experiment, rep.GoMaxProcs, rep.N, rep.Trials)
-		}
-		if len(rep.Results) == 0 {
-			return fmt.Errorf("%s report has no results", who)
-		}
-		for _, r := range rep.Results {
-			if r.Curve == "" || r.Threads <= 0 {
-				return fmt.Errorf("%s report has a malformed point %+v", who, r)
-			}
-			if r.MopsSec <= 0 {
-				return fmt.Errorf("%s report has zero ops at curve %q threads %d", who, r.Curve, r.Threads)
-			}
-		}
-		return nil
-	}
-	if err := validate("fresh", fresh); err != nil {
-		return err
-	}
-	if err := validate("committed", committed); err != nil {
-		return err
-	}
-	if fresh.Experiment != committed.Experiment {
-		return fmt.Errorf("experiment drift: fresh %q, committed %q", fresh.Experiment, committed.Experiment)
-	}
-	type point struct {
-		curve   string
-		threads int
-	}
-	set := func(rep benchReport) map[point]bool {
-		m := make(map[point]bool, len(rep.Results))
-		for _, r := range rep.Results {
-			m[point{r.Curve, r.Threads}] = true
-		}
-		return m
-	}
-	fs, cs := set(fresh), set(committed)
-	var drift []string
-	for p := range fs {
-		if !cs[p] {
-			drift = append(drift, fmt.Sprintf("point %s/%d produced by this build is missing from %s", p.curve, p.threads, path))
-		}
-	}
-	for p := range cs {
-		if !fs[p] {
-			drift = append(drift, fmt.Sprintf("point %s/%d in %s is no longer produced by this build", p.curve, p.threads, path))
-		}
-	}
-	if len(drift) > 0 {
-		msg := drift[0]
-		for _, d := range drift[1:] {
-			msg += "\n" + d
-		}
-		return fmt.Errorf("curve drift:\n%s", msg)
 	}
 	return nil
+}
+
+func usage(w io.Writer) {
+	fmt.Fprintln(w, "usage: fcds-bench <experiment> [-full] [-k N]\nexperiments:")
+	for _, e := range experiments {
+		fmt.Fprintf(w, "  %-16s %s\n", e.name, e.help)
+	}
+	fmt.Fprintf(w, "  %-16s %s\n", "all", "run every experiment above, in this order (scaled)")
 }
 
 // figure1: scalability of concurrent vs lock-based Θ sketch, b=1.
@@ -1198,10 +292,10 @@ func table2(full bool) {
 			&characterization.ConcurrentThetaAccuracy{K: k, MaxError: 0.04}, accCfg)
 		var maxMed, maxQ99 float64
 		for _, p := range acc {
-			if m := abs(p.Median); m > maxMed {
+			if m := math.Abs(p.Median); m > maxMed {
 				maxMed = m
 			}
-			if q := max(abs(p.Q01), abs(p.Q99)); q > maxQ99 {
+			if q := max(math.Abs(p.Q01), math.Abs(p.Q99)); q > maxQ99 {
 				maxQ99 = q
 			}
 		}
@@ -1252,11 +346,4 @@ func sketches(full bool) {
 			fmt.Printf("%s\t%d\t%d\t%.2f\n", r.Name(), p.InU, p.Trials, p.NsPerUpdate)
 		}
 	}
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

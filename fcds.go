@@ -185,8 +185,8 @@
 // spawns nothing. Scaling is near-linear while keys/degree stays
 // large (≥ a few thousand keys per worker); below ~1k keys the
 // fan-out constant (goroutine wake + pairwise merge) eats the win and
-// serial is just as fast, which is why the rollup experiment in
-// cmd/fcds-bench measures both a 1e3- and a 1e5-key curve.
+// serial is just as fast. No benchmark workload sweeps the degree yet,
+// so these scaling figures are not re-checked by any gate.
 //
 // Operationally: size ReadParallelism so a full pass (the
 // fcds_table_rollup_duration_seconds /
@@ -389,8 +389,8 @@
 // budgets. One registry gathers everything and renders it three ways:
 // MetricsHandler serves Prometheus text format 0.0.4 over HTTP,
 // WriteValues dumps the same samples as log lines, and Values feeds
-// programmatic consumers (fcds-bench attaches counter snapshots to its
-// JSON points this way).
+// programmatic consumers (the benchmark in benchmark/ reads its
+// per-layer counters this way).
 //
 //	reg := fcds.NewMetricsRegistry()
 //	fcds.RegisterPoolMetrics(reg, pool)
@@ -475,7 +475,10 @@
 // Sequential sketches (theta KMV/QuickSelect with set operations,
 // quantiles, HLL) and the lock-based baseline used in the paper's
 // evaluation are exposed as well. The cmd/fcds-bench binary
-// regenerates every table and figure of the paper's Section 7.
+// regenerates every table and figure of the paper's Section 7 and the
+// Section 6 error analysis; the system built around the sketches
+// (tables, windows, wire, journal) is measured by the benchmark in
+// benchmark/ and nowhere else.
 package fcds
 
 import (

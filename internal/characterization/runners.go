@@ -59,61 +59,6 @@ func (r *ConcurrentThetaRunner) Run(n uint64) time.Duration {
 	return time.Since(start)
 }
 
-// ConcurrentThetaBatchRunner ingests with the concurrent Θ sketch via
-// the batch pipeline: each writer fills a ChunkSize slice and hands it
-// to UpdateUint64Batch, the way a network feed or log shipper delivers
-// events. ChunkSize 1 degenerates to (slightly slower than) the
-// per-item path and is useful as a sanity curve.
-type ConcurrentThetaBatchRunner struct {
-	K          int
-	Writers    int
-	MaxError   float64 // e; 1.0 disables eager propagation
-	BufferSize int     // 0 derives b from (K, MaxError, Writers)
-	ChunkSize  int     // batch length per UpdateUint64Batch call
-	Seed       uint64
-}
-
-// Name implements Runner.
-func (r *ConcurrentThetaBatchRunner) Name() string {
-	return fmt.Sprintf("concurrent-theta-batch/k=%d/writers=%d/e=%g/chunk=%d",
-		r.K, r.Writers, r.MaxError, r.ChunkSize)
-}
-
-// Run implements Runner.
-func (r *ConcurrentThetaBatchRunner) Run(n uint64) time.Duration {
-	chunk := r.ChunkSize
-	if chunk <= 0 {
-		chunk = 256
-	}
-	c := theta.NewConcurrent(theta.ConcurrentConfig{
-		K: r.K, Writers: r.Writers, MaxError: r.MaxError,
-		BufferSize: r.BufferSize, Seed: r.Seed,
-	})
-	defer c.Close()
-	parts := stream.Partition(n, r.Writers)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i, p := range parts {
-		wg.Add(1)
-		go func(i int, p stream.Range) {
-			defer wg.Done()
-			w := c.Writer(i)
-			buf := make([]uint64, 0, chunk)
-			for v := p.Start; v < p.Start+p.Count; v++ {
-				buf = append(buf, v)
-				if len(buf) == chunk {
-					w.UpdateUint64Batch(buf)
-					buf = buf[:0]
-				}
-			}
-			w.UpdateUint64Batch(buf)
-			w.Flush()
-		}(i, p)
-	}
-	wg.Wait()
-	return time.Since(start)
-}
-
 // LockThetaRunner ingests with the lock-protected sequential sketch —
 // the paper's baseline. Threads goroutines contend on one RWMutex.
 type LockThetaRunner struct {

@@ -329,7 +329,7 @@ func (r *Registry) Gather() []Sample {
 }
 
 // Values flattens Gather into a name{labels} -> value map. Used by
-// fcds-bench to attach per-subsystem counters to JSON points.
+// the benchmark (benchmark/) to read per-layer counters.
 func (r *Registry) Values() map[string]float64 {
 	samples := r.Gather()
 	m := make(map[string]float64, len(samples))

@@ -27,8 +27,8 @@ func benchTableKeys(b *testing.B, keys int, writers int) {
 			ks := make([]uint64, chunk)
 			vs := make([]uint64, chunk)
 			// Scrambled counter: spreads updates over all keys without
-			// a modelled distribution (the zipfian sweep lives in
-			// cmd/fcds-bench).
+			// a modelled distribution (zipf streams: BenchmarkTableHotKeys
+			// below and the benchmark's table_* workloads).
 			x := uint64(wi)*0x9e3779b97f4a7c15 + 1
 			for sent := 0; sent < per; sent += chunk {
 				for i := range ks {
@@ -103,54 +103,106 @@ func BenchmarkTableRollup(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/keys, "ns/key")
 }
 
-// BenchmarkTableHotKeys is the filtered path's benchmark: 1 000
-// zipf(1.2) keys, every value distinct, 2 048-item chunks, and b.N
-// passes of 1<<20 items over one table from two writers — so all but
-// the tail keys are far above K after the first pass and most of what
-// is ingested can no longer change any sketch. Reports Mitems/s and the
-// share of items the writers dropped in pass 1 (Stats().Prefiltered).
-func BenchmarkTableHotKeys(b *testing.B) {
-	const (
-		keys      = 1000
-		chunk     = 2048
-		passItems = 1 << 20
-		writers   = 2
-	)
-	tab := NewTheta(ThetaConfig[uint64]{Table: Config[uint64]{Writers: writers}})
-	defer tab.Close()
+// The hot-key stream of BenchmarkTableHotKeys and BenchmarkHotKeyPolicy:
+// 1 000 zipf(1.2) keys, every value distinct, 2 048-item chunks, passes
+// of 1<<20 items from two writers — so all but the tail keys are far
+// above K after the first pass.
+const (
+	hotKeys      = 1000
+	hotChunk     = 2048
+	hotPassItems = 1 << 20
+	hotWriters   = 2
+)
+
+// driveHotKeys sends b.N passes of the hot-key stream through st,
+// reports Mitems/s and returns the number of items sent.
+func driveHotKeys[V uint64 | float64, S, C any](b *testing.B, st *SketchTable[uint64, V, S, C]) float64 {
 	// One pass of keys per writer, drawn up front: the generator is not
 	// what is measured.
-	var ks [writers][]uint64
+	var ks [hotWriters][]uint64
 	for wi := range ks {
-		z := rand.NewZipf(rand.New(rand.NewSource(int64(wi)+1)), 1.2, 1, keys-1)
-		ks[wi] = make([]uint64, passItems/writers)
+		z := rand.NewZipf(rand.New(rand.NewSource(int64(wi)+1)), 1.2, 1, hotKeys-1)
+		ks[wi] = make([]uint64, hotPassItems/hotWriters)
 		for i := range ks[wi] {
 			ks[wi][i] = z.Uint64()
 		}
 	}
 	b.ResetTimer()
 	var wg sync.WaitGroup
-	for wi := 0; wi < writers; wi++ {
+	for wi := 0; wi < hotWriters; wi++ {
 		wg.Add(1)
 		go func(wi int) {
 			defer wg.Done()
-			w := tab.Writer(wi)
-			vs := make([]uint64, chunk)
+			w := st.Writer(wi)
+			vs := make([]V, hotChunk)
 			next := uint64(wi) << 56
 			for pass := 0; pass < b.N; pass++ {
-				for off := 0; off < len(ks[wi]); off += chunk {
+				for off := 0; off < len(ks[wi]); off += hotChunk {
 					for i := range vs {
-						vs[i] = next
+						vs[i] = V(next)
 						next++
 					}
-					w.UpdateKeyedBatch(ks[wi][off:off+chunk], vs)
+					w.UpdateKeyedBatch(ks[wi][off:off+hotChunk], vs)
 				}
 			}
 		}(wi)
 	}
 	wg.Wait()
 	b.StopTimer()
-	items := float64(b.N) * passItems
+	items := float64(b.N) * hotPassItems
 	b.ReportMetric(items/b.Elapsed().Seconds()/1e6, "Mitems/s")
+	return items
+}
+
+// BenchmarkTableHotKeys is the filtered path's benchmark: the hot-key
+// stream through one Θ table, where most of what is ingested can no
+// longer change any sketch. Reports Mitems/s and the share of items the
+// writers dropped in pass 1 (Stats().Prefiltered).
+func BenchmarkTableHotKeys(b *testing.B) {
+	tab := NewTheta(ThetaConfig[uint64]{Table: Config[uint64]{Writers: hotWriters}})
+	defer tab.Close()
+	items := driveHotKeys(b, &tab.SketchTable)
 	b.ReportMetric(float64(tab.Stats().Prefiltered)/items, "prefiltered/item")
+}
+
+// BenchmarkHotKeyPolicy prices the hot-key ladder: the hot-key stream
+// through a Θ, a quantiles and an HLL table, each without a policy and
+// with HotKeyPolicy{HotThreshold: 1<<14}. Reports Mitems/s and the
+// table's promotions. (Named so that `-bench Table` does not run it.)
+func BenchmarkHotKeyPolicy(b *testing.B) {
+	policies := []struct {
+		name string
+		hot  *HotKeyPolicy
+	}{{"none", nil}, {"hot16384", &HotKeyPolicy{HotThreshold: 1 << 14}}}
+	families := []struct {
+		name string
+		run  func(b *testing.B, cfg Config[uint64]) (promotions int64)
+	}{
+		{"theta", func(b *testing.B, cfg Config[uint64]) int64 {
+			tab := NewTheta(ThetaConfig[uint64]{Table: cfg})
+			defer tab.Close()
+			driveHotKeys(b, &tab.SketchTable)
+			return tab.Promotions()
+		}},
+		{"quantiles", func(b *testing.B, cfg Config[uint64]) int64 {
+			tab := NewQuantiles(QuantilesConfig[uint64]{Table: cfg})
+			defer tab.Close()
+			driveHotKeys(b, &tab.SketchTable)
+			return tab.Promotions()
+		}},
+		{"hll", func(b *testing.B, cfg Config[uint64]) int64 {
+			tab := NewHLL(HLLConfig[uint64]{Table: cfg})
+			defer tab.Close()
+			driveHotKeys(b, &tab.SketchTable)
+			return tab.Promotions()
+		}},
+	}
+	for _, f := range families {
+		for _, p := range policies {
+			b.Run(f.name+"/"+p.name, func(b *testing.B) {
+				promotions := f.run(b, Config[uint64]{Writers: hotWriters, HotKeys: p.hot})
+				b.ReportMetric(float64(promotions), "promotions")
+			})
+		}
+	}
 }

@@ -30,8 +30,9 @@ func BenchmarkWindowIngest(b *testing.B) {
 }
 
 // BenchmarkWindowTableKeyedBatch: keyed windowed ingestion (16 hot
-// keys, 512-item batches) with a rotation every 64 batches, the shape
-// the fcds-bench window experiment measures against the plain table.
+// keys, 512-item batches) with a rotation every 64 batches. The
+// window-vs-table ratio on a realistic stream is the benchmark's
+// window.overhead_x (benchmark/, workload window_hot).
 func BenchmarkWindowTableKeyedBatch(b *testing.B) {
 	tcfg, eng := table.ThetaConfig[uint64]{
 		Table: table.Config[uint64]{Writers: 1, Shards: 256},
