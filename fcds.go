@@ -345,7 +345,13 @@
 // picks the newest valid generation per table and falls back to an
 // older one when the newest is corrupt at rest, and retention
 // (-checkpoint-retain) prunes generations past the configured count —
-// never touching files it did not write.
+// never touching files it did not write. What a boot reads: a
+// registered table's generations are told apart by file name and
+// opened newest first, so an older generation is read and CRC-checked
+// only when every newer one failed; within the file it restores, the
+// aggregate and every source snapshot are decoded and admitted once,
+// concurrently on GOMAXPROCS cores, then applied together (a bad blob
+// still rejects the whole generation).
 //
 // Journaled aggregator crash. With a journal attached (AttachJournal;
 // fcds-serve's -journal), the aggregator write-ahead-logs every
@@ -356,7 +362,9 @@
 // checkpoint's LSN watermark re-applies exactly as the original frame
 // did, records the checkpoint already covers are skipped by that
 // watermark (merge-semantics records — eviction spills, anonymous
-// pushes — would double-count without it), and a torn final record
+// pushes — would double-count without it) after their frame CRC and
+// before their snapshot is decoded, so a boot decodes only the
+// records it applies, and a torn final record
 // (the crash happened mid-write) fails its CRC and truncates cleanly —
 // that push was never ACKed, so its Reliable shipper redelivers it.
 // Each successful checkpoint pass rotates the journal and prunes files

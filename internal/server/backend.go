@@ -73,6 +73,10 @@ type backend interface {
 	// skip records the checkpoint already contains.
 	checkpointBody(dst []byte) ([]byte, uint64, error)
 	restoreBody(body []byte, lsn uint64) error
+	// covered reports whether a journal record at lsn is at or below
+	// the applied watermark — already in the state, so replay skips it
+	// without decoding its blob.
+	covered(lsn uint64) bool
 	// bind attaches the backend to its registered name and the server's
 	// journal slot; called once by register.
 	bind(name string, jnl *atomic.Pointer[Journal])
@@ -82,8 +86,10 @@ type backend interface {
 	// raw bytes: string keys verbatim, uint64 keys 8 bytes LE.
 	spillEvict(keyType byte, key, compact []byte) error
 	// replayPush / replayWindow / replayEvict re-apply one journal
-	// record during boot recovery, skipping records at or below the
-	// restored checkpoint's LSN watermark (applied = false).
+	// record during boot recovery. ReplayJournal calls them only for
+	// records covered reports false for; they re-check the watermark
+	// under rmu after decoding and skip a record at or below it
+	// (applied = false).
 	replayPush(lsn uint64, source string, blob []byte) (applied bool, err error)
 	replayWindow(lsn uint64, source string, epoch uint64, blob []byte) (applied, stale bool, err error)
 	replayEvict(lsn uint64, keyType byte, key, compact []byte) (applied bool, err error)
@@ -741,6 +747,17 @@ func (b *tableBackend[K, V, S, C]) foldCompactLocked(k K, c C) error {
 	return nil
 }
 
+// covered reports whether the record at lsn is already folded into the
+// remote state: at or below the watermark a restored checkpoint seeded
+// or an earlier replayed record raised. ReplayJournal asks before it
+// hands a record's blob to a decoder, so a covered record costs its
+// frame CRC and nothing else.
+func (b *tableBackend[K, V, S, C]) covered(lsn uint64) bool {
+	b.rmu.Lock()
+	defer b.rmu.Unlock()
+	return lsn <= b.appliedLSN
+}
+
 // replayPush re-applies one journaled push during boot recovery; a
 // record at or below the restored checkpoint's watermark is already in
 // the restored state and is skipped.
@@ -901,54 +918,76 @@ func (b *tableBackend[K, V, S, C]) checkpointBody(dst []byte) ([]byte, uint64, e
 	return dst, lsn, nil
 }
 
+// ckptMinSource is the fewest body bytes one checkpointed source can
+// take: a non-empty id (length byte + one byte), the epoch flag, the
+// blob length and an FCTB header of 16 bytes.
+const ckptMinSource = 2 + 1 + 1 + 16
+
 // restoreBody parses a checkpointBody back into the backend's remote
-// state, seeding the LSN watermark journal replay gates on. Every blob
-// passes the same admission validation a network push would — a
-// corrupt or foreign checkpoint is rejected whole before any state
-// changes, leaving the backend exactly as it was (which is what lets
-// RestoreCheckpoints fall back to an older generation).
+// state, seeding the LSN watermark journal replay gates on. The body's
+// framing is parsed first; then the aggregate blob and every source
+// blob pass the same admission validation a network push would,
+// concurrently on up to GOMAXPROCS cores; then they are applied in file
+// order under one rmu hold. A corrupt or foreign checkpoint is rejected
+// whole before any state changes, leaving the backend exactly as it was
+// (which is what lets RestoreCheckpoints fall back to an older
+// generation).
 func (b *tableBackend[K, V, S, C]) restoreBody(body []byte, lsn uint64) error {
-	r := wire.Reader{Buf: body}
-	agg, err := b.admitSnapshot(r.Bytes(int(r.Uvarint())))
-	if err != nil {
-		return fmt.Errorf("checkpoint aggregate: %w", err)
-	}
-	n := r.Uvarint()
-	if r.Err != nil {
-		return fmt.Errorf("checkpoint: truncated body")
-	}
 	type restored struct {
-		source   string
+		source   string // "" for the aggregate, part 0
+		blob     []byte
 		snap     *table.TableSnapshot[K, C]
 		epoch    uint64
 		hasEpoch bool
 	}
-	sources := make([]restored, 0, n)
-	for i := uint64(0); i < n; i++ {
+	r := wire.Reader{Buf: body}
+	agg := r.Bytes(int(r.Uvarint()))
+	n := r.Uvarint()
+	if r.Err != nil {
+		return fmt.Errorf("checkpoint: truncated body")
+	}
+	// The count is the writer's claim, the body length a fact: never
+	// size anything by a count the remaining bytes cannot hold.
+	if n > uint64(r.Remaining()/ckptMinSource) {
+		return fmt.Errorf("checkpoint: %d sources claimed, body holds at most %d", n, r.Remaining()/ckptMinSource)
+	}
+	parts := make([]restored, 1, 1+n)
+	parts[0].blob = agg
+	for i := uint64(0); i < n && r.Err == nil; i++ {
 		var rs restored
 		rs.source = r.String()
 		rs.hasEpoch = r.Byte() == 1
 		if rs.hasEpoch {
 			rs.epoch = r.Uvarint()
 		}
-		rs.snap, err = b.admitSnapshot(r.Bytes(int(r.Uvarint())))
-		if err != nil {
-			return fmt.Errorf("checkpoint source %q: %w", rs.source, err)
-		}
-		if rs.source == "" {
+		rs.blob = r.Bytes(int(r.Uvarint()))
+		if r.Err == nil && rs.source == "" {
 			return fmt.Errorf("checkpoint: empty source id")
 		}
-		sources = append(sources, rs)
+		parts = append(parts, rs)
 	}
 	if r.Err != nil || r.Remaining() != 0 {
 		return fmt.Errorf("checkpoint: malformed body")
 	}
+	errs := make([]error, len(parts))
+	core.FanOut(core.ReadDegree(0), len(parts), func(_, i int) {
+		parts[i].snap, errs[i] = b.admitSnapshot(parts[i].blob)
+	})
+	for i, err := range errs {
+		if err == nil {
+			continue
+		}
+		if i == 0 {
+			return fmt.Errorf("checkpoint aggregate: %w", err)
+		}
+		return fmt.Errorf("checkpoint source %q: %w", parts[i].source, err)
+	}
 	b.rmu.Lock()
 	defer b.rmu.Unlock()
-	if err := b.remote.Merge(agg); err != nil {
+	if err := b.remote.Merge(parts[0].snap); err != nil {
 		return err
 	}
-	for _, rs := range sources {
+	for _, rs := range parts[1:] {
 		if err := b.storeSourceLocked(rs.source, rs.snap); err != nil {
 			return err
 		}

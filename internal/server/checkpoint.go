@@ -48,8 +48,9 @@ import (
 // <table>-<namecrc>-<generation>.fcck rather than renaming over the
 // previous pass's file, and retention keeps the newest
 // Config.CheckpointRetain generations per table. Restore picks the
-// newest VALID generation per table — a generation corrupted at rest
-// falls back to the one before it (logged), and only a table with no
+// newest VALID generation per table, opening generations newest first —
+// a generation corrupted at rest falls back to the one before it
+// (logged), an older one is read only then, and only a table with no
 // valid generation at all is a hard error. Each file is written
 // atomically — temp file in the same directory, fsync, rename, fsync
 // the directory — so a crash mid-checkpoint leaves complete older
@@ -66,7 +67,9 @@ const (
 // RestoreCheckpoints pass covered.
 type CheckpointStats struct {
 	// Tables is the number of table checkpoint files written or
-	// restored; Bytes sums their sizes.
+	// restored; Bytes sums their sizes — for a restore, the files
+	// restored, not every file read on the way (a failed newer
+	// generation or a skipped file does not count).
 	Tables int
 	Bytes  int64
 	// Skipped counts files RestoreCheckpoints ignored because no
@@ -76,7 +79,7 @@ type CheckpointStats struct {
 	// after a successful write pass (always 0 for restores).
 	Pruned int
 	// Fallbacks counts tables RestoreCheckpoints recovered from an
-	// older generation because a newer one was corrupt.
+	// older generation because a newer one failed to parse or restore.
 	Fallbacks int
 }
 
@@ -209,32 +212,18 @@ func (s *Server) nextCheckpointGen(now time.Time) uint64 {
 // checkpoint suffix but an unrecognized name is logged and left alone
 // — retention must never eat a file it cannot account for.
 func (s *Server) pruneCheckpoints(dir string, keep int) (int, error) {
-	entries, err := os.ReadDir(dir)
+	byPrefix, unrecognized, err := listCheckpoints(dir)
 	if err != nil {
 		return 0, err
 	}
-	type genFile struct {
-		name string
-		gen  uint64
-	}
-	byTable := make(map[string][]genFile)
-	for _, ent := range entries {
-		if ent.IsDir() || !strings.HasSuffix(ent.Name(), ckptSuffix) {
-			continue // temp files and strangers: not ours to judge
-		}
-		prefix, gen, ok := parseCheckpointFileName(ent.Name())
-		if !ok {
-			s.logf("server: checkpoint retention: unrecognized file %s, leaving in place", ent.Name())
-			continue
-		}
-		byTable[prefix] = append(byTable[prefix], genFile{ent.Name(), gen})
+	for _, name := range unrecognized {
+		s.logf("server: checkpoint retention: unrecognized file %s, leaving in place", name)
 	}
 	pruned := 0
-	for _, files := range byTable {
+	for _, files := range byPrefix {
 		if len(files) <= keep {
 			continue
 		}
-		sort.Slice(files, func(a, b int) bool { return files[a].gen > files[b].gen })
 		for _, gf := range files[keep:] {
 			if err := os.Remove(filepath.Join(dir, gf.name)); err != nil {
 				return pruned, err
@@ -250,113 +239,111 @@ func (s *Server) pruneCheckpoints(dir string, keep int) (int, error) {
 // after registering tables and before Start/Serve, so the first
 // connection after a restart already sees the recovered state. A
 // missing or empty directory restores nothing and is not an error
-// (first boot); a file whose table is not registered is skipped with a
-// log line (a config that dropped a table must not brick the node); a
-// corrupt generation falls back to the next older valid one (logged) —
-// only a table with NO valid generation is a hard error, because
-// restoring nothing silently would defeat the point.
+// (first boot).
+//
+// A registered table's generations are found by their file names and
+// opened newest first: an older generation is read only when every
+// newer one failed to parse or restore, and then the fallback is
+// logged and counted. Only a table with NO valid generation is a hard
+// error, because restoring nothing silently would defeat the point.
+// Files whose names match no registered table are read whole: a valid
+// one is skipped with a log line naming the table it holds (a config
+// that dropped a table must not brick the node), and a corrupt one is
+// an error unless a valid generation under the same name prefix was
+// found.
 func (s *Server) RestoreCheckpoints(dir string) (CheckpointStats, error) {
 	var st CheckpointStats
-	entries, err := os.ReadDir(dir)
+	byPrefix, others, err := listCheckpoints(dir)
 	if errors.Is(err, os.ErrNotExist) {
 		return st, nil
 	}
 	if err != nil {
 		return st, err
 	}
-	type candidate struct {
-		file string
-		ts   int64
-		lsn  uint64
-		body []byte
-		size int64
-	}
-	// Valid images grouped by their embedded table name; corrupt files
-	// grouped by filename prefix so they can be matched to a table that
-	// still has an older valid generation.
-	valid := make(map[string][]candidate)
-	var corrupt []struct {
-		file, prefix string
-		err          error
-	}
+	// Future generations must sort after everything already on disk,
+	// even across a restart with a retreating clock. The names alone
+	// say so, read or not.
 	var maxGen uint64
-	for _, ent := range entries {
-		if ent.IsDir() || !strings.HasSuffix(ent.Name(), ckptSuffix) {
-			continue // temp files and strangers
-		}
-		if _, gen, ok := parseCheckpointFileName(ent.Name()); ok && gen > maxGen {
-			maxGen = gen
-		}
-		path := filepath.Join(dir, ent.Name())
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return st, err
-		}
-		name, ts, lsn, body, err := parseCheckpoint(data)
-		if err != nil {
-			prefix, _, _ := parseCheckpointFileName(ent.Name())
-			corrupt = append(corrupt, struct {
-				file, prefix string
-				err          error
-			}{ent.Name(), prefix, err})
-			continue
-		}
-		valid[name] = append(valid[name], candidate{ent.Name(), ts, lsn, body, int64(len(data))})
+	for _, files := range byPrefix {
+		maxGen = max(maxGen, files[0].gen)
 	}
-	var newest int64
-	coveredPrefix := make(map[string]bool)
-	names := make([]string, 0, len(valid))
-	for name := range valid {
+	s.mu.Lock()
+	names := make([]string, 0, len(s.tables))
+	for name := range s.tables {
 		names = append(names, name)
 	}
+	s.mu.Unlock()
 	sort.Strings(names)
+	var newest int64
 	for _, name := range names {
-		cands := valid[name]
-		b, ok := s.lookup(name)
-		if !ok {
-			for _, c := range cands {
-				s.logf("server: checkpoint %s: table %q not registered, skipping", c.file, name)
-				st.Skipped++
-				if p, _, ok := parseCheckpointFileName(c.file); ok {
-					coveredPrefix[p] = true
-				}
+		b, _ := s.lookup(name) // tables are never unregistered
+		files := byPrefix[checkpointPrefix(name)]
+		for i, gf := range files {
+			data, err := os.ReadFile(filepath.Join(dir, gf.name))
+			if err != nil {
+				return st, err
 			}
-			continue
-		}
-		sort.Slice(cands, func(a, b int) bool {
-			if cands[a].ts != cands[b].ts {
-				return cands[a].ts > cands[b].ts
+			tname, ts, lsn, body, err := parseCheckpoint(data)
+			if err == nil && tname != name {
+				err = fmt.Errorf("holds table %q", tname)
 			}
-			return cands[a].file > cands[b].file
-		})
-		for i, c := range cands {
-			if err := b.restoreBody(c.body, c.lsn); err != nil {
-				if i+1 < len(cands) {
-					s.logf("server: checkpoint %s: %v, falling back to older generation %s", c.file, err, cands[i+1].file)
+			if err == nil {
+				err = b.restoreBody(body, lsn)
+			}
+			if err != nil {
+				if i+1 < len(files) {
+					s.logf("server: checkpoint %s: %v, falling back to older generation %s", gf.name, err, files[i+1].name)
 					continue
 				}
-				return st, fmt.Errorf("server: checkpoint %s: %w", c.file, err)
+				return st, fmt.Errorf("server: checkpoint %s: %w", gf.name, err)
 			}
 			if i > 0 {
 				st.Fallbacks++
-				s.logf("server: checkpoint: table %q restored from older generation %s", name, c.file)
+				s.logf("server: checkpoint: table %q restored from older generation %s", name, gf.name)
 			}
 			st.Tables++
-			st.Bytes += c.size
-			if c.ts > newest {
-				newest = c.ts
-			}
-			if p, _, ok := parseCheckpointFileName(c.file); ok {
-				coveredPrefix[p] = true
-			}
+			st.Bytes += int64(len(data))
+			newest = max(newest, ts)
 			break
 		}
 	}
+	for _, name := range names {
+		delete(byPrefix, checkpointPrefix(name))
+	}
+	for _, files := range byPrefix {
+		for _, gf := range files {
+			others = append(others, gf.name)
+		}
+	}
+	sort.Strings(others)
+	type corruptFile struct {
+		file, prefix string
+		err          error
+	}
+	var corrupt []corruptFile
+	valid := make(map[string]bool) // prefixes with a valid generation
+	for _, file := range others {
+		data, err := os.ReadFile(filepath.Join(dir, file))
+		if err != nil {
+			return st, err
+		}
+		prefix, _, ok := parseCheckpointFileName(file)
+		name, _, _, _, err := parseCheckpoint(data)
+		if err != nil {
+			corrupt = append(corrupt, corruptFile{file, prefix, err})
+			continue
+		}
+		s.logf("server: checkpoint %s: holds table %q, but its name matches no registered table, skipping", file, name)
+		st.Skipped++
+		if ok {
+			valid[prefix] = true
+		}
+	}
 	for _, c := range corrupt {
-		if c.prefix != "" && coveredPrefix[c.prefix] {
-			// A newer generation of a table we did restore is damaged:
-			// the fallback already covered it, keep booting.
-			s.logf("server: checkpoint %s: %v (older generation restored instead)", c.file, c.err)
+		if c.prefix != "" && valid[c.prefix] {
+			// Another generation of the same table is intact: keep
+			// booting.
+			s.logf("server: checkpoint %s: %v (another generation of its table is valid)", c.file, c.err)
 			continue
 		}
 		return st, fmt.Errorf("server: checkpoint %s: %w", c.file, c.err)
@@ -367,8 +354,6 @@ func (s *Server) RestoreCheckpoints(dir string) (CheckpointStats, error) {
 		// staleness window until the first post-restart checkpoint.
 		s.lastCheckpoint.Store(newest)
 	}
-	// Future generations must sort after everything already on disk,
-	// even across a restart with a retreating clock.
 	for {
 		prev := s.ckptGen.Load()
 		if maxGen <= prev || s.ckptGen.CompareAndSwap(prev, maxGen) {
@@ -376,6 +361,44 @@ func (s *Server) RestoreCheckpoints(dir string) (CheckpointStats, error) {
 		}
 	}
 	return st, nil
+}
+
+// genFile is one checkpoint file and the generation its name carries.
+type genFile struct {
+	name string
+	gen  uint64
+}
+
+// listCheckpoints lists dir's checkpoint files from their names alone:
+// grouped by table prefix, each group newest generation first, plus the
+// files with the checkpoint suffix whose names this code never wrote.
+// Temp files and other strangers are not listed.
+func listCheckpoints(dir string) (byPrefix map[string][]genFile, unrecognized []string, err error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, nil, err
+	}
+	byPrefix = make(map[string][]genFile)
+	for _, ent := range entries {
+		if ent.IsDir() || !strings.HasSuffix(ent.Name(), ckptSuffix) {
+			continue // temp files and strangers: not ours to judge
+		}
+		prefix, gen, ok := parseCheckpointFileName(ent.Name())
+		if !ok {
+			unrecognized = append(unrecognized, ent.Name())
+			continue
+		}
+		byPrefix[prefix] = append(byPrefix[prefix], genFile{ent.Name(), gen})
+	}
+	for _, files := range byPrefix {
+		sort.Slice(files, func(a, b int) bool {
+			if files[a].gen != files[b].gen {
+				return files[a].gen > files[b].gen
+			}
+			return files[a].name > files[b].name
+		})
+	}
+	return byPrefix, unrecognized, nil
 }
 
 // CheckpointAge returns the time since the newest checkpoint this

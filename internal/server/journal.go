@@ -726,10 +726,11 @@ func parseJournalRecord(data []byte) (*JournalRecord, int, bool) {
 type JournalReplayStats struct {
 	// Files is the number of journal files walked; Records the number
 	// of records applied; Skipped the records already covered by the
-	// restored checkpoints' LSN watermarks; UnknownTable the records for
-	// tables the new configuration no longer registers; Stale the
-	// window records whose epoch the receiver had already passed;
-	// Errors the intact records that no longer apply (logged, skipped).
+	// restored checkpoints' LSN watermarks (frame CRC-checked, blob
+	// never decoded); UnknownTable the records for tables the new
+	// configuration no longer registers; Stale the window records whose
+	// epoch the receiver had already passed; Errors the intact records
+	// that no longer apply (logged, skipped).
 	Files, Records, Skipped, UnknownTable, Stale, Errors int
 	// TornBytes counts trailing bytes discarded as torn writes.
 	TornBytes int64

@@ -231,9 +231,10 @@ func (s *Server) Journal() *Journal {
 
 // ReplayJournal re-applies the journal tail in dir on top of restored
 // checkpoints: every record above its table's restored LSN watermark
-// is applied exactly as the original frame was, records at or below it
-// are skipped (the checkpoint already contains them), torn tails are
-// truncated, and records for tables this configuration no longer
+// is decoded, admitted and applied exactly as the original frame was;
+// a record at or below it is skipped after its frame CRC, without
+// decoding its blob (the checkpoint already contains it). Torn tails
+// are truncated, and records for tables this configuration no longer
 // registers are logged and counted but do not fail the boot. Call it
 // after RestoreCheckpoints and before AttachJournal/Start.
 func (s *Server) ReplayJournal(dir string) (JournalReplayStats, error) {
@@ -242,6 +243,10 @@ func (s *Server) ReplayJournal(dir string) (JournalReplayStats, error) {
 		if !ok {
 			st.UnknownTable++
 			s.logf("server: journal replay: table %q not registered, skipping record lsn=%d", rec.Table, rec.LSN)
+			return nil
+		}
+		if b.covered(rec.LSN) {
+			st.Skipped++
 			return nil
 		}
 		var applied, stale bool
