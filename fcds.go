@@ -64,6 +64,8 @@
 // guarantee, an all-keys rollup, TTL/size-cap eviction that spills
 // evicted keys as serialized snapshots, and whole-table binary
 // snapshots that merge across processes for distributed aggregation.
+// All three are one keyed table written once against the sketch engine,
+// as the paper's framework is written once against its sketch interface.
 //
 // Crucially, a table does not spawn one propagator goroutine per key:
 // every per-key sketch attaches to one shared PropagatorPool (a fixed
@@ -249,6 +251,11 @@
 //	c, _ := fcds.Dial("edge-1:9700")
 //	c.Ingest("events", tenants, userIDs) // async, batched
 //	c.Flush()                            // wait + collect errors
+//
+// Every Register*Table call is one registration that reads the family
+// from the table's engine: string items (not on quantiles), the hash
+// seed pushed snapshots must share (Θ, HLL), and the wire value type.
+// The server owns the table's writers, so it serves one name per table.
 //
 // The protocol is binary frames, each a fixed 8-byte header — payload
 // length (uint32 LE), protocol version, frame type, a frame-flags
@@ -894,36 +901,36 @@ func DialReliable(addr string, cfg ReliableIngestConfig, dialTimeout time.Durati
 // server becomes the table's sole writer (it owns every writer
 // handle); local queries, rollups and snapshots remain safe.
 func RegisterThetaTable(s *IngestServer, name string, t *ThetaTable) error {
-	return server.RegisterTheta(s, name, t)
+	return server.Register(s, name, t.Table)
 }
 
 // RegisterThetaTableU64 serves a uint64-keyed Θ table under name; see
 // RegisterThetaTable for the writer-ownership contract.
 func RegisterThetaTableU64(s *IngestServer, name string, t *ThetaTableU64) error {
-	return server.RegisterTheta(s, name, t)
+	return server.Register(s, name, t.Table)
 }
 
 // RegisterQuantilesTable serves a string-keyed quantiles table under
 // name; see RegisterThetaTable for the writer-ownership contract.
 func RegisterQuantilesTable(s *IngestServer, name string, t *QuantilesTable) error {
-	return server.RegisterQuantiles(s, name, t)
+	return server.Register(s, name, t.Table)
 }
 
 // RegisterQuantilesTableU64 serves a uint64-keyed quantiles table
 // under name.
 func RegisterQuantilesTableU64(s *IngestServer, name string, t *QuantilesTableU64) error {
-	return server.RegisterQuantiles(s, name, t)
+	return server.Register(s, name, t.Table)
 }
 
 // RegisterHLLTable serves a string-keyed HLL table under name; see
 // RegisterThetaTable for the writer-ownership contract.
 func RegisterHLLTable(s *IngestServer, name string, t *HLLTable) error {
-	return server.RegisterHLL(s, name, t)
+	return server.Register(s, name, t.Table)
 }
 
 // RegisterHLLTableU64 serves a uint64-keyed HLL table under name.
 func RegisterHLLTableU64(s *IngestServer, name string, t *HLLTableU64) error {
-	return server.RegisterHLL(s, name, t)
+	return server.Register(s, name, t.Table)
 }
 
 // Observability: the metrics registry and its renderers (see the

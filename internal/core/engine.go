@@ -159,6 +159,16 @@ type ScalableEngine[V, S, C any] interface {
 	NewSketchSeeded(pool *PropagatorPool, affinityKey uint64, from C) EngineSketch[V, S, C]
 }
 
+// StringEngine is an optional Engine capability: hashing a string item
+// into the form UpdateHashedBatch ingests, as HashValue does a raw
+// value. It is what lets a composite take string items — a keyed
+// table's string batches, the server's string-item frames. Θ and HLL
+// implement it; quantiles, whose values are samples rather than items,
+// does not.
+type StringEngine[V any] interface {
+	HashString(s string) V
+}
+
 // FilterEngine and FilterSketch are one optional capability in two
 // halves: Algorithm 1's calcHint (line 24) and shouldAdd (line 26),
 // offered to a composite's writer instead of only to the sketch's own.

@@ -13,7 +13,10 @@ type Engine struct {
 	cfg ConcurrentConfig
 }
 
-var _ core.Engine[uint64, float64, *Sketch] = (*Engine)(nil)
+var (
+	_ core.Engine[uint64, float64, *Sketch] = (*Engine)(nil)
+	_ core.StringEngine[uint64]             = (*Engine)(nil)
+)
 
 // NewEngine returns an HLL engine for the given configuration (zero
 // fields take the ConcurrentConfig defaults). The Pool field is

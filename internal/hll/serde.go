@@ -56,6 +56,9 @@ func Unmarshal(data []byte) (*Sketch, error) {
 	if data[4] != hserdeVersion {
 		return nil, fmt.Errorf("%w: %d", ErrBadVersion, data[4])
 	}
+	if data[6] != 0 || data[7] != 0 {
+		return nil, fmt.Errorf("%w: reserved bytes %#x %#x", ErrCorrupt, data[6], data[7])
+	}
 	p := data[5]
 	if p < 4 || p > 18 {
 		return nil, fmt.Errorf("%w: precision %d", ErrCorrupt, p)

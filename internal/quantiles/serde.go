@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"github.com/fcds/fcds/internal/oracle"
 )
 
 // Binary format (little endian), version 1:
@@ -124,6 +126,11 @@ func Unmarshal(data []byte) (*Sketch, error) {
 	var weight uint64 = uint64(baseLen)
 	for lvl := 0; lvl < numLevels; lvl++ {
 		if bitmap&(1<<uint(lvl)) != 0 {
+			// Level weights are distinct powers of two, so their sum plus
+			// the base (< 2k) fits whenever each weight does.
+			if uint64(k) > math.MaxUint64>>uint(lvl+1) {
+				return nil, fmt.Errorf("%w: level %d weight overflows", ErrBadN, lvl)
+			}
 			occupied++
 			weight += uint64(k) << uint(lvl+1)
 		}
@@ -138,14 +145,15 @@ func Unmarshal(data []byte) (*Sketch, error) {
 	if weight != n {
 		return nil, ErrBadN
 	}
-	if (n == 0) != (data[5]&qflagEmpty != 0) {
-		return nil, fmt.Errorf("%w: empty flag vs n", ErrCorrupt)
+	// The flags byte is the empty bit, set exactly when n is 0, and
+	// nothing else: accepted bytes must marshal back to themselves.
+	if (n == 0) != (data[5] == qflagEmpty) || data[5]&^qflagEmpty != 0 {
+		return nil, fmt.Errorf("%w: flags %#x for n = %d", ErrCorrupt, data[5], n)
 	}
 
-	s := New(k)
-	s.n = n
-	s.min = minV
-	s.max = maxV
+	// Sized by the payload, not by k: New(k) would reserve 2k base slots,
+	// and 48 bytes claiming k = 32768 would allocate half a megabyte.
+	s := &Sketch{k: k, n: n, min: minV, max: maxV, base: make([]float64, 0, baseLen), orc: oracle.New(0x5eed)}
 	off := qheaderSize
 	readF := func() float64 {
 		v := math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))

@@ -3,6 +3,7 @@ package quantiles
 import (
 	"encoding/binary"
 	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -135,6 +136,29 @@ func TestSerdeRejectsUnsortedLevel(t *testing.T) {
 	binary.LittleEndian.PutUint64(data[off+8:], a)
 	if _, err := Unmarshal(data); !errors.Is(err, ErrLevelSort) {
 		t.Errorf("err = %v, want ErrLevelSort", err)
+	}
+}
+
+// TestSerdeRejectsOverflowingLevelWeight: levels 62 and 63 of a k = 2
+// sketch weigh 2^64 and 2^65, which wrap to 0 in a uint64 weight sum;
+// without an overflow check a header claiming n = 1 (the base item
+// alone) passes the n check with four level samples uncounted.
+func TestSerdeRejectsOverflowingLevelWeight(t *testing.T) {
+	data := make([]byte, qheaderSize, qheaderSize+5*8)
+	copy(data, qserdeMagic)
+	data[4] = qserdeVersion
+	binary.LittleEndian.PutUint16(data[6:8], 2)
+	binary.LittleEndian.PutUint64(data[8:16], 1)
+	binary.LittleEndian.PutUint64(data[16:24], math.Float64bits(1))
+	binary.LittleEndian.PutUint64(data[24:32], math.Float64bits(5))
+	binary.LittleEndian.PutUint32(data[32:36], 1)
+	binary.LittleEndian.PutUint32(data[36:40], 64)
+	binary.LittleEndian.PutUint64(data[40:48], 1<<62|1<<63)
+	for _, v := range []float64{5, 1, 2, 3, 4} {
+		data = binary.LittleEndian.AppendUint64(data, math.Float64bits(v))
+	}
+	if _, err := Unmarshal(data); !errors.Is(err, ErrBadN) {
+		t.Errorf("err = %v, want ErrBadN", err)
 	}
 }
 

@@ -8,11 +8,8 @@ import (
 	"unsafe"
 
 	"github.com/fcds/fcds/internal/core"
-	"github.com/fcds/fcds/internal/hll"
-	"github.com/fcds/fcds/internal/quantiles"
 	"github.com/fcds/fcds/internal/server/wire"
 	"github.com/fcds/fcds/internal/table"
-	"github.com/fcds/fcds/internal/theta"
 )
 
 // reqError is a request-scoped failure: it becomes one FrameErr
@@ -32,6 +29,10 @@ func errBadPayload(format string, args ...any) *reqError {
 // backend is one registered table as the connection loop sees it: the
 // family- and key-type-erased surface the frame handlers dispatch to.
 type backend interface {
+	// owner is the registered table itself: one table may be registered
+	// under one name only, since every backend owns all of its table's
+	// writer handles.
+	owner() any
 	kind() byte
 	keyType() byte
 	liveKeys() int
@@ -103,7 +104,7 @@ type ingestScratch struct {
 	gis []int32
 }
 
-// tableBackend adapts one generic SketchTable to the backend surface.
+// tableBackend adapts one keyed table to the backend surface.
 // The server owns the table's writer handles and lends them out
 // through a checkout pool: an ingest frame takes any idle handle,
 // streams its batch in, and returns it — so conns > Writers queue only
@@ -114,21 +115,25 @@ type ingestScratch struct {
 // but the server (queries and snapshots from the embedding process
 // stay safe).
 type tableBackend[K table.Key, V, S, C any] struct {
-	st  *table.SketchTable[K, V, S, C]
+	st  *table.Table[K, V, S, C]
 	kt  byte
 	eng core.Engine[V, S, C]
-	// hashItem maps a string item into the family's hash space (the
-	// KEYED_STRING_BATCH path); nil when the family has no string items
+	// str hashes a string item into the family's hash space (the
+	// KEYED_STRING_BATCH path); nil when the engine has no string items
 	// (quantiles).
-	hashItem  func(string) V
-	decodeVal func(uint64) V
+	str core.StringEngine[V]
+	// seed is the engine's hash seed, checked against every foreign
+	// compact when seeded (engine and compact both report one: Θ, HLL) —
+	// the one incompatibility a snapshot header cannot express. The check
+	// runs before any state changes, so a bad push is rejected whole
+	// instead of being stored where it would poison every later query,
+	// rollup and pull.
+	seed   uint64
+	seeded bool
+	// unmarshal decodes a pushed FCTB snapshot with the table's own
+	// engine (table.UnmarshalSnapshot); a field so that tests can watch
+	// admissions.
 	unmarshal func([]byte) (*table.TableSnapshot[K, C], error)
-	// validateCompact, when non-nil, vets each compact of a pushed
-	// snapshot for constraints the snapshot header cannot express
-	// (hash seeds); it runs before any state changes, so a bad push is
-	// rejected whole instead of being stored where it would poison
-	// every later query, rollup and pull.
-	validateCompact func(C) error
 
 	// pool holds the idle writer handles; checkout/checkin move them.
 	pool chan *table.Writer[K, V, S, C]
@@ -185,31 +190,59 @@ func (b *tableBackend[K, V, S, C]) journal() *Journal {
 	return b.jnl.Load()
 }
 
-func newTableBackend[K table.Key, V, S, C any](
-	st *table.SketchTable[K, V, S, C],
-	hashItem func(string) V,
-	decodeVal func(uint64) V,
-	unmarshal func([]byte) (*table.TableSnapshot[K, C], error),
-	validateCompact func(C) error,
-) *tableBackend[K, V, S, C] {
-	b := &tableBackend[K, V, S, C]{
-		st:              st,
-		kt:              keyTypeOf[K](),
-		eng:             st.Engine(),
-		hashItem:        hashItem,
-		decodeVal:       decodeVal,
-		unmarshal:       unmarshal,
-		validateCompact: validateCompact,
-		pool:            make(chan *table.Writer[K, V, S, C], st.NumWriters()),
-		remote:          table.NewTableSnapshot[K](st.Engine()),
-		remotes:         make(map[string]*table.TableSnapshot[K, C]),
-		remoteEpochs:    make(map[string]uint64),
+// seeded is the surface of an engine and its compacts that the
+// pushed-snapshot seed check needs.
+type seeded interface{ Seed() uint64 }
+
+// Register serves a keyed table under name. The server becomes the
+// table's sole writer (it owns every writer handle); queries, rollups
+// and snapshots from the embedding process remain safe concurrently.
+// What differs between families is read from the table's engine: string
+// items need core.StringEngine (KEYED_STRING_BATCH is ErrCodeUnsupported
+// otherwise); a Seed on both the engine and its compacts turns on the
+// pushed-snapshot seed check; values are uint64 items or float64 samples
+// (sent as their IEEE bits), and any other value type is refused. A
+// table is registered under one name only.
+func Register[K table.Key, V, S, C any](s *Server, name string, t *table.Table[K, V, S, C]) error {
+	var v V
+	switch any(v).(type) {
+	case uint64, float64:
+	default:
+		return fmt.Errorf("server: table %q: %T values have no wire encoding", name, v)
 	}
-	for i := 0; i < st.NumWriters(); i++ {
-		b.pool <- st.Writer(i)
+	eng := t.Engine()
+	b := &tableBackend[K, V, S, C]{
+		st:           t,
+		kt:           keyTypeOf[K](),
+		eng:          eng,
+		unmarshal:    func(p []byte) (*table.TableSnapshot[K, C], error) { return table.UnmarshalSnapshot[K](p, eng) },
+		pool:         make(chan *table.Writer[K, V, S, C], t.NumWriters()),
+		remote:       table.NewTableSnapshot[K](eng),
+		remotes:      make(map[string]*table.TableSnapshot[K, C]),
+		remoteEpochs: make(map[string]uint64),
+	}
+	b.str, _ = eng.(core.StringEngine[V])
+	if es, ok := eng.(seeded); ok {
+		var c C
+		b.seed = es.Seed()
+		_, b.seeded = any(c).(seeded)
+	}
+	for i := 0; i < t.NumWriters(); i++ {
+		b.pool <- t.Writer(i)
 	}
 	b.scratch.New = func() any { return &ingestScratch{} }
-	return b
+	return s.register(name, b)
+}
+
+// checkSeed vets one foreign compact's hash seed against the table's.
+func (b *tableBackend[K, V, S, C]) checkSeed(c C) error {
+	if !b.seeded {
+		return nil
+	}
+	if got := any(c).(seeded).Seed(); got != b.seed {
+		return fmt.Errorf("compact hash seed %#x, table uses %#x", got, b.seed)
+	}
+	return nil
 }
 
 // checkout takes an idle writer handle, counting the frames that had
@@ -256,19 +289,6 @@ func keyTypeOf[K table.Key]() byte {
 	return wire.KeyTypeUint64
 }
 
-// readKey decodes one wire key of type K. String keys are copied out of
-// the read buffer (the table retains them in its shard maps). The
-// `any(v).(K)` conversion boxes the value — fine for single-key
-// requests (queries); the batch ingest loops use u64Key/strKey, which
-// convert through a pointer and stay allocation-free.
-func readKey[K table.Key](r *wire.Reader) K {
-	var zero K
-	if _, ok := any(zero).(string); ok {
-		return any(r.String()).(K)
-	}
-	return any(r.Uint64()).(K)
-}
-
 // u64Key converts a decoded uint64 wire key to K. Callers have already
 // checked the table's key type, so the assertion cannot fail; routing
 // the conversion through a pointer keeps it off the heap where
@@ -277,6 +297,20 @@ func u64Key[K table.Key](v uint64) K {
 	var k K
 	*(any(&k).(*uint64)) = v
 	return k
+}
+
+// wireVal converts a decoded 8-byte wire value to V: uint64 items as
+// they are, float64 samples from their IEEE bits. Register admits no
+// other V. Like u64Key it converts through a pointer, off the heap.
+func wireVal[V any](v uint64) V {
+	var out V
+	switch p := any(&out).(type) {
+	case *uint64:
+		*p = v
+	case *float64:
+		*p = math.Float64frombits(v)
+	}
+	return out
 }
 
 // strKey is u64Key for string wire keys. s may be a transient view of
@@ -288,6 +322,7 @@ func strKey[K table.Key](s string) K {
 	return k
 }
 
+func (b *tableBackend[K, V, S, C]) owner() any       { return b.st }
 func (b *tableBackend[K, V, S, C]) kind() byte       { return b.eng.Kind() }
 func (b *tableBackend[K, V, S, C]) keyType() byte    { return b.kt }
 func (b *tableBackend[K, V, S, C]) liveKeys() int    { return b.st.Keys() }
@@ -328,7 +363,7 @@ func (b *tableBackend[K, V, S, C]) ingest(r *wire.Reader, stringItems bool) (int
 		return 0, errBadPayload("batch count %d exceeds payload", count64)
 	}
 	count := int(count64)
-	if stringItems && b.hashItem == nil {
+	if stringItems && b.str == nil {
 		return 0, &reqError{code: wire.ErrCodeUnsupported, msg: "table family has no string-item ingestion"}
 	}
 
@@ -370,14 +405,14 @@ func (b *tableBackend[K, V, S, C]) decodeInto(w *table.Writer[K, V, S, C], r *wi
 				// String items are hashed into the family's space here,
 				// exactly like the table's own keyed string-batch path,
 				// and staged as hashes; raw values are hashed by BatchAdd.
-				w.BatchAddHashed(u64Key[K](kr.Uint64()), b.hashItem(viewString(vr.StringView())))
+				w.BatchAddHashed(u64Key[K](kr.Uint64()), b.str.HashString(viewString(vr.StringView())))
 			}
 		} else {
 			if vr.Remaining() != count*8 {
 				return errBadPayload("batch body length mismatch")
 			}
 			for i := 0; i < count; i++ {
-				w.BatchAdd(u64Key[K](kr.Uint64()), b.decodeVal(vr.Uint64()))
+				w.BatchAdd(u64Key[K](kr.Uint64()), wireVal[V](vr.Uint64()))
 			}
 		}
 		if vr.Err != nil {
@@ -407,7 +442,7 @@ func (b *tableBackend[K, V, S, C]) decodeInto(w *table.Writer[K, V, S, C], r *wi
 			if !ok {
 				gi = w.BatchGroup(strKey[K](string(view)))
 			}
-			w.BatchAppend(gi, b.decodeVal(vr.Uint64()))
+			w.BatchAppend(gi, wireVal[V](vr.Uint64()))
 		}
 		if kr.Err != nil {
 			return errBadPayload("truncated batch body")
@@ -440,7 +475,7 @@ func (b *tableBackend[K, V, S, C]) decodeInto(w *table.Writer[K, V, S, C], r *wi
 			return errBadPayload("truncated batch body")
 		}
 		for i := range gis {
-			w.BatchAppendHashed(int(gis[i]), b.hashItem(viewString(r.StringView())))
+			w.BatchAppendHashed(int(gis[i]), b.str.HashString(viewString(r.StringView())))
 		}
 		if r.Err != nil {
 			return errBadPayload("truncated batch body")
@@ -456,7 +491,12 @@ func (b *tableBackend[K, V, S, C]) queryCompact(r *wire.Reader, dst []byte) ([]b
 	if kt := r.Byte(); r.Err == nil && kt != b.kt {
 		return dst, errBadPayload("key type %d, table wants %d", kt, b.kt)
 	}
-	k := readKey[K](r)
+	var k K
+	if b.kt == wire.KeyTypeUint64 {
+		k = u64Key[K](r.Uint64())
+	} else {
+		k = strKey[K](r.String())
+	}
 	if r.Err != nil || r.Remaining() != 0 {
 		return dst, errBadPayload("malformed query key")
 	}
@@ -551,28 +591,22 @@ func (b *tableBackend[K, V, S, C]) eachRemote(fn func(*table.TableSnapshot[K, C]
 const maxSnapshotSources = 1024
 
 // admitSnapshot parses and vets one pushed snapshot before any state
-// changes: the header check (kind/param via CompatibleWith) plus
-// per-compact constraints the header cannot express — a Θ/HLL snapshot
-// hashed under a different seed would otherwise be ACKed and then fail
-// every later query, rollup and pull it participates in.
+// changes: the header check (kind and parameter, against the table's
+// own engine, which then decodes every compact) plus the seed check the
+// header cannot express — a Θ/HLL snapshot hashed under a different
+// seed would otherwise be ACKed and then fail every later query, rollup
+// and pull it participates in.
 func (b *tableBackend[K, V, S, C]) admitSnapshot(blob []byte) (*table.TableSnapshot[K, C], error) {
 	snap, err := b.unmarshal(blob)
-	if err != nil {
-		return nil, errBadPayload("snapshot: %v", err)
-	}
-	if err := b.remote.CompatibleWith(snap); err != nil {
-		return nil, &reqError{code: wire.ErrCodeBadPayload, msg: err.Error()}
-	}
-	if b.validateCompact != nil {
-		var verr error
+	if err == nil && b.seeded {
 		snap.ForEach(func(_ K, c C) {
-			if verr == nil {
-				verr = b.validateCompact(c)
+			if err == nil {
+				err = b.checkSeed(c)
 			}
 		})
-		if verr != nil {
-			return nil, errBadPayload("snapshot: %v", verr)
-		}
+	}
+	if err != nil {
+		return nil, errBadPayload("snapshot: %v", err)
 	}
 	return snap, nil
 }
@@ -711,10 +745,8 @@ func (b *tableBackend[K, V, S, C]) spillEvict(keyType byte, key, compact []byte)
 	if err != nil {
 		return fmt.Errorf("server: evict spill: %w", err)
 	}
-	if b.validateCompact != nil {
-		if err := b.validateCompact(c); err != nil {
-			return fmt.Errorf("server: evict spill: %w", err)
-		}
+	if err := b.checkSeed(c); err != nil {
+		return fmt.Errorf("server: evict spill: %w", err)
 	}
 	b.rmu.Lock()
 	defer b.rmu.Unlock()
@@ -815,10 +847,8 @@ func (b *tableBackend[K, V, S, C]) replayEvict(lsn uint64, keyType byte, key, co
 	if err != nil {
 		return false, err
 	}
-	if b.validateCompact != nil {
-		if err := b.validateCompact(c); err != nil {
-			return false, err
-		}
+	if err := b.checkSeed(c); err != nil {
+		return false, err
 	}
 	b.rmu.Lock()
 	defer b.rmu.Unlock()
@@ -999,57 +1029,4 @@ func (b *tableBackend[K, V, S, C]) restoreBody(body []byte, lsn uint64) error {
 		b.appliedLSN = lsn
 	}
 	return nil
-}
-
-func identityVal(v uint64) uint64 { return v }
-
-func math64frombits(v uint64) float64 { return math.Float64frombits(v) }
-
-// stringHasher is the engine surface the string-item ingest path needs;
-// the Θ and HLL engines implement it, quantiles does not.
-type stringHasher interface{ HashString(string) uint64 }
-
-// seeded is the engine surface the snapshot-push seed check needs.
-type seeded interface{ Seed() uint64 }
-
-// seedValidator vets one pushed compact's hash seed against the
-// table's — the one incompatibility the snapshot header cannot carry.
-func seedValidator[C seeded](want uint64) func(C) error {
-	return func(c C) error {
-		if got := c.Seed(); got != want {
-			return fmt.Errorf("compact hash seed %#x, table uses %#x", got, want)
-		}
-		return nil
-	}
-}
-
-// RegisterTheta registers a keyed Θ table under name. The server
-// becomes the table's sole writer (it owns every writer handle);
-// queries, rollups and snapshots from the embedding process remain
-// safe concurrently.
-func RegisterTheta[K table.Key](s *Server, name string, t *table.ThetaTable[K]) error {
-	hasher := any(t.Engine()).(stringHasher)
-	seed := any(t.Engine()).(seeded).Seed()
-	return s.register(name, newTableBackend[K, uint64, float64, *theta.Compact](
-		&t.SketchTable, hasher.HashString, identityVal, table.UnmarshalThetaSnapshot[K],
-		seedValidator[*theta.Compact](seed)))
-}
-
-// RegisterHLL registers a keyed HLL table under name; see RegisterTheta
-// for the writer-ownership contract.
-func RegisterHLL[K table.Key](s *Server, name string, t *table.HLLTable[K]) error {
-	hasher := any(t.Engine()).(stringHasher)
-	seed := any(t.Engine()).(seeded).Seed()
-	return s.register(name, newTableBackend[K, uint64, float64, *hll.Sketch](
-		&t.SketchTable, hasher.HashString, identityVal, table.UnmarshalHLLSnapshot[K],
-		seedValidator[*hll.Sketch](seed)))
-}
-
-// RegisterQuantiles registers a keyed quantiles table under name (no
-// string-item ingestion: quantiles samples are float64 wire values;
-// no seed check: quantiles values are not hashed); see RegisterTheta
-// for the writer-ownership contract.
-func RegisterQuantiles[K table.Key](s *Server, name string, t *table.QuantilesTable[K]) error {
-	return s.register(name, newTableBackend[K, float64, *quantiles.Snapshot, *quantiles.Sketch](
-		&t.SketchTable, nil, math64frombits, table.UnmarshalQuantilesSnapshot[K], nil))
 }

@@ -71,7 +71,7 @@ func bootTrio(tb testing.TB, cfg Config) *Server {
 	s := New(cfg)
 	ev, lat, dev := newBootTheta(0), newBootQuantiles(), newBootHLL()
 	tb.Cleanup(func() { ev.Close(); lat.Close(); dev.Close() })
-	for _, err := range []error{RegisterTheta(s, "ev", ev), RegisterQuantiles(s, "lat", lat), RegisterHLL(s, "dev", dev)} {
+	for _, err := range []error{Register(s, "ev", ev.Table), Register(s, "lat", lat.Table), Register(s, "dev", dev.Table)} {
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -581,7 +581,7 @@ func newBootAggregator(tb testing.TB) (*Server, *table.ThetaTable[uint64]) {
 		Table: table.Config[uint64]{Writers: 2, Shards: 1024},
 		K:     bootTableK,
 	})
-	if err := RegisterTheta(s, "agg", tab); err != nil {
+	if err := Register(s, "agg", tab.Table); err != nil {
 		tb.Fatal(err)
 	}
 	return s, tab

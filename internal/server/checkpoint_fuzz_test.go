@@ -15,7 +15,7 @@ func fuzzBackend(t *testing.T) backend {
 	s := New(Config{})
 	tab := newBootTheta(0)
 	t.Cleanup(tab.Close)
-	if err := RegisterTheta(s, "ev", tab); err != nil {
+	if err := Register(s, "ev", tab.Table); err != nil {
 		t.Fatal(err)
 	}
 	return lookupT(t, s, "ev")

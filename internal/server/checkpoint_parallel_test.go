@@ -24,7 +24,7 @@ func TestCheckpointParallelMatchesSerial(t *testing.T) {
 			K:     1024, MaxError: 1,
 		})
 		t.Cleanup(tt.Close)
-		if err := server.RegisterTheta(s, "ev", tt); err != nil {
+		if err := server.Register(s, "ev", tt.Table); err != nil {
 			t.Fatal(err)
 		}
 		qt := table.NewQuantiles(table.QuantilesConfig[string]{
@@ -32,7 +32,7 @@ func TestCheckpointParallelMatchesSerial(t *testing.T) {
 			K:     128,
 		})
 		t.Cleanup(qt.Close)
-		if err := server.RegisterQuantiles(s, "lat", qt); err != nil {
+		if err := server.Register(s, "lat", qt.Table); err != nil {
 			t.Fatal(err)
 		}
 		ht := table.NewHLL(table.HLLConfig[uint64]{
@@ -40,7 +40,7 @@ func TestCheckpointParallelMatchesSerial(t *testing.T) {
 			Precision: 11,
 		})
 		t.Cleanup(ht.Close)
-		if err := server.RegisterHLL(s, "dev", ht); err != nil {
+		if err := server.Register(s, "dev", ht.Table); err != nil {
 			t.Fatal(err)
 		}
 		return s, addr

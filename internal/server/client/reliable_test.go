@@ -24,7 +24,7 @@ func startQuantilesServer(t *testing.T, name string) (*server.Server, string) {
 	})
 	t.Cleanup(tab.Close)
 	s := server.New(server.Config{})
-	if err := server.RegisterQuantiles(s, name, tab); err != nil {
+	if err := server.Register(s, name, tab.Table); err != nil {
 		t.Fatal(err)
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -285,7 +285,7 @@ func TestReliableUnknownTableRetriesUntilRegistered(t *testing.T) {
 		K:     128,
 	})
 	t.Cleanup(late.Close)
-	if err := server.RegisterQuantiles(s, "late", late); err != nil {
+	if err := server.Register(s, "late", late.Table); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Drain(10 * time.Second); err != nil {

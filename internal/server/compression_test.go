@@ -17,7 +17,7 @@ import (
 func TestCompressionNegotiatedRoundTrip(t *testing.T) {
 	tab := newThetaTable(t, 2)
 	s, addr := startServer(t, server.Config{})
-	if err := server.RegisterTheta(s, "ev", tab); err != nil {
+	if err := server.Register(s, "ev", tab.Table); err != nil {
 		t.Fatal(err)
 	}
 
@@ -75,7 +75,7 @@ func TestCompressionNegotiatedRoundTrip(t *testing.T) {
 func TestCompressionDisabledServer(t *testing.T) {
 	tab := newThetaTable(t, 1)
 	s, addr := startServer(t, server.Config{NoCompression: true})
-	if err := server.RegisterTheta(s, "ev", tab); err != nil {
+	if err := server.Register(s, "ev", tab.Table); err != nil {
 		t.Fatal(err)
 	}
 	c, err := client.Dial(addr, client.WithCompression())
@@ -139,7 +139,7 @@ func writeFlagged(t *testing.T, nc net.Conn, typ byte, payload []byte) {
 func TestCompressedHostileFrames(t *testing.T) {
 	tab := newThetaTable(t, 1)
 	s, addr := startServer(t, server.Config{})
-	if err := server.RegisterTheta(s, "ev", tab); err != nil {
+	if err := server.Register(s, "ev", tab.Table); err != nil {
 		t.Fatal(err)
 	}
 	nc, buf := dialCompressedRaw(t, addr)
@@ -189,7 +189,7 @@ func TestCompressedHostileFrames(t *testing.T) {
 func TestCompressedFlagWithoutNegotiation(t *testing.T) {
 	tab := newThetaTable(t, 1)
 	s, addr := startServer(t, server.Config{})
-	if err := server.RegisterTheta(s, "ev", tab); err != nil {
+	if err := server.Register(s, "ev", tab.Table); err != nil {
 		t.Fatal(err)
 	}
 	nc, err := net.Dial("tcp", addr)

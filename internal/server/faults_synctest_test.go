@@ -51,13 +51,13 @@ func newFaultTrio(t *testing.T, s *server.Server) *faultTrio {
 			Precision: 11,
 		}),
 	}
-	if err := server.RegisterTheta(s, "ev", tr.ev); err != nil {
+	if err := server.Register(s, "ev", tr.ev.Table); err != nil {
 		t.Fatal(err)
 	}
-	if err := server.RegisterQuantiles(s, "lat", tr.lat); err != nil {
+	if err := server.Register(s, "lat", tr.lat.Table); err != nil {
 		t.Fatal(err)
 	}
-	if err := server.RegisterHLL(s, "dev", tr.dev); err != nil {
+	if err := server.Register(s, "dev", tr.dev.Table); err != nil {
 		t.Fatal(err)
 	}
 	return tr
@@ -490,7 +490,7 @@ func TestSynctestFaultIdleTimeoutClosesIdleConn(t *testing.T) {
 		})
 		defer tab.Close()
 		s := server.New(server.Config{IdleTimeout: time.Minute})
-		if err := server.RegisterTheta(s, "ev", tab); err != nil {
+		if err := server.Register(s, "ev", tab.Table); err != nil {
 			t.Fatal(err)
 		}
 		ln := newChanListener()

@@ -22,7 +22,7 @@ func TestServeHotpathZeroAllocs(t *testing.T) {
 	})
 	defer tab.Close()
 	s := New(Config{})
-	if err := RegisterTheta(s, "ev", tab); err != nil {
+	if err := Register(s, "ev", tab.Table); err != nil {
 		t.Fatal(err)
 	}
 	b, ok := s.lookup("ev")

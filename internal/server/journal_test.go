@@ -697,7 +697,7 @@ func TestJournalEvictSpillDurability(t *testing.T) {
 		K: 128,
 	})
 	t.Cleanup(qt.Close)
-	if err := server.RegisterQuantiles(srv, "lat", qt); err != nil {
+	if err := server.Register(srv, "lat", qt.Table); err != nil {
 		t.Fatal(err)
 	}
 
@@ -738,7 +738,7 @@ func TestJournalEvictSpillDurability(t *testing.T) {
 		K:     128,
 	})
 	t.Cleanup(qtB.Close)
-	if err := server.RegisterQuantiles(srvB, "lat", qtB); err != nil {
+	if err := server.Register(srvB, "lat", qtB.Table); err != nil {
 		t.Fatal(err)
 	}
 	st, err := srvB.ReplayJournal(dir)

@@ -22,7 +22,7 @@ func TestIngestFrameAllDroppedAndReset(t *testing.T) {
 	tab := table.NewTheta(cfg)
 	defer tab.Close()
 	s := New(Config{})
-	if err := RegisterTheta(s, "ev", tab); err != nil {
+	if err := Register(s, "ev", tab.Table); err != nil {
 		t.Fatal(err)
 	}
 	b, ok := s.lookup("ev")

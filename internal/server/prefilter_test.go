@@ -44,7 +44,7 @@ func TestWireIngestMatchesItemAtATime(t *testing.T) {
 	refRaw := table.NewTheta(cfgU)
 	defer refRaw.Close()
 	tcfg, eng := cfgU.Engine()
-	refStr := table.NewEngineTable[uint64](tcfg, core.Engine[uint64, float64, *theta.Compact](theta.NewEngine(
+	refStr := table.New[uint64](tcfg, core.Engine[uint64, float64, *theta.Compact](theta.NewEngine(
 		theta.ConcurrentConfig{K: 64, Writers: 1, MaxError: 1, BufferSize: 4, DisableFiltering: true})))
 	defer refStr.Close()
 	for i, k := range ukeys {
@@ -56,7 +56,7 @@ func TestWireIngestMatchesItemAtATime(t *testing.T) {
 	}
 	refRaw.Drain()
 	refStr.Drain()
-	want := func(ref *table.SketchTable[uint64, uint64, float64, *theta.Compact], k uint64) []byte {
+	want := func(ref *table.Table[uint64, uint64, float64, *theta.Compact], k uint64) []byte {
 		c, ok := ref.CompactKey(k)
 		if !ok {
 			return nil
@@ -73,7 +73,7 @@ func TestWireIngestMatchesItemAtATime(t *testing.T) {
 	for _, name := range []string{"u-raw", "u-str"} {
 		tab := table.NewTheta(cfgU)
 		t.Cleanup(tab.Close)
-		if err := server.RegisterTheta(s, name, tab); err != nil {
+		if err := server.Register(s, name, tab.Table); err != nil {
 			t.Fatal(err)
 		}
 		tabs[name] = tab
@@ -81,7 +81,7 @@ func TestWireIngestMatchesItemAtATime(t *testing.T) {
 	for _, name := range []string{"s-raw", "s-str"} {
 		tab := table.NewTheta(cfgS)
 		t.Cleanup(tab.Close)
-		if err := server.RegisterTheta(s, name, tab); err != nil {
+		if err := server.Register(s, name, tab.Table); err != nil {
 			t.Fatal(err)
 		}
 		tabs[name] = tab
@@ -113,7 +113,7 @@ func TestWireIngestMatchesItemAtATime(t *testing.T) {
 		if _, err := c.PullSnapshot(name); err != nil {
 			t.Fatal(err)
 		}
-		ref := &refRaw.SketchTable
+		ref := refRaw.Table
 		if name == "u-str" || name == "s-str" {
 			ref = refStr
 		}

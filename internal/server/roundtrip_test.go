@@ -61,7 +61,7 @@ func TestRoundTripTheta(t *testing.T) {
 	ca, cb := twoNodes(t, func(s *server.Server) error {
 		tab := tabs[i]
 		i++
-		return server.RegisterTheta(s, "ev", tab)
+		return server.Register(s, "ev", tab.Table)
 	})
 	direct := newTab()
 	dw := direct.Writer(0)
@@ -176,7 +176,7 @@ func TestRoundTripHLL(t *testing.T) {
 	ca, cb := twoNodes(t, func(s *server.Server) error {
 		tab := tabs[i]
 		i++
-		return server.RegisterHLL(s, "dev", tab)
+		return server.Register(s, "dev", tab.Table)
 	})
 	direct := newTab()
 	dw := direct.Writer(0)
@@ -269,7 +269,7 @@ func TestRoundTripQuantiles(t *testing.T) {
 	ca, cb := twoNodes(t, func(s *server.Server) error {
 		tab := tabs[i]
 		i++
-		return server.RegisterQuantiles(s, "lat", tab)
+		return server.Register(s, "lat", tab.Table)
 	})
 
 	// One key, a shuffled 0..n-1 stream split across the two nodes: the

@@ -89,9 +89,9 @@ type Stats struct {
 }
 
 // Server is a network ingest endpoint for registered keyed tables.
-// Register tables (RegisterTheta, ...), then Serve a listener (or
-// ListenAndServe); Close drains and stops it. The server owns every
-// registered table's writer handles — see RegisterTheta.
+// Register tables, then Serve a listener (or ListenAndServe); Close
+// drains and stops it. The server owns every registered table's writer
+// handles — see Register.
 type Server struct {
 	cfg Config
 
@@ -169,8 +169,10 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// register binds a backend to a table name (the family Register*
-// functions are the public surface).
+// register binds a backend to a table name (Register is the public
+// surface). A second name for a table already registered is refused:
+// each backend drives every writer slot of its table, and two would
+// drive one key's slot from two goroutines at once.
 func (s *Server) register(name string, b backend) error {
 	if name == "" {
 		return errors.New("server: empty table name")
@@ -180,6 +182,12 @@ func (s *Server) register(name string, b backend) error {
 	if _, dup := s.tables[name]; dup {
 		s.mu.Unlock()
 		return fmt.Errorf("server: table %q already registered", name)
+	}
+	for other, ob := range s.tables {
+		if ob.owner() == b.owner() {
+			s.mu.Unlock()
+			return fmt.Errorf("server: cannot register %q: the table is already registered as %q", name, other)
+		}
 	}
 	s.tables[name] = b
 	s.tstats[name] = tc

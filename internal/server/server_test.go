@@ -44,7 +44,7 @@ func newThetaTable(t *testing.T, writers int) *table.ThetaTable[string] {
 func TestServerIngestQueryRollup(t *testing.T) {
 	tab := newThetaTable(t, 2)
 	s, addr := startServer(t, server.Config{})
-	if err := server.RegisterTheta(s, "ev", tab); err != nil {
+	if err := server.Register(s, "ev", tab.Table); err != nil {
 		t.Fatal(err)
 	}
 
@@ -159,14 +159,14 @@ func TestServerErrors(t *testing.T) {
 	t.Cleanup(qt.Close)
 
 	s, addr := startServer(t, server.Config{})
-	if err := server.RegisterTheta(s, "ev", tab); err != nil {
+	if err := server.Register(s, "ev", tab.Table); err != nil {
 		t.Fatal(err)
 	}
-	if err := server.RegisterQuantiles(s, "lat", qt); err != nil {
+	if err := server.Register(s, "lat", qt.Table); err != nil {
 		t.Fatal(err)
 	}
 	// Duplicate registration fails.
-	if err := server.RegisterTheta(s, "ev", tab); err == nil {
+	if err := server.Register(s, "ev", tab.Table); err == nil {
 		t.Fatal("duplicate register succeeded")
 	}
 
@@ -224,7 +224,7 @@ func TestServerQuantiles(t *testing.T) {
 	})
 	t.Cleanup(qt.Close)
 	s, addr := startServer(t, server.Config{})
-	if err := server.RegisterQuantiles(s, "lat", qt); err != nil {
+	if err := server.Register(s, "lat", qt.Table); err != nil {
 		t.Fatal(err)
 	}
 	c, err := client.Dial(addr)
@@ -321,7 +321,7 @@ func TestServerRejectsGarbage(t *testing.T) {
 func TestServerSurvivesHugeBatchCount(t *testing.T) {
 	tab := newThetaTable(t, 1)
 	s, addr := startServer(t, server.Config{})
-	if err := server.RegisterTheta(s, "ev", tab); err != nil {
+	if err := server.Register(s, "ev", tab.Table); err != nil {
 		t.Fatal(err)
 	}
 	nc, err := net.Dial("tcp", addr)
@@ -376,7 +376,7 @@ func TestSnapshotPushSourceReplace(t *testing.T) {
 		return qt
 	}
 	s, addr := startServer(t, server.Config{})
-	if err := server.RegisterQuantiles(s, "lat", newQT()); err != nil {
+	if err := server.Register(s, "lat", newQT().Table); err != nil {
 		t.Fatal(err)
 	}
 	c, err := client.Dial(addr)
@@ -466,7 +466,7 @@ func TestSnapshotPushSourceReplace(t *testing.T) {
 func TestSnapshotPushSourceCapFolds(t *testing.T) {
 	tab := newThetaTable(t, 1)
 	s, addr := startServer(t, server.Config{})
-	if err := server.RegisterTheta(s, "ev", tab); err != nil {
+	if err := server.Register(s, "ev", tab.Table); err != nil {
 		t.Fatal(err)
 	}
 	c, err := client.Dial(addr)
@@ -512,7 +512,7 @@ func TestSnapshotPushSourceCapFolds(t *testing.T) {
 func TestSnapshotPushSeedMismatchRejected(t *testing.T) {
 	tab := newThetaTable(t, 1) // default seed
 	s, addr := startServer(t, server.Config{})
-	if err := server.RegisterTheta(s, "ev", tab); err != nil {
+	if err := server.Register(s, "ev", tab.Table); err != nil {
 		t.Fatal(err)
 	}
 	c, err := client.Dial(addr)

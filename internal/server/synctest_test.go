@@ -79,7 +79,7 @@ func TestSynctestShutdownDrainsInFlight(t *testing.T) {
 		})
 		defer tab.Close()
 		s := server.New(server.Config{})
-		if err := server.RegisterTheta(s, "ev", tab); err != nil {
+		if err := server.Register(s, "ev", tab.Table); err != nil {
 			t.Fatal(err)
 		}
 		ln := newChanListener()

@@ -39,7 +39,7 @@ func TestWindowSnapshotRoundTrip(t *testing.T) {
 	})
 	t.Cleanup(up.Close)
 	s, addr := startServer(t, server.Config{})
-	if err := server.RegisterTheta(s, "evw", up); err != nil {
+	if err := server.Register(s, "evw", up.Table); err != nil {
 		t.Fatal(err)
 	}
 	c := dialT(t, addr)
@@ -106,7 +106,7 @@ func TestWindowSnapshotStaleEpochIgnored(t *testing.T) {
 	})
 	t.Cleanup(up.Close)
 	s, addr := startServer(t, server.Config{})
-	if err := server.RegisterQuantiles(s, "latw", up); err != nil {
+	if err := server.Register(s, "latw", up.Table); err != nil {
 		t.Fatal(err)
 	}
 	c := dialT(t, addr)

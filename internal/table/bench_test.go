@@ -116,7 +116,7 @@ const (
 
 // driveHotKeys sends b.N passes of the hot-key stream through st,
 // reports Mitems/s and returns the number of items sent.
-func driveHotKeys[V uint64 | float64, S, C any](b *testing.B, st *SketchTable[uint64, V, S, C]) float64 {
+func driveHotKeys[V uint64 | float64, S, C any](b *testing.B, st *Table[uint64, V, S, C]) float64 {
 	// One pass of keys per writer, drawn up front: the generator is not
 	// what is measured.
 	var ks [hotWriters][]uint64
@@ -161,7 +161,7 @@ func driveHotKeys[V uint64 | float64, S, C any](b *testing.B, st *SketchTable[ui
 func BenchmarkTableHotKeys(b *testing.B) {
 	tab := NewTheta(ThetaConfig[uint64]{Table: Config[uint64]{Writers: hotWriters}})
 	defer tab.Close()
-	items := driveHotKeys(b, &tab.SketchTable)
+	items := driveHotKeys(b, tab.Table)
 	b.ReportMetric(float64(tab.Stats().Prefiltered)/items, "prefiltered/item")
 }
 
@@ -181,19 +181,19 @@ func BenchmarkHotKeyPolicy(b *testing.B) {
 		{"theta", func(b *testing.B, cfg Config[uint64]) int64 {
 			tab := NewTheta(ThetaConfig[uint64]{Table: cfg})
 			defer tab.Close()
-			driveHotKeys(b, &tab.SketchTable)
+			driveHotKeys(b, tab.Table)
 			return tab.Promotions()
 		}},
 		{"quantiles", func(b *testing.B, cfg Config[uint64]) int64 {
 			tab := NewQuantiles(QuantilesConfig[uint64]{Table: cfg})
 			defer tab.Close()
-			driveHotKeys(b, &tab.SketchTable)
+			driveHotKeys(b, tab.Table)
 			return tab.Promotions()
 		}},
 		{"hll", func(b *testing.B, cfg Config[uint64]) int64 {
 			tab := NewHLL(HLLConfig[uint64]{Table: cfg})
 			defer tab.Close()
-			driveHotKeys(b, &tab.SketchTable)
+			driveHotKeys(b, tab.Table)
 			return tab.Promotions()
 		}},
 	}

@@ -24,14 +24,14 @@ func TestEntryCacheEvictNoResurrect(t *testing.T) {
 	})
 	defer tab.Close()
 	now := time.Now().UnixNano()
-	tab.SketchTable.t.now = func() int64 { return now }
+	tab.now = func() int64 { return now }
 
 	w := tab.Writer(0)
 	const key = 42
 	for i := uint64(0); i < 5; i++ {
 		w.UpdateKeyed(key, i) // fills the writer cache for key
 	}
-	if hits, _ := w.w.CacheStats(); hits == 0 {
+	if hits, _ := w.CacheStats(); hits == 0 {
 		t.Fatal("repeat single-key updates never hit the writer cache")
 	}
 
@@ -94,11 +94,11 @@ func TestKeyedBatchCachedPathAllocs(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		w.UpdateKeyedBatch(keys, vals)
 	}
-	h0, m0 := w.w.CacheStats()
+	h0, m0 := w.CacheStats()
 	avg := testing.AllocsPerRun(50, func() {
 		w.UpdateKeyedBatch(keys, vals)
 	})
-	h1, m1 := w.w.CacheStats()
+	h1, m1 := w.CacheStats()
 	if h1 == h0 {
 		t.Fatal("steady-state batches never hit the writer entry cache")
 	}
@@ -292,7 +292,7 @@ func TestHotKeyPromotionEvictSpill(t *testing.T) {
 	})
 	defer tab.Close()
 	now := time.Now().UnixNano()
-	tab.SketchTable.t.now = func() int64 { return now }
+	tab.now = func() int64 { return now }
 	w := tab.Writer(0)
 	const n = 1024
 	keys := make([]uint64, n)

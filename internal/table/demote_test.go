@@ -19,7 +19,7 @@ func TestHotKeyDemotion(t *testing.T) {
 	})
 	defer tab.Close()
 	now := time.Now().UnixNano()
-	tab.SketchTable.t.now = func() int64 { return now }
+	tab.now = func() int64 { return now }
 	w := tab.Writer(0)
 
 	const hot, n = uint64(7), 2048
@@ -121,7 +121,7 @@ func TestDemoteCooledRecentUpdateWins(t *testing.T) {
 	})
 	defer tab.Close()
 	now := time.Now().UnixNano()
-	tab.SketchTable.t.now = func() int64 { return now }
+	tab.now = func() int64 { return now }
 	w := tab.Writer(0)
 	vals := make([]uint64, 256)
 	keys := make([]uint64, 256)
@@ -157,7 +157,7 @@ func TestDemotionDisabledWithoutCoolAfter(t *testing.T) {
 	})
 	defer tab.Close()
 	now := time.Now().UnixNano()
-	tab.SketchTable.t.now = func() int64 { return now }
+	tab.now = func() int64 { return now }
 	w := tab.Writer(0)
 	keys := make([]uint64, 256)
 	vals := make([]uint64, 256)

@@ -249,7 +249,7 @@ func TestEnginePropertyEvictionSpill(t *testing.T) {
 			},
 			K: 1024, MaxError: 1,
 		})
-		tab.t.now = func() int64 { return now }
+		tab.now = func() int64 { return now }
 		w := tab.Writer(0)
 		for ki := 0; ki < keys; ki++ {
 			key := fmt.Sprintf("k%d", ki)

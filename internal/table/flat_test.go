@@ -203,7 +203,7 @@ func TestFlatKeyEvictionSpill(t *testing.T) {
 		OnEvict: func(k uint64, snap []byte) { spilled[k] = snap },
 	})
 	defer tab.Close()
-	tab.t.now = func() int64 { now++; return now }
+	tab.now = func() int64 { now++; return now }
 	w := tab.Writer(0)
 	for key := uint64(0); key < 8; key++ {
 		for _, v := range itemsOf(key, perKey) {

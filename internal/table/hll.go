@@ -58,52 +58,24 @@ func (c HLLConfig[K]) Engine() (Config[K], *hll.Engine) {
 // HLLTable maps keys to concurrent HLL sketches: per-key unique
 // counting in fixed tiny memory per key.
 type HLLTable[K Key] struct {
-	SketchTable[K, uint64, float64, *hll.Sketch]
-	hashItem func(string) uint64
+	*Table[K, uint64, float64, *hll.Sketch]
 }
 
 // HLLTableWriter is a single-goroutine keyed ingestion handle.
-type HLLTableWriter[K Key] struct {
-	w        *Writer[K, uint64, float64, *hll.Sketch]
-	hashItem func(string) uint64
-}
+type HLLTableWriter[K Key] = StringWriter[K, uint64, float64, *hll.Sketch]
 
 // NewHLL builds a keyed HLL table; Close it when done.
 func NewHLL[K Key](cfg HLLConfig[K]) *HLLTable[K] {
 	tcfg, eng := cfg.Engine()
-	return &HLLTable[K]{
-		SketchTable: *NewEngineTable[K](tcfg, core.Engine[uint64, float64, *hll.Sketch](eng)),
-		hashItem:    eng.HashString,
-	}
+	return &HLLTable[K]{New[K](tcfg, core.Engine[uint64, float64, *hll.Sketch](eng))}
 }
 
 // Writer returns the i-th writer handle (single-goroutine use).
-func (t *HLLTable[K]) Writer(i int) *HLLTableWriter[K] {
-	return &HLLTableWriter[K]{w: t.SketchTable.Writer(i), hashItem: t.hashItem}
-}
+func (t *HLLTable[K]) Writer(i int) *HLLTableWriter[K] { return &HLLTableWriter[K]{t.Table.Writer(i)} }
 
 // Estimate returns the key's current unique-count estimate. Wait-free;
 // false when the key has never been updated (or was evicted).
 func (t *HLLTable[K]) Estimate(k K) (float64, bool) { return t.Query(k) }
-
-// UpdateKeyedBatch ingests parallel (key, item) slices through the
-// grouped bulk path.
-func (w *HLLTableWriter[K]) UpdateKeyedBatch(keys []K, items []uint64) {
-	w.w.UpdateKeyedBatch(keys, items)
-}
-
-// UpdateKeyedStringBatch ingests parallel (key, string item) slices:
-// each item is hashed in the grouping pass (zero-alloc string hashing),
-// so log pipelines need no pre-hash step.
-func (w *HLLTableWriter[K]) UpdateKeyedStringBatch(keys []K, items []string) {
-	w.w.updateKeyedStringBatch(keys, items, w.hashItem)
-}
-
-// UpdateKeyed ingests one (key, item) pair.
-func (w *HLLTableWriter[K]) UpdateKeyed(k K, item uint64) { w.w.UpdateKeyed(k, item) }
-
-// FlushKey makes this writer's buffered updates for the key visible.
-func (w *HLLTableWriter[K]) FlushKey(k K) { w.w.FlushKey(k) }
 
 // UnmarshalHLLSnapshot parses a serialized HLL table snapshot keyed by
 // K.

@@ -1,6 +1,10 @@
 package table
 
-import "time"
+import (
+	"time"
+
+	"github.com/fcds/fcds/internal/core"
+)
 
 // HotKeyPolicy enables adaptive per-key configurations: the table
 // counts each key's ingested updates and, when a key's count crosses
@@ -38,6 +42,41 @@ type HotKeyPolicy struct {
 	// instead of keeping them until eviction. A key that cooled
 	// through several levels sheds one per DemoteCooled pass.
 	CoolAfter time.Duration
+}
+
+// initHot builds the promotion ladder once, at construction: up to
+// MaxPromotions engines up the base engine's ScaleUp chain. The policy
+// stays off when it is nil, disabled, or the engine cannot scale.
+func (t *Table[K, V, S, C]) initHot(p *HotKeyPolicy) {
+	if p == nil || p.HotThreshold <= 0 {
+		return
+	}
+	se, ok := t.eng.(core.ScalableEngine[V, S, C])
+	if !ok {
+		return
+	}
+	t.scal = se
+	depth := p.MaxPromotions
+	if depth <= 0 {
+		depth = 3
+	}
+	for i := 0; i < depth; i++ {
+		next, ok := se.ScaleUp()
+		if !ok {
+			break
+		}
+		// Ladder engines must be scalable themselves: the promotion
+		// rebuild seeds the new sketch through them.
+		nse, ok := next.(core.ScalableEngine[V, S, C])
+		if !ok {
+			break
+		}
+		t.ladder = append(t.ladder, nse)
+		se = nse
+	}
+	if len(t.ladder) > 0 {
+		t.hot = p
+	}
 }
 
 // promote rebuilds a hot entry's sketch through the next ladder

@@ -36,8 +36,7 @@ func (t *Table[K, V, S, C]) observeDur(p *atomic.Pointer[metrics.Histogram], sta
 // fcds_table_prefiltered_items_total,
 // fcds_table_rollup_duration_seconds,
 // fcds_table_snapshot_duration_seconds.
-func (st *SketchTable[K, V, S, C]) RegisterMetrics(reg *metrics.Registry, name string) {
-	t := st.t
+func (t *Table[K, V, S, C]) RegisterMetrics(reg *metrics.Registry, name string) {
 	reg.GaugeFunc("fcds_table_keys",
 		"Live keys per table.",
 		func() float64 { return float64(t.Keys()) }, "table", name)

@@ -37,14 +37,14 @@ func (s recordingSketch) Compact() *theta.Compact {
 
 // orderTestTable holds 60 keys in every state a Θ key has: flat (a few
 // items), concurrent in exact mode, concurrent in estimation mode.
-func orderTestTable(t *testing.T) (*SketchTable[uint64, uint64, float64, *theta.Compact], *recordingEngine) {
+func orderTestTable(t *testing.T) (*Table[uint64, uint64, float64, *theta.Compact], *recordingEngine) {
 	t.Helper()
 	tcfg, eng := ThetaConfig[uint64]{
 		Table: Config[uint64]{Writers: 1, Shards: 8},
 		K:     64, MaxError: 0.2, // eager limit 2/e² = 50
 	}.Engine()
 	rec := &recordingEngine{Engine: eng}
-	tab := NewEngineTable[uint64](tcfg, core.Engine[uint64, float64, *theta.Compact](rec))
+	tab := New[uint64](tcfg, core.Engine[uint64, float64, *theta.Compact](rec))
 	w := tab.Writer(0)
 	for key := uint64(0); key < 60; key++ {
 		n := []uint64{10, 60, 2000}[key%3]
@@ -67,7 +67,7 @@ func TestRollupLeavesPerKeyCompactsUnordered(t *testing.T) {
 	defer tab.Close()
 	for _, degree := range []int{1, 4} {
 		rec.seen = rec.seen[:0]
-		tab.t.rollup(degree)
+		tab.rollup(degree)
 		if len(rec.seen) != tab.Keys() {
 			t.Fatalf("degree %d: rollup compacted %d keys of %d", degree, len(rec.seen), tab.Keys())
 		}

@@ -60,7 +60,7 @@ func droppable(eng core.Engine[uint64, float64, *theta.Compact], n int) []uint64
 
 // hitsOf reads a live key's hot-key counter.
 func hitsOf(tab *ThetaTable[uint64], key uint64) int64 {
-	sh := &tab.t.shards[keyHash(key)&tab.t.mask]
+	sh := &tab.shards[keyHash(key)&tab.mask]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	return sh.m[key].hits.Load()
@@ -91,7 +91,7 @@ func TestPrefilterEvictedIncarnation(t *testing.T) {
 			}
 			tab := NewTheta(ThetaConfig[uint64]{Table: tcfg, K: 64})
 			defer tab.Close()
-			tab.t.now = func() int64 { return clock.Add(1) }
+			tab.now = func() int64 { return clock.Add(1) }
 			w := tab.Writer(0)
 			feedHot(w, hotKey, 0, 20_000)
 			if tab.Stats().Prefiltered == 0 {
@@ -152,7 +152,7 @@ func TestPrefilterEvictionRace(t *testing.T) {
 		K: 256,
 	})
 	defer tab.Close()
-	tab.t.now = func() int64 { return clock.Add(1) }
+	tab.now = func() int64 { return clock.Add(1) }
 	// The writer keeps going until enough evictions have raced it, so
 	// the test does not depend on how the two goroutines are scheduled.
 	var evictions atomic.Int64
@@ -193,7 +193,7 @@ func TestPrefilterCreditsDroppedRuns(t *testing.T) {
 		var clock atomic.Int64
 		tab := NewTheta(ThetaConfig[uint64]{Table: Config[uint64]{Writers: 1, Shards: 2, TTL: time.Minute}, K: 64})
 		defer tab.Close()
-		tab.t.now = clock.Load
+		tab.now = clock.Load
 		w := tab.Writer(0)
 		feedHot(w, hotKey, 0, 20_000)
 		dead := droppable(tab.Engine(), 256)
@@ -220,7 +220,7 @@ func TestPrefilterCreditsDroppedRuns(t *testing.T) {
 			K:     64,
 		})
 		defer tab.Close()
-		tab.t.now = func() int64 { return clock.Add(1) }
+		tab.now = func() int64 { return clock.Add(1) }
 		w := tab.Writer(0)
 		feedHot(w, hotKey, 0, 20_000)
 		w.UpdateKeyed(1, 1)
@@ -245,7 +245,7 @@ func TestPrefilterCreditsDroppedRuns(t *testing.T) {
 		tcfg := Config[uint64]{Writers: 1, Shards: 4, HotKeys: hot}
 		tab := NewTheta(ThetaConfig[uint64]{Table: tcfg, K: 64, BufferSize: 4})
 		defer tab.Close()
-		plain := NewEngineTable[uint64](tcfg, core.Engine[uint64, float64, *theta.Compact](theta.NewEngine(
+		plain := New[uint64](tcfg, core.Engine[uint64, float64, *theta.Compact](theta.NewEngine(
 			theta.ConcurrentConfig{K: 64, Writers: 1, BufferSize: 4, DisableFiltering: true})))
 		defer plain.Close()
 		w, pw := tab.Writer(0), plain.Writer(0)
@@ -296,7 +296,7 @@ func equivalenceConfig() ThetaConfig[uint64] {
 	return ThetaConfig[uint64]{Table: Config[uint64]{Writers: 1, Shards: 8}, K: 64, MaxError: 1, BufferSize: 4}
 }
 
-func compactsOf(t *testing.T, tab *SketchTable[uint64, uint64, float64, *theta.Compact]) map[uint64][]byte {
+func compactsOf(t *testing.T, tab *Table[uint64, uint64, float64, *theta.Compact]) map[uint64][]byte {
 	t.Helper()
 	tab.Drain()
 	out := map[uint64][]byte{}
@@ -326,14 +326,14 @@ func TestPrefilterBatchEquivalence(t *testing.T) {
 	for i, k := range keys {
 		ref.Writer(0).UpdateKeyed(k, vals[i])
 	}
-	want := compactsOf(t, &ref.SketchTable)
+	want := compactsOf(t, ref.Table)
 	if len(want) < 20 {
 		t.Fatalf("reference holds %d keys", len(want))
 	}
 
 	same := func(t *testing.T, tab *ThetaTable[uint64], want map[uint64][]byte) {
 		t.Helper()
-		got := compactsOf(t, &tab.SketchTable)
+		got := compactsOf(t, tab.Table)
 		if len(got) != len(want) {
 			t.Fatalf("%d keys, want %d", len(got), len(want))
 		}
@@ -365,7 +365,7 @@ func TestPrefilterBatchEquivalence(t *testing.T) {
 		}
 		w := tab.Writer(0)
 		for off := 0; off < n; off += chunk {
-			w.w.UpdateKeyedHashedBatch(keys[off:off+chunk], hs[off:off+chunk])
+			w.UpdateKeyedHashedBatch(keys[off:off+chunk], hs[off:off+chunk])
 		}
 		same(t, tab, want)
 	})
@@ -375,7 +375,7 @@ func TestPrefilterBatchEquivalence(t *testing.T) {
 			items[i] = fmt.Sprintf("item-%x", v)
 		}
 		tcfg, eng := equivalenceConfig().Engine()
-		unfiltered := NewEngineTable[uint64](tcfg, core.Engine[uint64, float64, *theta.Compact](theta.NewEngine(
+		unfiltered := New[uint64](tcfg, core.Engine[uint64, float64, *theta.Compact](theta.NewEngine(
 			theta.ConcurrentConfig{K: 64, Writers: 1, MaxError: 1, BufferSize: 4, DisableFiltering: true})))
 		defer unfiltered.Close()
 		uw := unfiltered.Writer(0)
@@ -509,7 +509,7 @@ func TestPrefilterOnlyWhereOffered(t *testing.T) {
 		}
 	}
 	t.Run("theta-DisableFiltering", func(t *testing.T) {
-		tab := NewEngineTable[uint64](Config[uint64]{Writers: 1}, core.Engine[uint64, float64, *theta.Compact](theta.NewEngine(
+		tab := New[uint64](Config[uint64]{Writers: 1}, core.Engine[uint64, float64, *theta.Compact](theta.NewEngine(
 			theta.ConcurrentConfig{K: 64, Writers: 1, BufferSize: 8, DisableFiltering: true})))
 		defer tab.Close()
 		w := tab.Writer(0)
@@ -520,7 +520,7 @@ func TestPrefilterOnlyWhereOffered(t *testing.T) {
 	})
 	t.Run("hll", func(t *testing.T) {
 		tcfg := Config[uint64]{Writers: 1}
-		tab := NewEngineTable[uint64](tcfg, core.Engine[uint64, float64, *hll.Sketch](hll.NewEngine(hll.ConcurrentConfig{Writers: 1})))
+		tab := New[uint64](tcfg, core.Engine[uint64, float64, *hll.Sketch](hll.NewEngine(hll.ConcurrentConfig{Writers: 1})))
 		defer tab.Close()
 		w := tab.Writer(0)
 		for off := 0; off < n; off += len(keys) {
@@ -529,7 +529,7 @@ func TestPrefilterOnlyWhereOffered(t *testing.T) {
 		check(t, tab.Stats())
 	})
 	t.Run("quantiles", func(t *testing.T) {
-		tab := NewEngineTable[uint64](Config[uint64]{Writers: 1}, core.Engine[float64, *quantiles.Snapshot, *quantiles.Sketch](
+		tab := New[uint64](Config[uint64]{Writers: 1}, core.Engine[float64, *quantiles.Snapshot, *quantiles.Sketch](
 			quantiles.NewEngine(quantiles.ConcurrentConfig{Writers: 1})))
 		defer tab.Close()
 		w := tab.Writer(0)
@@ -561,20 +561,20 @@ func TestPrefilterBatchReset(t *testing.T) {
 
 	// Half a frame staged, then discarded.
 	for _, v := range dead[:150] {
-		w.w.BatchAdd(hotKey, v)
+		w.BatchAdd(hotKey, v)
 	}
-	w.w.BatchAdd(7, 1) // a key the table has never seen
-	w.w.BatchReset()
-	w.w.BatchCommit() // nothing staged: a no-op
+	w.BatchAdd(7, 1) // a key the table has never seen
+	w.BatchReset()
+	w.BatchCommit() // nothing staged: a no-op
 	if st := tab.Stats(); st.Prefiltered != st0.Prefiltered || st.Keys != st0.Keys || hits() != h0 {
 		t.Fatalf("a reset frame left marks: %+v → %+v, hits %d → %d", st0, st, h0, hits())
 	}
 
 	// A whole frame, every item dropped: committed, counted, credited.
 	for _, v := range dead {
-		w.w.BatchAdd(hotKey, v)
+		w.BatchAdd(hotKey, v)
 	}
-	w.w.BatchCommit()
+	w.BatchCommit()
 	st := tab.Stats()
 	if d := st.Prefiltered - st0.Prefiltered; d != int64(len(dead)) {
 		t.Fatalf("%d of %d items dropped; the test needs all of them filtered", d, len(dead))

@@ -58,25 +58,17 @@ func (c QuantilesConfig[K]) Engine() (Config[K], *quantiles.Engine) {
 // distributions (latency per endpoint, payload size per tenant, ...)
 // with wait-free per-key snapshots and one shared propagator pool.
 type QuantilesTable[K Key] struct {
-	SketchTable[K, float64, *quantiles.Snapshot, *quantiles.Sketch]
+	*Table[K, float64, *quantiles.Snapshot, *quantiles.Sketch]
 }
 
-// QuantilesTableWriter is a single-goroutine keyed ingestion handle.
-type QuantilesTableWriter[K Key] struct {
-	w *Writer[K, float64, *quantiles.Snapshot, *quantiles.Sketch]
-}
+// QuantilesTableWriter is a single-goroutine keyed ingestion handle:
+// the Table's own Writer.
+type QuantilesTableWriter[K Key] = Writer[K, float64, *quantiles.Snapshot, *quantiles.Sketch]
 
 // NewQuantiles builds a keyed quantiles table; Close it when done.
 func NewQuantiles[K Key](cfg QuantilesConfig[K]) *QuantilesTable[K] {
 	tcfg, eng := cfg.Engine()
-	return &QuantilesTable[K]{
-		SketchTable: *NewEngineTable[K](tcfg, core.Engine[float64, *quantiles.Snapshot, *quantiles.Sketch](eng)),
-	}
-}
-
-// Writer returns the i-th writer handle (single-goroutine use).
-func (t *QuantilesTable[K]) Writer(i int) *QuantilesTableWriter[K] {
-	return &QuantilesTableWriter[K]{w: t.SketchTable.Writer(i)}
+	return &QuantilesTable[K]{New[K](tcfg, core.Engine[float64, *quantiles.Snapshot, *quantiles.Sketch](eng))}
 }
 
 // SnapshotKey returns the key's current queryable snapshot. Wait-free;
@@ -92,19 +84,6 @@ func (t *QuantilesTable[K]) Quantile(k K, phi float64) (float64, bool) {
 	}
 	return s.Quantile(phi), true
 }
-
-// UpdateKeyedBatch ingests parallel (key, value) slices: values are
-// grouped by key and shard, then each key's run enters its sketch
-// through the bulk batch path.
-func (w *QuantilesTableWriter[K]) UpdateKeyedBatch(keys []K, vals []float64) {
-	w.w.UpdateKeyedBatch(keys, vals)
-}
-
-// UpdateKeyed ingests one (key, value) pair.
-func (w *QuantilesTableWriter[K]) UpdateKeyed(k K, v float64) { w.w.UpdateKeyed(k, v) }
-
-// FlushKey makes this writer's buffered updates for the key visible.
-func (w *QuantilesTableWriter[K]) FlushKey(k K) { w.w.FlushKey(k) }
 
 // UnmarshalQuantilesSnapshot parses a serialized quantiles table
 // snapshot keyed by K.

@@ -3,6 +3,7 @@ package table
 import (
 	"encoding/binary"
 	"slices"
+	"time"
 
 	"github.com/fcds/fcds/internal/core"
 )
@@ -74,6 +75,19 @@ func (t *Table[K, V, S, C]) compactEntry(e *entry[V, S, C]) (C, bool) {
 	return c, true
 }
 
+// Rollup merges every live key's sketch into one compact — the
+// all-keys aggregate, by the family's mergeability. Per-key compaction
+// fans out across Config.ReadParallelism workers (GOMAXPROCS by
+// default) with per-worker aggregators merged pairwise; every fold
+// order of the same per-key compacts is a valid aggregate, so the
+// parallel and serial results agree.
+func (t *Table[K, V, S, C]) Rollup() C {
+	start := time.Now()
+	c := t.rollup(t.readDegree())
+	t.observeDur(&t.rollupHist, start)
+	return c
+}
+
 // rollup merges every live key's sketch into one compact, compacting
 // across `degree` workers with per-worker aggregators merged pairwise.
 // degree <= 1 is the serial path (identical result by mergeability:
@@ -126,6 +140,17 @@ type kcPair[K Key, C any] struct {
 	c C
 }
 
+// Snapshot captures every live key's compact sketch into a mergeable,
+// serializable table snapshot. Per-key compaction fans out across
+// Config.ReadParallelism workers (GOMAXPROCS by default).
+func (t *Table[K, V, S, C]) Snapshot() *TableSnapshot[K, C] {
+	start := time.Now()
+	s := NewTableSnapshot[K](t.eng)
+	t.snapshotInto(s, t.readDegree())
+	t.observeDur(&t.snapHist, start)
+	return s
+}
+
 // snapshotInto captures every live key's compact into s, compacting
 // across `degree` workers. Workers fill per-worker pair slices; the
 // map insert stays serial (entries were collected once per key, so
@@ -154,6 +179,23 @@ func (t *Table[K, V, S, C]) snapshotInto(s *TableSnapshot[K, C], degree int) {
 			s.entries[e.k] = e.c
 		}
 	}
+}
+
+// SnapshotBinary serializes the whole table (SnapshotAppend into a
+// fresh buffer).
+func (t *Table[K, V, S, C]) SnapshotBinary() ([]byte, error) { return t.SnapshotAppend(nil) }
+
+// SnapshotAppend captures the table and serializes it into dst,
+// returning the extended slice — the streaming variant of
+// SnapshotBinary for callers shipping periodic snapshots through a
+// reusable buffer. The capture serializes directly into dst — no
+// intermediate snapshot map — with per-key marshalling fanned out like
+// Snapshot's.
+func (t *Table[K, V, S, C]) SnapshotAppend(dst []byte) ([]byte, error) {
+	start := time.Now()
+	out, err := t.appendSnapshot(dst, t.readDegree())
+	t.observeDur(&t.snapHist, start)
+	return out, err
 }
 
 // appendSnapshot serializes the whole table into dst in the FCTB

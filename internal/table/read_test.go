@@ -51,8 +51,8 @@ func TestRollupParallelMatchesSerialTheta(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x01ea))
 	for trial := 0; trial < 5; trial++ {
 		tab := populateTheta(rng, 1+rng.Intn(300))
-		serial, _ := tab.Engine().MarshalCompact(tab.t.rollup(1))
-		parallel, _ := tab.Engine().MarshalCompact(tab.t.rollup(readTestDegree))
+		serial, _ := tab.Engine().MarshalCompact(tab.rollup(1))
+		parallel, _ := tab.Engine().MarshalCompact(tab.rollup(readTestDegree))
 		if !bytes.Equal(serial, parallel) {
 			t.Fatalf("trial %d: parallel rollup differs from serial (%d keys)", trial, tab.Keys())
 		}
@@ -78,8 +78,8 @@ func TestRollupParallelMatchesSerialHLL(t *testing.T) {
 		}
 		tab.Writer(0).UpdateKeyedBatch(keys, vals)
 		tab.Drain()
-		serial, _ := tab.Engine().MarshalCompact(tab.t.rollup(1))
-		parallel, _ := tab.Engine().MarshalCompact(tab.t.rollup(readTestDegree))
+		serial, _ := tab.Engine().MarshalCompact(tab.rollup(1))
+		parallel, _ := tab.Engine().MarshalCompact(tab.rollup(readTestDegree))
 		if !bytes.Equal(serial, parallel) {
 			t.Fatalf("trial %d: parallel rollup differs from serial (%d keys)", trial, tab.Keys())
 		}
@@ -111,8 +111,8 @@ func TestRollupParallelMatchesSerialQuantiles(t *testing.T) {
 	tab.Writer(0).UpdateKeyedBatch(keys, vals)
 	tab.Drain()
 
-	serial := tab.t.rollup(1)
-	parallel := tab.t.rollup(readTestDegree)
+	serial := tab.rollup(1)
+	parallel := tab.rollup(readTestDegree)
 	if serial.N() != parallel.N() || serial.N() != uint64(n) {
 		t.Fatalf("N: serial %d, parallel %d, want %d", serial.N(), parallel.N(), n)
 	}
@@ -141,8 +141,8 @@ func TestSnapshotParallelMatchesSerial(t *testing.T) {
 
 	s1 := NewTableSnapshot[string](eng)
 	s8 := NewTableSnapshot[string](eng)
-	tab.t.snapshotInto(s1, 1)
-	tab.t.snapshotInto(s8, readTestDegree)
+	tab.snapshotInto(s1, 1)
+	tab.snapshotInto(s8, readTestDegree)
 	if s1.Len() != s8.Len() || s1.Len() != tab.Keys() {
 		t.Fatalf("lengths: serial %d, parallel %d, table %d", s1.Len(), s8.Len(), tab.Keys())
 	}
@@ -158,11 +158,11 @@ func TestSnapshotParallelMatchesSerial(t *testing.T) {
 		}
 	})
 
-	b1, err := tab.t.appendSnapshot(nil, 1)
+	b1, err := tab.appendSnapshot(nil, 1)
 	if err != nil {
 		t.Fatalf("serial appendSnapshot: %v", err)
 	}
-	b8, err := tab.t.appendSnapshot(nil, readTestDegree)
+	b8, err := tab.appendSnapshot(nil, readTestDegree)
 	if err != nil {
 		t.Fatalf("parallel appendSnapshot: %v", err)
 	}

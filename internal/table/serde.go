@@ -129,25 +129,14 @@ func (s *TableSnapshot[K, C]) ForEach(fn func(k K, c C)) {
 // this; Merge is the checked path for foreign snapshots).
 func (s *TableSnapshot[K, C]) Set(k K, c C) { s.entries[k] = c }
 
-// CompatibleWith reports whether other's sketches could merge into s:
-// both must come from tables with the same sketch kind and parameter.
-// This is Merge's precondition as a standalone check, for holders of
-// foreign snapshots (the network server's per-source slots) that
-// validate without paying for a merge.
-func (s *TableSnapshot[K, C]) CompatibleWith(other *TableSnapshot[K, C]) error {
+// Merge folds other into s: keys present in both are merged sketch-
+// wise, keys only in other are copied. Both snapshots must come from
+// tables with the same sketch kind and parameter (ErrSnapIncompatible
+// otherwise).
+func (s *TableSnapshot[K, C]) Merge(other *TableSnapshot[K, C]) error {
 	if s.codec.Kind() != other.codec.Kind() || s.codec.Param() != other.codec.Param() {
 		return fmt.Errorf("%w: kind %d/param %d vs kind %d/param %d",
 			ErrSnapIncompatible, s.codec.Kind(), s.codec.Param(), other.codec.Kind(), other.codec.Param())
-	}
-	return nil
-}
-
-// Merge folds other into s: keys present in both are merged sketch-
-// wise, keys only in other are copied. Both snapshots must come from
-// tables with the same sketch kind and parameter.
-func (s *TableSnapshot[K, C]) Merge(other *TableSnapshot[K, C]) error {
-	if err := s.CompatibleWith(other); err != nil {
-		return err
 	}
 	for k, oc := range other.entries {
 		if mine, ok := s.entries[k]; ok {
@@ -247,14 +236,26 @@ func validParam(kind byte, param uint32) bool {
 	}
 }
 
+// UnmarshalSnapshot parses a serialized table snapshot with codec, the
+// receiving table's own engine. The header must name codec's kind
+// (ErrSnapKindMismatch otherwise) and parameter (ErrSnapIncompatible
+// otherwise, as Merge would say), and every entry is decoded by codec.
+func UnmarshalSnapshot[K Key, C any](data []byte, codec core.CompactCodec[C]) (*TableSnapshot[K, C], error) {
+	return unmarshalSnapshot[K](data, codec.Kind(), func(uint32) core.CompactCodec[C] { return codec })
+}
+
 // unmarshalSnapshot parses a serialized table snapshot: the header is
-// validated against wantKind and K, then newCodec builds the family
-// codec for the wire parameter and the entries are parsed through it.
-// The per-family Unmarshal*Snapshot functions are thin wrappers.
+// validated against wantKind and K, then newCodec supplies the codec
+// for the wire parameter and the entries are parsed through it. The
+// per-family Unmarshal*Snapshot functions build one per parameter.
 func unmarshalSnapshot[K Key, C any](data []byte, wantKind byte, newCodec func(param uint32) core.CompactCodec[C]) (*TableSnapshot[K, C], error) {
 	h, body, err := parseSnapshotHeader[K](data, wantKind)
 	if err != nil {
 		return nil, err
+	}
+	codec := newCodec(h.param)
+	if h.param != codec.Param() {
+		return nil, fmt.Errorf("%w: snapshot parameter %d, want %d", ErrSnapIncompatible, h.param, codec.Param())
 	}
 	// Presize the map from the header's count, so admission does not
 	// grow and rehash it entry by entry — but never beyond what the body
@@ -264,33 +265,25 @@ func unmarshalSnapshot[K Key, C any](data []byte, wantKind byte, newCodec func(p
 	if keyTypeOf[K]() == keyTypeString {
 		minEntry = 1 + 1
 	}
-	s := &TableSnapshot[K, C]{codec: newCodec(h.param), entries: make(map[K]C, min(h.count, len(body)/minEntry))}
-	if err := s.parseEntries(body, h.count); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// parseEntries fills s.entries from the post-header bytes.
-func (s *TableSnapshot[K, C]) parseEntries(body []byte, count int) error {
-	for i := 0; i < count; i++ {
+	s := &TableSnapshot[K, C]{codec: codec, entries: make(map[K]C, min(h.count, len(body)/minEntry))}
+	for i := 0; i < h.count; i++ {
 		k, rest, err := readKey[K](body)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		n, sz := binary.Uvarint(rest)
 		if sz <= 0 || uint64(len(rest)-sz) < n {
-			return fmt.Errorf("%w: truncated sketch blob for entry %d", ErrSnapCorrupt, i)
+			return nil, fmt.Errorf("%w: truncated sketch blob for entry %d", ErrSnapCorrupt, i)
 		}
-		c, err := s.codec.UnmarshalCompact(rest[sz : sz+int(n)])
+		c, err := codec.UnmarshalCompact(rest[sz : sz+int(n)])
 		if err != nil {
-			return err
+			return nil, err
 		}
 		s.entries[k] = c
 		body = rest[sz+int(n):]
 	}
 	if len(body) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrSnapCorrupt, len(body))
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrSnapCorrupt, len(body))
 	}
-	return nil
+	return s, nil
 }

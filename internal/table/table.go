@@ -75,11 +75,11 @@
 // ~1 850 B when every key was concurrent from its first update (~15
 // heap objects). Quantiles and HLL keys are concurrent from creation.
 //
-// A HotKeyPolicy adds adaptive per-key configurations: keys whose
-// ingest volume crosses a threshold are rebuilt through the engine's
-// ScaleUp ladder (larger accuracy parameter and/or local buffers), with
-// the pre-promotion state preserved as a compact and folded back into
-// every query and snapshot via the family's compact-merge path.
+// Files follow the lifecycle: table.go holds Table, its entries and
+// key resolution; writer.go the Writer and its two passes; hot.go the
+// HotKeyPolicy ladder (promotion, demotion); evict.go cap and TTL
+// eviction, Drain and Close; read.go whole-table reads; serde.go the
+// FCTB snapshot format. The family types only name a Table.
 package table
 
 import (
@@ -193,9 +193,13 @@ type shard[K Key, V, S, C any] struct {
 	m  map[K]*entry[V, S, C]
 }
 
-// Table is the generic keyed sketch table; the exported ThetaTable /
-// QuantilesTable / HLLTable wrap it (through SketchTable) with
-// concrete sketch engines.
+// Table is the keyed sketch table: the whole lifecycle — keyed
+// ingestion, wait-free per-key queries, rollup, whole-table snapshots,
+// eviction spill, drain, close — written once against core.Engine and
+// shared by every sketch family. ThetaTable, QuantilesTable and
+// HLLTable embed it and add only family-flavoured names and configs;
+// composites that are generic themselves (the windowed table, the
+// network server) use it directly.
 type Table[K Key, V, S, C any] struct {
 	cfg  Config[K]
 	eng  core.Engine[V, S, C]
@@ -262,7 +266,9 @@ type Table[K Key, V, S, C any] struct {
 	now func() int64
 }
 
-func newTable[K Key, V, S, C any](cfg Config[K], eng core.Engine[V, S, C]) *Table[K, V, S, C] {
+// New builds a keyed table whose per-key sketches come from the given
+// engine; Close it when done.
+func New[K Key, V, S, C any](cfg Config[K], eng core.Engine[V, S, C]) *Table[K, V, S, C] {
 	cfg = cfg.withDefaults()
 	t := &Table[K, V, S, C]{
 		cfg:    cfg,
@@ -285,32 +291,7 @@ func newTable[K Key, V, S, C any](cfg Config[K], eng core.Engine[V, S, C]) *Tabl
 	}
 	t.wstats = make([]writerCells, cfg.Writers)
 	t.filt, _ = any(eng).(core.FilterEngine[V])
-	if cfg.HotKeys != nil && cfg.HotKeys.HotThreshold > 0 {
-		if se, ok := any(eng).(core.ScalableEngine[V, S, C]); ok {
-			t.scal = se
-			depth := cfg.HotKeys.MaxPromotions
-			if depth <= 0 {
-				depth = 3
-			}
-			for i := 0; i < depth; i++ {
-				next, ok := se.ScaleUp()
-				if !ok {
-					break
-				}
-				// Ladder engines must be scalable themselves: the
-				// promotion rebuild seeds the new sketch through them.
-				nse, ok := any(next).(core.ScalableEngine[V, S, C])
-				if !ok {
-					break
-				}
-				t.ladder = append(t.ladder, nse)
-				se = nse
-			}
-			if len(t.ladder) > 0 {
-				t.hot = cfg.HotKeys
-			}
-		}
-	}
+	t.initHot(cfg.HotKeys)
 	t.ages = t.perShardCap > 0 || cfg.TTL > 0 || (t.hot != nil && t.hot.CoolAfter > 0)
 	return t
 }
@@ -352,7 +333,7 @@ type writerCells struct {
 
 // Stats is a point-in-time snapshot of the table's operational
 // counters, the per-subsystem attribution exported through
-// SketchTable.RegisterMetrics.
+// Table.RegisterMetrics.
 type Stats struct {
 	// Keys is the number of live keys.
 	Keys int
@@ -411,14 +392,24 @@ func (t *Table[K, V, S, C]) Stats() Stats {
 // NumWriters returns the configured writer-handle count N.
 func (t *Table[K, V, S, C]) NumWriters() int { return t.cfg.Writers }
 
-// query returns the wait-free per-key snapshot. The shard read-lock
-// guards only map membership; the snapshot itself is the framework's
-// single atomic read and is never blocked by ingestion or propagation.
-// With a hot-key policy the entry lock is additionally held shared, to
-// pin the sketch identity against a racing promotion — a promoted
-// key's live sketch carries its full history (the rebuild is seeded
-// from the old compact), so the query is still one snapshot read.
-func (t *Table[K, V, S, C]) query(k K) (S, bool) {
+// Engine returns the engine whose sketches populate the table.
+func (t *Table[K, V, S, C]) Engine() core.Engine[V, S, C] { return t.eng }
+
+// Relaxation returns the per-key bound r = 2·N·b on updates a per-key
+// query may miss (Theorem 1, applied to one key's sketch).
+func (t *Table[K, V, S, C]) Relaxation() int { return t.eng.Relaxation() }
+
+// Query returns the key's current wait-free query snapshot; false when
+// the key has never been updated (or was evicted). The snapshot may
+// miss up to Relaxation() of the key's latest updates. The shard
+// read-lock guards only map membership; the snapshot itself is the
+// framework's single atomic read and is never blocked by ingestion or
+// propagation. With a hot-key policy the entry lock is additionally
+// held shared, to pin the sketch identity against a racing promotion —
+// a promoted key's live sketch carries its full history (the rebuild
+// is seeded from the old compact), so the query is still one snapshot
+// read.
+func (t *Table[K, V, S, C]) Query(k K) (S, bool) {
 	sh := &t.shards[keyHash(k)&t.mask]
 	sh.mu.RLock()
 	e := sh.m[k]
@@ -456,8 +447,9 @@ func (t *Table[K, V, S, C]) compactOf(e *entry[V, S, C]) C {
 	return norm.Result()
 }
 
-// compactKey returns a serializable compact snapshot of one live key.
-func (t *Table[K, V, S, C]) compactKey(k K) (C, bool) {
+// CompactKey returns an immutable serializable snapshot of one key's
+// sketch; false when the key is not live.
+func (t *Table[K, V, S, C]) CompactKey(k K) (C, bool) {
 	sh := &t.shards[keyHash(k)&t.mask]
 	sh.mu.RLock()
 	e := sh.m[k]
@@ -476,23 +468,6 @@ func (t *Table[K, V, S, C]) compactKey(k K) (C, bool) {
 	c := t.compactOf(e)
 	e.mu.RUnlock()
 	return c, true
-}
-
-// forEachCompact visits a compact snapshot of every live key. Entry
-// pointers are collected shard by shard under the shard read-lock and
-// compacted outside it under each entry's own liveness lock, so
-// eviction, lazy creation and writer-cache validation on a shard never
-// stall behind a whole-shard compaction scan; a key evicted between
-// collection and compaction is skipped, exactly as a slightly earlier
-// walk would have missed it. Consistency is per key, not across keys —
-// the usual r-relaxed guarantee.
-func (t *Table[K, V, S, C]) forEachCompact(fn func(k K, c C)) {
-	keys, ents := t.collectEntries()
-	for i, e := range ents {
-		if c, ok := t.compactEntry(e); ok {
-			fn(keys[i], c)
-		}
-	}
 }
 
 // getOrCreate resolves the entry for a key of shard si, creating it

@@ -293,7 +293,7 @@ func TestTableTTLEviction(t *testing.T) {
 		},
 	})
 	defer tab.Close()
-	tab.t.now = func() int64 { return now }
+	tab.now = func() int64 { return now }
 	w := tab.Writer(0)
 	for k := uint64(0); k < 10; k++ {
 		w.UpdateKeyed(k, k)

@@ -85,57 +85,29 @@ func (c ThetaConfig[K]) Engine() (Config[K], *theta.Engine) {
 // counting (users per tenant, distinct URLs per endpoint, ...) with
 // wait-free per-key estimates and one shared propagator pool. The
 // lifecycle — rollup, snapshots, eviction, drain — is the embedded
-// generic SketchTable's.
+// Table's.
 type ThetaTable[K Key] struct {
-	SketchTable[K, uint64, float64, *theta.Compact]
-	hashItem func(string) uint64
+	*Table[K, uint64, float64, *theta.Compact]
 }
 
 // ThetaTableWriter is a single-goroutine keyed ingestion handle.
-type ThetaTableWriter[K Key] struct {
-	w        *Writer[K, uint64, float64, *theta.Compact]
-	hashItem func(string) uint64
-}
+type ThetaTableWriter[K Key] = StringWriter[K, uint64, float64, *theta.Compact]
 
 // NewTheta builds a keyed Θ table; Close it when done.
 func NewTheta[K Key](cfg ThetaConfig[K]) *ThetaTable[K] {
 	tcfg, eng := cfg.Engine()
-	return &ThetaTable[K]{
-		SketchTable: *NewEngineTable[K](tcfg, core.Engine[uint64, float64, *theta.Compact](eng)),
-		hashItem:    eng.HashString,
-	}
+	return &ThetaTable[K]{New[K](tcfg, core.Engine[uint64, float64, *theta.Compact](eng))}
 }
 
 // Writer returns the i-th writer handle (single-goroutine use).
 func (t *ThetaTable[K]) Writer(i int) *ThetaTableWriter[K] {
-	return &ThetaTableWriter[K]{w: t.SketchTable.Writer(i), hashItem: t.hashItem}
+	return &ThetaTableWriter[K]{t.Table.Writer(i)}
 }
 
 // Estimate returns the key's current unique-count estimate. Wait-free;
 // false when the key has never been updated (or was evicted). The
 // estimate may miss up to Relaxation() of the key's latest updates.
 func (t *ThetaTable[K]) Estimate(k K) (float64, bool) { return t.Query(k) }
-
-// UpdateKeyedBatch ingests parallel (key, item) slices: items are
-// grouped by key and shard, then each key's run is hashed and
-// Θ-pre-filtered in one fused pass (the batch ingestion pipeline)
-// before entering that key's sketch.
-func (w *ThetaTableWriter[K]) UpdateKeyedBatch(keys []K, items []uint64) {
-	w.w.UpdateKeyedBatch(keys, items)
-}
-
-// UpdateKeyedStringBatch ingests parallel (key, string item) slices:
-// each item is hashed to Θ space in the grouping pass (zero-alloc
-// string hashing), so log pipelines need no pre-hash step.
-func (w *ThetaTableWriter[K]) UpdateKeyedStringBatch(keys []K, items []string) {
-	w.w.updateKeyedStringBatch(keys, items, w.hashItem)
-}
-
-// UpdateKeyed ingests one (key, item) pair.
-func (w *ThetaTableWriter[K]) UpdateKeyed(k K, item uint64) { w.w.UpdateKeyed(k, item) }
-
-// FlushKey makes this writer's buffered updates for the key visible.
-func (w *ThetaTableWriter[K]) FlushKey(k K) { w.w.FlushKey(k) }
 
 // UnmarshalThetaSnapshot parses a serialized Θ table snapshot keyed by
 // K (the key type must match the one the snapshot was written with).

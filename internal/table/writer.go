@@ -262,18 +262,24 @@ func (w *Writer[K, V, S, C]) UpdateKeyedHashedBatch(keys []K, hs []V) {
 	w.apply()
 }
 
-// updateKeyedStringBatch stages string items while hashing each with
-// hashItem in the same pass — one scan, no intermediate hashed slice.
-// The Θ and HLL table writers bind hashItem to their seed once.
-func (w *Writer[K, V, S, C]) updateKeyedStringBatch(keys []K, items []string, hashItem func(string) V) {
+// StringWriter is the Writer of a table whose engine also hashes
+// string items (core.StringEngine: Θ and HLL).
+type StringWriter[K Key, V, S, C any] struct{ *Writer[K, V, S, C] }
+
+// UpdateKeyedStringBatch ingests parallel (key, string item) slices:
+// each item is hashed by the engine's HashString in the grouping pass
+// (zero-alloc string hashing, no intermediate hashed slice), so log
+// pipelines need no pre-hash step.
+func (w *StringWriter[K, V, S, C]) UpdateKeyedStringBatch(keys []K, items []string) {
 	if len(keys) != len(items) {
 		panic(fmt.Sprintf("table: UpdateKeyedStringBatch length mismatch: %d keys, %d items", len(keys), len(items)))
 	}
 	if len(keys) == 0 {
 		return
 	}
+	str := w.t.eng.(core.StringEngine[V])
 	for i, k := range keys {
-		w.stage(k, hashItem(items[i]))
+		w.stage(k, str.HashString(items[i]))
 	}
 	w.apply()
 }

@@ -21,6 +21,7 @@ type Engine struct {
 var (
 	_ core.Engine[uint64, float64, *Compact] = (*Engine)(nil)
 	_ core.FilterEngine[uint64]              = (*Engine)(nil)
+	_ core.StringEngine[uint64]              = (*Engine)(nil)
 	_ core.FilterSketch[uint64]              = (*engineSketch)(nil)
 )
 

@@ -132,7 +132,7 @@ func TestCompactWindowKeyMergesOnlyWhenNeeded(t *testing.T) {
 		t.Errorf("sealed-only key: got %p (ok=%v), want the aggregate's compact %p", got, ok, want)
 	}
 	// Key 4 is in the draining epoch only, key 8 in the active one.
-	for key, tab := range map[uint64]*table.SketchTable[uint64, uint64, float64, *theta.Compact]{4: v.draining, 8: v.active} {
+	for key, tab := range map[uint64]*table.Table[uint64, uint64, float64, *theta.Compact]{4: v.draining, 8: v.active} {
 		want, _ := tab.CompactKey(key)
 		got, ok := wt.CompactWindowKey(key)
 		if !ok || !bytes.Equal(marshal(t, got), marshal(t, want)) {

@@ -52,16 +52,16 @@ type Table[K table.Key, V, S, C any] struct {
 // tableView is one immutable window state: the active and draining
 // epoch tables plus the sealed snapshots and their cached aggregate.
 type tableView[K table.Key, V, S, C any] struct {
-	active   *table.SketchTable[K, V, S, C]
-	draining *table.SketchTable[K, V, S, C] // nil before the first rotation
-	sealed   []*table.TableSnapshot[K, C]   // oldest first, len <= Slots-2
+	active   *table.Table[K, V, S, C]
+	draining *table.Table[K, V, S, C]     // nil before the first rotation
+	sealed   []*table.TableSnapshot[K, C] // oldest first, len <= Slots-2
 	// retiring is the table sealed by the rotation that produced this
 	// view: already captured in sealed, no longer written or queried
 	// through this view, but kept open until the next rotation so
 	// queries still holding the previous view (whose draining it was)
 	// keep resolving its keys — even through a slow lazy aggregate
 	// build. Closed when this view is replaced.
-	retiring *table.SketchTable[K, V, S, C]
+	retiring *table.Table[K, V, S, C]
 
 	// agg is the cached merge of sealed, built at most once per epoch
 	// by the first query that needs it (rotation stays O(active keys);
@@ -94,7 +94,7 @@ func NewTable[K table.Key, V, S, C any](tcfg table.Config[K], eng core.Engine[V,
 	// R propagator pools.
 	w.tcfg.Pool = w.pool
 	w.view.Store(&tableView[K, V, S, C]{
-		active: table.NewEngineTable(w.tcfg, eng),
+		active: table.New(w.tcfg, eng),
 	})
 	return w
 }
@@ -214,7 +214,7 @@ func (w *Table[K, V, S, C]) Rotate() {
 	w.rotations.Add(1)
 	old := w.view.Load()
 	nv := &tableView[K, V, S, C]{
-		active:   table.NewEngineTable(w.tcfg, w.eng),
+		active:   table.New(w.tcfg, w.eng),
 		draining: old.active,
 	}
 	// Seal the table that finished its grace epoch: no writer has
@@ -388,7 +388,7 @@ func (w *Table[K, V, S, C]) Close() {
 type TableWriter[K table.Key, V, S, C any] struct {
 	wt  *Table[K, V, S, C]
 	id  int
-	gen *table.SketchTable[K, V, S, C]
+	gen *table.Table[K, V, S, C]
 	w   *table.Writer[K, V, S, C]
 }
 

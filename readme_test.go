@@ -1,0 +1,59 @@
+package fcds_test
+
+import (
+	"encoding/json"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestReadmeMapsEverything keeps README.md's paper → package → workload
+// map from drifting: every workload BENCHMARK.json declares and every
+// package under internal/ must appear in it, in backquotes.
+func TestReadmeMapsEverything(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mentions := func(name string) bool { return strings.Contains(string(readme), "`"+name+"`") }
+
+	raw, err := os.ReadFile("BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var manifest struct {
+		Workloads []struct{ Name string }
+	}
+	if err := json.Unmarshal(raw, &manifest); err != nil {
+		t.Fatal(err)
+	}
+	if len(manifest.Workloads) == 0 {
+		t.Fatal("BENCHMARK.json declares no workloads")
+	}
+	for _, w := range manifest.Workloads {
+		if !mentions(w.Name) {
+			t.Errorf("README.md does not mention workload `%s`", w.Name)
+		}
+	}
+
+	pkgs := map[string]bool{}
+	err = filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if !d.IsDir() && strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
+			pkgs[filepath.ToSlash(filepath.Dir(path))] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pkg := range pkgs {
+		if !mentions(pkg) {
+			t.Errorf("README.md does not mention package `%s`", pkg)
+		}
+	}
+}
