@@ -160,35 +160,47 @@
 //
 // Whole-table reads — Rollup, Snapshot, SnapshotAppend, and the
 // checkpoint/snapshot-push paths built on them — cost O(keys), not
-// O(updates): each live key contributes one per-key compaction
-// (acquire the entry's read lock, capture the sketch's current
-// compact) plus, for rollups, one merge into the accumulator and, for
-// snapshots, one serialization. Per-key compaction dominates; with
-// K=4096 Θ sketches a compaction is a few microseconds, so a million
-// keys is seconds of work per pass if done serially. A Θ compaction
-// is a copy, not a sort: a compact takes its samples as the sketch
-// held them and is put in order by the first call that needs order
-// (MarshalBinary, Hashes, ForEachHash — see ThetaCompact), so rollups
-// and window reads, which only merge, never sort, and snapshots and
-// checkpoints sort once, outside every sketch lock. Reads never
+// O(updates). A snapshot compacts each live key (under the entry's
+// read lock, a copy of the sketch's current state) and serializes it.
+// A rollup builds no per-key compact: each key folds its live state
+// into the accumulator. For a Θ key that means copying, under the lock
+// a compaction would take, only the samples below the union's running
+// Θ into one scratch reused from key to key, then inserting them after
+// the lock is released. So a rollup allocates the same at a thousand
+// keys as at ten thousand, and its bytes are those a union of per-key
+// compacts gives: a Θ union depends on its inputs' sample sets and Θs,
+// not on how they arrive. Quantiles and HLL keys still compact and
+// merge. A Θ
+// compaction is a copy, not a sort: a compact takes its samples as the
+// sketch held them and is put in order by the first call that needs
+// order (MarshalBinary, Hashes, ForEachHash — see ThetaCompact), so
+// rollups and window reads, which only merge, never sort, and
+// snapshots and checkpoints sort once, outside every sketch lock. With
+// K=4096 sketches a per-key read is a few microseconds, so a million
+// keys is seconds of work per pass if done serially. Reads never
 // block ingestion — a writer takes a shard read lock only for keys its
 // entry cache does not hold, and an entry's lock only for a run that
 // survived its filter, so on a hot table most batches touch neither —
 // but a long pass holds down cache and memory bandwidth.
 //
 // The read path therefore fans out: entry pointers are collected
-// under each shard's read lock, then per-key compaction runs on a
+// under each shard's read lock, then the per-key work runs on a
 // bounded worker set with per-worker partial aggregators merged
 // pairwise at the end (rollup) or per-worker serialization regions
 // stitched in order (snapshot). The degree is TableConfig's
 // ReadParallelism — 0 (the default) means GOMAXPROCS at call time, 1
 // forces the serial path, and any other value caps the workers per
 // pass. The caller's goroutine is always worker zero, so degree 1
-// spawns nothing. Scaling is near-linear while keys/degree stays
-// large (≥ a few thousand keys per worker); below ~1k keys the
-// fan-out constant (goroutine wake + pairwise merge) eats the win and
-// serial is just as fast. No benchmark workload sweeps the degree yet,
-// so these scaling figures are not re-checked by any gate.
+// spawns nothing. Workers claim keys in runs (about 64 per worker and
+// pass), not one at a time: a claim per key moved the shared counter
+// between cores on every key, and on the benchmark's table_wide shape
+// (47 k keys, nearly all still flat, K=256, 2 vCPUs) two workers were
+// then slower than one — ~290 ns/key against ~240 serial, ~110 with
+// runs. Together with reading keys in place, that halved table_wide's
+// rollup_p50_ms (21.3 → 10.6 ms). Below ~1k keys the fan-out constant
+// (goroutine wake + pairwise merge) eats the win and serial is just as
+// fast. No benchmark workload sweeps the degree yet, so these scaling
+// figures are not re-checked by any gate.
 //
 // Operationally: size ReadParallelism so a full pass (the
 // fcds_table_rollup_duration_seconds /
@@ -457,7 +469,7 @@
 // has stopped shrinking — raise ReadParallelism or the interval), and
 // on any rollup p99 above the slowest dashboard's timeout. A sudden
 // shift of an otherwise-stable histogram toward higher buckets with a
-// flat key count means per-key compaction got more expensive (hot-key
+// flat key count means the per-key work got more expensive (hot-key
 // promotions, estimation-mode transitions), not more keys.
 // fcds_table_prefiltered_items_total over the table's ingested items
 // is the share of a Θ table's traffic its writers dropped in pass 1. On

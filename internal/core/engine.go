@@ -48,8 +48,10 @@ type CompactCodec[C any] interface {
 
 // Aggregator folds many compacts into one — the rollup/window-merge
 // primitive. Unlike pairwise MergeCompact it reuses one accumulator, so
-// merging n compacts is one pass, not n allocations. Not safe for
-// concurrent use; Result finalizes the aggregator (do not Add after).
+// merging n compacts is one pass, not n allocations. A live sketch
+// folds in without a compact at all, through EngineSketch.AddTo. Not
+// safe for concurrent use; Result finalizes the aggregator (do not Add
+// after).
 type Aggregator[C any] interface {
 	// Add folds one compact into the accumulator. It fails only on
 	// incompatible inputs (foreign seed or precision).
@@ -87,6 +89,14 @@ type EngineSketch[V, S, C any] interface {
 	// sort: a Θ compact is ordered later, by whoever first serializes it
 	// — and may miss up to the relaxation bound of recent updates.
 	Compact() C
+	// AddTo folds the sketch's current state into agg exactly as
+	// agg.Add(Compact()) would, without building the compact: an
+	// all-keys read (a table rollup) needs the merge, not a copy it
+	// drops after one Add. Θ reads its samples in place, under the lock
+	// Compact takes, and releases that lock before the aggregator does
+	// any merge work; quantiles and HLL build the compact and Add it,
+	// as Θ does for an aggregator that is not its own.
+	AddTo(agg Aggregator[C]) error
 	// Reset restores the empty state. The caller must hold the same
 	// exclusivity as for Close: no concurrent writer-slot use.
 	Reset()

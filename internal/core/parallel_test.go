@@ -8,7 +8,7 @@ import (
 
 func TestFanOutCoversEveryIndexOnce(t *testing.T) {
 	for _, degree := range []int{0, 1, 2, 4, 7, 64} {
-		for _, n := range []int{0, 1, 2, 3, 100, 1001} {
+		for _, n := range []int{0, 1, 2, 3, 100, 1001, 20011} { // the last two: runs of several indices, a short last run
 			hits := make([]atomic.Int32, n)
 			maxWorker := int32(-1)
 			var maxMu atomic.Int32

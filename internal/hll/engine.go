@@ -175,6 +175,9 @@ func (s *engineSketch) Flush(i int) {
 func (s *engineSketch) Query() float64   { return s.c.Estimate() }
 func (s *engineSketch) Compact() *Sketch { return s.c.Compact() }
 
+// AddTo implements core.EngineSketch as Add(Compact()).
+func (s *engineSketch) AddTo(agg core.Aggregator[*Sketch]) error { return agg.Add(s.Compact()) }
+
 // Close releases the sketch graph (see the Θ counterpart).
 func (s *engineSketch) Close() {
 	if s.c != nil {

@@ -75,24 +75,54 @@ func BenchmarkTableQuery(b *testing.B) {
 	}
 }
 
-// BenchmarkTableRollup measures the all-keys read: 1 000 keys, a third
-// of them still flat, the rest in estimation mode; one op is one
-// Rollup (per key: a compact and an order-free merge).
+// BenchmarkTableRollup measures the all-keys read at K=256; one op is
+// one Rollup (per key: the live state folded into the union in place).
+// Reports ns/key and allocs/op.
+//
+//   - mixed: 1 000 keys, a third of them still flat, the rest in
+//     estimation mode;
+//   - wide: the benchmark's table_wide shape — 2^20 zipf(1.2) draws over
+//     100 000 keys leave ~47 k live keys, over 99 % of them flat.
 func BenchmarkTableRollup(b *testing.B) {
-	tab := NewTheta(ThetaConfig[uint64]{Table: Config[uint64]{Writers: 1, Shards: 64}, K: 256})
-	defer tab.Close()
-	w := tab.Writer(0)
-	const keys = 1000
-	for k := uint64(0); k < keys; k++ {
-		n := uint64(3000)
-		if k%3 == 0 {
-			n = 300 // below the eager limit: flat
+	b.Run("mixed", func(b *testing.B) {
+		tab := NewTheta(ThetaConfig[uint64]{Table: Config[uint64]{Writers: 1, Shards: 64}, K: 256})
+		defer tab.Close()
+		w := tab.Writer(0)
+		for k := uint64(0); k < 1000; k++ {
+			n := uint64(3000)
+			if k%3 == 0 {
+				n = 300 // below the eager limit: flat
+			}
+			for i := uint64(0); i < n; i++ {
+				w.UpdateKeyed(k, k<<32|i)
+			}
 		}
-		for i := uint64(0); i < n; i++ {
-			w.UpdateKeyed(k, k<<32|i)
+		tab.Drain()
+		benchRollup(b, tab)
+	})
+	b.Run("wide", func(b *testing.B) {
+		tab := NewTheta(ThetaConfig[uint64]{Table: Config[uint64]{Writers: 1, Shards: 1024}, K: 256})
+		defer tab.Close()
+		w := tab.Writer(0)
+		z := rand.NewZipf(rand.New(rand.NewSource(1)), 1.2, 1, 100_000-1)
+		ks := make([]uint64, 2048)
+		vs := make([]uint64, 2048)
+		for next := uint64(0); next < 1<<20; {
+			for i := range ks {
+				ks[i], vs[i] = z.Uint64(), next
+				next++
+			}
+			w.UpdateKeyedBatch(ks, vs)
 		}
-	}
-	tab.Drain()
+		tab.Drain()
+		if flat := tab.Keys() - int(tab.Pool().Sketches()); flat*100 < 95*tab.Keys() {
+			b.Fatalf("%d of %d keys flat, want at least 95 %%", flat, tab.Keys())
+		}
+		benchRollup(b, tab)
+	})
+}
+
+func benchRollup(b *testing.B, tab *ThetaTable[uint64]) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -100,7 +130,7 @@ func BenchmarkTableRollup(b *testing.B) {
 			b.Fatal("empty rollup")
 		}
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/keys, "ns/key")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(tab.Keys()), "ns/key")
 }
 
 // The hot-key stream of BenchmarkTableHotKeys and BenchmarkHotKeyPolicy:

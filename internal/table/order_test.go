@@ -59,25 +59,19 @@ func orderTestTable(t *testing.T) (*Table[uint64, uint64, float64, *theta.Compac
 	return tab, rec
 }
 
-// TestRollupLeavesPerKeyCompactsUnordered: a rollup merges every key's
-// compact and needs none of them in order, at any read degree — no
-// sort hides in the path.
+// TestRollupLeavesPerKeyCompactsUnordered: a rollup reads every key in
+// place (EngineSketch.AddTo), at any read degree — it asks no key for a
+// compact, so no per-key copy, and no sort of one, hides in the path.
 func TestRollupLeavesPerKeyCompactsUnordered(t *testing.T) {
 	tab, rec := orderTestTable(t)
 	defer tab.Close()
 	for _, degree := range []int{1, 4} {
 		rec.seen = rec.seen[:0]
-		tab.rollup(degree)
-		if len(rec.seen) != tab.Keys() {
-			t.Fatalf("degree %d: rollup compacted %d keys of %d", degree, len(rec.seen), tab.Keys())
+		if r := tab.rollup(degree).Retained(); r < 64 {
+			t.Fatalf("degree %d: rollup holds %d samples, want at least K", degree, r)
 		}
-		for _, c := range rec.seen {
-			if c.Retained() < 10 {
-				t.Fatalf("degree %d: a key compact holds %d samples", degree, c.Retained())
-			}
-			if c.IsOrdered() {
-				t.Fatalf("degree %d: rollup ordered a per-key compact (%d samples)", degree, c.Retained())
-			}
+		if len(rec.seen) != 0 {
+			t.Fatalf("degree %d: rollup compacted %d of %d keys", degree, len(rec.seen), tab.Keys())
 		}
 	}
 }

@@ -9,24 +9,27 @@ import (
 )
 
 // This file is the table's parallel read path: whole-table rollups,
-// snapshot captures and streaming serialization fan the per-key
-// compaction work across a bounded worker set (core.FanOut) and merge
-// the partial results. The structure is the same for all three:
+// snapshot captures and streaming serialization fan the per-key work
+// across a bounded worker set (core.FanOut) and merge the partial
+// results. The structure is the same for all three:
 //
 //  1. collect — snapshot (key, entry) pointers shard by shard under
-//     the shard read-lock only (no compaction under any shard lock);
-//  2. fan out — workers claim entries from a shared counter and
-//     compact them under each entry's own liveness lock, folding into
-//     per-worker accumulators (an aggregator, a pair slice, or a
-//     serialization region);
+//     the shard read-lock only (no sketch is read under a shard lock);
+//  2. fan out — workers claim runs of entries from a shared counter
+//     and, under each entry's own liveness lock, fold them into
+//     per-worker accumulators. A rollup hands its aggregator to the
+//     live sketch (EngineSketch.AddTo), so a Θ key is merged from its
+//     samples in place and no per-key compact is built; snapshots need
+//     bytes, so they compact each key into a pair slice or a
+//     serialization region;
 //  3. merge — the per-worker partials combine: aggregators pairwise by
 //     the family's compact merge, pair slices into the snapshot map,
 //     regions into one output buffer grown exactly once.
 //
-// Consistency is unchanged from the serial walk: per key the compact
+// Consistency is unchanged from the serial walk: per key the state read
 // is the usual r-relaxed point-in-time capture; across keys there is
 // no atomicity (there never was — the serial walk released each shard
-// lock between shards). Keys evicted between collect and compact are
+// lock between shards). Keys evicted between collect and read are
 // skipped, exactly as a slightly earlier serial walk would have
 // missed them.
 
@@ -75,11 +78,31 @@ func (t *Table[K, V, S, C]) compactEntry(e *entry[V, S, C]) (C, bool) {
 	return c, true
 }
 
+// addEntry folds one collected entry's full-history state into agg,
+// outside all shard locks and under the entry's liveness lock, as
+// compactEntry reads it. The sketch folds itself in (EngineSketch.AddTo:
+// Θ reads its samples in place, with no per-key compact); only a key
+// promoted to a different parameter goes through compactOf's
+// normalization. A key evicted since collection contributes nothing.
+// Engine-made sketches and compacts are compatible with the engine's
+// aggregator by construction, so the merge cannot fail.
+func (t *Table[K, V, S, C]) addEntry(agg core.Aggregator[C], e *entry[V, S, C]) {
+	e.mu.RLock()
+	switch {
+	case e.dead:
+	case e.eng.Param() == t.eng.Param():
+		_ = e.sk.AddTo(agg)
+	default:
+		_ = agg.Add(t.compactOf(e))
+	}
+	e.mu.RUnlock()
+}
+
 // Rollup merges every live key's sketch into one compact — the
-// all-keys aggregate, by the family's mergeability. Per-key compaction
-// fans out across Config.ReadParallelism workers (GOMAXPROCS by
+// all-keys aggregate, by the family's mergeability. The per-key folds
+// fan out across Config.ReadParallelism workers (GOMAXPROCS by
 // default) with per-worker aggregators merged pairwise; every fold
-// order of the same per-key compacts is a valid aggregate, so the
+// order of the same per-key states is a valid aggregate, so the
 // parallel and serial results agree.
 func (t *Table[K, V, S, C]) Rollup() C {
 	start := time.Now()
@@ -88,10 +111,10 @@ func (t *Table[K, V, S, C]) Rollup() C {
 	return c
 }
 
-// rollup merges every live key's sketch into one compact, compacting
+// rollup merges every live key's sketch into one compact, folding keys
 // across `degree` workers with per-worker aggregators merged pairwise.
 // degree <= 1 is the serial path (identical result by mergeability:
-// every fold order of the same per-key compacts is a valid aggregate).
+// every fold order of the same per-key states is a valid aggregate).
 func (t *Table[K, V, S, C]) rollup(degree int) C {
 	_, ents := t.collectEntries()
 	if degree > len(ents) {
@@ -100,9 +123,7 @@ func (t *Table[K, V, S, C]) rollup(degree int) C {
 	if degree <= 1 {
 		agg := t.eng.NewAggregator()
 		for _, e := range ents {
-			if c, ok := t.compactEntry(e); ok {
-				_ = agg.Add(c) // engine-made compacts are compatible by construction
-			}
+			t.addEntry(agg, e)
 		}
 		return agg.Result()
 	}
@@ -111,9 +132,7 @@ func (t *Table[K, V, S, C]) rollup(degree int) C {
 		aggs[w] = t.eng.NewAggregator()
 	}
 	core.FanOut(degree, len(ents), func(w, i int) {
-		if c, ok := t.compactEntry(ents[i]); ok {
-			_ = aggs[w].Add(c)
-		}
+		t.addEntry(aggs[w], ents[i])
 	})
 	parts := make([]C, degree)
 	for w := range aggs {

@@ -1,0 +1,294 @@
+package table
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"math"
+	"math/rand"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"github.com/fcds/fcds/internal/hll"
+	"github.com/fcds/fcds/internal/quantiles"
+	"github.com/fcds/fcds/internal/theta"
+)
+
+// A rollup folds each key's live state into the union
+// (EngineSketch.AddTo) instead of copying out a per-key compact. The
+// tests below hold it to what a reader can see: the same bytes as a
+// union of the snapshot's per-key compacts and as rollups had before
+// they read keys in place (the sha256 pins), for every state a Θ key
+// can be in; unchanged quantiles and HLL answers; a cost that does not
+// grow with the key count; no race with writers and evictions.
+
+// The sha256 of the marshalled rollups of the pinned Θ and HLL tables
+// (pinStream), recorded when a rollup still merged one compact per key.
+const (
+	thetaRollupSHA256 = "a04c154c0eb22875cc701568cd9fdb76dbb622595f9819c73ebe7e8f53e1077c"
+	hllRollupSHA256   = "bc1a4261511c76819940498ebbf8c291292475ef88b8bfb7ebbe1a7c9d005ed0"
+)
+
+// pinStream is the keyed input of the pinned tables: 80 keys, in runs
+// of 10, 60, 2 000 and 9 000 distinct items by key mod 4, sent in
+// 1 024-item batches through one writer, so that a table's state is a
+// function of the input alone.
+func pinStream(send func(keys, vals []uint64)) {
+	var keys, vals []uint64
+	for key := uint64(0); key < 80; key++ {
+		for i := uint64(0); i < []uint64{10, 60, 2000, 9000}[key%4]; i++ {
+			keys = append(keys, key)
+			vals = append(vals, key<<32|i)
+		}
+	}
+	for off := 0; off < len(keys); off += 1024 {
+		end := min(off+1024, len(keys))
+		send(keys[off:end], vals[off:end])
+	}
+}
+
+// pinConfig is the pinned tables' configuration: one writer, hot keys
+// promoted at 4 000 updates (so every 9 000-item key).
+func pinConfig(degree int) Config[uint64] {
+	return Config[uint64]{
+		Writers: 1, Shards: 8, ReadParallelism: degree,
+		HotKeys: &HotKeyPolicy{HotThreshold: 4000},
+	}
+}
+
+// pinTheta holds a Θ key in every state: flat (10 items; the eager limit
+// 2/e² is 50), concurrent in exact mode (60), in estimation mode (2 000)
+// and promoted by the hot-key policy (9 000).
+func pinTheta(t *testing.T, degree int) *ThetaTable[uint64] {
+	t.Helper()
+	tab := NewTheta(ThetaConfig[uint64]{Table: pinConfig(degree), K: 64, MaxError: 0.2})
+	pinStream(tab.Writer(0).UpdateKeyedBatch)
+	tab.Drain()
+	if flat := int64(tab.Keys()) - tab.Pool().Sketches(); flat != 20 {
+		t.Fatalf("%d flat keys, want 20", flat)
+	}
+	if p := tab.Promotions(); p < 20 {
+		t.Fatalf("%d promotions, want every 9 000-item key promoted", p)
+	}
+	return tab
+}
+
+func sha256Hex(b []byte) string {
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
+
+// TestRollupInPlaceMatchesSnapshotUnion: at read degrees 1 and 4, a Θ
+// rollup is byte for byte the union of the snapshot's per-key compacts,
+// and the bytes rollups had when they merged those compacts themselves.
+func TestRollupInPlaceMatchesSnapshotUnion(t *testing.T) {
+	for _, degree := range []int{1, 4} {
+		tab := pinTheta(t, degree)
+		eng := tab.Engine()
+		got, err := eng.MarshalCompact(tab.Rollup())
+		if err != nil {
+			t.Fatal(err)
+		}
+		agg := eng.NewAggregator()
+		tab.Snapshot().ForEach(func(_ uint64, c *theta.Compact) {
+			if err := agg.Add(c); err != nil {
+				t.Fatal(err)
+			}
+		})
+		want, err := eng.MarshalCompact(agg.Result())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("degree %d: rollup differs from the union of the snapshot's compacts", degree)
+		}
+		if sum := sha256Hex(got); sum != thetaRollupSHA256 {
+			t.Errorf("degree %d: rollup sha256 %s, pinned %s", degree, sum, thetaRollupSHA256)
+		}
+		tab.Close()
+	}
+}
+
+// TestRollupQuantilesHLLUnchanged: quantiles and HLL fold a key in as
+// the compact it would snapshot, so their rollups answer as the union
+// of the snapshot's compacts does — quantiles N/min/max (its merges
+// draw coins in fold order), HLL registers byte for byte and as pinned.
+// Promoted quantiles keys have a doubled k and take the normalization
+// path.
+func TestRollupQuantilesHLLUnchanged(t *testing.T) {
+	for _, degree := range []int{1, 4} {
+		q := NewQuantiles(QuantilesConfig[uint64]{Table: pinConfig(degree), K: 64})
+		pinStream(func(keys, vals []uint64) {
+			fs := make([]float64, len(vals))
+			for i, v := range vals {
+				fs[i] = float64(v % 100_003)
+			}
+			q.Writer(0).UpdateKeyedBatch(keys, fs)
+		})
+		q.Drain()
+		if q.Promotions() == 0 {
+			t.Fatal("no quantiles key was promoted")
+		}
+		qr := q.Rollup()
+		qagg := q.Engine().NewAggregator()
+		q.Snapshot().ForEach(func(_ uint64, c *quantiles.Sketch) { _ = qagg.Add(c) })
+		qu := qagg.Result()
+		if qr.N() != qu.N() || qr.Min() != qu.Min() || qr.Max() != qu.Max() {
+			t.Errorf("degree %d: quantiles rollup N/min/max %d/%v/%v, snapshot union %d/%v/%v",
+				degree, qr.N(), qr.Min(), qr.Max(), qu.N(), qu.Min(), qu.Max())
+		}
+		q.Close()
+
+		h := NewHLL(HLLConfig[uint64]{Table: pinConfig(degree), Precision: 10})
+		pinStream(h.Writer(0).UpdateKeyedBatch)
+		h.Drain()
+		eng := h.Engine()
+		got, err := eng.MarshalCompact(h.Rollup())
+		if err != nil {
+			t.Fatal(err)
+		}
+		hagg := eng.NewAggregator()
+		h.Snapshot().ForEach(func(_ uint64, c *hll.Sketch) { _ = hagg.Add(c) })
+		want, err := eng.MarshalCompact(hagg.Result())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("degree %d: HLL rollup registers differ from the snapshot union's", degree)
+		}
+		if sum := sha256Hex(got); sum != hllRollupSHA256 {
+			t.Errorf("degree %d: HLL rollup sha256 %s, pinned %s", degree, sum, hllRollupSHA256)
+		}
+		h.Close()
+	}
+}
+
+// TestRollupAllocsIndependentOfKeys: a serial Θ rollup allocates as
+// much at 10 000 keys as at 1 000, to within a few allocations — no
+// per-key compact, and one scratch reused from key to key. (When every
+// key was copied out it was two allocations per key.)
+func TestRollupAllocsIndependentOfKeys(t *testing.T) {
+	allocs := func(nKeys int) float64 {
+		tab := NewTheta(ThetaConfig[uint64]{
+			Table: Config[uint64]{Writers: 1, Shards: 64, ReadParallelism: 1},
+			K:     16, MaxError: 0.25, // eager limit 2/e² = 32
+		})
+		defer tab.Close()
+		var keys, vals []uint64
+		for k := 0; k < nKeys; k++ {
+			n := 10 // flat
+			if k%10 == 0 {
+				n = 200 // concurrent, in estimation mode
+			}
+			for i := 0; i < n; i++ {
+				keys = append(keys, uint64(k))
+				vals = append(vals, uint64(k)<<32|uint64(i))
+			}
+		}
+		w := tab.Writer(0)
+		for off := 0; off < len(keys); off += 4096 {
+			end := min(off+4096, len(keys))
+			w.UpdateKeyedBatch(keys[off:end], vals[off:end])
+		}
+		tab.Drain()
+		tab.Rollup()
+		return testing.AllocsPerRun(5, func() { tab.Rollup() })
+	}
+	small, large := allocs(1_000), allocs(10_000)
+	if large > small+8 {
+		t.Errorf("serial rollup allocates %.0f at 1 000 keys and %.0f at 10 000", small, large)
+	}
+}
+
+// TestRollupConcurrentWithEviction: rollups in a loop beside two
+// writers and a key cap that keeps evicting (CI runs it under -race,
+// repeatedly). Each writer sends fresh items to a home key, and the
+// same items again to churn keys that the cap evicts. The two home keys
+// share a shard no churn key lands in, under that shard's cap, so they
+// are never evicted: the distinct count sent so far is known, and each
+// rollup must land within 5·RSE of it, give or take the relaxation
+// bound and the batches in flight.
+func TestRollupConcurrentWithEviction(t *testing.T) {
+	const shards, perShard, batch, k = 4, 4, 256, 256
+	var home, churn []uint64
+	homeShard := keyHash(uint64(0)) & (shards - 1)
+	for key := uint64(0); len(home) < 2 || len(churn) < 96; key++ {
+		if keyHash(key)&(shards-1) == homeShard {
+			if len(home) < 2 {
+				home = append(home, key)
+			}
+		} else if len(churn) < 96 {
+			churn = append(churn, key)
+		}
+	}
+	tab := NewTheta(ThetaConfig[uint64]{
+		Table: Config[uint64]{Writers: 2, Shards: shards, MaxKeys: shards * perShard, ReadParallelism: 2},
+		K:     k,
+	})
+	defer tab.Close()
+
+	var sent atomic.Int64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for wi := 0; wi < 2; wi++ {
+		wg.Add(1)
+		go func(wi int) {
+			defer wg.Done()
+			w := tab.Writer(wi)
+			// Skewed churn: hot churn keys survive long enough to leave
+			// the flat phase, cold ones are evicted flat.
+			z := rand.NewZipf(rand.New(rand.NewSource(int64(wi)+1)), 1.5, 1, uint64(len(churn)-1))
+			keys := make([]uint64, 2*batch)
+			vals := make([]uint64, 2*batch)
+			next := uint64(wi) << 48
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for i := 0; i < batch; i++ {
+					keys[i], vals[i] = home[wi], next+uint64(i)
+				}
+				for c := 0; c < 4; c++ {
+					key := churn[z.Uint64()]
+					for i := c * batch / 4; i < (c+1)*batch/4; i++ {
+						keys[batch+i], vals[batch+i] = key, next+uint64(i)
+					}
+				}
+				w.UpdateKeyedBatch(keys, vals)
+				next += batch
+				sent.Add(batch)
+			}
+		}(wi)
+	}
+
+	tol := 5 / math.Sqrt(k-2)
+	r := int64(tab.Relaxation())
+	check := func(est float64, lo, hi int64) {
+		t.Helper()
+		if est < float64(lo)*(1-tol) || est > float64(hi)*(1+tol) {
+			t.Errorf("rollup estimate %.0f outside 5·RSE of [%d, %d] distinct items", est, lo, hi)
+		}
+	}
+	rollups := 0
+	for deadline := time.Now().Add(150 * time.Millisecond); time.Now().Before(deadline); rollups++ {
+		before := sent.Load()
+		est := tab.Rollup().Estimate()
+		// A home key may hide up to r updates in writer buffers, and a
+		// batch per writer may be half applied.
+		check(est, before-2*r, sent.Load()+2*batch)
+	}
+	close(stop)
+	wg.Wait()
+	tab.Drain()
+	check(tab.Rollup().Estimate(), sent.Load(), sent.Load())
+	if tab.Evictions() == 0 {
+		t.Error("the key cap evicted nothing")
+	}
+	if rollups < 2 {
+		t.Errorf("%d rollups ran beside the writers", rollups)
+	}
+}

@@ -49,6 +49,7 @@ type updatable interface {
 	Estimate() float64
 	Theta() uint64
 	Compact() *Compact
+	appendBelow(dst []uint64, lim uint64) []uint64
 }
 
 // GlobalSketch is the composable global Θ sketch: a sequential sketch
@@ -140,6 +141,16 @@ func (g *GlobalSketch) Compact() *Compact {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.qs.Compact()
+}
+
+// appendTo appends to dst, under the same lock as Compact, the samples
+// union u can still take: those below u's bound for the sketch's Θ (see
+// Union.bound). The propagator waits only for that copy; u inserts them
+// after the lock is released.
+func (g *GlobalSketch) appendTo(dst []uint64, u *Union) []uint64 {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.qs.appendBelow(dst, u.bound(g.qs.Theta()))
 }
 
 // Snapshot implements core.Global: the wait-free query read.

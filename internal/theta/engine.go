@@ -163,8 +163,13 @@ func (e *Engine) MarshalCompact(c *Compact) ([]byte, error) { return c.MarshalBi
 // UnmarshalCompact implements core.CompactCodec.
 func (e *Engine) UnmarshalCompact(data []byte) (*Compact, error) { return UnmarshalCompact(data) }
 
-// unionAggregator adapts Union to core.Aggregator.
-type unionAggregator struct{ u *Union }
+// unionAggregator adapts Union to core.Aggregator. scratch carries one
+// live sketch's samples from under its lock into the union (see
+// engineSketch.AddTo), reused from sketch to sketch.
+type unionAggregator struct {
+	u       *Union
+	scratch []uint64
+}
 
 func (a *unionAggregator) Add(c *Compact) error { return a.u.Add(c) }
 func (a *unionAggregator) Result() *Compact     { return a.u.Result() }
@@ -342,6 +347,43 @@ func (s *engineSketch) Compact() *Compact {
 	hs := slices.Clone(s.flat)
 	s.mu.Unlock()
 	return newCompactFromUnsorted(hs, hash.MaxThetaValue, s.eng.cfg.Seed)
+}
+
+// AddTo implements core.EngineSketch: the samples reach a Θ union with
+// no compact in between. Under the lock Compact would take — mu while
+// flat, the global's once concurrent — only the samples below the
+// union's running Θ are copied into the aggregator's scratch; the union
+// inserts them after the lock is released, so no union insert or
+// rebuild ever holds up a writer or the propagator. The union ends
+// exactly as Add(Compact()) leaves it: its running Θ only falls, so a
+// sample left behind is one Add would skip too, and the rest are
+// offered in the order Compact would have collected them.
+func (s *engineSketch) AddTo(agg core.Aggregator[*Compact]) error {
+	a, ok := agg.(*unionAggregator)
+	if !ok {
+		return agg.Add(s.Compact())
+	}
+	if a.u.gadget.seed != s.eng.cfg.Seed {
+		return ErrSeedMismatch
+	}
+	var hs []uint64
+	s.mu.Lock()
+	if c := s.c.Load(); c != nil {
+		s.mu.Unlock()
+		hs = c.global.appendTo(a.scratch, a.u)
+	} else {
+		hs = appendBelow(a.scratch, s.flat, a.u.bound(hash.MaxThetaValue), len(s.flat))
+		s.mu.Unlock()
+	}
+	a.u.insert(hs, false)
+	// Stored back only when it grew: the workers of a parallel rollup
+	// each own an aggregator, small enough to share a cache line with
+	// another's, so a store per key would bounce that line between them
+	// (~15 % of BenchmarkTableRollup/wide at two workers).
+	if cap(hs) != cap(a.scratch) {
+		a.scratch = hs[:0]
+	}
+	return nil
 }
 
 // Close closes the concurrent sketch, if there is one, and drops the

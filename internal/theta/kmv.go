@@ -140,6 +140,12 @@ func (s *KMV) Compact() *Compact {
 	return newCompactFromUnsorted(hashes, s.theta, s.seed)
 }
 
+// appendBelow appends the retained samples below lim (>= 1) to dst, in
+// heap order.
+func (s *KMV) appendBelow(dst []uint64, lim uint64) []uint64 {
+	return appendBelow(dst, s.heap, lim, len(s.heap))
+}
+
 // heapPush inserts h into the max-heap.
 func (s *KMV) heapPush(h uint64) {
 	s.heap = append(s.heap, h)

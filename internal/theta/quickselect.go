@@ -165,6 +165,12 @@ func (s *QuickSelect) Compact() *Compact {
 	return newCompactFromUnsorted(hashes, s.theta, s.seed)
 }
 
+// appendBelow appends the retained samples below lim (>= 1) to dst, in
+// table order.
+func (s *QuickSelect) appendBelow(dst []uint64, lim uint64) []uint64 {
+	return appendBelow(dst, s.table.slots, lim, s.table.count)
+}
+
 // AbsorbCompact folds a compact's full state into the sketch: its
 // sample set AND its Θ. Unlike Merge (which replays only the hashes),
 // the resulting Θ is min(s.Θ, c.Θ), so a sketch seeded from a compact

@@ -45,17 +45,35 @@ func (u *Union) Add(s Sketch) error {
 		})
 		return nil
 	}
-	c.read(func(hashes []uint64, ordered bool) {
-		for _, h := range hashes {
-			// The gadget's Θ falls when an insert rebuilds it.
-			if h < min(u.unionMin, u.gadget.theta) {
-				u.gadget.UpdateHash(h)
-			} else if ordered {
-				return
-			}
-		}
-	})
+	c.read(u.insert)
 	return nil
+}
+
+// insert offers samples to the gadget, each only while it is below the
+// union's running Θ; ordered, it stops at the first one that is not.
+func (u *Union) insert(hashes []uint64, ordered bool) {
+	for _, h := range hashes {
+		// The gadget's Θ falls when an insert rebuilds it.
+		if h < min(u.unionMin, u.gadget.theta) {
+			u.gadget.UpdateHash(h)
+		} else if ordered {
+			return
+		}
+	}
+}
+
+// bound is the first half of Add for a sample set read in place (see
+// engineSketch.AddTo): it folds the set's Θ into the running minimum and
+// returns the running Θ, at least 1. A sample at or above it cannot
+// enter the union now or after any later insert, so a reader may leave
+// it behind and hand the rest to insert. The minimum is stored only
+// when it falls, so a union that is read many times (once per key of a
+// rollup) is not written each time.
+func (u *Union) bound(theta uint64) uint64 {
+	if theta < u.unionMin {
+		u.unionMin = theta
+	}
+	return max(min(u.unionMin, u.gadget.theta), 1)
 }
 
 // AddHash feeds a single pre-hashed item into the union (allows using a

@@ -82,6 +82,27 @@ func (t *hashTable) appendAll(dst []uint64) []uint64 {
 	return dst
 }
 
+// appendBelow appends to dst every sample of hs below lim, in the order
+// they lie, and returns it; at most `most` of them may qualify. hs may
+// be a flat array or a table's slots: a zero word is never below lim.
+// As in appendAll, whether a word qualifies is a coin toss to the
+// branch predictor, so the loop has no branch on it: every word is
+// stored at the write position, which advances past a qualifying one
+// by a conditional move. The test is one unsigned compare — h-1 wraps
+// to the largest word for an empty slot — so lim must be at least 1.
+func appendBelow(dst, hs []uint64, lim uint64, most int) []uint64 {
+	n := len(dst)
+	dst = slices.Grow(dst, most+1)[:n+most+1]
+	top := lim - 1
+	for _, h := range hs {
+		dst[n] = h
+		if h-1 < top {
+			n++
+		}
+	}
+	return dst[:n]
+}
+
 // reset clears the table in place.
 func (t *hashTable) reset() {
 	clear(t.slots)
