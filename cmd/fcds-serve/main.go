@@ -215,9 +215,9 @@ func main() {
 		if err != nil {
 			lg.Fatalf("journal replay: %v", err)
 		}
-		if rst.Files > 0 {
-			lg.Printf("journal replay: %d records applied (%d already checkpointed, %d stale, %d unknown-table, %d errors, %d torn bytes) from %s",
-				rst.Records, rst.Skipped, rst.Stale, rst.UnknownTable, rst.Errors, rst.TornBytes, *journalDir)
+		if rst.Files+rst.SkippedFiles > 0 {
+			lg.Printf("journal replay: %d records applied (%d already checkpointed, %d files skipped as checkpointed, %d stale, %d unknown-table, %d errors, %d torn bytes) from %s",
+				rst.Records, rst.Skipped, rst.SkippedFiles, rst.Stale, rst.UnknownTable, rst.Errors, rst.TornBytes, *journalDir)
 		}
 		jnl, err = fcds.OpenIngestJournal(*journalDir, fcds.IngestJournalConfig{
 			FsyncEvery: *journalFsyncEvery,

@@ -386,10 +386,16 @@
 // records it applies, and a torn final record
 // (the crash happened mid-write) fails its CRC and truncates cleanly —
 // that push was never ACKed, so its Reliable shipper redelivers it.
-// Each successful checkpoint pass rotates the journal and prunes files
-// its watermarks cover, and an oversized journal self-compacts to the
-// latest record per pushing source (replace semantics make older
-// records dead weight). Journaling also upgrades eviction: a TTL or
+// A boot also skips, unread, every journal file the next file's first
+// record proves covered by every table's watermark. Each successful
+// checkpoint pass rotates the journal and prunes files its watermarks
+// cover. An oversized journal self-compacts by whole files: replace
+// semantics make a source's older records dead weight once a newer
+// one is durable, so a file holding only such records (and no eviction
+// spill or anonymous push) is deleted without being read; only a
+// journal still oversized after that is rewritten to the latest record
+// per pushing source, under a temporary name until it is complete.
+// Journaling also upgrades eviction: a TTL or
 // max-keys evicted key's final compact is journaled and folded back
 // into the remote aggregate instead of dropped, so eviction stops
 // costing rollup data. Lost in a crash: only un-fsynced journal

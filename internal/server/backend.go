@@ -74,10 +74,10 @@ type backend interface {
 	// skip records the checkpoint already contains.
 	checkpointBody(dst []byte) ([]byte, uint64, error)
 	restoreBody(body []byte, lsn uint64) error
-	// covered reports whether a journal record at lsn is at or below
-	// the applied watermark — already in the state, so replay skips it
-	// without decoding its blob.
-	covered(lsn uint64) bool
+	// watermark is the LSN of the newest journal record in the state
+	// (0 = none): replay skips a record at or below it without decoding
+	// its blob, and a whole file whose records all are.
+	watermark() uint64
 	// bind attaches the backend to its registered name and the server's
 	// journal slot; called once by register.
 	bind(name string, jnl *atomic.Pointer[Journal])
@@ -88,7 +88,7 @@ type backend interface {
 	spillEvict(keyType byte, key, compact []byte) error
 	// replayPush / replayWindow / replayEvict re-apply one journal
 	// record during boot recovery. ReplayJournal calls them only for
-	// records covered reports false for; they re-check the watermark
+	// records above the watermark; they re-check the watermark
 	// under rmu after decoding and skip a record at or below it
 	// (applied = false).
 	replayPush(lsn uint64, source string, blob []byte) (applied bool, err error)
@@ -779,15 +779,14 @@ func (b *tableBackend[K, V, S, C]) foldCompactLocked(k K, c C) error {
 	return nil
 }
 
-// covered reports whether the record at lsn is already folded into the
-// remote state: at or below the watermark a restored checkpoint seeded
-// or an earlier replayed record raised. ReplayJournal asks before it
-// hands a record's blob to a decoder, so a covered record costs its
-// frame CRC and nothing else.
-func (b *tableBackend[K, V, S, C]) covered(lsn uint64) bool {
+// watermark is the applied LSN: a restored checkpoint seeded it, an
+// applied record raised it. ReplayJournal compares a record's LSN with
+// it before it hands the record's blob to a decoder, so a covered
+// record costs its frame CRC and nothing else.
+func (b *tableBackend[K, V, S, C]) watermark() uint64 {
 	b.rmu.Lock()
 	defer b.rmu.Unlock()
-	return lsn <= b.appliedLSN
+	return b.appliedLSN
 }
 
 // replayPush re-applies one journaled push during boot recovery; a

@@ -5,8 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -33,8 +36,17 @@ import (
 // skips records at or below the restored watermark — so a record that
 // made it into the checkpoint is never applied twice (merge-semantics
 // records — eviction spills, anonymous pushes — would double-count),
-// and a record that did not is applied exactly once. File boundaries
-// carry no correctness weight; they only bound disk usage.
+// and a record that did not is applied exactly once.
+//
+// Files are the unit of both compaction and boot, resting on one
+// invariant: every record of file k has a lower LSN than the first
+// record of file k+1. Appends keep it (LSNs only grow, and new records
+// go to the newest file); compaction keeps it by deleting whole files
+// and by making a rewritten file visible under its wal- name only once
+// it is complete. So a boot may skip file k unread once file k+1's first
+// record is at most one past every table's watermark, and compaction
+// may delete a file without reading it once every record in it is
+// superseded by a durable newer record of its replace slot.
 //
 // File format (FCJL, little endian), version 1:
 //
@@ -75,6 +87,7 @@ const (
 	jnlHeaderSize = 24
 	jnlSuffix     = ".fcjl"
 	jnlPrefix     = "wal-"
+	jnlTemp       = ".tmp" // a rewrite's output until it is complete
 
 	// Record frame: u32 length + (lsn + ts + type) + body + crc32.
 	jnlRecOverhead = 4 + 8 + 8 + 1 + 4
@@ -103,11 +116,15 @@ type JournalConfig struct {
 	// alert on fcds_server_journal_unsynced_records staying near the
 	// configured bound (see the fcds package docs' alerting guidance).
 	FsyncEvery int
-	// MaxBytes triggers a compacting rotation when the live journal
-	// (all files) exceeds it: replace-semantics records collapse to the
-	// latest per (table, source, type), merge-semantics records are
-	// carried verbatim, and the old files are deleted. <= 0 means
-	// DefaultJournalMaxBytes; negative disables size-based compaction.
+	// MaxBytes triggers compaction when the journal (all files) exceeds
+	// it, or exceeds twice what the last compaction left if that is
+	// more — live records that alone outgrow MaxBytes must not make
+	// every append compact. Compaction first deletes, unread, every
+	// sealed file whose records were all superseded by a newer record
+	// of their (table, source, type); only a journal still over MaxBytes
+	// is rewritten, keeping the latest record per slot and every
+	// merge-semantics record. 0 means DefaultJournalMaxBytes; negative
+	// disables size-based compaction.
 	MaxBytes int64
 	// Retain is the number of journal files kept by PruneKeep after a
 	// successful checkpoint pass (<= 0 means DefaultRetain). Keep it
@@ -130,12 +147,20 @@ type Journal struct {
 	mu      sync.Mutex
 	f       *os.File
 	seq     uint64 // active file's sequence number
-	size    int64  // active file's size in bytes
-	total   int64  // all files' sizes (compaction trigger)
+	total   int64  // all files' sizes
+	trigger int64  // total past which an append compacts
 	nextLSN uint64
 	dirty   int    // records appended since the last fsync
-	scratch []byte // framing buffer (appendLocked / rewriteLocked)
+	scratch []byte // framing buffer (appendLocked)
 	body    []byte // body-building buffer (typed Append helpers)
+
+	// files holds, per journal file, its size and how many of its
+	// records replay still needs: every merge record, and the newest
+	// record of each replace slot, which slots locates. Appends,
+	// compaction and retention keep both current, so compaction decides
+	// by whole files without reading any.
+	files map[uint64]*fileLive
+	slots map[compactKey]slotRef
 
 	bytes       atomic.Int64 // record bytes appended (headers included)
 	records     atomic.Int64
@@ -225,7 +250,8 @@ type journalFile struct {
 // there, and appending past it would bury valid records behind garbage
 // — replay reads old files as they are, new records go to the new one.
 // Call it AFTER replaying (ReplayJournal): the scan that finds the next
-// LSN is the same tolerant record walk replay does.
+// LSN, and what each file holds that replay still needs, is the same
+// tolerant record walk replay does.
 func OpenJournal(dir string, cfg JournalConfig) (*Journal, error) {
 	if cfg.FsyncEvery <= 0 {
 		cfg.FsyncEvery = 1
@@ -239,25 +265,37 @@ func OpenJournal(dir string, cfg JournalConfig) (*Journal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	j := &Journal{dir: dir, cfg: cfg, nextLSN: 1}
+	j := &Journal{
+		dir: dir, cfg: cfg, nextLSN: 1, trigger: cfg.MaxBytes,
+		files: make(map[uint64]*fileLive), slots: make(map[compactKey]slotRef),
+	}
+	// A rewrite a crash interrupted left its output under the temporary
+	// name, which nothing reads; the files it was copying are all there.
+	temps, _ := filepath.Glob(filepath.Join(dir, jnlPrefix+"*"+jnlSuffix+jnlTemp))
+	for _, path := range temps {
+		_ = os.Remove(path)
+	}
 	files, err := listJournalFiles(dir)
 	if err != nil {
 		return nil, err
 	}
 	for _, jf := range files {
 		path := filepath.Join(dir, jf.name)
-		if jf.seq >= j.seq {
-			j.seq = jf.seq
-		}
+		j.seq = jf.seq // sorted: the last one is the newest
+		fl := &fileLive{}
 		if st, err := os.Stat(path); err == nil {
-			j.total += st.Size()
+			fl.size = st.Size()
 		}
-		// Walk the records to find the highest LSN ever assigned; torn
-		// tails and unreadable files contribute what they can.
+		j.files[jf.seq] = fl
+		j.total += fl.size
+		// Walk the records to find the highest LSN ever assigned and the
+		// records replay needs; torn tails and unreadable files
+		// contribute what they can.
 		_ = walkJournalFile(path, func(rec *JournalRecord) error {
 			if rec.LSN >= j.nextLSN {
 				j.nextLSN = rec.LSN + 1
 			}
+			j.noteLocked(jf.seq, compactKey{rec.Type, rec.Table, rec.Source}, rec.LSN)
 			return nil
 		}, nil)
 	}
@@ -265,6 +303,25 @@ func OpenJournal(dir string, cfg JournalConfig) (*Journal, error) {
 		return nil, err
 	}
 	return j, nil
+}
+
+// journalHeader is the FCJL file header of file seq.
+func journalHeader(seq uint64) []byte {
+	hdr := make([]byte, jnlHeaderSize)
+	copy(hdr[0:4], jnlMagic)
+	hdr[4] = jnlVersion
+	binary.LittleEndian.PutUint64(hdr[8:16], uint64(time.Now().UnixNano()))
+	binary.LittleEndian.PutUint64(hdr[16:24], seq)
+	return hdr
+}
+
+// syncDir makes the directory's entries durable: a file created,
+// renamed or removed just before a crash is there, or gone, after it.
+func syncDir(dir string) {
+	if d, err := os.Open(dir); err == nil {
+		_ = d.Sync()
+		d.Close()
+	}
 }
 
 // openNextLocked starts the next sequence file as the active one.
@@ -285,12 +342,7 @@ func (j *Journal) openNextLocked() error {
 	if err != nil {
 		return err
 	}
-	var hdr [jnlHeaderSize]byte
-	copy(hdr[0:4], jnlMagic)
-	hdr[4] = jnlVersion
-	binary.LittleEndian.PutUint64(hdr[8:16], uint64(time.Now().UnixNano()))
-	binary.LittleEndian.PutUint64(hdr[16:24], j.seq)
-	if _, err := f.Write(hdr[:]); err != nil {
+	if _, err := f.Write(journalHeader(j.seq)); err != nil {
 		f.Close()
 		return err
 	}
@@ -300,12 +352,9 @@ func (j *Journal) openNextLocked() error {
 	}
 	// Make the file name itself durable: a crash right after rotation
 	// must not resurrect a directory without the new file.
-	if d, err := os.Open(j.dir); err == nil {
-		_ = d.Sync()
-		d.Close()
-	}
+	syncDir(j.dir)
 	j.f = f
-	j.size = jnlHeaderSize
+	j.files[j.seq] = &fileLive{size: jnlHeaderSize}
 	j.total += jnlHeaderSize
 	return nil
 }
@@ -323,9 +372,9 @@ func (j *Journal) syncLocked() error {
 	return nil
 }
 
-// appendLocked frames and writes one record, returning its LSN.
-// Callers hold j.mu.
-func (j *Journal) appendLocked(typ byte, body []byte) (uint64, error) {
+// appendLocked frames and writes one record filling slot k (k.typ is
+// the record type), returning its LSN. Callers hold j.mu.
+func (j *Journal) appendLocked(k compactKey, body []byte) (uint64, error) {
 	if j.f == nil {
 		return 0, errors.New("server: journal closed")
 	}
@@ -335,7 +384,7 @@ func (j *Journal) appendLocked(typ byte, body []byte) (uint64, error) {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
 	buf = binary.LittleEndian.AppendUint64(buf, lsn)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(time.Now().UnixNano()))
-	buf = append(buf, typ)
+	buf = append(buf, k.typ)
 	buf = append(buf, body...)
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 	j.scratch = buf[:0]
@@ -346,8 +395,9 @@ func (j *Journal) appendLocked(typ byte, body []byte) (uint64, error) {
 		return 0, err
 	}
 	j.nextLSN++
-	j.size += int64(len(buf))
+	j.files[j.seq].size += int64(len(buf))
 	j.total += int64(len(buf))
+	j.noteLocked(j.seq, k, lsn)
 	j.bytes.Add(int64(len(buf)))
 	j.records.Add(1)
 	j.dirty++
@@ -371,7 +421,7 @@ func (j *Journal) AppendPush(table, source string, blob []byte) (uint64, error) 
 	body = wire.AppendString(body, table)
 	body = wire.AppendString(body, source)
 	body = append(body, blob...)
-	lsn, err := j.appendLocked(jrecPush, body)
+	lsn, err := j.appendLocked(compactKey{jrecPush, table, source}, body)
 	j.body = body[:0]
 	j.maybeCompactLocked()
 	return lsn, err
@@ -386,7 +436,7 @@ func (j *Journal) AppendWindow(table, source string, epoch uint64, blob []byte) 
 	body = wire.AppendString(body, source)
 	body = wire.AppendUvarint(body, epoch)
 	body = append(body, blob...)
-	lsn, err := j.appendLocked(jrecWindow, body)
+	lsn, err := j.appendLocked(compactKey{jrecWindow, table, source}, body)
 	j.body = body[:0]
 	j.maybeCompactLocked()
 	return lsn, err
@@ -405,7 +455,7 @@ func (j *Journal) AppendEvict(table string, keyType byte, key, compact []byte) (
 	body = wire.AppendUvarint(body, uint64(len(key)))
 	body = append(body, key...)
 	body = append(body, compact...)
-	lsn, err := j.appendLocked(jrecEvict, body)
+	lsn, err := j.appendLocked(compactKey{typ: jrecEvict, table: table}, body)
 	j.body = body[:0]
 	j.maybeCompactLocked()
 	return lsn, err
@@ -457,28 +507,39 @@ func (j *Journal) pruneLocked(keep int) error {
 		return nil
 	}
 	for _, jf := range files[:len(files)-keep] {
-		path := filepath.Join(j.dir, jf.name)
-		st, serr := os.Stat(path)
-		if err := os.Remove(path); err != nil {
+		if err := j.removeLocked(jf.seq, jf.name); err != nil {
 			return err
 		}
-		if serr == nil {
-			j.total -= st.Size()
-		}
 		j.pruned.Add(1)
+	}
+	// A slot whose newest record went with a pruned file is gone too.
+	for k, ref := range j.slots {
+		if j.files[ref.seq] == nil {
+			delete(j.slots, k)
+		}
 	}
 	return nil
 }
 
-// maybeCompactLocked compacts the journal in place when its total size
-// crossed MaxBytes: replace-semantics records (push, window) collapse
-// to the latest per (table, source, type), merge-semantics records
-// (evictions, anonymous pushes) are carried verbatim, original LSNs and
-// order preserved — so replay of the compacted journal reaches exactly
-// the state full replay would (pinned by TestJournalCompactionEquivalence).
-// Callers hold j.mu.
+// removeLocked deletes journal file seq (named name) and forgets it.
+func (j *Journal) removeLocked(seq uint64, name string) error {
+	if err := os.Remove(filepath.Join(j.dir, name)); err != nil && !errors.Is(err, os.ErrNotExist) {
+		return err
+	}
+	if fl := j.files[seq]; fl != nil {
+		j.total -= fl.size
+		delete(j.files, seq)
+	}
+	return nil
+}
+
+// maybeCompactLocked compacts the journal when its total size crossed
+// the trigger: MaxBytes, or twice the bytes the last compaction left
+// when that is more. Replay of the compacted journal reaches exactly
+// the state full replay would (pinned by
+// TestJournalCompactionEquivalence). Callers hold j.mu.
 func (j *Journal) maybeCompactLocked() {
-	if j.cfg.MaxBytes < 0 || j.total <= j.cfg.MaxBytes {
+	if j.cfg.MaxBytes < 0 || j.total <= j.trigger {
 		return
 	}
 	if err := j.compactLocked(); err != nil {
@@ -488,86 +549,149 @@ func (j *Journal) maybeCompactLocked() {
 	}
 }
 
-// compactKey identifies the replace slot one push/window record fills.
+// compactKey identifies the slot one record fills: for a named push or
+// window ship, the replace slot only its newest record matters for.
+// Evictions and anonymous pushes merge, so each of theirs matters.
 type compactKey struct {
 	typ           byte
 	table, source string
 }
 
+func (k compactKey) replaces() bool { return k.typ != jrecEvict && k.source != "" }
+
+// fileLive is one journal file's size and the number of its records
+// replay still needs.
+type fileLive struct {
+	size int64
+	live int
+}
+
+// slotRef locates a replace slot's newest record: its file and LSN.
+type slotRef struct{ seq, lsn uint64 }
+
+// noteLocked counts the record at lsn in file seq, filling slot k: a
+// merge record stays live until its file goes, a replace record until
+// a newer record of its slot arrives and takes its place (an older copy
+// — a rewrite's output left beside its inputs — is dead on arrival).
+func (j *Journal) noteLocked(seq uint64, k compactKey, lsn uint64) {
+	if k.replaces() {
+		if old, ok := j.slots[k]; ok {
+			if old.lsn > lsn {
+				return
+			}
+			if fl := j.files[old.seq]; fl != nil {
+				fl.live--
+			}
+		}
+		j.slots[k] = slotRef{seq, lsn}
+	}
+	j.files[seq].live++
+}
+
+// compactLocked drops what replay no longer needs, by whole files. It
+// fsyncs the active file, so every record that superseded another is
+// durable, then deletes every sealed file with no live record without
+// opening it. Only a journal still over MaxBytes is rewritten
+// (rewriteLocked). The next trigger is twice what is left, and never
+// below MaxBytes.
 func (j *Journal) compactLocked() error {
-	files, err := listJournalFiles(j.dir)
-	if err != nil {
-		return err
-	}
-	// Pass 1: find the latest LSN per replace slot.
-	latest := make(map[compactKey]uint64)
-	for _, jf := range files {
-		_ = walkJournalFile(filepath.Join(j.dir, jf.name), func(rec *JournalRecord) error {
-			if rec.Type == jrecPush || rec.Type == jrecWindow {
-				if rec.Source != "" {
-					k := compactKey{rec.Type, rec.Table, rec.Source}
-					if rec.LSN > latest[k] {
-						latest[k] = rec.LSN
-					}
-				}
-			}
-			return nil
-		}, nil)
-	}
-	// Pass 2: stream the live records into a fresh file.
-	if err := j.openNextLocked(); err != nil {
-		return err
-	}
-	compacted := files
-	kept, dropped := 0, 0
-	for _, jf := range compacted {
-		_ = walkJournalFile(filepath.Join(j.dir, jf.name), func(rec *JournalRecord) error {
-			if rec.Type == jrecPush || rec.Type == jrecWindow {
-				if rec.Source != "" && latest[compactKey{rec.Type, rec.Table, rec.Source}] != rec.LSN {
-					dropped++
-					return nil
-				}
-			}
-			kept++
-			return j.rewriteLocked(rec)
-		}, nil)
-	}
 	if err := j.syncLocked(); err != nil {
 		return err
 	}
-	// Old files only go away once the replacement is durable.
-	for _, jf := range compacted {
-		path := filepath.Join(j.dir, jf.name)
-		st, serr := os.Stat(path)
-		if err := os.Remove(path); err != nil {
+	dead := 0
+	for seq, fl := range j.files {
+		if seq == j.seq || fl.live > 0 {
+			continue
+		}
+		if err := j.removeLocked(seq, journalFileName(seq)); err != nil {
 			return err
 		}
-		if serr == nil {
-			j.total -= st.Size()
+		dead++
+	}
+	if j.total > j.cfg.MaxBytes {
+		if err := j.rewriteLocked(); err != nil {
+			return err
 		}
 	}
+	j.trigger = max(j.cfg.MaxBytes, 2*j.total)
 	j.compactions.Add(1)
-	j.logf("server: journal compacted: %d records kept, %d superseded, %d bytes live", kept, dropped, j.total)
+	j.logf("server: journal compacted: %d dead files deleted, %d bytes live", dead, j.total)
 	return nil
 }
 
-// rewriteLocked re-frames an existing record (original LSN and
-// timestamp) into the active file during compaction.
-func (j *Journal) rewriteLocked(rec *JournalRecord) error {
-	buf := j.scratch[:0]
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rec.body)+jnlRecOverhead-4))
-	buf = binary.LittleEndian.AppendUint64(buf, rec.LSN)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(rec.TS))
-	buf = append(buf, rec.Type)
-	buf = append(buf, rec.body...)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-	j.scratch = buf[:0]
-	if _, err := j.f.Write(buf); err != nil {
+// rewriteLocked copies the live records of every file, in file order
+// with their original frames, into one new file, which becomes the
+// active one, and deletes the old files. The copy takes its wal- name
+// only once it is complete and durable: it is written under a temporary
+// name, fsynced, renamed, and the directory fsynced before any old file
+// goes. A crash therefore leaves the old files, alone or beside a
+// complete copy — never a partial copy that a boot would read as the
+// successor of the last old file. Callers hold j.mu, with the active
+// file synced.
+func (j *Journal) rewriteLocked() error {
+	seqs := slices.Sorted(maps.Keys(j.files))
+	out := j.seq + 1
+	final := filepath.Join(j.dir, journalFileName(out))
+	tmp := final + jnlTemp
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
 		return err
 	}
-	j.size += int64(len(buf))
-	j.total += int64(len(buf))
-	j.dirty++
+	fail := func(err error) error {
+		f.Close()
+		os.Remove(tmp)
+		return err
+	}
+	if _, err := f.Write(journalHeader(out)); err != nil {
+		return fail(err)
+	}
+	fl := &fileLive{size: jnlHeaderSize}
+	slots := make(map[compactKey]slotRef, len(j.slots))
+	dropped := 0
+	for _, seq := range seqs {
+		var werr error
+		_ = walkJournalFile(filepath.Join(j.dir, journalFileName(seq)), func(rec *JournalRecord) error {
+			k := compactKey{rec.Type, rec.Table, rec.Source}
+			if k.replaces() {
+				if j.slots[k] != (slotRef{seq, rec.LSN}) {
+					dropped++
+					return nil
+				}
+				slots[k] = slotRef{out, rec.LSN}
+			}
+			if _, werr = f.Write(rec.frame); werr != nil {
+				return werr
+			}
+			fl.size += int64(len(rec.frame))
+			fl.live++
+			return nil
+		}, nil)
+		if werr != nil {
+			return fail(werr)
+		}
+	}
+	if err := f.Sync(); err != nil {
+		return fail(err)
+	}
+	if err := os.Rename(tmp, final); err != nil {
+		return fail(err)
+	}
+	syncDir(j.dir)
+	// The copy is durable under its own name: it becomes the active
+	// file, and the files it copied may go. The old active file was
+	// synced before the copy and is deleted below, so its Close error
+	// changes nothing.
+	j.f.Close()
+	j.f, j.seq, j.dirty = f, out, 0
+	j.files[out] = fl
+	j.total += fl.size
+	j.slots = slots
+	for _, seq := range seqs {
+		if err := j.removeLocked(seq, journalFileName(seq)); err != nil {
+			return err
+		}
+	}
+	j.logf("server: journal rewritten: %d records kept, %d superseded", fl.live, dropped)
 	return nil
 }
 
@@ -582,7 +706,7 @@ func (j *Journal) LSN() uint64 {
 // Stats returns a snapshot of the journal's counters.
 func (j *Journal) Stats() JournalStats {
 	j.mu.Lock()
-	seq, size, total := j.seq, j.size, j.total
+	seq, size, total := j.seq, j.files[j.seq].size, j.total
 	j.mu.Unlock()
 	return JournalStats{
 		ActiveSeq: seq, ActiveBytes: size, TotalBytes: total,
@@ -631,7 +755,7 @@ type JournalRecord struct {
 	Key           []byte
 	Blob          []byte
 
-	body []byte // raw body, for compaction rewrite
+	frame []byte // the whole framed record, for compaction's rewrite
 }
 
 // walkJournalFile streams a journal file's records through fn, stopping
@@ -684,12 +808,12 @@ func parseJournalRecord(data []byte) (*JournalRecord, int, bool) {
 		return nil, 0, false
 	}
 	rec := &JournalRecord{
-		LSN:  binary.LittleEndian.Uint64(frame[4:12]),
-		TS:   int64(binary.LittleEndian.Uint64(frame[12:20])),
-		Type: frame[20],
-		body: frame[21 : len(frame)-4],
+		LSN:   binary.LittleEndian.Uint64(frame[4:12]),
+		TS:    int64(binary.LittleEndian.Uint64(frame[12:20])),
+		Type:  frame[20],
+		frame: frame,
 	}
-	r := wire.Reader{Buf: rec.body}
+	r := wire.Reader{Buf: frame[21 : len(frame)-4]}
 	rec.Table = r.String()
 	switch rec.Type {
 	case jrecPush:
@@ -724,14 +848,17 @@ func parseJournalRecord(data []byte) (*JournalRecord, int, bool) {
 
 // JournalReplayStats reports what one replay pass covered.
 type JournalReplayStats struct {
-	// Files is the number of journal files walked; Records the number
-	// of records applied; Skipped the records already covered by the
-	// restored checkpoints' LSN watermarks (frame CRC-checked, blob
-	// never decoded); UnknownTable the records for tables the new
+	// Files is the number of journal files walked; SkippedFiles the
+	// number left unread because every record in them lies at or below
+	// every registered table's watermark (the next file's first record
+	// proves it). Records is the number of records applied; Skipped the
+	// records of walked files already covered by the restored
+	// checkpoints' LSN watermarks (frame CRC-checked, blob never
+	// decoded); UnknownTable the records for tables the new
 	// configuration no longer registers; Stale the window records whose
 	// epoch the receiver had already passed; Errors the intact records
 	// that no longer apply (logged, skipped).
-	Files, Records, Skipped, UnknownTable, Stale, Errors int
+	Files, SkippedFiles, Records, Skipped, UnknownTable, Stale, Errors int
 	// TornBytes counts trailing bytes discarded as torn writes.
 	TornBytes int64
 	// MaxLSN is the highest LSN seen; NewestTS the append timestamp of
@@ -741,17 +868,27 @@ type JournalReplayStats struct {
 	NewestTS int64
 }
 
-// replayJournalDir walks every journal file in dir in sequence order
-// and hands each intact record to apply. Unrecognized and unreadable
-// files are logged and skipped, torn tails truncated and counted —
-// recovery must always make it through whatever a crash left behind.
-func replayJournalDir(dir string, apply func(*JournalRecord, *JournalReplayStats) error, logf func(string, ...any)) (JournalReplayStats, error) {
+// replayJournalDir walks the journal files in dir in sequence order and
+// hands each intact record to apply. A file is skipped unread when the
+// next file's first record is intact and at most through+1: by the
+// LSN-order invariant every record of the file is then at or below
+// through, which the caller guarantees is covered (0 skips nothing).
+// Unrecognized and unreadable files are logged and skipped, torn tails
+// truncated and counted — recovery must always make it through
+// whatever a crash left behind.
+func replayJournalDir(dir string, through uint64, apply func(*JournalRecord, *JournalReplayStats) error, logf func(string, ...any)) (JournalReplayStats, error) {
 	var st JournalReplayStats
 	files, err := listJournalFiles(dir)
 	if err != nil {
 		return st, err
 	}
-	for _, jf := range files {
+	for i, jf := range files {
+		if through > 0 && i+1 < len(files) {
+			if lsn, ok := firstRecordLSN(filepath.Join(dir, files[i+1].name)); ok && lsn-1 <= through {
+				st.SkippedFiles++
+				continue
+			}
+		}
 		path := filepath.Join(dir, jf.name)
 		var torn int64
 		err := walkJournalFile(path, func(rec *JournalRecord) error {
@@ -775,4 +912,41 @@ func replayJournalDir(dir string, apply func(*JournalRecord, *JournalReplayStats
 		}
 	}
 	return st, nil
+}
+
+// firstRecordLSN returns the LSN of a journal file's first record; ok
+// is false unless the header and that record's frame are intact. It
+// reads the header and one frame, sized by the length field only once
+// the file is known to hold that many bytes.
+func firstRecordLSN(path string) (lsn uint64, ok bool) {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, false
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, false
+	}
+	var head [jnlHeaderSize + 4]byte
+	if _, err := io.ReadFull(f, head[:]); err != nil {
+		return 0, false
+	}
+	if string(head[0:4]) != jnlMagic || head[4] != jnlVersion {
+		return 0, false
+	}
+	n := int64(binary.LittleEndian.Uint32(head[jnlHeaderSize:]))
+	if n < jnlRecOverhead-4 || n > fi.Size()-int64(len(head)) {
+		return 0, false
+	}
+	frame := make([]byte, 4+n)
+	copy(frame, head[jnlHeaderSize:])
+	if _, err := io.ReadFull(f, frame[4:]); err != nil {
+		return 0, false
+	}
+	rec, _, ok := parseJournalRecord(frame)
+	if !ok {
+		return 0, false
+	}
+	return rec.LSN, true
 }

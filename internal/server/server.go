@@ -27,8 +27,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -241,19 +243,22 @@ func (s *Server) Journal() *Journal {
 // checkpoints: every record above its table's restored LSN watermark
 // is decoded, admitted and applied exactly as the original frame was;
 // a record at or below it is skipped after its frame CRC, without
-// decoding its blob (the checkpoint already contains it). Torn tails
-// are truncated, and records for tables this configuration no longer
-// registers are logged and counted but do not fail the boot. Call it
-// after RestoreCheckpoints and before AttachJournal/Start.
+// decoding its blob (the checkpoint already contains it). A whole file
+// is skipped unread when the next file's first record is at most one
+// past the lowest watermark of the registered tables (0 when any table
+// has none): every record in it is covered. Torn tails are truncated,
+// and records for tables this configuration no longer registers are
+// logged and counted but do not fail the boot. Call it after
+// RestoreCheckpoints and before AttachJournal/Start.
 func (s *Server) ReplayJournal(dir string) (JournalReplayStats, error) {
-	st, err := replayJournalDir(dir, func(rec *JournalRecord, st *JournalReplayStats) error {
+	st, err := replayJournalDir(dir, s.coveredThrough(), func(rec *JournalRecord, st *JournalReplayStats) error {
 		b, ok := s.lookup(rec.Table)
 		if !ok {
 			st.UnknownTable++
 			s.logf("server: journal replay: table %q not registered, skipping record lsn=%d", rec.Table, rec.LSN)
 			return nil
 		}
-		if b.covered(rec.LSN) {
+		if rec.LSN <= b.watermark() {
 			st.Skipped++
 			return nil
 		}
@@ -292,11 +297,28 @@ func (s *Server) ReplayJournal(dir string) (JournalReplayStats, error) {
 	}
 	s.replayRecords.Store(int64(st.Records))
 	s.replayTS.Store(st.NewestTS)
-	if st.Files > 0 {
-		s.logf("server: journal replay: %d files, %d records applied, %d already checkpointed, %d unknown-table, %d stale, %d errors, %d torn bytes truncated",
-			st.Files, st.Records, st.Skipped, st.UnknownTable, st.Stale, st.Errors, st.TornBytes)
+	if st.Files+st.SkippedFiles > 0 {
+		s.logf("server: journal replay: %d files, %d files already checkpointed, %d records applied, %d already checkpointed, %d unknown-table, %d stale, %d errors, %d torn bytes truncated",
+			st.Files, st.SkippedFiles, st.Records, st.Skipped, st.UnknownTable, st.Stale, st.Errors, st.TornBytes)
 	}
 	return st, nil
+}
+
+// coveredThrough is the lowest watermark of the registered tables (0
+// when any table has none, or none is registered): every journal
+// record at or below it is already in the state.
+func (s *Server) coveredThrough() uint64 {
+	s.mu.Lock()
+	tables := slices.Collect(maps.Values(s.tables))
+	s.mu.Unlock()
+	if len(tables) == 0 {
+		return 0
+	}
+	through := tables[0].watermark()
+	for _, b := range tables[1:] {
+		through = min(through, b.watermark())
+	}
+	return through
 }
 
 // JournalReplay reports the last boot's replay pass: how many records
