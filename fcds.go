@@ -89,8 +89,8 @@
 // queue, and each sketch is pinned to a home worker at attach time —
 // keyed tables derive the assignment from the key hash, so one worker
 // always merges a given key's global sketch (it stays hot in that
-// worker's cache), and the same key in a rotated window epoch inherits
-// the same worker. Balance comes from bounded work stealing: an idle
+// worker's cache), and a windowed table's key keeps its sketch, and so
+// its worker, across epochs. Balance comes from bounded work stealing: an idle
 // worker steals one queued sketch at a time from a backed-up or
 // stalled sibling, and PropagatorPool.Stats exposes per-worker
 // depth/steal/run counters. Liveness never depends on a steal — every
@@ -209,19 +209,20 @@
 // -push-every snapshot interval, the -checkpoint-every durability
 // interval, or a dashboard's scrape period. If p99 pass duration
 // approaches that period, passes overlap: raise the degree, shard
-// the table across processes, or lengthen the interval. Windowed
-// tables add one sealed-aggregate rebuild per rotation (same fan-out,
-// same histograms), so Width must also exceed the pass duration.
+// the table across processes, or lengthen the interval. A windowed
+// table's reads are these same table reads over its per-key epoch
+// rings (same fan-out).
 //
 // # Sliding windows
 //
 // Point-in-time sketches answer "uniques ever"; dashboards ask
 // "uniques in the last N minutes". The windowed types answer that with
-// an epoch ring: time is cut into Slots epochs of Width each, every
-// epoch owns a fresh concurrent sketch, and a rotation (explicit
-// Rotate, or an AutoRotate ticker) retires the epoch that fell off the
-// ring — which is how sliding windows work over merge-only sketches:
-// expired data leaves wholesale with its epoch, everything else merges.
+// an epoch ring: time is cut into Slots epochs of Width each, the
+// active epoch has a live concurrent sketch, every sealed epoch is a
+// compact, and a rotation (explicit Rotate, or an AutoRotate ticker)
+// seals the active epoch and drops the one that fell off the ring —
+// which is how sliding windows work over merge-only sketches: expired
+// data leaves wholesale with its epoch, everything else merges.
 //
 //	w := fcds.NewWindowedTheta(fcds.WindowedThetaConfig{
 //		Sketch: fcds.ConcurrentThetaConfig{K: 4096, Writers: 4},
@@ -232,21 +233,27 @@
 //	w.Writer(i).UpdateBatch(ids)    // same batch pipeline per epoch
 //	last10m := w.QueryWindow()      // uniques over the last ~10 minutes
 //
-// WindowedTheta/WindowedQuantiles/WindowedHLL window one stream; the
-// windowed tables (NewWindowedThetaTable, ...) window per key across
-// millions of keys, rotating whole keyed tables through the table
-// snapshot path and answering QueryWindow(key) from at most three
-// merged per-key compacts.
+// WindowedTheta/WindowedQuantiles/WindowedHLL window one stream: one
+// ring. The windowed tables (NewWindowedThetaTable, ...) window per key
+// across millions of keys: one keyed table whose per-key sketch is a
+// ring, so its writer caches, key placement and flat keys outlive every
+// rotation, and QueryWindow(key) is one map lookup plus at most one
+// merge (the key's sealed epochs, cached, with its live epoch). A
+// rotation flushes every writer slot before it seals an epoch, so
+// sealed epochs are complete: a window query misses at most r = 2·N·b
+// of the newest updates in all, all in the active epoch
+// (RelaxationPerEpoch), and items leave the window in epoch-width
+// steps (quantisation W). Rotate may be called at any time and as
+// often as wanted, beside ingestion and reads. QueryWindowCached is a
+// single atomic read (strictly wait-free) of the sealed epochs,
+// refreshed once per rotation.
 //
-// Error bounds compose per epoch: each epoch is a full r-relaxed
-// concurrent sketch, so a window query may miss up to r = 2·N·b of
-// the newest updates of each epoch it spans (RelaxationPerEpoch), and
-// items leave the window in epoch-width steps (quantisation W). The
-// cached aggregate of sealed epochs additionally defers a sealed
-// epoch's unflushed tail — again at most r per epoch — until the next
-// rotation folds it in. QueryWindow never blocks ingestion;
-// QueryWindowCached is a single atomic read (strictly wait-free) that
-// refreshes once per rotation.
+// A windowed table's TableConfig applies to the whole window: Keys()
+// and MaxKeys count every key with data anywhere in the window, and
+// OnEvict receives an evicted key's whole-window compact. A key leaves
+// when its last epoch expires — the window's own TTL; a windowed table
+// has no EvictExpired. HotKeys is refused (NewWindowed*Table panics):
+// an epoch ring has no scale-up ladder.
 //
 // # Network ingestion and snapshot shipping
 //

@@ -194,7 +194,9 @@ type StringEngine[V any] interface {
 // That is sound under two conditions the implementer guarantees. A
 // hint never goes stale the wrong way: an item ShouldAdd rejects
 // against a hint a sketch once returned would change nothing if that
-// sketch ingested it at any later time (Θ only falls). And a rebuild
+// sketch ingested it at any later time (Θ only falls — up to a Reset,
+// which the composite that calls it must make its writers forget
+// first, as a table's Sweep does). And a rebuild
 // seeded from the sketch's own compact (ScalableEngine.NewSketchSeeded,
 // hot-key promotion and demotion) inherits the filter, so the hint
 // outlives the sketch object for as long as the composite keeps the
@@ -217,29 +219,4 @@ type FilterSketch[V any] interface {
 	// sketch that is flat, in exact mode or built with filtering
 	// disabled. Wait-free, like Query.
 	CalcHint() (hint V, ok bool)
-}
-
-// HintedEngine is an optional Engine capability: deriving a compact
-// that carries a family's earned pre-filtering strength but none of
-// its data. The epoch ring uses it at rotation — a freshly rotated
-// epoch seeded with the previous epoch's (loosened) Θ hint starts
-// discarding most of the stream immediately instead of re-paying the
-// eager phase from scratch, and because the hint carries no sample
-// set, the new epoch still counts only its own items.
-//
-// ok=false means the source compact has no filter strength worth
-// carrying (e.g. a Θ sketch still in exact mode) or the family has no
-// data-free filter at all; callers fall back to an unseeded sketch.
-type HintedEngine[C any] interface {
-	// HintCompact derives the data-free filter-hint compact.
-	HintCompact(from C) (hint C, ok bool)
-}
-
-// ReseedableSketch is an optional EngineSketch capability: Reset
-// seeded from a compact (typically a HintCompact result) instead of
-// to the fully empty state, reusing the sketch's propagation
-// attachment and writer slots. Same exclusivity contract as Reset.
-type ReseedableSketch[C any] interface {
-	// ResetSeeded restores the state NewSketchSeeded would create.
-	ResetSeeded(from C)
 }

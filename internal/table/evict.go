@@ -1,5 +1,7 @@
 package table
 
+import "github.com/fcds/fcds/internal/core"
+
 // maybeEvictCap enforces the per-shard key cap after inserts into
 // shard si, evicting least-recently-updated keys first.
 func (t *Table[K, V, S, C]) maybeEvictCap(si uint64) {
@@ -134,6 +136,45 @@ func (t *Table[K, V, S, C]) Drain() {
 			e.mu.Unlock()
 		}
 		sh.mu.RUnlock()
+	}
+}
+
+// Sweep hands every live key's sketch to visit with the key to itself:
+// the key's shard lock and entry lock are both held exclusive, and
+// every writer slot of the sketch has been flushed — the ownership
+// finalize relies on. A key for which visit returns false leaves the
+// table by eviction's steps (map removal, key count, dead, Close),
+// without a spill and without counting as an eviction. It is the
+// seam for a composite whose per-key sketch changes shape under its
+// owner: a windowed table seals each key's epoch ring here.
+//
+// Both locks are exclusive because every reader holds one of them:
+// writers and whole-table reads hold the entry lock shared, per-key
+// Query and CompactKey without a hot-key policy only the shard read
+// lock. So no read sees a sketch halfway through visit. Before it
+// visits a shard's keys, Sweep bumps the shard's cache stamp inside the
+// shard's critical section: a key visit removes is then covered by the
+// removal argument in the package comment, and so is a writer's cached
+// filter hint, which visit may have invalidated (see there).
+func (t *Table[K, V, S, C]) Sweep(visit func(k K, sk core.EngineSketch[V, S, C]) (keep bool)) {
+	for i := range t.shards {
+		sh := &t.shards[i]
+		sh.mu.Lock()
+		t.epochs[i].Add(1)
+		for k, e := range sh.m {
+			e.mu.Lock()
+			for w := 0; w < t.cfg.Writers; w++ {
+				e.sk.Flush(w)
+			}
+			if !visit(k, e.sk) {
+				delete(sh.m, k)
+				t.keys.Add(-1)
+				e.sk.Close()
+				e.dead = true
+			}
+			e.mu.Unlock()
+		}
+		sh.mu.Unlock()
 	}
 }
 

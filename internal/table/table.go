@@ -13,8 +13,8 @@
 // sketches have outstanding handoffs. Attachment is shard-affine: the
 // key hash doubles as the sketch's pool-affinity key, so one worker
 // always merges a given key's global sketch (it stays hot in that
-// worker's cache) and a key recreated in a later epoch of a windowed
-// table inherits the same home worker.
+// worker's cache). A windowed table keeps each key's sketch — an epoch
+// ring — across epochs, and with it the home worker.
 //
 // Layout: keys hash into power-of-two shards. Each shard holds a
 // lock-guarded map; sketches are created lazily on first update. The
@@ -58,6 +58,21 @@
 // slot and the key takes the unfiltered path through the shard map, so
 // an evicted key is never resurrected, or filtered against, through the
 // cache.
+//
+// One composite's sketch does let Θ rise: a windowed table's epoch ring,
+// whose live sketch Sweep Resets when it seals an epoch. Sweep bumps
+// each shard's stamp inside the shard's critical section, before it
+// seals any of that shard's rings. A writer that validated its slot
+// before the bump drops items against the old epoch's hint; it
+// validated while the old epoch was live, so the drops linearise there,
+// before the seal, as updates that changed nothing. A writer that
+// validates after the bump finds a stale stamp, re-resolves the key
+// through the shard map and takes a fresh hint from the new live
+// sketch after its first unfiltered run. Without the bump, a cached Θ
+// would silently drop the new epoch's items. A run already resolved
+// re-checks the stamp under the entry lock before it reaches the
+// sketch (see apply), so it lands wholly before or wholly after the
+// seal.
 //
 // A Θ key has three representations, chosen from its own update count
 // (flat → concurrent → promoted), never by an option. While it is in
@@ -162,7 +177,8 @@ func (c Config[K]) withDefaults() Config[K] {
 // entry is one live key. mu serialises sketch liveness and identity:
 // updaters hold it shared for the duration of their sketch calls,
 // evictors hold it exclusive while draining and closing the sketch,
-// and hot-key promotion holds it exclusive while swapping sk for a
+// Sweep holds it exclusive while its visit reshapes the sketch, and
+// hot-key promotion holds it exclusive while swapping sk for a
 // scaled-up rebuild. touched is the UnixNano of the last update, for
 // TTL/LRU eviction; hits counts ingested updates since creation or the
 // last promotion.

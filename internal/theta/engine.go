@@ -85,33 +85,6 @@ func (e *Engine) NewSketchSeeded(pool *core.PropagatorPool, affinityKey uint64, 
 	return s
 }
 
-// carryHintHeadroom loosens a carried Θ hint by this factor. A hint
-// seeds a fresh sketch with an empty sample set and a fixed threshold
-// θ₀, making it a fixed-threshold KMV estimator (count/θ₀ — unbiased
-// at any θ₀ < 1, tested by the window carry error-bound test), but its
-// variance degrades if the new stream is much smaller than the one
-// that earned θ₀: at an epoch-over-epoch cardinality drop of d, only
-// ~k/d items survive the carried filter. Loosening by 8 tolerates an
-// 8× drop at full accuracy while still discarding ~everything the
-// previous filter would have, so the new epoch skips most of its
-// re-pay; if the stream really shrank further, the sketch simply keeps
-// more than k samples until its own Θ catches up — accuracy is never
-// worse than the hintless sketch, only memory transiently is.
-const carryHintHeadroom = 8
-
-// HintCompact implements the optional core.HintedEngine capability:
-// a data-free compact carrying only the source's Θ pre-filter,
-// loosened by carryHintHeadroom. ok=false when the source is still in
-// exact mode (θ = 1: no filter strength to carry) or so lightly
-// filtered that loosening would round it back to exact mode.
-func (e *Engine) HintCompact(from *Compact) (*Compact, bool) {
-	t := from.Theta()
-	if t >= hash.MaxThetaValue/carryHintHeadroom {
-		return nil, false
-	}
-	return newCompactFromUnsorted(nil, t*carryHintHeadroom, from.Seed()), true
-}
-
 // maxScaledBuffer caps hot-key buffer growth: past this, handoffs are
 // no longer the bottleneck and r = 2·N·b staleness keeps doubling for
 // nothing.
@@ -409,21 +382,11 @@ func (s *engineSketch) Close() {
 // Reset implements core.EngineSketch: equivalent to Close followed by a
 // fresh sketch on the same executor — flat again when the engine has an
 // eager phase. The caller must hold the same exclusivity as for Close.
-func (s *engineSketch) Reset() { s.restart(nil) }
-
-// ResetSeeded implements core.ReseedableSketch: Reset, but the fresh
-// sketch starts from the compact (for a HintCompact result: empty
-// sample set, carried Θ as every writer's initial pre-filter hint), so
-// it is concurrent from the start. Same exclusivity contract as Reset;
-// an incompatible compact falls back to the empty sketch, like
-// NewSketchSeeded.
-func (s *engineSketch) ResetSeeded(from *Compact) { s.restart(from) }
-
-func (s *engineSketch) restart(from *Compact) {
+func (s *engineSketch) Reset() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if c := s.c.Load(); c != nil {
 		c.Close()
 	}
-	s.start(from)
+	s.start(nil)
 }

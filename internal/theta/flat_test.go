@@ -134,8 +134,8 @@ func TestFlatSketchBigRunMaterializes(t *testing.T) {
 }
 
 // TestFlatSketchResetAndClose: Reset returns a materialized sketch to
-// flat (detaching it), ResetSeeded makes it concurrent at once, and a
-// closed sketch fails loudly on every later use, flat or not.
+// flat (detaching it), a run to the eager limit materializes it again,
+// and a closed sketch fails loudly on every later use, flat or not.
 func TestFlatSketchResetAndClose(t *testing.T) {
 	pool := core.NewPropagatorPool(1)
 	defer pool.Close()
@@ -158,13 +158,10 @@ func TestFlatSketchResetAndClose(t *testing.T) {
 	if got := sk.Query(); got != 2 {
 		t.Fatalf("estimate after Reset and two items = %v, want 2", got)
 	}
-	hint, ok := eng.HintCompact(newCompactFromUnsorted(nil, hash.MaxThetaValue/64, eng.Seed()))
-	if !ok {
-		t.Fatal("no hint from an estimation-mode compact")
-	}
-	sk.(core.ReseedableSketch[*Compact]).ResetSeeded(hint)
-	if n, est := pool.Sketches(), sk.Query(); n != 1 || est != 0 {
-		t.Fatalf("after ResetSeeded: %d pool sketches, estimate %v; want 1, 0", n, est)
+	sk.UpdateBatch(0, run)
+	sk.Flush(0)
+	if n := pool.Sketches(); n != 1 {
+		t.Fatalf("after Reset and a run to the eager limit: %d pool sketches, want 1", n)
 	}
 	sk.Close()
 	sk.Close() // idempotent

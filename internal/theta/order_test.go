@@ -251,13 +251,6 @@ func TestDisabledEagerPhaseStaysDisabled(t *testing.T) {
 		t.Error("unseeded sketch of a ScaleUp engine runs core's eager phase")
 	}
 
-	reset := base.NewSketchAffine(pool, 1)
-	defer reset.Close()
-	reset.(*engineSketch).ResetSeeded(from)
-	if concurrentOf(reset).Eager() {
-		t.Error("ResetSeeded: core's eager phase is on")
-	}
-
 	// A flat key that materializes is past the phase too.
 	grown := base.NewSketchAffine(pool, 1)
 	defer grown.Close()

@@ -6,15 +6,16 @@ import (
 	"testing"
 	"time"
 
+	"github.com/fcds/fcds/internal/core"
 	"github.com/fcds/fcds/internal/table"
 	"github.com/fcds/fcds/internal/theta"
 )
 
-// orderTestWindow is a 5-slot Θ window after four rotations: epochs 0
-// and 1 sealed, 2 draining, 3 active. Key k appears in the epochs whose
-// bit is set in k (1 … 15), so every combination of places is covered;
-// per epoch a key gets 10, 60 or 2 000 items — flat, exact-mode
-// concurrent, estimation mode (K = 64, eager limit 50).
+// orderTestWindow is a 5-slot Θ window after three rotations: epochs
+// 0, 1 and 2 sealed, 3 active. Key k appears in the epochs whose bit is
+// set in k (1 … 15), so every combination of places is covered; per
+// epoch a key gets 10, 60 or 2 000 items — flat, exact-mode concurrent,
+// estimation mode (K = 64, eager limit 50).
 func orderTestWindow(t testing.TB) (*Table[uint64, uint64, float64, *theta.Compact], *theta.Engine) {
 	tcfg, eng := table.ThetaConfig[uint64]{
 		Table: table.Config[uint64]{Writers: 1, Shards: 8},
@@ -41,6 +42,19 @@ func orderTestWindow(t testing.TB) (*Table[uint64, uint64, float64, *theta.Compa
 	return wt, eng
 }
 
+type thetaRing = ring[uint64, float64, *theta.Compact]
+
+// ringsOf returns every key's epoch ring. The sweep's visit only looks:
+// nothing is sealed or removed.
+func ringsOf(wt *Table[uint64, uint64, float64, *theta.Compact]) map[uint64]*thetaRing {
+	m := make(map[uint64]*thetaRing)
+	wt.t.Sweep(func(k uint64, sk core.EngineSketch[uint64, float64, *theta.Compact]) bool {
+		m[k] = sk.(*thetaRing)
+		return true
+	})
+	return m
+}
+
 func marshal(t *testing.T, c *theta.Compact) []byte {
 	t.Helper()
 	b, err := c.MarshalBinary()
@@ -51,28 +65,25 @@ func marshal(t *testing.T, c *theta.Compact) []byte {
 }
 
 // TestWindowReadsLeaveSealedCompactsUnordered: sealing an epoch, the
-// lazy sealed aggregate, per-key window queries and the window rollup
-// all merge per-key compacts and need none of them in order.
+// lazy union of sealed epochs, per-key window queries and the window
+// rollup all merge per-key compacts and need none of them in order.
 func TestWindowReadsLeaveSealedCompactsUnordered(t *testing.T) {
 	wt, _ := orderTestWindow(t)
 	defer wt.Close()
-	v := wt.view.Load()
-	if len(v.sealed) != 2 {
-		t.Fatalf("%d sealed epochs, want 2", len(v.sealed))
-	}
+	rings := ringsOf(wt)
 	check := func(when string) {
 		t.Helper()
 		n := 0
-		for e, s := range v.sealed {
-			s.ForEach(func(k uint64, c *theta.Compact) {
+		for k, r := range rings {
+			for _, s := range r.sealed {
 				n++
-				if c.IsOrdered() {
-					t.Errorf("%s: sealed epoch %d key %d is ordered (%d samples)", when, e, k, c.Retained())
+				if s.c.IsOrdered() {
+					t.Errorf("%s: key %d sealed epoch %d is ordered (%d samples)", when, k, s.epoch, s.c.Retained())
 				}
-			})
+			}
 		}
-		if n != 16 { // 8 keys have bit 0, 8 have bit 1
-			t.Fatalf("%d sealed compacts, want 16", n)
+		if n != 24 { // 8 keys have each of bits 0, 1, 2
+			t.Fatalf("%d sealed compacts, want 24", n)
 		}
 	}
 	check("after Rotate")
@@ -83,75 +94,79 @@ func TestWindowReadsLeaveSealedCompactsUnordered(t *testing.T) {
 	check("after RollupWindow and QueryWindow")
 }
 
-// TestMergeSealedOrderedInputsMatchUnordered: the sealed aggregate
-// built from ordered per-key compacts (each union stops early) is key
-// by key the aggregate built from the same compacts unordered, and so
-// is the window rollup over it.
+// TestMergeSealedOrderedInputsMatchUnordered: a key's union of sealed
+// epochs built from ordered compacts (each union stops early) is the
+// union built from the same compacts unordered, and so is the window
+// rollup over it.
 func TestMergeSealedOrderedInputsMatchUnordered(t *testing.T) {
-	wt, eng := orderTestWindow(t)
+	wt, _ := orderTestWindow(t)
 	defer wt.Close()
-	v := wt.view.Load()
-	rollup := func(s *table.TableSnapshot[uint64, *theta.Compact]) []byte {
-		agg := eng.NewAggregator()
-		s.ForEach(func(_ uint64, c *theta.Compact) { _ = agg.Add(c) })
-		return marshal(t, agg.Result())
+	rings := ringsOf(wt)
+	unions := func() map[uint64]*theta.Compact {
+		m := make(map[uint64]*theta.Compact)
+		for k, r := range rings {
+			r.union.Store(nil)
+			if u, ok := r.sealedUnion(); ok && len(r.sealed) > 1 {
+				m[k] = u
+			}
+		}
+		return m
 	}
-	unordered := wt.mergeSealed(v.sealed)
-	unorderedRollup := rollup(unordered)
-	for _, s := range v.sealed {
-		s.ForEach(func(_ uint64, c *theta.Compact) { c.Hashes() })
+	unordered := unions()
+	unorderedRollup := marshal(t, wt.RollupWindow())
+	for _, r := range rings {
+		for _, s := range r.sealed {
+			s.c.Hashes()
+		}
 	}
-	ordered := wt.mergeSealed(v.sealed)
-	if ordered.Len() != 12 || unordered.Len() != 12 { // keys with bit 0 or bit 1
-		t.Fatalf("aggregates hold %d and %d keys, want 12", ordered.Len(), unordered.Len())
+	ordered := unions()
+	if len(ordered) != 8 || len(unordered) != 8 { // keys with two or three of bits 0-2
+		t.Fatalf("%d and %d keys have a merged union, want 8", len(ordered), len(unordered))
 	}
-	ordered.ForEach(func(k uint64, o *theta.Compact) {
-		u, ok := unordered.Get(k)
-		if !ok || o.Theta() != u.Theta() || !slices.Equal(o.Hashes(), u.Hashes()) {
+	for k, o := range ordered {
+		u := unordered[k]
+		if o.Theta() != u.Theta() || !slices.Equal(o.Hashes(), u.Hashes()) {
 			t.Errorf("key %d: ordered inputs gave Θ=%d/%d samples, unordered Θ=%d/%d",
 				k, o.Theta(), o.Retained(), u.Theta(), u.Retained())
 		}
-	})
-	if !bytes.Equal(rollup(ordered), unorderedRollup) {
-		t.Error("rollup over the aggregate differs between ordered and unordered inputs")
+	}
+	if !bytes.Equal(marshal(t, wt.RollupWindow()), unorderedRollup) {
+		t.Error("window rollup differs between ordered and unordered sealed epochs")
 	}
 }
 
-// TestCompactWindowKeyMergesOnlyWhenNeeded: a key in one place gets
-// that place's compact, unmerged; a key in several gets their union; a
-// miss costs no allocation.
+// TestCompactWindowKeyMergesOnlyWhenNeeded: a key in one epoch gets that
+// epoch's compact, unmerged; a key in several gets their union; a miss
+// costs no allocation.
 func TestCompactWindowKeyMergesOnlyWhenNeeded(t *testing.T) {
 	wt, eng := orderTestWindow(t)
 	defer wt.Close()
-	v := wt.view.Load()
-	sealed := v.aggregate(wt)
+	rings := ringsOf(wt)
 
-	// Key 1 is in epoch 0 only: the sealed aggregate's own compact.
-	want, _ := sealed.Get(1)
-	if got, ok := wt.CompactWindowKey(1); !ok || got != want {
-		t.Errorf("sealed-only key: got %p (ok=%v), want the aggregate's compact %p", got, ok, want)
-	}
-	// Key 4 is in the draining epoch only, key 8 in the active one.
-	for key, tab := range map[uint64]*table.Table[uint64, uint64, float64, *theta.Compact]{4: v.draining, 8: v.active} {
-		want, _ := tab.CompactKey(key)
-		got, ok := wt.CompactWindowKey(key)
-		if !ok || !bytes.Equal(marshal(t, got), marshal(t, want)) {
-			t.Errorf("key %d: window compact differs from its one epoch's compact", key)
-		}
-		if q, _ := wt.QueryWindow(key); q != want.Estimate() {
-			t.Errorf("key %d: QueryWindow = %v, its one epoch says %v", key, q, want.Estimate())
+	// Keys 1, 2 and 4 are each in one sealed epoch: its own compact.
+	for _, key := range []uint64{1, 2, 4} {
+		want := rings[key].sealed[0].c
+		if got, ok := wt.CompactWindowKey(key); !ok || got != want {
+			t.Errorf("key %d in one sealed epoch: got %p (ok=%v), want the epoch's compact %p", key, got, ok, want)
 		}
 	}
-	// Key 15 is everywhere: the union of all three places.
+	// Key 8 is in the active epoch only.
+	want := rings[8].live.Compact()
+	got, ok := wt.CompactWindowKey(8)
+	if !ok || !bytes.Equal(marshal(t, got), marshal(t, want)) {
+		t.Error("key 8: window compact differs from its active epoch's compact")
+	}
+	if q, _ := wt.QueryWindow(8); q != want.Estimate() {
+		t.Errorf("key 8: QueryWindow = %v, its one epoch says %v", q, want.Estimate())
+	}
+	// Key 15 is everywhere: the union of all four epochs.
 	u := eng.NewAggregator()
-	c, _ := sealed.Get(15)
-	_ = u.Add(c)
-	c, _ = v.draining.CompactKey(15)
-	_ = u.Add(c)
-	c, _ = v.active.CompactKey(15)
-	_ = u.Add(c)
+	for _, s := range rings[15].sealed {
+		_ = u.Add(s.c)
+	}
+	_ = u.Add(rings[15].live.Compact())
 	if got, ok := wt.CompactWindowKey(15); !ok || !bytes.Equal(marshal(t, got), marshal(t, u.Result())) {
-		t.Error("key in three places: window compact is not the union of the three")
+		t.Error("key in four epochs: window compact is not the union of the four")
 	}
 
 	if _, ok := wt.CompactWindowKey(99); ok {

@@ -63,8 +63,8 @@ func TestSynctestAutoRotateExcludesExpired(t *testing.T) {
 }
 
 // TestSynctestAutoRotateTable drives the windowed keyed table on the
-// virtual clock: per-key results age out after Slots epochs, the
-// draining epoch's grace included, deterministically.
+// virtual clock: per-key results age out after Slots epochs,
+// deterministically.
 func TestSynctestAutoRotateTable(t *testing.T) {
 	synctest.Run(func() {
 		tcfg, eng := table.ThetaConfig[string]{
@@ -84,8 +84,8 @@ func TestSynctestAutoRotateTable(t *testing.T) {
 			t.Fatalf("active-epoch query = %v (ok=%v), want 50", got, ok)
 		}
 
-		// After one rotation the key's epoch is draining; after two it
-		// is a sealed snapshot; both in-window for Slots=3.
+		// After one and two rotations the key's epoch is sealed and
+		// still in the window for Slots=3.
 		for e := 1; e <= 2; e++ {
 			time.Sleep(time.Second)
 			synctest.Wait()
@@ -111,9 +111,8 @@ func TestSynctestAutoRotateTable(t *testing.T) {
 }
 
 // TestSynctestRotationRelaxationBound: an un-flushed writer buffer at
-// a rotation is bounded staleness, not loss — after the next virtual
-// tick the straggling updates are folded into their (still in-window)
-// epoch.
+// a rotation is not lost — the tick's rotation flushes it into its own
+// (still in-window) epoch as it seals it.
 func TestSynctestRotationRelaxationBound(t *testing.T) {
 	synctest.Run(func() {
 		eng := theta.NewEngine(theta.ConcurrentConfig{
@@ -126,12 +125,11 @@ func TestSynctestRotationRelaxationBound(t *testing.T) {
 		for i := 0; i < 40; i++ {
 			wr.Update(uint64(i)) // buffered, never handed off
 		}
-		// First tick seals epoch 0 with the 40 still in the local slot.
+		// First tick seals epoch 0, flushing the 40 from the local slot.
 		time.Sleep(1100 * time.Millisecond)
 		synctest.Wait()
-		wr.Update(uint64(999)) // migration flush lands the 40 in epoch 0
+		wr.Update(uint64(999))
 		wr.Flush()
-		// Next tick reseals epoch 0's compact with the stragglers.
 		time.Sleep(time.Second)
 		synctest.Wait()
 		if got := w.QueryWindow(); got != 41 {

@@ -12,7 +12,7 @@ import (
 )
 
 // TestWindowTableExpiredEpochExcluded: per-key window queries cover
-// exactly the last Slots epochs (active + draining + sealed ring).
+// exactly the last Slots epochs (the active epoch and the sealed ones).
 func TestWindowTableExpiredEpochExcluded(t *testing.T) {
 	tcfg, eng := table.ThetaConfig[string]{
 		Table: table.Config[string]{Writers: 1, Shards: 8},
@@ -74,7 +74,7 @@ func TestWindowTableKeyDisappears(t *testing.T) {
 	if _, ok := wt.QueryWindow("ephemeral"); !ok {
 		t.Fatal("key missing while its epoch is active")
 	}
-	wt.Rotate() // key's epoch is draining: still in the window
+	wt.Rotate() // key's epoch is sealed: still in the window
 	if _, ok := wt.QueryWindow("ephemeral"); !ok {
 		t.Fatal("key missing while its epoch is draining")
 	}
@@ -84,9 +84,9 @@ func TestWindowTableKeyDisappears(t *testing.T) {
 	}
 }
 
-// TestWindowTableSealedSnapshotPath: with slots > 2, data two epochs
-// old is served from the sealed snapshot ring (the snapshot-spill
-// path), and the whole window round-trips through WindowSnapshot.
+// TestWindowTableSealedSnapshotPath: with slots > 2, data several
+// epochs old is served from each key's sealed epochs, and the whole
+// window round-trips through WindowSnapshot.
 func TestWindowTableSealedSnapshotPath(t *testing.T) {
 	tcfg, eng := table.ThetaConfig[string]{
 		Table: table.Config[string]{Writers: 1, Shards: 8},
@@ -107,7 +107,7 @@ func TestWindowTableSealedSnapshotPath(t *testing.T) {
 		wt.Drain()
 		wt.Rotate()
 	}
-	// Epochs 0 and 1 are sealed snapshots now (active=4, draining=3).
+	// Epochs 0-3 are sealed now; epoch 4 is active and empty.
 	if got, ok := wt.QueryWindow("tenant-0"); !ok || got != 100 {
 		t.Fatalf("tenant-0 (epochs 0+2, sealed+sealed) = %v (ok=%v), want 100", got, ok)
 	}
@@ -195,8 +195,8 @@ func TestWindowTableConcurrent(t *testing.T) {
 // TestWindowTableFlatKeysAcrossRotation: with the eager phase on, a
 // key that never reaches the eager limit is flat in every epoch it
 // appears in — no pool attachment, every update visible on return
-// without a Drain — and still travels the whole ring: active, draining,
-// sealed snapshot, expiry. Its window compact is byte-identical to that
+// without a Drain — and still travels the whole ring: active, sealed,
+// expired. Its window compact is byte-identical to that
 // of a table that buffered the same items.
 func TestWindowTableFlatKeysAcrossRotation(t *testing.T) {
 	cfg := table.ThetaConfig[uint64]{

@@ -1,41 +1,35 @@
-// Package window implements sliding-window sketches on top of the
-// generic mergeable-sketch engine (core.Engine): answers to
-// "uniques/quantiles over the last R·W of stream" rather than the
-// point-in-time "ever" answers of the base framework.
+// Package window implements sliding-window sketches over the generic
+// engine (core.Engine): "uniques/quantiles over the last R·W of
+// stream" rather than the point-in-time "ever" of the base framework.
 //
-// The construction is an epoch ring: time is cut into epochs of width
-// W, each epoch owns one live concurrent sketch built by the engine,
-// and the window is the union of the most recent R epochs. Rotation
-// (on a tick, or driven explicitly) installs a fresh sketch as the
-// active epoch, closes the epoch that fell off the ring — expired data
-// leaves the window wholesale, which is what makes sliding windows
-// possible over merge-only (non-subtractable) sketches — and
-// recomputes a cached aggregate of the sealed (non-active) epochs so
-// queries merge two things, not R.
+// Time is cut into epochs of width W; the window is the union of the
+// last R. Each windowed sketch is one epoch ring, a core.EngineSketch
+// itself: a live sketch for the active epoch, the compacts of the R−1
+// sealed epochs, and their union, built lazily by the first read after
+// a seal. A rotation (a tick, or an explicit Rotate) bumps the epoch
+// and seals every ring: it flushes the writer slots, compacts the live
+// sketch, Resets it in place and drops the compact that left the
+// window — expired data leaves wholesale, which is how a window works
+// over merge-only sketches. Windowed is one ring behind an RW lock;
+// Table is one table.Table whose per-key sketch is a ring.
 //
-// Error bounds compose per epoch: every epoch sketch is the paper's
-// r-relaxed concurrent sketch, so a window query may miss up to
-// r = 2·N·b of the most recent updates of each epoch it spans
-// (Theorem 1, applied slot-wise), on top of the window quantisation
-// inherent to epoch rings (items expire in epoch-width steps). The
-// sealed aggregate additionally lags a sealed epoch's unflushed tail
-// until the next rotation folds it in — also bounded by r per epoch.
-//
-// Writers keep the framework's handle discipline: handle i of the
-// window maps to writer slot i of whichever epoch sketch is active,
-// re-binding (with a flush of the outgoing epoch's slot) on the first
-// call after a rotation, so every slot is still driven by one
-// goroutine at a time and no update is lost at an epoch boundary
-// while its epoch is in the window.
+// Bound: each epoch's sketch is r-relaxed (Theorem 1, r = 2·N·b), and
+// an epoch seals only after every writer slot is flushed, so sealed
+// epochs are complete: a window query misses at most r updates in all,
+// all in the active epoch, besides the epoch-width quantisation of
+// expiry. Rotate may run at any time, as often as wanted, beside
+// ingestion and reads.
 package window
 
 import (
+	"cmp"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"github.com/fcds/fcds/internal/core"
+	"github.com/fcds/fcds/internal/metrics"
 )
 
 // Config configures an epoch ring. The zero value gives 8 slots of one
@@ -55,12 +49,6 @@ type Config struct {
 	// with other sketches, tables or windows; the caller closes it
 	// after the window. Nil gives the window its own pool.
 	Pool *core.PropagatorPool
-	// ReadParallelism bounds the worker fan-out of the ring's parallel
-	// read paths (the sealed-aggregate rebuild at rotation, the
-	// windowed table's sealed-epoch merge): 0 means GOMAXPROCS at call
-	// time, 1 forces the serial path. Ingestion is never affected. See
-	// core.CommonConfig.ReadParallelism.
-	ReadParallelism int
 }
 
 func (c Config) withDefaults() Config {
@@ -79,195 +67,176 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// generation is one epoch's live sketch. mu serialises liveness:
-// writers and queriers hold it shared around sketch calls, expiry
-// holds it exclusive while closing. A generation stays live for its
-// whole ring residency (R epochs), so late flushes from migrating
-// writers still land while their epoch is in the window.
-type generation[V, S, C any] struct {
-	epoch  int64
-	sk     core.EngineSketch[V, S, C]
-	mu     sync.RWMutex
-	closed bool
-}
-
-// winView is one immutable window state: the active epoch's
-// generation plus the cached merge of the sealed (non-active,
-// non-expired) generations' compacts, recomputed at every rotation.
-type winView[V, S, C any] struct {
-	active    *generation[V, S, C]
-	sealedAgg *C // nil before the first rotation
-}
-
-// Windowed is an epoch-ring sliding-window sketch over one engine:
-// create with New, ingest through Writer handles, advance epochs with
-// Rotate (or AutoRotate), query the window with QueryWindow, and Close
-// when done.
-type Windowed[V, S, C any] struct {
-	ring
-	eng core.Engine[V, S, C]
-	// affKey pins every epoch's sketch to one pool worker: rotation
-	// creates the new epoch's sketch with the same affinity key, so the
-	// window inherits its home worker instead of reshuffling each epoch
-	// (the global sketch's cache line stays hot across rotations).
-	affKey uint64
-	gens   []*generation[V, S, C] // oldest first; last is active; under mu
-
-	// view is the atomically published window state: the active
-	// generation together with the matching sealed aggregate, swapped
-	// as one pointer so a query racing a rotation always sees a
-	// consistent epoch set (never a pre-rotation aggregate with the
-	// post-rotation active sketch, which would drop a whole epoch).
-	view atomic.Pointer[winView[V, S, C]]
-	// published is the whole-window query snapshot refreshed by Rotate
-	// and Drain, for the strictly wait-free QueryWindowCached.
-	published atomic.Pointer[S]
-}
-
-// ring is the epoch-ring state shared by Windowed and Table:
-// configuration, executor ownership, the epoch counter, rotation
-// serialisation and the AutoRotate ticker.
-type ring struct {
+// clock is the window state Windowed and Table share: configuration,
+// executor ownership, the epoch counter, rotation serialisation, the
+// AutoRotate ticker and the counters.
+type clock struct {
 	cfg     Config
 	pool    *core.PropagatorPool
 	ownPool bool
 
-	// mu serialises Rotate/AutoRotate/Drain/Close; never held on the
-	// ingestion or query paths.
+	// mu serialises Rotate/AutoRotate/Close, off the ingest and read paths.
 	mu     sync.Mutex
 	closed bool
-	tick   *rotator
 	epoch  atomic.Int64
-	// rotate is the owner's Rotate method, driven by AutoRotate.
-	rotate func()
+	// rotate is the owner's Rotate method, driven by AutoRotate's
+	// ticker goroutine until stop closes; done closes when it has left.
+	rotate     func()
+	stop, done chan struct{}
 
-	// Observability counters, read by RegisterMetrics at scrape time:
-	// rotations counts Rotate calls that advanced the epoch,
-	// sealedRebuilds counts sealed-aggregate recomputations (eager on
-	// rotation/drain for Windowed, lazy per-view for Table), expired
-	// counts epochs dropped off the ring with their data.
+	// rotations counts Rotate calls, expired the epochs that left the
+	// window, recycles the live sketches a seal Reset in place, and
+	// sealedRebuilds the unions of sealed epochs built by merging.
 	rotations      atomic.Int64
-	sealedRebuilds atomic.Int64
 	expired        atomic.Int64
-	// recycles counts expired epoch sketches reused (Reset) for the
-	// new active epoch instead of being torn down; hintCarries counts
-	// rotations that seeded the new epoch with the previous epoch's
-	// carried filter hint (Θ families only).
-	recycles    atomic.Int64
-	hintCarries atomic.Int64
+	recycles       atomic.Int64
+	sealedRebuilds atomic.Int64
 }
 
-// init wires the ring: cfg must already carry defaults. fallback, when
+// init wires the clock: cfg must already carry defaults. fallback, when
 // non-nil and cfg.Pool is nil, is used as a shared (non-owned)
-// executor; otherwise a nil pool means the ring owns a fresh one.
-func (r *ring) init(cfg Config, fallback *core.PropagatorPool, rotate func()) {
-	r.cfg = cfg
-	r.rotate = rotate
-	r.pool = cfg.Pool
-	if r.pool == nil {
-		r.pool = fallback
-	}
-	if r.pool == nil {
-		r.pool = core.NewPropagatorPool(cfg.Propagators)
-		r.ownPool = true
+// executor; otherwise a nil pool means the window owns a fresh one.
+func (c *clock) init(cfg Config, fallback *core.PropagatorPool, rotate func()) {
+	c.cfg, c.rotate, c.pool = cfg, rotate, cmp.Or(cfg.Pool, fallback)
+	if c.pool == nil {
+		c.pool, c.ownPool = core.NewPropagatorPool(cfg.Propagators), true
 	}
 }
 
-// Epoch returns the current epoch number (0-based; incremented by each
-// rotation).
-func (r *ring) Epoch() int64 { return r.epoch.Load() }
+// advance starts the next epoch under c.mu and returns its number.
+func (c *clock) advance() int64 {
+	e := c.epoch.Add(1)
+	c.rotations.Add(1)
+	if e >= int64(c.cfg.Slots) {
+		c.expired.Add(1)
+	}
+	return e
+}
+
+// shut marks the window closed and stops its ticker; false if it
+// already was.
+func (c *clock) shut() bool {
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		return false
+	}
+	c.closed = true
+	stop, done := c.stop, c.done
+	c.mu.Unlock()
+	if stop != nil {
+		close(stop)
+		<-done
+	}
+	return true
+}
+
+// Epoch returns the current epoch number (0-based, one per rotation).
+func (c *clock) Epoch() int64 { return c.epoch.Load() }
 
 // Rotations returns the number of epoch rotations performed.
-func (r *ring) Rotations() int64 { return r.rotations.Load() }
+func (c *clock) Rotations() int64 { return c.rotations.Load() }
 
-// SealedRebuilds returns the number of sealed-aggregate recomputations.
-func (r *ring) SealedRebuilds() int64 { return r.sealedRebuilds.Load() }
+// SealedRebuilds returns the number of sealed-epoch unions built.
+func (c *clock) SealedRebuilds() int64 { return c.sealedRebuilds.Load() }
 
 // ExpiredEpochs returns the number of epochs dropped off the ring.
-func (r *ring) ExpiredEpochs() int64 { return r.expired.Load() }
+func (c *clock) ExpiredEpochs() int64 { return c.expired.Load() }
 
-// Recycles returns the number of expired epoch sketches reused for a
-// fresh epoch via the engine's Reset path.
-func (r *ring) Recycles() int64 { return r.recycles.Load() }
+// Recycles returns the number of live sketches a seal Reset in place
+// for the next epoch (one per ring that took updates, per rotation).
+func (c *clock) Recycles() int64 { return c.recycles.Load() }
 
-// HintCarries returns the number of rotations that seeded the new
-// epoch with the previous epoch's carried filter hint.
-func (r *ring) HintCarries() int64 { return r.hintCarries.Load() }
+// HintCarries returns 0: a new epoch starts empty, never seeded with
+// the filter of the epoch before. It stays for the counter's readers.
+func (c *clock) HintCarries() int64 { return 0 }
 
 // Slots returns R, the ring size.
-func (r *ring) Slots() int { return r.cfg.Slots }
+func (c *clock) Slots() int { return c.cfg.Slots }
 
 // Width returns W, one epoch's duration.
-func (r *ring) Width() time.Duration { return r.cfg.Width }
+func (c *clock) Width() time.Duration { return c.cfg.Width }
 
 // Window returns the window span Slots·Width.
-func (r *ring) Window() time.Duration {
-	return time.Duration(r.cfg.Slots) * r.cfg.Width
-}
+func (c *clock) Window() time.Duration { return time.Duration(c.cfg.Slots) * c.cfg.Width }
 
 // Pool returns the window's propagation executor.
-func (r *ring) Pool() *core.PropagatorPool { return r.pool }
+func (c *clock) Pool() *core.PropagatorPool { return c.pool }
 
 // AutoRotate starts a background rotator ticking every Width; it stops
 // when the window is closed. Call at most once.
-func (r *ring) AutoRotate() {
-	r.mu.Lock()
-	if r.tick != nil {
-		r.mu.Unlock()
+func (c *clock) AutoRotate() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.stop != nil {
 		panic("window: AutoRotate called twice")
 	}
-	if r.closed {
-		r.mu.Unlock()
+	if c.closed {
 		return
 	}
-	r.tick = startRotator(r.cfg.Width, r.rotate)
-	r.mu.Unlock()
-}
-
-// rotator is the shared Width-ticker driving AutoRotate for Windowed
-// and Table; halt stops the goroutine and waits it out (nil-safe).
-type rotator struct {
-	stop chan struct{}
-	done chan struct{}
-}
-
-func startRotator(width time.Duration, rotate func()) *rotator {
-	r := &rotator{stop: make(chan struct{}), done: make(chan struct{})}
+	c.stop, c.done = make(chan struct{}), make(chan struct{})
 	go func() {
-		defer close(r.done)
-		t := time.NewTicker(width)
+		defer close(c.done)
+		t := time.NewTicker(c.cfg.Width)
 		defer t.Stop()
 		for {
 			select {
 			case <-t.C:
-				rotate()
-			case <-r.stop:
+				c.rotate()
+			case <-c.stop:
 				return
 			}
 		}
 	}()
-	return r
 }
 
-func (r *rotator) halt() {
-	if r == nil {
-		return
-	}
-	close(r.stop)
-	<-r.done
+// RegisterMetrics exports the window's counters into reg, labeled with
+// the given window name; every series is func-backed, read at scrape
+// time.
+//
+// Families: fcds_window_epoch, fcds_window_rotations_total,
+// fcds_window_sealed_rebuilds_total, fcds_window_expired_epochs_total,
+// fcds_window_recycles_total.
+func (c *clock) RegisterMetrics(reg *metrics.Registry, name string) {
+	reg.GaugeFunc("fcds_window_epoch",
+		"Current epoch number of the ring (incremented per rotation).",
+		func() float64 { return float64(c.Epoch()) }, "window", name)
+	reg.CounterFunc("fcds_window_rotations_total",
+		"Epoch rotations performed.",
+		func() float64 { return float64(c.Rotations()) }, "window", name)
+	reg.CounterFunc("fcds_window_sealed_rebuilds_total",
+		"Unions of sealed epochs built by merging, lazily by the first read after a seal.",
+		func() float64 { return float64(c.SealedRebuilds()) }, "window", name)
+	reg.CounterFunc("fcds_window_expired_epochs_total",
+		"Epochs dropped off the ring, their data leaving the window.",
+		func() float64 { return float64(c.ExpiredEpochs()) }, "window", name)
+	reg.CounterFunc("fcds_window_recycles_total",
+		"Live epoch sketches Reset in place when their epoch sealed.",
+		func() float64 { return float64(c.Recycles()) }, "window", name)
+}
+
+// Windowed is a sliding-window sketch over one engine: one epoch ring
+// behind an RW lock. Writers and readers hold the lock shared; a
+// rotation holds it exclusive while it seals the ring, so no reader
+// sees a half-sealed ring and the seal owns every writer slot.
+type Windowed[V, S, C any] struct {
+	clock
+	eng core.Engine[V, S, C]
+	rw  sync.RWMutex
+	r   *ring[V, S, C] // nil once closed; under rw
+	// published is the sealed epochs' answer, refreshed by Rotate, for
+	// the strictly wait-free QueryWindowCached.
+	published atomic.Pointer[S]
 }
 
 // New builds an epoch-ring windowed sketch whose per-epoch sketches
-// come from the engine; Close it when done.
+// come from the engine; Close it when done. The ring's one live sketch
+// keeps its pool worker for the window's lifetime.
 func New[V, S, C any](eng core.Engine[V, S, C], cfg Config) *Windowed[V, S, C] {
 	w := &Windowed[V, S, C]{eng: eng}
-	w.ring.init(cfg.withDefaults(), nil, w.Rotate)
-	w.affKey = w.pool.AffinityToken()
-	g := &generation[V, S, C]{epoch: 0, sk: eng.NewSketchAffine(w.pool, w.affKey)}
-	w.gens = []*generation[V, S, C]{g}
-	w.view.Store(&winView[V, S, C]{active: g})
-	s := eng.QueryCompact(eng.NewAggregator().Result())
-	w.published.Store(&s)
+	w.clock.init(cfg.withDefaults(), nil, w.Rotate)
+	w.r = newRing(eng, eng.NewSketchAffine(w.pool, w.pool.AffinityToken()), &w.clock)
+	w.publish()
 	return w
 }
 
@@ -281,271 +250,124 @@ func (w *Windowed[V, S, C]) Writer(i int) *Writer[V, S, C] {
 	return &Writer[V, S, C]{w: w, id: i}
 }
 
-// RelaxationPerEpoch returns r = 2·N·b, the bound on updates a window
-// query may miss from each epoch it spans (Theorem 1 per slot).
+// RelaxationPerEpoch returns r = 2·N·b. Rotation seals an epoch only
+// after flushing every writer slot, so only the active epoch can hold
+// updates a query misses: r bounds the whole window, not each epoch.
 func (w *Windowed[V, S, C]) RelaxationPerEpoch() int { return w.eng.Relaxation() }
 
 // QueryWindow returns the query answer over the last Slots epochs
-// (active epoch included, expired epochs excluded). It merges the
-// cached sealed aggregate with a point-in-time compact of the active
-// epoch: it never blocks ingestion and is never blocked by it — the
-// only synchronisation is the active compact's brief serialisation
-// with the background propagator. Each spanned epoch may be missing up
-// to RelaxationPerEpoch() of its latest updates.
+// (active epoch included, expired epochs excluded). It may miss up to
+// RelaxationPerEpoch() of the active epoch's latest updates.
 func (w *Windowed[V, S, C]) QueryWindow() S {
-	return w.eng.QueryCompact(w.windowCompact())
+	return w.eng.QueryCompact(w.WindowCompact())
 }
 
-// QueryWindowCached returns the window answer published by the last
-// Rotate or Drain: a single atomic read — strictly wait-free — at the
-// price of staleness up to one epoch (the active epoch's updates
-// appear only after it seals).
+// QueryWindowCached returns the answer over the sealed epochs
+// published by the last Rotate: a single atomic read — strictly
+// wait-free — at the price of staleness up to one epoch (the active
+// epoch's updates appear only after it seals).
 func (w *Windowed[V, S, C]) QueryWindowCached() S { return *w.published.Load() }
 
 // WindowCompact returns a mergeable, serializable compact of the whole
 // window — the window counterpart of a sketch's Compact.
-func (w *Windowed[V, S, C]) WindowCompact() C { return w.windowCompact() }
-
-func (w *Windowed[V, S, C]) windowCompact() C {
-	v := w.view.Load()
+func (w *Windowed[V, S, C]) WindowCompact() C {
 	agg := w.eng.NewAggregator()
-	if v.sealedAgg != nil {
-		_ = agg.Add(*v.sealedAgg) // same engine: compatible by construction
+	w.rw.RLock()
+	if w.r != nil {
+		_ = w.r.AddTo(agg) // same engine: compatible by construction
 	}
-	g := v.active
-	g.mu.RLock()
-	if !g.closed {
-		c := g.sk.Compact()
-		g.mu.RUnlock()
-		_ = agg.Add(c)
-	} else {
-		g.mu.RUnlock()
-	}
+	w.rw.RUnlock()
 	return agg.Result()
 }
 
-// Rotate advances the window by one epoch: a fresh sketch becomes the
-// active epoch, the epoch that fell off the ring is closed (its items
-// leave the window), and the sealed aggregate and published snapshot
-// are recomputed. Safe to call concurrently with ingestion and
-// queries.
-//
-// Two per-rotation costs are recovered here. The expired epoch's
-// sketch is recycled for the new epoch via the engine's Reset path
-// instead of being torn down and rebuilt — same pool attachment, same
-// affinity worker. And for families exposing core.HintedEngine (Θ),
-// the new epoch is seeded with the outgoing epoch's filter hint, so it
-// starts discarding most of the stream immediately instead of
-// re-paying the eager phase from scratch each epoch.
+// publish refreshes the cached answer from the sealed epochs. Caller
+// holds mu (or is New), which excludes the only writer of sealed.
+func (w *Windowed[V, S, C]) publish() {
+	agg := w.eng.NewAggregator()
+	if u, ok := w.r.sealedUnion(); ok {
+		_ = agg.Add(u)
+	}
+	s := w.eng.QueryCompact(agg.Result())
+	w.published.Store(&s)
+}
+
+// Rotate advances the window by one epoch: the active epoch seals —
+// every writer slot flushed, its compact kept, its sketch Reset in
+// place for the new epoch — the epoch that fell off the ring leaves,
+// and the cached answer is republished. Safe to call at any time,
+// beside ingestion and queries.
 func (w *Windowed[V, S, C]) Rotate() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
 		return
 	}
-	// Derive the carry-over hint from the outgoing active epoch before
-	// the ring changes. Safe without the generation lock: w.mu excludes
-	// the only closers (Rotate's expiry, Close), and Compact serialises
-	// with the propagator, never with writers.
-	var hint C
-	hinted := false
-	if he, ok := any(w.eng).(core.HintedEngine[C]); ok {
-		hint, hinted = he.HintCompact(w.gens[len(w.gens)-1].sk.Compact())
-	}
-	// Expire first, so a dropped generation's sketch is available for
-	// recycling: generations older than the ring leave the window. The
-	// exclusive lock waits out in-flight writers and late flushes —
-	// the straggler-safe handoff: any writer that raced in either
-	// completed its flush before the lock was granted (Reset's Close
-	// drains every handed-off buffer) or observes closed afterwards
-	// and skips. (Writers keep targeting the outgoing active
-	// generation until the new view is published below; it is never
-	// the expiring one, since Slots >= 2.)
-	var recycled core.EngineSketch[V, S, C]
-	for len(w.gens) >= w.cfg.Slots {
-		old := w.gens[0]
-		w.gens = w.gens[1:]
-		old.mu.Lock()
-		old.closed = true
-		if recycled == nil {
-			recycled = old.sk
-		} else {
-			old.sk.Close()
-		}
-		// Every access to a generation's sketch is guarded by closed;
-		// nil out the reference so the recycled sketch cannot be
-		// reached through the retired generation.
-		old.sk = nil
-		old.mu.Unlock()
-		w.expired.Add(1)
-	}
-	// Build the new active sketch: recycled and reseeded when both
-	// levers apply, falling back gracefully when the engine offers
-	// neither capability.
-	var sk core.EngineSketch[V, S, C]
-	switch {
-	case recycled != nil:
-		if rs, ok := any(recycled).(core.ReseedableSketch[C]); ok && hinted {
-			rs.ResetSeeded(hint)
-			w.hintCarries.Add(1)
-		} else {
-			recycled.Reset()
-		}
-		sk = recycled
-		w.recycles.Add(1)
-	case hinted:
-		if se, ok := any(w.eng).(core.ScalableEngine[V, S, C]); ok {
-			sk = se.NewSketchSeeded(w.pool, w.affKey, hint)
-			w.hintCarries.Add(1)
-		} else {
-			sk = w.eng.NewSketchAffine(w.pool, w.affKey)
-		}
-	default:
-		sk = w.eng.NewSketchAffine(w.pool, w.affKey)
-	}
-	g := &generation[V, S, C]{epoch: w.epoch.Add(1), sk: sk}
-	w.rotations.Add(1)
-	w.gens = append(w.gens, g)
-	// Recompute the sealed aggregate from fresh compacts of the
-	// surviving non-active generations: updates that straggled into a
-	// sealed epoch since the last rotation (late flushes, in-flight
-	// batches) are folded in here, keeping the per-epoch miss bounded
-	// by r rather than growing with time.
-	w.republishLocked()
+	e := w.advance()
+	w.rw.Lock()
+	w.r.flushAll()
+	w.r.seal(e, w.cfg.Slots)
+	w.rw.Unlock()
+	w.publish()
 }
 
-// republishLocked rebuilds the sealed aggregate from fresh compacts of
-// the non-active generations and publishes the new view and cached
-// window snapshot in one store each. The per-epoch Compact calls (each
-// a brief serialisation with that epoch's propagator) fan out across
-// Config.ReadParallelism workers; the fold stays in generation order.
-// Caller holds w.mu; gens is non-empty.
-func (w *Windowed[V, S, C]) republishLocked() {
-	w.sealedRebuilds.Add(1)
-	sealed := w.gens[:len(w.gens)-1]
-	agg := w.eng.NewAggregator()
-	if len(sealed) > 1 {
-		compacts := make([]C, len(sealed))
-		core.FanOut(core.ReadDegree(w.cfg.ReadParallelism), len(sealed), func(_, i int) {
-			compacts[i] = sealed[i].sk.Compact()
-		})
-		for _, c := range compacts {
-			_ = agg.Add(c) // same engine: compatible by construction
-		}
-	} else if len(sealed) == 1 {
-		_ = agg.Add(sealed[0].sk.Compact())
-	}
-	c := agg.Result()
-	w.view.Store(&winView[V, S, C]{active: w.gens[len(w.gens)-1], sealedAgg: &c})
-	s := w.eng.QueryCompact(c)
-	w.published.Store(&s)
-}
-
-// Drain flushes every writer slot of every in-window epoch and
-// refreshes the cached sealed aggregate, so queries reflect all prior
-// updates — including updates flushed into already-sealed epochs. All
-// writer handles must be quiescent, exactly as for Close.
+// Drain flushes every writer slot, so queries reflect all prior
+// updates. All writer handles must be quiescent, exactly as for Close.
 func (w *Windowed[V, S, C]) Drain() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return
+	w.rw.RLock()
+	if w.r != nil {
+		w.r.flushAll()
 	}
-	for _, g := range w.gens {
-		g.mu.RLock()
-		if !g.closed {
-			for i := 0; i < w.eng.NumWriters(); i++ {
-				g.sk.Flush(i)
-			}
-		}
-		g.mu.RUnlock()
-	}
-	w.republishLocked()
+	w.rw.RUnlock()
 }
 
-// Close stops rotation, closes every epoch sketch and, when owned, the
+// Close stops rotation, closes the ring's sketch and, when owned, the
 // propagator pool. All writer handles must be quiescent. Idempotent.
 func (w *Windowed[V, S, C]) Close() {
-	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
+	if !w.shut() {
 		return
 	}
-	w.closed = true
-	tick := w.tick
-	gens := w.gens
-	w.gens = nil
-	w.mu.Unlock()
-	tick.halt()
-	for _, g := range gens {
-		g.mu.Lock()
-		if !g.closed {
-			g.closed = true
-			g.sk.Close()
-		}
-		g.mu.Unlock()
-	}
+	w.rw.Lock()
+	w.r.Close()
+	w.r = nil
+	w.rw.Unlock()
 	if w.ownPool {
 		w.pool.Close()
 	}
 }
 
-// Writer is a single-goroutine window ingestion handle: handle i
-// drives writer slot i of the active epoch's sketch, migrating (with a
-// flush of the outgoing epoch's slot) on the first call after a
-// rotation.
+// Writer is a single-goroutine window ingestion handle driving writer
+// slot i of the ring's live sketch. A rotation flushes the slot as it
+// seals the epoch, so a handle never migrates anything.
 type Writer[V, S, C any] struct {
-	w   *Windowed[V, S, C]
-	id  int
-	gen *generation[V, S, C]
+	w  *Windowed[V, S, C]
+	id int
 }
 
-// rebind points the handle at the active generation, flushing this
-// handle's slot of the outgoing generation so its buffered updates
-// stay visible while that epoch remains in the window. The returned
-// generation is read-locked; the caller must unlock it.
-func (w *Writer[V, S, C]) rebind() *generation[V, S, C] {
-	g := w.w.view.Load().active
-	if old := w.gen; old != nil && old != g {
-		old.mu.RLock()
-		if !old.closed {
-			// Only this goroutine drives slot id, so the flush is within
-			// the framework's handle contract; if the epoch already
-			// expired its buffered tail is discarded with it.
-			old.sk.Flush(w.id)
-		}
-		old.mu.RUnlock()
-	}
-	w.gen = g
-	g.mu.RLock()
-	return g
-}
-
-// Update ingests one value into the current epoch.
+// Update ingests one value into the active epoch.
 func (w *Writer[V, S, C]) Update(v V) {
-	g := w.rebind()
-	if !g.closed {
-		g.sk.Update(w.id, v)
+	w.w.rw.RLock()
+	if r := w.w.r; r != nil {
+		r.Update(w.id, v)
 	}
-	g.mu.RUnlock()
+	w.w.rw.RUnlock()
 }
 
-// UpdateBatch ingests a slice of values into the current epoch through
+// UpdateBatch ingests a slice of values into the active epoch through
 // the engine's fused batch pipeline.
 func (w *Writer[V, S, C]) UpdateBatch(vs []V) {
-	g := w.rebind()
-	if !g.closed {
-		g.sk.UpdateBatch(w.id, vs)
+	w.w.rw.RLock()
+	if r := w.w.r; r != nil {
+		r.UpdateBatch(w.id, vs)
 	}
-	g.mu.RUnlock()
+	w.w.rw.RUnlock()
 }
 
-// Flush hands off this handle's buffered updates of the current epoch
-// and waits until they are queryable.
+// Flush hands off this handle's buffered updates and waits until they
+// are queryable.
 func (w *Writer[V, S, C]) Flush() {
-	g := w.rebind()
-	if !g.closed {
-		g.sk.Flush(w.id)
+	w.w.rw.RLock()
+	if r := w.w.r; r != nil {
+		r.Flush(w.id)
 	}
-	g.mu.RUnlock()
+	w.w.rw.RUnlock()
 }

@@ -86,10 +86,9 @@ func TestWindowDuplicatesAcrossEpochs(t *testing.T) {
 }
 
 // TestWindowWriterMigrationFlush: updates buffered in a writer's local
-// slot when the epoch rotates are flushed into their own epoch on the
-// writer's next call — not dropped, not misattributed to the new
-// epoch — and surface in the sealed aggregate at the following
-// rotation (the per-epoch relaxation bound, not unbounded loss).
+// slot when the epoch rotates are sealed into their own epoch by the
+// rotation itself — not dropped, not misattributed to the new epoch,
+// and visible right after it — and leave with that epoch.
 func TestWindowWriterMigrationFlush(t *testing.T) {
 	// BufferSize large enough that nothing hands off on its own.
 	eng := theta.NewEngine(theta.ConcurrentConfig{K: 2048, Writers: 1, MaxError: 1, BufferSize: 256})
@@ -99,17 +98,15 @@ func TestWindowWriterMigrationFlush(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		wr.Update(uint64(i)) // stays in the local buffer
 	}
-	w.Rotate()              // seals epoch 0 before the 40 ever handed off
-	wr.Update(uint64(1000)) // migration: flushes the 40 into epoch 0
+	w.Rotate()              // seals epoch 0, flushing the 40 into it
+	wr.Update(uint64(1000)) // the new epoch's first item
 	wr.Flush()
-	// The active epoch's item is visible now; the straggling 40 are in
-	// epoch 0's sketch but the cached sealed aggregate predates them.
-	if got := w.QueryWindow(); got != 1 {
-		t.Fatalf("window right after migration = %v, want 1 (stragglers pending reseal)", got)
-	}
-	w.Rotate() // reseal: epoch 0's fresh compact now carries the 40
 	if got := w.QueryWindow(); got != 41 {
-		t.Fatalf("window after reseal = %v, want 41", got)
+		t.Fatalf("window right after the rotation = %v, want 41 (the 40 sealed with epoch 0)", got)
+	}
+	w.Rotate()
+	if got := w.QueryWindow(); got != 41 {
+		t.Fatalf("window after the next rotation = %v, want 41", got)
 	}
 	// One more rotation expires epoch 0 (the 40); epoch 1 keeps 1000.
 	w.Rotate()
@@ -312,5 +309,41 @@ func TestWindowRecycledEpochStartsFlat(t *testing.T) {
 	}
 	if w.Recycles() == 0 {
 		t.Fatal("no epoch sketch was recycled; the test did not reach Reset")
+	}
+}
+
+// TestRotateRecyclesExpiredSketch: every rotation seals the live
+// sketch and Resets it in place for the next epoch; once the ring is
+// full every rotation also drops one epoch. No hint is carried, and a
+// recycled sketch must not leak its previous epoch's items.
+func TestRotateRecyclesExpiredSketch(t *testing.T) {
+	const slots = 3
+	w := New(exactTheta(1), Config{Slots: slots, Width: time.Hour})
+	defer w.Close()
+	wr := w.Writer(0)
+
+	const perEpoch = 100
+	next := uint64(0)
+	for rot := 0; rot < 10; rot++ {
+		for i := 0; i < perEpoch; i++ {
+			wr.Update(next) // globally distinct: leakage would inflate counts
+			next++
+		}
+		w.Drain()
+		inWindow := perEpoch * min(rot+1, slots)
+		if got := w.QueryWindow(); got != float64(inWindow) {
+			t.Fatalf("rotation %d: window = %v, want %v", rot, got, inWindow)
+		}
+		w.Rotate()
+	}
+	// Ten rotations, each sealing an epoch of 100 items: ten resets.
+	if got, want := w.Recycles(), int64(10); got != want {
+		t.Fatalf("recycles = %d, want %d", got, want)
+	}
+	if got := w.HintCarries(); got != 0 {
+		t.Fatalf("hint carries = %d, want 0", got)
+	}
+	if got, want := w.ExpiredEpochs(), int64(10-(slots-1)); got != want {
+		t.Fatalf("expired = %d, want %d", got, want)
 	}
 }
