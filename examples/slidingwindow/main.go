@@ -42,7 +42,7 @@ func main() {
 	)
 	defer perTenant.Close()
 
-	fmt.Printf("sliding window: %d slots x 1m; per-epoch relaxation r = %d\n\n",
+	fmt.Printf("sliding window: %d slots x 1m; window relaxation r = %d\n\n",
 		slots, sitewide.RelaxationPerEpoch())
 	fmt.Println("minute  traffic          window-uniques  acme-window  notes")
 

@@ -17,17 +17,18 @@ import (
 // windowed table's Sweep holds the key's shard and entry locks, Windowed
 // its RW lock), so no reader sees a half-sealed ring.
 type ring[V, S, C any] struct {
-	eng  core.Engine[V, S, C]
+	// The write path reads live, filt and dirty: kept first, so that
+	// most rings have them in one cache line.
 	live core.EngineSketch[V, S, C]
 	filt core.FilterSketch[V] // live as a FilterSketch, nil if it is none
-	c    *clock               // the window: its counters
-
-	// epoch is the epoch live collects. dirty is set by the first update
-	// of an epoch, so a seal can tell an empty live sketch without
-	// looking inside it.
-	epoch int64
+	// dirty is set by the first update of an epoch, so a seal can tell
+	// an empty live sketch without looking inside it. epoch is the epoch
+	// live collects.
 	dirty atomic.Bool
+	epoch int64
 
+	eng    core.Engine[V, S, C]
+	c      *clock            // the window: its counters
 	sealed []sealedEpoch[C]  // oldest first; epochs that took updates
 	union  atomic.Pointer[C] // union of sealed once built; nil until then
 }
