@@ -238,8 +238,10 @@
 // across millions of keys: one keyed table whose per-key sketch is a
 // ring, so its writer caches, key placement and flat keys outlive every
 // rotation, and QueryWindow(key) is one map lookup plus at most one
-// merge (the key's sealed epochs, cached, with its live epoch). A
-// rotation flushes every writer slot before it seals an epoch, so
+// merge: the key's cached union of sealed epochs (built by the first
+// read after a rotation) with its live epoch.
+//
+// A rotation flushes every writer slot before it seals an epoch, so
 // sealed epochs are complete: a window query misses at most r = 2·N·b
 // of the newest updates in all, all in the active epoch
 // (RelaxationPerEpoch), and items leave the window in epoch-width
