@@ -72,14 +72,13 @@
 // set of workers, GOMAXPROCS by default), so a million keys propagate
 // on a handful of goroutines.
 //
-// A Θ key's life is flat → concurrent → promoted, and the table picks
-// the representation from the key's own update count. A key still in
+// A Θ key's life is flat → concurrent, and the table picks the
+// representation from the key's own update count. A key still in
 // the eager phase (fewer than 2/e² updates; 508 at the default K=256)
 // is flat: one mutex and one array of its distinct item hashes — no
 // writer buffers, no pool attachment, every update visible to queries
 // on return. The update that reaches the limit builds the concurrent
-// sketch from that array; a HotKeyPolicy (below) can promote it
-// further. In a long-tailed key population most keys never leave the
+// sketch from that array. In a long-tailed key population most keys never leave the
 // flat phase: on the benchmark's 100k-key zipf stream a live key costs
 // ~510 B of heap (map slot, entry and sketch together) instead of
 // ~1 850 B, and keyed ingest runs 1.6× faster. fcds_table_keys minus
@@ -101,21 +100,24 @@
 // before it buffers u (Algorithm 1 lines 24/26; §5.2 calls the filter
 // instrumental for performance): a Θ sketch that has seen n ≫ k
 // distinct items can still be changed by only a k/n fraction of what
-// arrives. A table writer asks the same question before it does
-// anything else with an item. Every Writer keeps a direct-mapped
-// key→entry cache (2 048 slots of one cache line each); a slot holds the key, its
-// entry, a shard-epoch stamp, the hint the key's sketch gave when it
-// last took a run from this writer, and the key's group in the batch
-// being staged. Pass 1 hashes each item once into Θ space, finds the
-// key's slot, and drops the item there and then if its hash is not
-// below the hint — no map, no lock, no sketch call; survivors are
-// appended through the slot's group index, and only keys without a
-// slot go through a per-batch map. Pass 2 resolves those keys under
-// their shard's read lock, hands each key's surviving run to its
-// sketch under the entry's liveness lock alone, and refreshes the
-// slot's hint. A key whose run was dropped whole costs pass 2 nothing
-// but its credit: it was updated, so TTL/LRU eviction and the hot-key
-// counter see it exactly as if the run had reached the sketch.
+// arrives, and an HLL sketch whose every register is at least ρ only by
+// an item of rank above ρ — a 2^-ρ fraction. A table writer asks the
+// same question before it does anything else with an item. Every Writer
+// keeps a direct-mapped key→entry cache (2 048 slots of one cache line
+// each); a slot holds the key, its entry, a shard-epoch stamp, the hint
+// the key's sketch gave when it last took a run from this writer, and
+// the key's group in the batch being staged. Pass 1 hashes each item
+// once into the family's hash space, finds the key's slot, and drops
+// the item there and then if it fails shouldAdd against the hint (a Θ
+// hash not below Θ; an HLL hash whose rank is not above the lowest
+// register) — no map, no lock, no sketch call; survivors are appended
+// through the slot's group index, and only keys without a slot go
+// through a per-batch map. Pass 2 resolves those keys under their
+// shard's read lock, hands each key's surviving run to its sketch under
+// the entry's liveness lock alone, and refreshes the slot's hint. A key
+// whose run was dropped whole costs pass 2 nothing but its credit: it
+// was updated, so TTL/LRU eviction sees it exactly as if the run had
+// reached the sketch.
 //
 // Coherence is one epoch stamp per shard, bumped inside the critical
 // section that removes a key from that shard's map (eviction, TTL
@@ -123,25 +125,25 @@
 // only after its stamp re-validates — once per key per batch, before
 // the first drop: the batch's items were all handed over by then, so
 // the dropped ones take effect at that instant, on an entry that is
-// provably in the map and whose Θ is at or below any hint it ever
-// gave, and change nothing. An evicted key is never filtered against,
-// or resurrected through, a stale slot, and since a dropped item never
-// occupies a buffer the per-key relaxation r = 2·N·b is untouched.
-// Quantiles and HLL have no such filter (any sample can move a
-// quantile, any hash can raise a register); their writers use the
-// cache to resolve and group only. Stats().Prefiltered, exported as
-// fcds_table_prefiltered_items_total, counts the drops.
+// provably in the map and that has moved past any hint it ever gave
+// only in the direction that filters more (Θ only falls, the lowest HLL
+// register only rises), and change nothing. An evicted key is never
+// filtered against, or resurrected through, a stale slot, and since a
+// dropped item never occupies a buffer the per-key relaxation r = 2·N·b
+// is untouched. Quantiles has no such filter (any sample can move a
+// quantile); its writers use the cache to resolve and group only.
+// Stats().Prefiltered, exported as fcds_table_prefiltered_items_total,
+// counts the drops.
 //
-// Tables can also adapt per key: an optional HotKeyPolicy counts each
-// key's ingest volume and, past HotThreshold, rebuilds that key's
-// sketch through the engine's scale-up ladder — the old state is
-// captured as a compact and seeds the new, larger-configured sketch
-// (same home worker), so history and the Θ pre-filter survive the
-// rebuild. Θ and HLL grow the per-writer buffer b (handoffs halve;
-// the per-key relaxation r = 2·N·b doubles per step), quantiles also
-// grow k. Compacts leaving the table — snapshots, rollups, eviction
-// spills — are normalized back to the base parameter, so the FCTB
-// wire format and cross-process merges are unaffected.
+// Hot keys need no option of their own. A Θ or HLL hot key is disposed
+// of by its writers' filter: on a 1 000-key zipf stream from two
+// writers (BenchmarkFamilyHotKeys, 2 vCPUs) a Θ table ingests 15.0
+// Mitems/s and an HLL table 7.2, their writers dropping 87 % and 66 %
+// of the items in pass 1. Quantiles has no filter; a quantiles table
+// whose hot keys need throughput sets QuantilesTableConfig.BufferSize:
+// at 4·K the same stream runs at 3.3 Mitems/s against 1.9 at the
+// default 2·K, and the per-key relaxation r = 2·N·b doubles with it.
+// Stats().Promotions and Demotions always read 0.
 //
 //	t := fcds.NewThetaTable(fcds.ThetaTableConfig{
 //		Table: fcds.TableConfig{Writers: 4, MaxKeys: 1_000_000},
@@ -254,8 +256,7 @@
 // and MaxKeys count every key with data anywhere in the window, and
 // OnEvict receives an evicted key's whole-window compact. A key leaves
 // when its last epoch expires — the window's own TTL; a windowed table
-// has no EvictExpired. HotKeys is refused (NewWindowed*Table panics):
-// an epoch ring has no scale-up ladder.
+// has no EvictExpired.
 //
 // # Network ingestion and snapshot shipping
 //
@@ -419,7 +420,7 @@
 // Every subsystem exports its operational counters through a
 // zero-dependency metrics registry (NewMetricsRegistry): pool workers
 // (queue depth, runs, steals, wake tokens), tables (keys, evictions by
-// cause, hot-key promotions/demotions, writer-cache hit ratio),
+// cause, writer-cache hit ratio, items dropped by the writer filter),
 // windows (rotations, sealed rebuilds, expired epochs), the ingest
 // server (per-table frames/items/bytes/errors, writer-pool waits and
 // idle handles, per-source snapshot-push lag, checkpoint age and
@@ -484,11 +485,11 @@
 // has stopped shrinking — raise ReadParallelism or the interval), and
 // on any rollup p99 above the slowest dashboard's timeout. A sudden
 // shift of an otherwise-stable histogram toward higher buckets with a
-// flat key count means the per-key work got more expensive (hot-key
-// promotions, estimation-mode transitions), not more keys.
+// flat key count means the per-key work got more expensive
+// (estimation-mode transitions), not more keys.
 // fcds_table_prefiltered_items_total over the table's ingested items
-// is the share of a Θ table's traffic its writers dropped in pass 1. On
-// a table whose keys are far above K it should sit near 1 − k/n per
+// is the share of a Θ or HLL table's traffic its writers dropped in
+// pass 1. On a Θ table whose keys are far above K it should sit near 1 − k/n per
 // key (above 0.9 on the benchmark's 1 000-key zipf stream); a low
 // ratio there, with fcds_table_writer_cache_hits_total low against
 // fcds_table_shard_lookups_total, means the live hot keys outnumber a
@@ -618,15 +619,10 @@ type (
 type (
 	// TableConfig is the sketch-independent table configuration for
 	// string-keyed tables (writers, shards, pool, eviction policy,
-	// hot-key promotion).
+	// read fan-out).
 	TableConfig = table.Config[string]
 	// TableU64Config is TableConfig for uint64-keyed tables.
 	TableU64Config = table.Config[uint64]
-	// HotKeyPolicy configures adaptive per-key sketches: keys whose
-	// ingest volume crosses HotThreshold are rebuilt through the
-	// engine's scale-up ladder (see the package docs' "Keyed tables"
-	// section for the accuracy/relaxation trade).
-	HotKeyPolicy = table.HotKeyPolicy
 
 	// ThetaTable maps string keys to concurrent Θ sketches (per-key
 	// unique counting).

@@ -14,14 +14,6 @@ type CommonConfig struct {
 	EagerLimit int
 	// Seed is the hash/oracle seed; 0 takes the instantiation default.
 	Seed uint64
-	// ReadParallelism bounds the worker count of parallel read-side
-	// fan-outs (rollup, snapshot, checkpoint, sealed-window rebuild).
-	// 0 means GOMAXPROCS resolved at call time (so a later
-	// GOMAXPROCS change is picked up), 1 forces the serial path, and
-	// values above the item count are clamped per call. It never
-	// affects the ingest path. Resolved through ReadDegree at each
-	// use site rather than in WithDefaults, deliberately.
-	ReadParallelism int
 }
 
 // WithDefaults resolves the shared zero-value conventions against the

@@ -118,9 +118,9 @@ type Engine[V, S, C any] interface {
 	NewSketch(pool *PropagatorPool) EngineSketch[V, S, C]
 	// NewSketchAffine is NewSketch with a stable worker-affinity key:
 	// equal nonzero keys always land on the same pool worker, so a
-	// recreated sketch (same table key in a later epoch, a promoted hot
-	// key) keeps its home worker and its global sketch stays hot in one
-	// worker's cache. Zero behaves like NewSketch.
+	// recreated sketch (a table key evicted and seen again) keeps its home
+	// worker and its global sketch stays hot in one worker's cache. Zero
+	// behaves like NewSketch.
 	NewSketchAffine(pool *PropagatorPool, affinityKey uint64) EngineSketch[V, S, C]
 	// HashValue maps a raw value to the form UpdateHashedBatch ingests:
 	// UpdateBatch(i, vs) and UpdateHashedBatch(i, HashValue of each v)
@@ -140,33 +140,6 @@ type Engine[V, S, C any] interface {
 	// Relaxation is the per-sketch bound r = 2·N·b on updates a query
 	// of one NewSketch sketch may miss (Theorem 1).
 	Relaxation() int
-}
-
-// ScalableEngine is an optional Engine capability: deriving a variant
-// of the same family, seed and writer count with the next-larger
-// per-sketch configuration. It is the seam adaptive per-key policies
-// hang on — a keyed table promotes a hot key by rebuilding its sketch
-// through the scaled engine and folding the old state back in via the
-// family's compact-merge path.
-//
-// Each family scales what its merge semantics allow: Θ and quantiles
-// double the accuracy parameter and the local buffer size b (their
-// compact merges are defined across parameters); HLL doubles only b
-// (register merges require equal precision). Scaling b raises that
-// sketch's relaxation bound r = 2·N·b proportionally.
-type ScalableEngine[V, S, C any] interface {
-	Engine[V, S, C]
-	// ScaleUp returns the next-larger engine, or ok=false when every
-	// scalable parameter is already at its cap.
-	ScaleUp() (eng Engine[V, S, C], ok bool)
-	// NewSketchSeeded is NewSketchAffine preloaded with a compact: the
-	// sketch starts from the compact's state (sample set, registers,
-	// filter hint) instead of empty, so a promoted rebuild keeps both
-	// its history and its earned pre-filtering strength — a Θ sketch
-	// rebuilt empty would admit everything until its Θ re-tightened.
-	// Seeding happens before the sketch is exposed to any writer or
-	// propagator, so it needs no synchronisation.
-	NewSketchSeeded(pool *PropagatorPool, affinityKey uint64, from C) EngineSketch[V, S, C]
 }
 
 // StringEngine is an optional Engine capability: hashing a string item
@@ -191,21 +164,17 @@ type StringEngine[V any] interface {
 // whose HashValue fails ShouldAdd against it without going near the
 // sketch.
 //
-// That is sound under two conditions the implementer guarantees. A
-// hint never goes stale the wrong way: an item ShouldAdd rejects
-// against a hint a sketch once returned would change nothing if that
-// sketch ingested it at any later time (Θ only falls — up to a Reset,
-// which the composite that calls it must make its writers forget
-// first, as a table's Sweep does). And a rebuild
-// seeded from the sketch's own compact (ScalableEngine.NewSketchSeeded,
-// hot-key promotion and demotion) inherits the filter, so the hint
-// outlives the sketch object for as long as the composite keeps the
-// key. A dropped item is an update that took effect at once and
-// changed nothing; it never occupies a buffer, so r = 2·N·b is
-// untouched.
+// That is sound because the implementer guarantees that a hint never
+// goes stale the wrong way: an item ShouldAdd rejects against a hint a
+// sketch once returned would change nothing if that sketch ingested it
+// at any later time. Θ only falls and HLL's register floor only rises —
+// up to a Reset, which the composite that calls it must make its
+// writers forget first, as a table's Sweep does. A dropped item is an
+// update that took effect at once and changed nothing; it never
+// occupies a buffer, so r = 2·N·b is untouched.
 //
-// Θ implements both halves; quantiles and HLL neither (any sample can
-// move a quantile, any hash can raise a register).
+// Θ and HLL implement both halves; quantiles neither (any sample can
+// move a quantile).
 type FilterEngine[V any] interface {
 	// ShouldAdd reports whether the hashed value h can still affect a
 	// sketch whose CalcHint returned hint (Algorithm 1 line 26).
@@ -217,6 +186,7 @@ type FilterSketch[V any] interface {
 	// CalcHint returns the sketch's current pre-filtering hint
 	// (Algorithm 1 line 24); ok=false while it has none to give — a Θ
 	// sketch that is flat, in exact mode or built with filtering
-	// disabled. Wait-free, like Query.
+	// disabled, an HLL sketch with a register still 0. Wait-free, like
+	// Query.
 	CalcHint() (hint V, ok bool)
 }

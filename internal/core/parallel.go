@@ -7,17 +7,17 @@ import (
 )
 
 // This file provides the bounded fan-out primitive shared by every
-// parallel read path (table rollups/snapshots, window sealed-aggregate
-// rebuilds, server checkpoint passes). It is deliberately tiny: the
-// read side parallelizes as "N independent work items, claimed from a
-// shared counter, folded by at most `degree` workers" — no futures, no
-// error plumbing (callers record errors per worker slot), no pooling
-// (the goroutines live for one call; read-path calls are milliseconds,
-// not microseconds).
+// parallel read path (table rollups/snapshots, server checkpoint
+// passes). It is deliberately tiny: the read side parallelizes as "N
+// independent work items, claimed from a shared counter, folded by at
+// most `degree` workers" — no futures, no error plumbing (callers
+// record errors per worker slot), no pooling (the goroutines live for
+// one call; read-path calls are milliseconds, not microseconds).
 
 // ReadDegree resolves a configured read-parallelism value following
-// the CommonConfig.ReadParallelism convention: values > 0 are taken
-// literally, anything else means GOMAXPROCS at call time.
+// the table.Config.ReadParallelism convention: values > 0 are taken
+// literally, anything else means GOMAXPROCS at call time (so a later
+// GOMAXPROCS change is picked up).
 func ReadDegree(configured int) int {
 	if configured > 0 {
 		return configured

@@ -39,6 +39,10 @@ type GlobalSketch struct {
 	// Compact copies); the wait-free estimate read never touches it.
 	mu  sync.Mutex
 	est atomic.Uint64 // Float64bits of the estimate
+	// floor is h's register floor as of the last publish: a lower bound
+	// on every register, read wait-free by a composite's writer filter
+	// (the engine sketch's CalcHint).
+	floor atomic.Uint32
 }
 
 var _ core.Global[uint64, float64] = (*GlobalSketch)(nil)
@@ -76,30 +80,28 @@ func (g *GlobalSketch) Compact() *Sketch {
 	return g.h.Clone()
 }
 
-// Absorb folds a sequential sketch into the global (register-wise max;
-// precision and seed must match). Intended for sketch construction,
-// before any writer or propagator runs.
-func (g *GlobalSketch) Absorb(from *Sketch) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if err := g.h.Merge(from); err != nil {
-		return err
-	}
-	g.publish()
-	return nil
-}
-
 // Snapshot implements core.Global.
 func (g *GlobalSketch) Snapshot() float64 { return math.Float64frombits(g.est.Load()) }
 
-// CalcHint implements core.Global; HLL derives no useful hint.
+// CalcHint implements core.Global. The framework's own writer does not
+// filter HLL: it reads a hint of 0 as 1, and a register floor of 0 —
+// nothing to filter — is where every sketch starts. A composite's
+// writer filters against the floor instead, through the engine
+// sketch's CalcHint and Engine.ShouldAdd.
 func (g *GlobalSketch) CalcHint() uint64 { return 1 }
 
-// ShouldAdd implements core.Global; HLL cannot pre-filter (any hash
-// may raise a register).
+// ShouldAdd implements core.Global; the framework's writer keeps every
+// hash (see CalcHint).
 func (g *GlobalSketch) ShouldAdd(uint64, uint64) bool { return true }
 
-func (g *GlobalSketch) publish() { g.est.Store(math.Float64bits(g.h.Estimate())) }
+// publish stores the estimate and, beside it, the register floor the
+// last merge computed. The eager path (UpdateDirect) does not move the
+// floor, so the published value may lag the registers; a lagging floor
+// is still a lower bound and only filters less.
+func (g *GlobalSketch) publish() {
+	g.est.Store(math.Float64bits(g.h.Estimate()))
+	g.floor.Store(uint32(g.h.floor))
+}
 
 // ConcurrentConfig configures a concurrent HLL sketch. Zero fields take
 // defaults: Precision=12, Writers=1, BufferSize=1024.
@@ -146,21 +148,8 @@ type Concurrent struct {
 
 // NewConcurrent builds a concurrent HLL sketch; Close when done.
 func NewConcurrent(cfg ConcurrentConfig) *Concurrent {
-	c, _ := NewConcurrentFrom(cfg, nil)
-	return c
-}
-
-// NewConcurrentFrom builds a concurrent HLL sketch whose global
-// registers are preloaded from a sequential sketch (nil means empty) —
-// the hot-key promotion rebuild path. Precision and seed must match.
-func NewConcurrentFrom(cfg ConcurrentConfig, from *Sketch) (*Concurrent, error) {
 	cfg = cfg.withDefaults()
 	global := NewGlobal(cfg.Precision, cfg.Seed)
-	if from != nil {
-		if err := global.Absorb(from); err != nil {
-			return nil, err
-		}
-	}
 	coreCfg := core.Config{
 		Writers:         cfg.Writers,
 		BufferSize:      cfg.BufferSize,
@@ -176,7 +165,7 @@ func NewConcurrentFrom(cfg ConcurrentConfig, from *Sketch) (*Concurrent, error) 
 		sk:     core.New[uint64, float64](global, newLocal, coreCfg),
 		global: global,
 		cfg:    cfg,
-	}, nil
+	}
 }
 
 // Writer returns the i-th writer handle (single-goroutine use).
@@ -231,8 +220,8 @@ func (w *ConcurrentWriter) UpdateString(s string) {
 }
 
 // UpdateUint64Batch processes a slice of uint64 items: one hashing
-// pass, then a bulk handoff to the framework. HLL cannot pre-filter
-// (any hash may raise a register), so every hash is kept.
+// pass, then a bulk handoff to the framework. Every hash is kept (see
+// GlobalSketch.CalcHint).
 func (w *ConcurrentWriter) UpdateUint64Batch(vs []uint64) {
 	w.scratch = hash.AppendSumUint64(w.scratch[:0], vs, w.seed)
 	w.w.UpdateBatchPrefiltered(w.scratch)

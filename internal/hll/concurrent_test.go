@@ -81,27 +81,6 @@ func TestConcurrentHLLOverlappingWriters(t *testing.T) {
 	}
 }
 
-// TestScaleUpEngineHasNoEagerPhase: ScaleUp disables the eager phase
-// with a negative limit, which must survive the engine's default pass
-// and the one each sketch makes after it.
-func TestScaleUpEngineHasNoEagerPhase(t *testing.T) {
-	base := NewEngine(ConcurrentConfig{Precision: 10, Writers: 1})
-	up, ok := base.ScaleUp()
-	if !ok {
-		t.Fatal("ScaleUp refused")
-	}
-	if sk := base.NewSketch(nil).(*engineSketch); !sk.c.sk.Eager() {
-		t.Error("base engine's sketch has no eager phase")
-	} else {
-		sk.Close()
-	}
-	sk := up.NewSketch(nil).(*engineSketch)
-	defer sk.Close()
-	if sk.c.sk.Eager() {
-		t.Error("sketch of a ScaleUp engine runs core's eager phase")
-	}
-}
-
 func BenchmarkConcurrentHLLUpdate(b *testing.B) {
 	c := NewConcurrent(ConcurrentConfig{Precision: 12, Writers: 1, EagerLimit: -1})
 	defer c.Close()

@@ -15,7 +15,9 @@ type Engine struct {
 
 var (
 	_ core.Engine[uint64, float64, *Sketch] = (*Engine)(nil)
+	_ core.FilterEngine[uint64]             = (*Engine)(nil)
 	_ core.StringEngine[uint64]             = (*Engine)(nil)
+	_ core.FilterSketch[uint64]             = (*engineSketch)(nil)
 )
 
 // NewEngine returns an HLL engine for the given configuration (zero
@@ -48,6 +50,11 @@ func (e *Engine) HashValue(v uint64) uint64 {
 	return h
 }
 
+// ShouldAdd implements core.FilterEngine (Algorithm 1 line 26): hint
+// is a lower bound on every register, so only a hash whose rank exceeds
+// it can raise one.
+func (e *Engine) ShouldAdd(hint, h uint64) bool { return uint64(rank(h, e.cfg.Precision)) > hint }
+
 // NumWriters implements core.Engine.
 func (e *Engine) NumWriters() int { return e.cfg.Writers }
 
@@ -76,45 +83,6 @@ func (e *Engine) newConcurrent(pool *core.PropagatorPool, affinityKey uint64) *C
 	cfg.Pool = pool
 	cfg.AffinityKey = affinityKey
 	return NewConcurrent(cfg)
-}
-
-// NewSketchSeeded implements core.ScalableEngine: the new sketch's
-// registers start from the compact (register-wise max; the promotion
-// ladder preserves precision and seed, so the merge cannot fail — a
-// foreign compact falls back to an empty sketch).
-func (e *Engine) NewSketchSeeded(pool *core.PropagatorPool, affinityKey uint64, from *Sketch) core.EngineSketch[uint64, float64, *Sketch] {
-	cfg := e.cfg
-	cfg.Pool = pool
-	cfg.AffinityKey = affinityKey
-	c, err := NewConcurrentFrom(cfg, from)
-	if err != nil {
-		c = NewConcurrent(cfg)
-	}
-	return &engineSketch{
-		eng:  e,
-		pool: pool,
-		aff:  affinityKey,
-		c:    c,
-		ws:   make([]*ConcurrentWriter, e.cfg.Writers),
-	}
-}
-
-// maxScaledBuffer caps hot-key buffer growth (see theta's counterpart).
-const maxScaledBuffer = 1 << 14
-
-// ScaleUp implements core.ScalableEngine. HLL register merges require
-// equal precision, so only the local buffer b doubles (halving handoff
-// frequency for hot keys; r = 2·N·b doubles); precision is fixed. The
-// eager phase is disabled — a promoted key is past the small-stream
-// regime by construction.
-func (e *Engine) ScaleUp() (core.Engine[uint64, float64, *Sketch], bool) {
-	cfg := e.cfg
-	if cfg.BufferSize >= maxScaledBuffer {
-		return nil, false
-	}
-	cfg.BufferSize *= 2
-	cfg.EagerLimit = -1
-	return NewEngine(cfg), true
 }
 
 // NewAggregator implements core.Engine: one accumulating sketch with
@@ -172,7 +140,19 @@ func (s *engineSketch) Flush(i int) {
 		s.ws[i].Flush()
 	}
 }
-func (s *engineSketch) Query() float64   { return s.c.Estimate() }
+func (s *engineSketch) Query() float64 { return s.c.Estimate() }
+
+// CalcHint implements core.FilterSketch (Algorithm 1 line 24): the
+// register floor the global sketch last published; none while some
+// register is still 0. Registers only rise, so the floor only rises
+// and a hint once given never lets a hash through that could matter
+// later — the eager path does not move the published floor, which only
+// makes it lower. Reset starts a new global at floor 0; its owner must
+// make writers forget the old hint first, as a table's Sweep does.
+func (s *engineSketch) CalcHint() (uint64, bool) {
+	f := uint64(s.c.global.floor.Load())
+	return f, f > 0
+}
 func (s *engineSketch) Compact() *Sketch { return s.c.Compact() }
 
 // AddTo implements core.EngineSketch as Add(Compact()).

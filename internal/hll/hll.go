@@ -29,6 +29,11 @@ type Sketch struct {
 	// snapshot after every merge.
 	sum   float64
 	zeros int
+	// floor is the minimum register as of the last recalc (a merge or
+	// a decode); UpdateHash leaves it alone. Registers only rise, so it
+	// is always a lower bound on the true minimum: an item whose rank is
+	// at most floor can raise no register, now or later.
+	floor uint8
 }
 
 // ErrPrecisionMismatch is returned when merging sketches with different
@@ -77,8 +82,7 @@ func (s *Sketch) UpdateString(v string) {
 // bits updates it.
 func (s *Sketch) UpdateHash(h uint64) {
 	idx := h >> (64 - s.p)
-	rest := h<<s.p | 1<<(uint(s.p)-1) // guard bit bounds rho at 64-p+1
-	rho := uint8(bits.LeadingZeros64(rest)) + 1
+	rho := rank(h, s.p)
 	if old := s.regs[idx]; rho > old {
 		s.regs[idx] = rho
 		s.sum += math.Exp2(-float64(rho)) - math.Exp2(-float64(old))
@@ -86,6 +90,13 @@ func (s *Sketch) UpdateHash(h uint64) {
 			s.zeros--
 		}
 	}
+}
+
+// rank is ρ(h): one plus the leading zeros of the bits below the top p,
+// which select the register.
+func rank(h uint64, p uint8) uint8 {
+	rest := h<<p | 1<<(uint(p)-1) // guard bit bounds rho at 64-p+1
+	return uint8(bits.LeadingZeros64(rest)) + 1
 }
 
 // Estimate returns the estimated number of distinct items. O(1): the
@@ -101,16 +112,20 @@ func (s *Sketch) Estimate() float64 {
 	return est
 }
 
-// recalc recomputes the incremental estimate state from the registers.
+// recalc recomputes the incremental estimate state and the register
+// floor from the registers.
 func (s *Sketch) recalc() {
 	s.sum = 0
 	s.zeros = 0
+	floor := uint8(math.MaxUint8)
 	for _, r := range s.regs {
 		s.sum += math.Exp2(-float64(r))
 		if r == 0 {
 			s.zeros++
 		}
+		floor = min(floor, r)
 	}
+	s.floor = floor
 }
 
 // alpha is the HLL bias-correction constant for m registers.
@@ -147,6 +162,7 @@ func (s *Sketch) Reset() {
 	m := len(s.regs)
 	s.sum = float64(m)
 	s.zeros = m
+	s.floor = 0
 }
 
 // IsEmpty reports whether all registers are zero.
@@ -166,7 +182,7 @@ func (s *Sketch) RelativeStandardError() float64 {
 
 // Clone returns a deep copy.
 func (s *Sketch) Clone() *Sketch {
-	cp := &Sketch{p: s.p, seed: s.seed, regs: make([]uint8, len(s.regs)), sum: s.sum, zeros: s.zeros}
+	cp := &Sketch{p: s.p, seed: s.seed, regs: make([]uint8, len(s.regs)), sum: s.sum, zeros: s.zeros, floor: s.floor}
 	copy(cp.regs, s.regs)
 	return cp
 }

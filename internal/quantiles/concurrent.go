@@ -62,16 +62,6 @@ func (g *GlobalSketch) Compact() *Sketch {
 	return cp
 }
 
-// Absorb folds a sequential sketch into the global (any k: mismatched
-// parameters replay through a snapshot). Intended for sketch
-// construction, before any writer or propagator runs.
-func (g *GlobalSketch) Absorb(from *Sketch) {
-	g.mu.Lock()
-	g.q.Merge(from)
-	g.publish()
-	g.mu.Unlock()
-}
-
 // Snapshot implements core.Global: a wait-free atomic pointer load of
 // an immutable snapshot.
 func (g *GlobalSketch) Snapshot() *Snapshot { return g.snap.Load() }
@@ -132,18 +122,10 @@ type Concurrent struct {
 }
 
 // NewConcurrent builds a concurrent quantiles sketch; Close when done.
-func NewConcurrent(cfg ConcurrentConfig) *Concurrent { return NewConcurrentFrom(cfg, nil) }
-
-// NewConcurrentFrom builds a concurrent quantiles sketch whose global
-// state is preloaded from a sequential sketch (nil means empty) — the
-// hot-key promotion rebuild path.
-func NewConcurrentFrom(cfg ConcurrentConfig, from *Sketch) *Concurrent {
+func NewConcurrent(cfg ConcurrentConfig) *Concurrent {
 	cfg = cfg.withDefaults()
 	orc := oracle.New(cfg.Seed)
 	global := NewGlobal(cfg.K, orc.Fork())
-	if from != nil {
-		global.Absorb(from)
-	}
 	coreCfg := core.Config{
 		Writers:         cfg.Writers,
 		BufferSize:      cfg.BufferSize,

@@ -186,27 +186,6 @@ func TestConcurrentQuantilesLiveReads(t *testing.T) {
 	}
 }
 
-// TestScaleUpEngineHasNoEagerPhase: ScaleUp disables the eager phase
-// with a negative limit, which must survive the engine's default pass
-// and the one each sketch makes after it.
-func TestScaleUpEngineHasNoEagerPhase(t *testing.T) {
-	base := NewEngine(ConcurrentConfig{K: 128, Writers: 1})
-	up, ok := base.ScaleUp()
-	if !ok {
-		t.Fatal("ScaleUp refused")
-	}
-	if sk := base.NewSketch(nil).(*engineSketch); !sk.c.Eager() {
-		t.Error("base engine's sketch has no eager phase")
-	} else {
-		sk.Close()
-	}
-	sk := up.NewSketch(nil).(*engineSketch)
-	defer sk.Close()
-	if sk.c.Eager() {
-		t.Error("sketch of a ScaleUp engine runs core's eager phase")
-	}
-}
-
 func BenchmarkConcurrentQuantilesUpdate(b *testing.B) {
 	c := NewConcurrent(ConcurrentConfig{K: 128, Writers: 1, EagerLimit: -1})
 	defer c.Close()

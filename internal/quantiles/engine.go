@@ -60,51 +60,6 @@ func (e *Engine) newConcurrent(pool *core.PropagatorPool, affinityKey uint64) *C
 	return NewConcurrent(cfg)
 }
 
-// NewSketchSeeded implements core.ScalableEngine: the new sketch's
-// global starts from the compact (weighted samples merge across k), so
-// a promoted hot key keeps its history.
-func (e *Engine) NewSketchSeeded(pool *core.PropagatorPool, affinityKey uint64, from *Sketch) core.EngineSketch[float64, *Snapshot, *Sketch] {
-	cfg := e.cfg
-	cfg.Pool = pool
-	cfg.AffinityKey = affinityKey
-	return &engineSketch{
-		eng:  e,
-		pool: pool,
-		aff:  affinityKey,
-		c:    NewConcurrentFrom(cfg, from),
-		ws:   make([]*ConcurrentWriter, e.cfg.Writers),
-	}
-}
-
-// Promotion caps (see theta's counterparts).
-const (
-	maxScaledK      = 1 << 12
-	maxScaledBuffer = 1 << 14
-)
-
-// ScaleUp implements core.ScalableEngine: doubles k (rank error
-// shrinks) and the local buffer b (r = 2·N·b doubles), and disables
-// the eager phase — a promoted key is past the small-stream regime by
-// construction. Quantiles sketches merge across k (snapshot replay),
-// so scaled sketches stay mergeable with base ones.
-func (e *Engine) ScaleUp() (core.Engine[float64, *Snapshot, *Sketch], bool) {
-	cfg := e.cfg
-	grown := false
-	if cfg.K < maxScaledK {
-		cfg.K *= 2
-		grown = true
-	}
-	if cfg.BufferSize < maxScaledBuffer {
-		cfg.BufferSize *= 2
-		grown = true
-	}
-	if !grown {
-		return nil, false
-	}
-	cfg.EagerLimit = -1
-	return NewEngine(cfg), true
-}
-
 // NewAggregator implements core.Engine: one accumulating sketch.
 func (e *Engine) NewAggregator() core.Aggregator[*Sketch] {
 	return &mergeAggregator{s: New(e.cfg.K)}

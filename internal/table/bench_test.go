@@ -133,7 +133,7 @@ func benchRollup(b *testing.B, tab *ThetaTable[uint64]) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(tab.Keys()), "ns/key")
 }
 
-// The hot-key stream of BenchmarkTableHotKeys and BenchmarkHotKeyPolicy:
+// The hot-key stream of BenchmarkTableHotKeys and BenchmarkFamilyHotKeys:
 // 1 000 zipf(1.2) keys, every value distinct, 2 048-item chunks, passes
 // of 1<<20 items from two writers — so all but the tail keys are far
 // above K after the first pass.
@@ -195,44 +195,43 @@ func BenchmarkTableHotKeys(b *testing.B) {
 	b.ReportMetric(float64(tab.Stats().Prefiltered)/items, "prefiltered/item")
 }
 
-// BenchmarkHotKeyPolicy prices the hot-key ladder: the hot-key stream
-// through a Θ, a quantiles and an HLL table, each without a policy and
-// with HotKeyPolicy{HotThreshold: 1<<14}. Reports Mitems/s and the
-// table's promotions. (Named so that `-bench Table` does not run it.)
-func BenchmarkHotKeyPolicy(b *testing.B) {
-	policies := []struct {
-		name string
-		hot  *HotKeyPolicy
-	}{{"none", nil}, {"hot16384", &HotKeyPolicy{HotThreshold: 1 << 14}}}
+// BenchmarkFamilyHotKeys is the hot-key stream through a table of each
+// family, every one at its defaults but quantiles-b4K, whose per-key
+// buffer is 4·K (the setting a quantiles table gives hot keys fewer
+// handoffs with). Reports Mitems/s and the share of items the writers
+// dropped in pass 1 (0 for quantiles, which has no filter). Named so
+// that `-bench Table` does not run it.
+func BenchmarkFamilyHotKeys(b *testing.B) {
+	cfg := Config[uint64]{Writers: hotWriters}
 	families := []struct {
 		name string
-		run  func(b *testing.B, cfg Config[uint64]) (promotions int64)
+		run  func(b *testing.B) (items float64, st Stats)
 	}{
-		{"theta", func(b *testing.B, cfg Config[uint64]) int64 {
+		{"theta", func(b *testing.B) (float64, Stats) {
 			tab := NewTheta(ThetaConfig[uint64]{Table: cfg})
 			defer tab.Close()
-			driveHotKeys(b, tab.Table)
-			return tab.Promotions()
+			return driveHotKeys(b, tab.Table), tab.Stats()
 		}},
-		{"quantiles", func(b *testing.B, cfg Config[uint64]) int64 {
-			tab := NewQuantiles(QuantilesConfig[uint64]{Table: cfg})
-			defer tab.Close()
-			driveHotKeys(b, tab.Table)
-			return tab.Promotions()
-		}},
-		{"hll", func(b *testing.B, cfg Config[uint64]) int64 {
+		{"hll", func(b *testing.B) (float64, Stats) {
 			tab := NewHLL(HLLConfig[uint64]{Table: cfg})
 			defer tab.Close()
-			driveHotKeys(b, tab.Table)
-			return tab.Promotions()
+			return driveHotKeys(b, tab.Table), tab.Stats()
+		}},
+		{"quantiles", func(b *testing.B) (float64, Stats) {
+			tab := NewQuantiles(QuantilesConfig[uint64]{Table: cfg})
+			defer tab.Close()
+			return driveHotKeys(b, tab.Table), tab.Stats()
+		}},
+		{"quantiles-b4K", func(b *testing.B) (float64, Stats) {
+			tab := NewQuantiles(QuantilesConfig[uint64]{Table: cfg, K: 32, BufferSize: 4 * 32})
+			defer tab.Close()
+			return driveHotKeys(b, tab.Table), tab.Stats()
 		}},
 	}
 	for _, f := range families {
-		for _, p := range policies {
-			b.Run(f.name+"/"+p.name, func(b *testing.B) {
-				promotions := f.run(b, Config[uint64]{Writers: hotWriters, HotKeys: p.hot})
-				b.ReportMetric(float64(promotions), "promotions")
-			})
-		}
+		b.Run(f.name, func(b *testing.B) {
+			items, st := f.run(b)
+			b.ReportMetric(float64(st.Prefiltered)/items, "prefiltered/item")
+		})
 	}
 }

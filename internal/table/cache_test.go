@@ -4,8 +4,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"github.com/fcds/fcds/internal/theta"
 )
 
 // TestEntryCacheEvictNoResurrect pins the entry-cache coherence rule:
@@ -113,101 +111,27 @@ func TestKeyedBatchCachedPathAllocs(t *testing.T) {
 	}
 }
 
-// TestHotKeyPromotion exercises the adaptive per-key policy end to
-// end: a key crossing the volume threshold is promoted through the
-// engine ladder (counted), keeps answering with its full history, and
-// still round-trips through the base-parameter snapshot format.
-func TestHotKeyPromotion(t *testing.T) {
-	tab := NewTheta(ThetaConfig[uint64]{
-		Table: Config[uint64]{
-			Writers: 1, Shards: 4,
-			HotKeys: &HotKeyPolicy{HotThreshold: 512, MaxPromotions: 2},
-		},
-		K: 64, MaxError: 1,
+// TestHotKeyConcurrencyStress drives batch writers, single updaters,
+// wait-free queries and cap evictions concurrently on Θ and HLL tables
+// whose four hot keys the batch writers mostly filter in pass 1, while
+// churn keys keep being evicted and recreated beside them: it pins the lock discipline (no reader/writer cycle
+// between entry locks and shard locks) beside the filter's stamp
+// checks. A deadlock fails via test timeout.
+func TestHotKeyConcurrencyStress(t *testing.T) {
+	tcfg := Config[uint64]{Writers: 3, Shards: 8, MaxKeys: 64}
+	t.Run("theta", func(t *testing.T) {
+		tab := NewTheta(ThetaConfig[uint64]{Table: tcfg, K: 64, MaxError: 1})
+		defer tab.Close()
+		hotKeyStress(t, tab.Table)
 	})
-	defer tab.Close()
-	w := tab.Writer(0)
-
-	const hot, n = uint64(7), 2048
-	const cold = uint64(9)
-	keys := make([]uint64, 256)
-	vals := make([]uint64, 256)
-	next := uint64(0)
-	for sent := 0; sent < n; sent += len(keys) {
-		for i := range keys {
-			keys[i] = hot
-			vals[i] = next * 0x9e3779b97f4a7c15
-			next++
-		}
-		w.UpdateKeyedBatch(keys, vals)
-	}
-	w.UpdateKeyed(cold, 1)
-	tab.Drain()
-
-	if got := tab.Promotions(); got != 2 {
-		t.Fatalf("promotions = %d, want 2 (threshold 512 crossed repeatedly, capped at 2)", got)
-	}
-	est, ok := tab.Estimate(hot)
-	if !ok || est < n*0.75 || est > n*1.25 {
-		t.Fatalf("hot-key estimate = %v (ok=%v), want ~%d", est, ok, n)
-	}
-	if est, ok := tab.Estimate(cold); !ok || est != 1 {
-		t.Fatalf("cold-key estimate = %v (ok=%v), want exactly 1", est, ok)
-	}
-
-	// Promoted keys must export base-parameter compacts: the snapshot
-	// round-trips and self-merges without kind/param errors.
-	data, err := tab.SnapshotBinary()
-	if err != nil {
-		t.Fatalf("SnapshotBinary: %v", err)
-	}
-	snap, err := UnmarshalThetaSnapshot[uint64](data)
-	if err != nil {
-		t.Fatalf("UnmarshalThetaSnapshot: %v", err)
-	}
-	c, ok := snap.Get(hot)
-	if !ok {
-		t.Fatal("snapshot lost the hot key")
-	}
-	if got := c.Estimate(); got < n*0.6 || got > n*1.4 {
-		t.Fatalf("snapshot hot-key estimate = %v, want ~%d", got, n)
-	}
-	if err := snap.Merge(tab.Snapshot()); err != nil {
-		t.Fatalf("snapshot self-merge after promotion: %v", err)
-	}
-
-	// Rollup spans promoted and unpromoted keys through one aggregator.
-	if got := tab.Rollup().Estimate(); got < n*0.6 {
-		t.Fatalf("rollup = %v, want >= ~%d", got, n)
-	}
-
-	// The promoted sketch keeps ingesting (history + new both visible).
-	for i := range keys {
-		keys[i] = hot
-		vals[i] = (uint64(n) + uint64(i)) * 0x9e3779b97f4a7c15
-	}
-	w.UpdateKeyedBatch(keys, vals)
-	tab.Drain()
-	if est2, _ := tab.Estimate(hot); est2 <= est {
-		t.Fatalf("estimate did not grow after post-promotion ingest: %v -> %v", est, est2)
-	}
+	t.Run("hll", func(t *testing.T) {
+		tab := NewHLL(HLLConfig[uint64]{Table: tcfg, Precision: 6})
+		defer tab.Close()
+		hotKeyStress(t, tab.Table)
+	})
 }
 
-// TestHotKeyPromotionConcurrencyStress drives batch writers, single
-// updaters, wait-free queries and cap evictions concurrently against a
-// low promotion threshold: promotion takes entry locks exclusively
-// while entries are mapped, so this pins the lock discipline (no
-// reader/writer cycle between entry locks and shard locks) and the
-// promote-vs-evict dead-entry guard. A deadlock fails via test timeout.
-func TestHotKeyPromotionConcurrencyStress(t *testing.T) {
-	tab := NewTheta(ThetaConfig[uint64]{
-		Table: Config[uint64]{
-			Writers: 3, Shards: 8, MaxKeys: 64,
-			HotKeys: &HotKeyPolicy{HotThreshold: 64, MaxPromotions: 3},
-		},
-		K: 64, MaxError: 1,
-	})
-	defer tab.Close()
+func hotKeyStress[C any](t *testing.T, tab *Table[uint64, uint64, float64, C]) {
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for wi := 0; wi < 2; wi++ {
@@ -228,10 +152,14 @@ func TestHotKeyPromotionConcurrencyStress(t *testing.T) {
 					x ^= x << 13
 					x ^= x >> 7
 					x ^= x << 17
-					if j%2 == 0 {
-						ks[j] = uint64(j % 4) // hot keys: promoted repeatedly
+					if i%8 != 0 || j%2 == 0 {
+						ks[j] = uint64(j % 4) // hot keys: filtered
 					} else {
-						ks[j] = x % 512 // churn keys: evicted repeatedly
+						// Churn keys, one batch in eight: evicted
+						// repeatedly, and each eviction voids the
+						// shard's cached hints until a run refreshes
+						// them.
+						ks[j] = x % 512
 					}
 					vs[j] = x
 				}
@@ -252,7 +180,7 @@ func TestHotKeyPromotionConcurrencyStress(t *testing.T) {
 			}
 		}
 	}()
-	deadline := time.After(2 * time.Second)
+	deadline := time.After(time.Second)
 	queries := 0
 	for done := false; !done; {
 		select {
@@ -260,7 +188,8 @@ func TestHotKeyPromotionConcurrencyStress(t *testing.T) {
 			done = true
 		default:
 			for k := uint64(0); k < 8; k++ {
-				tab.Estimate(k)
+				tab.Query(k)
+				tab.CompactKey(k)
 				queries++
 			}
 		}
@@ -270,53 +199,10 @@ func TestHotKeyPromotionConcurrencyStress(t *testing.T) {
 	if queries == 0 {
 		t.Fatal("no queries completed")
 	}
-	if tab.Promotions() == 0 {
-		t.Error("stress run produced no promotions")
+	if st := tab.Stats(); st.Prefiltered == 0 {
+		t.Error("stress run filtered no items")
 	}
 	if tab.Evictions() == 0 {
 		t.Error("stress run produced no evictions")
-	}
-}
-
-// TestHotKeyPromotionEvictSpill pins the eviction path for promoted
-// keys: the spilled snapshot carries the full (base + live) history.
-func TestHotKeyPromotionEvictSpill(t *testing.T) {
-	var spilled []byte
-	tab := NewTheta(ThetaConfig[uint64]{
-		Table: Config[uint64]{
-			Writers: 1, Shards: 4, TTL: time.Minute,
-			HotKeys: &HotKeyPolicy{HotThreshold: 256, MaxPromotions: 1},
-			OnEvict: func(_ uint64, b []byte) { spilled = b },
-		},
-		K: 64, MaxError: 1,
-	})
-	defer tab.Close()
-	now := time.Now().UnixNano()
-	tab.now = func() int64 { return now }
-	w := tab.Writer(0)
-	const n = 1024
-	keys := make([]uint64, n)
-	vals := make([]uint64, n)
-	for i := range keys {
-		keys[i] = 1
-		vals[i] = uint64(i) * 0x9e3779b97f4a7c15
-	}
-	w.UpdateKeyedBatch(keys, vals)
-	if tab.Promotions() == 0 {
-		t.Fatal("no promotion before eviction")
-	}
-	now += 2 * time.Minute.Nanoseconds()
-	if tab.EvictExpired() != 1 {
-		t.Fatal("key not evicted")
-	}
-	if spilled == nil {
-		t.Fatal("no spill bytes")
-	}
-	c, err := theta.UnmarshalCompact(spilled)
-	if err != nil {
-		t.Fatalf("spill unmarshal: %v", err)
-	}
-	if got := c.Estimate(); got < n*0.6 || got > n*1.4 {
-		t.Fatalf("spilled estimate = %v, want ~%d (history must survive promotion + eviction)", got, n)
 	}
 }

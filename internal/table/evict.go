@@ -108,7 +108,7 @@ func (t *Table[K, V, S, C]) finalize(k K, e *entry[V, S, C], spill bool) {
 	}
 	var data []byte
 	if spill && t.cfg.OnEvict != nil {
-		if b, err := t.eng.MarshalCompact(t.compactOf(e)); err == nil {
+		if b, err := t.eng.MarshalCompact(e.sk.Compact()); err == nil {
 			data = b
 		}
 	}
@@ -150,8 +150,7 @@ func (t *Table[K, V, S, C]) Drain() {
 //
 // Both locks are exclusive because every reader holds one of them:
 // writers and whole-table reads hold the entry lock shared, per-key
-// Query and CompactKey without a hot-key policy only the shard read
-// lock. So no read sees a sketch halfway through visit. Before it
+// Query and CompactKey only the shard read lock. So no read sees a sketch halfway through visit. Before it
 // visits a shard's keys, Sweep bumps the shard's cache stamp inside the
 // shard's critical section: a key visit removes is then covered by the
 // removal argument in the package comment, and so is a writer's cached

@@ -227,36 +227,6 @@ func TestFlatKeyEvictionSpill(t *testing.T) {
 	}
 }
 
-// TestFlatKeyPromotion: a hot-key threshold below the eager limit
-// promotes a key that is still flat; the scaled sketch is seeded from
-// the flat state and keeps counting.
-func TestFlatKeyPromotion(t *testing.T) {
-	tab := flatTable(1, Config[uint64]{HotKeys: &HotKeyPolicy{HotThreshold: 50, MaxPromotions: 1}})
-	defer tab.Close()
-	w := tab.Writer(0)
-	items := itemsOf(7, 80)
-	for _, v := range items[:49] {
-		w.UpdateKeyed(7, v)
-	}
-	if p, s := tab.Promotions(), tab.Pool().Sketches(); p != 0 || s != 0 {
-		t.Fatalf("before the threshold: %d promotions, %d pool sketches; want 0, 0", p, s)
-	}
-	w.UpdateKeyed(7, items[49])
-	if p, s := tab.Promotions(), tab.Pool().Sketches(); p != 1 || s != 1 {
-		t.Fatalf("at the threshold: %d promotions, %d pool sketches; want 1, 1", p, s)
-	}
-	if est, _ := tab.Estimate(7); est != 50 {
-		t.Fatalf("estimate right after promotion = %v, want the 50 flat items", est)
-	}
-	for _, v := range items[50:] {
-		w.UpdateKeyed(7, v)
-	}
-	tab.Drain()
-	if est, _ := tab.Estimate(7); est != 80 {
-		t.Fatalf("estimate after promotion and 30 more items = %v, want 80", est)
-	}
-}
-
 // TestFlatKeySnapshotMerge: flat keys survive SnapshotAppend →
 // UnmarshalThetaSnapshot → Merge, per key byte-identical to a
 // concurrent sketch fed the union of the two tables' items.

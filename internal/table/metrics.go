@@ -31,7 +31,6 @@ func (t *Table[K, V, S, C]) observeDur(p *atomic.Pointer[metrics.Histogram], sta
 // never from ingestion.
 //
 // Families: fcds_table_keys, fcds_table_evictions_total{cause},
-// fcds_table_promotions_total, fcds_table_demotions_total,
 // fcds_table_writer_cache_hits_total, fcds_table_shard_lookups_total,
 // fcds_table_prefiltered_items_total,
 // fcds_table_rollup_duration_seconds,
@@ -46,12 +45,6 @@ func (t *Table[K, V, S, C]) RegisterMetrics(reg *metrics.Registry, name string) 
 	reg.CounterFunc("fcds_table_evictions_total",
 		"Keys evicted, by cause (cap = size-cap LRU, ttl = idle expiry).",
 		func() float64 { return float64(t.evictTTL.Load()) }, "table", name, "cause", "ttl")
-	reg.CounterFunc("fcds_table_promotions_total",
-		"Hot-key promotions (seeded rebuilds up the ScaleUp ladder).",
-		func() float64 { return float64(t.Promotions()) }, "table", name)
-	reg.CounterFunc("fcds_table_demotions_total",
-		"Hot-key demotions (seeded rebuilds back down the ladder).",
-		func() float64 { return float64(t.Demotions()) }, "table", name)
 	reg.CounterFunc("fcds_table_writer_cache_hits_total",
 		"Key resolutions served by writer entry caches.",
 		func() float64 { return float64(t.Stats().CacheHits) }, "table", name)

@@ -17,7 +17,12 @@ type QuantilesConfig[K Key] struct {
 	// K is each per-key sketch's accuracy parameter (power of two).
 	K int
 	// BufferSize is b, each writer slot's local buffer per key; the
-	// per-key relaxation is r = 2·N·b. Default 2·K.
+	// per-key relaxation is r = 2·N·b. Default 2·K. It is the one knob
+	// for hot keys: a quantiles sketch has no writer-side filter, so a
+	// hot key's throughput is bounded by its handoffs, one per b items.
+	// On BenchmarkFamilyHotKeys (1 000 zipf keys, 2 writers, 2 vCPUs)
+	// 4·K ingests 3.3 Mitems/s against 1.9 at the default, at twice the
+	// r.
 	BufferSize int
 	// Seed seeds the compaction-coin oracles.
 	Seed uint64

@@ -62,10 +62,10 @@ func (t *Table[K, V, S, C]) collectEntries() ([]K, []*entry[V, S, C]) {
 	return keys, ents
 }
 
-// compactEntry captures one collected entry's full-history compact
-// outside all shard locks. The entry's liveness lock pins the sketch
-// against a concurrent finalize or promotion swap; ok=false means the
-// key was evicted since collection and has no compact to contribute.
+// compactEntry captures one collected entry's compact outside all
+// shard locks. The entry's liveness lock pins the sketch against a
+// concurrent finalize; ok=false means the key was evicted since
+// collection and has no compact to contribute.
 func (t *Table[K, V, S, C]) compactEntry(e *entry[V, S, C]) (C, bool) {
 	e.mu.RLock()
 	if e.dead {
@@ -73,27 +73,22 @@ func (t *Table[K, V, S, C]) compactEntry(e *entry[V, S, C]) (C, bool) {
 		var zero C
 		return zero, false
 	}
-	c := t.compactOf(e)
+	c := e.sk.Compact()
 	e.mu.RUnlock()
 	return c, true
 }
 
-// addEntry folds one collected entry's full-history state into agg,
-// outside all shard locks and under the entry's liveness lock, as
-// compactEntry reads it. The sketch folds itself in (EngineSketch.AddTo:
-// Θ reads its samples in place, with no per-key compact); only a key
-// promoted to a different parameter goes through compactOf's
-// normalization. A key evicted since collection contributes nothing.
-// Engine-made sketches and compacts are compatible with the engine's
-// aggregator by construction, so the merge cannot fail.
+// addEntry folds one collected entry's state into agg, outside all
+// shard locks and under the entry's liveness lock, as compactEntry
+// reads it. The sketch folds itself in (EngineSketch.AddTo: Θ reads its
+// samples in place, with no per-key compact). A key evicted since
+// collection contributes nothing. Engine-made sketches are compatible
+// with the engine's aggregator by construction, so the merge cannot
+// fail.
 func (t *Table[K, V, S, C]) addEntry(agg core.Aggregator[C], e *entry[V, S, C]) {
 	e.mu.RLock()
-	switch {
-	case e.dead:
-	case e.eng.Param() == t.eng.Param():
+	if !e.dead {
 		_ = e.sk.AddTo(agg)
-	default:
-		_ = agg.Add(t.compactOf(e))
 	}
 	e.mu.RUnlock()
 }

@@ -49,18 +49,14 @@ func pinStream(send func(keys, vals []uint64)) {
 	}
 }
 
-// pinConfig is the pinned tables' configuration: one writer, hot keys
-// promoted at 4 000 updates (so every 9 000-item key).
+// pinConfig is the pinned tables' configuration: one writer.
 func pinConfig(degree int) Config[uint64] {
-	return Config[uint64]{
-		Writers: 1, Shards: 8, ReadParallelism: degree,
-		HotKeys: &HotKeyPolicy{HotThreshold: 4000},
-	}
+	return Config[uint64]{Writers: 1, Shards: 8, ReadParallelism: degree}
 }
 
 // pinTheta holds a Θ key in every state: flat (10 items; the eager limit
-// 2/e² is 50), concurrent in exact mode (60), in estimation mode (2 000)
-// and promoted by the hot-key policy (9 000).
+// 2/e² is 50), concurrent in exact mode (60), and in estimation mode
+// (2 000 and 9 000).
 func pinTheta(t *testing.T, degree int) *ThetaTable[uint64] {
 	t.Helper()
 	tab := NewTheta(ThetaConfig[uint64]{Table: pinConfig(degree), K: 64, MaxError: 0.2})
@@ -68,9 +64,6 @@ func pinTheta(t *testing.T, degree int) *ThetaTable[uint64] {
 	tab.Drain()
 	if flat := int64(tab.Keys()) - tab.Pool().Sketches(); flat != 20 {
 		t.Fatalf("%d flat keys, want 20", flat)
-	}
-	if p := tab.Promotions(); p < 20 {
-		t.Fatalf("%d promotions, want every 9 000-item key promoted", p)
 	}
 	return tab
 }
@@ -115,8 +108,6 @@ func TestRollupInPlaceMatchesSnapshotUnion(t *testing.T) {
 // the compact it would snapshot, so their rollups answer as the union
 // of the snapshot's compacts does — quantiles N/min/max (its merges
 // draw coins in fold order), HLL registers byte for byte and as pinned.
-// Promoted quantiles keys have a doubled k and take the normalization
-// path.
 func TestRollupQuantilesHLLUnchanged(t *testing.T) {
 	for _, degree := range []int{1, 4} {
 		q := NewQuantiles(QuantilesConfig[uint64]{Table: pinConfig(degree), K: 64})
@@ -128,9 +119,6 @@ func TestRollupQuantilesHLLUnchanged(t *testing.T) {
 			q.Writer(0).UpdateKeyedBatch(keys, fs)
 		})
 		q.Drain()
-		if q.Promotions() == 0 {
-			t.Fatal("no quantiles key was promoted")
-		}
 		qr := q.Rollup()
 		qagg := q.Engine().NewAggregator()
 		q.Snapshot().ForEach(func(_ uint64, c *quantiles.Sketch) { _ = qagg.Add(c) })

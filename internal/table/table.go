@@ -35,7 +35,7 @@
 // key→entry cache whose slot holds, for a resident key, its entry and
 // a shard-epoch stamp (bumped whenever a key leaves the shard's map),
 // its group in the batch being staged, and — for a family with
-// core.FilterEngine, which is Θ — the hint the key's sketch last gave
+// core.FilterEngine (Θ and HLL) — the hint the key's sketch last gave
 // this writer. With those, pass 1 filters before it groups: an item
 // whose hash fails ShouldAdd against the slot's hint is dropped on the
 // spot, before it reaches a map, a lock or a sketch. That is Algorithm
@@ -48,53 +48,52 @@
 // re-validates, once per key per batch and before the first drop. The
 // stamp is bumped inside the critical section that removes a key, so a
 // current stamp means the entry is in the map at that instant, and its
-// sketch's Θ — which only falls, through promotion rebuilds too — is at
-// or below the cached hint. Every item of the batch was handed over
-// before that instant, so the dropped ones may all linearise there: as
-// updates to a live key that took effect at once and changed nothing.
-// They never occupy a buffer, so r = 2·N·b is untouched; they are
-// updates, so the key's touched time and hit count are credited for
-// them as for a run that reached the sketch. A stale stamp empties the
-// slot and the key takes the unfiltered path through the shard map, so
-// an evicted key is never resurrected, or filtered against, through the
-// cache.
+// sketch has moved past the cached hint only in the direction that
+// filters more (a Θ only falls, an HLL register floor only rises).
+// Every item of the batch was handed over before that instant, so the
+// dropped ones may all linearise there: as updates to a live key that
+// took effect at once and changed nothing. They never occupy a buffer,
+// so r = 2·N·b is untouched; they are updates, so the key's touched
+// time is credited for them as for a run that reached the sketch. A
+// stale stamp empties the slot and the key takes the unfiltered path
+// through the shard map, so an evicted key is never resurrected, or
+// filtered against, through the cache.
 //
-// One composite's sketch does let Θ rise: a windowed table's epoch ring,
-// whose live sketch Sweep Resets when it seals an epoch. Sweep bumps
-// each shard's stamp inside the shard's critical section, before it
-// seals any of that shard's rings. A writer that validated its slot
-// before the bump drops items against the old epoch's hint; it
-// validated while the old epoch was live, so the drops linearise there,
-// before the seal, as updates that changed nothing. A writer that
-// validates after the bump finds a stale stamp, re-resolves the key
-// through the shard map and takes a fresh hint from the new live
-// sketch after its first unfiltered run. Without the bump, a cached Θ
-// would silently drop the new epoch's items. A run already resolved
-// re-checks the stamp under the entry lock before it reaches the
-// sketch (see apply), so it lands wholly before or wholly after the
-// seal.
+// One composite's sketch does let the hint go back: a windowed table's
+// epoch ring, whose live sketch Sweep Resets when it seals an epoch (Θ
+// rises to 1, the register floor drops to 0). Sweep bumps each shard's
+// stamp inside the shard's critical section, before it seals any of
+// that shard's rings. A writer that validated its slot before the bump
+// drops items against the old epoch's hint; it validated while the old
+// epoch was live, so the drops linearise there, before the seal, as
+// updates that changed nothing. A writer that validates after the bump
+// finds a stale stamp, re-resolves the key through the shard map and
+// takes a fresh hint from the new live sketch after its first
+// unfiltered run. Without the bump, a cached hint would silently drop
+// the new epoch's items. A run already resolved re-checks the stamp
+// under the entry lock before it reaches the sketch (see apply), so it
+// lands wholly before or wholly after the seal.
 //
-// A Θ key has three representations, chosen from its own update count
-// (flat → concurrent → promoted), never by an option. While it is in
-// the paper's eager phase (§5.3: fewer than 2/e² updates, processed
-// sequentially because r would dominate so short a stream) it is flat:
-// one mutex and one array of distinct hashes inside the engine's
-// sketch adapter, not attached to the pool, every update visible on
-// return. The update that reaches the eager limit builds the
-// concurrent sketch from that array, and from then on the key is what
-// the paragraphs above describe. A HotKeyPolicy can promote it further.
-// For a table-owned pool, Keys() − Pool().Sketches() is the number of
-// keys still flat. Measured on the benchmark's table_wide workload
-// (47.8k live zipf keys, 47k of them never past the limit, K=256):
-// ~510 B of heap per key (map slot, entry and sketch together) against
-// ~1 850 B when every key was concurrent from its first update (~15
-// heap objects). Quantiles and HLL keys are concurrent from creation.
+// A Θ key has two representations, chosen from its own update count
+// (flat → concurrent), never by an option. While it is in the paper's
+// eager phase (§5.3: fewer than 2/e² updates, processed sequentially
+// because r would dominate so short a stream) it is flat: one mutex and
+// one array of distinct hashes inside the engine's sketch adapter, not
+// attached to the pool, every update visible on return. The update that
+// reaches the eager limit builds the concurrent sketch from that array,
+// and from then on the key is what the paragraphs above describe. For a
+// table-owned pool, Keys() − Pool().Sketches() is the number of keys
+// still flat. Measured on the benchmark's table_wide workload (47.8k
+// live zipf keys, 47k of them never past the limit, K=256): ~510 B of
+// heap per key (map slot, entry and sketch together) against ~1 850 B
+// when every key was concurrent from its first update (~15 heap
+// objects). Quantiles and HLL keys are concurrent from creation.
 //
-// Files follow the lifecycle: table.go holds Table, its entries and
-// key resolution; writer.go the Writer and its two passes; hot.go the
-// HotKeyPolicy ladder (promotion, demotion); evict.go cap and TTL
-// eviction, Drain and Close; read.go whole-table reads; serde.go the
-// FCTB snapshot format. The family types only name a Table.
+// Files follow the lifecycle: table.go holds Table, its entries and key
+// resolution; writer.go the Writer and its two passes; evict.go cap and
+// TTL eviction, Drain, Sweep and Close; read.go whole-table reads;
+// serde.go the FCTB snapshot format. The family types only name a
+// Table.
 package table
 
 import (
@@ -150,10 +149,6 @@ type Config[K Key] struct {
 	// outside all table locks; implementations may be slow but must
 	// not call back into the evicting table's write path.
 	OnEvict func(key K, snapshot []byte)
-	// HotKeys, when non-nil with HotThreshold > 0, promotes hot keys
-	// to scaled-up per-key sketches. Ignored when the table's engine
-	// does not implement core.ScalableEngine.
-	HotKeys *HotKeyPolicy
 	// ReadParallelism bounds the worker fan-out of the parallel read
 	// paths (Rollup, Snapshot, SnapshotAppend): 0 means GOMAXPROCS at
 	// call time, 1 forces the serial walk, higher values are clamped
@@ -174,32 +169,19 @@ func (c Config[K]) withDefaults() Config[K] {
 	return c
 }
 
-// entry is one live key. mu serialises sketch liveness and identity:
-// updaters hold it shared for the duration of their sketch calls,
-// evictors hold it exclusive while draining and closing the sketch,
-// Sweep holds it exclusive while its visit reshapes the sketch, and
-// hot-key promotion holds it exclusive while swapping sk for a
-// scaled-up rebuild. touched is the UnixNano of the last update, for
-// TTL/LRU eviction; hits counts ingested updates since creation or the
-// last promotion.
+// entry is one live key. mu serialises sketch liveness: updaters hold
+// it shared for the duration of their sketch calls, evictors hold it
+// exclusive while draining and closing the sketch, and Sweep holds it
+// exclusive while its visit reshapes the sketch. touched is the
+// UnixNano of the last update, for TTL/LRU eviction.
 type entry[V, S, C any] struct {
 	mu      sync.RWMutex
 	sk      core.EngineSketch[V, S, C]
 	touched atomic.Int64
-	// dead is set (under mu exclusive) once finalize or Close has
-	// closed sk; a deferred promotion that lost the race to an
-	// eviction must not rebuild the closed sketch (the rebuilt sketch
-	// would be unreachable and never closed — a pool-attachment leak).
+	// dead is set (under mu exclusive) once finalize, Sweep or Close
+	// has closed sk; a whole-table read that collected the entry before
+	// it left the map skips it.
 	dead bool
-
-	// Hot-key promotion state. level counts promotions (atomic: read
-	// on the unlocked counting path); eng is the engine that built sk
-	// (the ladder engine after promotion; guarded by mu). Promotion
-	// rebuilds sk seeded from its own compact, so the live sketch
-	// always carries the key's full history.
-	hits  atomic.Int64
-	level atomic.Int32
-	eng   core.Engine[V, S, C]
 }
 
 // shard is one power-of-two slice of the key space. mu protects m
@@ -236,34 +218,23 @@ type Table[K Key, V, S, C any] struct {
 	epochs []atomic.Uint64
 	// perShardCap is ceil(MaxKeys/Shards), 0 when uncapped.
 	perShardCap int
-	// ages is true when anything reads entry.touched — a key cap, a TTL
-	// or a demotion policy. Without one a writer does not stamp a key
-	// whose whole run it dropped in pass 1: it holds no lock on that
-	// entry and would dirty, from every writer on every batch, a line of
-	// a hot entry it otherwise only reads. A run that reaches the sketch
-	// stamps its entry regardless, as it always did, under the lock it
-	// holds anyway.
+	// ages is true when anything reads entry.touched — a key cap or a TTL.
+	// Without one a writer does not stamp a key whose whole run it dropped
+	// in pass 1: it holds no lock on that entry and would dirty, from
+	// every writer on every batch, a line of a hot entry it otherwise only
+	// reads. A run that reaches the sketch stamps its entry regardless, as
+	// it always did, under the lock it holds anyway.
 	ages bool
 
 	// filt is the engine's writer-side filter (Algorithm 1's shouldAdd),
 	// nil for families without one; see Writer.
 	filt core.FilterEngine[V]
 
-	// hot is the active hot-key policy (nil when disabled or the
-	// engine is not scalable); ladder[i] is the engine for promotion
-	// level i+1, built once at construction, and scal is the base
-	// engine as a ScalableEngine — the demotion target for level 1.
-	hot    *HotKeyPolicy
-	ladder []core.ScalableEngine[V, S, C]
-	scal   core.ScalableEngine[V, S, C]
-
-	keys       atomic.Int64
-	evictions  atomic.Int64
-	evictCap   atomic.Int64
-	evictTTL   atomic.Int64
-	promotions atomic.Int64
-	demotions  atomic.Int64
-	closed     atomic.Bool
+	keys      atomic.Int64
+	evictions atomic.Int64
+	evictCap  atomic.Int64
+	evictTTL  atomic.Int64
+	closed    atomic.Bool
 
 	// wstats holds one padded cell pair per writer handle: each writer
 	// folds its entry-cache hit/miss deltas into its own cell (one
@@ -307,8 +278,7 @@ func New[K Key, V, S, C any](cfg Config[K], eng core.Engine[V, S, C]) *Table[K, 
 	}
 	t.wstats = make([]writerCells, cfg.Writers)
 	t.filt, _ = any(eng).(core.FilterEngine[V])
-	t.initHot(cfg.HotKeys)
-	t.ages = t.perShardCap > 0 || cfg.TTL > 0 || (t.hot != nil && t.hot.CoolAfter > 0)
+	t.ages = t.perShardCap > 0 || cfg.TTL > 0
 	return t
 }
 
@@ -357,7 +327,10 @@ type Stats struct {
 	Evictions    int64
 	EvictionsCap int64 // size-cap (LRU) evictions
 	EvictionsTTL int64 // idle-TTL evictions
-	// Promotions and Demotions count hot-key ladder moves.
+	// Promotions and Demotions always read 0: they counted the moves of
+	// a hot-key promotion ladder the table no longer has (a hot Θ or HLL
+	// key is filtered by its writers instead). They stay for readers
+	// that still name them.
 	Promotions int64
 	Demotions  int64
 	// CacheHits counts key resolutions served by writer entry caches;
@@ -381,12 +354,6 @@ func (t *Table[K, V, S, C]) Keys() int { return int(t.keys.Load()) }
 // Evictions returns the number of keys evicted so far.
 func (t *Table[K, V, S, C]) Evictions() int64 { return t.evictions.Load() }
 
-// Promotions returns the number of hot-key promotions performed.
-func (t *Table[K, V, S, C]) Promotions() int64 { return t.promotions.Load() }
-
-// Demotions returns the number of hot-key demotions performed.
-func (t *Table[K, V, S, C]) Demotions() int64 { return t.demotions.Load() }
-
 // Stats returns a snapshot of the table's operational counters.
 func (t *Table[K, V, S, C]) Stats() Stats {
 	s := Stats{
@@ -394,8 +361,6 @@ func (t *Table[K, V, S, C]) Stats() Stats {
 		Evictions:    t.evictions.Load(),
 		EvictionsCap: t.evictCap.Load(),
 		EvictionsTTL: t.evictTTL.Load(),
-		Promotions:   t.promotions.Load(),
-		Demotions:    t.demotions.Load(),
 	}
 	for i := range t.wstats {
 		s.CacheHits += t.wstats[i].hits.Load()
@@ -420,70 +385,32 @@ func (t *Table[K, V, S, C]) Relaxation() int { return t.eng.Relaxation() }
 // miss up to Relaxation() of the key's latest updates. The shard
 // read-lock guards only map membership; the snapshot itself is the
 // framework's single atomic read and is never blocked by ingestion or
-// propagation. With a hot-key policy the entry lock is additionally
-// held shared, to pin the sketch identity against a racing promotion —
-// a promoted key's live sketch carries its full history (the rebuild
-// is seeded from the old compact), so the query is still one snapshot
-// read.
+// propagation. The shard read lock also pins the sketch: every path
+// that closes or reshapes it (eviction, Sweep, Close) holds the shard
+// lock exclusive, or has removed the key from the map first.
 func (t *Table[K, V, S, C]) Query(k K) (S, bool) {
 	sh := &t.shards[keyHash(k)&t.mask]
 	sh.mu.RLock()
-	e := sh.m[k]
-	if e == nil {
-		sh.mu.RUnlock()
-		var zero S
-		return zero, false
+	defer sh.mu.RUnlock()
+	if e := sh.m[k]; e != nil {
+		return e.sk.Query(), true
 	}
-	if t.hot == nil {
-		s := e.sk.Query()
-		sh.mu.RUnlock()
-		return s, true
-	}
-	e.mu.RLock()
-	sh.mu.RUnlock()
-	s := e.sk.Query()
-	e.mu.RUnlock()
-	return s, true
-}
-
-// compactOf returns the entry's full-history compact, normalized to
-// the table's base parameter when the entry was promoted to a
-// different one — every compact leaving the table (per-key compacts,
-// table snapshots, rollups, eviction spills) is base-compatible
-// regardless of promotion level, keeping the FCTB wire format and
-// cross-table merges unchanged. Caller must hold e.mu (shared or
-// exclusive).
-func (t *Table[K, V, S, C]) compactOf(e *entry[V, S, C]) C {
-	c := e.sk.Compact()
-	if e.eng.Param() == t.eng.Param() {
-		return c
-	}
-	norm := t.eng.NewAggregator()
-	_ = norm.Add(c)
-	return norm.Result()
+	var zero S
+	return zero, false
 }
 
 // CompactKey returns an immutable serializable snapshot of one key's
-// sketch; false when the key is not live.
+// sketch; false when the key is not live. The shard read lock pins the
+// sketch, as in Query.
 func (t *Table[K, V, S, C]) CompactKey(k K) (C, bool) {
 	sh := &t.shards[keyHash(k)&t.mask]
 	sh.mu.RLock()
-	e := sh.m[k]
-	if e == nil {
-		sh.mu.RUnlock()
-		var zero C
-		return zero, false
+	defer sh.mu.RUnlock()
+	if e := sh.m[k]; e != nil {
+		return e.sk.Compact(), true
 	}
-	if t.hot == nil {
-		c := e.sk.Compact()
-		sh.mu.RUnlock()
-		return c, true
-	}
-	e.mu.RLock()
-	sh.mu.RUnlock()
-	c := t.compactOf(e)
-	e.mu.RUnlock()
-	return c, true
+	var zero C
+	return zero, false
 }
 
 // getOrCreate resolves the entry for a key of shard si, creating it
@@ -520,10 +447,7 @@ func (t *Table[K, V, S, C]) getOrCreate(si uint64, k K, h uint64) (*entry[V, S, 
 // zero timestamp would make a just-created key the LRU victim and
 // invert the eviction order.
 func (t *Table[K, V, S, C]) newEntry(h uint64) *entry[V, S, C] {
-	e := &entry[V, S, C]{
-		sk:  t.eng.NewSketchAffine(t.pool, affinityKeyOf(h)),
-		eng: t.eng,
-	}
+	e := &entry[V, S, C]{sk: t.eng.NewSketchAffine(t.pool, affinityKeyOf(h))}
 	e.touched.Store(t.now())
 	return e
 }

@@ -79,11 +79,6 @@ type Writer[K Key, V, S, C any] struct {
 	cache   []cslot[K, V, S, C]
 	chits   int64
 	cmisses int64
-
-	// hotPending collects entries whose promotion threshold a batch
-	// crossed; promotions run after every entry lock of the batch is
-	// released (promotion takes the entry lock exclusively).
-	hotPending []hotRef[V, S, C]
 }
 
 // keyRef is what a writer knows about one key without asking the table:
@@ -216,11 +211,7 @@ func (w *Writer[K, V, S, C]) UpdateKeyed(k K, v V) {
 	}
 	e.sk.Update(w.id, v)
 	e.touched.Store(t.now())
-	hot := t.noteHot(e, 1)
 	e.mu.RUnlock()
-	if hot {
-		t.promote(e, h)
-	}
 	if created {
 		t.maybeEvictCap(si)
 	}
@@ -444,9 +435,9 @@ func (w *Writer[K, V, S, C]) register(k K, h uint64) int {
 // locks exactly one entry at a time, re-validating its stamp before
 // use (the cache-hit protocol, applied uniformly). No entry lock is
 // ever held while a shard lock is acquired and no two entry locks are
-// held together — which is what lets hot-key promotion take entry
-// locks exclusively while the entry is still mapped, without forming
-// a reader/writer lock cycle against concurrent batches and queries.
+// held together — which is what lets Sweep take entry locks exclusively
+// under a shard lock it holds exclusively, without forming a
+// reader/writer lock cycle against concurrent batches.
 func (w *Writer[K, V, S, C]) apply() {
 	t := w.t
 	now := t.now()
@@ -518,7 +509,6 @@ func (w *Writer[K, V, S, C]) apply() {
 				if t.ages {
 					e.touched.Store(now)
 				}
-				w.noteHot(g, e)
 			} else {
 				e.mu.RLock()
 				if epoch.Load() != g.epoch {
@@ -538,7 +528,6 @@ func (w *Writer[K, V, S, C]) apply() {
 					w.rehint(g.hash, e)
 				}
 				e.touched.Store(now)
-				w.noteHot(g, e)
 				e.mu.RUnlock()
 			}
 		}
@@ -548,13 +537,6 @@ func (w *Writer[K, V, S, C]) apply() {
 		}
 	}
 	w.endBatch()
-	// Promote after the batch's own entry locks are all released;
-	// promote itself takes each entry's lock exclusively, one at a
-	// time, holding nothing else.
-	for _, p := range w.hotPending {
-		t.promote(p.e, p.h)
-	}
-	w.hotPending = w.hotPending[:0]
 	cells := &t.wstats[w.id]
 	cells.hits.Add(w.chits - h0)
 	cells.misses.Add(w.cmisses - m0)

@@ -253,19 +253,16 @@ type Concurrent struct {
 
 // NewConcurrent builds a concurrent Θ sketch; Close it when done.
 func NewConcurrent(cfg ConcurrentConfig) *Concurrent {
-	c, _ := newConcurrentSeeded(cfg, nil)
+	c, _ := NewConcurrentFrom(cfg, nil)
 	return c
 }
 
 // NewConcurrentFrom builds a concurrent Θ sketch whose global state is
 // preloaded from a compact (sample set and Θ, see AbsorbCompact), so
 // writers pre-filter with the inherited Θ from the first update. The
-// compact's seed must match cfg's.
+// compact's seed must match cfg's. A flat keyed sketch materializes
+// through it.
 func NewConcurrentFrom(cfg ConcurrentConfig, from *Compact) (*Concurrent, error) {
-	return newConcurrentSeeded(cfg, from)
-}
-
-func newConcurrentSeeded(cfg ConcurrentConfig, from *Compact) (*Concurrent, error) {
 	cfg = cfg.withDefaults()
 	var global *GlobalSketch
 	if cfg.UseKMV {

@@ -70,44 +70,8 @@ func (e *Engine) NewSketch(pool *core.PropagatorPool) core.EngineSketch[uint64, 
 // when it leaves that phase.
 func (e *Engine) NewSketchAffine(pool *core.PropagatorPool, affinityKey uint64) core.EngineSketch[uint64, float64, *Compact] {
 	s := &engineSketch{eng: e, pool: pool, aff: affinityKey}
-	s.start(nil)
+	s.start()
 	return s
-}
-
-// NewSketchSeeded implements core.ScalableEngine: the new sketch's
-// global starts from the compact — sample set and Θ — so a promoted
-// hot key keeps its history and its pre-filtering strength. A compact
-// with a foreign seed (impossible within one engine family) falls back
-// to an empty sketch.
-func (e *Engine) NewSketchSeeded(pool *core.PropagatorPool, affinityKey uint64, from *Compact) core.EngineSketch[uint64, float64, *Compact] {
-	s := &engineSketch{eng: e, pool: pool, aff: affinityKey}
-	s.start(from)
-	return s
-}
-
-// maxScaledBuffer caps hot-key buffer growth: past this, handoffs are
-// no longer the bottleneck and r = 2·N·b staleness keeps doubling for
-// nothing.
-const maxScaledBuffer = 1 << 10
-
-// ScaleUp implements core.ScalableEngine: doubles the local buffer b —
-// handoffs (and the writer's propagation round-trip waits) halve,
-// while the per-sketch relaxation r = 2·N·b doubles — and disables the
-// eager phase: a key only reaches a promotion after a volume threshold
-// of updates, far past the small-stream regime the eager phase exists
-// for, and rebuilding into a fresh eager phase would re-serialise its
-// writers for no accuracy gain. k is left unchanged: growing it would
-// weaken the Θ pre-filter (admitting ~2× buffered updates per
-// doubling), cancelling the handoff win — accuracy-directed scaling
-// belongs to an explicit larger-K table config, not the hot-key path.
-func (e *Engine) ScaleUp() (core.Engine[uint64, float64, *Compact], bool) {
-	cfg := e.cfg
-	if cfg.BufferSize >= maxScaledBuffer {
-		return nil, false
-	}
-	cfg.BufferSize *= 2
-	cfg.EagerLimit = -1
-	return NewEngine(cfg), true
 }
 
 // NewAggregator implements core.Engine: a Union accumulator.
@@ -188,13 +152,13 @@ type engineSketch struct {
 var closedSketch = &Concurrent{}
 
 // start puts a new or just-closed sketch into its initial state:
-// concurrent when it is seeded or the engine has no eager phase, flat
-// otherwise. Callers hold mu or own the sketch exclusively.
-func (s *engineSketch) start(from *Compact) {
+// concurrent when the engine has no eager phase, flat otherwise.
+// Callers hold mu or own the sketch exclusively.
+func (s *engineSketch) start() {
 	s.applied = 0
 	s.n.Store(0)
-	if from != nil || s.eng.cfg.EagerLimit <= 0 {
-		s.materialize(from)
+	if s.eng.cfg.EagerLimit <= 0 {
+		s.materialize(nil)
 		return
 	}
 	s.flat, s.ws = s.flat[:0], nil
@@ -204,8 +168,8 @@ func (s *engineSketch) start(from *Compact) {
 // materialize builds the Concurrent (seeded from the compact when
 // non-nil; an incompatible compact — foreign seed, impossible within
 // one engine family — falls back to empty) and publishes it. Core's
-// own eager phase is always off: the sketch is past its flat phase,
-// seeded with a history that already is, or of an engine without one.
+// own eager phase is always off: the sketch is past its flat phase, or
+// of an engine without one.
 // The flat array is dropped: a caller that wants its hashes kept
 // passes them in from. Callers hold mu or own the sketch exclusively.
 func (s *engineSketch) materialize(from *Compact) {
@@ -296,9 +260,8 @@ func (s *engineSketch) Query() float64 {
 // CalcHint implements core.FilterSketch (Algorithm 1 line 24): the
 // last published Θ. None while the sketch is flat or in exact mode
 // (every hash would pass) or when the engine was built with
-// DisableFiltering. Θ only falls and a seeded rebuild absorbs it, so
-// the hint stays a valid static shouldAdd threshold for as long as the
-// key lives.
+// DisableFiltering. Θ only falls, so the hint stays a valid static
+// shouldAdd threshold until a Reset (see core.FilterEngine).
 func (s *engineSketch) CalcHint() (uint64, bool) {
 	c := s.c.Load()
 	if c == nil || s.eng.cfg.DisableFiltering {
@@ -388,5 +351,5 @@ func (s *engineSketch) Reset() {
 	if c := s.c.Load(); c != nil {
 		c.Close()
 	}
-	s.start(nil)
+	s.start()
 }

@@ -199,14 +199,9 @@ func TestFlatSketchResetAndClose(t *testing.T) {
 func TestFlatOnlyWithEagerPhase(t *testing.T) {
 	pool := core.NewPropagatorPool(1)
 	defer pool.Close()
-	scaled, ok := flatEngine(1).ScaleUp()
-	if !ok {
-		t.Fatal("ScaleUp refused")
-	}
 	for name, eng := range map[string]core.Engine[uint64, float64, *Compact]{
 		"MaxError 1":   NewEngine(ConcurrentConfig{K: 4096, MaxError: 1}),
 		"EagerLimit<0": NewEngine(ConcurrentConfig{K: 4096, EagerLimit: -1}),
-		"ScaleUp":      scaled,
 	} {
 		sk := eng.NewSketchAffine(pool, 0)
 		if n := pool.Sketches(); n != 1 {
@@ -214,11 +209,6 @@ func TestFlatOnlyWithEagerPhase(t *testing.T) {
 		}
 		sk.Close()
 	}
-	seeded := flatEngine(1).NewSketchSeeded(pool, 0, EmptyCompact(hash.DefaultSeed))
-	if n := pool.Sketches(); n != 1 {
-		t.Errorf("NewSketchSeeded: pool serves %d sketches at construction, want 1", n)
-	}
-	seeded.Close()
 }
 
 // TestFlatSketchWritersRaceThroughLimit: N writers drive one sketch

@@ -207,10 +207,10 @@ func TestUnionOrderedInputsMatchUnordered(t *testing.T) {
 }
 
 // TestDisabledEagerPhaseStaysDisabled: a negative EagerLimit survives
-// NewEngine's and the sketch's default passes, so a ScaleUp ladder
-// engine — what a hot-key promotion rebuilds through — and every seeded
-// sketch run no eager phase in core. A seeded sketch has a history that
-// is past the short-stream regime the phase is for.
+// NewEngine's and the sketch's default passes, so an engine built
+// without an eager phase runs none in core; nor does a flat key that
+// materializes, whose history is past the short-stream regime the
+// phase is for.
 func TestDisabledEagerPhaseStaysDisabled(t *testing.T) {
 	pool := core.NewPropagatorPool(1)
 	defer pool.Close()
@@ -225,30 +225,14 @@ func TestDisabledEagerPhaseStaysDisabled(t *testing.T) {
 	if base.cfg.EagerLimit <= 0 {
 		t.Fatalf("base engine has no eager phase (limit %d)", base.cfg.EagerLimit)
 	}
-	from := estimationCompact(256, 5000, 3)
-
-	seeded := base.NewSketchSeeded(pool, 1, from)
-	defer seeded.Close()
-	if concurrentOf(seeded).Eager() {
-		t.Error("NewSketchSeeded on an engine with an eager phase: core's eager phase is on")
+	off := NewEngine(ConcurrentConfig{K: 256, Writers: 1, EagerLimit: -1})
+	if lim := off.cfg.EagerLimit; lim >= 0 {
+		t.Errorf("engine's eager limit = %d, want negative (disabled)", lim)
 	}
-
-	up, ok := base.ScaleUp()
-	if !ok {
-		t.Fatal("ScaleUp refused")
-	}
-	if lim := up.(*Engine).cfg.EagerLimit; lim >= 0 {
-		t.Errorf("ScaleUp engine's eager limit = %d, want negative (disabled)", lim)
-	}
-	promoted := up.(*Engine).NewSketchSeeded(pool, 1, from)
-	defer promoted.Close()
-	if concurrentOf(promoted).Eager() {
-		t.Error("sketch rebuilt through ScaleUp runs core's eager phase")
-	}
-	fresh := up.NewSketchAffine(pool, 1)
+	fresh := off.NewSketchAffine(pool, 1)
 	defer fresh.Close()
 	if concurrentOf(fresh).Eager() {
-		t.Error("unseeded sketch of a ScaleUp engine runs core's eager phase")
+		t.Error("sketch of an engine without an eager phase runs core's eager phase")
 	}
 
 	// A flat key that materializes is past the phase too.

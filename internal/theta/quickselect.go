@@ -174,9 +174,8 @@ func (s *QuickSelect) appendBelow(dst []uint64, lim uint64) []uint64 {
 // AbsorbCompact folds a compact's full state into the sketch: its
 // sample set AND its Θ. Unlike Merge (which replays only the hashes),
 // the resulting Θ is min(s.Θ, c.Θ), so a sketch seeded from a compact
-// filters exactly as hard as the sketch the compact was taken from —
-// the hot-key promotion path relies on this to rebuild without losing
-// pre-filtering strength. Seeds must match.
+// filters exactly as hard as the sketch the compact was taken from.
+// Seeds must match.
 //
 // An empty sketch handed more samples than the table holds between
 // rebuilds (a flat table key materializing) rebuilds first: it keeps

@@ -174,15 +174,14 @@ func (r *ring[V, S, C]) Close() { r.live.Close(); r.sealed = nil; r.union.Store(
 
 // ringEngine wraps a family's engine so that every sketch it makes is a
 // ring over the family's sketch: the per-key engine of a windowed
-// table. Everything else is the family's. It is not a
-// core.ScalableEngine: a ring has no scale-up ladder.
+// table. Everything else is the family's.
 type ringEngine[V, S, C any] struct {
 	core.Engine[V, S, C]
 	c *clock
 }
 
 // filterRingEngine is a ringEngine whose family has the writer-side
-// filter (core.FilterEngine, which is Θ); the rings forward CalcHint.
+// filter (core.FilterEngine: Θ and HLL); the rings forward CalcHint.
 type filterRingEngine[V, S, C any] struct {
 	*ringEngine[V, S, C]
 	core.FilterEngine[V]

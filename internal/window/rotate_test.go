@@ -212,17 +212,3 @@ func TestWindowTableKeysCountWholeWindow(t *testing.T) {
 		t.Fatal("expired key 1 still resolves")
 	}
 }
-
-// TestWindowTableRefusesHotKeys: a ring has no scale-up ladder, so a
-// windowed table refuses a hot-key policy at construction.
-func TestWindowTableRefusesHotKeys(t *testing.T) {
-	tcfg, eng := table.ThetaConfig[uint64]{Table: table.Config[uint64]{
-		HotKeys: &table.HotKeyPolicy{HotThreshold: 1000},
-	}}.Engine()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewTable accepted a HotKeys policy")
-		}
-	}()
-	NewTable(tcfg, eng, Config{Slots: 2, Width: time.Hour}).Close()
-}

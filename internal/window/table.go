@@ -1,8 +1,6 @@
 package window
 
 import (
-	"fmt"
-
 	"github.com/fcds/fcds/internal/core"
 	"github.com/fcds/fcds/internal/table"
 )
@@ -19,7 +17,7 @@ import (
 // The table configuration applies window-wide: MaxKeys counts keys
 // with data anywhere in the window, and OnEvict receives an evicted
 // key's whole-window compact. Expiry is the window's TTL (there is no
-// EvictExpired). HotKeys is refused: a ring has no scale-up ladder.
+// EvictExpired).
 type Table[K table.Key, V, S, C any] struct {
 	clock
 	eng core.Engine[V, S, C] // the family's: compacts leave through it
@@ -30,9 +28,6 @@ type Table[K table.Key, V, S, C any] struct {
 // come from the engine (a family config's Engine method gives the
 // (tcfg, eng) pair); Close it when done.
 func NewTable[K table.Key, V, S, C any](tcfg table.Config[K], eng core.Engine[V, S, C], cfg Config) *Table[K, V, S, C] {
-	if tcfg.HotKeys != nil {
-		panic(fmt.Sprintf("window: a windowed table takes no HotKeys policy, got %+v", *tcfg.HotKeys))
-	}
 	w := &Table[K, V, S, C]{eng: eng}
 	w.clock.init(cfg.withDefaults(), tcfg.Pool, w.Rotate)
 	tcfg.Pool = w.pool
