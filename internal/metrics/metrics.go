@@ -277,16 +277,22 @@ type Family struct {
 // attribution.
 func (r *Registry) GatherFamilies() []Family {
 	r.mu.Lock()
-	// Copy series slices so func evaluation happens outside the lock:
-	// a GaugeFunc may itself take subsystem locks and must not be able
-	// to deadlock against a concurrent registration.
+	// Copy the series so func evaluation happens outside the lock: a
+	// GaugeFunc may itself take subsystem locks and must not be able to
+	// deadlock against a concurrent registration. They are copied by
+	// value because a re-registration replaces a series' fn under the
+	// lock.
 	type famSnap struct {
 		f      *family
-		series []*series
+		series []series
 	}
 	snaps := make([]famSnap, 0, len(r.fams))
 	for _, f := range r.fams {
-		snaps = append(snaps, famSnap{f, append([]*series(nil), f.series...)})
+		ss := make([]series, len(f.series))
+		for i, s := range f.series {
+			ss[i] = *s
+		}
+		snaps = append(snaps, famSnap{f, ss})
 	}
 	r.mu.Unlock()
 

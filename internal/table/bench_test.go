@@ -82,7 +82,10 @@ func BenchmarkTableQuery(b *testing.B) {
 //   - mixed: 1 000 keys, a third of them still flat, the rest in
 //     estimation mode;
 //   - wide: the benchmark's table_wide shape — 2^20 zipf(1.2) draws over
-//     100 000 keys leave ~47 k live keys, over 99 % of them flat.
+//     100 000 keys leave ~47 k live keys, over 99 % of them flat;
+//   - hot: the benchmark's table_hot shape — 2^24 zipf(1.2) draws over
+//     1 000 keys leave every key concurrent, so each read takes the
+//     key's global lock (most keys hold no sample the union can take).
 func BenchmarkTableRollup(b *testing.B) {
 	b.Run("mixed", func(b *testing.B) {
 		tab := NewTheta(ThetaConfig[uint64]{Table: Config[uint64]{Writers: 1, Shards: 64}, K: 256})
@@ -117,6 +120,26 @@ func BenchmarkTableRollup(b *testing.B) {
 		tab.Drain()
 		if flat := tab.Keys() - int(tab.Pool().Sketches()); flat*100 < 95*tab.Keys() {
 			b.Fatalf("%d of %d keys flat, want at least 95 %%", flat, tab.Keys())
+		}
+		benchRollup(b, tab)
+	})
+	b.Run("hot", func(b *testing.B) {
+		tab := NewTheta(ThetaConfig[uint64]{Table: Config[uint64]{Writers: 1, Shards: 64}, K: 256})
+		defer tab.Close()
+		w := tab.Writer(0)
+		z := rand.NewZipf(rand.New(rand.NewSource(1)), 1.2, 1, hotKeys-1)
+		ks := make([]uint64, hotChunk)
+		vs := make([]uint64, hotChunk)
+		for next := uint64(0); next < 1<<24; {
+			for i := range ks {
+				ks[i], vs[i] = z.Uint64(), next
+				next++
+			}
+			w.UpdateKeyedBatch(ks, vs)
+		}
+		tab.Drain()
+		if n := tab.Pool().Sketches(); n != hotKeys || tab.Keys() != hotKeys {
+			b.Fatalf("%d of %d keys concurrent, want all %d", n, tab.Keys(), hotKeys)
 		}
 		benchRollup(b, tab)
 	})

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -11,6 +12,8 @@ import (
 	"testing"
 	"time"
 
+	"github.com/fcds/fcds/internal/core"
+	"github.com/fcds/fcds/internal/hash"
 	"github.com/fcds/fcds/internal/hll"
 	"github.com/fcds/fcds/internal/quantiles"
 	"github.com/fcds/fcds/internal/theta"
@@ -279,4 +282,180 @@ func TestRollupConcurrentWithEviction(t *testing.T) {
 	if rollups < 2 {
 		t.Errorf("%d rollups ran beside the writers", rollups)
 	}
+}
+
+// TestRollupConcurrentAcrossFlatBoundary: rollups in a loop beside two
+// writers that push fresh keys across the flat→concurrent boundary
+// while the pool merges (CI runs it under -race, repeatedly). Both
+// writers send each round's keys distinct items in small runs, so a
+// key's flat array fills from both, one of them materializes it, and
+// the other's next run goes through the buffers. Each rollup may miss
+// what writer buffers hide, but never counts more than was sent; once
+// drained, the rollup is exactly the union of the keys' compacts and
+// within 5·RSE of everything sent.
+func TestRollupConcurrentAcrossFlatBoundary(t *testing.T) {
+	const k, keysPerRound, run = 64, 8, 12 // MaxError 0.2: eager limit 50
+	tab := NewTheta(ThetaConfig[uint64]{
+		Table: Config[uint64]{Writers: 2, Shards: 8, ReadParallelism: 2},
+		K:     k, MaxError: 0.2,
+	})
+	defer tab.Close()
+	var sent atomic.Int64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for wi := 0; wi < 2; wi++ {
+		wg.Add(1)
+		go func(wi int) {
+			defer wg.Done()
+			w := tab.Writer(wi)
+			keys := make([]uint64, keysPerRound*run)
+			vals := make([]uint64, keysPerRound*run)
+			next := uint64(wi) << 48
+			for round := uint64(0); ; round++ {
+				// Eight runs per key per writer: 192 items a key, of
+				// which the first 50 or so stay flat.
+				for b := 0; b < 8; b++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					for i := range keys {
+						keys[i], vals[i] = round*keysPerRound+uint64(i/run), next
+						next++
+					}
+					w.UpdateKeyedBatch(keys, vals)
+					sent.Add(int64(len(keys)))
+				}
+			}
+		}(wi)
+	}
+	tol := 5 / math.Sqrt(k-2)
+	rollups := 0
+	for deadline := time.Now().Add(150 * time.Millisecond); time.Now().Before(deadline); rollups++ {
+		if est := tab.Rollup().Estimate(); est > float64(sent.Load()+2*keysPerRound*run)*(1+tol) {
+			t.Errorf("rollup estimate %.0f above 5·RSE of the %d items sent", est, sent.Load())
+		}
+	}
+	close(stop)
+	wg.Wait()
+	tab.Drain()
+	if tab.Pool().Sketches() == 0 {
+		t.Errorf("none of %d keys left its flat phase", tab.Keys())
+	}
+	est, n := checkRollupExact(t, "drained", tab.Table).Estimate(), float64(sent.Load())
+	if est < n*(1-tol) || est > n*(1+tol) {
+		t.Errorf("drained rollup estimate %.0f outside 5·RSE of %.0f distinct items", est, n)
+	}
+	if rollups < 2 {
+		t.Errorf("%d rollups ran beside the writers", rollups)
+	}
+}
+
+// TestRollupSkipIsExact: a Θ key whose low — the minimum of every hash
+// offered to it — is at or above the union's bound is not scanned, and
+// the rollup's bytes stay those of a fold that adds every key's
+// CompactKey, in the same key order. One case per path that lowers low:
+// flat arrays (flatAdd), buffered merges into the global (Merge), a flat
+// array handed to the new global when a key leaves its flat phase
+// (AbsorbCompact), each over QuickSelect and over KMV. Each case is
+// built so that a path that forgot to lower low would get keys with
+// samples the union takes skipped: the absorb keys keep their K+1
+// smallest samples from the flat phase, and everything after it is
+// larger. Core's eager UpdateDirect path never runs in a table; theta's
+// TestAddToSkipIsExact covers it.
+func TestRollupSkipIsExact(t *testing.T) {
+	const k, flatMax, keys = 16, 49, 30 // K=16, MaxError 0.2: eager limit 50
+	// small and large split values by their hash: every small value's
+	// hash lies below every large one's.
+	const split = hash.MaxThetaValue / 1000
+	var small, large []uint64
+	for v := uint64(0); len(small) < keys*flatMax || len(large) < keys*200; v++ {
+		if hash.ThetaHashUint64(v, hash.DefaultSeed) < split {
+			small = append(small, v)
+		} else {
+			large = append(large, v)
+		}
+	}
+	// send feeds each key its run of n(key) values from vals, one batch
+	// per call.
+	send := func(w *Writer[uint64, uint64, float64, *theta.Compact], n func(key uint64) int, vals func(key uint64, i int) uint64) {
+		var ks, vs []uint64
+		for key := uint64(0); key < keys; key++ {
+			for i := 0; i < n(key); i++ {
+				ks = append(ks, key)
+				vs = append(vs, vals(key, i))
+			}
+		}
+		w.UpdateKeyedBatch(ks, vs)
+	}
+	distinct := func(key uint64, i int) uint64 { return key<<32 | uint64(i) }
+	flat := func(w *Writer[uint64, uint64, float64, *theta.Compact]) {
+		send(w, func(key uint64) int { return 10 + int(key) }, distinct)
+	}
+	merge := func(w *Writer[uint64, uint64, float64, *theta.Compact]) {
+		send(w, func(key uint64) int { return 100 * (1 + int(key)%10) }, distinct)
+	}
+	absorb := func(w *Writer[uint64, uint64, float64, *theta.Compact]) {
+		send(w, func(uint64) int { return flatMax }, func(key uint64, i int) uint64 { return small[int(key)*flatMax+i] })
+		send(w, func(uint64) int { return 200 }, func(key uint64, i int) uint64 { return large[int(key)*200+i] })
+	}
+	cases := []struct {
+		name     string
+		maxError float64 // 1: no flat phase
+		feed     func(w *Writer[uint64, uint64, float64, *theta.Compact])
+		flatKeys int64
+	}{
+		{"flat", 0.2, flat, keys},
+		{"merge", 1, merge, 0},
+		{"absorb", 0.2, absorb, 0},
+	}
+	for _, kmv := range []bool{false, true} {
+		for _, tc := range cases {
+			for _, degree := range []int{1, 4} {
+				name := fmt.Sprintf("%s/kmv=%v/degree=%d", tc.name, kmv, degree)
+				eng := theta.NewEngine(theta.ConcurrentConfig{K: k, Writers: 1, MaxError: tc.maxError, BufferSize: 8, UseKMV: kmv})
+				tab := New[uint64](Config[uint64]{Writers: 1, Shards: 8, ReadParallelism: degree},
+					core.Engine[uint64, float64, *theta.Compact](eng))
+				tc.feed(tab.Writer(0))
+				tab.Drain()
+				if f := int64(tab.Keys()) - tab.Pool().Sketches(); f != tc.flatKeys {
+					t.Fatalf("%s: %d flat keys, want %d", name, f, tc.flatKeys)
+				}
+				if want := checkRollupExact(t, name, tab); want.Retained() <= k/2 {
+					t.Errorf("%s: the per-key fold retained only %d samples", name, want.Retained())
+				}
+				tab.Close()
+			}
+		}
+	}
+}
+
+// checkRollupExact folds a quiesced Θ table's keys into two unions in
+// one key order, in place (addEntry, as a rollup reads them) and as
+// their CompactKey compacts, and checks that both, and Rollup, marshal
+// to the same bytes. It returns the per-key fold.
+func checkRollupExact(t *testing.T, name string, tab *Table[uint64, uint64, float64, *theta.Compact]) *theta.Compact {
+	t.Helper()
+	eng := tab.Engine()
+	keys, ents := tab.collectEntries()
+	inPlace, perKey := eng.NewAggregator(), eng.NewAggregator()
+	for i, key := range keys {
+		tab.addEntry(inPlace, ents[i])
+		c, _ := tab.CompactKey(key)
+		if err := perKey.Add(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := perKey.Result()
+	wantB, _ := eng.MarshalCompact(want)
+	gotB, _ := eng.MarshalCompact(inPlace.Result())
+	rollB, _ := eng.MarshalCompact(tab.Rollup())
+	if !bytes.Equal(gotB, wantB) {
+		t.Errorf("%s: folding the keys in place differs from adding their compacts", name)
+	}
+	if !bytes.Equal(rollB, wantB) {
+		t.Errorf("%s: Rollup differs from adding every key's compact", name)
+	}
+	return want
 }

@@ -219,11 +219,9 @@ type Table[K Key, V, S, C any] struct {
 	// perShardCap is ceil(MaxKeys/Shards), 0 when uncapped.
 	perShardCap int
 	// ages is true when anything reads entry.touched — a key cap or a TTL.
-	// Without one a writer does not stamp a key whose whole run it dropped
-	// in pass 1: it holds no lock on that entry and would dirty, from
-	// every writer on every batch, a line of a hot entry it otherwise only
-	// reads. A run that reaches the sketch stamps its entry regardless, as
-	// it always did, under the lock it holds anyway.
+	// Without one no writer stamps a key, nor reads the clock for a batch:
+	// the store would dirty, from every writer on every batch, a line of
+	// an entry the writers otherwise only read.
 	ages bool
 
 	// filt is the engine's writer-side filter (Algorithm 1's shouldAdd),

@@ -210,7 +210,9 @@ func (w *Writer[K, V, S, C]) UpdateKeyed(k K, v V) {
 		t.wstats[w.id].hits.Add(1)
 	}
 	e.sk.Update(w.id, v)
-	e.touched.Store(t.now())
+	if t.ages {
+		e.touched.Store(t.now())
+	}
 	e.mu.RUnlock()
 	if created {
 		t.maybeEvictCap(si)
@@ -440,7 +442,10 @@ func (w *Writer[K, V, S, C]) register(k K, h uint64) int {
 // reader/writer lock cycle against concurrent batches.
 func (w *Writer[K, V, S, C]) apply() {
 	t := w.t
-	now := t.now()
+	var now int64 // read only when t.ages
+	if t.ages {
+		now = t.now()
+	}
 	// Fold this batch's hit/miss/drop counts into the writer's
 	// table-side cell on the way out: three uncontended atomic adds per
 	// batch, nothing per key.
@@ -527,7 +532,9 @@ func (w *Writer[K, V, S, C]) apply() {
 				if t.filt != nil {
 					w.rehint(g.hash, e)
 				}
-				e.touched.Store(now)
+				if t.ages {
+					e.touched.Store(now)
+				}
 				e.mu.RUnlock()
 			}
 		}

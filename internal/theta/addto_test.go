@@ -65,3 +65,37 @@ func TestAddToMatchesAddCompact(t *testing.T) {
 		}
 	}
 }
+
+// TestAddToSkipIsExact: core's eager phase (UpdateDirect) lowers the
+// global's low too, over QuickSelect and over KMV. Twenty standalone
+// sketches, each still in its eager phase, are read in place into one
+// union — skipping every sketch whose low is at or above the union's
+// bound — and into another as compacts: the bytes agree, and the union
+// is not empty. (The table's TestRollupSkipIsExact covers the flat,
+// merge and absorb paths.)
+func TestAddToSkipIsExact(t *testing.T) {
+	for _, kmv := range []bool{false, true} {
+		inPlace, viaAdd := NewUnion(16), NewUnion(16)
+		var scratch []uint64
+		for i := uint64(0); i < 20; i++ {
+			c := NewConcurrent(ConcurrentConfig{K: 16, Writers: 1, MaxError: 0.2, UseKMV: kmv}) // eager limit 50
+			w := c.Writer(0)
+			for j := uint64(0); j < 40; j++ {
+				w.UpdateUint64(i<<32 | j)
+			}
+			scratch = c.global.appendTo(scratch[:0], inPlace)
+			inPlace.insert(scratch, false)
+			if err := viaAdd.Add(c.Compact()); err != nil {
+				t.Fatal(err)
+			}
+			c.Close()
+		}
+		want := viaAdd.Result()
+		if want.Retained() == 0 {
+			t.Fatalf("kmv=%v: empty union", kmv)
+		}
+		if got := marshal(t, inPlace.Result()); !bytes.Equal(got, marshal(t, want)) {
+			t.Errorf("kmv=%v: reading eager sketches in place differs from adding their compacts", kmv)
+		}
+	}
+}

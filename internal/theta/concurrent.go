@@ -77,6 +77,11 @@ type GlobalSketch struct {
 	// forces every hash through the local buffers, §5.2 measures the
 	// filtering as "instrumental for performance").
 	noFilter bool
+	// low is the minimum of every hash ever offered to qs (by Merge,
+	// UpdateDirect and AbsorbCompact), so it is never above the smallest
+	// retained sample, and it only falls. Guarded by mu. appendTo reads
+	// it to leave a sample set it cannot copy from unscanned.
+	low uint64
 }
 
 var _ core.Global[uint64, float64] = (*GlobalSketch)(nil)
@@ -84,14 +89,14 @@ var _ core.Global[uint64, float64] = (*GlobalSketch)(nil)
 // NewGlobal returns an empty composable global sketch with nominal
 // entry count k, backed by a QuickSelect sketch.
 func NewGlobal(k int, seed uint64) *GlobalSketch {
-	return &GlobalSketch{qs: NewQuickSelectSeeded(k, seed)}
+	return &GlobalSketch{qs: NewQuickSelectSeeded(k, seed), low: math.MaxUint64}
 }
 
 // NewGlobalKMV returns an empty composable global sketch backed by the
 // paper's Algorithm 1 KMV sketch (its last three procedures are
 // exactly this type's Snapshot/CalcHint/ShouldAdd).
 func NewGlobalKMV(k int, seed uint64) *GlobalSketch {
-	return &GlobalSketch{qs: NewKMVSeeded(k, seed)}
+	return &GlobalSketch{qs: NewKMVSeeded(k, seed), low: math.MaxUint64}
 }
 
 // Merge implements core.Global: folds a writer buffer into the sketch
@@ -99,9 +104,12 @@ func NewGlobalKMV(k int, seed uint64) *GlobalSketch {
 func (g *GlobalSketch) Merge(l core.Local[uint64]) {
 	buf := l.(*Buffer)
 	g.mu.Lock()
+	low := g.low
 	for _, h := range buf.hashes {
 		g.qs.UpdateHash(h)
+		low = min(low, h)
 	}
+	g.low = low
 	g.publish()
 	g.mu.Unlock()
 }
@@ -110,6 +118,7 @@ func (g *GlobalSketch) Merge(l core.Local[uint64]) {
 func (g *GlobalSketch) UpdateDirect(h uint64) {
 	g.mu.Lock()
 	g.qs.UpdateHash(h)
+	g.low = min(g.low, h)
 	g.publish()
 	g.mu.Unlock()
 }
@@ -127,6 +136,7 @@ func (g *GlobalSketch) AbsorbCompact(c *Compact) error {
 	} else {
 		forEachHashUnordered(c, g.qs.UpdateHash)
 	}
+	forEachHashUnordered(c, func(h uint64) { g.low = min(g.low, h) })
 	g.publish()
 	return err
 }
@@ -146,11 +156,16 @@ func (g *GlobalSketch) Compact() *Compact {
 // appendTo appends to dst, under the same lock as Compact, the samples
 // union u can still take: those below u's bound for the sketch's Θ (see
 // Union.bound). The propagator waits only for that copy; u inserts them
-// after the lock is released.
+// after the lock is released. When low is at or above the bound, no
+// retained sample is below it, and the sample set is not scanned at all.
 func (g *GlobalSketch) appendTo(dst []uint64, u *Union) []uint64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.qs.appendBelow(dst, u.bound(g.qs.Theta()))
+	lim := u.bound(g.qs.Theta())
+	if g.low >= lim {
+		return dst
+	}
+	return g.qs.appendBelow(dst, lim)
 }
 
 // Snapshot implements core.Global: the wait-free query read.

@@ -1,6 +1,7 @@
 package theta
 
 import (
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -134,9 +135,13 @@ type engineSketch struct {
 	pool *core.PropagatorPool
 	aff  uint64
 
-	// mu guards flat and applied, and serialises materialization.
-	mu      sync.Mutex
-	flat    []uint64
+	// mu guards flat, low and applied, and serialises materialization.
+	mu   sync.Mutex
+	flat []uint64
+	// low is the minimum of every hash offered to the flat array since
+	// start: never above its smallest sample, and it only falls. (Once
+	// concurrent, the global keeps its own; see GlobalSketch.low.)
+	low     uint64
 	applied int
 	n       atomic.Int64 // len(flat)
 
@@ -155,7 +160,7 @@ var closedSketch = &Concurrent{}
 // concurrent when the engine has no eager phase, flat otherwise.
 // Callers hold mu or own the sketch exclusively.
 func (s *engineSketch) start() {
-	s.applied = 0
+	s.applied, s.low = 0, math.MaxUint64
 	s.n.Store(0)
 	if s.eng.cfg.EagerLimit <= 0 {
 		s.materialize(nil)
@@ -202,14 +207,17 @@ func (s *engineSketch) flatAdd(vals []uint64, hashed bool) bool {
 		s.materialize(newCompactFromUnsorted(s.flat, hash.MaxThetaValue, seed))
 		return false
 	}
+	low := s.low
 	for _, h := range vals {
 		if !hashed {
 			h = hash.ThetaHashUint64(h, seed)
 		}
+		low = min(low, h)
 		if h < hash.MaxThetaValue && !slices.Contains(s.flat, h) {
 			s.flat = append(s.flat, h)
 		}
 	}
+	s.low = low
 	s.applied += len(vals)
 	s.n.Store(int64(len(s.flat)))
 	return true
@@ -294,6 +302,12 @@ func (s *engineSketch) Compact() *Compact {
 // exactly as Add(Compact()) leaves it: its running Θ only falls, so a
 // sample left behind is one Add would skip too, and the rest are
 // offered in the order Compact would have collected them.
+//
+// A sketch whose low — the minimum of every hash ever offered to it,
+// never above its smallest sample — is at or above the union's bound
+// has nothing to copy, and is not scanned: it only folds its Θ in.
+// Once the union has seen a few large keys, that is most of a skewed
+// table.
 func (s *engineSketch) AddTo(agg core.Aggregator[*Compact]) error {
 	a, ok := agg.(*unionAggregator)
 	if !ok {
@@ -302,13 +316,15 @@ func (s *engineSketch) AddTo(agg core.Aggregator[*Compact]) error {
 	if a.u.gadget.seed != s.eng.cfg.Seed {
 		return ErrSeedMismatch
 	}
-	var hs []uint64
+	hs := a.scratch
 	s.mu.Lock()
 	if c := s.c.Load(); c != nil {
 		s.mu.Unlock()
-		hs = c.global.appendTo(a.scratch, a.u)
+		hs = c.global.appendTo(hs, a.u)
 	} else {
-		hs = appendBelow(a.scratch, s.flat, a.u.bound(hash.MaxThetaValue), len(s.flat))
+		if lim := a.u.bound(hash.MaxThetaValue); s.low < lim {
+			hs = appendBelow(hs, s.flat, lim, len(s.flat))
+		}
 		s.mu.Unlock()
 	}
 	a.u.insert(hs, false)

@@ -68,7 +68,11 @@ func (u *Union) insert(hashes []uint64, ordered bool) {
 // enter the union now or after any later insert, so a reader may leave
 // it behind and hand the rest to insert. The minimum is stored only
 // when it falls, so a union that is read many times (once per key of a
-// rollup) is not written each time.
+// rollup) is not written each time. A reader that keeps a lower bound on
+// its smallest sample — never above it, and only ever falling (the
+// sketches' low) — may leave the whole set behind when that bound is at
+// or above the returned one; it must call bound first all the same, so
+// the set's Θ is folded in.
 func (u *Union) bound(theta uint64) uint64 {
 	if theta < u.unionMin {
 		u.unionMin = theta
