@@ -81,8 +81,10 @@
 // sketch from that array. In a long-tailed key population most keys never leave the
 // flat phase: on the benchmark's 100k-key zipf stream a live key costs
 // ~510 B of heap (map slot, entry and sketch together) instead of
-// ~1 850 B, and keyed ingest runs 1.6× faster. fcds_table_keys minus
-// fcds_pool_sketches is the number of keys still flat.
+// ~1 850 B, and keyed ingest runs 1.6× faster. A concurrent key at
+// K=256 with two writer slots holds ~5.7 KB, 4 KB of it the 2k-slot
+// table of its samples. fcds_table_keys minus fcds_pool_sketches is the
+// number of keys still flat.
 //
 // Propagation is shard-affine: every pool worker owns a private run
 // queue, and each sketch is pinned to a home worker at attach time —

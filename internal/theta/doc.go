@@ -14,10 +14,12 @@
 //     implementation used by the error-analysis tests.
 //
 //   - QuickSelect: the HeapQuickSelectSketch family. Stores between k
-//     and ~2k hashes in an open-addressing table; when full it
-//     quickselects the (k+1)-th smallest value as the new Θ and
-//     discards larger entries. This is the fast variant used as the
-//     global and baseline sketch in the evaluation.
+//     and ~2k hashes in an open-addressing table of at most 2k slots,
+//     as DataSketches does; at 15/16 load it quickselects the (k+1)-th
+//     smallest value as the new Θ and discards larger entries, working
+//     on a transient copy (on the stack for k ≤ 512). It keeps nothing
+//     but its samples. This is the fast variant used as the global and
+//     baseline sketch in the evaluation.
 //
 // The package also provides the set operations a downstream user
 // expects from a Θ sketch library (Union, Intersection, AnotB), compact

@@ -6,12 +6,18 @@ import (
 
 // rebuildFraction controls when the QuickSelect sketch rebuilds: at
 // count = rebuildFraction × 2k the table is compacted back to k
-// entries. 15/16 matches DataSketches' REBUILD_THRESHOLD, keeping the
-// open-addressing load factor below 1/2 (table has 4k slots).
+// entries. 15/16 matches DataSketches' REBUILD_THRESHOLD: the full
+// table has 2k slots, as HeapQuickSelectSketch's does, so it rebuilds
+// at load 15/16.
 const (
 	rebuildNum = 15
 	rebuildDen = 16
 )
+
+// stackSamples is how many samples a rebuild (or AbsorbCompact) copies
+// into an array on its stack: thresh for k ≤ 512. More spill to one
+// transient heap copy.
+const stackSamples = 1024
 
 // QuickSelect is the HeapQuickSelectSketch-family Θ sketch used by the
 // paper's evaluation (§7.1): it stores between k and ~2k hashes and,
@@ -19,8 +25,9 @@ const (
 // discarding everything above it. Updates are a hash-table insert and
 // rebuilds are O(retained), so amortised update cost is O(1).
 //
-// The estimate is retained/Θ, exact while Θ = 1. Not safe for
-// concurrent use; see ConcurrentSketch / lockbased.Locked.
+// The estimate is retained/Θ, exact while Θ = 1. The sketch holds its
+// samples and nothing else: a rebuild's copy of them is transient. Not
+// safe for concurrent use; see ConcurrentSketch / lockbased.Locked.
 type QuickSelect struct {
 	k     int
 	seed  uint64
@@ -28,8 +35,6 @@ type QuickSelect struct {
 	theta uint64
 	// thresh is the retained count that triggers a rebuild.
 	thresh int
-	// scratch is reused by rebuilds to avoid per-rebuild allocation.
-	scratch []uint64
 }
 
 // NewQuickSelect returns an empty QuickSelect sketch with nominal entry
@@ -39,31 +44,28 @@ func NewQuickSelect(k int) *QuickSelect {
 }
 
 // NewQuickSelectSeeded returns an empty QuickSelect sketch with an
-// explicit hash seed. The hash table starts small and doubles as the
-// sketch fills (DataSketches' resize behaviour), so short streams pay
-// KBs, not the full 4k-slot footprint.
+// explicit hash seed. The hash table starts at 64 slots and doubles as
+// the sketch fills (DataSketches' resize behaviour), so short streams
+// pay KBs, not the full 2k-slot footprint.
 func NewQuickSelectSeeded(k int, seed uint64) *QuickSelect {
 	if k < 16 || k&(k-1) != 0 {
 		panic("theta: QuickSelect requires k a power of two >= 16")
 	}
-	initial := 64
-	if 4*k < initial {
-		initial = 4 * k
-	}
 	return &QuickSelect{
 		k:      k,
 		seed:   seed,
-		table:  newHashTable(initial),
+		table:  newHashTable(64),
 		theta:  hash.MaxThetaValue,
 		thresh: 2 * k * rebuildNum / rebuildDen,
 	}
 }
 
 // maybeGrow doubles the table when its load factor reaches 1/2,
-// stopping at the full 4k-slot size (at which point quickselect
-// rebuilds bound the count instead).
+// stopping at the full 2k-slot size, where quickselect rebuilds bound
+// the count instead (load ≤ 15/16). A k=16 sketch keeps its initial 64
+// slots.
 func (s *QuickSelect) maybeGrow() {
-	if len(s.table.slots) >= 4*s.k || 2*s.table.count < len(s.table.slots) {
+	if len(s.table.slots) >= 2*s.k || 2*s.table.count < len(s.table.slots) {
 		return
 	}
 	old := s.table
@@ -103,14 +105,20 @@ func (s *QuickSelect) UpdateHash(h uint64) {
 // Θ and keeps only hashes strictly below it ("the sketch is sorted and
 // the largest k values are discarded", §7.1).
 func (s *QuickSelect) rebuild() {
-	s.scratch = s.table.appendAll(s.scratch[:0])
-	pivot := selectKth(s.scratch, s.k+1)
+	var buf [stackSamples]uint64
+	hs := s.table.appendAll(buf[:0])
+	pivot := selectKth(hs, s.k+1)
 	s.theta = pivot
-	s.table.reset()
 	// Retained hashes are distinct, so exactly k values lie strictly
 	// below the (k+1)-th smallest.
-	for _, h := range s.scratch {
-		if h < pivot {
+	s.refill(hs, pivot)
+}
+
+// refill empties the table and inserts the hashes of hs below lim.
+func (s *QuickSelect) refill(hs []uint64, lim uint64) {
+	s.table.reset()
+	for _, h := range hs {
+		if h < lim {
 			s.table.insert(h)
 		}
 	}
@@ -189,19 +197,16 @@ func (s *QuickSelect) AbsorbCompact(c *Compact) error {
 		s.theta = t
 		if s.table.count > 0 {
 			// Discard retained hashes invalidated by the lower Θ.
-			s.scratch = s.table.appendAll(s.scratch[:0])
-			s.table.reset()
-			for _, h := range s.scratch {
-				if h < t {
-					s.table.insert(h)
-				}
-			}
+			var buf [stackSamples]uint64
+			s.refill(s.table.appendAll(buf[:0]), t)
 		}
 	}
 	c.read(func(hashes []uint64, _ bool) {
 		if s.table.count == 0 && len(hashes) >= s.thresh {
-			s.scratch = append(s.scratch[:0], hashes...)
-			s.theta = selectKth(s.scratch, s.k+1)
+			// selectKth reorders its input, and the compact's array is
+			// not ours to reorder.
+			var buf [stackSamples]uint64
+			s.theta = selectKth(append(buf[:0], hashes...), s.k+1)
 		}
 		for _, h := range hashes {
 			s.UpdateHash(h)

@@ -2,7 +2,9 @@ package theta
 
 import (
 	"math"
+	"math/bits"
 	"sort"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -316,6 +318,59 @@ func BenchmarkQuickSelectUpdateHash(b *testing.B) {
 	}
 }
 
+// insertBelowTheta offers s a fresh hash drawn uniformly below its Θ,
+// so it is inserted (a repeat is as unlikely as a 64-bit collision):
+// the worst case for the table, where every update is an insert and
+// every thresh−k of them a rebuild. x is a xorshift state.
+func insertBelowTheta(s *QuickSelect, x *uint64) {
+	*x ^= *x << 13
+	*x ^= *x >> 7
+	*x ^= *x << 17
+	hi, _ := bits.Mul64(*x, s.theta)
+	s.UpdateHash(max(hi, 1))
+}
+
+// BenchmarkQuickSelectInsert prices an insert at the table's worst
+// load: every hash falls below Θ, so the table fills from k to thresh
+// and rebuilds, again and again. ns/op is per insert, rebuilds
+// amortised in.
+func BenchmarkQuickSelectInsert(b *testing.B) {
+	for _, k := range []int{256, 4096} {
+		b.Run(strconv.Itoa(k), func(b *testing.B) {
+			s := NewQuickSelect(k)
+			x := uint64(0x9e3779b97f4a7c15)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				insertBelowTheta(s, &x)
+			}
+		})
+	}
+}
+
+// TestQuickSelectRebuildAllocs pins a rebuild at k=256 at zero
+// allocations: its copy of the samples lives on the stack, not in a
+// buffer the sketch keeps.
+func TestQuickSelectRebuildAllocs(t *testing.T) {
+	const k = 256
+	s := NewQuickSelect(k)
+	x := uint64(0x9e3779b97f4a7c15)
+	for !s.IsEstimationMode() {
+		insertBelowTheta(s, &x)
+	}
+	// One cycle from k samples to the next rebuild, which ends at k.
+	cycle := func() {
+		for i := 0; i < s.thresh-k; i++ {
+			insertBelowTheta(s, &x)
+		}
+		if s.Retained() != k {
+			t.Fatalf("retained %d after a cycle, want %d", s.Retained(), k)
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
+		t.Errorf("%v allocations per insert-and-rebuild cycle, want 0", allocs)
+	}
+}
+
 func TestQuickSelectTableGrowth(t *testing.T) {
 	// The table starts at 64 slots and doubles with fill; correctness
 	// must hold across every growth step and the estimate must stay
@@ -330,8 +385,8 @@ func TestQuickSelectTableGrowth(t *testing.T) {
 			t.Fatalf("estimate %v after %d exact-mode updates", s.Estimate(), i+1)
 		}
 	}
-	if len(s.table.slots) > 4*4096 {
-		t.Errorf("table grew past 4k slots: %d", len(s.table.slots))
+	if len(s.table.slots) > 2*4096 {
+		t.Errorf("table grew past 2k slots: %d", len(s.table.slots))
 	}
 }
 
