@@ -36,7 +36,7 @@
 //	           [-checkpoint-dir DIR -checkpoint-every 30s -checkpoint-retain N]
 //	           [-journal DIR -journal-fsync-every N -journal-max-bytes N]
 //	           [-idle-timeout 5m] [-dial-timeout 10s]
-//	           [-compression=false] [-read-burst N] [-write-burst N]
+//	           [-read-burst N] [-write-burst N]
 //	           [-metrics-addr :9701] [-stats-every D] [-v]
 //
 // Table specs are name=family/keytype with family one of theta,
@@ -49,9 +49,7 @@
 // per-table pool, so any number of connections share -writers handles
 // — raise -writers when fcds_server_writer_pool_waits_total climbs.
 // -read-burst and -write-burst size the per-connection socket buffers
-// (defaults 128KiB/64KiB); -compression=false refuses the per-frame
-// batch compression clients may offer at HELLO (they fall back to
-// uncompressed frames automatically).
+// (defaults 128KiB/64KiB).
 //
 // Observability: every subsystem (pool, tables, server, checkpoints,
 // per-upstream shippers) registers into one metrics registry.
@@ -145,7 +143,6 @@ func main() {
 	journalFsyncEvery := flag.Int("journal-fsync-every", 1, "fsync the journal after every Nth record; 1 = every record (strongest durability), higher amortizes the fsync at the cost of losing up to N-1 acknowledged records in a crash")
 	journalMaxBytes := flag.Int64("journal-max-bytes", 64<<20, "journal size that triggers self-compaction (latest record per pushing source is kept, eviction spills are carried verbatim)")
 	idleTimeout := flag.Duration("idle-timeout", 5*time.Minute, "close connections idle longer than this (0 = never)")
-	compression := flag.Bool("compression", true, "accept client-offered per-frame batch compression (false refuses the feature at HELLO; clients fall back to uncompressed frames)")
 	readBurst := flag.Int("read-burst", 0, "per-connection read buffer in bytes: pipelined frames decode out of one burst (0 = default 128KiB)")
 	writeBurst := flag.Int("write-burst", 0, "per-connection response buffer in bytes (0 = default 64KiB)")
 	dialTimeout := flag.Duration("dial-timeout", 10*time.Second, "bound on upstream connect + HELLO (0 = none)")
@@ -162,7 +159,6 @@ func main() {
 
 	cfg := fcds.IngestServerConfig{
 		IdleTimeout:      *idleTimeout,
-		NoCompression:    !*compression,
 		ReadBurst:        *readBurst,
 		WriteBurst:       *writeBurst,
 		CheckpointRetain: *ckptRetain,

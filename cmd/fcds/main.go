@@ -17,6 +17,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -24,34 +25,45 @@ import (
 	fcds "github.com/fcds/fcds"
 )
 
-func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
+func main() { os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr)) }
+
+// run dispatches one command line over the given streams and returns
+// the exit code: 2 for a usage error, 1 for unreadable input. A flag
+// that does not parse exits the process, as flag.ExitOnError does.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	if len(args) < 1 {
+		usage(stderr)
+		return 2
 	}
-	switch os.Args[1] {
+	switch args[0] {
 	case "uniques":
-		uniques(os.Args[2:])
+		return uniques(args[1:], stdin, stdout, stderr)
 	case "hll":
-		hllCmd(os.Args[2:])
+		return hllCmd(args[1:], stdin, stdout, stderr)
 	case "quantiles":
-		quantilesCmd(os.Args[2:])
+		return quantilesCmd(args[1:], stdin, stdout, stderr)
 	default:
-		usage()
-		os.Exit(2)
+		usage(stderr)
+		return 2
 	}
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: fcds {uniques|hll|quantiles} [flags] < input")
+func usage(w io.Writer) {
+	fmt.Fprintln(w, "usage: fcds {uniques|hll|quantiles} [flags] < input")
 }
 
-func uniques(args []string) {
+func uniques(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("uniques", flag.ExitOnError)
+	fs.SetOutput(stderr)
 	k := fs.Int("k", 4096, "sketch size (power of two)")
-	writers := fs.Int("writers", 1, "concurrent writer goroutines")
+	writers := fs.Int("writers", 1, "concurrent writer goroutines (at least 1)")
 	every := fs.Int("every", 0, "print a live estimate every N lines (0 = only final)")
 	_ = fs.Parse(args)
+	if *writers < 1 {
+		fmt.Fprintf(stderr, "fcds uniques: -writers %d: need at least one writer\n", *writers)
+		fs.Usage()
+		return 2
+	}
 
 	c := fcds.NewConcurrentTheta(fcds.ConcurrentThetaConfig{K: *k, Writers: *writers})
 	defer c.Close()
@@ -68,81 +80,97 @@ func uniques(args []string) {
 			done <- struct{}{}
 		}(i)
 	}
-	n := feedLines(lines, *every, func() {
-		fmt.Printf("~%.0f uniques so far\n", c.Estimate())
+	n := 0
+	err := scanLines(stdin, func(line string) {
+		lines <- line
+		n++
+		if *every > 0 && n%*every == 0 {
+			fmt.Fprintf(stdout, "~%.0f uniques so far\n", c.Estimate())
+		}
 	})
 	close(lines)
 	for i := 0; i < *writers; i++ {
 		<-done
 	}
-	fmt.Printf("%d lines, ~%.0f distinct (Θ sketch k=%d, writers=%d)\n",
+	if err != nil {
+		return inputError(stderr, err)
+	}
+	fmt.Fprintf(stdout, "%d lines, ~%.0f distinct (Θ sketch k=%d, writers=%d)\n",
 		n, c.Estimate(), *k, *writers)
+	return 0
 }
 
-func hllCmd(args []string) {
+func hllCmd(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("hll", flag.ExitOnError)
 	p := fs.Int("p", 12, "precision (4..18)")
 	_ = fs.Parse(args)
 	s := fcds.NewHLLSketch(uint8(*p))
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	n := 0
-	for sc.Scan() {
-		s.UpdateString(sc.Text())
+	if err := scanLines(stdin, func(line string) {
+		s.UpdateString(line)
 		n++
+	}); err != nil {
+		return inputError(stderr, err)
 	}
-	fmt.Printf("%d lines, ~%.0f distinct (HLL p=%d, RSE %.1f%%)\n",
+	fmt.Fprintf(stdout, "%d lines, ~%.0f distinct (HLL p=%d, RSE %.1f%%)\n",
 		n, s.Estimate(), *p, 100*s.RelativeStandardError())
+	return 0
 }
 
-func quantilesCmd(args []string) {
+func quantilesCmd(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("quantiles", flag.ExitOnError)
 	k := fs.Int("k", 128, "sketch parameter (power of two)")
 	qs := fs.String("q", "0.5,0.9,0.99", "comma-separated quantile fractions")
 	_ = fs.Parse(args)
 	s := fcds.NewQuantilesSketch(*k)
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	bad := 0
-	for sc.Scan() {
-		v, err := strconv.ParseFloat(strings.TrimSpace(sc.Text()), 64)
+	if err := scanLines(stdin, func(line string) {
+		v, err := strconv.ParseFloat(strings.TrimSpace(line), 64)
 		if err != nil {
 			bad++
-			continue
+			return
 		}
 		s.Update(v)
+	}); err != nil {
+		return inputError(stderr, err)
 	}
 	if s.IsEmpty() {
-		fmt.Println("no numeric input")
-		return
+		fmt.Fprintln(stdout, "no numeric input")
+		return 0
 	}
-	fmt.Printf("n=%d min=%g max=%g (ε≈%.2f%%)\n", s.N(), s.Min(), s.Max(),
+	fmt.Fprintf(stdout, "n=%d min=%g max=%g (ε≈%.2f%%)\n", s.N(), s.Min(), s.Max(),
 		100*fcds.QuantilesRankError(*k))
 	for _, part := range strings.Split(*qs, ",") {
 		phi, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
 		if err != nil || phi < 0 || phi > 1 {
-			fmt.Fprintf(os.Stderr, "skipping bad quantile %q\n", part)
+			fmt.Fprintf(stderr, "skipping bad quantile %q\n", part)
 			continue
 		}
-		fmt.Printf("q%.3g = %g\n", phi, s.Quantile(phi))
+		fmt.Fprintf(stdout, "q%.3g = %g\n", phi, s.Quantile(phi))
 	}
 	if bad > 0 {
-		fmt.Fprintf(os.Stderr, "skipped %d non-numeric lines\n", bad)
+		fmt.Fprintf(stderr, "skipped %d non-numeric lines\n", bad)
 	}
+	return 0
 }
 
-// feedLines pumps stdin lines into ch, invoking report every `every`
-// lines when every > 0. Returns the line count.
-func feedLines(ch chan<- string, every int, report func()) int {
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	n := 0
+// maxLine bounds one input line; a longer line fails the input.
+const maxLine = 1 << 20
+
+// scanLines calls fn with every line of r, in order. It returns the
+// scanner's error, so input cut short by a read failure or a line
+// longer than maxLine is reported instead of ending the stream quietly.
+func scanLines(r io.Reader, fn func(line string)) error {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, maxLine), maxLine)
 	for sc.Scan() {
-		ch <- sc.Text()
-		n++
-		if every > 0 && n%every == 0 {
-			report()
-		}
+		fn(sc.Text())
 	}
-	return n
+	return sc.Err()
+}
+
+// inputError reports unreadable input and returns its exit code.
+func inputError(stderr io.Writer, err error) int {
+	fmt.Fprintf(stderr, "fcds: reading input: %v\n", err)
+	return 1
 }

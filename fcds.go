@@ -305,20 +305,16 @@
 //
 // The first frame of a connection must be HELLO: the client offers its
 // highest version, the server answers with the minimum of the two, and
-// every later frame carries the negotiated version. The HELLO payload
-// may append an optional feature byte (older peers simply omit it):
-// a client that wants per-frame deflate compression of batch payloads
-// offers it there (WithIngestCompression), the server echoes the
-// accepted subset, and only then may request frames carry the
-// compressed flag in the header's flags byte — a flag outside the
-// negotiated set is a framing error. Each request frame receives
+// every later frame carries the negotiated version. Older clients may
+// append a feature byte to HELLO; the server answers with a feature
+// byte of 0, accepting none, so every frame's flags byte stays 0 and a
+// nonzero one is a framing error. Each request frame receives
 // exactly one response frame in request order (which is what makes
 // client pipelining a FIFO, with no request ids on the wire). Failed
 // requests are answered with an ERR frame carrying a numeric code and
-// message — a compressed payload that fails to inflate is such a
-// request error, leaving the connection live — while framing and
-// version violations close the connection. See internal/server/wire
-// for the full layout.
+// message, leaving the connection live, while framing and version
+// violations close the connection. See internal/server/wire for the
+// full layout.
 //
 // Snapshot shipping composes with the table snapshots above into the
 // distributed-aggregation path: an edge node serves its tables,
@@ -518,10 +514,7 @@
 // low; fcds_server_writer_pool_idle sitting at -writers means it is
 // more than enough). Two more fcds-serve knobs tune the datapath:
 // -read-burst / -write-burst size the per-connection socket buffers
-// (bigger bursts = fewer syscalls per pipelined batch), and
-// -compression=false refuses the client-offered per-frame compression
-// feature (HELLO then downshifts, clients fall back to uncompressed
-// frames automatically).
+// (bigger bursts = fewer syscalls per pipelined batch).
 //
 // Sequential sketches (theta KMV/QuickSelect with set operations,
 // quantiles, HLL) and the lock-based baseline used in the paper's
@@ -889,17 +882,8 @@ func Serve(addr string, cfg IngestServerConfig) (*IngestServer, error) {
 // DialTimeout).
 type IngestDialOption = client.Option
 
-// WithIngestCompression offers the server per-frame deflate
-// compression of keyed-batch payloads during HELLO. Compression is off
-// by default; when the server accepts (Compressed reports the
-// outcome), batch frames ship compressed — a win on slow links with
-// repetitive keys, a pure CPU cost on fast local ones. Servers that
-// predate the feature ignore the offer; the client falls back to
-// uncompressed frames either way.
-func WithIngestCompression() IngestDialOption { return client.WithCompression() }
-
 // Dial connects to an ingest server and negotiates the protocol
-// version (and any offered features); Close the client when done.
+// version; Close the client when done.
 func Dial(addr string, opts ...IngestDialOption) (*IngestClient, error) {
 	return client.Dial(addr, opts...)
 }

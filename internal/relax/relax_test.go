@@ -1,6 +1,7 @@
 package relax
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -199,55 +200,61 @@ func TestCheckCountingCrossQueryMonotonicity(t *testing.T) {
 // TestThetaConcurrentSatisfiesRelaxation drives the real concurrent Θ
 // sketch in exact mode and validates the recorded history against
 // Theorem 1's bound r = 2Nb — the paper's main correctness claim,
-// checked end-to-end.
+// checked end-to-end. Each round reseeds the sketch's hash, so the
+// rounds see different hash orders and propagation schedules.
 func TestThetaConcurrentSatisfiesRelaxation(t *testing.T) {
 	const writers, per, b = 3, 2000, 8
-	c := theta.NewConcurrent(theta.ConcurrentConfig{
-		K: 1 << 16, Writers: writers, BufferSize: b, EagerLimit: -1, // stay exact
-	})
-	defer c.Close()
-	rec := NewRecorder()
+	for round := uint64(1); round <= 3; round++ {
+		t.Run(fmt.Sprintf("round%d", round), func(t *testing.T) {
+			c := theta.NewConcurrent(theta.ConcurrentConfig{
+				K: 1 << 16, Writers: writers, BufferSize: b, EagerLimit: -1, // stay exact
+				Seed: round * 7919,
+			})
+			defer c.Close()
+			rec := NewRecorder()
 
-	var wg sync.WaitGroup
-	for i := 0; i < writers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			w := c.Writer(i)
-			for j := 0; j < per; j++ {
-				v := uint64(i*per + j) // globally distinct
-				inv := rec.Begin()
-				w.UpdateUint64(v)
-				rec.EndUpdate(i, v, inv)
+			var wg sync.WaitGroup
+			for i := 0; i < writers; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					w := c.Writer(i)
+					for j := 0; j < per; j++ {
+						v := uint64(i*per + j) // globally distinct
+						inv := rec.Begin()
+						w.UpdateUint64(v)
+						rec.EndUpdate(i, v, inv)
+					}
+				}(i)
 			}
-		}(i)
-	}
-	stop := make(chan struct{})
-	var qwg sync.WaitGroup
-	qwg.Add(1)
-	go func() {
-		defer qwg.Done()
-		// Bounded, throttled queries: the checker is O(Q·U), and an
-		// unthrottled query loop would also starve writers on small
-		// machines.
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			inv := rec.Begin()
-			est := c.Estimate()
-			rec.EndQuery(est, inv)
-			time.Sleep(500 * time.Microsecond)
-		}
-	}()
-	wg.Wait()
-	close(stop)
-	qwg.Wait()
+			stop := make(chan struct{})
+			var qwg sync.WaitGroup
+			qwg.Add(1)
+			go func() {
+				defer qwg.Done()
+				// Bounded, throttled queries: the checker is O(Q·U), and an
+				// unthrottled query loop would also starve writers on small
+				// machines.
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					inv := rec.Begin()
+					est := c.Estimate()
+					rec.EndQuery(est, inv)
+					time.Sleep(500 * time.Microsecond)
+				}
+			}()
+			wg.Wait()
+			close(stop)
+			qwg.Wait()
 
-	if err := CheckCounting(rec.History(), c.Relaxation()); err != nil {
-		t.Errorf("concurrent Θ sketch violated its relaxation bound: %v", err)
+			if err := CheckCounting(rec.History(), c.Relaxation()); err != nil {
+				t.Errorf("concurrent Θ sketch violated its relaxation bound: %v", err)
+			}
+		})
 	}
 }
 

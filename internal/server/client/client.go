@@ -95,21 +95,16 @@ type Client struct {
 	version     byte
 	maxFrame    int
 	dialTimeout time.Duration
-	wantComp    bool // WithCompression requested
-	compress    bool // server accepted the compression feature
 
 	// wmu guards the write path: the frame-accumulation buffer, its
-	// segment list, the compression scratch, and enqueueing onto the
-	// pending queue (the enqueue must be ordered identically to the
-	// writes).
+	// segment list, and enqueueing onto the pending queue (the enqueue
+	// must be ordered identically to the writes).
 	wmu   sync.Mutex
 	wbuf  []byte      // accumulated frame bytes; headers patched in place
 	segs  net.Buffers // closed segments: wbuf ranges interleaved with caller blobs
 	wmark int         // start of the open wbuf segment
 	wpend int         // bytes pending across segs plus the open segment
 	iov   net.Buffers // flush scratch (Buffers.WriteTo consumes its slice)
-	enc   []byte      // raw-payload scratch for compressed frames
-	comp  wire.Compressor
 
 	// pmu guards the pending-response FIFO and the latched errors.
 	pmu      sync.Mutex
@@ -139,19 +134,6 @@ func WithMaxFrame(n int) Option {
 // operations are unaffected.
 func WithDialTimeout(d time.Duration) Option {
 	return func(c *Client) { c.dialTimeout = d }
-}
-
-// WithCompression offers the server deflate compression for keyed-batch
-// payloads (HELLO feature negotiation); when the server accepts, every
-// Ingest* frame ships compressed. Off by default: compression trades
-// client and server CPU for wire bytes, which wins on repetitive keyed
-// batches crossing constrained links and loses on loopback. Requires a
-// server new enough to understand the HELLO feature byte — older
-// servers reject the extended HELLO, so only enable it against
-// upgraded deployments (a server that understands the byte but has
-// compression disabled simply negotiates it off).
-func WithCompression() Option {
-	return func(c *Client) { c.wantComp = true }
 }
 
 // Dial connects to an fcds ingest server and negotiates the protocol
@@ -199,31 +181,20 @@ func New(nc net.Conn, opts ...Option) (*Client, error) {
 	}
 	go c.readLoop()
 	resp, err := c.roundTrip(wire.Version, wire.FrameHello, func(dst []byte) []byte {
-		dst = append(dst, wire.Version)
-		if c.wantComp {
-			// Feature byte (append-only HELLO extension): the server
-			// echoes the same shape with the bits it accepted.
-			dst = append(dst, wire.FeatureCompression)
-		}
-		return dst
+		return append(dst, wire.Version)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("client: version negotiation: %w", err)
 	}
-	if resp.typ != wire.FrameHello || len(resp.payload) < 1 || len(resp.payload) > 2 || resp.payload[0] == 0 {
+	if resp.typ != wire.FrameHello || len(resp.payload) != 1 || resp.payload[0] == 0 {
 		return nil, fmt.Errorf("client: bad HELLO response (type 0x%02x)", resp.typ)
 	}
 	if c.dialTimeout > 0 {
 		nc.SetDeadline(time.Time{})
 	}
 	c.version = resp.payload[0]
-	c.compress = c.wantComp && len(resp.payload) == 2 && resp.payload[1]&wire.FeatureCompression != 0
 	return c, nil
 }
-
-// Compressed reports whether HELLO negotiation enabled keyed-batch
-// compression on this connection.
-func (c *Client) Compressed() bool { return c.compress }
 
 // Version returns the negotiated protocol version.
 func (c *Client) Version() byte { return c.version }
@@ -304,12 +275,11 @@ const vectoredMin = 4 << 10
 // send assembles one frame under the write lock and enqueues its
 // pending slot (nil ch = asynchronous). build appends the payload
 // directly into the accumulation buffer behind a reserved header that
-// is patched once the length is known. compressible marks keyed-batch
-// payloads the negotiated compression applies to. blob, when non-nil,
-// is a payload tail the caller keeps alive until its response arrives
+// is patched once the length is known. blob, when non-nil, is a
+// payload tail the caller keeps alive until its response arrives
 // (snapshot pushes are synchronous), queued as its own writev segment
 // when large enough.
-func (c *Client) send(version, typ byte, ch chan response, compressible bool, blob []byte, build func(dst []byte) []byte) error {
+func (c *Client) send(version, typ byte, ch chan response, blob []byte, build func(dst []byte) []byte) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	c.pmu.Lock()
@@ -333,22 +303,9 @@ func (c *Client) send(version, typ byte, ch chan response, compressible bool, bl
 
 	start, mark0, nsegs0 := len(c.wbuf), c.wmark, len(c.segs)
 	c.wbuf = append(c.wbuf, make([]byte, wire.HeaderSize)...)
-	var flags byte
-	if compressible && c.compress {
-		// Assemble the raw payload in the side scratch, then deflate it
-		// into the accumulation buffer after the reserved header.
-		c.enc = build(c.enc[:0])
-		var err error
-		if c.wbuf, err = c.comp.AppendCompressed(c.wbuf, c.enc); err != nil {
-			c.wbuf = c.wbuf[:start]
-			return fmt.Errorf("client: compress: %w", err)
-		}
-		flags = wire.FlagCompressed
-	} else {
-		c.wbuf = build(c.wbuf)
-	}
+	c.wbuf = build(c.wbuf)
 	n := len(c.wbuf) - start - wire.HeaderSize + len(blob)
-	wire.PutHeader(c.wbuf[start:], version, typ, flags, n)
+	wire.PutHeader(c.wbuf[start:], version, typ, 0, n)
 	c.wpend += len(c.wbuf) - start
 	if blob != nil {
 		// Close the open wbuf segment and queue the caller's bytes as
@@ -469,7 +426,7 @@ func (c *Client) roundTrip(version, typ byte, build func(dst []byte) []byte) (re
 // which is exactly the zero-copy retention contract send requires.
 func (c *Client) roundTripBlob(version, typ byte, blob []byte, build func(dst []byte) []byte) (response, error) {
 	ch := make(chan response, 1)
-	if err := c.send(version, typ, ch, false, blob, build); err != nil {
+	if err := c.send(version, typ, ch, blob, build); err != nil {
 		return response{}, err
 	}
 	if err := c.flushWrites(); err != nil {
@@ -533,7 +490,7 @@ func (c *Client) IngestU64(tbl string, keys, vals []uint64) error {
 	if len(keys) != len(vals) {
 		return fmt.Errorf("client: keys/vals length mismatch %d != %d", len(keys), len(vals))
 	}
-	return c.send(c.version, wire.FrameKeyedBatch, nil, true, nil, func(dst []byte) []byte {
+	return c.send(c.version, wire.FrameKeyedBatch, nil, nil, func(dst []byte) []byte {
 		dst = appendBatchHeader(dst, tbl, wire.KeyTypeUint64, len(keys))
 		for _, k := range keys {
 			dst = wire.AppendUint64(dst, k)
@@ -551,7 +508,7 @@ func (c *Client) Ingest(tbl string, keys []string, vals []uint64) error {
 	if len(keys) != len(vals) {
 		return fmt.Errorf("client: keys/vals length mismatch %d != %d", len(keys), len(vals))
 	}
-	return c.send(c.version, wire.FrameKeyedBatch, nil, true, nil, func(dst []byte) []byte {
+	return c.send(c.version, wire.FrameKeyedBatch, nil, nil, func(dst []byte) []byte {
 		dst = appendBatchHeader(dst, tbl, wire.KeyTypeString, len(keys))
 		for _, k := range keys {
 			dst = wire.AppendString(dst, k)
@@ -570,7 +527,7 @@ func (c *Client) IngestFloat(tbl string, keys []string, vals []float64) error {
 	if len(keys) != len(vals) {
 		return fmt.Errorf("client: keys/vals length mismatch %d != %d", len(keys), len(vals))
 	}
-	return c.send(c.version, wire.FrameKeyedBatch, nil, true, nil, func(dst []byte) []byte {
+	return c.send(c.version, wire.FrameKeyedBatch, nil, nil, func(dst []byte) []byte {
 		dst = appendBatchHeader(dst, tbl, wire.KeyTypeString, len(keys))
 		for _, k := range keys {
 			dst = wire.AppendString(dst, k)
@@ -587,7 +544,7 @@ func (c *Client) IngestFloatU64(tbl string, keys []uint64, vals []float64) error
 	if len(keys) != len(vals) {
 		return fmt.Errorf("client: keys/vals length mismatch %d != %d", len(keys), len(vals))
 	}
-	return c.send(c.version, wire.FrameKeyedBatch, nil, true, nil, func(dst []byte) []byte {
+	return c.send(c.version, wire.FrameKeyedBatch, nil, nil, func(dst []byte) []byte {
 		dst = appendBatchHeader(dst, tbl, wire.KeyTypeUint64, len(keys))
 		for _, k := range keys {
 			dst = wire.AppendUint64(dst, k)
@@ -606,7 +563,7 @@ func (c *Client) IngestStrings(tbl string, keys []string, items []string) error 
 	if len(keys) != len(items) {
 		return fmt.Errorf("client: keys/items length mismatch %d != %d", len(keys), len(items))
 	}
-	return c.send(c.version, wire.FrameKeyedStringBatch, nil, true, nil, func(dst []byte) []byte {
+	return c.send(c.version, wire.FrameKeyedStringBatch, nil, nil, func(dst []byte) []byte {
 		dst = appendBatchHeader(dst, tbl, wire.KeyTypeString, len(keys))
 		for _, k := range keys {
 			dst = wire.AppendString(dst, k)
@@ -623,7 +580,7 @@ func (c *Client) IngestStringsU64(tbl string, keys []uint64, items []string) err
 	if len(keys) != len(items) {
 		return fmt.Errorf("client: keys/items length mismatch %d != %d", len(keys), len(items))
 	}
-	return c.send(c.version, wire.FrameKeyedStringBatch, nil, true, nil, func(dst []byte) []byte {
+	return c.send(c.version, wire.FrameKeyedStringBatch, nil, nil, func(dst []byte) []byte {
 		dst = appendBatchHeader(dst, tbl, wire.KeyTypeUint64, len(keys))
 		for _, k := range keys {
 			dst = wire.AppendUint64(dst, k)

@@ -65,10 +65,6 @@ type Config struct {
 	// WriteBurst sizes each connection's buffered response writer in
 	// bytes (<= 0 means 64 KiB).
 	WriteBurst int
-	// NoCompression refuses the HELLO compression feature: clients
-	// that offer it fall back to uncompressed payloads (the negotiation
-	// result simply omits the bit; nothing fails).
-	NoCompression bool
 	// CheckpointRetain is how many checkpoint generations WriteCheckpoints
 	// keeps per table (and how many journal files survive the matching
 	// prune). <= 0 means DefaultRetain. Raising it trades disk for the
@@ -556,8 +552,6 @@ func (s *Server) serveConn(nc net.Conn) {
 	}
 	bw := bufio.NewWriterSize(nc, wburst)
 	negotiated := byte(0) // no HELLO yet
-	compression := false  // HELLO-negotiated per-frame compression
-	var dec wire.Decompressor
 
 	fail := func(code uint64, msg string) {
 		// Fatal protocol error: best-effort error frame, then close.
@@ -604,9 +598,9 @@ func (s *Server) serveConn(nc net.Conn) {
 
 		if negotiated == 0 {
 			// The first frame must negotiate a version: a 1-byte payload
-			// is the historical HELLO, a second byte carries feature bits
-			// (append-only extension). Flags are never valid before
-			// negotiation.
+			// is the historical HELLO; older clients may append a byte of
+			// feature bits, none of which this server accepts. Flags are
+			// never valid.
 			if typ != wire.FrameHello || flags != 0 || len(payload) < 1 || len(payload) > 2 {
 				fail(wire.ErrCodeBadFrame, "expected HELLO as first frame")
 				return
@@ -617,15 +611,11 @@ func (s *Server) serveConn(nc net.Conn) {
 				return
 			}
 			// Echo the payload shape received: clients predating the
-			// feature byte reject any reply that is not exactly 1 byte.
+			// feature byte reject any reply that is not exactly 1 byte,
+			// and a feature byte of 0 refuses every feature offered.
 			cs.wbuf = append(cs.wbuf[:0], negotiated)
 			if len(payload) == 2 {
-				accepted := payload[1] & wire.FeatureCompression
-				if s.cfg.NoCompression {
-					accepted = 0
-				}
-				compression = accepted&wire.FeatureCompression != 0
-				cs.wbuf = append(cs.wbuf, accepted)
+				cs.wbuf = append(cs.wbuf, 0)
 			}
 			if err := wire.WriteFrame(bw, negotiated, wire.FrameHello, cs.wbuf); err != nil {
 				return
@@ -641,32 +631,15 @@ func (s *Server) serveConn(nc net.Conn) {
 			fail(wire.ErrCodeVersion, fmt.Sprintf("frame version %d, negotiated %d", ver, negotiated))
 			return
 		}
-		if flags != 0 && (flags != wire.FlagCompressed || !compression) {
-			// An un-negotiated or unknown flag bit is a framing error —
-			// the reserved-must-be-zero contract, minus exactly the bit
-			// this connection's HELLO agreed on.
+		if flags != 0 {
+			// No flag bit is ever negotiated: the reserved-must-be-zero
+			// contract.
 			fail(wire.ErrCodeBadFrame, fmt.Sprintf("unexpected frame flags %#x", flags))
 			return
 		}
 
 		s.frames.Add(1)
-		var tc *tableCounters
-		var reqErr error
-		var respType byte
-		var respPayload []byte
-		if flags&wire.FlagCompressed != 0 {
-			// Decompression failures are request-scoped, not fatal: the
-			// outer frame length was intact, so framing stays in sync and
-			// the connection keeps serving after the ERR.
-			if p, derr := dec.Decompress(payload, s.cfg.MaxFrame); derr == nil {
-				payload = p
-			} else {
-				reqErr = errBadPayload("%v", derr)
-			}
-		}
-		if reqErr == nil {
-			respType, respPayload, tc, reqErr = s.handle(cs, typ, payload)
-		}
+		respType, respPayload, tc, reqErr := s.handle(cs, typ, payload)
 		if tc != nil {
 			tc.frames.Add(1)
 			tc.bytes.Add(int64(len(payload)))

@@ -574,3 +574,61 @@ func TestClientDownshift(t *testing.T) {
 		t.Fatalf("downshift: typ=%#x payload=% x err=%v", typ, payload, err)
 	}
 }
+
+// TestHelloRefusesFeatures pins wire interop with clients that offer
+// the retired deflate feature (bit 0 of a second HELLO byte): the
+// reply keeps their two-byte shape with a feature byte of 0, plain
+// frames then work, and a frame with flag bit 0 set is a fatal framing
+// error. A one-byte HELLO still gets a one-byte reply.
+func TestHelloRefusesFeatures(t *testing.T) {
+	_, addr := startServer(t, server.Config{})
+	hello := func(offer []byte) (net.Conn, []byte) {
+		t.Helper()
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { nc.Close() })
+		if err := wire.WriteFrame(nc, wire.Version, wire.FrameHello, offer); err != nil {
+			t.Fatal(err)
+		}
+		var buf []byte
+		_, typ, payload, err := wire.ReadFrame(nc, &buf, 0)
+		if err != nil || typ != wire.FrameHello {
+			t.Fatalf("hello % x: typ=%#x err=%v", offer, typ, err)
+		}
+		return nc, payload
+	}
+
+	if _, reply := hello([]byte{wire.Version}); len(reply) != 1 || reply[0] != wire.Version {
+		t.Fatalf("one-byte hello: reply % x, want %02x", reply, wire.Version)
+	}
+
+	nc, reply := hello([]byte{wire.Version, 1})
+	if len(reply) != 2 || reply[0] != wire.Version || reply[1] != 0 {
+		t.Fatalf("two-byte hello: reply % x, want %02x 00", reply, wire.Version)
+	}
+	var buf []byte
+	if err := wire.WriteFrame(nc, wire.Version, wire.FrameHealth, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, typ, _, err := wire.ReadFrame(nc, &buf, 0); err != nil || typ != wire.FrameValue {
+		t.Fatalf("plain frame after two-byte hello: typ=%#x err=%v", typ, err)
+	}
+
+	frame := make([]byte, wire.HeaderSize)
+	wire.PutHeader(frame, wire.Version, wire.FrameHealth, 1, 0)
+	if _, err := nc.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	_, typ, resp, err := wire.ReadFrame(nc, &buf, 0)
+	if err != nil || typ != wire.FrameErr {
+		t.Fatalf("flagged frame: typ=%#x err=%v", typ, err)
+	}
+	if code, _, _ := wire.ParseErrPayload(resp); code != wire.ErrCodeBadFrame {
+		t.Fatalf("error code = %d, want ErrCodeBadFrame", code)
+	}
+	if _, _, _, err := wire.ReadFrame(nc, &buf, 0); err == nil {
+		t.Fatal("connection still open after framing error")
+	}
+}

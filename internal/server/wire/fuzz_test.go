@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"encoding/binary"
 	"runtime"
 	"testing"
 )
@@ -16,20 +15,18 @@ const fuzzMaxFrame = 64 << 10
 // them, through a FrameReader with the smallest window (4 KiB) and a
 // small maxFrame, calling Next until it fails: frames that fit the
 // window are peeked in place, larger ones spill into the owned buffer.
-// Payloads flagged compressed go through Decompressor.Decompress. The
-// committed corpus (testdata/fuzz/FuzzFrameReader) holds pipelined
-// keyed batches, a frame larger than the window, a compressed frame and
-// a header claiming a 4 GiB payload. Whatever the input: no panic;
-// every frame Next returns re-encodes (PutHeader and the payload) to
-// exactly the bytes it consumed, in order; a payload that decompresses
-// has its declared length; and the reader allocates no more than a
-// small multiple of the input or of maxFrame.
+// The committed corpus (testdata/fuzz/FuzzFrameReader) holds pipelined
+// keyed batches, a frame larger than the window, a frame with flag bit
+// 0 set (returned raw) and a header claiming a 4 GiB payload. Whatever
+// the input: no panic; every frame Next returns re-encodes (PutHeader
+// and the payload) to exactly the bytes it consumed, in order; and the
+// reader allocates no more than a small multiple of the input or of
+// maxFrame.
 func FuzzFrameReader(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		fr := NewFrameReader(bytes.NewReader(in), 4<<10, fuzzMaxFrame)
-		var dec Decompressor
 		off := 0
 		for {
 			version, typ, flags, payload, err := fr.Next()
@@ -43,17 +40,10 @@ func FuzzFrameReader(f *testing.F) {
 				t.Fatalf("frame at offset %d (%d payload bytes) does not re-encode to the bytes it consumed", off, len(payload))
 			}
 			off = end
-			if flags&FlagCompressed != 0 {
-				out, err := dec.Decompress(payload, fuzzMaxFrame)
-				if n, _ := binary.Uvarint(payload); err == nil && uint64(len(out)) != n {
-					t.Fatalf("decompressed %d bytes, the payload declares %d", len(out), n)
-				}
-			}
 		}
 		runtime.ReadMemStats(&after)
-		// The window, the spill buffer and the inflated output (each at
-		// most 1.5 × maxFrame, or the window), the inflater's own state,
-		// and whatever the runtime allocated meanwhile.
+		// The window and the spill buffer (at most 1.5 × maxFrame, or
+		// the window), and whatever the runtime allocated meanwhile.
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(4*len(in)+4*fuzzMaxFrame)+1<<18 {
 			t.Fatalf("%d input bytes made the reader allocate %d", len(in), grew)
 		}

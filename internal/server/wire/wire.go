@@ -12,7 +12,7 @@
 //	0       4     payload length N (bytes after the 8-byte header)
 //	4       1     protocol version (currently 1)
 //	5       1     frame type
-//	6       1     frame flags (0 unless HELLO negotiated the feature)
+//	6       1     frame flags (0; see below)
 //	7       1     reserved (0)
 //	8       N     payload
 //
@@ -30,17 +30,13 @@
 // the server cannot serve at all is answered with an ERR frame
 // (ErrCodeVersion) and the connection is closed.
 //
-// A client MAY append a second HELLO payload byte of feature bits it
-// wants (FeatureCompression); the server echoes a HELLO of the same
-// payload shape with the bits it accepted. Servers predating the
-// feature byte reject the two-byte HELLO, and one-byte HELLOs never
-// see a feature reply — the extension is append-only in both
-// directions, so old and new endpoints interoperate whenever the
-// client does not opt in. Header byte 6 carries per-frame flags
-// (FlagCompressed) and MUST stay zero unless the matching feature was
-// negotiated; receivers treat an un-negotiated or unknown flag bit as
-// a fatal framing error, preserving the historical reserved-must-be-
-// zero strictness.
+// Older clients MAY append a second HELLO payload byte of feature
+// bits. The server answers such a HELLO with the same two-byte shape
+// and a feature byte of 0: it accepts no feature. Feature bit 0 (and
+// its frame flag, per-frame deflate of batch payloads) is retired and
+// always refused; the client then sends plain frames. A one-byte HELLO
+// always gets a one-byte reply. Header byte 6, the frame flags, MUST be
+// zero: receivers treat any nonzero flag bit as a fatal framing error.
 //
 // # Payload encodings
 //
@@ -55,8 +51,6 @@ package wire
 
 import (
 	"bufio"
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -146,24 +140,6 @@ const (
 const (
 	KeyTypeString byte = 1
 	KeyTypeUint64 byte = 2
-)
-
-// Per-frame flag bits (header byte 6). A flag is only valid after both
-// endpoints negotiated the matching HELLO feature; any other nonzero
-// bit is a fatal framing error.
-const (
-	// FlagCompressed marks a deflate-compressed payload: uvarint
-	// uncompressed length, then the deflate stream (see Compressor /
-	// Decompressor). The header's length field still counts the bytes
-	// on the wire, so framing never depends on decompression.
-	FlagCompressed byte = 1 << 0
-)
-
-// HELLO feature bits (optional second HELLO payload byte).
-const (
-	// FeatureCompression offers/accepts FlagCompressed keyed-batch
-	// payloads on this connection.
-	FeatureCompression byte = 1 << 0
 )
 
 // Framing errors.
@@ -412,9 +388,8 @@ func NewFrameReader(r io.Reader, size, maxFrame int) *FrameReader {
 }
 
 // Next returns the next frame. The payload is only valid until the
-// following Next call. Flags are returned raw — validating them
-// against the negotiated features is the caller's job; the reserved
-// byte 7 must still be zero.
+// following Next call. Flags are returned raw — rejecting them is the
+// caller's job; the reserved byte 7 must be zero.
 func (f *FrameReader) Next() (version, typ, flags byte, payload []byte, err error) {
 	if f.pend > 0 {
 		if _, err := f.br.Discard(f.pend); err != nil {
@@ -468,89 +443,3 @@ func (f *FrameReader) Next() (version, typ, flags byte, payload []byte, err erro
 // pipelining signal: while it is nonzero another request is already in
 // the window, so a server can hold its response flush.
 func (f *FrameReader) Buffered() int { return f.br.Buffered() - f.pend }
-
-// appendWriter adapts an append sink to io.Writer for flate.
-type appendWriter struct{ buf *[]byte }
-
-func (a appendWriter) Write(p []byte) (int, error) {
-	*a.buf = append(*a.buf, p...)
-	return len(p), nil
-}
-
-// Compressor deflate-compresses payloads for FlagCompressed frames,
-// reusing its encoder state across calls. Not safe for concurrent use.
-type Compressor struct {
-	zw *flate.Writer
-}
-
-// AppendCompressed appends the compressed encoding of payload — uvarint
-// uncompressed length, then the deflate stream — and returns the
-// extended slice. BestSpeed: the flag exists to trade a little CPU for
-// wire bytes on highly repetitive keyed batches, not to chase ratio.
-func (c *Compressor) AppendCompressed(dst, payload []byte) ([]byte, error) {
-	dst = binary.AppendUvarint(dst, uint64(len(payload)))
-	aw := appendWriter{&dst}
-	if c.zw == nil {
-		c.zw, _ = flate.NewWriter(aw, flate.BestSpeed)
-	} else {
-		c.zw.Reset(aw)
-	}
-	if _, err := c.zw.Write(payload); err != nil {
-		return dst, err
-	}
-	if err := c.zw.Close(); err != nil {
-		return dst, err
-	}
-	return dst, nil
-}
-
-// Decompressor inflates FlagCompressed payloads, reusing its decoder
-// state and output buffer across calls (the returned slice is only
-// valid until the next call). Not safe for concurrent use.
-type Decompressor struct {
-	src bytes.Reader
-	zr  io.ReadCloser
-	buf []byte
-}
-
-// Decompress decodes a compressed payload, bounding the declared
-// uncompressed length at maxOut (<= 0 means DefaultMaxFrame). Every
-// failure mode — truncated prefix, oversized declaration, corrupt
-// stream, length mismatch, trailing bytes — returns an error without
-// touching connection framing (the outer frame length was intact).
-func (d *Decompressor) Decompress(payload []byte, maxOut int) ([]byte, error) {
-	if maxOut <= 0 {
-		maxOut = DefaultMaxFrame
-	}
-	n64, un := binary.Uvarint(payload)
-	if un <= 0 {
-		return nil, fmt.Errorf("%w: bad uncompressed-length prefix", ErrShortPayload)
-	}
-	if n64 > uint64(maxOut) {
-		return nil, fmt.Errorf("%w: declared uncompressed length %d > %d", ErrFrameTooLarge, n64, maxOut)
-	}
-	n := int(n64)
-	d.src.Reset(payload[un:])
-	if d.zr == nil {
-		d.zr = flate.NewReader(&d.src)
-	} else if err := d.zr.(flate.Resetter).Reset(&d.src, nil); err != nil {
-		return nil, err
-	}
-	if cap(d.buf) < n {
-		d.buf = make([]byte, n, n+n/2)
-	}
-	out := d.buf[:n]
-	if _, err := io.ReadFull(d.zr, out); err != nil {
-		return nil, fmt.Errorf("wire: corrupt compressed payload: %v", err)
-	}
-	// The stream must end exactly at the declared length with no bytes
-	// left over after the deflate terminator.
-	var one [1]byte
-	if m, _ := d.zr.Read(one[:]); m != 0 {
-		return nil, errors.New("wire: compressed payload longer than declared")
-	}
-	if d.src.Len() != 0 {
-		return nil, fmt.Errorf("wire: %d trailing bytes after compressed stream", d.src.Len())
-	}
-	return out, nil
-}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"net"
 	"testing"
 )
 
@@ -113,5 +114,69 @@ func TestErrPayload(t *testing.T) {
 	}
 	if _, _, err := ParseErrPayload([]byte{0x80}); err == nil {
 		t.Fatal("malformed error payload parsed")
+	}
+}
+
+// TestFrameReaderBurst exercises the peek-based read path: pipelined
+// frames decoded in place out of one window, a frame larger than the
+// window spilling to the owned buffer, and Buffered reporting only the
+// bytes beyond the current frame.
+func TestFrameReaderBurst(t *testing.T) {
+	cconn, sconn := net.Pipe()
+	defer cconn.Close()
+	defer sconn.Close()
+
+	small := bytes.Repeat([]byte{0xab}, 100)
+	big := bytes.Repeat([]byte{0xcd}, 10<<10) // exceeds the 4 KiB window below
+	go func() {
+		var out []byte
+		out = AppendHeader(out, Version, FrameHello, len(small))
+		out = append(out, small...)
+		out = AppendHeader(out, Version, FrameKeyedBatch, len(small))
+		out = append(out, small...)
+		out = AppendHeader(out, Version, FrameSnapshotPush, len(big))
+		out = append(out, big...)
+		cconn.Write(out)
+	}()
+
+	fr := NewFrameReader(sconn, 4<<10, 0)
+	ver, typ, flags, p, err := fr.Next()
+	if err != nil || ver != Version || typ != FrameHello || flags != 0 || !bytes.Equal(p, small) {
+		t.Fatalf("frame 1: typ=%#x flags=%#x err=%v", typ, flags, err)
+	}
+	first := p
+	if _, typ, _, p, err = fr.Next(); err != nil || typ != FrameKeyedBatch || !bytes.Equal(p, small) {
+		t.Fatalf("frame 2: typ=%#x err=%v", typ, err)
+	}
+	_ = first // frame 1's view is dead here by contract; only its former content mattered
+	if _, typ, _, p, err = fr.Next(); err != nil || typ != FrameSnapshotPush || !bytes.Equal(p, big) {
+		t.Fatalf("spill frame: typ=%#x err=%v", typ, err)
+	}
+	if got := fr.Buffered(); got != 0 {
+		t.Fatalf("Buffered after drain = %d, want 0", got)
+	}
+}
+
+// TestFrameReaderRejectsReservedByte pins the strictness FrameReader
+// inherits from ReadFrame: a nonzero reserved byte 7 is a framing
+// error. Byte 6 (flags) is returned raw for the caller to police.
+func TestFrameReaderRejectsReservedByte(t *testing.T) {
+	var raw []byte
+	raw = AppendHeader(raw, Version, FrameHello, 1)
+	raw = append(raw, 0x7f)
+	raw[7] = 1 // reserved byte
+	fr := NewFrameReader(bytes.NewReader(raw), 0, 0)
+	if _, _, _, _, err := fr.Next(); err == nil {
+		t.Fatal("nonzero reserved byte accepted")
+	}
+
+	raw = raw[:0]
+	raw = AppendHeader(raw, Version, FrameHello, 1)
+	raw = append(raw, 0x7f)
+	raw[6] = 1 // bit 0, the retired deflate flag
+	fr = NewFrameReader(bytes.NewReader(raw), 0, 0)
+	_, _, flags, _, err := fr.Next()
+	if err != nil || flags != 1 {
+		t.Fatalf("flags byte: flags=%#x err=%v (want raw passthrough)", flags, err)
 	}
 }

@@ -5,13 +5,15 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
 
 // TestReadmeMapsEverything keeps README.md's paper → package → workload
 // map from drifting: every workload BENCHMARK.json declares and every
-// package under internal/ must appear in it, in backquotes.
+// package under internal/ must appear in it, in backquotes, and every
+// `internal/…` package or `cmd/…` binary it names must exist.
 func TestReadmeMapsEverything(t *testing.T) {
 	readme, err := os.ReadFile("README.md")
 	if err != nil {
@@ -38,22 +40,35 @@ func TestReadmeMapsEverything(t *testing.T) {
 		}
 	}
 
+	// Every directory under internal/ and cmd/ that holds a non-test
+	// Go file.
 	pkgs := map[string]bool{}
-	err = filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+	for _, root := range []string{"internal", "cmd"} {
+		err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if !d.IsDir() && strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
+				pkgs[filepath.ToSlash(filepath.Dir(path))] = true
+			}
+			return nil
+		})
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
-		if !d.IsDir() && strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
-			pkgs[filepath.ToSlash(filepath.Dir(path))] = true
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	for pkg := range pkgs {
-		if !mentions(pkg) {
+		if strings.HasPrefix(pkg, "internal/") && !mentions(pkg) {
 			t.Errorf("README.md does not mention package `%s`", pkg)
+		}
+	}
+
+	// The first word of a backquoted `internal/…` or `cmd/…` span names
+	// a package or binary (`cmd/fcds-bench table1` names fcds-bench).
+	named := regexp.MustCompile("`((?:internal|cmd)/[^`\\s]+)")
+	for _, m := range named.FindAllStringSubmatch(string(readme), -1) {
+		if !pkgs[m[1]] {
+			t.Errorf("README.md names `%s`, which does not exist", m[1])
 		}
 	}
 }
