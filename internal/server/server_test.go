@@ -575,36 +575,33 @@ func TestClientDownshift(t *testing.T) {
 	}
 }
 
-// TestHelloRefusesFeatures pins wire interop with clients that offer
-// the retired deflate feature (bit 0 of a second HELLO byte): the
-// reply keeps their two-byte shape with a feature byte of 0, plain
-// frames then work, and a frame with flag bit 0 set is a fatal framing
-// error. A one-byte HELLO still gets a one-byte reply.
-func TestHelloRefusesFeatures(t *testing.T) {
+// helloRaw opens a raw socket, sends a HELLO with the given payload and
+// returns the socket with the server's reply payload.
+func helloRaw(t *testing.T, addr string, offer []byte) (net.Conn, []byte) {
+	t.Helper()
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { nc.Close() })
+	if err := wire.WriteFrame(nc, wire.Version, wire.FrameHello, offer); err != nil {
+		t.Fatal(err)
+	}
+	var buf []byte
+	_, typ, payload, err := wire.ReadFrame(nc, &buf, 0)
+	if err != nil || typ != wire.FrameHello {
+		t.Fatalf("hello % x: typ=%#x err=%v", offer, typ, err)
+	}
+	return nc, payload
+}
+
+// TestCompressionDisabledServer pins wire interop with clients that
+// offer the retired deflate feature (bit 0 of a second HELLO byte): the
+// reply keeps their two-byte shape with a feature byte of 0, and plain
+// frames then work.
+func TestCompressionDisabledServer(t *testing.T) {
 	_, addr := startServer(t, server.Config{})
-	hello := func(offer []byte) (net.Conn, []byte) {
-		t.Helper()
-		nc, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { nc.Close() })
-		if err := wire.WriteFrame(nc, wire.Version, wire.FrameHello, offer); err != nil {
-			t.Fatal(err)
-		}
-		var buf []byte
-		_, typ, payload, err := wire.ReadFrame(nc, &buf, 0)
-		if err != nil || typ != wire.FrameHello {
-			t.Fatalf("hello % x: typ=%#x err=%v", offer, typ, err)
-		}
-		return nc, payload
-	}
-
-	if _, reply := hello([]byte{wire.Version}); len(reply) != 1 || reply[0] != wire.Version {
-		t.Fatalf("one-byte hello: reply % x, want %02x", reply, wire.Version)
-	}
-
-	nc, reply := hello([]byte{wire.Version, 1})
+	nc, reply := helloRaw(t, addr, []byte{wire.Version, 1})
 	if len(reply) != 2 || reply[0] != wire.Version || reply[1] != 0 {
 		t.Fatalf("two-byte hello: reply % x, want %02x 00", reply, wire.Version)
 	}
@@ -615,12 +612,23 @@ func TestHelloRefusesFeatures(t *testing.T) {
 	if _, typ, _, err := wire.ReadFrame(nc, &buf, 0); err != nil || typ != wire.FrameValue {
 		t.Fatalf("plain frame after two-byte hello: typ=%#x err=%v", typ, err)
 	}
+}
 
+// TestCompressedFlagWithoutNegotiation checks that a one-byte HELLO
+// gets a one-byte reply and that a frame with flag bit 0 (the retired
+// compressed flag) set is then a fatal framing error.
+func TestCompressedFlagWithoutNegotiation(t *testing.T) {
+	_, addr := startServer(t, server.Config{})
+	nc, reply := helloRaw(t, addr, []byte{wire.Version})
+	if len(reply) != 1 || reply[0] != wire.Version {
+		t.Fatalf("one-byte hello: reply % x, want %02x", reply, wire.Version)
+	}
 	frame := make([]byte, wire.HeaderSize)
 	wire.PutHeader(frame, wire.Version, wire.FrameHealth, 1, 0)
 	if _, err := nc.Write(frame); err != nil {
 		t.Fatal(err)
 	}
+	var buf []byte
 	_, typ, resp, err := wire.ReadFrame(nc, &buf, 0)
 	if err != nil || typ != wire.FrameErr {
 		t.Fatalf("flagged frame: typ=%#x err=%v", typ, err)
@@ -628,6 +636,7 @@ func TestHelloRefusesFeatures(t *testing.T) {
 	if code, _, _ := wire.ParseErrPayload(resp); code != wire.ErrCodeBadFrame {
 		t.Fatalf("error code = %d, want ErrCodeBadFrame", code)
 	}
+	// Fatal: the server hangs up after a framing error.
 	if _, _, _, err := wire.ReadFrame(nc, &buf, 0); err == nil {
 		t.Fatal("connection still open after framing error")
 	}
