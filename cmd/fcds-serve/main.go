@@ -79,6 +79,15 @@ import (
 	fcds "github.com/fcds/fcds"
 )
 
+// usageExit reports a flag value the node cannot run with, prints the
+// usage and exits 2, as the flag package does for a flag it cannot
+// parse.
+func usageExit(reason string) {
+	fmt.Fprintf(os.Stderr, "fcds-serve: %s\n", reason)
+	flag.Usage()
+	os.Exit(2)
+}
+
 type tableSpec struct {
 	name, family, keyType string
 }
@@ -150,6 +159,14 @@ func main() {
 	statsEvery := flag.Duration("stats-every", 0, "log a metrics-registry dump at this interval (0 = never)")
 	verbose := flag.Bool("v", false, "log connection-level diagnostics")
 	flag.Parse()
+	// Refuse flags that would crash a started node, before anything
+	// starts: no port is open yet and no table exists.
+	if *writers < 1 {
+		usageExit(fmt.Sprintf("-writers %d: need at least one writer handle per table", *writers))
+	}
+	if *push != "" && *pushEvery <= 0 {
+		usageExit(fmt.Sprintf("-push-every %v: the shipping interval must be positive", *pushEvery))
+	}
 
 	lg := log.New(os.Stderr, "fcds-serve: ", log.LstdFlags)
 	specs, err := parseSpecs(*tables)

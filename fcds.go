@@ -162,7 +162,7 @@
 //
 // # Read-path cost model
 //
-// Whole-table reads — Rollup, Snapshot, SnapshotAppend, and the
+// Whole-table reads — Snapshot, SnapshotAppend, and the
 // checkpoint/snapshot-push paths built on them — cost O(keys), not
 // O(updates). A snapshot compacts each live key (under the entry's
 // read lock, a copy of the sketch's current state) and serializes it.
@@ -172,14 +172,22 @@
 // Θ into one scratch reused from key to key, then inserting them after
 // the lock is released. A Θ key whose smallest hash ever offered is
 // already at or above that running Θ has nothing to copy and is not
-// scanned at all; once the union has seen a skewed table's heavy keys,
-// that is most keys. So a rollup allocates the same at a thousand
-// keys as at ten thousand, and its bytes are those a union of per-key
-// compacts gives: a Θ union depends on its inputs' sample sets and Θs,
-// not on how they arrive. Quantiles and HLL keys still compact and
-// merge. A Θ
-// compaction is a copy, not a sort: a compact takes its samples as the
-// sketch held them and is put in order by the first call that needs
+// scanned at all. And a Θ rollup does not visit every key: each table
+// shard keeps a floor, never above the smallest hash (or Θ) of any key
+// it holds, lowered by the sketches themselves before the samples that
+// lower it can be read. The rollup visits shards by ascending floor and
+// skips, unread, every shard whose floor is at or above its running Θ,
+// so it costs O(keys in shards whose floor is below that bound). On the
+// benchmark's table_wide (~47.9 k keys over 1 024 shards, K=256, 2
+// vCPUs) a two-worker rollup reads ~176 of the shards
+// (BenchmarkTableRollup/wide: 113 → 23 ns per live key), and
+// rollup_p50_ms fell 5.97 → 1.57 ms. Quantiles and HLL keys keep no floor, so their rollups read
+// every shard that has held a key; their keys still compact and merge.
+// A rollup allocates the same at a thousand keys as at ten thousand,
+// and its bytes are those a union of per-key compacts gives: a Θ union
+// depends on its inputs' sample sets and Θs, not on how they arrive.
+// A Θ compaction is a copy, not a sort: a compact takes its samples as
+// the sketch held them and is put in order by the first call that needs
 // order (MarshalBinary, Hashes, ForEachHash — see ThetaCompact), so
 // rollups and window reads, which only merge, never sort, and
 // snapshots and checkpoints sort once, outside every sketch lock. With
@@ -193,12 +201,13 @@
 // The read path therefore fans out: entry pointers are collected
 // under each shard's read lock, then the per-key work runs on a
 // bounded worker set with per-worker partial aggregators merged
-// pairwise at the end (rollup) or per-worker serialization regions
-// stitched in order (snapshot). The degree is TableConfig's
+// pairwise at the end (rollup, whose workers claim shards rather than
+// keys) or per-worker serialization regions stitched in order
+// (snapshot). The degree is TableConfig's
 // ReadParallelism — 0 (the default) means GOMAXPROCS at call time, 1
 // forces the serial path, and any other value caps the workers per
 // pass. The caller's goroutine is always worker zero, so degree 1
-// spawns nothing. Workers claim keys in runs (about 64 per worker and
+// spawns nothing. Workers claim work in runs (about 64 per worker and
 // pass), not one at a time: a claim per key moved the shared counter
 // between cores on every key, and on the benchmark's table_wide shape
 // (47 k keys, nearly all still flat, K=256, 2 vCPUs) two workers were
@@ -207,7 +216,8 @@
 // rollup_p50_ms (21.3 → 10.6 ms). Leaving unscanned the keys with
 // nothing to copy (97 % of table_wide's, 91 % of serve_ingest's)
 // halved it again on the same 2 vCPUs: table_wide 13.9 → 6.9 ms,
-// serve_ingest 6.7 → 2.6 ms. Below ~1k keys the fan-out constant
+// serve_ingest 6.7 → 2.6 ms; skipping whole shards by their floors
+// then took table_wide to the 1.57 ms above. Below ~1k keys the fan-out constant
 // (goroutine wake + pairwise merge) eats the win and serial is just as
 // fast. No benchmark workload sweeps the degree yet, so these scaling
 // figures are not re-checked by any gate.

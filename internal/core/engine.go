@@ -1,5 +1,7 @@
 package core
 
+import "sync/atomic"
+
 // This file defines the mergeable-sketch engine abstraction: the one
 // place the sketch lifecycle — create, fused batch ingest, wait-free
 // query, compact snapshot, serialize, merge, reset — is described, so
@@ -189,4 +191,42 @@ type FilterSketch[V any] interface {
 	// disabled, an HLL sketch with a register still 0. Wait-free, like
 	// Query.
 	CalcHint() (hint V, ok bool)
+}
+
+// FloorSketch and FloorAggregator are one optional capability in two
+// halves: they let a composite that holds many sketches (a keyed table)
+// leave unread every sketch that cannot change an aggregate. A floor is
+// a value no larger than anything in the sketch that an aggregator
+// could still take; an aggregator's bound is the value a floor must be
+// below for the sketch to matter to it. A composite that groups its
+// sketches (a table's shards) hands every sketch of a group one cell:
+// the sketches keep it at or below each of their floors, so a group
+// whose cell is at or above an aggregator's bound holds nothing that
+// aggregator can take, now or later — the bound only falls.
+//
+// The cell is lowered, never raised, and before the state that lowered
+// it becomes readable: a reader that saw a cell at or above its bound
+// and skipped the group read it before that state existed. Nothing
+// raises a cell when a sketch shrinks (a reset, an eviction), which
+// only makes a reader read more than it needs.
+//
+// Θ implements both halves: a sketch's floor is min(low, Θ), low being
+// the smallest hash ever offered to it, and a union's bound is its
+// running Θ (see theta's Union.bound for why a sketch with a floor at
+// or above it cannot change the union). A composite treats a sketch
+// without FloorSketch as floor 0 (always read), and an aggregator
+// without FloorAggregator as bound MaxUint64: only groups with no
+// sketch at all, whose cells still hold MaxUint64, are skipped.
+type FloorSketch interface {
+	// SetFloor hands the sketch its group's cell. The sketch lowers it
+	// at once to its current floor, then as its floor falls.
+	SetFloor(cell *atomic.Uint64)
+}
+
+// FloorAggregator is the Aggregator half of the floor capability.
+type FloorAggregator interface {
+	// Bound returns the aggregator's current bound: a sketch whose floor
+	// is at or above it cannot change what Result returns. It only falls
+	// as the aggregator takes input.
+	Bound() uint64
 }

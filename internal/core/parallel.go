@@ -77,9 +77,12 @@ func FanOut(degree, n int, fn func(worker, index int)) {
 
 // claimsPerWorker is how many runs of indices FanOut cuts per worker.
 // Every claim moves the counter's cache line to the claiming core, so a
-// claim per index costs a cross-core transfer per index: on a rollup of
-// table_wide's ~47 k mostly flat keys, ~200 ns of work each, two workers
-// that claimed one key at a time took longer than one worker alone
-// (BenchmarkTableRollup/wide, 2 vCPUs: ~290 ns/key against ~240 serial;
-// ~110 with runs).
+// claim per index costs a cross-core transfer per index. That was
+// measured when a table rollup still claimed keys, not shards: on
+// table_wide's ~47 k mostly flat keys, ~200 ns of work each, two
+// workers that claimed one key at a time took longer than one worker
+// alone (BenchmarkTableRollup/wide, 2 vCPUs: ~290 ns/key against ~240
+// serial; ~110 with runs). Snapshots still claim keys; a rollup now
+// claims shards, and at 1 024 shards and two workers a run is 8 of
+// them.
 const claimsPerWorker = 64

@@ -76,8 +76,9 @@ func BenchmarkTableQuery(b *testing.B) {
 }
 
 // BenchmarkTableRollup measures the all-keys read at K=256; one op is
-// one Rollup (per key: the live state folded into the union in place).
-// Reports ns/key and allocs/op.
+// one Rollup (per key of a shard it reads: the live state folded into
+// the union in place). Reports ns/key (over every live key, read or
+// not), allocs/op and the shards one rollup read.
 //
 //   - mixed: 1 000 keys, a third of them still flat, the rest in
 //     estimation mode;
@@ -154,6 +155,8 @@ func benchRollup(b *testing.B, tab *ThetaTable[uint64]) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(tab.Keys()), "ns/key")
+	_, read := tab.rollupShards(tab.readDegree())
+	b.ReportMetric(float64(read), "shards-read/op")
 }
 
 // The hot-key stream of BenchmarkTableHotKeys and BenchmarkFamilyHotKeys:

@@ -1,7 +1,9 @@
 package table
 
 import (
+	"cmp"
 	"encoding/binary"
+	"math"
 	"slices"
 	"time"
 
@@ -9,29 +11,38 @@ import (
 )
 
 // This file is the table's parallel read path: whole-table rollups,
-// snapshot captures and streaming serialization fan the per-key work
-// across a bounded worker set (core.FanOut) and merge the partial
-// results. The structure is the same for all three:
+// snapshot captures and streaming serialization fan the work across a
+// bounded worker set (core.FanOut) and merge the partial results.
+// Snapshots and serialization need every key's bytes:
 //
 //  1. collect — snapshot (key, entry) pointers shard by shard under
 //     the shard read-lock only (no sketch is read under a shard lock);
 //  2. fan out — workers claim runs of entries from a shared counter
-//     and, under each entry's own liveness lock, fold them into
-//     per-worker accumulators. A rollup hands its aggregator to the
-//     live sketch (EngineSketch.AddTo), so a Θ key is merged from its
-//     samples in place and no per-key compact is built; snapshots need
-//     bytes, so they compact each key into a pair slice or a
-//     serialization region;
-//  3. merge — the per-worker partials combine: aggregators pairwise by
-//     the family's compact merge, pair slices into the snapshot map,
-//     regions into one output buffer grown exactly once.
+//     and, under each entry's own liveness lock, compact each key into
+//     a per-worker pair slice or serialization region;
+//  3. merge — the per-worker partials combine: pair slices into the
+//     snapshot map, regions into one output buffer grown exactly once.
+//
+// A rollup needs only the merge, and not every key can change it, so
+// it collects no entries. Workers claim shards, in ascending order of
+// the shards' floors (core.FloorSketch), and skip unread every shard
+// whose floor is at or above their aggregator's bound; a shard that is
+// read has its entry pointers copied under its read lock, as collect
+// does, and each key hands the worker's aggregator its live state
+// (EngineSketch.AddTo), so a Θ key is merged from its samples in place
+// and no per-key compact is built. The per-worker aggregators then
+// merge pairwise. On a skewed Θ table most shards hold only keys whose
+// samples are all above the union's Θ, and a rollup reads a few
+// percent of the keys.
 //
 // Consistency is unchanged from the serial walk: per key the state read
 // is the usual r-relaxed point-in-time capture; across keys there is
 // no atomicity (there never was — the serial walk released each shard
 // lock between shards). Keys evicted between collect and read are
 // skipped, exactly as a slightly earlier serial walk would have
-// missed them.
+// missed them. A skipped shard is read at the instant its floor was
+// loaded: a sketch lowers the floor before the state that lowered it
+// becomes readable.
 
 // readDegree resolves the table's configured read fan-out.
 func (t *Table[K, V, S, C]) readDegree() int {
@@ -94,11 +105,12 @@ func (t *Table[K, V, S, C]) addEntry(agg core.Aggregator[C], e *entry[V, S, C]) 
 }
 
 // Rollup merges every live key's sketch into one compact — the
-// all-keys aggregate, by the family's mergeability. The per-key folds
+// all-keys aggregate, by the family's mergeability. The per-shard folds
 // fan out across Config.ReadParallelism workers (GOMAXPROCS by
-// default) with per-worker aggregators merged pairwise; every fold
-// order of the same per-key states is a valid aggregate, so the
-// parallel and serial results agree.
+// default) with per-worker aggregators merged pairwise, and skip the
+// shards that cannot change them; every fold order of the same per-key
+// states is a valid aggregate, so the parallel and serial results
+// agree.
 func (t *Table[K, V, S, C]) Rollup() C {
 	start := time.Now()
 	c := t.rollup(t.readDegree())
@@ -106,32 +118,101 @@ func (t *Table[K, V, S, C]) Rollup() C {
 	return c
 }
 
-// rollup merges every live key's sketch into one compact, folding keys
-// across `degree` workers with per-worker aggregators merged pairwise.
-// degree <= 1 is the serial path (identical result by mergeability:
-// every fold order of the same per-key states is a valid aggregate).
+// rollup merges every live key's sketch into one compact, folding
+// shards across `degree` workers with per-worker aggregators merged
+// pairwise. degree <= 1 is the serial path (identical result by
+// mergeability: every fold order of the same per-key states is a valid
+// aggregate).
 func (t *Table[K, V, S, C]) rollup(degree int) C {
-	_, ents := t.collectEntries()
-	if degree > len(ents) {
-		degree = len(ents)
+	c, _ := t.rollupShards(degree)
+	return c
+}
+
+// shardFold is one rollup worker: its aggregator, the aggregator's
+// FloorAggregator half (nil: bound MaxUint64), a scratch for one
+// shard's entries, reused from shard to shard, and the number of shards
+// it read.
+type shardFold[V, S, C any] struct {
+	agg  core.Aggregator[C]
+	fa   core.FloorAggregator
+	ents []*entry[V, S, C]
+	read int
+}
+
+func (t *Table[K, V, S, C]) newShardFold() *shardFold[V, S, C] {
+	agg := t.eng.NewAggregator()
+	fa, _ := agg.(core.FloorAggregator)
+	return &shardFold[V, S, C]{agg: agg, fa: fa}
+}
+
+// bound is the worker's aggregator bound (core.FloorAggregator).
+func (f *shardFold[V, S, C]) bound() uint64 {
+	if f.fa == nil {
+		return math.MaxUint64
 	}
-	if degree <= 1 {
-		agg := t.eng.NewAggregator()
-		for _, e := range ents {
-			t.addEntry(agg, e)
+	return f.fa.Bound()
+}
+
+// fold folds shard sh into f's aggregator — unless the shard's floor is
+// at or above f's bound: then no key of the shard holds anything the
+// aggregator can take, now or later (its bound only falls), and the
+// shard is skipped unread. The skip leaves the result exactly as
+// folding every key would (core.FloorSketch; for Θ, Union.bound). A
+// shard that is read is read as collectEntries reads one: its entry
+// pointers are copied under the shard read lock, and each key is folded
+// after it is released, under the entry's own lock.
+func (t *Table[K, V, S, C]) fold(f *shardFold[V, S, C], sh *shard[K, V, S, C]) {
+	if sh.floor.Load() >= f.bound() {
+		return
+	}
+	f.read++
+	ents := f.ents[:0]
+	sh.mu.RLock()
+	for _, e := range sh.m {
+		ents = append(ents, e)
+	}
+	sh.mu.RUnlock()
+	for _, e := range ents {
+		t.addEntry(f.agg, e)
+	}
+	f.ents = ents
+}
+
+// rollupShards is rollup that also reports how many shards its workers
+// read. The shards go in ascending order of their floors as they stood
+// when the rollup began, so that each worker's bound falls early and
+// most later shards are skipped; one whose floor was at or above a
+// fresh aggregator's bound (a shard that never held a key) is not
+// visited at all. The order is only a schedule: fold re-reads each
+// floor when the shard comes up.
+func (t *Table[K, V, S, C]) rollupShards(degree int) (C, int) {
+	type shardFloor struct {
+		floor uint64
+		i     int
+	}
+	first := t.newShardFold()
+	start := first.bound()
+	order := make([]shardFloor, 0, len(t.shards))
+	for i := range t.shards {
+		if f := t.shards[i].floor.Load(); f < start {
+			order = append(order, shardFloor{f, i})
 		}
-		return agg.Result()
 	}
-	aggs := make([]core.Aggregator[C], degree)
-	for w := range aggs {
-		aggs[w] = t.eng.NewAggregator()
+	slices.SortFunc(order, func(a, b shardFloor) int { return cmp.Compare(a.floor, b.floor) })
+	degree = max(1, min(degree, len(order)))
+	folds := make([]*shardFold[V, S, C], degree)
+	folds[0] = first
+	for w := 1; w < degree; w++ {
+		folds[w] = t.newShardFold()
 	}
-	core.FanOut(degree, len(ents), func(w, i int) {
-		t.addEntry(aggs[w], ents[i])
+	core.FanOut(degree, len(order), func(w, i int) {
+		t.fold(folds[w], &t.shards[order[i].i])
 	})
+	read := 0
 	parts := make([]C, degree)
-	for w := range aggs {
-		parts[w] = aggs[w].Result()
+	for w, f := range folds {
+		parts[w] = f.agg.Result()
+		read += f.read
 	}
 	// Pairwise tree merge of the worker partials: parts[i] absorbs
 	// parts[i+half] each round, halving the slice — log2(degree)
@@ -145,7 +226,7 @@ func (t *Table[K, V, S, C]) rollup(degree int) C {
 		})
 		parts = parts[:half]
 	}
-	return parts[0]
+	return parts[0], read
 }
 
 // kcPair is one captured (key, compact) pair in a worker's partial.

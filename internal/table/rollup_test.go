@@ -289,14 +289,25 @@ func TestRollupConcurrentWithEviction(t *testing.T) {
 // while the pool merges (CI runs it under -race, repeatedly). Both
 // writers send each round's keys distinct items in small runs, so a
 // key's flat array fills from both, one of them materializes it, and
-// the other's next run goes through the buffers. Each rollup may miss
-// what writer buffers hide, but never counts more than was sent; once
-// drained, the rollup is exactly the union of the keys' compacts and
-// within 5·RSE of everything sent.
+// the other's next run goes through the buffers. With 1 024 shards most
+// fresh keys land in a shard that was empty, so rollups read shard
+// floors while keys are created and their floors fall, and skip shards
+// whose floors are above their bounds. Each rollup may miss what writer
+// buffers hide, but never counts more than was sent; once drained, the
+// rollup is exactly the union of the keys' compacts and within 5·RSE of
+// everything sent.
 func TestRollupConcurrentAcrossFlatBoundary(t *testing.T) {
+	for _, shards := range []int{8, 1024} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			rollupConcurrentAcrossFlatBoundary(t, shards)
+		})
+	}
+}
+
+func rollupConcurrentAcrossFlatBoundary(t *testing.T, shards int) {
 	const k, keysPerRound, run = 64, 8, 12 // MaxError 0.2: eager limit 50
 	tab := NewTheta(ThetaConfig[uint64]{
-		Table: Config[uint64]{Writers: 2, Shards: 8, ReadParallelism: 2},
+		Table: Config[uint64]{Writers: 2, Shards: shards, ReadParallelism: 2},
 		K:     k, MaxError: 0.2,
 	})
 	defer tab.Close()
@@ -349,6 +360,17 @@ func TestRollupConcurrentAcrossFlatBoundary(t *testing.T) {
 	}
 	if rollups < 2 {
 		t.Errorf("%d rollups ran beside the writers", rollups)
+	}
+	// Drained, most of 1 024 shards hold no sample a 2-worker rollup
+	// keeps (at 8 shards, every one does).
+	held := 0
+	for i := range tab.shards {
+		if len(tab.shards[i].m) > 0 {
+			held++
+		}
+	}
+	if _, read := tab.rollupShards(2); shards > 8 && read >= held {
+		t.Errorf("a drained rollup read %d of the %d shards holding keys, skipped none", read, held)
 	}
 }
 
@@ -424,6 +446,81 @@ func TestRollupSkipIsExact(t *testing.T) {
 				}
 				if want := checkRollupExact(t, name, tab); want.Retained() <= k/2 {
 					t.Errorf("%s: the per-key fold retained only %d samples", name, want.Retained())
+				}
+				tab.Close()
+			}
+		}
+	}
+
+	// Whole shards: a rollup skips, unread, a shard whose floor is at or
+	// above its worker's bound. ofShard[i] is a key of shard i of 64.
+	const shards = 64
+	ofShard, seen := make([]uint64, shards), make([]bool, shards)
+	for found, key := 0, uint64(0); found < shards; key++ {
+		if si := keyHash(key) & (shards - 1); !seen[si] {
+			ofShard[si], seen[si] = key, true
+			found++
+		}
+	}
+	// "skip": four head keys, one per shard, hold 200 small hashes each
+	// (one run: past the eager limit, so Merge lowers the floor), and the
+	// union keeps K of them; 40 tail shards hold a flat key each with
+	// large hashes only. A serial rollup visits shards by floor, so once
+	// it has read a head shard its bound is below every tail shard's
+	// floor: it reads at most the four head shards. "read" and
+	// "read-merge": each of 48 shards holds one key with a single small
+	// hash among ten large ones, flat or concurrent from its first
+	// update, and the union keeps the K smallest of the 48 small ones, so
+	// at least K shards must be read; a path that left a floor above its
+	// small hash would skip that shard and change the bytes.
+	headTail := func(w *Writer[uint64, uint64, float64, *theta.Compact]) {
+		var ks, vs []uint64
+		for i := 0; i < 44; i++ {
+			for j := 0; j < 200; j++ {
+				if i < 4 {
+					ks, vs = append(ks, ofShard[i]), append(vs, small[i*200+j])
+				} else if j < 10 {
+					ks, vs = append(ks, ofShard[i]), append(vs, large[i*10+j])
+				}
+			}
+		}
+		w.UpdateKeyedBatch(ks, vs)
+	}
+	oneSmall := func(w *Writer[uint64, uint64, float64, *theta.Compact]) {
+		var ks, vs []uint64
+		for i := 0; i < 48; i++ {
+			ks, vs = append(ks, ofShard[i]), append(vs, small[i])
+			for j := 0; j < 10; j++ {
+				ks, vs = append(ks, ofShard[i]), append(vs, large[i*10+j])
+			}
+		}
+		w.UpdateKeyedBatch(ks, vs)
+	}
+	shardCases := []struct {
+		name             string
+		maxError         float64
+		feed             func(w *Writer[uint64, uint64, float64, *theta.Compact])
+		minRead, maxRead int // serial rollup
+	}{
+		{"skip", 0.2, headTail, 1, 4},
+		{"read", 0.2, oneSmall, k, 48},
+		{"read-merge", 1, oneSmall, k, 48},
+	}
+	for _, kmv := range []bool{false, true} {
+		for _, tc := range shardCases {
+			for _, degree := range []int{1, 4} {
+				name := fmt.Sprintf("shards/%s/kmv=%v/degree=%d", tc.name, kmv, degree)
+				eng := theta.NewEngine(theta.ConcurrentConfig{K: k, Writers: 1, MaxError: tc.maxError, BufferSize: 8, UseKMV: kmv})
+				tab := New[uint64](Config[uint64]{Writers: 1, Shards: shards, ReadParallelism: degree},
+					core.Engine[uint64, float64, *theta.Compact](eng))
+				tc.feed(tab.Writer(0))
+				tab.Drain()
+				if want := checkRollupExact(t, name, tab); want.Retained() != k {
+					t.Errorf("%s: the per-key fold retained %d samples, want K=%d", name, want.Retained(), k)
+				}
+				_, read := tab.rollupShards(1)
+				if read < tc.minRead || read > tc.maxRead {
+					t.Errorf("%s: a serial rollup read %d shards, want %d to %d", name, read, tc.minRead, tc.maxRead)
 				}
 				tab.Close()
 			}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -761,4 +762,16 @@ func TestTableConfigValidationAtConstruction(t *testing.T) {
 			fn()
 		}()
 	}
+}
+
+// TestNegativeWritersRejected: a negative writer count panics at
+// construction with a message that names it, not inside make.
+func TestNegativeWritersRejected(t *testing.T) {
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "Writers must be at least 1") {
+			t.Errorf("New with Writers -1 panicked with %q", msg)
+		}
+	}()
+	NewTheta(ThetaConfig[string]{Table: Config[string]{Writers: -1}})
 }

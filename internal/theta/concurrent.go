@@ -82,6 +82,13 @@ type GlobalSketch struct {
 	// retained sample, and it only falls. Guarded by mu. appendTo reads
 	// it to leave a sample set it cannot copy from unscanned.
 	low uint64
+	// floor, when non-nil, is the cell of the table shard that holds the
+	// sketch (see core.FloorSketch), kept at or below min(low, Θ): every
+	// path that lowers low lowers it, under mu and before publish. Θ
+	// needs no path of its own: below 1 it has retained samples below
+	// it, so it is above low — except after AbsorbCompact of a compact
+	// with no samples, which lowers the cell to Θ itself.
+	floor *atomic.Uint64
 }
 
 var _ core.Global[uint64, float64] = (*GlobalSketch)(nil)
@@ -109,7 +116,10 @@ func (g *GlobalSketch) Merge(l core.Local[uint64]) {
 		g.qs.UpdateHash(h)
 		low = min(low, h)
 	}
-	g.low = low
+	if low < g.low {
+		g.low = low
+		g.lowerFloor()
+	}
 	g.publish()
 	g.mu.Unlock()
 }
@@ -118,7 +128,10 @@ func (g *GlobalSketch) Merge(l core.Local[uint64]) {
 func (g *GlobalSketch) UpdateDirect(h uint64) {
 	g.mu.Lock()
 	g.qs.UpdateHash(h)
-	g.low = min(g.low, h)
+	if h < g.low {
+		g.low = h
+		g.lowerFloor()
+	}
 	g.publish()
 	g.mu.Unlock()
 }
@@ -137,8 +150,39 @@ func (g *GlobalSketch) AbsorbCompact(c *Compact) error {
 		forEachHashUnordered(c, g.qs.UpdateHash)
 	}
 	forEachHashUnordered(c, func(h uint64) { g.low = min(g.low, h) })
+	g.lowerFloor()
 	g.publish()
 	return err
+}
+
+// setFloor hands the sketch its shard's cell and lowers the cell to the
+// sketch's floor (see engineSketch.SetFloor).
+func (g *GlobalSketch) setFloor(cell *atomic.Uint64) {
+	g.mu.Lock()
+	g.floor = cell
+	g.lowerFloor()
+	g.mu.Unlock()
+}
+
+// lowerFloor lowers the shard's cell, if there is one, to min(low, Θ):
+// never above a retained sample, nor above the Θ a union would fold in.
+// The caller holds mu.
+func (g *GlobalSketch) lowerFloor() {
+	if g.floor != nil {
+		lowerCell(g.floor, min(g.low, g.qs.Theta()))
+	}
+}
+
+// lowerCell lowers a floor cell to v unless it is already at or below.
+// Floors settle after a key's first few runs, so the load almost always
+// ends it without a write.
+func lowerCell(cell *atomic.Uint64, v uint64) {
+	for {
+		cur := cell.Load()
+		if v >= cur || cell.CompareAndSwap(cur, v) {
+			return
+		}
+	}
 }
 
 // Compact returns an immutable point-in-time snapshot of the full
@@ -276,8 +320,14 @@ func NewConcurrent(cfg ConcurrentConfig) *Concurrent {
 // preloaded from a compact (sample set and Θ, see AbsorbCompact), so
 // writers pre-filter with the inherited Θ from the first update. The
 // compact's seed must match cfg's. A flat keyed sketch materializes
-// through it.
+// through it, by way of newConcurrent.
 func NewConcurrentFrom(cfg ConcurrentConfig, from *Compact) (*Concurrent, error) {
+	return newConcurrent(cfg, from, nil)
+}
+
+// newConcurrent is NewConcurrentFrom whose global keeps floor, when
+// non-nil, at or below its min(low, Θ) from the absorbed compact on.
+func newConcurrent(cfg ConcurrentConfig, from *Compact, floor *atomic.Uint64) (*Concurrent, error) {
 	cfg = cfg.withDefaults()
 	var global *GlobalSketch
 	if cfg.UseKMV {
@@ -286,6 +336,7 @@ func NewConcurrentFrom(cfg ConcurrentConfig, from *Compact) (*Concurrent, error)
 		global = NewGlobal(cfg.K, cfg.Seed)
 	}
 	global.noFilter = cfg.DisableFiltering
+	global.floor = floor
 	if from != nil {
 		// Absorb before core.New so the framework captures the
 		// inherited Θ as every writer's initial pre-filtering hint.

@@ -1,6 +1,7 @@
 package theta
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"sync"
@@ -24,14 +25,22 @@ var (
 	_ core.FilterEngine[uint64]              = (*Engine)(nil)
 	_ core.StringEngine[uint64]              = (*Engine)(nil)
 	_ core.FilterSketch[uint64]              = (*engineSketch)(nil)
+	_ core.FloorSketch                       = (*engineSketch)(nil)
+	_ core.FloorAggregator                   = (*unionAggregator)(nil)
 )
 
 // NewEngine returns a Θ engine for the given configuration (zero fields
 // take the ConcurrentConfig defaults). The Pool field is ignored: the
-// executor is chosen per sketch by NewSketch.
+// executor is chosen per sketch by NewSketch. It panics on an eager
+// limit of 2³¹ or more: a flat sketch counts its updates in 32 bits,
+// and that many distinct hashes would need a 16 GiB flat array anyway.
 func NewEngine(cfg ConcurrentConfig) *Engine {
 	cfg.Pool = nil
-	return &Engine{cfg: cfg.withDefaults()}
+	cfg = cfg.withDefaults()
+	if cfg.EagerLimit > math.MaxInt32 {
+		panic(fmt.Sprintf("theta: eager limit %d is 2^31 or more (MaxError %g); a flat sketch counts below 2^31", cfg.EagerLimit, cfg.MaxError))
+	}
+	return &Engine{cfg: cfg}
 }
 
 // Kind implements core.CompactCodec.
@@ -112,6 +121,11 @@ type unionAggregator struct {
 func (a *unionAggregator) Add(c *Compact) error { return a.u.Add(c) }
 func (a *unionAggregator) Result() *Compact     { return a.u.Result() }
 
+// Bound implements core.FloorAggregator: the union's running Θ, at
+// least 1. A sketch whose floor, min(low, Θ), is at or above it cannot
+// change the union (see Union.bound).
+func (a *unionAggregator) Bound() uint64 { return a.u.bound(hash.MaxThetaValue) }
+
 // engineSketch is one per-key / per-epoch Θ sketch as core.EngineSketch.
 //
 // §5.3 processes a short stream sequentially, because the relaxation
@@ -135,15 +149,23 @@ type engineSketch struct {
 	pool *core.PropagatorPool
 	aff  uint64
 
-	// mu guards flat, low and applied, and serialises materialization.
+	// mu guards flat, low, applied and floor, and serialises
+	// materialization.
 	mu   sync.Mutex
 	flat []uint64
 	// low is the minimum of every hash offered to the flat array since
 	// start: never above its smallest sample, and it only falls. (Once
 	// concurrent, the global keeps its own; see GlobalSketch.low.)
-	low     uint64
-	applied int
-	n       atomic.Int64 // len(flat)
+	low uint64
+	// applied and n = len(flat) are below EagerLimit, itself below 2³¹
+	// (see NewEngine): 32 bits each keep the struct at 112 B, one Go
+	// size class (TestSketchSizeClasses).
+	applied int32
+	n       atomic.Int32
+	// floor is the cell of the table shard that holds the sketch, nil
+	// outside a table (see SetFloor). The flat phase lowers it to low;
+	// the global, handed the cell when it is built, to its min(low, Θ).
+	floor *atomic.Uint64
 
 	// c is nil while flat. ws is allocated before c is published and
 	// filled lazily per slot: slot i is only touched by the composite's
@@ -182,9 +204,9 @@ func (s *engineSketch) materialize(from *Compact) {
 	cfg.EagerLimit = -1
 	cfg.Pool = s.pool
 	cfg.AffinityKey = s.aff
-	c, err := NewConcurrentFrom(cfg, from)
+	c, err := newConcurrent(cfg, from, s.floor)
 	if err != nil {
-		c = NewConcurrent(cfg)
+		c, _ = newConcurrent(cfg, nil, s.floor)
 	}
 	s.flat = nil
 	s.ws = make([]*ConcurrentWriter, cfg.Writers)
@@ -202,7 +224,7 @@ func (s *engineSketch) flatAdd(vals []uint64, hashed bool) bool {
 		return false
 	}
 	seed := s.eng.cfg.Seed
-	if s.applied+len(vals) >= s.eng.cfg.EagerLimit {
+	if int(s.applied)+len(vals) >= s.eng.cfg.EagerLimit {
 		// The compact takes ownership of the array.
 		s.materialize(newCompactFromUnsorted(s.flat, hash.MaxThetaValue, seed))
 		return false
@@ -217,9 +239,14 @@ func (s *engineSketch) flatAdd(vals []uint64, hashed bool) bool {
 			s.flat = append(s.flat, h)
 		}
 	}
+	if low < s.low && s.floor != nil {
+		// Before n.Store and the unlock: a rollup that skipped the
+		// shard read its cell before these samples existed.
+		lowerCell(s.floor, low)
+	}
 	s.low = low
-	s.applied += len(vals)
-	s.n.Store(int64(len(s.flat)))
+	s.applied += int32(len(vals))
+	s.n.Store(int32(len(s.flat)))
 	return true
 }
 
@@ -336,6 +363,21 @@ func (s *engineSketch) AddTo(agg core.Aggregator[*Compact]) error {
 		a.scratch = hs[:0]
 	}
 	return nil
+}
+
+// SetFloor implements core.FloorSketch: from now on the sketch keeps
+// cell at or below its floor, min(low, Θ) — low while flat, where Θ is
+// 1; the global's own once concurrent. A table calls it once, when it
+// creates the key.
+func (s *engineSketch) SetFloor(cell *atomic.Uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.floor = cell
+	if c := s.c.Load(); c != nil {
+		c.global.setFloor(cell)
+		return
+	}
+	lowerCell(cell, s.low)
 }
 
 // Close closes the concurrent sketch, if there is one, and drops the

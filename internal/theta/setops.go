@@ -73,6 +73,16 @@ func (u *Union) insert(hashes []uint64, ordered bool) {
 // sketches' low) — may leave the whole set behind when that bound is at
 // or above the returned one; it must call bound first all the same, so
 // the set's Θ is folded in.
+//
+// The one exception is a reader whose lower bound covers the set's Θ
+// too: a floor f ≤ min(low, Θ), as a table shard keeps for every key it
+// holds (see core.FloorSketch). When f is at or above b, the value
+// bound returns with MaxThetaValue, the set may be left unread, Θ and
+// all. Its samples are all ≥ low ≥ f ≥ b, so none can enter. Its Θ is
+// ≥ f ≥ b ≥ min(unionMin, gadget Θ), and that minimum only falls:
+// folding the Θ in would not move it, now or after any later input, and
+// the minimum is all of unionMin that decides what the union keeps and
+// what Result returns.
 func (u *Union) bound(theta uint64) uint64 {
 	if theta < u.unionMin {
 		u.unionMin = theta
