@@ -88,6 +88,23 @@ func usageExit(reason string) {
 	os.Exit(2)
 }
 
+// paramError says why a table of the family cannot take -param p ("" if
+// it can): 0 is the family default, any other value must suit the
+// family's sketch constructor and fit a table snapshot.
+func paramError(family string, p int) string {
+	pow2 := p&(p-1) == 0 // the lower bounds below rule out p <= 0
+	switch {
+	case p == 0:
+	case family == "theta" && (!pow2 || p < 16 || p > 1<<26):
+		return "theta K must be a power of two in [16, 2^26]"
+	case family == "quantiles" && (!pow2 || p < 2 || p > 1<<15):
+		return "quantiles K must be a power of two in [2, 2^15]"
+	case family == "hll" && (p < 4 || p > 18):
+		return "hll precision must be in [4, 18]"
+	}
+	return ""
+}
+
 type tableSpec struct {
 	name, family, keyType string
 }
@@ -172,6 +189,11 @@ func main() {
 	specs, err := parseSpecs(*tables)
 	if err != nil {
 		lg.Fatal(err)
+	}
+	for _, spec := range specs {
+		if reason := paramError(spec.family, *param); reason != "" {
+			usageExit(fmt.Sprintf("-param %d: %s (table %s)", *param, reason, spec.name))
+		}
 	}
 
 	cfg := fcds.IngestServerConfig{

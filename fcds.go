@@ -86,16 +86,12 @@
 // table of its samples. fcds_table_keys minus fcds_pool_sketches is the
 // number of keys still flat.
 //
-// Propagation is shard-affine: every pool worker owns a private run
-// queue, and each sketch is pinned to a home worker at attach time —
-// keyed tables derive the assignment from the key hash, so one worker
-// always merges a given key's global sketch (it stays hot in that
-// worker's cache), and a windowed table's key keeps its sketch, and so
-// its worker, across epochs. Balance comes from bounded work stealing: an idle
-// worker steals one queued sketch at a time from a backed-up or
-// stalled sibling, and PropagatorPool.Stats exposes per-worker
-// depth/steal/run counters. Liveness never depends on a steal — every
-// submission leaves a wake token with the home worker.
+// Propagation runs from one FIFO run queue shared by every pool
+// worker: a sketch with handed-off buffers is queued once, the next
+// idle worker merges at most N of its handoffs, and a sketch that got
+// more meanwhile goes back to the tail, so no key starves another and
+// a stalled worker strands nothing. PropagatorPool.Stats exposes the
+// queue depth and per-worker run and wake counters.
 //
 // Keyed batch ingestion is two passes, and the first is where a hot
 // table's time is won. The paper's writer asks shouldAdd(hint, u)
@@ -433,7 +429,7 @@
 //
 // Every subsystem exports its operational counters through a
 // zero-dependency metrics registry (NewMetricsRegistry): pool workers
-// (queue depth, runs, steals, wake tokens), tables (keys, evictions by
+// (queue depth, runs, wake-ups), tables (keys, evictions by
 // cause, writer-cache hit ratio, items dropped by the writer filter),
 // windows (rotations, sealed rebuilds, expired epochs), the ingest
 // server (per-table frames/items/bytes/errors, writer-pool waits and
@@ -614,13 +610,12 @@ type (
 // Propagation executor.
 type (
 	// PropagatorPool is a fixed pool of propagator goroutines shared
-	// by any number of concurrent sketches and tables. Scheduling is
-	// shard-affine: each sketch has a home worker (keyed tables derive
-	// it from the key hash), with bounded work stealing for balance;
-	// Stats exposes per-worker depth/steal/run counters.
+	// by any number of concurrent sketches and tables, fed from one
+	// FIFO run queue; Stats exposes the queue depth and per-worker
+	// run and wake counters.
 	PropagatorPool = core.PropagatorPool
 	// PoolWorkerStats is one propagator worker's scheduling counters
-	// (see PropagatorPool.Stats).
+	// (see PropagatorPool.Stats); its Stolen field always reads 0.
 	PoolWorkerStats = core.WorkerStats
 )
 
@@ -986,8 +981,8 @@ func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
 func MetricsHandler(reg *MetricsRegistry) http.Handler { return metrics.Handler(reg) }
 
 // RegisterPoolMetrics exports a PropagatorPool's scheduling counters
-// (workers, parked, steals, per-worker queue depth/runs/steals/wake
-// tokens) into reg.
+// (workers, attached sketches, parked workers, run-queue depth, and
+// per-worker runs and wake-ups) into reg.
 func RegisterPoolMetrics(reg *MetricsRegistry, p *PropagatorPool) {
 	core.RegisterPoolMetrics(reg, p)
 }

@@ -111,12 +111,6 @@ type Config struct {
 	// dedicated single-worker pool — the paper's per-sketch propagator
 	// thread.
 	Pool *PropagatorPool
-	// AffinityKey pins the sketch to one of the pool's workers: equal
-	// nonzero keys always map to the same worker (keyed tables pass
-	// the key hash, so a key's sketch keeps its home worker across
-	// epoch rotations). Zero means no preference: the pool assigns a
-	// worker round-robin at attach time.
-	AffinityKey uint64
 }
 
 // MaxAdaptiveBuffer caps BufferAdaptor results so the relaxation bound
@@ -235,8 +229,6 @@ type Sketch[U any, S any] struct {
 	inflight atomic.Int64
 
 	pool *PropagatorPool
-	// affinity is the sketch's home worker in pool, fixed at attach.
-	affinity int
 	// ownPool is true when the sketch created its pool (the dedicated
 	// single-propagator default) and is responsible for closing it.
 	ownPool bool
@@ -271,7 +263,7 @@ func New[U any, S any](global Global[U, S], newLocal func() Local[U], cfg Config
 		s.pool = NewPropagatorPool(1)
 		s.ownPool = true
 	}
-	s.affinity = s.pool.attach(cfg.AffinityKey)
+	s.pool.attach()
 	s.eager.Store(cfg.EagerLimit > 0)
 	s.newLocal = newLocal
 	s.initialHint = nonzero(global.CalcHint())
@@ -643,7 +635,7 @@ func (s *Sketch[U, S]) signalHandoff(id int) {
 	s.inflight.Add(1)
 	s.pending <- id
 	if s.scheduled.CompareAndSwap(false, true) {
-		s.pool.submit(s, s.affinity)
+		s.pool.submit(s)
 	}
 }
 
@@ -676,7 +668,7 @@ func (s *Sketch[U, S]) runPropagation() {
 	// Re-check after clearing the flag: a writer that enqueued between
 	// the drain and the Store saw scheduled == true and did not submit.
 	if len(s.pending) != 0 && s.scheduled.CompareAndSwap(false, true) {
-		s.pool.submit(s, s.affinity)
+		s.pool.submit(s)
 	}
 }
 

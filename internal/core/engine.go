@@ -115,15 +115,8 @@ type EngineSketch[V, S, C any] interface {
 type Engine[V, S, C any] interface {
 	CompactCodec[C]
 	// NewSketch creates one live concurrent sketch attached to the given
-	// propagation executor (no affinity preference: the pool assigns a
-	// home worker round-robin).
+	// propagation executor.
 	NewSketch(pool *PropagatorPool) EngineSketch[V, S, C]
-	// NewSketchAffine is NewSketch with a stable worker-affinity key:
-	// equal nonzero keys always land on the same pool worker, so a
-	// recreated sketch (a table key evicted and seen again) keeps its home
-	// worker and its global sketch stays hot in one worker's cache. Zero
-	// behaves like NewSketch.
-	NewSketchAffine(pool *PropagatorPool, affinityKey uint64) EngineSketch[V, S, C]
 	// HashValue maps a raw value to the form UpdateHashedBatch ingests:
 	// UpdateBatch(i, vs) and UpdateHashedBatch(i, HashValue of each v)
 	// leave a sketch in the same state. The identity for families whose

@@ -18,11 +18,11 @@ type countingPropagable struct {
 func (c *countingPropagable) runPropagation() { c.runs.Add(1) }
 
 // TestPoolRunLoopZeroAllocs pins the pool's scheduling hot path —
-// submit, run-queue pop, wake handshake, propagation run — at zero
+// submit, run-queue pop, park and wake, propagation run — at zero
 // allocations per cycle with the metrics instrumentation registered.
-// The wakes/runs/stolen counters are plain atomics in the padded
-// worker structs and every exported series is func-backed, read only
-// at scrape time, so registration must not cost the run loop anything.
+// The runs/wakes counters are plain atomics in the worker structs and
+// every exported series is func-backed, read only at scrape time, so
+// registration must not cost the run loop anything.
 func TestPoolRunLoopZeroAllocs(t *testing.T) {
 	p := NewPropagatorPool(1)
 	defer p.Close()
@@ -30,12 +30,12 @@ func TestPoolRunLoopZeroAllocs(t *testing.T) {
 	RegisterPoolMetrics(reg, p)
 
 	var c countingPropagable
-	home := p.attach(0)
+	p.attach()
 	defer p.detach()
 
 	cycle := func() {
 		want := c.runs.Load() + 1
-		p.submit(&c, home)
+		p.submit(&c)
 		for c.runs.Load() < want {
 			runtime.Gosched()
 		}

@@ -163,62 +163,30 @@ func TestPoolFullScanOnlyOnClose(t *testing.T) {
 	}
 }
 
-// TestPoolAffinityStable pins the attach contract: equal nonzero
-// affinity keys map to the same home worker (key mod workers), and
-// zero keys round-robin over all workers.
-func TestPoolAffinityStable(t *testing.T) {
-	pool := NewPropagatorPool(4)
-	defer pool.Close()
-	for _, key := range []uint64{1, 5, 7, 123} {
-		a, _ := newPooledCounting(pool, Config{Writers: 1, BufferSize: 2, DoubleBuffering: true, AffinityKey: key})
-		b, _ := newPooledCounting(pool, Config{Writers: 1, BufferSize: 2, DoubleBuffering: true, AffinityKey: key})
-		if a.affinity != b.affinity {
-			t.Errorf("key %d: affinities %d vs %d, want equal", key, a.affinity, b.affinity)
-		}
-		if want := int(key % 4); a.affinity != want {
-			t.Errorf("key %d: affinity %d, want %d", key, a.affinity, want)
-		}
-		a.Close()
-		b.Close()
-	}
-	seen := make(map[int]bool)
-	var auto []*Sketch[int64, int64]
-	for i := 0; i < 8; i++ {
-		s, _ := newPooledCounting(pool, Config{Writers: 1, BufferSize: 2, DoubleBuffering: true})
-		seen[s.affinity] = true
-		auto = append(auto, s)
-	}
-	if len(seen) != 4 {
-		t.Errorf("round-robin attach covered %d of 4 workers", len(seen))
-	}
-	for _, s := range auto {
-		s.Close()
-	}
-}
-
 // noopTask is an inert propagable for queue mechanics tests.
 type noopTask struct{}
 
 func (noopTask) runPropagation() {}
 
 // TestPoolWorkerQueueShrinksAfterBurst pins the compaction satellite:
-// a run queue that absorbed a large burst drops its backing array when
-// it drains, so idle pools do not pin burst-sized slices.
+// the shared run queue, once it absorbed a large burst, drops its
+// backing array when it drains, so idle pools do not pin burst-sized
+// slices.
 func TestPoolWorkerQueueShrinksAfterBurst(t *testing.T) {
-	var w poolWorker
+	var p PropagatorPool // no workers: pop is driven by hand
 	const burst = 4 * maxIdleCap
 	for i := 0; i < burst; i++ {
-		w.runq = append(w.runq, noopTask{})
+		p.runq = append(p.runq, noopTask{})
 	}
 	for i := 0; i < burst; i++ {
-		if w.pop() == nil {
+		if p.pop() == nil {
 			t.Fatalf("pop %d: queue empty early", i)
 		}
 	}
-	if w.pop() != nil {
+	if p.pop() != nil {
 		t.Fatal("queue should be empty")
 	}
-	if c := cap(w.runq); c > maxIdleCap {
+	if c := cap(p.runq); c > maxIdleCap {
 		t.Errorf("retained capacity %d after burst drain, want <= %d", c, maxIdleCap)
 	}
 }
@@ -275,4 +243,60 @@ func TestPoolHotSketchDoesNotStarveSiblings(t *testing.T) {
 	}
 	hot.Close()
 	cold.Close()
+}
+
+// TestPoolParkWakeRace races submits against workers going idle: 64
+// sketches each hand off and Flush in a loop on pools of 1, 2 and 4
+// workers, in phases. Within a phase workers keep emptying the run
+// queue, yielding and parking while handoffs arrive; between phases
+// every worker parks, so the next phase's first submits must wake one.
+// A submit that lands while a worker is between its last empty check
+// and its park must still be run — by that worker on its re-check or by
+// a signalled one — or the Flush waiting on it never returns and the
+// deadline fails the test.
+func TestPoolParkWakeRace(t *testing.T) {
+	const sketches, phases, rounds = 64, 10, 20
+	for _, workers := range []int{1, 2, 4} {
+		pool := NewPropagatorPool(workers)
+		sks := make([]*Sketch[int64, int64], sketches)
+		for i := range sks {
+			sks[i], _ = newPooledCounting(pool, Config{Writers: 1, BufferSize: 1, DoubleBuffering: true})
+		}
+		deadline := time.After(10 * time.Second)
+		for ph := 0; ph < phases; ph++ {
+			for pool.Parked() != workers {
+				select {
+				case <-deadline:
+					t.Fatalf("%d workers, phase %d: %d parked while idle", workers, ph, pool.Parked())
+				default:
+					runtime.Gosched()
+				}
+			}
+			done := make(chan struct{})
+			var wg sync.WaitGroup
+			for _, s := range sks {
+				wg.Add(1)
+				go func(w *Writer[int64, int64]) {
+					defer wg.Done()
+					for j := 0; j < rounds; j++ {
+						w.Update(1) // b=1: a handoff
+						w.Flush()
+					}
+				}(s.Writer(0))
+			}
+			go func() { wg.Wait(); close(done) }()
+			select {
+			case <-done:
+			case <-deadline:
+				t.Fatalf("%d workers, phase %d: a Flush did not return in 10s (a submitted sketch was never run)", workers, ph)
+			}
+		}
+		for i, s := range sks {
+			if got := s.Query(); got != phases*rounds {
+				t.Errorf("%d workers, sketch %d: total = %d, want %d", workers, i, got, phases*rounds)
+			}
+			s.Close()
+		}
+		pool.Close()
+	}
 }

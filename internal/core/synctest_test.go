@@ -105,8 +105,8 @@ func TestSynctestStarvationFairness(t *testing.T) {
 	})
 }
 
-// blockingTask is a propagable that parks its worker until released —
-// the deterministic "stalled worker" fixture for the stealing tests.
+// blockingTask is a propagable that holds its worker until released —
+// the deterministic "stalled worker" fixture.
 type blockingTask struct {
 	started chan struct{}
 	release chan struct{}
@@ -121,40 +121,25 @@ func (b *blockingTask) runPropagation() {
 	<-b.release
 }
 
-// TestSynctestStalledWorkerStolenFrom pins the work-stealing half of
-// the shard-affine scheduler: a sketch whose home worker is stalled
-// inside a propagation must still get its handoffs merged — a sibling
-// worker steals its run-queue entry. Without stealing the Flush below
+// TestSynctestStalledWorkerStrandsNothing: a sketch's handoffs are
+// merged while one of two workers is stalled inside a propagation —
+// the idle worker takes the sketch from the shared run queue. If
+// scheduled work could wait on the stalled worker, the Flush below
 // would spin forever.
-func TestSynctestStalledWorkerStolenFrom(t *testing.T) {
+func TestSynctestStalledWorkerStrandsNothing(t *testing.T) {
 	synctest.Run(func() {
 		pool := NewPropagatorPool(2)
 		synctest.Wait() // both workers durably parked
-		// Stall worker 0.
 		bt := newBlockingTask()
-		pool.submit(bt, 0)
-		<-bt.started
-		// AffinityKey 2 maps to worker 0 (2 mod 2 workers) — the
-		// stalled one.
-		s, _ := newPooledCounting(pool, Config{
-			Writers: 1, BufferSize: 2, DoubleBuffering: true, AffinityKey: 2,
-		})
-		if s.affinity != 0 {
-			t.Fatalf("affinity = %d, want 0 for key 2 on 2 workers", s.affinity)
-		}
+		pool.submit(bt)
+		<-bt.started // one worker stalled
+		s, _ := newPooledCounting(pool, Config{Writers: 1, BufferSize: 2, DoubleBuffering: true})
 		w := s.Writer(0)
 		w.Update(1)
-		w.Update(1) // handoff lands on stalled worker 0's queue
-		w.Flush()   // completes only if worker 1 steals the entry
+		w.Update(1) // handoff queued while one worker is stalled
+		w.Flush()   // completes only if the other worker runs it
 		if got := s.Query(); got != 2 {
 			t.Errorf("total = %d, want 2", got)
-		}
-		if got := pool.Steals(); got < 1 {
-			t.Errorf("pool steals = %d, want >= 1", got)
-		}
-		st := pool.Stats()
-		if st[1].Stolen < 1 {
-			t.Errorf("worker 1 stole %d, want >= 1 (worker 0 is stalled)", st[1].Stolen)
 		}
 		close(bt.release)
 		s.Close()
@@ -163,39 +148,33 @@ func TestSynctestStalledWorkerStolenFrom(t *testing.T) {
 }
 
 // TestSynctestCloseDrainsPerWorkerQueues stalls every worker, queues
-// handoffs across all per-worker run queues, then releases and closes:
-// every queued entry must be merged — no per-worker queue is dropped
-// by shutdown — and the pool ends with empty queues.
+// handoffs on the shared run queue, then releases and closes: every
+// queued entry must be merged — shutdown drops nothing — and the pool
+// ends with an empty queue.
 func TestSynctestCloseDrainsPerWorkerQueues(t *testing.T) {
 	synctest.Run(func() {
 		const workers, sketches = 2, 8
 		pool := NewPropagatorPool(workers)
 		synctest.Wait() // workers durably parked
 		// Stall both workers so submitted work provably sits in the
-		// per-worker queues.
+		// run queue.
 		bts := make([]*blockingTask, workers)
 		for i := range bts {
 			bts[i] = newBlockingTask()
-			pool.submit(bts[i], i)
+			pool.submit(bts[i])
 			<-bts[i].started
 		}
 		sks := make([]*Sketch[int64, int64], sketches)
 		for i := range sks {
-			// Spread affinities over both workers deterministically.
-			sks[i], _ = newPooledCounting(pool, Config{
-				Writers: 1, BufferSize: 2, DoubleBuffering: true,
-				AffinityKey: uint64(workers + i),
-			})
+			sks[i], _ = newPooledCounting(pool, Config{Writers: 1, BufferSize: 2, DoubleBuffering: true})
 			w := sks[i].Writer(0)
 			w.Update(1)
 			w.Update(1) // buffer full: handoff queued, workers stalled
 		}
-		depth := 0
-		for _, st := range pool.Stats() {
-			depth += st.Depth
-		}
-		if depth != sketches {
-			t.Errorf("queued depth across workers = %d, want %d", depth, sketches)
+		for i, st := range pool.Stats() {
+			if st.Depth != sketches {
+				t.Errorf("worker %d: queue depth = %d, want %d", i, st.Depth, sketches)
+			}
 		}
 		for _, bt := range bts {
 			close(bt.release)

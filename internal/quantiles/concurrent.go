@@ -94,9 +94,6 @@ type ConcurrentConfig struct {
 	// Pool, when non-nil, attaches the sketch to a shared propagation
 	// executor instead of a dedicated propagator goroutine.
 	Pool *core.PropagatorPool
-	// AffinityKey pins the sketch to one pool worker (equal nonzero
-	// keys share a worker); 0 lets the pool assign round-robin.
-	AffinityKey uint64
 }
 
 func (c ConcurrentConfig) withDefaults() ConcurrentConfig {
@@ -132,7 +129,6 @@ func NewConcurrent(cfg ConcurrentConfig) *Concurrent {
 		EagerLimit:      cfg.EagerLimit,
 		DoubleBuffering: true,
 		Pool:            cfg.Pool,
-		AffinityKey:     cfg.AffinityKey,
 	}
 	newLocal := func() core.Local[float64] {
 		return NewWithOracle(cfg.K, orc.Fork())

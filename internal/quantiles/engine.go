@@ -38,25 +38,17 @@ func (e *Engine) Relaxation() int { return 2 * e.cfg.Writers * e.cfg.BufferSize 
 
 // NewSketch implements core.Engine.
 func (e *Engine) NewSketch(pool *core.PropagatorPool) core.EngineSketch[float64, *Snapshot, *Sketch] {
-	return e.NewSketchAffine(pool, 0)
-}
-
-// NewSketchAffine implements core.Engine: NewSketch pinned to the pool
-// worker the affinity key maps to.
-func (e *Engine) NewSketchAffine(pool *core.PropagatorPool, affinityKey uint64) core.EngineSketch[float64, *Snapshot, *Sketch] {
 	return &engineSketch{
 		eng:  e,
 		pool: pool,
-		aff:  affinityKey,
-		c:    e.newConcurrent(pool, affinityKey),
+		c:    e.newConcurrent(pool),
 		ws:   make([]*ConcurrentWriter, e.cfg.Writers),
 	}
 }
 
-func (e *Engine) newConcurrent(pool *core.PropagatorPool, affinityKey uint64) *Concurrent {
+func (e *Engine) newConcurrent(pool *core.PropagatorPool) *Concurrent {
 	cfg := e.cfg
 	cfg.Pool = pool
-	cfg.AffinityKey = affinityKey
 	return NewConcurrent(cfg)
 }
 
@@ -96,7 +88,6 @@ func (a *mergeAggregator) Result() *Sketch { return a.s }
 type engineSketch struct {
 	eng  *Engine
 	pool *core.PropagatorPool
-	aff  uint64
 	c    *Concurrent
 	ws   []*ConcurrentWriter
 }
@@ -139,6 +130,6 @@ func (s *engineSketch) Close() {
 // exclusivity.
 func (s *engineSketch) Reset() {
 	s.c.Close()
-	s.c = s.eng.newConcurrent(s.pool, s.aff)
+	s.c = s.eng.newConcurrent(s.pool)
 	clear(s.ws)
 }

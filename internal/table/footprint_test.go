@@ -32,7 +32,7 @@ func TestConcurrentThetaKeyFootprint(t *testing.T) {
 	// keys interleaved; so does this loop.
 	sketches := make([]core.EngineSketch[uint64, float64, *theta.Compact], keys)
 	for k := range sketches {
-		sketches[k] = eng.NewSketchAffine(pool, uint64(k)+1)
+		sketches[k] = eng.NewSketch(pool)
 	}
 	var buf [run]uint64
 	for off := 0; off < items; off += 2 * len(buf) {

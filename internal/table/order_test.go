@@ -23,8 +23,8 @@ type recordingSketch struct {
 	rec *recordingEngine
 }
 
-func (r *recordingEngine) NewSketchAffine(pool *core.PropagatorPool, aff uint64) core.EngineSketch[uint64, float64, *theta.Compact] {
-	return recordingSketch{r.Engine.NewSketchAffine(pool, aff), r}
+func (r *recordingEngine) NewSketch(pool *core.PropagatorPool) core.EngineSketch[uint64, float64, *theta.Compact] {
+	return recordingSketch{r.Engine.NewSketch(pool), r}
 }
 
 func (s recordingSketch) Compact() *theta.Compact {

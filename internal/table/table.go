@@ -10,11 +10,9 @@
 // millions of keys. Instead every per-key sketch attaches to the
 // table's pool: writers hand off filled buffers exactly as in
 // Algorithm 2, and a fixed set of pool workers drains whichever
-// sketches have outstanding handoffs. Attachment is shard-affine: the
-// key hash doubles as the sketch's pool-affinity key, so one worker
-// always merges a given key's global sketch (it stays hot in that
-// worker's cache). A windowed table keeps each key's sketch — an epoch
-// ring — across epochs, and with it the home worker.
+// sketches have outstanding handoffs, taking them from one shared run
+// queue in the order they were scheduled. A windowed table keeps each
+// key's sketch — an epoch ring — across epochs.
 //
 // Layout: keys hash into power-of-two shards. Each shard holds a
 // lock-guarded map; sketches are created lazily on first update. The
@@ -315,9 +313,9 @@ func New[K Key, V, S, C any](cfg Config[K], eng core.Engine[V, S, C]) *Table[K, 
 }
 
 // keyHash returns the shard-placement hash of a key; the low bits pick
-// the shard, the whole word indexes the writer entry caches and pins
-// the key's sketch to a pool worker. The any-boxing compiles to a type
-// switch on the instantiation's shape and does not escape.
+// the shard, the whole word indexes the writer entry caches. The
+// any-boxing compiles to a type switch on the instantiation's shape and
+// does not escape.
 func keyHash[K Key](k K) uint64 {
 	switch v := any(k).(type) {
 	case string:
@@ -329,15 +327,6 @@ func keyHash[K Key](k K) uint64 {
 	default:
 		panic("table: unsupported key type")
 	}
-}
-
-// affinityKeyOf maps a key hash to a nonzero pool-affinity key (the
-// pool reserves 0 for "no preference").
-func affinityKeyOf(h uint64) uint64 {
-	if h == 0 {
-		return shardSeed
-	}
-	return h
 }
 
 // writerCells is one writer's table-side stat cells, padded to 128
@@ -474,8 +463,7 @@ func (t *Table[K, V, S, C]) getOrCreate(si uint64, k K, h uint64) (*entry[V, S, 
 	return e, ep
 }
 
-// newEntry creates a live entry whose sketch is pinned to the pool
-// worker the key hash maps to, and hands the sketch its shard's floor
+// newEntry creates a live entry and hands its sketch the shard's floor
 // cell — or, for a sketch that keeps no floor, sets the cell to 0 so
 // rollups always read the shard. The caller holds the shard lock
 // exclusive and has not yet published the entry, so the cell is right
@@ -483,7 +471,7 @@ func (t *Table[K, V, S, C]) getOrCreate(si uint64, k K, h uint64) (*entry[V, S, 
 // — a zero timestamp would make a just-created key the LRU victim and
 // invert the eviction order.
 func (t *Table[K, V, S, C]) newEntry(h uint64) *entry[V, S, C] {
-	e := &entry[V, S, C]{sk: t.eng.NewSketchAffine(t.pool, affinityKeyOf(h))}
+	e := &entry[V, S, C]{sk: t.eng.NewSketch(t.pool)}
 	floor := &t.shards[h&t.mask].floor
 	if fs, ok := e.sk.(core.FloorSketch); ok {
 		fs.SetFloor(floor)

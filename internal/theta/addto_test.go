@@ -25,7 +25,7 @@ func TestAddToMatchesAddCompact(t *testing.T) {
 	for _, kmv := range []bool{false, true} {
 		eng := NewEngine(ConcurrentConfig{K: 64, Writers: 1, MaxError: 0.2, UseKMV: kmv}) // eager limit 50
 		for _, n := range []int{10, 60, 3000} {
-			sk := eng.NewSketchAffine(pool, 1)
+			sk := eng.NewSketch(pool)
 			vals := make([]uint64, n)
 			for i := range vals {
 				vals[i] = uint64(i)

@@ -279,9 +279,6 @@ type ConcurrentConfig struct {
 	// executor instead of a dedicated propagator goroutine (keyed
 	// tables attach millions of sketches to one pool).
 	Pool *core.PropagatorPool
-	// AffinityKey pins the sketch to one pool worker (equal nonzero
-	// keys share a worker); 0 lets the pool assign round-robin.
-	AffinityKey uint64
 }
 
 func (c ConcurrentConfig) withDefaults() ConcurrentConfig {
@@ -350,7 +347,6 @@ func newConcurrent(cfg ConcurrentConfig, from *Compact, floor *atomic.Uint64) (*
 		EagerLimit:      cfg.EagerLimit,
 		DoubleBuffering: !cfg.DisableDoubleBuffering,
 		Pool:            cfg.Pool,
-		AffinityKey:     cfg.AffinityKey,
 	}
 	if cfg.AdaptiveBuffering {
 		// In exact mode (hint Θ = 1) keep the conservative b; once in

@@ -69,17 +69,11 @@ func (e *Engine) NumWriters() int { return e.cfg.Writers }
 // Relaxation implements core.Engine: r = 2·N·b per sketch.
 func (e *Engine) Relaxation() int { return 2 * e.cfg.Writers * e.cfg.BufferSize }
 
-// NewSketch implements core.Engine.
+// NewSketch implements core.Engine. With the eager phase configured
+// the sketch starts flat (see engineSketch) and attaches to the pool
+// only when it leaves that phase.
 func (e *Engine) NewSketch(pool *core.PropagatorPool) core.EngineSketch[uint64, float64, *Compact] {
-	return e.NewSketchAffine(pool, 0)
-}
-
-// NewSketchAffine implements core.Engine: NewSketch pinned to the pool
-// worker the affinity key maps to. With the eager phase configured the
-// sketch starts flat (see engineSketch) and attaches to the pool only
-// when it leaves that phase.
-func (e *Engine) NewSketchAffine(pool *core.PropagatorPool, affinityKey uint64) core.EngineSketch[uint64, float64, *Compact] {
-	s := &engineSketch{eng: e, pool: pool, aff: affinityKey}
+	s := &engineSketch{eng: e, pool: pool}
 	s.start()
 	return s
 }
@@ -147,7 +141,6 @@ func (a *unionAggregator) Bound() uint64 { return a.u.bound(hash.MaxThetaValue) 
 type engineSketch struct {
 	eng  *Engine
 	pool *core.PropagatorPool
-	aff  uint64
 
 	// mu guards flat, low, applied and floor, and serialises
 	// materialization.
@@ -158,7 +151,7 @@ type engineSketch struct {
 	// concurrent, the global keeps its own; see GlobalSketch.low.)
 	low uint64
 	// applied and n = len(flat) are below EagerLimit, itself below 2³¹
-	// (see NewEngine): 32 bits each keep the struct at 112 B, one Go
+	// (see NewEngine): 32 bits each keep the struct within 112 B, one Go
 	// size class (TestSketchSizeClasses).
 	applied int32
 	n       atomic.Int32
@@ -203,7 +196,6 @@ func (s *engineSketch) materialize(from *Compact) {
 	cfg := s.eng.cfg
 	cfg.EagerLimit = -1
 	cfg.Pool = s.pool
-	cfg.AffinityKey = s.aff
 	c, err := newConcurrent(cfg, from, s.floor)
 	if err != nil {
 		c, _ = newConcurrent(cfg, nil, s.floor)

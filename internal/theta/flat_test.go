@@ -52,7 +52,7 @@ func TestFlatSketchLifecycle(t *testing.T) {
 	pool := core.NewPropagatorPool(1)
 	defer pool.Close()
 	eng := flatEngine(1)
-	sk := eng.NewSketchAffine(pool, 7)
+	sk := eng.NewSketch(pool)
 	defer sk.Close()
 
 	var items []uint64
@@ -116,7 +116,7 @@ func TestFlatSketchLifecycle(t *testing.T) {
 func TestFlatSketchBigRunMaterializes(t *testing.T) {
 	pool := core.NewPropagatorPool(1)
 	defer pool.Close()
-	sk := flatEngine(1).NewSketchAffine(pool, 0)
+	sk := flatEngine(1).NewSketch(pool)
 	defer sk.Close()
 	sk.UpdateBatch(0, []uint64{1, 2, 3})
 	run := make([]uint64, flatLimit)
@@ -140,7 +140,7 @@ func TestFlatSketchResetAndClose(t *testing.T) {
 	pool := core.NewPropagatorPool(1)
 	defer pool.Close()
 	eng := flatEngine(1)
-	sk := eng.NewSketchAffine(pool, 0)
+	sk := eng.NewSketch(pool)
 	run := make([]uint64, flatLimit)
 	for i := range run {
 		run[i] = uint64(i)
@@ -169,7 +169,7 @@ func TestFlatSketchResetAndClose(t *testing.T) {
 		t.Fatalf("pool serves %d sketches after Close, want 0", n)
 	}
 
-	flat := eng.NewSketchAffine(pool, 0)
+	flat := eng.NewSketch(pool)
 	flat.Update(0, 1)
 	flat.Close()
 	for name, use := range map[string]func(core.EngineSketch[uint64, float64, *Compact]){
@@ -203,7 +203,7 @@ func TestFlatOnlyWithEagerPhase(t *testing.T) {
 		"MaxError 1":   NewEngine(ConcurrentConfig{K: 4096, MaxError: 1}),
 		"EagerLimit<0": NewEngine(ConcurrentConfig{K: 4096, EagerLimit: -1}),
 	} {
-		sk := eng.NewSketchAffine(pool, 0)
+		sk := eng.NewSketch(pool)
 		if n := pool.Sketches(); n != 1 {
 			t.Errorf("%s: pool serves %d sketches at construction, want 1", name, n)
 		}
@@ -219,7 +219,7 @@ func TestFlatSketchWritersRaceThroughLimit(t *testing.T) {
 	const writers, perWriter = 4, 150 // 600 updates against a limit of 200
 	pool := core.NewPropagatorPool(2)
 	defer pool.Close()
-	sk := flatEngine(writers).NewSketchAffine(pool, 0)
+	sk := flatEngine(writers).NewSketch(pool)
 	defer sk.Close()
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

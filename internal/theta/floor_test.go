@@ -45,7 +45,7 @@ func TestFloorFallsOnEveryPath(t *testing.T) {
 
 		var cell atomic.Uint64
 		cell.Store(math.MaxUint64)
-		sk := flatEng.NewSketchAffine(pool, 1)
+		sk := flatEng.NewSketch(pool)
 		sk.(core.FloorSketch).SetFloor(&cell)
 		sk.UpdateBatch(0, vals[:30])
 		check("flatAdd", &cell, minHash(vals[:30]))
@@ -57,7 +57,7 @@ func TestFloorFallsOnEveryPath(t *testing.T) {
 		sk.Close()
 
 		cell.Store(math.MaxUint64)
-		sk = noEager.NewSketchAffine(pool, 1)
+		sk = noEager.NewSketch(pool)
 		sk.(core.FloorSketch).SetFloor(&cell)
 		sk.UpdateBatch(0, vals[100:])
 		sk.Flush(0)
@@ -65,14 +65,14 @@ func TestFloorFallsOnEveryPath(t *testing.T) {
 		sk.Close()
 
 		cell.Store(math.MaxUint64)
-		sk = flatEng.NewSketchAffine(pool, 1)
+		sk = flatEng.NewSketch(pool)
 		sk.UpdateBatch(0, vals[:20])
 		sk.(core.FloorSketch).SetFloor(&cell)
 		check("SetFloor on a flat sketch", &cell, minHash(vals[:20]))
 		sk.Close()
 
 		cell.Store(math.MaxUint64)
-		sk = noEager.NewSketchAffine(pool, 1)
+		sk = noEager.NewSketch(pool)
 		sk.UpdateBatch(0, vals[200:])
 		sk.Flush(0)
 		sk.(core.FloorSketch).SetFloor(&cell)

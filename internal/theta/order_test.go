@@ -37,9 +37,9 @@ func estimationCompact(k, n int, salt uint64) *Compact {
 func TestProducersHandOverUnordered(t *testing.T) {
 	pool := core.NewPropagatorPool(1)
 	defer pool.Close()
-	flat := flatEngine(1).NewSketchAffine(pool, 1)
+	flat := flatEngine(1).NewSketch(pool)
 	defer flat.Close()
-	conc := NewEngine(ConcurrentConfig{K: 256, MaxError: 1}).NewSketchAffine(pool, 2)
+	conc := NewEngine(ConcurrentConfig{K: 256, MaxError: 1}).NewSketch(pool)
 	defer conc.Close()
 	for i := uint64(0); i < 5000; i++ {
 		if i < flatLimit/2 {
@@ -229,14 +229,14 @@ func TestDisabledEagerPhaseStaysDisabled(t *testing.T) {
 	if lim := off.cfg.EagerLimit; lim >= 0 {
 		t.Errorf("engine's eager limit = %d, want negative (disabled)", lim)
 	}
-	fresh := off.NewSketchAffine(pool, 1)
+	fresh := off.NewSketch(pool)
 	defer fresh.Close()
 	if concurrentOf(fresh).Eager() {
 		t.Error("sketch of an engine without an eager phase runs core's eager phase")
 	}
 
 	// A flat key that materializes is past the phase too.
-	grown := base.NewSketchAffine(pool, 1)
+	grown := base.NewSketch(pool)
 	defer grown.Close()
 	for i := uint64(0); i < uint64(base.cfg.EagerLimit)+10; i++ {
 		grown.Update(0, i)

@@ -195,14 +195,10 @@ func newRingEngine[V, S, C any](eng core.Engine[V, S, C], c *clock) core.Engine[
 	return re
 }
 
-func (e *ringEngine[V, S, C]) NewSketch(pool *core.PropagatorPool) core.EngineSketch[V, S, C] {
-	return e.NewSketchAffine(pool, 0)
-}
-
-// NewSketchAffine makes a ring collecting the window's current epoch.
-// A table calls it under the key's shard lock, which a rotation's sweep
+// NewSketch makes a ring collecting the window's current epoch. A
+// table calls it under the key's shard lock, which a rotation's sweep
 // takes only after the epoch bump: a ring made before the bump is swept
 // to the new epoch, one made after starts in it.
-func (e *ringEngine[V, S, C]) NewSketchAffine(pool *core.PropagatorPool, aff uint64) core.EngineSketch[V, S, C] {
-	return newRing(e.Engine, e.Engine.NewSketchAffine(pool, aff), e.c)
+func (e *ringEngine[V, S, C]) NewSketch(pool *core.PropagatorPool) core.EngineSketch[V, S, C] {
+	return newRing(e.Engine, e.Engine.NewSketch(pool), e.c)
 }

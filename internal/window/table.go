@@ -7,7 +7,7 @@ import (
 
 // Table is a sliding-window keyed sketch table: one table.Table whose
 // per-key sketch is an epoch ring, so the table's writer caches, key
-// placement, pool affinity and flat Θ arrays live for the whole window.
+// placement and flat Θ arrays live for the whole window.
 // A rotation is an epoch bump plus one table.Sweep that seals every
 // key's ring and removes a key with nothing left in the window (its
 // live sketch took no update in the epoch just sealed, and every sealed

@@ -230,12 +230,11 @@ type Windowed[V, S, C any] struct {
 }
 
 // New builds an epoch-ring windowed sketch whose per-epoch sketches
-// come from the engine; Close it when done. The ring's one live sketch
-// keeps its pool worker for the window's lifetime.
+// come from the engine; Close it when done.
 func New[V, S, C any](eng core.Engine[V, S, C], cfg Config) *Windowed[V, S, C] {
 	w := &Windowed[V, S, C]{eng: eng}
 	w.clock.init(cfg.withDefaults(), nil, w.Rotate)
-	w.r = newRing(eng, eng.NewSketchAffine(w.pool, w.pool.AffinityToken()), &w.clock)
+	w.r = newRing(eng, eng.NewSketch(w.pool), &w.clock)
 	w.publish()
 	return w
 }
