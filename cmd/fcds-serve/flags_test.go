@@ -16,12 +16,16 @@ import (
 // exit code 2 — instead of a panic once the node is up (a non-positive
 // -push-every reached time.NewTicker; a negative -writers sized a
 // slice; a -param the family cannot take reached its constructor) or a
-// silently different table (an HLL -param wrapped through uint8).
+// silently different node (an HLL -param wrapped through uint8; a
+// non-positive -checkpoint-every became 30 s, a -checkpoint-retain
+// below 1 became 2, a negative -max-keys meant no cap and a negative
+// -ttl no expiry).
 func TestBadFlagsExitWithUsage(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "fcds-serve")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("build: %v\n%s", err, out)
 	}
+	ckptDir := t.TempDir()
 	for _, tc := range []struct {
 		args   []string
 		reason string
@@ -40,6 +44,11 @@ func TestBadFlagsExitWithUsage(t *testing.T) {
 		{[]string{"-tables", "q=quantiles/u64", "-param", "-8"}, "-param -8"},
 		{[]string{"-tables", "q=quantiles/str", "-param", "65536"}, "-param 65536"},
 		{[]string{"-tables", "x=theta/str,y=hll/str", "-param", "32"}, "table y"},
+		{[]string{"-checkpoint-dir", ckptDir, "-checkpoint-every", "0"}, "-checkpoint-every 0s"},
+		{[]string{"-checkpoint-dir", ckptDir, "-checkpoint-every", "-1s"}, "-checkpoint-every -1s"},
+		{[]string{"-checkpoint-retain", "0"}, "-checkpoint-retain 0"},
+		{[]string{"-max-keys", "-1"}, "-max-keys -1"},
+		{[]string{"-ttl", "-1s"}, "-ttl -1s"},
 	} {
 		// A node that starts runs until killed: the deadline ends it.
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

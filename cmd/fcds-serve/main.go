@@ -42,8 +42,15 @@
 // Table specs are name=family/keytype with family one of theta,
 // quantiles, hll and keytype one of str, u64. SIGINT/SIGTERM shut the
 // node down gracefully: in-flight frames drain, one final push runs
-// and drains per upstream (when configured), a final checkpoint is
-// written (when configured), and the tables close.
+// and drains per upstream (when configured), TTL eviction stops, a
+// final checkpoint is written (when configured), and the tables close.
+//
+// Eviction: -max-keys caps each table's live keys (the least recently
+// used key leaves past the cap), and -ttl D evicts keys idle longer
+// than D: every table checks its keys every D/2, so an idle key leaves
+// between D and 1.5·D after its last update. With -journal an evicted
+// key's data is journaled and folded into the table's remote aggregate,
+// so it stays in rollups and pulls; without -journal it is dropped.
 //
 // Datapath tuning: ingest frames check writer handles out of a
 // per-table pool, so any number of connections share -writers handles
@@ -73,6 +80,7 @@ import (
 	"os"
 	"os/signal"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -148,6 +156,7 @@ type node struct {
 	spec            tableSpec
 	snapshot        func() ([]byte, error)
 	keys            func() int
+	evictExpired    func() int
 	registerMetrics func(*fcds.MetricsRegistry)
 	close           func()
 }
@@ -158,13 +167,13 @@ func main() {
 	writers := flag.Int("writers", 4, "writer handles per table (N of the per-key relaxation bound)")
 	param := flag.Int("param", 0, "per-key sketch parameter: K for theta/quantiles, precision for hll (0 = family default)")
 	maxKeys := flag.Int("max-keys", 0, "live-key cap per table (0 = unlimited; LRU eviction past it)")
-	ttl := flag.Duration("ttl", 0, "evict keys idle longer than this (0 = never)")
+	ttl := flag.Duration("ttl", 0, "evict keys idle longer than this, checked every ttl/2: an idle key leaves between ttl and 1.5×ttl after its last update, its data folded into the rollup with -journal and dropped without (0 = never)")
 	push := flag.String("push", "", "comma-separated upstream fcds-serve addresses to ship snapshots to (each gets an independent reconnect loop)")
 	pushEvery := flag.Duration("push-every", 10*time.Second, "snapshot shipping interval (with -push)")
 	pushSource := flag.String("push-source", "", "source id for pushed snapshots (default host/pid); upstreams replace this source's previous snapshot on every push")
 	ckptDir := flag.String("checkpoint-dir", "", "directory for durable table checkpoints (restored on boot before the port opens; empty = no checkpointing)")
 	ckptEvery := flag.Duration("checkpoint-every", 30*time.Second, "checkpoint interval (with -checkpoint-dir)")
-	ckptRetain := flag.Int("checkpoint-retain", 2, "checkpoint generations kept per table (and journal files kept past a checkpoint); older ones are pruned after each successful pass")
+	ckptRetain := flag.Int("checkpoint-retain", 2, "checkpoint generations kept per table (and journal files kept past a checkpoint), at least 1; older ones are pruned after each successful pass")
 	journalDir := flag.String("journal", "", "directory for the append-only durability journal: pushes and eviction spills are logged before they are applied and replayed on boot, shrinking crash loss from one checkpoint interval to at most -journal-fsync-every records (empty = disabled)")
 	journalFsyncEvery := flag.Int("journal-fsync-every", 1, "fsync the journal after every Nth record; 1 = every record (strongest durability), higher amortizes the fsync at the cost of losing up to N-1 acknowledged records in a crash")
 	journalMaxBytes := flag.Int64("journal-max-bytes", 64<<20, "journal size that triggers self-compaction (latest record per pushing source is kept, eviction spills are carried verbatim)")
@@ -183,6 +192,18 @@ func main() {
 	}
 	if *push != "" && *pushEvery <= 0 {
 		usageExit(fmt.Sprintf("-push-every %v: the shipping interval must be positive", *pushEvery))
+	}
+	if *ckptDir != "" && *ckptEvery <= 0 {
+		usageExit(fmt.Sprintf("-checkpoint-every %v: the checkpoint interval must be positive", *ckptEvery))
+	}
+	if *ckptRetain < 1 {
+		usageExit(fmt.Sprintf("-checkpoint-retain %d: keep at least one generation", *ckptRetain))
+	}
+	if *maxKeys < 0 {
+		usageExit(fmt.Sprintf("-max-keys %d: the cap must be positive, or 0 for none", *maxKeys))
+	}
+	if *ttl < 0 {
+		usageExit(fmt.Sprintf("-ttl %v: the idle time must be positive, or 0 for never", *ttl))
 	}
 
 	lg := log.New(os.Stderr, "fcds-serve: ", log.LstdFlags)
@@ -401,9 +422,6 @@ func main() {
 		close(pushDone)
 	}
 
-	if *ckptEvery <= 0 {
-		*ckptEvery = 30 * time.Second
-	}
 	ckptDone := make(chan struct{})
 	ckptStop := make(chan struct{})
 	if *ckptDir != "" {
@@ -424,6 +442,31 @@ func main() {
 		}()
 	} else {
 		close(ckptDone)
+	}
+
+	// TTL eviction: one ticker per table; fcds_table_evictions_total
+	// {cause="ttl"} counts what it evicts. An evicted key's data spills
+	// through OnEvict (see register) on the ticker's goroutine.
+	var evictWG sync.WaitGroup
+	evictStop := make(chan struct{})
+	if *ttl > 0 {
+		every := max(*ttl/2, time.Millisecond)
+		for _, n := range nodes {
+			evictWG.Add(1)
+			go func() {
+				defer evictWG.Done()
+				ticker := time.NewTicker(every)
+				defer ticker.Stop()
+				for {
+					select {
+					case <-ticker.C:
+						n.evictExpired()
+					case <-evictStop:
+						return
+					}
+				}
+			}()
+		}
 	}
 
 	if *statsEvery > 0 {
@@ -460,6 +503,10 @@ func main() {
 		}
 		up.rel.Close()
 	}
+	// Stop evicting before the final checkpoint captures the tables and
+	// before they close.
+	close(evictStop)
+	evictWG.Wait()
 	if *ckptDir != "" {
 		close(ckptStop)
 		<-ckptDone
@@ -511,32 +558,32 @@ func register(srv *fcds.IngestServer, spec tableSpec, writers, param, maxKeys in
 	switch spec.family + "/" + spec.keyType {
 	case "theta/str":
 		t := fcds.NewThetaTable(fcds.ThetaTableConfig{Table: strCfg, K: param})
-		n.keys, n.close = t.Keys, t.Close
+		n.keys, n.close, n.evictExpired = t.Keys, t.Close, t.EvictExpired
 		n.registerMetrics = func(reg *fcds.MetricsRegistry) { t.RegisterMetrics(reg, spec.name) }
 		err = fcds.RegisterThetaTable(srv, spec.name, t)
 	case "theta/u64":
 		t := fcds.NewThetaTableU64(fcds.ThetaTableU64Config{Table: u64Cfg, K: param})
-		n.keys, n.close = t.Keys, t.Close
+		n.keys, n.close, n.evictExpired = t.Keys, t.Close, t.EvictExpired
 		n.registerMetrics = func(reg *fcds.MetricsRegistry) { t.RegisterMetrics(reg, spec.name) }
 		err = fcds.RegisterThetaTableU64(srv, spec.name, t)
 	case "quantiles/str":
 		t := fcds.NewQuantilesTable(fcds.QuantilesTableConfig{Table: strCfg, K: param})
-		n.keys, n.close = t.Keys, t.Close
+		n.keys, n.close, n.evictExpired = t.Keys, t.Close, t.EvictExpired
 		n.registerMetrics = func(reg *fcds.MetricsRegistry) { t.RegisterMetrics(reg, spec.name) }
 		err = fcds.RegisterQuantilesTable(srv, spec.name, t)
 	case "quantiles/u64":
 		t := fcds.NewQuantilesTableU64(fcds.QuantilesTableU64Config{Table: u64Cfg, K: param})
-		n.keys, n.close = t.Keys, t.Close
+		n.keys, n.close, n.evictExpired = t.Keys, t.Close, t.EvictExpired
 		n.registerMetrics = func(reg *fcds.MetricsRegistry) { t.RegisterMetrics(reg, spec.name) }
 		err = fcds.RegisterQuantilesTableU64(srv, spec.name, t)
 	case "hll/str":
 		t := fcds.NewHLLTable(fcds.HLLTableConfig{Table: strCfg, Precision: uint8(param)})
-		n.keys, n.close = t.Keys, t.Close
+		n.keys, n.close, n.evictExpired = t.Keys, t.Close, t.EvictExpired
 		n.registerMetrics = func(reg *fcds.MetricsRegistry) { t.RegisterMetrics(reg, spec.name) }
 		err = fcds.RegisterHLLTable(srv, spec.name, t)
 	case "hll/u64":
 		t := fcds.NewHLLTableU64(fcds.HLLTableU64Config{Table: u64Cfg, Precision: uint8(param)})
-		n.keys, n.close = t.Keys, t.Close
+		n.keys, n.close, n.evictExpired = t.Keys, t.Close, t.EvictExpired
 		n.registerMetrics = func(reg *fcds.MetricsRegistry) { t.RegisterMetrics(reg, spec.name) }
 		err = fcds.RegisterHLLTableU64(srv, spec.name, t)
 	}

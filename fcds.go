@@ -418,7 +418,14 @@
 // Journaling also upgrades eviction: a TTL or
 // max-keys evicted key's final compact is journaled and folded back
 // into the remote aggregate instead of dropped, so eviction stops
-// costing rollup data. Lost in a crash: only un-fsynced journal
+// costing rollup data (fcds-serve evicts idle keys with -ttl).
+// Each of the three events is one journal record, and one step applies
+// a record wherever it comes from: a live frame or spill (journaled
+// first), a replayed record (skipped at or below its table's
+// watermark) or a restored checkpoint, whose aggregate is applied as
+// an anonymous push and each of whose sources as a named push or, when
+// it carries an epoch, a window ship — so the three paths cannot
+// disagree about what an event does. Lost in a crash: only un-fsynced journal
 // records — at most -journal-fsync-every minus one acknowledged
 // pushes, plus any KEYED_BATCH wire ingest since the last checkpoint
 // (direct keyed ingest is deliberately not journaled: per-item WAL
@@ -833,10 +840,12 @@ type (
 	IngestCheckpointStats = server.CheckpointStats
 	// IngestJournal is the append-only durability journal an
 	// IngestServer can write between checkpoints: named-source pushes,
-	// window ships and eviction spills are logged before they mutate
-	// in-memory state, and boot replays the tail on top of restored
-	// checkpoints. See the package documentation's "Failure semantics"
-	// section for the recovery model.
+	// window ships and eviction spills are logged, one record each,
+	// before they mutate in-memory state, and boot replays the tail on
+	// top of restored checkpoints through the step that applied them
+	// live. AppendPush journals a push directly (without a server).
+	// See the package documentation's "Failure semantics" section for
+	// the recovery model.
 	IngestJournal = server.Journal
 	// IngestJournalConfig configures an IngestJournal (fsync cadence,
 	// self-compaction threshold, retention).

@@ -52,26 +52,30 @@ type backend interface {
 	// rollupAppend appends (kind byte, rollup compact blob) to dst. The
 	// rollup merges every live key with every received remote snapshot.
 	rollupAppend(dst []byte) ([]byte, error)
-	// mergeSnapshot folds one serialized FCTB snapshot into the
-	// backend's remote state: a named source replaces its previous
-	// snapshot, an empty source merges into the shared aggregate (see
-	// wire.FrameSnapshotPush).
-	mergeSnapshot(source string, blob []byte) error
-	// mergeWindowSnapshot replaces a named source's snapshot when epoch
-	// is >= the last epoch applied from that source; a stale epoch is
-	// ignored (applied = false) so retried and reordered window ships
-	// are idempotent (see wire.FrameWindowSnapshot).
-	mergeWindowSnapshot(source string, epoch uint64, blob []byte) (applied bool, err error)
 	// snapshotAppend drains the table and appends the full merged
 	// snapshot (live + remote) as an FCTB blob to dst.
 	snapshotAppend(dst []byte) ([]byte, error)
+	// apply applies one durable event to the remote state: a snapshot
+	// push (a named source replaces its previous snapshot, an empty
+	// source merges into the shared aggregate; see
+	// wire.FrameSnapshotPush), a window ship (replaces its source's
+	// snapshot unless its epoch is below the last one applied from
+	// that source: stale, so retried and reordered ships are
+	// idempotent; see wire.FrameWindowSnapshot) or an eviction spill
+	// (merges one key's compact into the aggregate, so a TTL eviction
+	// stays in rollups). The blob is decoded and vetted before any
+	// state changes. A live event (LSN 0) is journaled first when a
+	// journal is attached, and a failed append aborts it; a replayed
+	// one is skipped, unapplied, at or below the watermark.
+	apply(rec JournalRecord) (applied, stale bool, err error)
 	// checkpointBody appends the backend's durable state to dst: the
 	// live table merged with the anonymous remote aggregate as one FCTB
 	// blob, then every named source's snapshot with its window epoch.
 	// It also returns the journal LSN watermark the captured state
 	// covers (0 without a journal). restoreBody parses it back (into a
-	// freshly registered backend), seeding the watermark so replay can
-	// skip records the checkpoint already contains.
+	// freshly registered backend) as records, one per part, applied as
+	// apply applies them, and seeds the watermark so replay can skip
+	// records the checkpoint already contains.
 	checkpointBody(dst []byte) ([]byte, uint64, error)
 	restoreBody(body []byte, lsn uint64) error
 	// watermark is the LSN of the newest journal record in the state
@@ -81,19 +85,6 @@ type backend interface {
 	// bind attaches the backend to its registered name and the server's
 	// journal slot; called once by register.
 	bind(name string, jnl *atomic.Pointer[Journal])
-	// spillEvict folds one evicted key's serialized compact into the
-	// remote aggregate (journaling it first when a journal is attached)
-	// so TTL evictions stay in rollups and survive a crash. The key is
-	// raw bytes: string keys verbatim, uint64 keys 8 bytes LE.
-	spillEvict(keyType byte, key, compact []byte) error
-	// replayPush / replayWindow / replayEvict re-apply one journal
-	// record during boot recovery. ReplayJournal calls them only for
-	// records above the watermark; they re-check the watermark
-	// under rmu after decoding and skip a record at or below it
-	// (applied = false).
-	replayPush(lsn uint64, source string, blob []byte) (applied bool, err error)
-	replayWindow(lsn uint64, source string, epoch uint64, blob []byte) (applied, stale bool, err error)
-	replayEvict(lsn uint64, keyType byte, key, compact []byte) (applied bool, err error)
 }
 
 // ingestScratch is the per-frame group-index run for the one batch
@@ -180,14 +171,6 @@ type tableBackend[K table.Key, V, S, C any] struct {
 func (b *tableBackend[K, V, S, C]) bind(name string, jnl *atomic.Pointer[Journal]) {
 	b.name = name
 	b.jnl = jnl
-}
-
-// journal returns the attached journal, nil when journaling is off.
-func (b *tableBackend[K, V, S, C]) journal() *Journal {
-	if b.jnl == nil {
-		return nil
-	}
-	return b.jnl.Load()
 }
 
 // seeded is the surface of an engine and its compacts that the
@@ -590,25 +573,116 @@ func (b *tableBackend[K, V, S, C]) eachRemote(fn func(*table.TableSnapshot[K, C]
 // only with more than maxSnapshotSources simultaneously live pushers.
 const maxSnapshotSources = 1024
 
-// admitSnapshot parses and vets one pushed snapshot before any state
-// changes: the header check (kind and parameter, against the table's
-// own engine, which then decodes every compact) plus the seed check the
-// header cannot express — a Θ/HLL snapshot hashed under a different
-// seed would otherwise be ACKed and then fail every later query, rollup
-// and pull it participates in.
-func (b *tableBackend[K, V, S, C]) admitSnapshot(blob []byte) (*table.TableSnapshot[K, C], error) {
-	snap, err := b.unmarshal(blob)
+// admitted is one record's blob decoded and vetted: a push's or window
+// ship's snapshot, or a spill's key and compact.
+type admitted[K table.Key, C any] struct {
+	snap *table.TableSnapshot[K, C]
+	key  K
+	c    C
+}
+
+// admit decodes and vets a record's blob before any state changes: for
+// a snapshot, the header check (kind and parameter, against the table's
+// own engine, which then decodes every compact); for a spill, the key
+// type; for both, the seed check the header cannot express — a Θ/HLL
+// blob hashed under a different seed would otherwise be ACKed and then
+// fail every later query, rollup and pull it participates in.
+func (b *tableBackend[K, V, S, C]) admit(rec *JournalRecord) (a admitted[K, C], err error) {
+	if rec.Type == jrecEvict {
+		if a.key, err = b.decodeKey(rec.KeyType, rec.Key); err != nil {
+			return a, err
+		}
+		if a.c, err = b.eng.UnmarshalCompact(rec.Blob); err == nil {
+			err = b.checkSeed(a.c)
+		}
+		return a, err
+	}
+	a.snap, err = b.unmarshal(rec.Blob)
 	if err == nil && b.seeded {
-		snap.ForEach(func(_ K, c C) {
+		a.snap.ForEach(func(_ K, c C) {
 			if err == nil {
 				err = b.checkSeed(c)
 			}
 		})
 	}
 	if err != nil {
-		return nil, errBadPayload("snapshot: %v", err)
+		return a, errBadPayload("snapshot: %v", err)
 	}
-	return snap, nil
+	return a, nil
+}
+
+func (b *tableBackend[K, V, S, C]) apply(rec JournalRecord) (applied, stale bool, err error) {
+	// The registered name, which the journal may retain: a live frame's
+	// table name aliases the connection's read buffer.
+	rec.Table = b.name
+	a, err := b.admit(&rec)
+	if err != nil {
+		return false, false, err
+	}
+	b.rmu.Lock()
+	defer b.rmu.Unlock()
+	var jnl *Journal // journals a live event (no LSN yet) when one is attached
+	if rec.LSN == 0 && b.jnl != nil {
+		jnl = b.jnl.Load()
+	}
+	return b.applyLocked(&rec, a, jnl)
+}
+
+// applyLocked is the one step that changes remote state, for live
+// events, replayed records and restored checkpoint parts alike: the LSN
+// gate (a record that carries an LSN is skipped at or below the
+// watermark), the epoch check, the journal append (when jnl is
+// non-nil), the state change, the watermark bump. Callers hold b.rmu.
+func (b *tableBackend[K, V, S, C]) applyLocked(rec *JournalRecord, a admitted[K, C], jnl *Journal) (applied, stale bool, err error) {
+	if rec.LSN != 0 && rec.LSN <= b.appliedLSN {
+		return false, false, nil
+	}
+	// >= rather than >: the shipper snapshots its whole sliding window,
+	// which advances within one epoch as slots rotate, so an equal
+	// epoch is a newer capture of the same window and must win; only a
+	// strictly older epoch is a reordered or replayed stale ship. It
+	// changes no state, so a live one is not journaled either.
+	if rec.Type == jrecWindow {
+		if last, ok := b.remoteEpochs[rec.Source]; ok && rec.Epoch < last {
+			b.appliedLSN = max(b.appliedLSN, rec.LSN)
+			return false, true, nil
+		}
+	}
+	// Write-ahead order: the record hits the journal (LSN assigned
+	// under rmu, so LSN order is apply order) before the in-memory
+	// state changes, and a journal failure aborts the change — an
+	// event must never be ACKed durable without being durable.
+	lsn := rec.LSN
+	if jnl != nil {
+		if lsn, err = jnl.Append(rec); err != nil {
+			return false, false, &reqError{code: wire.ErrCodeInternal, msg: fmt.Sprintf("journal: %v", err)}
+		}
+	}
+	switch {
+	case rec.Type == jrecEvict:
+		err = b.foldCompactLocked(a.key, a.c)
+	case rec.Type == jrecPush && rec.Source == "":
+		if err = b.remote.Merge(a.snap); err != nil {
+			err = &reqError{code: wire.ErrCodeBadPayload, msg: err.Error()}
+		}
+	default:
+		// Replace, don't merge: a named source ships its full cumulative
+		// snapshot each tick, and merging would re-count every
+		// previously shipped sample in non-idempotent families
+		// (quantiles). A source that dies keeps its last snapshot
+		// deliberately — it holds data its successor (a restarted edge
+		// starts from an empty table, under a fresh default source id)
+		// no longer has, so evicting it would silently lose that data
+		// from rollups.
+		if err = b.storeSourceLocked(rec.Source, a.snap); err == nil && rec.Type == jrecWindow {
+			b.remoteEpochs[rec.Source] = rec.Epoch
+		}
+	}
+	if err != nil {
+		return false, false, err
+	}
+	b.appliedLSN = max(b.appliedLSN, lsn)
+	return true, false, nil
 }
 
 // storeSourceLocked replaces a named source's snapshot, admitting the
@@ -635,84 +709,6 @@ func (b *tableBackend[K, V, S, C]) storeSourceLocked(source string, snap *table.
 	return nil
 }
 
-func (b *tableBackend[K, V, S, C]) mergeSnapshot(source string, blob []byte) error {
-	snap, err := b.admitSnapshot(blob)
-	if err != nil {
-		return err
-	}
-	b.rmu.Lock()
-	defer b.rmu.Unlock()
-	// Write-ahead order: the record hits the journal (LSN assigned
-	// under rmu, so LSN order is apply order) before the in-memory
-	// state changes, and a journal failure aborts the merge — a push
-	// must never be ACKed durable without being durable.
-	lsn := uint64(0)
-	if j := b.journal(); j != nil {
-		if lsn, err = j.AppendPush(b.name, source, blob); err != nil {
-			return &reqError{code: wire.ErrCodeInternal, msg: fmt.Sprintf("journal: %v", err)}
-		}
-	}
-	if err := b.applyPushLocked(source, snap); err != nil {
-		return err
-	}
-	if lsn > b.appliedLSN {
-		b.appliedLSN = lsn
-	}
-	return nil
-}
-
-// applyPushLocked folds one admitted push into the remote state: a
-// named source replaces its slot, an anonymous push merges into the
-// shared aggregate. Callers hold b.rmu.
-func (b *tableBackend[K, V, S, C]) applyPushLocked(source string, snap *table.TableSnapshot[K, C]) error {
-	if source == "" {
-		if err := b.remote.Merge(snap); err != nil {
-			return &reqError{code: wire.ErrCodeBadPayload, msg: err.Error()}
-		}
-		return nil
-	}
-	// Replace, don't merge: a named source ships its full cumulative
-	// snapshot each tick, and merging would re-count every previously
-	// shipped sample in non-idempotent families (quantiles). A source
-	// that dies keeps its last snapshot deliberately — it holds data
-	// its successor (a restarted edge starts from an empty table,
-	// under a fresh default source id) no longer has, so evicting it
-	// would silently lose that data from rollups.
-	return b.storeSourceLocked(source, snap)
-}
-
-func (b *tableBackend[K, V, S, C]) mergeWindowSnapshot(source string, epoch uint64, blob []byte) (bool, error) {
-	snap, err := b.admitSnapshot(blob)
-	if err != nil {
-		return false, err
-	}
-	b.rmu.Lock()
-	defer b.rmu.Unlock()
-	// >= rather than >: the shipper snapshots its whole sliding window,
-	// which advances within one epoch as slots rotate, so an equal
-	// epoch is a newer capture of the same window and must win; only a
-	// strictly older epoch is a reordered or replayed stale ship.
-	if last, ok := b.remoteEpochs[source]; ok && epoch < last {
-		return false, nil
-	}
-	// Stale ships are rejected above without a journal record — they
-	// change no state, so there is nothing to make durable.
-	lsn := uint64(0)
-	if j := b.journal(); j != nil {
-		if lsn, err = j.AppendWindow(b.name, source, epoch, blob); err != nil {
-			return false, &reqError{code: wire.ErrCodeInternal, msg: fmt.Sprintf("journal: %v", err)}
-		}
-	}
-	if err := b.storeSourceLocked(source, snap); err != nil {
-		return false, err
-	}
-	b.remoteEpochs[source] = epoch
-	if lsn > b.appliedLSN {
-		b.appliedLSN = lsn
-	}
-	return true, nil
-}
-
 // decodeKey converts a journal/evict raw key (string bytes or 8-byte
 // LE uint64) into K, rejecting a key-type mismatch.
 func (b *tableBackend[K, V, S, C]) decodeKey(keyType byte, key []byte) (K, error) {
@@ -728,41 +724,6 @@ func (b *tableBackend[K, V, S, C]) decodeKey(keyType byte, key []byte) (K, error
 		return u64Key[K](r.Uint64()), nil
 	}
 	return strKey[K](string(key)), nil
-}
-
-// spillEvict folds one TTL-evicted key's compact into the remote
-// aggregate so eviction stops meaning deletion-from-rollups: the data
-// leaves the live table's shard maps but stays in every rollup, query
-// and checkpoint. With a journal attached the spill is made durable
-// first (write-ahead), so a crash between eviction and the next
-// checkpoint cannot lose it.
-func (b *tableBackend[K, V, S, C]) spillEvict(keyType byte, key, compact []byte) error {
-	k, err := b.decodeKey(keyType, key)
-	if err != nil {
-		return fmt.Errorf("server: evict spill: %w", err)
-	}
-	c, err := b.eng.UnmarshalCompact(compact)
-	if err != nil {
-		return fmt.Errorf("server: evict spill: %w", err)
-	}
-	if err := b.checkSeed(c); err != nil {
-		return fmt.Errorf("server: evict spill: %w", err)
-	}
-	b.rmu.Lock()
-	defer b.rmu.Unlock()
-	lsn := uint64(0)
-	if j := b.journal(); j != nil {
-		if lsn, err = j.AppendEvict(b.name, keyType, key, compact); err != nil {
-			return fmt.Errorf("server: evict spill: journal: %w", err)
-		}
-	}
-	if err := b.foldCompactLocked(k, c); err != nil {
-		return fmt.Errorf("server: evict spill: %w", err)
-	}
-	if lsn > b.appliedLSN {
-		b.appliedLSN = lsn
-	}
-	return nil
 }
 
 // foldCompactLocked merges one compact into the anonymous aggregate's
@@ -787,78 +748,6 @@ func (b *tableBackend[K, V, S, C]) watermark() uint64 {
 	b.rmu.Lock()
 	defer b.rmu.Unlock()
 	return b.appliedLSN
-}
-
-// replayPush re-applies one journaled push during boot recovery; a
-// record at or below the restored checkpoint's watermark is already in
-// the restored state and is skipped.
-func (b *tableBackend[K, V, S, C]) replayPush(lsn uint64, source string, blob []byte) (bool, error) {
-	snap, err := b.admitSnapshot(blob)
-	if err != nil {
-		return false, err
-	}
-	b.rmu.Lock()
-	defer b.rmu.Unlock()
-	if lsn <= b.appliedLSN {
-		return false, nil
-	}
-	if err := b.applyPushLocked(source, snap); err != nil {
-		return false, err
-	}
-	b.appliedLSN = lsn
-	return true, nil
-}
-
-// replayWindow is replayPush for epoch-guarded window records; stale
-// reports an epoch the restored state had already passed (possible
-// only with hand-edited journals — live appends are epoch-checked
-// before journaling).
-func (b *tableBackend[K, V, S, C]) replayWindow(lsn uint64, source string, epoch uint64, blob []byte) (applied, stale bool, err error) {
-	snap, err := b.admitSnapshot(blob)
-	if err != nil {
-		return false, false, err
-	}
-	b.rmu.Lock()
-	defer b.rmu.Unlock()
-	if lsn <= b.appliedLSN {
-		return false, false, nil
-	}
-	if last, ok := b.remoteEpochs[source]; ok && epoch < last {
-		b.appliedLSN = lsn
-		return false, true, nil
-	}
-	if err := b.storeSourceLocked(source, snap); err != nil {
-		return false, false, err
-	}
-	b.remoteEpochs[source] = epoch
-	b.appliedLSN = lsn
-	return true, false, nil
-}
-
-// replayEvict re-folds one journaled eviction spill during boot
-// recovery, LSN-gated like every merge-semantics record.
-func (b *tableBackend[K, V, S, C]) replayEvict(lsn uint64, keyType byte, key, compact []byte) (bool, error) {
-	k, err := b.decodeKey(keyType, key)
-	if err != nil {
-		return false, err
-	}
-	c, err := b.eng.UnmarshalCompact(compact)
-	if err != nil {
-		return false, err
-	}
-	if err := b.checkSeed(c); err != nil {
-		return false, err
-	}
-	b.rmu.Lock()
-	defer b.rmu.Unlock()
-	if lsn <= b.appliedLSN {
-		return false, nil
-	}
-	if err := b.foldCompactLocked(k, c); err != nil {
-		return false, err
-	}
-	b.appliedLSN = lsn
-	return true, nil
 }
 
 // snapshotAppend quiesces the writer pool, drains the table so all
@@ -953,22 +842,17 @@ func (b *tableBackend[K, V, S, C]) checkpointBody(dst []byte) ([]byte, uint64, e
 const ckptMinSource = 2 + 1 + 1 + 16
 
 // restoreBody parses a checkpointBody back into the backend's remote
-// state, seeding the LSN watermark journal replay gates on. The body's
-// framing is parsed first; then the aggregate blob and every source
-// blob pass the same admission validation a network push would,
-// concurrently on up to GOMAXPROCS cores; then they are applied in file
-// order under one rmu hold. A corrupt or foreign checkpoint is rejected
-// whole before any state changes, leaving the backend exactly as it was
-// (which is what lets RestoreCheckpoints fall back to an older
-// generation).
+// state, seeding the LSN watermark journal replay gates on. Each part
+// of the body is a record: the aggregate blob an anonymous push, each
+// source a named push, or a window ship when it carries an epoch. The
+// body's framing is parsed first; then every part passes the admission
+// a network push would, concurrently on up to GOMAXPROCS cores; then
+// the parts are applied in file order under one rmu hold, through the
+// step every live and replayed record takes. A corrupt or foreign
+// checkpoint is rejected whole before any state changes, leaving the
+// backend exactly as it was (which is what lets RestoreCheckpoints fall
+// back to an older generation).
 func (b *tableBackend[K, V, S, C]) restoreBody(body []byte, lsn uint64) error {
-	type restored struct {
-		source   string // "" for the aggregate, part 0
-		blob     []byte
-		snap     *table.TableSnapshot[K, C]
-		epoch    uint64
-		hasEpoch bool
-	}
 	r := wire.Reader{Buf: body}
 	agg := r.Bytes(int(r.Uvarint()))
 	n := r.Uvarint()
@@ -980,27 +864,26 @@ func (b *tableBackend[K, V, S, C]) restoreBody(body []byte, lsn uint64) error {
 	if n > uint64(r.Remaining()/ckptMinSource) {
 		return fmt.Errorf("checkpoint: %d sources claimed, body holds at most %d", n, r.Remaining()/ckptMinSource)
 	}
-	parts := make([]restored, 1, 1+n)
-	parts[0].blob = agg
+	parts := make([]JournalRecord, 1, 1+n)
+	parts[0] = JournalRecord{Type: jrecPush, Blob: agg}
 	for i := uint64(0); i < n && r.Err == nil; i++ {
-		var rs restored
-		rs.source = r.String()
-		rs.hasEpoch = r.Byte() == 1
-		if rs.hasEpoch {
-			rs.epoch = r.Uvarint()
+		rec := JournalRecord{Type: jrecPush, Source: r.String()}
+		if r.Byte() == 1 {
+			rec.Type, rec.Epoch = jrecWindow, r.Uvarint()
 		}
-		rs.blob = r.Bytes(int(r.Uvarint()))
-		if r.Err == nil && rs.source == "" {
+		rec.Blob = r.Bytes(int(r.Uvarint()))
+		if r.Err == nil && rec.Source == "" {
 			return fmt.Errorf("checkpoint: empty source id")
 		}
-		parts = append(parts, rs)
+		parts = append(parts, rec)
 	}
 	if r.Err != nil || r.Remaining() != 0 {
 		return fmt.Errorf("checkpoint: malformed body")
 	}
+	adm := make([]admitted[K, C], len(parts))
 	errs := make([]error, len(parts))
 	core.FanOut(core.ReadDegree(0), len(parts), func(_, i int) {
-		parts[i].snap, errs[i] = b.admitSnapshot(parts[i].blob)
+		adm[i], errs[i] = b.admit(&parts[i])
 	})
 	for i, err := range errs {
 		if err == nil {
@@ -1009,23 +892,15 @@ func (b *tableBackend[K, V, S, C]) restoreBody(body []byte, lsn uint64) error {
 		if i == 0 {
 			return fmt.Errorf("checkpoint aggregate: %w", err)
 		}
-		return fmt.Errorf("checkpoint source %q: %w", parts[i].source, err)
+		return fmt.Errorf("checkpoint source %q: %w", parts[i].Source, err)
 	}
 	b.rmu.Lock()
 	defer b.rmu.Unlock()
-	if err := b.remote.Merge(parts[0].snap); err != nil {
-		return err
-	}
-	for _, rs := range parts[1:] {
-		if err := b.storeSourceLocked(rs.source, rs.snap); err != nil {
+	for i := range parts {
+		if _, _, err := b.applyLocked(&parts[i], adm[i], nil); err != nil {
 			return err
 		}
-		if rs.hasEpoch {
-			b.remoteEpochs[rs.source] = rs.epoch
-		}
 	}
-	if lsn > b.appliedLSN {
-		b.appliedLSN = lsn
-	}
+	b.appliedLSN = max(b.appliedLSN, lsn)
 	return nil
 }

@@ -253,11 +253,11 @@ func TestReplaySkipsCoveredWithoutDecoding(t *testing.T) {
 	srv.AttachJournal(j)
 	ev := lookupT(t, srv, "ev")
 	good, foreign := trioBlobs(t, 1, 8)["ev"], foreignThetaBlob(t)
-	if err := lookupT(t, bootTrio(t, Config{}), "ev").mergeSnapshot("probe", foreign); err == nil {
+	if _, _, err := lookupT(t, bootTrio(t, Config{}), "ev").apply(JournalRecord{Type: jrecPush, Source: "probe", Blob: foreign}); err == nil {
 		t.Fatal("the foreign-seed blob was admitted: the test would exercise nothing")
 	}
 
-	if err := ev.mergeSnapshot("edge-1", good); err != nil { // lsn 1
+	if _, _, err := ev.apply(JournalRecord{Type: jrecPush, Source: "edge-1", Blob: good}); err != nil { // lsn 1
 		t.Fatal(err)
 	}
 	for _, source := range []string{"edge-x", ""} { // lsn 2, 3: journaled, never applied
@@ -265,13 +265,13 @@ func TestReplaySkipsCoveredWithoutDecoding(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := ev.mergeSnapshot("edge-2", good); err != nil { // lsn 4
+	if _, _, err := ev.apply(JournalRecord{Type: jrecPush, Source: "edge-2", Blob: good}); err != nil { // lsn 4
 		t.Fatal(err)
 	}
 	if _, err := srv.WriteCheckpoints(dir); err != nil { // watermark 4
 		t.Fatal(err)
 	}
-	if err := ev.mergeSnapshot("edge-3", good); err != nil { // lsn 5: the tail
+	if _, _, err := ev.apply(JournalRecord{Type: jrecPush, Source: "edge-3", Blob: good}); err != nil { // lsn 5: the tail
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
@@ -306,7 +306,7 @@ func TestRestoreReadsNewestGenerationFirst(t *testing.T) {
 	srv := bootTrio(t, Config{})
 	for i := 0; i < 2; i++ {
 		for name, blob := range trioBlobs(t, i, 8) {
-			if err := lookupT(t, srv, name).mergeSnapshot(fmt.Sprintf("edge-%d", i), blob); err != nil {
+			if _, _, err := lookupT(t, srv, name).apply(JournalRecord{Type: jrecPush, Source: fmt.Sprintf("edge-%d", i), Blob: blob}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -399,9 +399,9 @@ func TestRestoreParallelMatchesSerial(t *testing.T) {
 			b := lookupT(t, srv, name)
 			var err error
 			if i%2 == 0 {
-				err = b.mergeSnapshot(source, blob)
+				_, _, err = b.apply(JournalRecord{Type: jrecPush, Source: source, Blob: blob})
 			} else {
-				_, err = b.mergeWindowSnapshot(source, uint64(10+i), blob)
+				_, _, err = b.apply(JournalRecord{Type: jrecWindow, Source: source, Epoch: uint64(10 + i), Blob: blob})
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -409,7 +409,7 @@ func TestRestoreParallelMatchesSerial(t *testing.T) {
 		}
 	}
 	for name, blob := range trioBlobs(t, 100, 32) {
-		if err := lookupT(t, srv, name).mergeSnapshot("", blob); err != nil {
+		if _, _, err := lookupT(t, srv, name).apply(JournalRecord{Type: jrecPush, Blob: blob}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -500,7 +500,7 @@ func TestRestoreParallelMatchesSerial(t *testing.T) {
 func TestRestoreSourceCountBeyondBody(t *testing.T) {
 	srv := bootTrio(t, Config{})
 	ev := lookupT(t, srv, "ev")
-	if err := ev.mergeSnapshot("edge-0", trioBlobs(t, 1, 8)["ev"]); err != nil {
+	if _, _, err := ev.apply(JournalRecord{Type: jrecPush, Source: "edge-0", Blob: trioBlobs(t, 1, 8)["ev"]}); err != nil {
 		t.Fatal(err)
 	}
 	agg := trioBlobs(t, 2, 4)["ev"]
@@ -618,7 +618,7 @@ func BenchmarkBoot(b *testing.B) {
 	push := func(n int) {
 		for ; n > 0; n-- {
 			src := pushed % bootSources
-			if err := ab.mergeSnapshot(fmt.Sprintf("edge-%d", src), blobs[src]); err != nil {
+			if _, _, err := ab.apply(JournalRecord{Type: jrecPush, Source: fmt.Sprintf("edge-%d", src), Blob: blobs[src]}); err != nil {
 				b.Fatal(err)
 			}
 			pushed++

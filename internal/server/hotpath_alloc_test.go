@@ -65,3 +65,50 @@ func TestServeHotpathZeroAllocs(t *testing.T) {
 		t.Errorf("server ingest allocates %.1f allocs/op, want 0", avg)
 	}
 }
+
+// TestSnapshotPushAllocs bounds one named SNAPSHOT_PUSH of a 4-key Θ
+// snapshot through handle at the 12 allocations it took when pushes,
+// window ships and spills still had one method each: building the
+// record and applying it, journaled or not, adds none.
+func TestSnapshotPushAllocs(t *testing.T) {
+	src := table.NewTheta(table.ThetaConfig[string]{Table: table.Config[string]{Writers: 1, Shards: 8}, K: 256, MaxError: 1})
+	defer src.Close()
+	w := src.Writer(0)
+	for i := 0; i < 2000; i++ {
+		w.UpdateKeyed([]string{"a", "b", "c", "d"}[i%4], uint64(i))
+	}
+	src.Drain()
+	blob, err := src.SnapshotBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := wire.AppendString(nil, "ev")
+	payload = wire.AppendString(payload, "edge-1")
+	payload = append(payload, blob...)
+	for _, journaled := range []bool{false, true} {
+		tab := table.NewTheta(table.ThetaConfig[string]{Table: table.Config[string]{Writers: 1, Shards: 8}, K: 256, MaxError: 1})
+		defer tab.Close()
+		s := New(Config{})
+		if err := Register(s, "ev", tab.Table); err != nil {
+			t.Fatal(err)
+		}
+		if journaled {
+			j, err := OpenJournal(t.TempDir(), JournalConfig{FsyncEvery: 1 << 30, MaxBytes: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j.Close()
+			s.AttachJournal(j)
+		}
+		cs := &connState{}
+		push := func() {
+			if typ, _, _, err := s.handle(cs, wire.FrameSnapshotPush, payload); err != nil || typ != wire.FrameOK {
+				t.Fatalf("push: type %#x, err %v", typ, err)
+			}
+		}
+		push()
+		if avg := testing.AllocsPerRun(100, push); avg > 12 {
+			t.Errorf("journaled=%v: a snapshot push allocates %.1f allocs/op, want at most 12", journaled, avg)
+		}
+	}
+}

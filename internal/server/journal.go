@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"maps"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"slices"
@@ -28,6 +29,13 @@ import (
 // restore-checkpoint-then-replay-journal-tail, so recovery loss shrinks
 // from "one checkpoint interval" to "at most FsyncEvery-1 acknowledged
 // records".
+//
+// A JournalRecord is the one description of such an event, and one
+// backend step applies it wherever it comes from: a live frame or spill
+// (journaled first), a replayed record (LSN-gated), or a part of a
+// restored checkpoint (the aggregate as an anonymous push, each source
+// as a named push or a window ship). appendFrame encodes every record,
+// and parseJournalRecord is its exact inverse.
 //
 // Exactly-once replay is coordinated through log sequence numbers
 // (LSNs): the journal assigns a strictly increasing LSN to every
@@ -81,6 +89,9 @@ import (
 //	            LE), rest = the evicted key's serialized compact. MERGE
 //	            semantics: every record stays live until a checkpoint
 //	            covers it.
+//
+// Every uvarint is written in its shortest form, and the parser refuses
+// any other, so that a parsed record re-encodes to its own bytes.
 const (
 	jnlMagic      = "FCJL"
 	jnlVersion    = 1
@@ -152,7 +163,6 @@ type Journal struct {
 	nextLSN uint64
 	dirty   int    // records appended since the last fsync
 	scratch []byte // framing buffer (appendLocked)
-	body    []byte // body-building buffer (typed Append helpers)
 
 	// files holds, per journal file, its size and how many of its
 	// records replay still needs: every merge record, and the newest
@@ -295,7 +305,7 @@ func OpenJournal(dir string, cfg JournalConfig) (*Journal, error) {
 			if rec.LSN >= j.nextLSN {
 				j.nextLSN = rec.LSN + 1
 			}
-			j.noteLocked(jf.seq, compactKey{rec.Type, rec.Table, rec.Source}, rec.LSN)
+			j.noteLocked(jf.seq, rec.slot(), rec.LSN)
 			return nil
 		}, nil)
 	}
@@ -372,21 +382,33 @@ func (j *Journal) syncLocked() error {
 	return nil
 }
 
-// appendLocked frames and writes one record filling slot k (k.typ is
-// the record type), returning its LSN. Callers hold j.mu.
-func (j *Journal) appendLocked(k compactKey, body []byte) (uint64, error) {
+// Append journals rec under the next LSN, stamped with the time of the
+// append, and returns that LSN; rec's own LSN and TS are not read. The
+// append happens BEFORE the state change the record describes
+// (write-ahead order), and the caller must abort that change if it
+// fails.
+func (j *Journal) Append(rec *JournalRecord) (uint64, error) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	lsn, err := j.appendLocked(*rec)
+	j.maybeCompactLocked()
+	return lsn, err
+}
+
+// AppendPush journals one snapshot push (cumulative replace when source
+// is non-empty, anonymous merge when empty) and returns its LSN.
+func (j *Journal) AppendPush(table, source string, blob []byte) (uint64, error) {
+	return j.Append(&JournalRecord{Type: jrecPush, Table: table, Source: source, Blob: blob})
+}
+
+// appendLocked frames and writes rec under the next LSN. Callers hold
+// j.mu.
+func (j *Journal) appendLocked(rec JournalRecord) (uint64, error) {
 	if j.f == nil {
 		return 0, errors.New("server: journal closed")
 	}
-	lsn := j.nextLSN
-	n := len(body) + jnlRecOverhead - 4 // length counts bytes after itself
-	buf := j.scratch[:0]
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
-	buf = binary.LittleEndian.AppendUint64(buf, lsn)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(time.Now().UnixNano()))
-	buf = append(buf, k.typ)
-	buf = append(buf, body...)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+	rec.LSN, rec.TS = j.nextLSN, time.Now().UnixNano()
+	buf := rec.appendFrame(j.scratch[:0])
 	j.scratch = buf[:0]
 	if _, err := j.f.Write(buf); err != nil {
 		// A short write leaves a torn tail; recovery truncates it. The
@@ -397,7 +419,7 @@ func (j *Journal) appendLocked(k compactKey, body []byte) (uint64, error) {
 	j.nextLSN++
 	j.files[j.seq].size += int64(len(buf))
 	j.total += int64(len(buf))
-	j.noteLocked(j.seq, k, lsn)
+	j.noteLocked(j.seq, rec.slot(), rec.LSN)
 	j.bytes.Add(int64(len(buf)))
 	j.records.Add(1)
 	j.dirty++
@@ -407,69 +429,7 @@ func (j *Journal) appendLocked(k compactKey, body []byte) (uint64, error) {
 			return 0, err
 		}
 	}
-	return lsn, nil
-}
-
-// AppendPush journals one snapshot push (cumulative replace when source
-// is non-empty, anonymous merge when empty) and returns its LSN. The
-// append happens BEFORE the in-memory merge (write-ahead order), and
-// the caller must abort the merge if it fails.
-func (j *Journal) AppendPush(table, source string, blob []byte) (uint64, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	body := j.bodyScratch(len(table) + len(source) + len(blob) + 16)
-	body = wire.AppendString(body, table)
-	body = wire.AppendString(body, source)
-	body = append(body, blob...)
-	lsn, err := j.appendLocked(compactKey{jrecPush, table, source}, body)
-	j.body = body[:0]
-	j.maybeCompactLocked()
-	return lsn, err
-}
-
-// AppendWindow journals one epoch-guarded window snapshot ship.
-func (j *Journal) AppendWindow(table, source string, epoch uint64, blob []byte) (uint64, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	body := j.bodyScratch(len(table) + len(source) + len(blob) + 24)
-	body = wire.AppendString(body, table)
-	body = wire.AppendString(body, source)
-	body = wire.AppendUvarint(body, epoch)
-	body = append(body, blob...)
-	lsn, err := j.appendLocked(compactKey{jrecWindow, table, source}, body)
-	j.body = body[:0]
-	j.maybeCompactLocked()
-	return lsn, err
-}
-
-// AppendEvict journals one eviction spill: the evicted key (string
-// keys as raw bytes, uint64 keys as 8 bytes little endian) and its
-// serialized compact. Merge semantics — every spill stays live in the
-// journal until a checkpoint covers it.
-func (j *Journal) AppendEvict(table string, keyType byte, key, compact []byte) (uint64, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	body := j.bodyScratch(len(table) + len(key) + len(compact) + 24)
-	body = wire.AppendString(body, table)
-	body = append(body, keyType)
-	body = wire.AppendUvarint(body, uint64(len(key)))
-	body = append(body, key...)
-	body = append(body, compact...)
-	lsn, err := j.appendLocked(compactKey{typ: jrecEvict, table: table}, body)
-	j.body = body[:0]
-	j.maybeCompactLocked()
-	return lsn, err
-}
-
-// bodyScratch returns an empty body buffer with at least n capacity.
-// Bodies are built under j.mu, so one buffer serves every append; it is
-// distinct from j.scratch (the framing buffer), which appendLocked uses
-// while the body is still alive.
-func (j *Journal) bodyScratch(n int) []byte {
-	if cap(j.body) < n {
-		j.body = make([]byte, 0, n+n/4)
-	}
-	return j.body[:0]
+	return rec.LSN, nil
 }
 
 // Rotate closes the active file and starts the next one. WriteCheckpoints
@@ -651,7 +611,7 @@ func (j *Journal) rewriteLocked() error {
 	for _, seq := range seqs {
 		var werr error
 		_ = walkJournalFile(filepath.Join(j.dir, journalFileName(seq)), func(rec *JournalRecord) error {
-			k := compactKey{rec.Type, rec.Table, rec.Source}
+			k := rec.slot()
 			if k.replaces() {
 				if j.slots[k] != (slotRef{seq, rec.LSN}) {
 					dropped++
@@ -739,10 +699,15 @@ func (j *Journal) Close() error {
 	return err
 }
 
-// JournalRecord is one parsed journal record, as replay sees it.
+// JournalRecord is one durable server event: a snapshot push, a window
+// ship or an eviction spill. One backend step applies it, whether it is
+// live, replayed, or a part of a restored checkpoint.
 type JournalRecord struct {
+	// LSN and TS (appended-at, unix nanoseconds) are set on records read
+	// back from the journal; a live event has LSN 0 until Append gives
+	// it one.
 	LSN  uint64
-	TS   int64 // appended-at, unix nanoseconds
+	TS   int64
 	Type byte
 	// Table is set for every record type. Source is set for push and
 	// window records ("" = anonymous merge); Epoch for window records;
@@ -757,6 +722,53 @@ type JournalRecord struct {
 
 	frame []byte // the whole framed record, for compaction's rewrite
 }
+
+// slot is the compaction slot the record fills.
+func (rec *JournalRecord) slot() compactKey { return compactKey{rec.Type, rec.Table, rec.Source} }
+
+// appendFrame appends rec's framed bytes, LSN and TS included, to dst:
+// the one encoder of every record type, and the exact inverse of
+// parseJournalRecord.
+func (rec *JournalRecord) appendFrame(dst []byte) []byte {
+	n := rec.frameLen()
+	dst = slices.Grow(dst, n)
+	start := len(dst)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(n-4)) // the length counts the bytes after itself
+	dst = binary.LittleEndian.AppendUint64(dst, rec.LSN)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(rec.TS))
+	dst = append(dst, rec.Type)
+	dst = wire.AppendString(dst, rec.Table)
+	switch rec.Type {
+	case jrecPush:
+		dst = wire.AppendString(dst, rec.Source)
+	case jrecWindow:
+		dst = wire.AppendString(dst, rec.Source)
+		dst = wire.AppendUvarint(dst, rec.Epoch)
+	case jrecEvict:
+		dst = append(dst, rec.KeyType)
+		dst = wire.AppendUvarint(dst, uint64(len(rec.Key)))
+		dst = append(dst, rec.Key...)
+	}
+	dst = append(dst, rec.Blob...)
+	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
+}
+
+// frameLen is the length of the frame appendFrame writes for rec.
+func (rec *JournalRecord) frameLen() int {
+	n := jnlRecOverhead + uvarintLen(uint64(len(rec.Table))) + len(rec.Table) + len(rec.Blob)
+	switch rec.Type {
+	case jrecPush:
+		n += uvarintLen(uint64(len(rec.Source))) + len(rec.Source)
+	case jrecWindow:
+		n += uvarintLen(uint64(len(rec.Source))) + len(rec.Source) + uvarintLen(rec.Epoch)
+	case jrecEvict:
+		n += 1 + uvarintLen(uint64(len(rec.Key))) + len(rec.Key)
+	}
+	return n
+}
+
+// uvarintLen is the length of v's shortest uvarint encoding.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // walkJournalFile streams a journal file's records through fn, stopping
 // at the first framing or checksum failure — append-only files tear
@@ -840,7 +852,9 @@ func parseJournalRecord(data []byte) (*JournalRecord, int, bool) {
 	default:
 		return nil, 0, false
 	}
-	if r.Err != nil || rec.Table == "" {
+	// A frame longer than its fields' encoding holds a uvarint not in
+	// its shortest form: no append wrote it.
+	if r.Err != nil || rec.Table == "" || rec.frameLen() != len(frame) {
 		return nil, 0, false
 	}
 	return rec, 4 + n, true

@@ -52,7 +52,7 @@ func pushRound(tb testing.TB, s *Server, name string, variant int, sources ...st
 	tb.Helper()
 	b := lookupT(tb, s, name)
 	for i, source := range sources {
-		if err := b.mergeSnapshot(source, trioBlobs(tb, 10*variant+i, 4)["ev"]); err != nil {
+		if _, _, err := b.apply(JournalRecord{Type: jrecPush, Source: source, Blob: trioBlobs(tb, 10*variant+i, 4)["ev"]}); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -232,7 +232,7 @@ func TestJournalPartialRewriteBootsLikeFullReplay(t *testing.T) {
 	dir := t.TempDir()
 	s, j := thetaServer(t, dir, "ev")
 	pushRound(t, s, "ev", 0, "edge-0", "edge-1", "edge-2")
-	if err := lookupT(t, s, "ev").mergeSnapshot("", trioBlobs(t, 99, 4)["ev"]); err != nil { // a merge record
+	if _, _, err := lookupT(t, s, "ev").apply(JournalRecord{Type: jrecPush, Blob: trioBlobs(t, 99, 4)["ev"]}); err != nil { // a merge record
 		t.Fatal(err)
 	}
 	if _, err := s.WriteCheckpoints(dir); err != nil {
@@ -372,8 +372,9 @@ func TestJournalCompactionKeepsEvictionFiles(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	push("a")                                                                               // lsn 1, file 1
-	if _, err := j.AppendEvict("t", wire.KeyTypeString, []byte("cold"), blob); err != nil { // lsn 2, file 1
+	push("a") // lsn 1, file 1
+	evict := JournalRecord{Type: jrecEvict, Table: "t", KeyType: wire.KeyTypeString, Key: []byte("cold"), Blob: blob}
+	if _, err := j.Append(&evict); err != nil { // lsn 2, file 1
 		t.Fatal(err)
 	}
 	for _, srcs := range [][]string{{"a", "b"}, {"a", "b"}} { // files 2 and 3

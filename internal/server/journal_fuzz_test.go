@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -38,7 +39,8 @@ func resealFrames(recs []byte) {
 // watermark every record at or below which counts as covered. The
 // committed corpus (testdata/fuzz/FuzzReplayJournal) holds intact
 // journals, a torn tail and a corrupt first frame in file 2. Whatever
-// the input: no panic; allocation at most 32× the input plus 256 KiB,
+// the input: no panic; every record parsed re-encodes through
+// appendFrame, LSN and timestamp included, to exactly its frame; allocation at most 32× the input plus 256 KiB,
 // which holds only if the first-frame read is bounded by the file's
 // size; and, whenever the files keep the LSN-order invariant appends
 // keep (every record of file 1 below file 2's first), replay that skips
@@ -86,6 +88,17 @@ func FuzzReplayJournal(f *testing.F) {
 		runtime.ReadMemStats(&after)
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(32*len(data))+256<<10 {
 			t.Fatalf("%d input bytes made the replay allocate %d", len(data), grew)
+		}
+
+		// One encoder, the parser's exact inverse: every record either
+		// file yields re-encodes to the bytes it was read from.
+		for _, path := range paths {
+			_ = walkJournalFile(path, func(rec *JournalRecord) error {
+				if got := rec.appendFrame(nil); !bytes.Equal(got, rec.frame) {
+					t.Fatalf("lsn %d re-encodes to %x, read from %x", rec.LSN, got, rec.frame)
+				}
+				return nil
+			}, nil)
 		}
 
 		first, ok := firstRecordLSN(paths[1])

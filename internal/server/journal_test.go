@@ -3,6 +3,7 @@ package server_test
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"os"
@@ -12,8 +13,10 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/fcds/fcds/internal/core"
 	"github.com/fcds/fcds/internal/quantiles"
 	"github.com/fcds/fcds/internal/server"
+	"github.com/fcds/fcds/internal/server/client"
 	"github.com/fcds/fcds/internal/server/wire"
 	"github.com/fcds/fcds/internal/table"
 )
@@ -86,93 +89,270 @@ func newestJournalFile(t *testing.T, dir string) string {
 	return filepath.Join(dir, names[len(names)-1])
 }
 
-// TestJournalReplayRestoresState: named pushes, a window ship and a
-// direct eviction spill into a journaled server, no checkpoint at all —
-// a fresh server replaying the journal answers every rollup
-// identically. This is the crash window the journal exists for: state
-// that arrived after the last checkpoint (or before the first).
+// journalEvent is one remote-state event of TestJournalReplayRestoresState:
+// a snapshot push (source "" merges anonymously), a window ship, or an
+// eviction spill of one key's compact. A stale window ship carries an
+// epoch below its source's last one: the server answers OK and neither
+// applies nor journals it.
+type journalEvent struct {
+	kind    string // "push", "window" or "spill"
+	source  string
+	epoch   uint64
+	stale   bool
+	key     string // spills into a string-keyed table
+	keyU64  uint64 // spills into the uint64-keyed table
+	payload []byte // FCTB snapshot, or the spilled compact
+}
+
+// trioPayload ingests n random items under nk keys of prefix (uint64
+// keys base+i for the HLL table "dev") into a fresh trio server and
+// returns the drained table's snapshot, or, for a spill, its rollup
+// compact.
+func trioPayload(t *testing.T, rng *rand.Rand, tbl, prefix string, base uint64, nk, n int, spill bool) []byte {
+	t.Helper()
+	_, addr := newTrioServer(t)
+	c := dialT(t, addr)
+	var err error
+	switch tbl {
+	case "dev":
+		keys, vals := make([]uint64, n), make([]uint64, n)
+		for i := range keys {
+			keys[i], vals[i] = base+uint64(rng.Intn(nk)), rng.Uint64()
+		}
+		err = c.IngestU64(tbl, keys, vals)
+	case "lat":
+		keys, vals := make([]string, n), make([]float64, n)
+		for i := range keys {
+			keys[i], vals[i] = fmt.Sprintf("%s%d", prefix, rng.Intn(nk)), rng.Float64()*1000
+		}
+		err = c.IngestFloat(tbl, keys, vals)
+	default:
+		keys, vals := make([]string, n), make([]uint64, n)
+		for i := range keys {
+			keys[i], vals[i] = fmt.Sprintf("%s%d", prefix, rng.Intn(nk)), rng.Uint64()
+		}
+		err = c.Ingest(tbl, keys, vals)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := c.PullSnapshot(tbl) // drains the table
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !spill {
+		return blob
+	}
+	_, compact, err := c.Rollup(tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return compact
+}
+
+// journalEvents is a seeded mixed sequence for one trio table: two
+// anonymous pushes, three named pushes from two sources, three window
+// ships and a stale one after them from a third source, and three
+// eviction spills, in a seeded order. Each source ships its own keys,
+// so a pull merges no key across snapshots and its entries do not
+// depend on map order; anonymous pushes and spills share the anonymous
+// aggregate's keys and merge there in journal order.
+func journalEvents(t *testing.T, tbl string, seed int64) []journalEvent {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	kinds := []string{"anon", "anon", "named", "named", "named", "window", "window", "window", "spill", "spill", "spill"}
+	rng.Shuffle(len(kinds), func(i, j int) { kinds[i], kinds[j] = kinds[j], kinds[i] })
+	// The stale ship goes after a randomly chosen window ship.
+	windows := 0
+	at := rng.Intn(3)
+	for i, k := range kinds {
+		if k == "window" {
+			if windows == at {
+				kinds = append(kinds[:i+1], append([]string{"stale"}, kinds[i+1:]...)...)
+				break
+			}
+			windows++
+		}
+	}
+	var evs []journalEvent
+	epoch := uint64(5)
+	for _, kind := range kinds {
+		n := 50 + rng.Intn(400)
+		switch kind {
+		case "anon":
+			evs = append(evs, journalEvent{kind: "push", payload: trioPayload(t, rng, tbl, "agg-", 0, 6, n, false)})
+		case "named":
+			src := []string{"edge-a", "edge-b"}[rng.Intn(2)]
+			base := map[string]uint64{"edge-a": 100, "edge-b": 200}[src]
+			evs = append(evs, journalEvent{kind: "push", source: src, payload: trioPayload(t, rng, tbl, src+"/", base, 4, n, false)})
+		case "window", "stale":
+			ev := journalEvent{kind: "window", source: "win", payload: trioPayload(t, rng, tbl, "win/", 300, 4, n, false)}
+			if kind == "stale" {
+				ev.epoch, ev.stale = epoch-1, true
+			} else {
+				epoch += uint64(rng.Intn(2)) // an equal epoch is a newer capture and applies
+				ev.epoch = epoch
+			}
+			evs = append(evs, ev)
+		case "spill":
+			k := rng.Intn(8) // agg-0..5 merge into a pushed key, 6 and 7 are new
+			evs = append(evs, journalEvent{
+				kind: "spill", key: fmt.Sprintf("agg-%d", k), keyU64: uint64(k),
+				payload: trioPayload(t, rng, tbl, "spilled-", 400, 1, n, true),
+			})
+		}
+	}
+	return evs
+}
+
+// pullEntries returns tbl's SNAPSHOT_PULL answer as its header and its
+// entries, each entry's key and compact bytes: FCTB writes entries in
+// map order, so two pulls of one state equal entry for entry.
+func pullEntries(t *testing.T, c *client.Client, tbl string) map[string]string {
+	t.Helper()
+	blob, err := c.PullSnapshot(tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out map[string]string
+	switch tbl {
+	case "dev":
+		_, eng := table.HLLConfig[uint64]{Precision: 11}.Engine()
+		out = snapshotEntries[uint64](t, blob, eng)
+	case "lat":
+		_, eng := table.QuantilesConfig[string]{K: 128}.Engine()
+		out = snapshotEntries[string](t, blob, eng)
+	default:
+		_, eng := table.ThetaConfig[string]{K: 1024, MaxError: 1}.Engine()
+		out = snapshotEntries[string](t, blob, eng)
+	}
+	out["header"] = string(blob[:16])
+	return out
+}
+
+func snapshotEntries[K table.Key, C any](t *testing.T, blob []byte, codec core.CompactCodec[C]) map[string]string {
+	t.Helper()
+	snap, err := table.UnmarshalSnapshot[K](blob, codec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]string, snap.Len()+1)
+	snap.ForEach(func(k K, c C) {
+		b, err := codec.MarshalCompact(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[fmt.Sprint(k)] = string(b)
+	})
+	return out
+}
+
+// TestJournalReplayRestoresState: for each family, a seeded mixed
+// sequence of anonymous and named pushes, window ships (one stale) and
+// eviction spills goes into a journaled server. For every event index
+// in turn, one run writes a checkpoint after that event; a fresh server
+// restores it and replays the journal, and must pull exactly what the
+// server that never crashed pulls. The run without a checkpoint is the
+// crash window the journal exists for: state that arrived before the
+// first checkpoint. The stale ship was answered without a journal
+// record, so no replay meets a stale one, and the recovered server
+// still ignores it when it arrives again.
 func TestJournalReplayRestoresState(t *testing.T) {
-	dir := t.TempDir()
-	srvA, addrA, _ := journaledTrioServer(t, dir)
-	ca := dialT(t, addrA)
+	for _, in := range []struct {
+		tbl  string
+		seed int64
+	}{{"ev", 1}, {"dev", 2}, {"lat", 3}} {
+		t.Run(in.tbl, func(t *testing.T) {
+			evs := journalEvents(t, in.tbl, in.seed)
+			records := 0 // journaled events
+			for _, ev := range evs {
+				if !ev.stale {
+					records++
+				}
+			}
+			var want map[string]string
+			for ckptAt := -1; ckptAt < len(evs); ckptAt++ {
+				jdir, cdir := t.TempDir(), t.TempDir()
+				srvA, addrA, _ := journaledTrioServer(t, jdir)
+				ca := dialT(t, addrA)
+				covered := 0 // journaled events the checkpoint holds
+				for i, ev := range evs {
+					var err error
+					switch ev.kind {
+					case "push":
+						err = ca.PushSnapshotFrom(in.tbl, ev.source, ev.payload)
+					case "window":
+						err = ca.PushWindowSnapshot(in.tbl, ev.source, ev.epoch, ev.payload)
+					case "spill":
+						if in.tbl == "dev" {
+							err = srvA.SpillEvictU64(in.tbl, ev.keyU64, ev.payload)
+						} else {
+							err = srvA.SpillEvictString(in.tbl, ev.key, ev.payload)
+						}
+					}
+					if err != nil {
+						t.Fatalf("event %d (%s): %v", i, ev.kind, err)
+					}
+					if i <= ckptAt && !ev.stale {
+						covered++
+					}
+					if i == ckptAt {
+						if _, err := srvA.WriteCheckpoints(cdir); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				got := pullEntries(t, ca, in.tbl)
+				if want == nil {
+					want = got
+				} else if !maps.Equal(got, want) {
+					t.Fatalf("checkpoint after event %d: the never-crashed server's pull differs from the first run's", ckptAt)
+				}
 
-	// Named push: 500 quantile samples from edge-1.
-	if err := ca.PushSnapshotFrom("lat", "edge-1", edgeLatBlob(t, 0, 500)); err != nil {
-		t.Fatal(err)
-	}
-	// Window ship: theta state from a second edge, epoch-tagged.
-	_, addrE := newTrioServer(t)
-	ce := dialT(t, addrE)
-	if err := ce.Ingest("ev", []string{"a", "b", "c"}, []uint64{1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ce.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	evBlob, err := ce.PullSnapshot("ev")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ca.PushWindowSnapshot("ev", "win-1", 7, evBlob); err != nil {
-		t.Fatal(err)
-	}
-	// Eviction spill through the uint64 path: fold an HLL compact for a
-	// key that just fell out of the "dev" table.
-	if err := ce.IngestU64("dev", []uint64{1, 2, 3, 4}, []uint64{10, 20, 30, 40}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ce.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ce.PullSnapshot("dev"); err != nil { // drain before rollup
-		t.Fatal(err)
-	}
-	_, devCompact, err := ce.Rollup("dev")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srvA.SpillEvictU64("dev", 99, devCompact); err != nil {
-		t.Fatal(err)
-	}
+				// "Crash": nothing carried over but the two directories.
+				srvB, addrB := newTrioServer(t)
+				if _, err := srvB.RestoreCheckpoints(cdir); err != nil {
+					t.Fatal(err)
+				}
+				st, err := srvB.ReplayJournal(jdir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.Records != records-covered || st.Skipped != covered || st.Stale != 0 || st.Errors != 0 || st.TornBytes != 0 {
+					t.Fatalf("checkpoint after event %d: replay stats = %+v, want %d applied, %d skipped, 0 stale",
+						ckptAt, st, records-covered, covered)
+				}
+				cb := dialT(t, addrB)
+				if got := pullEntries(t, cb, in.tbl); !maps.Equal(got, want) {
+					t.Fatalf("checkpoint after event %d: the recovered pull differs from the never-crashed server's", ckptAt)
+				}
 
-	wantEv := rollupThetaEstimate(t, ca, "ev")
-	wantDev := rollupHLLEstimate(t, ca, "dev")
-	if n := rollupQuantilesN(t, ca, "lat"); n != 500 {
-		t.Fatalf("journaled lat N = %d, want 500", n)
-	}
-
-	// "Crash": nothing carried over but the journal directory.
-	srvB, addrB := newTrioServer(t)
-	st, err := srvB.ReplayJournal(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Records != 3 || st.Skipped != 0 || st.TornBytes != 0 {
-		t.Fatalf("replay stats = %+v, want 3 records applied cleanly", st)
-	}
-	cb := dialT(t, addrB)
-	if got := rollupThetaEstimate(t, cb, "ev"); got != wantEv {
-		t.Fatalf("replayed ev estimate = %v, want %v", got, wantEv)
-	}
-	if got := rollupHLLEstimate(t, cb, "dev"); got != wantDev {
-		t.Fatalf("replayed dev estimate = %v, want %v", got, wantDev)
-	}
-	if got := rollupQuantilesN(t, cb, "lat"); got != 500 {
-		t.Fatalf("replayed lat N = %d, want 500", got)
-	}
-
-	// Replay is idempotent at the server level too: the records are now
-	// at or below each table's LSN watermark, so a second replay (an
-	// operator double-running recovery) applies nothing.
-	st, err = srvB.ReplayJournal(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Records != 0 || st.Skipped != 3 {
-		t.Fatalf("second replay stats = %+v, want 0 applied / 3 skipped", st)
-	}
-	if got := rollupQuantilesN(t, cb, "lat"); got != 500 {
-		t.Fatalf("lat N after double replay = %d, want 500 (no double count)", got)
+				// Replay is idempotent: every record is now at or below the
+				// table's watermark, so a second replay (an operator
+				// double-running recovery) applies nothing.
+				if st, err := srvB.ReplayJournal(jdir); err != nil || st.Records != 0 || st.Skipped != records {
+					t.Fatalf("checkpoint after event %d: second replay stats = %+v (%v), want 0 applied / %d skipped", ckptAt, st, err, records)
+				}
+				if got := pullEntries(t, cb, in.tbl); !maps.Equal(got, want) {
+					t.Fatalf("checkpoint after event %d: a second replay changed the pull", ckptAt)
+				}
+				// The recovered server kept every source's epoch: the stale
+				// ship, sent again, is still ignored.
+				for _, ev := range evs {
+					if ev.stale {
+						if err := cb.PushWindowSnapshot(in.tbl, ev.source, ev.epoch, ev.payload); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				if got := pullEntries(t, cb, in.tbl); !maps.Equal(got, want) {
+					t.Fatalf("checkpoint after event %d: the recovered server applied the stale ship", ckptAt)
+				}
+			}
+		})
 	}
 }
 
@@ -461,7 +641,7 @@ func TestJournalCompactionEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, j := range []*server.Journal{jc, jf} {
-				if _, err := j.AppendWindow("ev", "win-0", uint64(round+1), blob); err != nil {
+				if _, err := j.Append(&server.JournalRecord{Type: server.JournalWindow, Table: "ev", Source: "win-0", Epoch: uint64(round + 1), Blob: blob}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -473,7 +653,7 @@ func TestJournalCompactionEquivalence(t *testing.T) {
 		}
 		key := []byte(fmt.Sprintf("evicted-%d", round))
 		for _, j := range []*server.Journal{jc, jf} {
-			if _, err := j.AppendEvict("ev", wire.KeyTypeString, key, compact); err != nil {
+			if _, err := j.Append(&server.JournalRecord{Type: server.JournalEvict, Table: "ev", KeyType: wire.KeyTypeString, Key: key, Blob: compact}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -237,15 +237,15 @@ func (s *Server) Journal() *Journal {
 
 // ReplayJournal re-applies the journal tail in dir on top of restored
 // checkpoints: every record above its table's restored LSN watermark
-// is decoded, admitted and applied exactly as the original frame was;
-// a record at or below it is skipped after its frame CRC, without
-// decoding its blob (the checkpoint already contains it). A whole file
-// is skipped unread when the next file's first record is at most one
-// past the lowest watermark of the registered tables (0 when any table
-// has none): every record in it is covered. Torn tails are truncated,
-// and records for tables this configuration no longer registers are
-// logged and counted but do not fail the boot. Call it after
-// RestoreCheckpoints and before AttachJournal/Start.
+// is decoded, admitted and applied by the step the original frame or
+// spill took; a record at or below it is skipped after its frame CRC,
+// without decoding its blob (the checkpoint already contains it). A
+// whole file is skipped unread when the next file's first record is at
+// most one past the lowest watermark of the registered tables (0 when
+// any table has none): every record in it is covered. Torn tails are
+// truncated, and records for tables this configuration no longer
+// registers are logged and counted but do not fail the boot. Call it
+// after RestoreCheckpoints and before AttachJournal/Start.
 func (s *Server) ReplayJournal(dir string) (JournalReplayStats, error) {
 	st, err := replayJournalDir(dir, s.coveredThrough(), func(rec *JournalRecord, st *JournalReplayStats) error {
 		b, ok := s.lookup(rec.Table)
@@ -258,16 +258,7 @@ func (s *Server) ReplayJournal(dir string) (JournalReplayStats, error) {
 			st.Skipped++
 			return nil
 		}
-		var applied, stale bool
-		var aerr error
-		switch rec.Type {
-		case jrecPush:
-			applied, aerr = b.replayPush(rec.LSN, rec.Source, rec.Blob)
-		case jrecWindow:
-			applied, stale, aerr = b.replayWindow(rec.LSN, rec.Source, rec.Epoch, rec.Blob)
-		case jrecEvict:
-			applied, aerr = b.replayEvict(rec.LSN, rec.KeyType, rec.Key, rec.Blob)
-		}
+		applied, stale, aerr := b.apply(*rec)
 		switch {
 		case aerr != nil:
 			// The record was intact (CRC passed) but no longer applies —
@@ -336,22 +327,24 @@ func (s *Server) JournalReplay() (records int64, age time.Duration, ok bool) {
 // is on). With a journal attached the spill is journaled first, so
 // TTL-evicted data survives both the eviction and a crash.
 func (s *Server) SpillEvictString(tableName, key string, compact []byte) error {
-	b, ok := s.lookup(tableName)
-	if !ok {
-		return fmt.Errorf("server: unknown table %q", tableName)
-	}
-	return b.spillEvict(wire.KeyTypeString, []byte(key), compact)
+	return s.spill(tableName, JournalRecord{Type: jrecEvict, KeyType: wire.KeyTypeString, Key: []byte(key), Blob: compact})
 }
 
 // SpillEvictU64 is SpillEvictString for uint64-keyed tables.
 func (s *Server) SpillEvictU64(tableName string, key uint64, compact []byte) error {
+	return s.spill(tableName, JournalRecord{Type: jrecEvict, KeyType: wire.KeyTypeUint64, Key: wire.AppendUint64(nil, key), Blob: compact})
+}
+
+// spill applies one eviction spill record to the named table.
+func (s *Server) spill(tableName string, rec JournalRecord) error {
 	b, ok := s.lookup(tableName)
 	if !ok {
 		return fmt.Errorf("server: unknown table %q", tableName)
 	}
-	var kb [8]byte
-	k := wire.AppendUint64(kb[:0], key)
-	return b.spillEvict(wire.KeyTypeUint64, k, compact)
+	if _, _, err := b.apply(rec); err != nil {
+		return fmt.Errorf("server: evict spill: %w", err)
+	}
+	return nil
 }
 
 // SnapshotTable captures the named table's full merged snapshot — the
@@ -703,7 +696,7 @@ func (s *Server) handle(cs *connState, typ byte, payload []byte) (byte, []byte, 
 		tc.items.Add(int64(n))
 		return wire.FrameOK, nil, tc, nil
 
-	case wire.FrameSnapshotPush:
+	case wire.FrameSnapshotPush, wire.FrameWindowSnapshot:
 		b, tc, name, err := s.namedBackend(r)
 		if err != nil {
 			return 0, nil, tc, err
@@ -711,33 +704,18 @@ func (s *Server) handle(cs *connState, typ byte, payload []byte) (byte, []byte, 
 		// The source id is copied (r.String), not viewed: named sources
 		// key the backend's per-source snapshot map, which outlives the
 		// connection's read buffer.
-		source := r.String()
+		rec := JournalRecord{Type: jrecPush, Source: r.String()}
+		if typ == wire.FrameWindowSnapshot {
+			rec.Type, rec.Epoch = jrecWindow, r.Uvarint()
+			if r.Err == nil && rec.Source == "" {
+				return 0, nil, tc, errBadPayload("window snapshot requires a source id")
+			}
+		}
 		if r.Err != nil {
-			return 0, nil, tc, errBadPayload("truncated snapshot source")
+			return 0, nil, tc, errBadPayload("truncated snapshot header")
 		}
-		if err := b.mergeSnapshot(source, r.Rest()); err != nil {
-			return 0, nil, tc, err
-		}
-		s.snapshots.Add(1)
-		if source != "" {
-			s.notePush(name, source)
-		}
-		return wire.FrameOK, nil, tc, nil
-
-	case wire.FrameWindowSnapshot:
-		b, tc, name, err := s.namedBackend(r)
-		if err != nil {
-			return 0, nil, tc, err
-		}
-		source := r.String()
-		epoch := r.Uvarint()
-		if r.Err != nil {
-			return 0, nil, tc, errBadPayload("truncated window snapshot header")
-		}
-		if source == "" {
-			return 0, nil, tc, errBadPayload("window snapshot requires a source id")
-		}
-		applied, err := b.mergeWindowSnapshot(source, epoch, r.Rest())
+		rec.Blob = r.Rest()
+		applied, _, err := b.apply(rec)
 		if err != nil {
 			return 0, nil, tc, err
 		}
@@ -746,7 +724,9 @@ func (s *Server) handle(cs *connState, typ byte, payload []byte) (byte, []byte, 
 		// pusher "failed" would only make it retry the same bytes.
 		if applied {
 			s.snapshots.Add(1)
-			s.notePush(name, source)
+			if rec.Source != "" {
+				s.notePush(name, rec.Source)
+			}
 		}
 		return wire.FrameOK, nil, tc, nil
 
