@@ -70,7 +70,12 @@
 // Crucially, a table does not spawn one propagator goroutine per key:
 // every per-key sketch attaches to one shared PropagatorPool (a fixed
 // set of workers, GOMAXPROCS by default), so a million keys propagate
-// on a handful of goroutines.
+// on a handful of goroutines. A per-key (or per-epoch) sketch has one
+// lifecycle for every family — writer slots made on first use, flush,
+// query, compact, reset and close — and a family contributes only its
+// sequential half: update by hash, merge a buffer, compact, filter
+// hint, floor and estimate, plus the loop that hashes and filters a
+// batch.
 //
 // A Θ key's life is flat → concurrent, and the table picks the
 // representation from the key's own update count. A key still in
@@ -82,7 +87,7 @@
 // flat phase: on the benchmark's 100k-key zipf stream a live key costs
 // ~510 B of heap (map slot, entry and sketch together) instead of
 // ~1 850 B, and keyed ingest runs 1.6× faster. A concurrent key at
-// K=256 with two writer slots holds ~5.7 KB, 4 KB of it the 2k-slot
+// K=256 with two writer slots holds ~5.4 KB, 4 KB of it the 2k-slot
 // table of its samples. fcds_table_keys minus fcds_pool_sketches is the
 // number of keys still flat.
 //

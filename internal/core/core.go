@@ -21,6 +21,16 @@
 // never synchronise with writers, so they are wait-free and strongly
 // linearisable with respect to the r-relaxed sequential specification,
 // with r = 2·N·b (Theorem 1).
+//
+// Above the framework, the lifecycle of one live sketch — what a keyed
+// table holds per key and a window per epoch — is also written once:
+// FamilySketch drives any family through Sketch and Writer (lazy
+// writer slots, flush, query, compact, in-place reads, reset, close,
+// §5.3's flat phase and the floor cell). Each family (Θ, quantiles,
+// HLL) implements only the Family interface: its sequential global
+// sketch (update by hash, merge a local, compact, hint, floor,
+// estimate) and its hash-and-filter batch loop, plus the codec and
+// aggregator of Engine.
 package core
 
 import (
@@ -247,18 +257,22 @@ type Sketch[U any, S any] struct {
 // cfg.Pool is set, the returned sketch owns a background propagator
 // goroutine until Close.
 func New[U any, S any](global Global[U, S], newLocal func() Local[U], cfg Config) *Sketch[U, S] {
+	s := new(Sketch[U, S])
+	s.init(global, newLocal, cfg)
+	return s
+}
+
+// init is New for a sketch embedded in a larger struct (see
+// FamilySketch).
+func (s *Sketch[U, S]) init(global Global[U, S], newLocal func() Local[U], cfg Config) {
 	if cfg.Writers <= 0 {
 		panic("core: Config.Writers must be positive")
 	}
 	if cfg.BufferSize <= 0 {
 		panic("core: Config.BufferSize must be positive")
 	}
-	s := &Sketch[U, S]{
-		global:  global,
-		cfg:     cfg,
-		pending: make(chan int, cfg.Writers),
-		pool:    cfg.Pool,
-	}
+	s.global, s.cfg, s.pool = global, cfg, cfg.Pool
+	s.pending = make(chan int, cfg.Writers)
 	if s.pool == nil {
 		s.pool = NewPropagatorPool(1)
 		s.ownPool = true
@@ -268,7 +282,6 @@ func New[U any, S any](global Global[U, S], newLocal func() Local[U], cfg Config
 	s.newLocal = newLocal
 	s.initialHint = nonzero(global.CalcHint())
 	s.writers = make([]*Writer[U, S], cfg.Writers)
-	return s
 }
 
 // Writer returns the i-th writer handle (0 <= i < Config.Writers),
@@ -322,19 +335,22 @@ func (w *Writer[U, S]) ensureStandby() {
 // NumWriters returns the configured writer count N.
 func (s *Sketch[U, S]) NumWriters() int { return len(s.writers) }
 
-// Relaxation returns the query relaxation bound r: queries may miss up
-// to r of the updates that precede them (Theorem 1). With an adaptive
-// buffer the worst-case cap is reported.
-func (s *Sketch[U, S]) Relaxation() int {
-	b := s.cfg.BufferSize
-	if s.cfg.BufferAdaptor != nil {
+// Relaxation returns the query relaxation bound r of a sketch built
+// with c: queries may miss up to r of the updates that precede them
+// (Theorem 1). With an adaptive buffer the worst-case cap is reported.
+func (c Config) Relaxation() int {
+	b := c.BufferSize
+	if c.BufferAdaptor != nil {
 		b = MaxAdaptiveBuffer
 	}
-	if s.cfg.DoubleBuffering {
-		return 2 * s.cfg.Writers * b
+	if c.DoubleBuffering {
+		return 2 * c.Writers * b
 	}
-	return s.cfg.Writers * b
+	return c.Writers * b
 }
+
+// Relaxation returns the sketch's bound r (see Config.Relaxation).
+func (s *Sketch[U, S]) Relaxation() int { return s.cfg.Relaxation() }
 
 // Query returns the current snapshot. It is wait-free: a single atomic
 // read, never blocked by writers or the propagator.
@@ -390,6 +406,10 @@ type Writer[U any, S any] struct {
 	counter int
 	b       int
 	hint    uint64
+	// scratch holds a batch's surviving updates between a family's
+	// hash-and-filter loop and the buffered path (FamilySketch), reused
+	// so steady-state batches do not allocate.
+	scratch []U
 
 	// prop is the handoff word: 0 while the propagator owns the
 	// standby buffer, otherwise the latest hint. All cross-thread

@@ -6,8 +6,10 @@ import "sync/atomic"
 // place the sketch lifecycle — create, fused batch ingest, wait-free
 // query, compact snapshot, serialize, merge, reset — is described, so
 // generic composites (keyed tables, epoch-ring windows) are written
-// once and instantiated per family. Each sketch family (Θ, quantiles,
-// HLL) implements Engine exactly once, in its own package.
+// once and instantiated per family. The lifecycle itself is written
+// once too, as FamilySketch (family.go): each sketch family (Θ,
+// quantiles, HLL) implements Engine and Family once, in its own
+// package, and its NewSketch returns a FamilySketch.
 //
 // Type parameters, shared by every interface here:
 //
@@ -94,10 +96,10 @@ type EngineSketch[V, S, C any] interface {
 	// AddTo folds the sketch's current state into agg exactly as
 	// agg.Add(Compact()) would, without building the compact: an
 	// all-keys read (a table rollup) needs the merge, not a copy it
-	// drops after one Add. Θ reads its samples in place, under the lock
-	// Compact takes, and releases that lock before the aggregator does
-	// any merge work; quantiles and HLL build the compact and Add it,
-	// as Θ does for an aggregator that is not its own.
+	// drops after one Add. FamilySketch reads the sketch in place into
+	// an InPlaceAggregator (Θ's union), under the lock Compact takes,
+	// and releases that lock before the aggregator does any merge work;
+	// into any other aggregator it adds the compact.
 	AddTo(agg Aggregator[C]) error
 	// Reset restores the empty state. The caller must hold the same
 	// exclusivity as for Close: no concurrent writer-slot use.

@@ -45,7 +45,7 @@ type GlobalSketch struct {
 	floor atomic.Uint32
 }
 
-var _ core.Global[uint64, float64] = (*GlobalSketch)(nil)
+var _ core.FamilyGlobal[uint64, float64, *Sketch] = (*GlobalSketch)(nil)
 
 // NewGlobal returns an empty composable global HLL with precision p.
 func NewGlobal(p uint8, seed uint64) *GlobalSketch {
@@ -82,6 +82,24 @@ func (g *GlobalSketch) Compact() *Sketch {
 
 // Snapshot implements core.Global.
 func (g *GlobalSketch) Snapshot() float64 { return math.Float64frombits(g.est.Load()) }
+
+// NewLocal implements core.FamilyGlobal: a same-precision HLL.
+func (g *GlobalSketch) NewLocal() core.Local[uint64] {
+	return localHLL{s: NewSeeded(g.h.p, g.h.seed)}
+}
+
+// FilterHint implements core.FamilyGlobal (Algorithm 1 line 24 for a
+// composite's writer): the register floor the last merge published;
+// none while some register is still 0. Registers only rise, so the
+// floor only rises and a hint once given never lets a hash through that
+// could matter later — the eager path does not move the published
+// floor, which only makes it lower. A Reset starts a new global at
+// floor 0; its owner must make writers forget the old hint first, as a
+// table's Sweep does.
+func (g *GlobalSketch) FilterHint() (uint64, bool) {
+	f := uint64(g.floor.Load())
+	return f, f > 0
+}
 
 // CalcHint implements core.Global. The framework's own writer does not
 // filter HLL: it reads a hint of 0 as 1, and a register floor of 0 —
@@ -140,33 +158,21 @@ func (c ConcurrentConfig) withDefaults() ConcurrentConfig {
 type Concurrent struct {
 	sk     *core.Sketch[uint64, float64]
 	global *GlobalSketch
-	cfg    ConcurrentConfig
+	seed   uint64
 }
 
 // NewConcurrent builds a concurrent HLL sketch; Close when done.
 func NewConcurrent(cfg ConcurrentConfig) *Concurrent {
-	cfg = cfg.withDefaults()
-	global := NewGlobal(cfg.Precision, cfg.Seed)
-	coreCfg := core.Config{
-		Writers:         cfg.Writers,
-		BufferSize:      cfg.BufferSize,
-		EagerLimit:      cfg.EagerLimit,
-		DoubleBuffering: true,
-		Pool:            cfg.Pool,
-	}
-	newLocal := func() core.Local[uint64] {
-		return localHLL{s: NewSeeded(cfg.Precision, cfg.Seed)}
-	}
-	return &Concurrent{
-		sk:     core.New[uint64, float64](global, newLocal, coreCfg),
-		global: global,
-		cfg:    cfg,
-	}
+	e := NewEngine(cfg)
+	g := NewGlobal(e.cfg.Precision, e.cfg.Seed)
+	coreCfg := e.Config()
+	coreCfg.Pool = cfg.Pool
+	return &Concurrent{sk: core.New[uint64, float64](g, g.NewLocal, coreCfg), global: g, seed: e.cfg.Seed}
 }
 
 // Writer returns the i-th writer handle (single-goroutine use).
 func (c *Concurrent) Writer(i int) *ConcurrentWriter {
-	return &ConcurrentWriter{w: c.sk.Writer(i), seed: c.cfg.Seed}
+	return &ConcurrentWriter{w: c.sk.Writer(i), seed: c.seed}
 }
 
 // Estimate returns the current estimate (wait-free; may miss up to
@@ -227,8 +233,7 @@ func (w *ConcurrentWriter) UpdateUint64Batch(vs []uint64) {
 func (w *ConcurrentWriter) UpdateHash(h uint64) { w.w.Update(h) }
 
 // UpdateHashBatch processes a slice of pre-hashed items in one bulk
-// handoff — the keyed string-ingestion path hashes whole batches in its
-// grouping pass and feeds the hashes through here.
+// handoff.
 func (w *ConcurrentWriter) UpdateHashBatch(hs []uint64) { w.w.UpdateBatchPrefiltered(hs) }
 
 // UpdateStringBatch processes a slice of string items in one hashing

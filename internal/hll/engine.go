@@ -14,10 +14,9 @@ type Engine struct {
 }
 
 var (
-	_ core.Engine[uint64, float64, *Sketch] = (*Engine)(nil)
+	_ core.Family[uint64, float64, *Sketch] = (*Engine)(nil)
 	_ core.FilterEngine[uint64]             = (*Engine)(nil)
 	_ core.StringEngine[uint64]             = (*Engine)(nil)
-	_ core.FilterSketch[uint64]             = (*engineSketch)(nil)
 )
 
 // NewEngine returns an HLL engine for the given configuration (zero
@@ -58,23 +57,43 @@ func (e *Engine) ShouldAdd(hint, h uint64) bool { return uint64(rank(h, e.cfg.Pr
 // NumWriters implements core.Engine.
 func (e *Engine) NumWriters() int { return e.cfg.Writers }
 
-// Relaxation implements core.Engine: r = 2·N·b per sketch.
-func (e *Engine) Relaxation() int { return 2 * e.cfg.Writers * e.cfg.BufferSize }
+// Relaxation implements core.Engine (core.Config.Relaxation).
+func (e *Engine) Relaxation() int { return e.Config().Relaxation() }
 
-// NewSketch implements core.Engine.
+// NewSketch implements core.Engine. An HLL sketch has no flat phase:
+// it is concurrent from the start, with core's eager phase.
 func (e *Engine) NewSketch(pool *core.PropagatorPool) core.EngineSketch[uint64, float64, *Sketch] {
-	return &engineSketch{
-		eng:  e,
-		pool: pool,
-		c:    e.newConcurrent(pool),
-		ws:   make([]*ConcurrentWriter, e.cfg.Writers),
+	return core.NewFamilySketch[uint64, float64, *Sketch](e, pool)
+}
+
+// Config implements core.Family.
+func (e *Engine) Config() core.Config {
+	return core.Config{
+		Writers:         e.cfg.Writers,
+		BufferSize:      e.cfg.BufferSize,
+		EagerLimit:      e.cfg.EagerLimit,
+		DoubleBuffering: true,
 	}
 }
 
-func (e *Engine) newConcurrent(pool *core.PropagatorPool) *Concurrent {
-	cfg := e.cfg
-	cfg.Pool = pool
-	return NewConcurrent(cfg)
+// NewGlobal implements core.Family.
+func (e *Engine) NewGlobal([]uint64) core.FamilyGlobal[uint64, float64, *Sketch] {
+	return NewGlobal(e.cfg.Precision, e.cfg.Seed)
+}
+
+// Batch implements core.Family: hash raw values; keep every hash (see
+// GlobalSketch.CalcHint).
+func (e *Engine) Batch(_ core.FamilyGlobal[uint64, float64, *Sketch], scratch *[]uint64, vals []uint64, hashed bool, _ uint64) []uint64 {
+	if hashed {
+		return vals
+	}
+	*scratch = hash.AppendSumUint64((*scratch)[:0], vals, e.cfg.Seed)
+	return *scratch
+}
+
+// InPlace implements core.Family: aggregators take compacts.
+func (e *Engine) InPlace(core.Aggregator[*Sketch]) core.InPlaceAggregator[uint64, float64, *Sketch] {
+	return nil
 }
 
 // NewAggregator implements core.Engine: one accumulating sketch with
@@ -106,62 +125,3 @@ type mergeAggregator struct{ s *Sketch }
 
 func (a *mergeAggregator) Add(c *Sketch) error { return a.s.Merge(c) }
 func (a *mergeAggregator) Result() *Sketch     { return a.s }
-
-// engineSketch adapts one Concurrent to core.EngineSketch; see the Θ
-// counterpart for the writer-slot laziness contract.
-type engineSketch struct {
-	eng  *Engine
-	pool *core.PropagatorPool
-	c    *Concurrent
-	ws   []*ConcurrentWriter
-}
-
-func (s *engineSketch) writer(i int) *ConcurrentWriter {
-	if s.ws[i] == nil {
-		s.ws[i] = s.c.Writer(i)
-	}
-	return s.ws[i]
-}
-
-func (s *engineSketch) Update(i int, v uint64)               { s.writer(i).UpdateUint64(v) }
-func (s *engineSketch) UpdateBatch(i int, vals []uint64)     { s.writer(i).UpdateUint64Batch(vals) }
-func (s *engineSketch) UpdateHashedBatch(i int, hs []uint64) { s.writer(i).UpdateHashBatch(hs) }
-func (s *engineSketch) Flush(i int) {
-	if s.ws[i] != nil {
-		s.ws[i].Flush()
-	}
-}
-func (s *engineSketch) Query() float64 { return s.c.Estimate() }
-
-// CalcHint implements core.FilterSketch (Algorithm 1 line 24): the
-// register floor the global sketch last published; none while some
-// register is still 0. Registers only rise, so the floor only rises
-// and a hint once given never lets a hash through that could matter
-// later — the eager path does not move the published floor, which only
-// makes it lower. Reset starts a new global at floor 0; its owner must
-// make writers forget the old hint first, as a table's Sweep does.
-func (s *engineSketch) CalcHint() (uint64, bool) {
-	f := uint64(s.c.global.floor.Load())
-	return f, f > 0
-}
-func (s *engineSketch) Compact() *Sketch { return s.c.Compact() }
-
-// AddTo implements core.EngineSketch as Add(Compact()).
-func (s *engineSketch) AddTo(agg core.Aggregator[*Sketch]) error { return agg.Add(s.Compact()) }
-
-// Close releases the sketch graph (see the Θ counterpart).
-func (s *engineSketch) Close() {
-	if s.c != nil {
-		s.c.Close()
-		s.c = nil
-		s.ws = nil
-	}
-}
-
-// Reset implements core.EngineSketch; caller holds Close-level
-// exclusivity.
-func (s *engineSketch) Reset() {
-	s.c.Close()
-	s.c = s.eng.newConcurrent(s.pool)
-	clear(s.ws)
-}

@@ -24,16 +24,28 @@ type GlobalSketch struct {
 	// Compact copies); the wait-free snapshot read never touches it.
 	mu   sync.Mutex
 	snap atomic.Pointer[Snapshot]
+	// orc forks the compaction coins of the locals NewLocal makes.
+	orc *oracle.Oracle
 }
 
-var _ core.Global[float64, *Snapshot] = (*GlobalSketch)(nil)
+var _ core.FamilyGlobal[float64, *Snapshot, *Sketch] = (*GlobalSketch)(nil)
 
-// NewGlobal returns an empty composable global sketch with parameter k.
-func NewGlobal(k int, orc *oracle.Oracle) *GlobalSketch {
-	g := &GlobalSketch{q: NewWithOracle(k, orc)}
+// newGlobal returns an empty composable global sketch with parameter
+// k. Its compaction coins, and those of its locals in the order
+// NewLocal makes them, are forks of one oracle seeded with seed.
+func newGlobal(k int, seed uint64) *GlobalSketch {
+	orc := oracle.New(seed)
+	g := &GlobalSketch{q: NewWithOracle(k, orc.Fork()), orc: orc}
 	g.publish()
 	return g
 }
+
+// NewLocal implements core.FamilyGlobal: a small quantiles sketch with
+// the next fork of the global's oracle.
+func (g *GlobalSketch) NewLocal() core.Local[float64] { return NewWithOracle(g.q.K(), g.orc.Fork()) }
+
+// FilterHint implements core.FamilyGlobal: quantiles filter nothing.
+func (g *GlobalSketch) FilterHint() (float64, bool) { return 0, false }
 
 // Merge implements core.Global. Called only by the propagator.
 func (g *GlobalSketch) Merge(l core.Local[float64]) {
@@ -115,29 +127,15 @@ func (c ConcurrentConfig) withDefaults() ConcurrentConfig {
 type Concurrent struct {
 	sk     *core.Sketch[float64, *Snapshot]
 	global *GlobalSketch
-	cfg    ConcurrentConfig
 }
 
 // NewConcurrent builds a concurrent quantiles sketch; Close when done.
 func NewConcurrent(cfg ConcurrentConfig) *Concurrent {
-	cfg = cfg.withDefaults()
-	orc := oracle.New(cfg.Seed)
-	global := NewGlobal(cfg.K, orc.Fork())
-	coreCfg := core.Config{
-		Writers:         cfg.Writers,
-		BufferSize:      cfg.BufferSize,
-		EagerLimit:      cfg.EagerLimit,
-		DoubleBuffering: true,
-		Pool:            cfg.Pool,
-	}
-	newLocal := func() core.Local[float64] {
-		return NewWithOracle(cfg.K, orc.Fork())
-	}
-	return &Concurrent{
-		sk:     core.New[float64, *Snapshot](global, newLocal, coreCfg),
-		global: global,
-		cfg:    cfg,
-	}
+	e := NewEngine(cfg)
+	g := newGlobal(e.cfg.K, e.cfg.Seed)
+	coreCfg := e.Config()
+	coreCfg.Pool = cfg.Pool
+	return &Concurrent{sk: core.New[float64, *Snapshot](g, g.NewLocal, coreCfg), global: g}
 }
 
 // Writer returns the i-th writer handle (single-goroutine use).

@@ -11,7 +11,7 @@ type Engine struct {
 	cfg ConcurrentConfig
 }
 
-var _ core.Engine[float64, *Snapshot, *Sketch] = (*Engine)(nil)
+var _ core.Family[float64, *Snapshot, *Sketch] = (*Engine)(nil)
 
 // NewEngine returns a quantiles engine for the given configuration
 // (zero fields take the ConcurrentConfig defaults). The Pool field is
@@ -33,23 +33,39 @@ func (e *Engine) HashValue(v float64) float64 { return v }
 // NumWriters implements core.Engine.
 func (e *Engine) NumWriters() int { return e.cfg.Writers }
 
-// Relaxation implements core.Engine: r = 2·N·b per sketch.
-func (e *Engine) Relaxation() int { return 2 * e.cfg.Writers * e.cfg.BufferSize }
+// Relaxation implements core.Engine (core.Config.Relaxation).
+func (e *Engine) Relaxation() int { return e.Config().Relaxation() }
 
-// NewSketch implements core.Engine.
+// NewSketch implements core.Engine. A quantiles sketch has no flat
+// phase: it is concurrent from the start, with core's eager phase.
 func (e *Engine) NewSketch(pool *core.PropagatorPool) core.EngineSketch[float64, *Snapshot, *Sketch] {
-	return &engineSketch{
-		eng:  e,
-		pool: pool,
-		c:    e.newConcurrent(pool),
-		ws:   make([]*ConcurrentWriter, e.cfg.Writers),
+	return core.NewFamilySketch[float64, *Snapshot, *Sketch](e, pool)
+}
+
+// Config implements core.Family.
+func (e *Engine) Config() core.Config {
+	return core.Config{
+		Writers:         e.cfg.Writers,
+		BufferSize:      e.cfg.BufferSize,
+		EagerLimit:      e.cfg.EagerLimit,
+		DoubleBuffering: true,
 	}
 }
 
-func (e *Engine) newConcurrent(pool *core.PropagatorPool) *Concurrent {
-	cfg := e.cfg
-	cfg.Pool = pool
-	return NewConcurrent(cfg)
+// NewGlobal implements core.Family.
+func (e *Engine) NewGlobal([]float64) core.FamilyGlobal[float64, *Snapshot, *Sketch] {
+	return newGlobal(e.cfg.K, e.cfg.Seed)
+}
+
+// Batch implements core.Family: samples are ingested as they are, and
+// nothing is filtered.
+func (e *Engine) Batch(_ core.FamilyGlobal[float64, *Snapshot, *Sketch], _ *[]float64, vals []float64, _ bool, _ uint64) []float64 {
+	return vals
+}
+
+// InPlace implements core.Family: aggregators take compacts.
+func (e *Engine) InPlace(core.Aggregator[*Sketch]) core.InPlaceAggregator[float64, *Snapshot, *Sketch] {
+	return nil
 }
 
 // NewAggregator implements core.Engine: one accumulating sketch.
@@ -82,54 +98,3 @@ func (a *mergeAggregator) Add(c *Sketch) error {
 	return nil
 }
 func (a *mergeAggregator) Result() *Sketch { return a.s }
-
-// engineSketch adapts one Concurrent to core.EngineSketch; see the Θ
-// counterpart for the writer-slot laziness contract.
-type engineSketch struct {
-	eng  *Engine
-	pool *core.PropagatorPool
-	c    *Concurrent
-	ws   []*ConcurrentWriter
-}
-
-func (s *engineSketch) writer(i int) *ConcurrentWriter {
-	if s.ws[i] == nil {
-		s.ws[i] = s.c.Writer(i)
-	}
-	return s.ws[i]
-}
-
-func (s *engineSketch) Update(i int, v float64)           { s.writer(i).Update(v) }
-func (s *engineSketch) UpdateBatch(i int, vals []float64) { s.writer(i).UpdateBatch(vals) }
-
-// UpdateHashedBatch is UpdateBatch: quantiles values are raw samples,
-// not hashes, so there is no pre-hashed ingestion distinction.
-func (s *engineSketch) UpdateHashedBatch(i int, vals []float64) { s.writer(i).UpdateBatch(vals) }
-
-func (s *engineSketch) Flush(i int) {
-	if s.ws[i] != nil {
-		s.ws[i].Flush()
-	}
-}
-func (s *engineSketch) Query() *Snapshot { return s.c.Snapshot() }
-func (s *engineSketch) Compact() *Sketch { return s.c.Compact() }
-
-// AddTo implements core.EngineSketch as Add(Compact()).
-func (s *engineSketch) AddTo(agg core.Aggregator[*Sketch]) error { return agg.Add(s.Compact()) }
-
-// Close releases the sketch graph (see the Θ counterpart).
-func (s *engineSketch) Close() {
-	if s.c != nil {
-		s.c.Close()
-		s.c = nil
-		s.ws = nil
-	}
-}
-
-// Reset implements core.EngineSketch; caller holds Close-level
-// exclusivity.
-func (s *engineSketch) Reset() {
-	s.c.Close()
-	s.c = s.eng.newConcurrent(s.pool)
-	clear(s.ws)
-}

@@ -547,14 +547,17 @@ func (b *tableBackend[K, V, S, C]) rollupAppend(dst []byte) ([]byte, error) {
 	return append(dst, blob...), nil
 }
 
-// eachRemote visits the anonymous aggregate and every per-source
-// snapshot, stopping at the first error. Callers hold b.rmu.
+// eachRemote visits the anonymous aggregate and then every per-source
+// snapshot in the order the sources arrived (remoteOrder, which a
+// checkpoint keeps across a restart), stopping at the first error.
+// Quantiles merges depend on order, so a fixed order is what makes the
+// same state answer with the same bytes. Callers hold b.rmu.
 func (b *tableBackend[K, V, S, C]) eachRemote(fn func(*table.TableSnapshot[K, C]) error) error {
 	if err := fn(b.remote); err != nil {
 		return err
 	}
-	for _, snap := range b.remotes {
-		if err := fn(snap); err != nil {
+	for _, source := range b.remoteOrder {
+		if err := fn(b.remotes[source]); err != nil {
 			return err
 		}
 	}

@@ -86,7 +86,7 @@
 // heap per key (map slot, entry and sketch together) against ~1 850 B
 // when every key was concurrent from its first update (~15 heap
 // objects). A concurrent key holds its samples and little else: at
-// K=256 with two writer slots, in estimation mode, ~5.7 KB of heap,
+// K=256 with two writer slots, in estimation mode, ~5.4 KB of heap,
 // 4 KB of it the 2k-slot sample table; ~13.9 KB while the table grew
 // to 4k slots and the sketch kept a buffer for its rebuilds
 // (TestConcurrentThetaKeyFootprint). Quantiles and HLL keys are

@@ -77,6 +77,9 @@ type GlobalSketch struct {
 	// forces every hash through the local buffers, §5.2 measures the
 	// filtering as "instrumental for performance").
 	noFilter bool
+	// b is the capacity of the locals NewLocal makes (BufferSize); 32
+	// bits, beside noFilter, keep the struct in 64 B.
+	b int32
 	// low is the minimum of every hash ever offered to qs (by Merge,
 	// UpdateDirect and AbsorbCompact), so it is never above the smallest
 	// retained sample, and it only falls. Guarded by mu. appendTo reads
@@ -91,7 +94,10 @@ type GlobalSketch struct {
 	floor *atomic.Uint64
 }
 
-var _ core.Global[uint64, float64] = (*GlobalSketch)(nil)
+var (
+	_ core.FamilyGlobal[uint64, float64, *Compact] = (*GlobalSketch)(nil)
+	_ core.FloorSketch                             = (*GlobalSketch)(nil)
+)
 
 // NewGlobal returns an empty composable global sketch with nominal
 // entry count k, backed by a QuickSelect sketch.
@@ -155,8 +161,14 @@ func (g *GlobalSketch) AbsorbCompact(c *Compact) error {
 	return err
 }
 
+// NewLocal implements core.FamilyGlobal: a Buffer.
+func (g *GlobalSketch) NewLocal() core.Local[uint64] { return NewBuffer(int(g.b)) }
+
+// SetFloor implements core.FloorSketch (see setFloor).
+func (g *GlobalSketch) SetFloor(cell *atomic.Uint64) { g.setFloor(cell) }
+
 // setFloor hands the sketch its shard's cell and lowers the cell to the
-// sketch's floor (see engineSketch.SetFloor).
+// sketch's floor, min(low, Θ).
 func (g *GlobalSketch) setFloor(cell *atomic.Uint64) {
 	g.mu.Lock()
 	g.floor = cell
@@ -169,19 +181,7 @@ func (g *GlobalSketch) setFloor(cell *atomic.Uint64) {
 // The caller holds mu.
 func (g *GlobalSketch) lowerFloor() {
 	if g.floor != nil {
-		lowerCell(g.floor, min(g.low, g.qs.Theta()))
-	}
-}
-
-// lowerCell lowers a floor cell to v unless it is already at or below.
-// Floors settle after a key's first few runs, so the load almost always
-// ends it without a write.
-func lowerCell(cell *atomic.Uint64, v uint64) {
-	for {
-		cur := cell.Load()
-		if v >= cur || cell.CompareAndSwap(cur, v) {
-			return
-		}
+		core.LowerCell(g.floor, min(g.low, g.qs.Theta()))
 	}
 }
 
@@ -239,6 +239,35 @@ func (g *GlobalSketch) PublishedTheta() uint64 {
 		return t
 	}
 	return hash.MaxThetaValue
+}
+
+// FilterHint implements core.FamilyGlobal (Algorithm 1 line 24 for a
+// composite's writer): the published Θ. None in exact mode (every hash
+// would pass) or with filtering disabled. Θ only falls, so the hint
+// stays a valid static shouldAdd threshold until a Reset (see
+// core.FilterEngine).
+func (g *GlobalSketch) FilterHint() (uint64, bool) {
+	if g.noFilter {
+		return 0, false
+	}
+	t := g.PublishedTheta()
+	return t, t < hash.MaxThetaValue
+}
+
+// filterHint returns the Θ a batch is pre-filtered against, given the
+// writer's piggybacked hint. That hint refreshes only on the writer's
+// own handoffs, so with N writers it lags the stream N× further than
+// the published Θ: a batch filtered with it admits items a fresh Θ
+// already excludes. One atomic load per batch, not per item, keeps the
+// paper's cache-friendly design; Θ only falls, so the fresher hint
+// filters strictly more and stays a valid static shouldAdd threshold.
+// Filtering against a hint a mid-batch handoff has since tightened is
+// safe: Merge drops hashes >= Θ.
+func (g *GlobalSketch) filterHint(hint uint64) uint64 {
+	if g.noFilter {
+		return hash.MaxThetaValue
+	}
+	return min(hint, g.PublishedTheta())
 }
 
 // ConcurrentConfig configures a concurrent Θ sketch. Zero fields take
@@ -304,7 +333,7 @@ func (c ConcurrentConfig) withDefaults() ConcurrentConfig {
 type Concurrent struct {
 	sk     *core.Sketch[uint64, float64]
 	global *GlobalSketch
-	cfg    ConcurrentConfig
+	eng    *Engine
 }
 
 // NewConcurrent builds a concurrent Θ sketch; Close it when done.
@@ -316,71 +345,26 @@ func NewConcurrent(cfg ConcurrentConfig) *Concurrent {
 // NewConcurrentFrom builds a concurrent Θ sketch whose global state is
 // preloaded from a compact (sample set and Θ, see AbsorbCompact), so
 // writers pre-filter with the inherited Θ from the first update. The
-// compact's seed must match cfg's. A flat keyed sketch materializes
-// through it, by way of newConcurrent.
+// compact's seed must match cfg's.
 func NewConcurrentFrom(cfg ConcurrentConfig, from *Compact) (*Concurrent, error) {
-	return newConcurrent(cfg, from, nil)
-}
-
-// newConcurrent is NewConcurrentFrom whose global keeps floor, when
-// non-nil, at or below its min(low, Θ) from the absorbed compact on.
-func newConcurrent(cfg ConcurrentConfig, from *Compact, floor *atomic.Uint64) (*Concurrent, error) {
-	cfg = cfg.withDefaults()
-	var global *GlobalSketch
-	if cfg.UseKMV {
-		global = NewGlobalKMV(cfg.K, cfg.Seed)
-	} else {
-		global = NewGlobal(cfg.K, cfg.Seed)
-	}
-	global.noFilter = cfg.DisableFiltering
-	global.floor = floor
+	e := newEngine(cfg)
+	g := e.newGlobal()
 	if from != nil {
 		// Absorb before core.New so the framework captures the
 		// inherited Θ as every writer's initial pre-filtering hint.
-		if err := global.AbsorbCompact(from); err != nil {
+		if err := g.AbsorbCompact(from); err != nil {
 			return nil, err
 		}
 	}
-	coreCfg := core.Config{
-		Writers:         cfg.Writers,
-		BufferSize:      cfg.BufferSize,
-		EagerLimit:      cfg.EagerLimit,
-		DoubleBuffering: !cfg.DisableDoubleBuffering,
-		Pool:            cfg.Pool,
-	}
-	if cfg.AdaptiveBuffering {
-		// In exact mode (hint Θ = 1) keep the conservative b; once in
-		// estimation mode grow to b_est = e·K/(2N) (see the config
-		// field's doc comment for the error argument).
-		base := cfg.BufferSize
-		bEst := int(cfg.MaxError * float64(cfg.K) / (2 * float64(cfg.Writers)))
-		if bEst < base {
-			bEst = base
-		}
-		coreCfg.BufferAdaptor = func(hint uint64, cur int) int {
-			if hint >= hash.MaxThetaValue {
-				return base
-			}
-			return bEst
-		}
-	}
-	newLocal := func() core.Local[uint64] { return NewBuffer(cfg.BufferSize) }
-	return &Concurrent{
-		sk:     core.New[uint64, float64](global, newLocal, coreCfg),
-		global: global,
-		cfg:    cfg,
-	}, nil
+	coreCfg := e.core
+	coreCfg.Pool = cfg.Pool
+	return &Concurrent{sk: core.New[uint64, float64](g, g.NewLocal, coreCfg), global: g, eng: e}, nil
 }
 
 // Writer returns the i-th writer handle; each handle may be used by at
 // most one goroutine at a time.
 func (c *Concurrent) Writer(i int) *ConcurrentWriter {
-	return &ConcurrentWriter{
-		w:        c.sk.Writer(i),
-		seed:     c.cfg.Seed,
-		global:   c.global,
-		noFilter: c.cfg.DisableFiltering,
-	}
+	return &ConcurrentWriter{w: c.sk.Writer(i), eng: c.eng, global: c.global}
 }
 
 // Estimate returns the current unique-count estimate. Wait-free; may
@@ -405,13 +389,13 @@ func (c *Concurrent) Propagations() int64 { return c.sk.Propagations() }
 func (c *Concurrent) Eager() bool { return c.sk.Eager() }
 
 // K returns the global sketch's nominal entry count.
-func (c *Concurrent) K() int { return c.cfg.K }
+func (c *Concurrent) K() int { return c.eng.cfg.K }
 
 // Seed returns the hash seed.
-func (c *Concurrent) Seed() uint64 { return c.cfg.Seed }
+func (c *Concurrent) Seed() uint64 { return c.eng.cfg.Seed }
 
 // BufferSize returns the local buffer size b in use.
-func (c *Concurrent) BufferSize() int { return c.cfg.BufferSize }
+func (c *Concurrent) BufferSize() int { return c.eng.cfg.BufferSize }
 
 // Close stops the propagator. Flush all writers first if every update
 // must be reflected in the final estimate.
@@ -420,77 +404,52 @@ func (c *Concurrent) Close() { c.sk.Close() }
 // ConcurrentWriter is a single-goroutine update handle. It hashes each
 // item once and feeds the Θ-space hash through the framework.
 type ConcurrentWriter struct {
-	w    *core.Writer[uint64, float64]
-	seed uint64
-	// global lets the batch paths read the freshly published Θ once
-	// per batch (see filterHint).
+	w      *core.Writer[uint64, float64]
+	eng    *Engine
 	global *GlobalSketch
-	// scratch holds the surviving hashes of a batch between the
-	// hash+filter pass and the framework handoff; it is reused across
-	// calls so steady-state batch ingestion is allocation-free.
-	scratch  []uint64
-	noFilter bool
+	// scratch holds a batch's surviving hashes between the hash+filter
+	// pass and the framework handoff, reused across calls.
+	scratch []uint64
 }
 
 // Update processes a byte-slice item.
 func (w *ConcurrentWriter) Update(data []byte) {
-	w.w.Update(hash.ThetaHashBytes(data, w.seed))
+	w.w.Update(hash.ThetaHashBytes(data, w.eng.cfg.Seed))
 }
 
 // UpdateUint64 processes a uint64 item.
 func (w *ConcurrentWriter) UpdateUint64(v uint64) {
-	w.w.Update(hash.ThetaHashUint64(v, w.seed))
+	w.w.Update(hash.ThetaHashUint64(v, w.eng.cfg.Seed))
 }
 
 // UpdateString processes a string item.
 func (w *ConcurrentWriter) UpdateString(s string) {
-	w.w.Update(hash.ThetaHashString(s, w.seed))
+	w.w.Update(hash.ThetaHashString(s, w.eng.cfg.Seed))
 }
 
 // UpdateHash processes a pre-hashed Θ-space item.
 func (w *ConcurrentWriter) UpdateHash(h uint64) { w.w.Update(h) }
-
-// filterHint returns the Θ threshold the batch paths pre-filter
-// against. During the eager phase the hint is still the initial
-// MaxThetaValue (it only refreshes at handoffs, which the eager phase
-// has none of), so every hash passes, exactly as the per-item path
-// behaves. Filtering against a hint that a mid-batch handoff has since
-// tightened is safe: the global sketch drops hashes >= Θ on merge.
-func (w *ConcurrentWriter) filterHint() uint64 {
-	if w.noFilter {
-		return hash.MaxThetaValue
-	}
-	// Prefer the globally published Θ over the piggybacked hint: the
-	// piggyback refreshes only on this writer's own handoffs, so with
-	// N writers it lags the stream N× further — a batch filtered with
-	// it admits items a fresh Θ already excludes, and that wasted
-	// buffer and merge traffic grows with the writer count. One atomic
-	// load per batch (not per item) keeps the paper's cache-friendly
-	// design; Θ only decreases, so the fresher hint filters strictly
-	// more and remains a valid static shouldAdd threshold.
-	h := w.w.Hint()
-	if g := w.global.PublishedTheta(); g < h {
-		h = g
-	}
-	return h
-}
 
 // UpdateUint64Batch processes a slice of uint64 items: hashing and Θ
 // pre-filtering happen in one pass over the input, and the surviving
 // hashes enter the framework in bulk. This is the recommended
 // high-throughput ingestion path for numeric streams.
 func (w *ConcurrentWriter) UpdateUint64Batch(vs []uint64) {
-	w.scratch = hash.AppendThetaUint64Filtered(w.scratch[:0], vs, w.seed, w.filterHint())
-	w.w.UpdateBatchPrefiltered(w.scratch)
+	w.w.UpdateBatchPrefiltered(w.eng.Batch(w.global, &w.scratch, vs, false, w.w.Hint()))
+}
+
+// UpdateHashBatch processes a slice of pre-hashed Θ-space items.
+func (w *ConcurrentWriter) UpdateHashBatch(hs []uint64) {
+	w.w.UpdateBatchPrefiltered(w.eng.Batch(w.global, &w.scratch, hs, true, w.w.Hint()))
 }
 
 // UpdateStringBatch processes a slice of string items in one
 // hash+filter pass; steady state is allocation-free (the hash views
 // each string's bytes in place and the scratch buffer is reused).
 func (w *ConcurrentWriter) UpdateStringBatch(ss []string) {
-	scratch, hint := w.scratch[:0], w.filterHint()
+	scratch, hint, seed := w.scratch[:0], w.global.filterHint(w.w.Hint()), w.eng.cfg.Seed
 	for _, s := range ss {
-		if h := hash.ThetaHashString(s, w.seed); h < hint {
+		if h := hash.ThetaHashString(s, seed); h < hint {
 			scratch = append(scratch, h)
 		}
 	}
@@ -501,21 +460,9 @@ func (w *ConcurrentWriter) UpdateStringBatch(ss []string) {
 // UpdateBatch processes a slice of byte-slice items in one hash+filter
 // pass.
 func (w *ConcurrentWriter) UpdateBatch(items [][]byte) {
-	scratch, hint := w.scratch[:0], w.filterHint()
+	scratch, hint, seed := w.scratch[:0], w.global.filterHint(w.w.Hint()), w.eng.cfg.Seed
 	for _, it := range items {
-		if h := hash.ThetaHashBytes(it, w.seed); h < hint {
-			scratch = append(scratch, h)
-		}
-	}
-	w.scratch = scratch
-	w.w.UpdateBatchPrefiltered(scratch)
-}
-
-// UpdateHashBatch processes a slice of pre-hashed Θ-space items.
-func (w *ConcurrentWriter) UpdateHashBatch(hs []uint64) {
-	scratch, hint := w.scratch[:0], w.filterHint()
-	for _, h := range hs {
-		if h < hint {
+		if h := hash.ThetaHashBytes(it, seed); h < hint {
 			scratch = append(scratch, h)
 		}
 	}

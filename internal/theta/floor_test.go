@@ -121,14 +121,14 @@ func TestFloorFallsOnEveryPath(t *testing.T) {
 }
 
 // TestSketchSizeClasses pins the two structs every Θ table key
-// allocates to the Go size classes they fill exactly. engineSketch is
-// all of a flat key's sketch, and table_wide holds ~47 k keys, most of
-// them flat: one field more would move it to the 128 B class, which
-// read +2.4 % on that workload's state_mb. GlobalSketch, one per
-// concurrent key, has no room beyond its 64 B either.
+// allocates to the Go size classes they fill. The family sketch is all
+// of a flat key's sketch, and table_wide holds ~47 k keys, most of them
+// flat: moving it to the 128 B class read +2.4 % on that workload's
+// state_mb. GlobalSketch, one per concurrent key, has no room beyond
+// its 64 B either.
 func TestSketchSizeClasses(t *testing.T) {
-	if n := unsafe.Sizeof(engineSketch{}); n > 112 {
-		t.Errorf("engineSketch is %d B, want ≤ 112 (one size class)", n)
+	if n := unsafe.Sizeof(core.FamilySketch[uint64, float64, *Compact]{}); n > 112 {
+		t.Errorf("core.FamilySketch is %d B, want ≤ 112 (one size class)", n)
 	}
 	if n := unsafe.Sizeof(GlobalSketch{}); n > 64 {
 		t.Errorf("GlobalSketch is %d B, want ≤ 64 (one size class)", n)

@@ -214,8 +214,8 @@ func TestUnionOrderedInputsMatchUnordered(t *testing.T) {
 func TestDisabledEagerPhaseStaysDisabled(t *testing.T) {
 	pool := core.NewPropagatorPool(1)
 	defer pool.Close()
-	concurrentOf := func(sk core.EngineSketch[uint64, float64, *Compact]) *Concurrent {
-		c := sk.(*engineSketch).c.Load()
+	concurrentOf := func(sk core.EngineSketch[uint64, float64, *Compact]) *core.Sketch[uint64, float64] {
+		c := sk.(*core.FamilySketch[uint64, float64, *Compact]).Live()
 		if c == nil {
 			t.Fatal("sketch is flat, want concurrent")
 		}

@@ -63,7 +63,7 @@ func (u *Union) insert(hashes []uint64, ordered bool) {
 }
 
 // bound is the first half of Add for a sample set read in place (see
-// engineSketch.AddTo): it folds the set's Θ into the running minimum and
+// unionAggregator): it folds the set's Θ into the running minimum and
 // returns the running Θ, at least 1. A sample at or above it cannot
 // enter the union now or after any later insert, so a reader may leave
 // it behind and hand the rest to insert. The minimum is stored only
