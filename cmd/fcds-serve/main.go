@@ -278,7 +278,6 @@ func main() {
 		jnl, err = fcds.OpenIngestJournal(*journalDir, fcds.IngestJournalConfig{
 			FsyncEvery: *journalFsyncEvery,
 			MaxBytes:   *journalMaxBytes,
-			Retain:     *ckptRetain,
 			Logf:       lg.Printf,
 		})
 		if err != nil {

@@ -199,12 +199,14 @@
 // survived its filter, so on a hot table most batches touch neither —
 // but a long pass holds down cache and memory bandwidth.
 //
-// The read path therefore fans out: entry pointers are collected
-// under each shard's read lock, then the per-key work runs on a
-// bounded worker set with per-worker partial aggregators merged
-// pairwise at the end (rollup, whose workers claim shards rather than
-// keys) or per-worker serialization regions stitched in order
-// (snapshot). The degree is TableConfig's
+// The read path therefore fans out, and walks the table one way for
+// rollups and snapshots alike: a bounded worker set claims whole
+// shards, copies each claimed shard's keys and entry pointers under
+// its read lock, and does the per-key work after the lock is released.
+// The per-worker partials then combine: aggregators merged pairwise
+// (rollup, which also skips the shards that cannot change it) or
+// serialization regions stitched behind one header (snapshot). The
+// degree is TableConfig's
 // ReadParallelism — 0 (the default) means GOMAXPROCS at call time, 1
 // forces the serial path, and any other value caps the workers per
 // pass. The caller's goroutine is always worker zero, so degree 1

@@ -56,10 +56,11 @@ type FamilyGlobal[V, S, C any] interface {
 // global from those updates and goes through the buffered path, on a
 // stream where r/n ≤ e holds by then.
 type FlatFamily[V, S, C any] interface {
-	// FlatAdd appends to flat each value of vals (raw, or hashed) it
-	// does not hold yet, and returns it with the least floor among vals
-	// (see FloorSketch).
-	FlatAdd(flat, vals []V, hashed bool) ([]V, uint64)
+	// FlatAdd appends v (raw, or hashed) to flat unless flat holds it
+	// already, and returns flat with v's floor (see FloorSketch). It
+	// takes one value, by value, so that a single-item Update hands the
+	// family nothing that escapes.
+	FlatAdd(flat []V, v V, hashed bool) ([]V, uint64)
 	// FlatQuery answers Query for a flat sketch holding n values.
 	FlatQuery(n int) S
 	// FlatCompact returns the compact of a flat sketch holding vals,
@@ -210,7 +211,13 @@ func (s *FamilySketch[V, S, C]) flatAdd(vals []V, hashed bool) bool {
 		s.materialize()
 		return false
 	}
-	flat, low := s.fam.(FlatFamily[V, S, C]).FlatAdd(s.flat, vals, hashed)
+	ff := s.fam.(FlatFamily[V, S, C])
+	flat, low := s.flat, uint64(math.MaxUint64)
+	for _, v := range vals {
+		var l uint64
+		flat, l = ff.FlatAdd(flat, v, hashed)
+		low = min(low, l)
+	}
 	if low < s.low {
 		if s.floor != nil {
 			// Before n.Store and the unlock: a rollup that skipped the

@@ -354,6 +354,71 @@ func TestRestoreReadsNewestGenerationFirst(t *testing.T) {
 	}
 }
 
+// TestFallbackReplaysEveryRetainedGeneration: a checkpoint pass prunes
+// the journal to the server's own generation count, so a restore that
+// falls back to the oldest retained generation still finds every push
+// since that pass. Here three generations are kept, the newest two are
+// corrupt, and replay must bring back the pushes of b, c and d on top
+// of the generation that holds only a.
+func TestFallbackReplaysEveryRetainedGeneration(t *testing.T) {
+	jdir, cdir := t.TempDir(), t.TempDir()
+	srv := bootTrio(t, Config{CheckpointRetain: 3})
+	j, err := OpenJournal(jdir, JournalConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { j.Close() })
+	srv.AttachJournal(j)
+	lat := lookupT(t, srv, "lat")
+	for i, source := range []string{"a", "b", "c", "d"} {
+		if _, _, err := lat.apply(JournalRecord{Type: jrecPush, Source: source, Blob: trioBlobs(t, i, 1)["lat"]}); err != nil {
+			t.Fatal(err)
+		}
+		if i < 3 {
+			if _, err := srv.WriteCheckpoints(cdir); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range tableCheckpoints(t, cdir, "lat")[:2] {
+		path := filepath.Join(cdir, name)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[len(data)/2] ^= 0xff
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	boot := bootTrio(t, Config{CheckpointRetain: 3})
+	if st, err := boot.RestoreCheckpoints(cdir); err != nil || st.Fallbacks != 1 {
+		t.Fatalf("restore: stats %+v, err %v; want one fallback", st, err)
+	}
+	if _, err := boot.ReplayJournal(jdir); err != nil {
+		t.Fatal(err)
+	}
+	b := lookupT(t, boot, "lat").(*tableBackend[string, float64, *quantiles.Snapshot, *quantiles.Sketch])
+	out, err := b.rollupAppend(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sk, err := b.eng.UnmarshalCompact(out[1:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := uint64(4 * itemsPerKey); sk.N() != want {
+		t.Fatalf("booted rollup N = %d, want %d (every push a, b, c, d)", sk.N(), want)
+	}
+	if got, want := stateOf(t, b), stateOf(t, lat); !maps.Equal(got, want) {
+		t.Fatal("the booted quantiles table differs from the crashed one")
+	}
+}
+
 // replaceSourceBlob re-encodes a checkpoint body with source i's blob
 // swapped for blob.
 func replaceSourceBlob(tb testing.TB, body []byte, i int, blob []byte) []byte {

@@ -168,13 +168,14 @@ func (s *Server) WriteCheckpoints(dir string) (CheckpointStats, error) {
 	}
 	// The pass fully succeeded: older generations (and, with a journal,
 	// the pre-rotation files its watermarks cover) may go.
-	pruned, err := s.pruneCheckpoints(dir, s.checkpointRetain())
+	retain := s.checkpointRetain()
+	pruned, err := s.pruneCheckpoints(dir, retain)
 	if err != nil {
 		return st, err
 	}
 	st.Pruned = pruned
 	if j != nil {
-		if err := j.PruneKeep(); err != nil {
+		if err := j.PruneKeep(retain); err != nil {
 			return st, fmt.Errorf("server: checkpoint: prune journal: %w", err)
 		}
 	}

@@ -113,12 +113,13 @@ const (
 const DefaultJournalMaxBytes = 64 << 20
 
 // DefaultRetain is the number of checkpoint generations (and matching
-// journal files) retention keeps when the configured count is zero.
+// journal files) a server keeps when Config.CheckpointRetain is zero.
 const DefaultRetain = 2
 
 // JournalConfig configures a Journal. The zero value is usable: fsync
-// on every record, 64 MiB compaction threshold, two generations
-// retained.
+// on every record and a 64 MiB compaction threshold. How many files
+// outlive a checkpoint pass is the server's checkpoint retention, not
+// the journal's (PruneKeep).
 type JournalConfig struct {
 	// FsyncEvery fsyncs the journal after every Nth appended record
 	// (<= 0 or 1 means every record). Raising it amortizes the fsync
@@ -137,11 +138,6 @@ type JournalConfig struct {
 	// merge-semantics record. 0 means DefaultJournalMaxBytes; negative
 	// disables size-based compaction.
 	MaxBytes int64
-	// Retain is the number of journal files kept by PruneKeep after a
-	// successful checkpoint pass (<= 0 means DefaultRetain). Keep it
-	// equal to the checkpoint retention count: restoring the Nth-newest
-	// checkpoint generation needs the journal tail since that pass.
-	Retain int
 	// Logf, when non-nil, receives journal diagnostics (torn tails
 	// truncated, unrecognized files skipped). Nil means silent.
 	Logf func(format string, args ...any)
@@ -268,9 +264,6 @@ func OpenJournal(dir string, cfg JournalConfig) (*Journal, error) {
 	}
 	if cfg.MaxBytes == 0 {
 		cfg.MaxBytes = DefaultJournalMaxBytes
-	}
-	if cfg.Retain <= 0 {
-		cfg.Retain = DefaultRetain
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -448,17 +441,15 @@ func (j *Journal) Rotate() error {
 	return nil
 }
 
-// PruneKeep deletes journal files older than the Retain newest ones
+// PruneKeep deletes journal files older than the keep newest ones
 // (active file included in the count). Files whose names the journal
 // did not write are logged and left alone. Call it only after a fully
-// successful checkpoint pass.
-func (j *Journal) PruneKeep() error {
+// successful checkpoint pass, with the number of checkpoint generations
+// kept: restoring the Nth-newest generation needs the journal tail
+// since that pass, which starts N files back.
+func (j *Journal) PruneKeep(keep int) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.pruneLocked(j.cfg.Retain)
-}
-
-func (j *Journal) pruneLocked(keep int) error {
 	files, err := listJournalFiles(j.dir)
 	if err != nil {
 		return err

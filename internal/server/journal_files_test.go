@@ -479,7 +479,7 @@ func BenchmarkJournalPush(b *testing.B) {
 				if err := j.Rotate(); err != nil {
 					b.Fatal(err)
 				}
-				if err := j.PruneKeep(); err != nil {
+				if err := j.PruneKeep(2); err != nil {
 					b.Fatal(err)
 				}
 			}

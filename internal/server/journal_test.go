@@ -488,12 +488,12 @@ func TestJournalLSNGatingNoDoubleCount(t *testing.T) {
 }
 
 // TestJournalRotationRetention: Rotate starts new files, PruneKeep
-// deletes all but the Retain newest, files the journal did not write
+// deletes all but the keep newest, files the journal did not write
 // are left alone, and a reopened journal continues the LSN sequence in
 // a fresh file rather than appending to a possibly-torn one.
 func TestJournalRotationRetention(t *testing.T) {
 	dir := t.TempDir()
-	j, err := server.OpenJournal(dir, server.JournalConfig{Retain: 2, MaxBytes: -1, Logf: t.Logf})
+	j, err := server.OpenJournal(dir, server.JournalConfig{MaxBytes: -1, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,7 +516,7 @@ func TestJournalRotationRetention(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := j.PruneKeep(); err != nil {
+	if err := j.PruneKeep(2); err != nil {
 		t.Fatal(err)
 	}
 	st := j.Stats()
@@ -545,7 +545,7 @@ func TestJournalRotationRetention(t *testing.T) {
 
 	// Reopen: a fresh active file past the newest survivor, and LSNs
 	// continue past everything ever assigned — pruned files included.
-	j2, err := server.OpenJournal(dir, server.JournalConfig{Retain: 2, MaxBytes: -1})
+	j2, err := server.OpenJournal(dir, server.JournalConfig{MaxBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -123,7 +123,9 @@ func (t *Table[K, V, S, C]) finalize(k K, e *entry[V, S, C], spill bool) {
 
 // Drain flushes every writer slot of every live key so queries and
 // snapshots reflect all prior updates. All writer handles must be
-// quiescent, exactly as for Close.
+// quiescent, exactly as for Close. It does not use the read path's
+// shard walk: it flushes each key under its shard's read lock, and that
+// lock is what keeps an evictor from closing the key mid-flush.
 func (t *Table[K, V, S, C]) Drain() {
 	for i := range t.shards {
 		sh := &t.shards[i]

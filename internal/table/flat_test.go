@@ -288,3 +288,20 @@ func TestFlatKeySnapshotMerge(t *testing.T) {
 		}
 	}
 }
+
+// TestFlatUpdateKeyedZeroAllocs: a single-item update of a flat key
+// allocates nothing. The key and its writer-cache slot exist after the
+// warm-up call, and every call repeats one value, so the flat set does
+// not grow either; the key stays far below flatLimit.
+func TestFlatUpdateKeyedZeroAllocs(t *testing.T) {
+	tab := flatTable(1, Config[uint64]{})
+	defer tab.Close()
+	w := tab.Writer(0)
+	w.UpdateKeyed(7, 42)
+	if avg := testing.AllocsPerRun(50, func() { w.UpdateKeyed(7, 42) }); avg != 0 {
+		t.Errorf("UpdateKeyed on a flat key allocates %.1f allocs/op, want 0", avg)
+	}
+	if tab.Pool().Sketches() != 0 {
+		t.Fatal("the key left the flat phase: the test measured the concurrent path")
+	}
+}

@@ -2,7 +2,6 @@ package table
 
 import (
 	"cmp"
-	"encoding/binary"
 	"math"
 	"slices"
 	"time"
@@ -11,72 +10,81 @@ import (
 )
 
 // This file is the table's parallel read path: whole-table rollups,
-// snapshot captures and streaming serialization fan the work across a
-// bounded worker set (core.FanOut) and merge the partial results.
-// Snapshots and serialization need every key's bytes:
+// snapshot captures and streaming serialization. All three walk the
+// table one way (walkShards): a bounded worker set (core.FanOut) claims
+// whole shards, copies each claimed shard's (key, entry) pairs under
+// the shard read lock only, and works on the pairs after the lock is
+// released, each key under its entry's own liveness lock. No sketch is
+// read under a shard lock. The per-worker partials then merge:
+// snapshot pairs into the map, serialization regions into one output
+// buffer behind the header, rollup aggregators pairwise.
 //
-//  1. collect — snapshot (key, entry) pointers shard by shard under
-//     the shard read-lock only (no sketch is read under a shard lock);
-//  2. fan out — workers claim runs of entries from a shared counter
-//     and, under each entry's own liveness lock, compact each key into
-//     a per-worker pair slice or serialization region;
-//  3. merge — the per-worker partials combine: pair slices into the
-//     snapshot map, regions into one output buffer grown exactly once.
+// A rollup does not claim every shard, because not every key can
+// change it. It offers the shards in ascending order of their floors
+// (core.FloorSketch), and a worker skips unread every shard whose floor
+// is at or above its aggregator's bound. Each key it reads hands the
+// worker's aggregator its live state (EngineSketch.AddTo), so a Θ key
+// is merged from its samples in place and no per-key compact is built.
+// On a skewed Θ table most shards hold only keys whose samples are all
+// above the union's Θ, and a rollup reads a few percent of the keys.
 //
-// A rollup needs only the merge, and not every key can change it, so
-// it collects no entries. Workers claim shards, in ascending order of
-// the shards' floors (core.FloorSketch), and skip unread every shard
-// whose floor is at or above their aggregator's bound; a shard that is
-// read has its entry pointers copied under its read lock, as collect
-// does, and each key hands the worker's aggregator its live state
-// (EngineSketch.AddTo), so a Θ key is merged from its samples in place
-// and no per-key compact is built. The per-worker aggregators then
-// merge pairwise. On a skewed Θ table most shards hold only keys whose
-// samples are all above the union's Θ, and a rollup reads a few
-// percent of the keys.
-//
-// Consistency is unchanged from the serial walk: per key the state read
+// Consistency is unchanged from a serial walk: per key the state read
 // is the usual r-relaxed point-in-time capture; across keys there is
-// no atomicity (there never was — the serial walk released each shard
-// lock between shards). Keys evicted between collect and read are
-// skipped, exactly as a slightly earlier serial walk would have
-// missed them. A skipped shard is read at the instant its floor was
-// loaded: a sketch lowers the floor before the state that lowered it
-// becomes readable.
+// no atomicity (there never was — the walk releases each shard lock
+// before the next). Keys evicted between the copy and the read are
+// skipped, exactly as a slightly earlier walk would have missed them.
+// A skipped shard is read at the instant its floor was loaded: a
+// sketch lowers the floor before the state that lowered it becomes
+// readable.
 
 // readDegree resolves the table's configured read fan-out.
 func (t *Table[K, V, S, C]) readDegree() int {
 	return core.ReadDegree(t.cfg.ReadParallelism)
 }
 
-// collectEntries snapshots (key, entry) pointers for every live key,
-// one shard read-lock at a time. It takes no entry locks and performs
-// no compaction, so a shard is blocked only for the pointer copy —
-// eviction, lazy creation and writer-cache validation never stall
-// behind a whole-table scan.
-func (t *Table[K, V, S, C]) collectEntries() ([]K, []*entry[V, S, C]) {
-	n := int(t.keys.Load())
-	if n < 0 {
-		n = 0
-	}
-	keys := make([]K, 0, n)
-	ents := make([]*entry[V, S, C], 0, n)
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.RLock()
-		for k, e := range sh.m {
-			keys = append(keys, k)
-			ents = append(ents, e)
-		}
-		sh.mu.RUnlock()
-	}
-	return keys, ents
+// keyEntry is one (key, entry) pair a walk copied out of a shard.
+type keyEntry[K Key, V, S, C any] struct {
+	k K
+	e *entry[V, S, C]
 }
 
-// compactEntry captures one collected entry's compact outside all
-// shard locks. The entry's liveness lock pins the sketch against a
-// concurrent finalize; ok=false means the key was evicted since
-// collection and has no compact to contribute.
+// walkShards is the table's one whole-table walk. Up to `degree`
+// workers (core.FanOut; degree >= 1) claim the indices [0, n); claim(w,
+// i) returns the shard that index i stands for, or nil to leave it
+// unread. A claimed shard's (key, entry) pairs are copied into worker
+// w's scratch, reused from shard to shard, under the shard read lock
+// only, and visit(w, pairs) runs after the lock is released. So a
+// shard is blocked only for the copy: eviction, lazy creation and
+// writer-cache validation never stall behind a whole-table scan. visit
+// takes a shard's pairs at once, not one call per key, so that its
+// per-key loop is compiled together with the per-key work.
+func (t *Table[K, V, S, C]) walkShards(degree, n int, claim func(w, i int) *shard[K, V, S, C], visit func(w int, pairs []keyEntry[K, V, S, C])) {
+	scratch := make([][]keyEntry[K, V, S, C], degree)
+	core.FanOut(degree, n, func(w, i int) {
+		sh := claim(w, i)
+		if sh == nil {
+			return
+		}
+		pairs := scratch[w][:0]
+		sh.mu.RLock()
+		for k, e := range sh.m {
+			pairs = append(pairs, keyEntry[K, V, S, C]{k, e})
+		}
+		sh.mu.RUnlock()
+		visit(w, pairs)
+		scratch[w] = pairs
+	})
+}
+
+// walkAll is walkShards over every shard.
+func (t *Table[K, V, S, C]) walkAll(degree int, visit func(w int, pairs []keyEntry[K, V, S, C])) {
+	t.walkShards(degree, len(t.shards), func(_, i int) *shard[K, V, S, C] { return &t.shards[i] }, visit)
+}
+
+// compactEntry captures one walked entry's compact outside all shard
+// locks. The entry's liveness lock pins the sketch against a
+// concurrent finalize; ok=false means the key was evicted since its
+// shard was copied and has no compact to contribute.
 func (t *Table[K, V, S, C]) compactEntry(e *entry[V, S, C]) (C, bool) {
 	e.mu.RLock()
 	if e.dead {
@@ -89,11 +97,11 @@ func (t *Table[K, V, S, C]) compactEntry(e *entry[V, S, C]) (C, bool) {
 	return c, true
 }
 
-// addEntry folds one collected entry's state into agg, outside all
-// shard locks and under the entry's liveness lock, as compactEntry
-// reads it. The sketch folds itself in (EngineSketch.AddTo: Θ reads its
-// samples in place, with no per-key compact). A key evicted since
-// collection contributes nothing. Engine-made sketches are compatible
+// addEntry folds one walked entry's state into agg, outside all shard
+// locks and under the entry's liveness lock, as compactEntry reads it.
+// The sketch folds itself in (EngineSketch.AddTo: Θ reads its samples
+// in place, with no per-key compact). A key evicted since its shard
+// was copied contributes nothing. Engine-made sketches are compatible
 // with the engine's aggregator by construction, so the merge cannot
 // fail.
 func (t *Table[K, V, S, C]) addEntry(agg core.Aggregator[C], e *entry[V, S, C]) {
@@ -120,62 +128,34 @@ func (t *Table[K, V, S, C]) Rollup() C {
 
 // rollup merges every live key's sketch into one compact, folding
 // shards across `degree` workers with per-worker aggregators merged
-// pairwise. degree <= 1 is the serial path (identical result by
-// mergeability: every fold order of the same per-key states is a valid
-// aggregate).
+// pairwise (degree 1 folds inline; every fold order of the same
+// per-key states is a valid aggregate).
 func (t *Table[K, V, S, C]) rollup(degree int) C {
 	c, _ := t.rollupShards(degree)
 	return c
 }
 
 // shardFold is one rollup worker: its aggregator, the aggregator's
-// FloorAggregator half (nil: bound MaxUint64), a scratch for one
-// shard's entries, reused from shard to shard, and the number of shards
+// FloorAggregator half (nil: bound MaxUint64), and the number of shards
 // it read.
-type shardFold[V, S, C any] struct {
+type shardFold[C any] struct {
 	agg  core.Aggregator[C]
 	fa   core.FloorAggregator
-	ents []*entry[V, S, C]
 	read int
 }
 
-func (t *Table[K, V, S, C]) newShardFold() *shardFold[V, S, C] {
+func (t *Table[K, V, S, C]) newShardFold() *shardFold[C] {
 	agg := t.eng.NewAggregator()
 	fa, _ := agg.(core.FloorAggregator)
-	return &shardFold[V, S, C]{agg: agg, fa: fa}
+	return &shardFold[C]{agg: agg, fa: fa}
 }
 
 // bound is the worker's aggregator bound (core.FloorAggregator).
-func (f *shardFold[V, S, C]) bound() uint64 {
+func (f *shardFold[C]) bound() uint64 {
 	if f.fa == nil {
 		return math.MaxUint64
 	}
 	return f.fa.Bound()
-}
-
-// fold folds shard sh into f's aggregator — unless the shard's floor is
-// at or above f's bound: then no key of the shard holds anything the
-// aggregator can take, now or later (its bound only falls), and the
-// shard is skipped unread. The skip leaves the result exactly as
-// folding every key would (core.FloorSketch; for Θ, Union.bound). A
-// shard that is read is read as collectEntries reads one: its entry
-// pointers are copied under the shard read lock, and each key is folded
-// after it is released, under the entry's own lock.
-func (t *Table[K, V, S, C]) fold(f *shardFold[V, S, C], sh *shard[K, V, S, C]) {
-	if sh.floor.Load() >= f.bound() {
-		return
-	}
-	f.read++
-	ents := f.ents[:0]
-	sh.mu.RLock()
-	for _, e := range sh.m {
-		ents = append(ents, e)
-	}
-	sh.mu.RUnlock()
-	for _, e := range ents {
-		t.addEntry(f.agg, e)
-	}
-	f.ents = ents
 }
 
 // rollupShards is rollup that also reports how many shards its workers
@@ -183,8 +163,12 @@ func (t *Table[K, V, S, C]) fold(f *shardFold[V, S, C], sh *shard[K, V, S, C]) {
 // when the rollup began, so that each worker's bound falls early and
 // most later shards are skipped; one whose floor was at or above a
 // fresh aggregator's bound (a shard that never held a key) is not
-// visited at all. The order is only a schedule: fold re-reads each
-// floor when the shard comes up.
+// offered at all. The order is only a schedule: a worker re-reads each
+// floor when the shard comes up and skips the shard unread if it is at
+// or above the worker's bound. Then no key of the shard holds anything
+// the aggregator can take, now or later (its bound only falls), so the
+// skip leaves the result exactly as folding every key would
+// (core.FloorSketch; for Θ, Union.bound).
 func (t *Table[K, V, S, C]) rollupShards(degree int) (C, int) {
 	type shardFloor struct {
 		floor uint64
@@ -200,13 +184,22 @@ func (t *Table[K, V, S, C]) rollupShards(degree int) (C, int) {
 	}
 	slices.SortFunc(order, func(a, b shardFloor) int { return cmp.Compare(a.floor, b.floor) })
 	degree = max(1, min(degree, len(order)))
-	folds := make([]*shardFold[V, S, C], degree)
+	folds := make([]*shardFold[C], degree)
 	folds[0] = first
 	for w := 1; w < degree; w++ {
 		folds[w] = t.newShardFold()
 	}
-	core.FanOut(degree, len(order), func(w, i int) {
-		t.fold(folds[w], &t.shards[order[i].i])
+	t.walkShards(degree, len(order), func(w, i int) *shard[K, V, S, C] {
+		sh := &t.shards[order[i].i]
+		if sh.floor.Load() >= folds[w].bound() {
+			return nil
+		}
+		folds[w].read++
+		return sh
+	}, func(w int, pairs []keyEntry[K, V, S, C]) {
+		for _, p := range pairs {
+			t.addEntry(folds[w].agg, p.e)
+		}
 	})
 	read := 0
 	parts := make([]C, degree)
@@ -248,25 +241,15 @@ func (t *Table[K, V, S, C]) Snapshot() *TableSnapshot[K, C] {
 
 // snapshotInto captures every live key's compact into s, compacting
 // across `degree` workers. Workers fill per-worker pair slices; the
-// map insert stays serial (entries were collected once per key, so
-// the partials are disjoint and insertion order is irrelevant).
+// map insert stays serial (the walk visits each key once, so the
+// partials are disjoint and insertion order is irrelevant).
 func (t *Table[K, V, S, C]) snapshotInto(s *TableSnapshot[K, C], degree int) {
-	keys, ents := t.collectEntries()
-	if degree > len(ents) {
-		degree = len(ents)
-	}
-	if degree <= 1 {
-		for i, e := range ents {
-			if c, ok := t.compactEntry(e); ok {
-				s.entries[keys[i]] = c
-			}
-		}
-		return
-	}
 	parts := make([][]kcPair[K, C], degree)
-	core.FanOut(degree, len(ents), func(w, i int) {
-		if c, ok := t.compactEntry(ents[i]); ok {
-			parts[w] = append(parts[w], kcPair[K, C]{keys[i], c})
+	t.walkAll(degree, func(w int, pairs []keyEntry[K, V, S, C]) {
+		for _, p := range pairs {
+			if c, ok := t.compactEntry(p.e); ok {
+				parts[w] = append(parts[w], kcPair[K, C]{p.k, c})
+			}
 		}
 	})
 	for _, p := range parts {
@@ -293,83 +276,52 @@ func (t *Table[K, V, S, C]) SnapshotAppend(dst []byte) ([]byte, error) {
 	return out, err
 }
 
-// appendSnapshot serializes the whole table into dst in the FCTB
-// format without materializing a TableSnapshot — the streaming
-// capture path. Workers marshal the entries they claim into
-// per-worker regions in wire entry encoding; the region lengths are
-// the size pre-pass, so dst grows exactly once and each region lands
-// in its place with a single copy. The header's key count is patched
-// last (keys evicted mid-capture are skipped, so it is not known up
-// front). On error dst is returned unextended.
-func (t *Table[K, V, S, C]) appendSnapshot(dst []byte, degree int) ([]byte, error) {
-	keys, ents := t.collectEntries()
-	if degree > len(ents) {
-		degree = len(ents)
-	}
-	start := len(dst)
-	var hdr [snapHeaderSize]byte
-	copy(hdr[0:4], snapMagic)
-	hdr[4] = snapVersion
-	hdr[5] = t.eng.Kind()
-	hdr[6] = keyTypeOf[K]()
-	binary.LittleEndian.PutUint32(hdr[8:12], t.eng.Param())
-	dst = append(dst, hdr[:]...)
-	count := 0
-	if degree <= 1 {
-		for i, e := range ents {
-			c, ok := t.compactEntry(e)
-			if !ok {
-				continue
-			}
-			blob, err := t.eng.MarshalCompact(c)
-			if err != nil {
-				return dst[:start], err
-			}
-			dst = appendKey(dst, keys[i])
-			dst = binary.AppendUvarint(dst, uint64(len(blob)))
-			dst = append(dst, blob...)
-			count++
-		}
-	} else {
-		regions := make([][]byte, degree)
-		counts := make([]int, degree)
-		errs := make([]error, degree)
-		core.FanOut(degree, len(ents), func(w, i int) {
-			if errs[w] != nil {
-				return
-			}
-			c, ok := t.compactEntry(ents[i])
-			if !ok {
-				return
-			}
-			blob, err := t.eng.MarshalCompact(c)
-			if err != nil {
-				errs[w] = err
-				return
-			}
-			buf := appendKey(regions[w], keys[i])
-			buf = binary.AppendUvarint(buf, uint64(len(blob)))
-			regions[w] = append(buf, blob...)
-			counts[w]++
-		})
-		total := 0
-		for w := range regions {
-			if errs[w] != nil {
-				return dst[:start], errs[w]
-			}
-			total += len(regions[w])
-			count += counts[w]
-		}
-		dst = slices.Grow(dst, total)
-		for _, r := range regions {
-			dst = append(dst, r...)
-		}
-	}
-	binary.LittleEndian.PutUint32(dst[start+12:start+16], uint32(count))
-	return dst, nil
+// snapRegion is one worker's share of a streamed snapshot: its
+// encoded entries, their count, and the first marshal error.
+type snapRegion struct {
+	buf []byte
+	n   int
+	err error
 }
 
-// HashKey returns the table's key-placement hash. Exported for
-// composites that partition keys across workers consistently with
-// shard placement (the windowed table's sealed-epoch merge).
-func HashKey[K Key](k K) uint64 { return keyHash(k) }
+// appendSnapshot serializes the whole table into dst in the FCTB
+// format without materializing a TableSnapshot — the streaming
+// capture path. Workers encode the keys they walk into per-worker
+// regions (appendSnapEntry). Worker 0's region is dst itself, behind
+// the header, so a serial capture into a reused buffer copies nothing;
+// the other regions are appended after it, with dst grown once. The
+// header's key count is known only then (keys evicted mid-capture are
+// skipped), so the header is written again in place. On error dst is
+// returned unextended.
+func (t *Table[K, V, S, C]) appendSnapshot(dst []byte, degree int) ([]byte, error) {
+	codec := core.CompactCodec[C](t.eng)
+	regions := make([]snapRegion, degree)
+	regions[0].buf = appendSnapHeader[K](dst, codec, 0)
+	t.walkAll(degree, func(w int, pairs []keyEntry[K, V, S, C]) {
+		r := &regions[w]
+		for _, p := range pairs {
+			if r.err != nil {
+				return
+			}
+			if c, ok := t.compactEntry(p.e); ok {
+				if r.buf, r.err = appendSnapEntry(r.buf, codec, p.k, c); r.err == nil {
+					r.n++
+				}
+			}
+		}
+	})
+	size, count := 0, 0
+	for _, r := range regions {
+		if r.err != nil {
+			return dst, r.err
+		}
+		size += len(r.buf)
+		count += r.n
+	}
+	out := slices.Grow(regions[0].buf, size-len(regions[0].buf))
+	for _, r := range regions[1:] {
+		out = append(out, r.buf...)
+	}
+	appendSnapHeader[K](out[:len(dst)], codec, count)
+	return out, nil
+}

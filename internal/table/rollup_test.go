@@ -535,15 +535,16 @@ func TestRollupSkipIsExact(t *testing.T) {
 func checkRollupExact(t *testing.T, name string, tab *Table[uint64, uint64, float64, *theta.Compact]) *theta.Compact {
 	t.Helper()
 	eng := tab.Engine()
-	keys, ents := tab.collectEntries()
 	inPlace, perKey := eng.NewAggregator(), eng.NewAggregator()
-	for i, key := range keys {
-		tab.addEntry(inPlace, ents[i])
-		c, _ := tab.CompactKey(key)
-		if err := perKey.Add(c); err != nil {
-			t.Fatal(err)
+	tab.walkAll(1, func(_ int, pairs []keyEntry[uint64, uint64, float64, *theta.Compact]) {
+		for _, p := range pairs {
+			tab.addEntry(inPlace, p.e)
+			c, _ := tab.CompactKey(p.k)
+			if err := perKey.Add(c); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
+	})
 	want := perKey.Result()
 	wantB, _ := eng.MarshalCompact(want)
 	gotB, _ := eng.MarshalCompact(inPlace.Result())

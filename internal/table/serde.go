@@ -163,25 +163,36 @@ func (s *TableSnapshot[K, C]) MarshalBinary() ([]byte, error) {
 // scratch) instead of allocating a fresh image per capture. On error,
 // dst is returned unextended.
 func (s *TableSnapshot[K, C]) AppendBinary(dst []byte) ([]byte, error) {
-	start := len(dst)
-	var hdr [snapHeaderSize]byte
-	copy(hdr[0:4], snapMagic)
-	hdr[4] = snapVersion
-	hdr[5] = s.codec.Kind()
-	hdr[6] = keyTypeOf[K]()
-	binary.LittleEndian.PutUint32(hdr[8:12], s.codec.Param())
-	binary.LittleEndian.PutUint32(hdr[12:16], uint32(len(s.entries)))
-	buf := append(dst, hdr[:]...)
+	buf := appendSnapHeader[K](dst, s.codec, len(s.entries))
 	for k, c := range s.entries {
-		blob, err := s.codec.MarshalCompact(c)
-		if err != nil {
-			return dst[:start], err
+		var err error
+		if buf, err = appendSnapEntry(buf, s.codec, k, c); err != nil {
+			return dst, err
 		}
-		buf = appendKey(buf, k)
-		buf = binary.AppendUvarint(buf, uint64(len(blob)))
-		buf = append(buf, blob...)
 	}
 	return buf, nil
+}
+
+// appendSnapHeader writes the header of a snapshot of count keys of
+// codec's kind and parameter. It and appendSnapEntry are the only
+// writers of the format; entries may follow in any order.
+func appendSnapHeader[K Key, C any](dst []byte, codec core.CompactCodec[C], count int) []byte {
+	dst = append(dst, snapMagic...)
+	dst = append(dst, snapVersion, codec.Kind(), keyTypeOf[K](), 0)
+	dst = binary.LittleEndian.AppendUint32(dst, codec.Param())
+	return binary.LittleEndian.AppendUint32(dst, uint32(count))
+}
+
+// appendSnapEntry writes one snapshot entry: the key, then c's blob
+// behind its uvarint length. On error dst is returned unextended.
+func appendSnapEntry[K Key, C any](dst []byte, codec core.CompactCodec[C], k K, c C) ([]byte, error) {
+	blob, err := codec.MarshalCompact(c)
+	if err != nil {
+		return dst, err
+	}
+	dst = appendKey(dst, k)
+	dst = binary.AppendUvarint(dst, uint64(len(blob)))
+	return append(dst, blob...), nil
 }
 
 // snapHeader is the parsed fixed-size snapshot prefix.

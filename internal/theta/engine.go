@@ -160,18 +160,14 @@ func (e *Engine) InPlace(agg core.Aggregator[*Compact]) core.InPlaceAggregator[u
 // FlatAdd implements core.FlatFamily: the flat phase keeps the distinct
 // Θ-space hashes below 1 (exact mode, deduplicated by linear scan), and
 // a sketch's floor is the least hash ever offered to it.
-func (e *Engine) FlatAdd(flat, vals []uint64, hashed bool) ([]uint64, uint64) {
-	low := uint64(math.MaxUint64)
-	for _, h := range vals {
-		if !hashed {
-			h = hash.ThetaHashUint64(h, e.cfg.Seed)
-		}
-		low = min(low, h)
-		if h < hash.MaxThetaValue && !slices.Contains(flat, h) {
-			flat = append(flat, h)
-		}
+func (e *Engine) FlatAdd(flat []uint64, h uint64, hashed bool) ([]uint64, uint64) {
+	if !hashed {
+		h = hash.ThetaHashUint64(h, e.cfg.Seed)
 	}
-	return flat, low
+	if h < hash.MaxThetaValue && !slices.Contains(flat, h) {
+		flat = append(flat, h)
+	}
+	return flat, h
 }
 
 // FlatQuery implements core.FlatFamily: in exact mode the estimate is

@@ -3,6 +3,7 @@ package window
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -243,5 +244,21 @@ func TestWindowTableFlatKeysAcrossRotation(t *testing.T) {
 		if !bytes.Equal(gb, wb) {
 			t.Fatalf("epoch %d: window compact of the flat key differs from the buffered table's", e)
 		}
+	}
+}
+
+// TestWindowTablePoolFallsBackToTableConfig: a keyed window with no
+// window-level pool settings sizes its own pool from the table
+// config's Propagators, as it takes the table config's Pool. The count
+// asked for is GOMAXPROCS+1, so the GOMAXPROCS default cannot pass.
+func TestWindowTablePoolFallsBackToTableConfig(t *testing.T) {
+	want := runtime.GOMAXPROCS(0) + 1
+	tcfg, eng := table.ThetaConfig[string]{
+		Table: table.Config[string]{Writers: 1, Shards: 8, Propagators: want},
+	}.Engine()
+	wt := NewTable(tcfg, eng, Config{Slots: 2, Width: time.Hour})
+	defer wt.Close()
+	if got := wt.Pool().Workers(); got != want {
+		t.Fatalf("window pool has %d workers, want the table config's %d", got, want)
 	}
 }

@@ -42,8 +42,9 @@ type Config struct {
 	// is driven by AutoRotate (a W-ticker) or explicit Rotate calls;
 	// Width also documents the window span Slots·Width.
 	Width time.Duration
-	// Propagators sizes the window's owned propagator pool (default
-	// GOMAXPROCS). Ignored when Pool is set.
+	// Propagators sizes the window's owned propagator pool (default: a
+	// keyed window's table config Propagators, else GOMAXPROCS).
+	// Ignored when Pool is set.
 	Propagators int
 	// Pool, when non-nil, is an external propagation executor shared
 	// with other sketches, tables or windows; the caller closes it

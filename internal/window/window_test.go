@@ -347,3 +347,18 @@ func TestRotateRecyclesExpiredSketch(t *testing.T) {
 		t.Fatalf("expired = %d, want %d", got, want)
 	}
 }
+
+// TestWindowUpdateZeroAllocs: a single-item Update of a standalone Θ
+// window whose live sketch is still flat allocates nothing: MaxError
+// 0.1 keeps it flat for 2/e² = 200 updates, and every call repeats one
+// value, so the flat set does not grow.
+func TestWindowUpdateZeroAllocs(t *testing.T) {
+	eng := theta.NewEngine(theta.ConcurrentConfig{K: 2048, Writers: 1, MaxError: 0.1})
+	w := New(eng, Config{Slots: 2, Width: time.Hour})
+	defer w.Close()
+	wr := w.Writer(0)
+	wr.Update(42)
+	if avg := testing.AllocsPerRun(50, func() { wr.Update(42) }); avg != 0 {
+		t.Errorf("Writer.Update on a flat window allocates %.1f allocs/op, want 0", avg)
+	}
+}
