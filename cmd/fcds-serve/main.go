@@ -36,7 +36,6 @@
 //	           [-checkpoint-dir DIR -checkpoint-every 30s -checkpoint-retain N]
 //	           [-journal DIR -journal-fsync-every N -journal-max-bytes N]
 //	           [-idle-timeout 5m] [-dial-timeout 10s]
-//	           [-read-burst N] [-write-burst N]
 //	           [-metrics-addr :9701] [-stats-every D] [-v]
 //
 // Table specs are name=family/keytype with family one of theta,
@@ -55,8 +54,6 @@
 // Datapath tuning: ingest frames check writer handles out of a
 // per-table pool, so any number of connections share -writers handles
 // — raise -writers when fcds_server_writer_pool_waits_total climbs.
-// -read-burst and -write-burst size the per-connection socket buffers
-// (defaults 128KiB/64KiB).
 //
 // Observability: every subsystem (pool, tables, server, checkpoints,
 // per-upstream shippers) registers into one metrics registry.
@@ -178,8 +175,6 @@ func main() {
 	journalFsyncEvery := flag.Int("journal-fsync-every", 1, "fsync the journal after every Nth record; 1 = every record (strongest durability), higher amortizes the fsync at the cost of losing up to N-1 acknowledged records in a crash")
 	journalMaxBytes := flag.Int64("journal-max-bytes", 64<<20, "journal size that triggers self-compaction (latest record per pushing source is kept, eviction spills are carried verbatim)")
 	idleTimeout := flag.Duration("idle-timeout", 5*time.Minute, "close connections idle longer than this (0 = never)")
-	readBurst := flag.Int("read-burst", 0, "per-connection read buffer in bytes: pipelined frames decode out of one burst (0 = default 128KiB)")
-	writeBurst := flag.Int("write-burst", 0, "per-connection response buffer in bytes (0 = default 64KiB)")
 	dialTimeout := flag.Duration("dial-timeout", 10*time.Second, "bound on upstream connect + HELLO (0 = none)")
 	metricsAddr := flag.String("metrics-addr", "", "ops HTTP listen address serving /metrics (Prometheus text) and /healthz (JSON); empty = disabled")
 	statsEvery := flag.Duration("stats-every", 0, "log a metrics-registry dump at this interval (0 = never)")
@@ -219,8 +214,6 @@ func main() {
 
 	cfg := fcds.IngestServerConfig{
 		IdleTimeout:      *idleTimeout,
-		ReadBurst:        *readBurst,
-		WriteBurst:       *writeBurst,
 		CheckpointRetain: *ckptRetain,
 	}
 	if *verbose {

@@ -161,6 +161,15 @@
 // the Pool field of their configs; Compact() on any concurrent sketch
 // returns a serializable point-in-time snapshot.
 //
+// A table config whose parameter the table's own snapshots could not
+// carry panics at construction: Θ K must be a power of two in [16,
+// 2^26], quantiles K a power of two in [2, 2^15] (FCQS stores k in 16
+// bits), HLL precision in [4, 18]. A captured snapshot's FCTB image
+// (SNAPSHOT_PULL answers, checkpoint bodies, window ships) lists its
+// entries in key order, numeric for uint64 keys and bytewise for string
+// keys, so unchanged state encodes to the same bytes; SnapshotBinary
+// streams them in walk order. Decoders accept any order.
+//
 // # Read-path cost model
 //
 // Whole-table reads — Snapshot, SnapshotAppend, and the
@@ -532,9 +541,7 @@
 // connections. Size -writers to the peak number of batches you want
 // decoded concurrently per table (pool waits tell you when it is too
 // low; fcds_server_writer_pool_idle sitting at -writers means it is
-// more than enough). Two more fcds-serve knobs tune the datapath:
-// -read-burst / -write-burst size the per-connection socket buffers
-// (bigger bursts = fewer syscalls per pipelined batch).
+// more than enough).
 //
 // Sequential sketches (theta KMV/QuickSelect with set operations,
 // quantiles, HLL) and the lock-based baseline used in the paper's

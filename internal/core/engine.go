@@ -30,6 +30,27 @@ const (
 	KindHLL       byte = 3
 )
 
+// Key is the set of key types keyed composites support.
+type Key interface {
+	string | uint64
+}
+
+// Wire identifiers of the key types, for the same reason as the kinds:
+// the FCTB snapshot header and the server's keyed frames and journal
+// records embed these bytes.
+const (
+	KeyString byte = 1
+	KeyUint64 byte = 2
+)
+
+// KeyType reports K's wire identifier.
+func KeyType[K Key]() byte {
+	if _, ok := any(*new(K)).(string); ok {
+		return KeyString
+	}
+	return KeyUint64
+}
+
 // CompactCodec is the compact-sketch half of an Engine: everything
 // needed to identify, merge and (de)serialize compacts without touching
 // a live concurrent sketch. Snapshot containers hold a CompactCodec so

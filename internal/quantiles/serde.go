@@ -15,7 +15,7 @@ import (
 //	0       4     magic "FCQS"
 //	4       1     format version (1)
 //	5       1     flags (bit 0: empty)
-//	6       2     k (uint16; k <= 32768)
+//	6       2     k (uint16; k <= MaxSerialK)
 //	8       8     n (total items)
 //	16      8     min (float64 bits)
 //	24      8     max (float64 bits)
@@ -32,6 +32,9 @@ const (
 	qheaderSize   = 48
 
 	qflagEmpty = 1 << 0
+
+	// MaxSerialK is the largest k the format carries in its 16 bits.
+	MaxSerialK = 1 << 15
 )
 
 // Serialization errors.
@@ -51,7 +54,7 @@ var (
 // equivalent sketch: same k, n, min/max, base buffer and levels (and
 // therefore identical query answers).
 func (s *Sketch) MarshalBinary() ([]byte, error) {
-	if s.k > 1<<15 {
+	if s.k > MaxSerialK {
 		return nil, ErrBadK
 	}
 	if len(s.levels) > 64 {

@@ -33,8 +33,6 @@ type backend interface {
 	// under one name only, since every backend owns all of its table's
 	// writer handles.
 	owner() any
-	kind() byte
-	keyType() byte
 	liveKeys() int
 	// poolWaits counts ingest frames that found every writer handle
 	// checked out and had to block — the signal that more connections
@@ -107,7 +105,6 @@ type ingestScratch struct {
 // stay safe).
 type tableBackend[K table.Key, V, S, C any] struct {
 	st  *table.Table[K, V, S, C]
-	kt  byte
 	eng core.Engine[V, S, C]
 	// str hashes a string item into the family's hash space (the
 	// KEYED_STRING_BATCH path); nil when the engine has no string items
@@ -196,7 +193,6 @@ func Register[K table.Key, V, S, C any](s *Server, name string, t *table.Table[K
 	eng := t.Engine()
 	b := &tableBackend[K, V, S, C]{
 		st:           t,
-		kt:           keyTypeOf[K](),
 		eng:          eng,
 		unmarshal:    func(p []byte) (*table.TableSnapshot[K, C], error) { return table.UnmarshalSnapshot[K](p, eng) },
 		pool:         make(chan *table.Writer[K, V, S, C], t.NumWriters()),
@@ -264,14 +260,6 @@ func (b *tableBackend[K, V, S, C]) quiesce() (release func()) {
 	}
 }
 
-func keyTypeOf[K table.Key]() byte {
-	var zero K
-	if _, ok := any(zero).(string); ok {
-		return wire.KeyTypeString
-	}
-	return wire.KeyTypeUint64
-}
-
 // u64Key converts a decoded uint64 wire key to K. Callers have already
 // checked the table's key type, so the assertion cannot fail; routing
 // the conversion through a pointer keeps it off the heap where
@@ -306,8 +294,7 @@ func strKey[K table.Key](s string) K {
 }
 
 func (b *tableBackend[K, V, S, C]) owner() any       { return b.st }
-func (b *tableBackend[K, V, S, C]) kind() byte       { return b.eng.Kind() }
-func (b *tableBackend[K, V, S, C]) keyType() byte    { return b.kt }
+func (b *tableBackend[K, V, S, C]) keyType() byte    { return core.KeyType[K]() }
 func (b *tableBackend[K, V, S, C]) liveKeys() int    { return b.st.Keys() }
 func (b *tableBackend[K, V, S, C]) poolWaits() int64 { return b.waits.Load() }
 func (b *tableBackend[K, V, S, C]) poolIdle() int    { return len(b.pool) }
@@ -322,8 +309,8 @@ func viewString(bs []byte) string {
 }
 
 func (b *tableBackend[K, V, S, C]) ingest(r *wire.Reader, stringItems bool) (int, error) {
-	if kt := r.Byte(); r.Err == nil && kt != b.kt {
-		return 0, errBadPayload("key type %d, table wants %d", kt, b.kt)
+	if kt := r.Byte(); r.Err == nil && kt != b.keyType() {
+		return 0, errBadPayload("key type %d, table wants %d", kt, b.keyType())
 	}
 	count64 := r.Uvarint()
 	if r.Err != nil {
@@ -336,7 +323,7 @@ func (b *tableBackend[K, V, S, C]) ingest(r *wire.Reader, stringItems bool) (int
 	// uint64 narrows to int: a count >= 2^63 would convert negative and
 	// sail past an int comparison straight into a slice-bounds panic.
 	minEntry := 2 // string key + string item lower bound
-	if b.kt == wire.KeyTypeUint64 {
+	if b.keyType() == wire.KeyTypeUint64 {
 		minEntry += 7
 	}
 	if !stringItems {
@@ -375,7 +362,7 @@ func (b *tableBackend[K, V, S, C]) ingest(r *wire.Reader, stringItems bool) (int
 // same payload.
 func (b *tableBackend[K, V, S, C]) decodeInto(w *table.Writer[K, V, S, C], r *wire.Reader, count int, stringItems bool) error {
 	switch {
-	case b.kt == wire.KeyTypeUint64:
+	case b.keyType() == wire.KeyTypeUint64:
 		// Fixed 8-byte keys: the value run starts at a computable
 		// offset, so keys and values stream pairwise in one pass.
 		kr := wire.Reader{Buf: r.Bytes(count * 8)}
@@ -471,11 +458,11 @@ func (b *tableBackend[K, V, S, C]) decodeInto(w *table.Writer[K, V, S, C], r *wi
 }
 
 func (b *tableBackend[K, V, S, C]) queryCompact(r *wire.Reader, dst []byte) ([]byte, error) {
-	if kt := r.Byte(); r.Err == nil && kt != b.kt {
-		return dst, errBadPayload("key type %d, table wants %d", kt, b.kt)
+	if kt := r.Byte(); r.Err == nil && kt != b.keyType() {
+		return dst, errBadPayload("key type %d, table wants %d", kt, b.keyType())
 	}
 	var k K
-	if b.kt == wire.KeyTypeUint64 {
+	if b.keyType() == wire.KeyTypeUint64 {
 		k = u64Key[K](r.Uint64())
 	} else {
 		k = strKey[K](r.String())
@@ -716,10 +703,10 @@ func (b *tableBackend[K, V, S, C]) storeSourceLocked(source string, snap *table.
 // LE uint64) into K, rejecting a key-type mismatch.
 func (b *tableBackend[K, V, S, C]) decodeKey(keyType byte, key []byte) (K, error) {
 	var zero K
-	if keyType != b.kt {
-		return zero, fmt.Errorf("key type %d, table wants %d", keyType, b.kt)
+	if keyType != b.keyType() {
+		return zero, fmt.Errorf("key type %d, table wants %d", keyType, b.keyType())
 	}
-	if b.kt == wire.KeyTypeUint64 {
+	if b.keyType() == wire.KeyTypeUint64 {
 		if len(key) != 8 {
 			return zero, fmt.Errorf("uint64 key is %d bytes", len(key))
 		}

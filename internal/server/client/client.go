@@ -29,6 +29,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/fcds/fcds/internal/core"
 	"github.com/fcds/fcds/internal/server/wire"
 )
 
@@ -478,118 +479,87 @@ func (c *Client) Close() error {
 
 // --- ingest (asynchronous, batched) ---
 
-func appendBatchHeader(dst []byte, tbl string, keyType byte, n int) []byte {
-	dst = wire.AppendString(dst, tbl)
-	dst = append(dst, keyType)
-	return wire.AppendUvarint(dst, uint64(n))
+// item is the set of keyed-batch value types: uint64 items (Θ, HLL),
+// float64 samples (quantiles) and string items the server hashes.
+type item interface {
+	uint64 | float64 | string
+}
+
+// ingest sends one keyed batch — the table name, the key type, the
+// count, the key run, then the value run — as a KEYED_STRING_BATCH
+// frame for string items, else a KEYED_BATCH frame. Asynchronous:
+// errors surface at Flush.
+func ingest[K core.Key, V item](c *Client, tbl string, keys []K, vals []V) error {
+	if len(keys) != len(vals) {
+		return fmt.Errorf("client: keys/vals length mismatch %d != %d", len(keys), len(vals))
+	}
+	typ := wire.FrameKeyedBatch
+	if _, ok := any(vals).([]string); ok {
+		typ = wire.FrameKeyedStringBatch
+	}
+	return c.send(c.version, typ, nil, nil, func(dst []byte) []byte {
+		dst = wire.AppendString(dst, tbl)
+		dst = append(dst, core.KeyType[K]())
+		dst = wire.AppendUvarint(dst, uint64(len(keys)))
+		return appendRun(appendRun(dst, keys), vals)
+	})
+}
+
+// appendRun appends a run of keys or values in their wire encoding:
+// uint64s as 8 bytes LE, float64s as their IEEE-754 bits, strings as
+// uvarint length + bytes.
+func appendRun[T item](dst []byte, run []T) []byte {
+	switch r := any(run).(type) {
+	case []uint64:
+		for _, v := range r {
+			dst = wire.AppendUint64(dst, v)
+		}
+	case []float64:
+		for _, v := range r {
+			dst = wire.AppendFloat64(dst, v)
+		}
+	case []string:
+		for _, v := range r {
+			dst = wire.AppendString(dst, v)
+		}
+	}
+	return dst
 }
 
 // IngestU64 streams a keyed batch (uint64 keys, uint64 items) into the
 // named Θ or HLL table. Asynchronous: errors surface at Flush.
 func (c *Client) IngestU64(tbl string, keys, vals []uint64) error {
-	if len(keys) != len(vals) {
-		return fmt.Errorf("client: keys/vals length mismatch %d != %d", len(keys), len(vals))
-	}
-	return c.send(c.version, wire.FrameKeyedBatch, nil, nil, func(dst []byte) []byte {
-		dst = appendBatchHeader(dst, tbl, wire.KeyTypeUint64, len(keys))
-		for _, k := range keys {
-			dst = wire.AppendUint64(dst, k)
-		}
-		for _, v := range vals {
-			dst = wire.AppendUint64(dst, v)
-		}
-		return dst
-	})
+	return ingest(c, tbl, keys, vals)
 }
 
 // Ingest streams a keyed batch (string keys, uint64 items) into the
 // named Θ or HLL table. Asynchronous: errors surface at Flush.
 func (c *Client) Ingest(tbl string, keys []string, vals []uint64) error {
-	if len(keys) != len(vals) {
-		return fmt.Errorf("client: keys/vals length mismatch %d != %d", len(keys), len(vals))
-	}
-	return c.send(c.version, wire.FrameKeyedBatch, nil, nil, func(dst []byte) []byte {
-		dst = appendBatchHeader(dst, tbl, wire.KeyTypeString, len(keys))
-		for _, k := range keys {
-			dst = wire.AppendString(dst, k)
-		}
-		for _, v := range vals {
-			dst = wire.AppendUint64(dst, v)
-		}
-		return dst
-	})
+	return ingest(c, tbl, keys, vals)
 }
 
 // IngestFloat streams a keyed batch (string keys, float64 samples)
 // into the named quantiles table. Asynchronous: errors surface at
 // Flush.
 func (c *Client) IngestFloat(tbl string, keys []string, vals []float64) error {
-	if len(keys) != len(vals) {
-		return fmt.Errorf("client: keys/vals length mismatch %d != %d", len(keys), len(vals))
-	}
-	return c.send(c.version, wire.FrameKeyedBatch, nil, nil, func(dst []byte) []byte {
-		dst = appendBatchHeader(dst, tbl, wire.KeyTypeString, len(keys))
-		for _, k := range keys {
-			dst = wire.AppendString(dst, k)
-		}
-		for _, v := range vals {
-			dst = wire.AppendFloat64(dst, v)
-		}
-		return dst
-	})
+	return ingest(c, tbl, keys, vals)
 }
 
 // IngestFloatU64 is IngestFloat with uint64 keys.
 func (c *Client) IngestFloatU64(tbl string, keys []uint64, vals []float64) error {
-	if len(keys) != len(vals) {
-		return fmt.Errorf("client: keys/vals length mismatch %d != %d", len(keys), len(vals))
-	}
-	return c.send(c.version, wire.FrameKeyedBatch, nil, nil, func(dst []byte) []byte {
-		dst = appendBatchHeader(dst, tbl, wire.KeyTypeUint64, len(keys))
-		for _, k := range keys {
-			dst = wire.AppendUint64(dst, k)
-		}
-		for _, v := range vals {
-			dst = wire.AppendFloat64(dst, v)
-		}
-		return dst
-	})
+	return ingest(c, tbl, keys, vals)
 }
 
 // IngestStrings streams a keyed batch of string items (string keys)
 // into the named Θ or HLL table; the server hashes the items.
 // Asynchronous: errors surface at Flush.
 func (c *Client) IngestStrings(tbl string, keys []string, items []string) error {
-	if len(keys) != len(items) {
-		return fmt.Errorf("client: keys/items length mismatch %d != %d", len(keys), len(items))
-	}
-	return c.send(c.version, wire.FrameKeyedStringBatch, nil, nil, func(dst []byte) []byte {
-		dst = appendBatchHeader(dst, tbl, wire.KeyTypeString, len(keys))
-		for _, k := range keys {
-			dst = wire.AppendString(dst, k)
-		}
-		for _, it := range items {
-			dst = wire.AppendString(dst, it)
-		}
-		return dst
-	})
+	return ingest(c, tbl, keys, items)
 }
 
 // IngestStringsU64 is IngestStrings with uint64 keys.
 func (c *Client) IngestStringsU64(tbl string, keys []uint64, items []string) error {
-	if len(keys) != len(items) {
-		return fmt.Errorf("client: keys/items length mismatch %d != %d", len(keys), len(items))
-	}
-	return c.send(c.version, wire.FrameKeyedStringBatch, nil, nil, func(dst []byte) []byte {
-		dst = appendBatchHeader(dst, tbl, wire.KeyTypeUint64, len(keys))
-		for _, k := range keys {
-			dst = wire.AppendUint64(dst, k)
-		}
-		for _, it := range items {
-			dst = wire.AppendString(dst, it)
-		}
-		return dst
-	})
+	return ingest(c, tbl, keys, items)
 }
 
 // --- snapshot shipping ---
@@ -655,8 +625,17 @@ func (c *Client) PullSnapshot(tbl string) ([]byte, error) {
 
 // --- queries ---
 
-func parseQueryValue(payload []byte) (kind byte, blob []byte, found bool, err error) {
-	r := wire.Reader{Buf: payload}
+// queryCompact sends one QUERY frame for key and parses the answer.
+func queryCompact[K core.Key](c *Client, tbl string, key K) (kind byte, blob []byte, found bool, err error) {
+	resp, err := c.roundTrip(c.version, wire.FrameQuery, func(dst []byte) []byte {
+		dst = wire.AppendString(dst, tbl)
+		dst = append(dst, core.KeyType[K]())
+		return appendRun(dst, []K{key})
+	})
+	if err != nil {
+		return 0, nil, false, err
+	}
+	r := wire.Reader{Buf: resp.payload}
 	if r.Byte() == 0 {
 		if r.Err != nil || r.Remaining() != 0 {
 			return 0, nil, false, errors.New("client: malformed query response")
@@ -676,28 +655,12 @@ func parseQueryValue(payload []byte) (kind byte, blob []byte, found bool, err er
 // key. found is false when the key is unknown on the server. The blob
 // parses with the family's compact unmarshaller (kind identifies it).
 func (c *Client) QueryCompact(tbl string, key string) (kind byte, blob []byte, found bool, err error) {
-	resp, err := c.roundTrip(c.version, wire.FrameQuery, func(dst []byte) []byte {
-		dst = wire.AppendString(dst, tbl)
-		dst = append(dst, wire.KeyTypeString)
-		return wire.AppendString(dst, key)
-	})
-	if err != nil {
-		return 0, nil, false, err
-	}
-	return parseQueryValue(resp.payload)
+	return queryCompact(c, tbl, key)
 }
 
 // QueryCompactU64 is QueryCompact with a uint64 key.
 func (c *Client) QueryCompactU64(tbl string, key uint64) (kind byte, blob []byte, found bool, err error) {
-	resp, err := c.roundTrip(c.version, wire.FrameQuery, func(dst []byte) []byte {
-		dst = wire.AppendString(dst, tbl)
-		dst = append(dst, wire.KeyTypeUint64)
-		return wire.AppendUint64(dst, key)
-	})
-	if err != nil {
-		return 0, nil, false, err
-	}
-	return parseQueryValue(resp.payload)
+	return queryCompact(c, tbl, key)
 }
 
 // Rollup fetches the named table's all-keys merged compact (live keys

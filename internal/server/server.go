@@ -57,14 +57,6 @@ type Config struct {
 	// Logf, when non-nil, receives connection-level diagnostics
 	// (accept errors, protocol violations). Nil means silent.
 	Logf func(format string, args ...any)
-	// ReadBurst sizes each connection's buffered read window in bytes
-	// (<= 0 means wire.DefaultReadBurst). Frames that fit the window
-	// decode in place — zero copies off the socket buffer; larger
-	// frames (snapshot blobs) spill to an owned per-connection buffer.
-	ReadBurst int
-	// WriteBurst sizes each connection's buffered response writer in
-	// bytes (<= 0 means 64 KiB).
-	WriteBurst int
 	// CheckpointRetain is how many checkpoint generations WriteCheckpoints
 	// keeps per table (and how many journal files survive the matching
 	// prune). <= 0 means DefaultRetain. Raising it trades disk for the
@@ -519,6 +511,10 @@ type connState struct {
 	req  wire.Reader // request payload cursor, reused so the pointer handed through the backend interface never escapes per frame
 }
 
+// writeBurst sizes each connection's buffered response writer; its
+// read window is wire.DefaultReadBurst.
+const writeBurst = 64 << 10
+
 // serveConn runs one connection's frame loop.
 func (s *Server) serveConn(nc net.Conn) {
 	defer func() {
@@ -538,12 +534,8 @@ func (s *Server) serveConn(nc net.Conn) {
 	}()
 
 	cs := &connState{}
-	fr := wire.NewFrameReader(nc, s.cfg.ReadBurst, s.cfg.MaxFrame)
-	wburst := s.cfg.WriteBurst
-	if wburst <= 0 {
-		wburst = 64 << 10
-	}
-	bw := bufio.NewWriterSize(nc, wburst)
+	fr := wire.NewFrameReader(nc, wire.DefaultReadBurst, s.cfg.MaxFrame)
+	bw := bufio.NewWriterSize(nc, writeBurst)
 	negotiated := byte(0) // no HELLO yet
 
 	fail := func(code uint64, msg string) {

@@ -56,6 +56,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+
+	"github.com/fcds/fcds/internal/core"
 )
 
 // Version is the highest protocol version this build speaks.
@@ -136,10 +138,10 @@ const (
 	ErrCodeShutdown     uint64 = 7 // server is draining; retry elsewhere
 )
 
-// Key-type bytes, aligned with the FCTB snapshot key registry.
+// Key-type bytes: core's key registry, which FCTB snapshots use too.
 const (
-	KeyTypeString byte = 1
-	KeyTypeUint64 byte = 2
+	KeyTypeString = core.KeyString
+	KeyTypeUint64 = core.KeyUint64
 )
 
 // Framing errors.

@@ -31,7 +31,7 @@ func (c HLLConfig[K]) withDefaults() HLLConfig[K] {
 	}
 	// Validate here, not on first update: the lazy NewSketch call runs
 	// under a shard write-lock (see ThetaConfig.withDefaults).
-	if c.Precision < 4 || c.Precision > 18 {
+	if !validParam(KindHLL, int(c.Precision)) {
 		panic(fmt.Sprintf("table: HLLConfig.Precision must be in [4, 18], got %d", c.Precision))
 	}
 	if c.BufferSize == 0 {

@@ -35,8 +35,8 @@ func (c QuantilesConfig[K]) withDefaults() QuantilesConfig[K] {
 	}
 	// Validate here, not on first update: the lazy NewSketch call runs
 	// under a shard write-lock (see ThetaConfig.withDefaults).
-	if c.K < 2 || c.K&(c.K-1) != 0 {
-		panic(fmt.Sprintf("table: QuantilesConfig.K must be a power of two >= 2, got %d", c.K))
+	if !validParam(KindQuantiles, c.K) {
+		panic(fmt.Sprintf("table: QuantilesConfig.K must be a power of two in [2, 2^15], got %d", c.K))
 	}
 	if c.BufferSize == 0 {
 		c.BufferSize = 2 * c.K

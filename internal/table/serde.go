@@ -4,8 +4,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 
 	"github.com/fcds/fcds/internal/core"
+	"github.com/fcds/fcds/internal/quantiles"
 )
 
 // Binary table-snapshot format (little endian), version 1:
@@ -21,9 +24,12 @@ import (
 //	16      ...   count entries: key, then uvarint blob length + blob
 //
 // String keys are uvarint length + bytes; uint64 keys are 8 bytes LE.
-// Each blob is the per-key sketch's own serialization (validated by
-// its own unmarshaller), so a corrupt snapshot cannot smuggle in an
-// invalid sketch.
+// TableSnapshot.AppendBinary writes entries in key order (numeric for
+// uint64 keys, bytewise for string keys), so a snapshot always encodes
+// to the same bytes; Table.SnapshotAppend streams them in walk order.
+// Decoders accept any order. Each blob is the per-key sketch's own
+// serialization (validated by its own unmarshaller), so a corrupt
+// snapshot cannot smuggle in an invalid sketch.
 const (
 	snapMagic      = "FCTB"
 	snapVersion    = 1
@@ -33,9 +39,6 @@ const (
 	KindTheta     = core.KindTheta
 	KindQuantiles = core.KindQuantiles
 	KindHLL       = core.KindHLL
-
-	keyTypeString byte = 1
-	keyTypeUint64 byte = 2
 )
 
 // Snapshot serialization errors.
@@ -48,32 +51,19 @@ var (
 	ErrSnapIncompatible = errors.New("table: snapshots not mergeable (kind or parameter differ)")
 )
 
-// keyTypeOf reports the wire key-type byte for K.
-func keyTypeOf[K Key]() byte {
-	var zero K
-	if _, ok := any(zero).(string); ok {
-		return keyTypeString
-	}
-	return keyTypeUint64
-}
-
 // appendKey writes a key in its wire encoding.
 func appendKey[K Key](dst []byte, k K) []byte {
-	switch v := any(k).(type) {
-	case string:
-		dst = binary.AppendUvarint(dst, uint64(len(v)))
-		return append(dst, v...)
-	case uint64:
-		return binary.LittleEndian.AppendUint64(dst, v)
-	default:
-		panic("table: unsupported key type")
+	if s, ok := any(k).(string); ok {
+		dst = binary.AppendUvarint(dst, uint64(len(s)))
+		return append(dst, s...)
 	}
+	return binary.LittleEndian.AppendUint64(dst, any(k).(uint64))
 }
 
 // readKey parses one key and returns the remaining bytes.
 func readKey[K Key](data []byte) (K, []byte, error) {
 	var zero K
-	if keyTypeOf[K]() == keyTypeString {
+	if core.KeyType[K]() == core.KeyString {
 		n, sz := binary.Uvarint(data)
 		if sz <= 0 || uint64(len(data)-sz) < n {
 			return zero, nil, fmt.Errorf("%w: truncated string key", ErrSnapCorrupt)
@@ -160,13 +150,14 @@ func (s *TableSnapshot[K, C]) MarshalBinary() ([]byte, error) {
 // AppendBinary serializes the snapshot into dst and returns the
 // extended slice — the streaming hook for callers that ship snapshots
 // over reusable buffers (the network server's per-connection write
-// scratch) instead of allocating a fresh image per capture. On error,
+// scratch) instead of allocating a fresh image per capture. Entries
+// go in key order, so equal snapshots encode to equal bytes. On error,
 // dst is returned unextended.
 func (s *TableSnapshot[K, C]) AppendBinary(dst []byte) ([]byte, error) {
 	buf := appendSnapHeader[K](dst, s.codec, len(s.entries))
-	for k, c := range s.entries {
+	for _, k := range slices.Sorted(maps.Keys(s.entries)) {
 		var err error
-		if buf, err = appendSnapEntry(buf, s.codec, k, c); err != nil {
+		if buf, err = appendSnapEntry(buf, s.codec, k, s.entries[k]); err != nil {
 			return dst, err
 		}
 	}
@@ -175,10 +166,10 @@ func (s *TableSnapshot[K, C]) AppendBinary(dst []byte) ([]byte, error) {
 
 // appendSnapHeader writes the header of a snapshot of count keys of
 // codec's kind and parameter. It and appendSnapEntry are the only
-// writers of the format; entries may follow in any order.
+// writers of the format; decoders accept the entries in any order.
 func appendSnapHeader[K Key, C any](dst []byte, codec core.CompactCodec[C], count int) []byte {
 	dst = append(dst, snapMagic...)
-	dst = append(dst, snapVersion, codec.Kind(), keyTypeOf[K](), 0)
+	dst = append(dst, snapVersion, codec.Kind(), core.KeyType[K](), 0)
 	dst = binary.LittleEndian.AppendUint32(dst, codec.Param())
 	return binary.LittleEndian.AppendUint32(dst, uint32(count))
 }
@@ -218,28 +209,29 @@ func parseSnapshotHeader[K Key](data []byte, wantKind byte) (snapHeader, []byte,
 	if data[5] != wantKind {
 		return h, nil, fmt.Errorf("%w: snapshot kind %d, want %d", ErrSnapKindMismatch, data[5], wantKind)
 	}
-	if data[6] != keyTypeOf[K]() {
-		return h, nil, fmt.Errorf("%w: snapshot key type %d, want %d", ErrSnapKeyMismatch, data[6], keyTypeOf[K]())
+	if data[6] != core.KeyType[K]() {
+		return h, nil, fmt.Errorf("%w: snapshot key type %d, want %d", ErrSnapKeyMismatch, data[6], core.KeyType[K]())
 	}
 	h.kind = data[5]
 	h.param = binary.LittleEndian.Uint32(data[8:12])
 	h.count = int(binary.LittleEndian.Uint32(data[12:16]))
-	if !validParam(h.kind, h.param) {
+	if !validParam(h.kind, int(h.param)) {
 		return h, nil, fmt.Errorf("%w: parameter %d invalid for kind %d", ErrSnapCorrupt, h.param, h.kind)
 	}
 	return h, data[snapHeaderSize:], nil
 }
 
-// validParam checks the header's sketch parameter against the kind's
-// constructor constraints, so a corrupt snapshot fails Unmarshal with
-// an error instead of panicking later inside Merge's union/merge
-// constructors.
-func validParam(kind byte, param uint32) bool {
+// validParam checks a sketch parameter against the kind's constructor
+// constraints and what its compacts can carry, so a corrupt snapshot
+// fails Unmarshal with an error instead of panicking later inside
+// Merge's union/merge constructors, and a table never takes a
+// parameter its own snapshots could not hold.
+func validParam(kind byte, param int) bool {
 	switch kind {
 	case KindTheta:
 		return param >= 16 && param <= 1<<26 && param&(param-1) == 0
 	case KindQuantiles:
-		return param >= 2 && param <= 1<<20 && param&(param-1) == 0
+		return param >= 2 && param <= quantiles.MaxSerialK && param&(param-1) == 0
 	case KindHLL:
 		return param >= 4 && param <= 18
 	default:
@@ -273,7 +265,7 @@ func unmarshalSnapshot[K Key, C any](data []byte, wantKind byte, newCodec func(p
 	// can hold: the count is the sender's claim, the body length is a
 	// fact. An entry is at least its key plus one blob-length byte.
 	minEntry := 8 + 1
-	if keyTypeOf[K]() == keyTypeString {
+	if core.KeyType[K]() == core.KeyString {
 		minEntry = 1 + 1
 	}
 	s := &TableSnapshot[K, C]{codec: codec, entries: make(map[K]C, min(h.count, len(body)/minEntry))}

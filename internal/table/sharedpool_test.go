@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/fcds/fcds/internal/core"
 	"github.com/fcds/fcds/internal/relax"
 )
 
@@ -19,8 +20,10 @@ import (
 // under -race -count=20.
 func TestSharedPoolQuantilesRelaxation(t *testing.T) {
 	const writers, keys, rounds, perRound = 4, 8, 150, 2
+	pool := core.NewPropagatorPool(4)
+	defer pool.Close()
 	tab := NewQuantiles(QuantilesConfig[uint64]{
-		Table: Config[uint64]{Writers: writers, Shards: 4, Propagators: 4},
+		Table: Config[uint64]{Writers: writers, Shards: 4, Pool: pool},
 		K:     16,
 	})
 	defer tab.Close()

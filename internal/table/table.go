@@ -129,9 +129,7 @@ import (
 )
 
 // Key is the set of supported table key types.
-type Key interface {
-	string | uint64
-}
+type Key = core.Key
 
 // shardSeed hashes keys to shards; distinct from sketch seeds so key
 // placement does not correlate with Θ-space sampling.
@@ -148,12 +146,9 @@ type Config[K Key] struct {
 	// Shards is the number of key shards (a power of two; default 256).
 	// More shards mean less lock contention on key creation/eviction.
 	Shards int
-	// Propagators sizes the table's owned propagator pool (default
-	// GOMAXPROCS). Ignored when Pool is set.
-	Propagators int
 	// Pool, when non-nil, is an external propagation executor shared
 	// with other tables or sketches; the caller closes it after the
-	// table. Nil gives the table its own pool.
+	// table. Nil gives the table its own pool of GOMAXPROCS workers.
 	Pool *core.PropagatorPool
 	// MaxKeys caps the number of live keys (0 = unlimited). The cap is
 	// enforced per shard (MaxKeys/Shards, rounded up), evicting the
@@ -296,7 +291,7 @@ func New[K Key, V, S, C any](cfg Config[K], eng core.Engine[V, S, C]) *Table[K, 
 		now:    func() int64 { return time.Now().UnixNano() },
 	}
 	if t.pool == nil {
-		t.pool = core.NewPropagatorPool(cfg.Propagators)
+		t.pool = core.NewPropagatorPool(0)
 		t.ownPool = true
 	}
 	if cfg.MaxKeys > 0 {

@@ -115,8 +115,10 @@ func TestThetaTableErrorBoundLargeKeys(t *testing.T) {
 // every key is attached once it is pushed past the eager limit.
 func TestTableGoroutineCountIndependentOfKeys(t *testing.T) {
 	const eagerLimit = 8 // 2/e² at MaxError 0.5
+	pool := core.NewPropagatorPool(4)
+	defer pool.Close()
 	tab := NewTheta(ThetaConfig[uint64]{
-		Table:    Config[uint64]{Writers: 1, Shards: 1024, Propagators: 4},
+		Table:    Config[uint64]{Writers: 1, Shards: 1024, Pool: pool},
 		MaxError: 0.5,
 	})
 	defer tab.Close()
@@ -761,6 +763,34 @@ func TestTableConfigValidationAtConstruction(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// TestTableParamFitsSnapshot: a table refuses, at construction, a
+// parameter its own snapshots could not carry — quantiles K above what
+// FCQS stores in 16 bits, Θ K above what the FCTB header admits — and
+// the FCTB header refuses a quantiles parameter no FCQS compact can
+// carry, even with no entries behind it.
+func TestTableParamFitsSnapshot(t *testing.T) {
+	for name, fn := range map[string]func(){
+		"quantiles K 2^16": func() { NewQuantiles(QuantilesConfig[string]{K: 1 << 16}) },
+		"theta K 2^27":     func() { NewTheta(ThetaConfig[uint64]{K: 1 << 27}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected construction-time panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
+	img := []byte("FCTB")
+	img = append(img, snapVersion, KindQuantiles, core.KeyString, 0)
+	img = binary.LittleEndian.AppendUint32(img, 1<<16)
+	img = binary.LittleEndian.AppendUint32(img, 0)
+	if _, err := UnmarshalQuantilesSnapshot[string](img); !errors.Is(err, ErrSnapCorrupt) {
+		t.Fatalf("empty image with quantiles parameter 2^16: err = %v, want ErrSnapCorrupt", err)
 	}
 }
 

@@ -49,8 +49,8 @@ func (c ThetaConfig[K]) withDefaults() ThetaConfig[K] {
 	// Validate here, not on first update: the lazy NewSketch call runs
 	// under a shard write-lock, where a constructor panic would leave
 	// the shard locked for any caller that recovers.
-	if c.K < 16 || c.K&(c.K-1) != 0 {
-		panic(fmt.Sprintf("table: ThetaConfig.K must be a power of two >= 16, got %d", c.K))
+	if !validParam(KindTheta, c.K) {
+		panic(fmt.Sprintf("table: ThetaConfig.K must be a power of two in [16, 2^26], got %d", c.K))
 	}
 	if c.MaxError == 0 {
 		c.MaxError = 1 / math.Sqrt(float64(c.K-2))

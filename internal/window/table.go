@@ -1,8 +1,6 @@
 package window
 
 import (
-	"cmp"
-
 	"github.com/fcds/fcds/internal/core"
 	"github.com/fcds/fcds/internal/table"
 )
@@ -29,11 +27,10 @@ type Table[K table.Key, V, S, C any] struct {
 // NewTable builds a sliding-window keyed table whose per-key sketches
 // come from the engine (a family config's Engine method gives the
 // (tcfg, eng) pair); Close it when done. The window's pool falls back
-// to the table config's: cfg.Pool, then tcfg.Pool, then a pool of
-// cfg.Propagators workers, else tcfg.Propagators, else GOMAXPROCS.
+// to the table config's: cfg.Pool, then tcfg.Pool, else an owned pool
+// of GOMAXPROCS workers.
 func NewTable[K table.Key, V, S, C any](tcfg table.Config[K], eng core.Engine[V, S, C], cfg Config) *Table[K, V, S, C] {
 	w := &Table[K, V, S, C]{eng: eng}
-	cfg.Propagators = cmp.Or(cfg.Propagators, tcfg.Propagators)
 	w.clock.init(cfg.withDefaults(), tcfg.Pool, w.Rotate)
 	tcfg.Pool = w.pool
 	w.t = table.New(tcfg, newRingEngine(eng, &w.clock))

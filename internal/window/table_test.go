@@ -3,7 +3,6 @@ package window
 import (
 	"bytes"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -247,18 +246,27 @@ func TestWindowTableFlatKeysAcrossRotation(t *testing.T) {
 	}
 }
 
-// TestWindowTablePoolFallsBackToTableConfig: a keyed window with no
-// window-level pool settings sizes its own pool from the table
-// config's Propagators, as it takes the table config's Pool. The count
-// asked for is GOMAXPROCS+1, so the GOMAXPROCS default cannot pass.
-func TestWindowTablePoolFallsBackToTableConfig(t *testing.T) {
-	want := runtime.GOMAXPROCS(0) + 1
-	tcfg, eng := table.ThetaConfig[string]{
-		Table: table.Config[string]{Writers: 1, Shards: 8, Propagators: want},
-	}.Engine()
-	wt := NewTable(tcfg, eng, Config{Slots: 2, Width: time.Hour})
-	defer wt.Close()
-	if got := wt.Pool().Workers(); got != want {
-		t.Fatalf("window pool has %d workers, want the table config's %d", got, want)
+// TestWindowTableParamFitsSnapshot: a keyed window refuses, at
+// construction, a parameter its table's snapshots could not carry,
+// exactly as the table does.
+func TestWindowTableParamFitsSnapshot(t *testing.T) {
+	for name, fn := range map[string]func(){
+		"quantiles K 2^16": func() {
+			tcfg, eng := table.QuantilesConfig[string]{K: 1 << 16}.Engine()
+			NewTable(tcfg, eng, Config{Slots: 2}).Close()
+		},
+		"theta K 2^27": func() {
+			tcfg, eng := table.ThetaConfig[uint64]{K: 1 << 27}.Engine()
+			NewTable(tcfg, eng, Config{Slots: 2}).Close()
+		},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected construction-time panic", name)
+				}
+			}()
+			fn()
+		}()
 	}
 }

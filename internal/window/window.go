@@ -42,13 +42,10 @@ type Config struct {
 	// is driven by AutoRotate (a W-ticker) or explicit Rotate calls;
 	// Width also documents the window span Slots·Width.
 	Width time.Duration
-	// Propagators sizes the window's owned propagator pool (default: a
-	// keyed window's table config Propagators, else GOMAXPROCS).
-	// Ignored when Pool is set.
-	Propagators int
 	// Pool, when non-nil, is an external propagation executor shared
 	// with other sketches, tables or windows; the caller closes it
-	// after the window. Nil gives the window its own pool.
+	// after the window. Nil gives the window its own pool of GOMAXPROCS
+	// workers (a keyed window first takes its table config's Pool).
 	Pool *core.PropagatorPool
 }
 
@@ -100,7 +97,7 @@ type clock struct {
 func (c *clock) init(cfg Config, fallback *core.PropagatorPool, rotate func()) {
 	c.cfg, c.rotate, c.pool = cfg, rotate, cmp.Or(cfg.Pool, fallback)
 	if c.pool == nil {
-		c.pool, c.ownPool = core.NewPropagatorPool(cfg.Propagators), true
+		c.pool, c.ownPool = core.NewPropagatorPool(0), true
 	}
 }
 
