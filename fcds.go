@@ -406,7 +406,15 @@
 // only when every newer one failed; within the file it restores, the
 // aggregate and every source snapshot are decoded and admitted once,
 // concurrently on GOMAXPROCS cores, then applied together (a bad blob
-// still rejects the whole generation).
+// still rejects the whole generation). A snapshot image decodes in one
+// piece: the Θ compacts of one image share one samples array and one
+// array of compact structs (three allocations per image instead of two
+// per key), so a compact kept beyond its snapshot keeps the whole
+// image's arrays alive — clone it (merge it into a fresh union) if
+// only a few are kept. The aggregator follows that rule itself: a
+// named source replaced whole keeps its image, and the anonymous
+// aggregate and the demotion fold copy the compacts they adopt from an
+// image they keep only part of.
 //
 // Journaled aggregator crash. With a journal attached (AttachJournal;
 // fcds-serve's -journal), the aggregator write-ahead-logs every
@@ -419,7 +427,9 @@
 // watermark (merge-semantics records — eviction spills, anonymous
 // pushes — would double-count without it) after their frame CRC and
 // before their snapshot is decoded, so a boot decodes only the
-// records it applies, and a torn final record
+// records it applies — at most GOMAXPROCS of them ahead of the one
+// being applied, decoding concurrently, while records still apply one
+// by one in LSN order — and a torn final record
 // (the crash happened mid-write) fails its CRC and truncates cleanly —
 // that push was never ACKed, so its Reliable shipper redelivers it.
 // A boot also skips, unread, every journal file the next file's first
@@ -1038,7 +1048,8 @@ func NewHLLTable(cfg HLLTableConfig) *HLLTable { return table.NewHLL(cfg) }
 func NewHLLTableU64(cfg HLLTableU64Config) *HLLTableU64 { return table.NewHLL(cfg) }
 
 // UnmarshalThetaTableSnapshot parses a serialized string-keyed Θ table
-// snapshot (see ThetaTable.SnapshotBinary).
+// snapshot (see ThetaTable.SnapshotBinary). Its compacts share their
+// arrays: one kept beyond the snapshot keeps all of them alive.
 func UnmarshalThetaTableSnapshot(data []byte) (*ThetaTableSnapshot, error) {
 	return table.UnmarshalThetaSnapshot[string](data)
 }

@@ -69,6 +69,29 @@ type CompactCodec[C any] interface {
 	// UnmarshalCompact parses a compact serialized by MarshalCompact,
 	// validating the bytes.
 	UnmarshalCompact(data []byte) (C, error)
+	// UnmarshalCompacts parses many compacts at once (a snapshot
+	// image's), each validated as UnmarshalCompact validates one. The
+	// compacts may share arrays (Θ decodes an image into one slab), so
+	// one kept beyond the others keeps all of them alive unless it goes
+	// through DetachCompact first.
+	UnmarshalCompacts(blobs [][]byte) ([]C, error)
+	// DetachCompact returns c, or a copy of it that shares no array with
+	// the compacts UnmarshalCompacts decoded beside it.
+	DetachCompact(c C) C
+}
+
+// UnmarshalEach is UnmarshalCompacts for a family whose compacts share
+// nothing: each blob decoded on its own by unmarshal.
+func UnmarshalEach[C any](blobs [][]byte, unmarshal func([]byte) (C, error)) ([]C, error) {
+	out := make([]C, len(blobs))
+	for i, b := range blobs {
+		c, err := unmarshal(b)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = c
+	}
+	return out, nil
 }
 
 // Aggregator folds many compacts into one — the rollup/window-merge

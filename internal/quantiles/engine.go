@@ -90,6 +90,15 @@ func (e *Engine) MarshalCompact(c *Sketch) ([]byte, error) { return c.MarshalBin
 // UnmarshalCompact implements core.CompactCodec.
 func (e *Engine) UnmarshalCompact(data []byte) (*Sketch, error) { return Unmarshal(data) }
 
+// UnmarshalCompacts implements core.CompactCodec: one sketch per blob.
+func (e *Engine) UnmarshalCompacts(blobs [][]byte) ([]*Sketch, error) {
+	return core.UnmarshalEach(blobs, Unmarshal)
+}
+
+// DetachCompact implements core.CompactCodec: decoded sketches share
+// nothing.
+func (e *Engine) DetachCompact(c *Sketch) *Sketch { return c }
+
 // mergeAggregator adapts a sequential Sketch to core.Aggregator.
 type mergeAggregator struct{ s *Sketch }
 

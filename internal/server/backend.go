@@ -66,13 +66,21 @@ type backend interface {
 	// journal is attached, and a failed append aborts it; a replayed
 	// one is skipped, unapplied, at or below the watermark.
 	apply(rec JournalRecord) (applied, stale bool, err error)
+	// admit and applyAdmitted are apply's two halves for records that
+	// are restored or replayed, never journaled: admit decodes and vets
+	// the blob and takes no lock, so records may be admitted
+	// concurrently ahead of their turn (admitThenApply); applyAdmitted
+	// applies what admit returned through apply's one step.
+	admit(rec *JournalRecord) (any, error)
+	applyAdmitted(rec *JournalRecord, adm any) (applied, stale bool, err error)
 	// checkpointBody appends the backend's durable state to dst: the
 	// live table merged with the anonymous remote aggregate as one FCTB
 	// blob, then every named source's snapshot with its window epoch.
 	// It also returns the journal LSN watermark the captured state
 	// covers (0 without a journal). restoreBody parses it back (into a
-	// freshly registered backend) as records, one per part, applied as
-	// apply applies them, and seeds the watermark so replay can skip
+	// freshly registered backend) as records, one per part, admitted
+	// and applied as replay admits and applies journal records
+	// (admitThenApply), and seeds the watermark so replay can skip
 	// records the checkpoint already contains.
 	checkpointBody(dst []byte) ([]byte, uint64, error)
 	restoreBody(body []byte, lsn uint64) error
@@ -561,7 +569,8 @@ func (b *tableBackend[K, V, S, C]) eachRemote(fn func(*table.TableSnapshot[K, C]
 // caveat: a demoted source that later resumes pushing under its old
 // id re-counts its folded data in non-idempotent families — reachable
 // only with more than maxSnapshotSources simultaneously live pushers.
-const maxSnapshotSources = 1024
+// A variable only so that tests can reach the bound with few sources.
+var maxSnapshotSources = 1024
 
 // admitted is one record's blob decoded and vetted: a push's or window
 // ship's snapshot, or a spill's key and compact.
@@ -577,15 +586,21 @@ type admitted[K table.Key, C any] struct {
 // type; for both, the seed check the header cannot express — a Θ/HLL
 // blob hashed under a different seed would otherwise be ACKed and then
 // fail every later query, rollup and pull it participates in.
-func (b *tableBackend[K, V, S, C]) admit(rec *JournalRecord) (a admitted[K, C], err error) {
+// The admitted value is an admitted[K, C].
+func (b *tableBackend[K, V, S, C]) admit(rec *JournalRecord) (any, error) {
+	var a admitted[K, C]
+	var err error
 	if rec.Type == jrecEvict {
 		if a.key, err = b.decodeKey(rec.KeyType, rec.Key); err != nil {
-			return a, err
+			return nil, err
 		}
 		if a.c, err = b.eng.UnmarshalCompact(rec.Blob); err == nil {
 			err = b.checkSeed(a.c)
 		}
-		return a, err
+		if err != nil {
+			return nil, err
+		}
+		return a, nil
 	}
 	a.snap, err = b.unmarshal(rec.Blob)
 	if err == nil && b.seeded {
@@ -596,7 +611,7 @@ func (b *tableBackend[K, V, S, C]) admit(rec *JournalRecord) (a admitted[K, C], 
 		})
 	}
 	if err != nil {
-		return a, errBadPayload("snapshot: %v", err)
+		return nil, errBadPayload("snapshot: %v", err)
 	}
 	return a, nil
 }
@@ -605,7 +620,7 @@ func (b *tableBackend[K, V, S, C]) apply(rec JournalRecord) (applied, stale bool
 	// The registered name, which the journal may retain: a live frame's
 	// table name aliases the connection's read buffer.
 	rec.Table = b.name
-	a, err := b.admit(&rec)
+	adm, err := b.admit(&rec)
 	if err != nil {
 		return false, false, err
 	}
@@ -615,7 +630,50 @@ func (b *tableBackend[K, V, S, C]) apply(rec JournalRecord) (applied, stale bool
 	if rec.LSN == 0 && b.jnl != nil {
 		jnl = b.jnl.Load()
 	}
-	return b.applyLocked(&rec, a, jnl)
+	return b.applyLocked(&rec, adm.(admitted[K, C]), jnl)
+}
+
+func (b *tableBackend[K, V, S, C]) applyAdmitted(rec *JournalRecord, adm any) (applied, stale bool, err error) {
+	b.rmu.Lock()
+	defer b.rmu.Unlock()
+	return b.applyLocked(rec, adm.(admitted[K, C]), nil)
+}
+
+// staged is one record on its way through admitThenApply: its backend,
+// and what admission made of its blob.
+type staged struct {
+	b   backend
+	rec *JournalRecord
+	adm any
+	err error // admission's
+}
+
+// admitThenApply takes a window of records to the one apply step, for
+// checkpoint restore and journal replay alike. Every record is admitted
+// first (decoded and vetted, concurrently on up to GOMAXPROCS cores
+// through core.FanOut, no lock held), then handed to apply one by one,
+// in order; apply finds a failed admission in err, and its first error
+// stops the walk. With whole set, a window in which any admission
+// failed goes to apply as its first failed record alone, and nothing in
+// it is applied: a window that applies whole or not at all (a
+// checkpoint's parts) is refused before any state changes.
+func admitThenApply(win []staged, whole bool, apply func(*staged) error) error {
+	core.FanOut(core.ReadDegree(0), len(win), func(_, i int) {
+		win[i].adm, win[i].err = win[i].b.admit(win[i].rec)
+	})
+	if whole {
+		for i := range win {
+			if win[i].err != nil {
+				return apply(&win[i])
+			}
+		}
+	}
+	for i := range win {
+		if err := apply(&win[i]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // applyLocked is the one step that changes remote state, for live
@@ -652,7 +710,7 @@ func (b *tableBackend[K, V, S, C]) applyLocked(rec *JournalRecord, a admitted[K,
 	case rec.Type == jrecEvict:
 		err = b.foldCompactLocked(a.key, a.c)
 	case rec.Type == jrecPush && rec.Source == "":
-		if err = b.remote.Merge(a.snap); err != nil {
+		if err = b.mergeRemoteLocked(a.snap); err != nil {
 			err = &reqError{code: wire.ErrCodeBadPayload, msg: err.Error()}
 		}
 	default:
@@ -684,7 +742,7 @@ func (b *tableBackend[K, V, S, C]) storeSourceLocked(source string, snap *table.
 			oldest := b.remoteOrder[0]
 			b.remoteOrder = b.remoteOrder[1:]
 			if old, ok := b.remotes[oldest]; ok {
-				if err := b.remote.Merge(old); err != nil {
+				if err := b.mergeRemoteLocked(old); err != nil {
 					// Cannot happen for snapshots that passed admission
 					// validation, but never drop data silently.
 					return &reqError{code: wire.ErrCodeInternal, msg: err.Error()}
@@ -697,6 +755,30 @@ func (b *tableBackend[K, V, S, C]) storeSourceLocked(source string, snap *table.
 	}
 	b.remotes[source] = snap
 	return nil
+}
+
+// mergeRemoteLocked folds snap into the anonymous aggregate. An empty
+// aggregate takes snap whole, slab and all (a restored checkpoint's
+// aggregate); otherwise it merges key by key and keeps only some of
+// snap's compacts, each detached from snap's image first: one kept
+// compact would keep the whole image's decoded arrays alive (a Θ image
+// is one slab), so n pushes that each bring one new key would keep n
+// images. Callers hold b.rmu.
+func (b *tableBackend[K, V, S, C]) mergeRemoteLocked(snap *table.TableSnapshot[K, C]) error {
+	if b.remote.Len() == 0 {
+		return b.remote.Merge(snap)
+	}
+	var err error
+	snap.ForEach(func(k K, c C) {
+		if err != nil {
+			return
+		}
+		if _, ok := b.remote.Get(k); !ok {
+			c = b.eng.DetachCompact(c)
+		}
+		err = b.foldCompactLocked(k, c)
+	})
+	return err
 }
 
 // decodeKey converts a journal/evict raw key (string bytes or 8-byte
@@ -835,13 +917,14 @@ const ckptMinSource = 2 + 1 + 1 + 16
 // state, seeding the LSN watermark journal replay gates on. Each part
 // of the body is a record: the aggregate blob an anonymous push, each
 // source a named push, or a window ship when it carries an epoch. The
-// body's framing is parsed first; then every part passes the admission
-// a network push would, concurrently on up to GOMAXPROCS cores; then
-// the parts are applied in file order under one rmu hold, through the
-// step every live and replayed record takes. A corrupt or foreign
-// checkpoint is rejected whole before any state changes, leaving the
-// backend exactly as it was (which is what lets RestoreCheckpoints fall
-// back to an older generation).
+// body's framing is parsed first; then the parts go through
+// admitThenApply as one window, whole or not at all: every part passes
+// the admission a network push would, concurrently on up to GOMAXPROCS
+// cores, and then the parts are applied in file order through the step
+// every live and replayed record takes. A corrupt or foreign checkpoint
+// is rejected whole before any state changes, leaving the backend
+// exactly as it was (which is what lets RestoreCheckpoints fall back to
+// an older generation).
 func (b *tableBackend[K, V, S, C]) restoreBody(body []byte, lsn uint64) error {
 	r := wire.Reader{Buf: body}
 	agg := r.Bytes(int(r.Uvarint()))
@@ -854,10 +937,10 @@ func (b *tableBackend[K, V, S, C]) restoreBody(body []byte, lsn uint64) error {
 	if n > uint64(r.Remaining()/ckptMinSource) {
 		return fmt.Errorf("checkpoint: %d sources claimed, body holds at most %d", n, r.Remaining()/ckptMinSource)
 	}
-	parts := make([]JournalRecord, 1, 1+n)
-	parts[0] = JournalRecord{Type: jrecPush, Blob: agg}
+	parts := make([]staged, 1, 1+n)
+	parts[0] = staged{b: b, rec: &JournalRecord{Type: jrecPush, Blob: agg}}
 	for i := uint64(0); i < n && r.Err == nil; i++ {
-		rec := JournalRecord{Type: jrecPush, Source: r.String()}
+		rec := &JournalRecord{Type: jrecPush, Source: r.String()}
 		if r.Byte() == 1 {
 			rec.Type, rec.Epoch = jrecWindow, r.Uvarint()
 		}
@@ -865,32 +948,26 @@ func (b *tableBackend[K, V, S, C]) restoreBody(body []byte, lsn uint64) error {
 		if r.Err == nil && rec.Source == "" {
 			return fmt.Errorf("checkpoint: empty source id")
 		}
-		parts = append(parts, rec)
+		parts = append(parts, staged{b: b, rec: rec})
 	}
 	if r.Err != nil || r.Remaining() != 0 {
 		return fmt.Errorf("checkpoint: malformed body")
 	}
-	adm := make([]admitted[K, C], len(parts))
-	errs := make([]error, len(parts))
-	core.FanOut(core.ReadDegree(0), len(parts), func(_, i int) {
-		adm[i], errs[i] = b.admit(&parts[i])
+	err := admitThenApply(parts, true, func(p *staged) error {
+		switch {
+		case p.err != nil && p.rec.Source == "":
+			return fmt.Errorf("checkpoint aggregate: %w", p.err)
+		case p.err != nil:
+			return fmt.Errorf("checkpoint source %q: %w", p.rec.Source, p.err)
+		}
+		_, _, err := b.applyAdmitted(p.rec, p.adm)
+		return err
 	})
-	for i, err := range errs {
-		if err == nil {
-			continue
-		}
-		if i == 0 {
-			return fmt.Errorf("checkpoint aggregate: %w", err)
-		}
-		return fmt.Errorf("checkpoint source %q: %w", parts[i].Source, err)
+	if err != nil {
+		return err
 	}
 	b.rmu.Lock()
 	defer b.rmu.Unlock()
-	for i := range parts {
-		if _, _, err := b.applyLocked(&parts[i], adm[i], nil); err != nil {
-			return err
-		}
-	}
 	b.appliedLSN = max(b.appliedLSN, lsn)
 	return nil
 }

@@ -657,7 +657,9 @@ func newBootAggregator(tb testing.TB) (*Server, *table.ThetaTable[uint64]) {
 // directory: 8 sources of 2 000 keys (2^17 items each), a checkpoint
 // every 16 pushes with two generations retained, and a 5-push tail.
 // Beside ms/boot it reports the blobs the restore decoded, the journal
-// records the replay decoded, and the records it applied, per boot.
+// records the replay decoded, and the records it applied, per boot, and
+// to tell the two phases apart, restore_ms, replay_ms and the heap
+// allocations of both (allocs/boot).
 func BenchmarkBoot(b *testing.B) {
 	dir := b.TempDir()
 	blobs := make([][]byte, bootSources)
@@ -703,6 +705,9 @@ func BenchmarkBoot(b *testing.B) {
 	aggTab.Close()
 
 	var restoreDecodes, replayDecodes, applied int64
+	var restoreTime, replayTime time.Duration
+	var allocs uint64
+	var ms runtime.MemStats
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -714,16 +719,25 @@ func BenchmarkBoot(b *testing.B) {
 			decodes.Add(1)
 			return unmarshal(p)
 		}
+		runtime.ReadMemStats(&ms)
+		mallocs := ms.Mallocs
 		b.StartTimer()
+		t0 := time.Now()
 		if _, err := s.RestoreCheckpoints(dir); err != nil {
 			b.Fatal(err)
 		}
+		t1 := time.Now()
 		restored := decodes.Load()
 		st, err := s.ReplayJournal(dir)
 		if err != nil {
 			b.Fatal(err)
 		}
+		t2 := time.Now()
 		b.StopTimer()
+		runtime.ReadMemStats(&ms)
+		allocs += ms.Mallocs - mallocs
+		restoreTime += t1.Sub(t0)
+		replayTime += t2.Sub(t1)
 		if st.Records != bootTail || st.Errors != 0 {
 			b.Fatalf("replay stats = %+v, want the %d-push tail applied and no errors", st, bootTail)
 		}
@@ -738,4 +752,7 @@ func BenchmarkBoot(b *testing.B) {
 	b.ReportMetric(float64(restoreDecodes)/n, "ckpt_blobs_decoded/boot")
 	b.ReportMetric(float64(replayDecodes)/n, "records_decoded/boot")
 	b.ReportMetric(float64(applied)/n, "records_applied/boot")
+	b.ReportMetric(float64(restoreTime.Microseconds())/1000/n, "restore_ms/boot")
+	b.ReportMetric(float64(replayTime.Microseconds())/1000/n, "replay_ms/boot")
+	b.ReportMetric(float64(allocs)/n, "allocs/boot")
 }

@@ -26,7 +26,11 @@ import (
 // that died keep their last checkpointed contribution in rollups.
 // With a journal attached (AttachJournal), ReplayJournal then closes
 // the tail gap: records appended since the checkpoint's LSN watermark
-// replay on top of the restored state.
+// replay on top of the restored state. Restore and replay take their
+// records to the apply step the same way (admitThenApply): decoded and
+// vetted ahead, concurrently, then applied one by one in order. Each
+// part decodes into one slab per image (table.UnmarshalSnapshot), which
+// a restored named source keeps whole.
 //
 // File format (FCCK, little endian), version 2:
 //
@@ -240,7 +244,9 @@ func (s *Server) pruneCheckpoints(dir string, keep int) (int, error) {
 // after registering tables and before Start/Serve, so the first
 // connection after a restart already sees the recovered state. A
 // missing or empty directory restores nothing and is not an error
-// (first boot).
+// (first boot). Within the file it restores, a table's parts (the
+// aggregate and every source) are admitted concurrently on up to
+// GOMAXPROCS cores and applied only if every one of them passes.
 //
 // A registered table's generations are found by their file names and
 // opened newest first: an older generation is read only when every

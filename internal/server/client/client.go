@@ -105,7 +105,8 @@ type Client struct {
 	segs  net.Buffers // closed segments: wbuf ranges interleaved with caller blobs
 	wmark int         // start of the open wbuf segment
 	wpend int         // bytes pending across segs plus the open segment
-	iov   net.Buffers // flush scratch (Buffers.WriteTo consumes its slice)
+	iov   net.Buffers // flush scratch: every segment of one flush
+	wv    net.Buffers // the header Buffers.WriteTo consumes, over iov's array
 
 	// pmu guards the pending-response FIFO and the latched errors.
 	pmu      sync.Mutex
@@ -382,10 +383,12 @@ func (c *Client) flushLocked() error {
 	if len(c.iov) == 1 {
 		_, err = c.nc.Write(c.iov[0])
 	} else {
-		// WriteTo consumes and mutates the slice it is called on; give
-		// it a throwaway header over iov's array (reset next flush).
-		bufs := c.iov
-		_, err = bufs.WriteTo(c.nc)
+		// WriteTo consumes the header it is called on, so it gets its
+		// own over iov's array. A field and not a local: WriteTo's
+		// receiver escapes, and a local header would be moved to the
+		// heap on every flush.
+		c.wv = c.iov
+		_, err = c.wv.WriteTo(c.nc)
 	}
 	c.segs = c.segs[:0]
 	c.wbuf = c.wbuf[:0]

@@ -36,6 +36,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/fcds/fcds/internal/core"
 	"github.com/fcds/fcds/internal/metrics"
 	"github.com/fcds/fcds/internal/server/wire"
 )
@@ -231,14 +232,48 @@ func (s *Server) Journal() *Journal {
 // checkpoints: every record above its table's restored LSN watermark
 // is decoded, admitted and applied by the step the original frame or
 // spill took; a record at or below it is skipped after its frame CRC,
-// without decoding its blob (the checkpoint already contains it). A
-// whole file is skipped unread when the next file's first record is at
-// most one past the lowest watermark of the registered tables (0 when
-// any table has none): every record in it is covered. Torn tails are
-// truncated, and records for tables this configuration no longer
-// registers are logged and counted but do not fail the boot. Call it
-// after RestoreCheckpoints and before AttachJournal/Start.
+// without decoding its blob (the checkpoint already contains it). The
+// records to apply are admitted ahead, a window of GOMAXPROCS records
+// at a time decoding concurrently, and applied one by one in LSN order
+// (admitThenApply). A whole file is skipped unread when the next file's
+// first record is at most one past the lowest watermark of the
+// registered tables (0 when any table has none): every record in it is
+// covered. Torn tails are truncated, and records for tables this
+// configuration no longer registers are logged and counted but do not
+// fail the boot. Call it after RestoreCheckpoints and before
+// AttachJournal/Start.
 func (s *Server) ReplayJournal(dir string) (JournalReplayStats, error) {
+	win := make([]staged, 0, core.ReadDegree(0))
+	flush := func(st *JournalReplayStats) {
+		_ = admitThenApply(win, false, func(p *staged) error {
+			applied, stale, err := false, false, p.err
+			if err == nil {
+				applied, stale, err = p.b.applyAdmitted(p.rec, p.adm)
+			}
+			switch {
+			case err != nil:
+				// The record was intact (CRC passed) but no longer
+				// applies — typically a table re-registered with
+				// different parameters. Recovery keeps going: one stale
+				// record must not brick the node, and the skip is logged
+				// and counted for operators.
+				st.Errors++
+				s.logf("server: journal replay: table %q lsn=%d: %v (record skipped)", p.rec.Table, p.rec.LSN, err)
+			case stale:
+				st.Stale++
+			case applied:
+				st.Records++
+				if p.rec.TS > st.NewestTS {
+					st.NewestTS = p.rec.TS
+				}
+			default:
+				st.Skipped++
+			}
+			return nil
+		})
+		clear(win) // drop the decoded images: applied ones live on in the state
+		win = win[:0]
+	}
 	st, err := replayJournalDir(dir, s.coveredThrough(), func(rec *JournalRecord, st *JournalReplayStats) error {
 		b, ok := s.lookup(rec.Table)
 		if !ok {
@@ -246,31 +281,19 @@ func (s *Server) ReplayJournal(dir string) (JournalReplayStats, error) {
 			s.logf("server: journal replay: table %q not registered, skipping record lsn=%d", rec.Table, rec.LSN)
 			return nil
 		}
+		// By the journal's LSN order, the records still waiting in the
+		// window lie below this one, so applying them first could not
+		// cover it.
 		if rec.LSN <= b.watermark() {
 			st.Skipped++
 			return nil
 		}
-		applied, stale, aerr := b.apply(*rec)
-		switch {
-		case aerr != nil:
-			// The record was intact (CRC passed) but no longer applies —
-			// typically a table re-registered with different parameters.
-			// Recovery keeps going: one stale record must not brick the
-			// node, and the skip is logged and counted for operators.
-			st.Errors++
-			s.logf("server: journal replay: table %q lsn=%d: %v (record skipped)", rec.Table, rec.LSN, aerr)
-		case stale:
-			st.Stale++
-		case applied:
-			st.Records++
-			if rec.TS > st.NewestTS {
-				st.NewestTS = rec.TS
-			}
-		default:
-			st.Skipped++
+		if win = append(win, staged{b: b, rec: rec}); len(win) == cap(win) {
+			flush(st)
 		}
 		return nil
 	}, s.cfg.Logf)
+	flush(&st)
 	if err != nil {
 		return st, err
 	}

@@ -29,7 +29,12 @@ import (
 // to the same bytes; Table.SnapshotAppend streams them in walk order.
 // Decoders accept any order. Each blob is the per-key sketch's own
 // serialization (validated by its own unmarshaller), so a corrupt
-// snapshot cannot smuggle in an invalid sketch.
+// snapshot cannot smuggle in an invalid sketch. The decoder frames
+// every entry first and then hands all the blobs to the family's codec
+// in one call (CompactCodec.UnmarshalCompacts), so an image's compacts
+// may share arrays: Θ backs them with one samples slab and one array of
+// compact structs, sized from the bytes present, never from a count
+// the header or a blob claims.
 const (
 	snapMagic      = "FCTB"
 	snapVersion    = 1
@@ -60,22 +65,39 @@ func appendKey[K Key](dst []byte, k K) []byte {
 	return binary.LittleEndian.AppendUint64(dst, any(k).(uint64))
 }
 
-// readKey parses one key and returns the remaining bytes.
-func readKey[K Key](data []byte) (K, []byte, error) {
-	var zero K
+// nextEntry frames the i-th snapshot entry at the head of data: its
+// key's bytes and its blob (both views of data), and what follows.
+func nextEntry[K Key](data []byte, i int) (key, blob, rest []byte, err error) {
 	if core.KeyType[K]() == core.KeyString {
 		n, sz := binary.Uvarint(data)
 		if sz <= 0 || uint64(len(data)-sz) < n {
-			return zero, nil, fmt.Errorf("%w: truncated string key", ErrSnapCorrupt)
+			return nil, nil, nil, fmt.Errorf("%w: truncated string key", ErrSnapCorrupt)
 		}
-		s := string(data[sz : sz+int(n)])
-		return any(s).(K), data[sz+int(n):], nil
+		key, data = data[sz:sz+int(n)], data[sz+int(n):]
+	} else {
+		if len(data) < 8 {
+			return nil, nil, nil, fmt.Errorf("%w: truncated uint64 key", ErrSnapCorrupt)
+		}
+		key, data = data[:8], data[8:]
 	}
-	if len(data) < 8 {
-		return zero, nil, fmt.Errorf("%w: truncated uint64 key", ErrSnapCorrupt)
+	n, sz := binary.Uvarint(data)
+	if sz <= 0 || uint64(len(data)-sz) < n {
+		return nil, nil, nil, fmt.Errorf("%w: truncated sketch blob for entry %d", ErrSnapCorrupt, i)
 	}
-	v := binary.LittleEndian.Uint64(data)
-	return any(v).(K), data[8:], nil
+	return key, data[sz : sz+int(n)], data[sz+int(n):], nil
+}
+
+// parseKey converts a framed key's bytes to K, through a pointer so that
+// the key is not boxed on its way.
+func parseKey[K Key](b []byte) K {
+	var k K
+	switch p := any(&k).(type) {
+	case *string:
+		*p = string(b)
+	case *uint64:
+		*p = binary.LittleEndian.Uint64(b)
+	}
+	return k
 }
 
 // TableSnapshot is an immutable point-in-time capture of a keyed
@@ -120,9 +142,11 @@ func (s *TableSnapshot[K, C]) ForEach(fn func(k K, c C)) {
 func (s *TableSnapshot[K, C]) Set(k K, c C) { s.entries[k] = c }
 
 // Merge folds other into s: keys present in both are merged sketch-
-// wise, keys only in other are copied. Both snapshots must come from
-// tables with the same sketch kind and parameter (ErrSnapIncompatible
-// otherwise).
+// wise, keys only in other are adopted as they are — when other was
+// decoded, still sharing its arrays (see UnmarshalSnapshot), so a
+// holder that keeps s but not other keeps other's arrays alive. Both
+// snapshots must come from tables with the same sketch kind and
+// parameter (ErrSnapIncompatible otherwise).
 func (s *TableSnapshot[K, C]) Merge(other *TableSnapshot[K, C]) error {
 	if s.codec.Kind() != other.codec.Kind() || s.codec.Param() != other.codec.Param() {
 		return fmt.Errorf("%w: kind %d/param %d vs kind %d/param %d",
@@ -242,7 +266,10 @@ func validParam(kind byte, param int) bool {
 // UnmarshalSnapshot parses a serialized table snapshot with codec, the
 // receiving table's own engine. The header must name codec's kind
 // (ErrSnapKindMismatch otherwise) and parameter (ErrSnapIncompatible
-// otherwise, as Merge would say), and every entry is decoded by codec.
+// otherwise, as Merge would say), and every entry is decoded by codec,
+// all in one UnmarshalCompacts call: the compacts of one snapshot may
+// share their arrays, and one kept beyond the snapshot keeps them all
+// alive unless it goes through codec.DetachCompact.
 func UnmarshalSnapshot[K Key, C any](data []byte, codec core.CompactCodec[C]) (*TableSnapshot[K, C], error) {
 	return unmarshalSnapshot[K](data, codec.Kind(), func(uint32) core.CompactCodec[C] { return codec })
 }
@@ -260,33 +287,36 @@ func unmarshalSnapshot[K Key, C any](data []byte, wantKind byte, newCodec func(p
 	if h.param != codec.Param() {
 		return nil, fmt.Errorf("%w: snapshot parameter %d, want %d", ErrSnapIncompatible, h.param, codec.Param())
 	}
-	// Presize the map from the header's count, so admission does not
-	// grow and rehash it entry by entry — but never beyond what the body
-	// can hold: the count is the sender's claim, the body length is a
-	// fact. An entry is at least its key plus one blob-length byte.
+	// Frame every entry, then decode every blob in one codec call (Θ
+	// backs the whole image with one slab). Nothing is sized beyond what
+	// the body can hold: the count is the sender's claim, the body length
+	// a fact, and an entry is at least its key plus one blob-length byte.
 	minEntry := 8 + 1
 	if core.KeyType[K]() == core.KeyString {
 		minEntry = 1 + 1
 	}
-	s := &TableSnapshot[K, C]{codec: codec, entries: make(map[K]C, min(h.count, len(body)/minEntry))}
+	entries := body
+	blobs := make([][]byte, 0, min(h.count, len(body)/minEntry))
 	for i := 0; i < h.count; i++ {
-		k, rest, err := readKey[K](body)
+		_, blob, rest, err := nextEntry[K](body, i)
 		if err != nil {
 			return nil, err
 		}
-		n, sz := binary.Uvarint(rest)
-		if sz <= 0 || uint64(len(rest)-sz) < n {
-			return nil, fmt.Errorf("%w: truncated sketch blob for entry %d", ErrSnapCorrupt, i)
-		}
-		c, err := codec.UnmarshalCompact(rest[sz : sz+int(n)])
-		if err != nil {
-			return nil, err
-		}
-		s.entries[k] = c
-		body = rest[sz+int(n):]
+		blobs = append(blobs, blob)
+		body = rest
 	}
 	if len(body) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrSnapCorrupt, len(body))
+	}
+	cs, err := codec.UnmarshalCompacts(blobs)
+	if err != nil {
+		return nil, err
+	}
+	s := &TableSnapshot[K, C]{codec: codec, entries: make(map[K]C, len(cs))}
+	for i, c := range cs {
+		key, _, rest, _ := nextEntry[K](entries, i)
+		s.entries[parseKey[K](key)] = c
+		entries = rest
 	}
 	return s, nil
 }

@@ -50,6 +50,25 @@ func newCompactOrdered(hashes []uint64, theta, seed uint64) *Compact {
 	return c
 }
 
+// clone returns a copy of c that owns its samples array, in c's order
+// — what a holder keeps of one compact that UnmarshalCompacts decoded
+// beside others, so as not to keep their shared arrays alive.
+func (c *Compact) clone() *Compact {
+	var out *Compact
+	c.read(func(hashes []uint64, ordered bool) {
+		var own []uint64
+		if len(hashes) > 0 {
+			own = slices.Clone(hashes)
+		}
+		if ordered {
+			out = newCompactOrdered(own, c.theta, c.seed)
+		} else {
+			out = newCompactFromUnsorted(own, c.theta, c.seed)
+		}
+	})
+	return out
+}
+
 // order sorts the samples if no earlier call has and returns them.
 func (c *Compact) order() []uint64 {
 	if !c.ordered.Load() {

@@ -206,6 +206,16 @@ func (e *Engine) MarshalCompact(c *Compact) ([]byte, error) { return c.MarshalBi
 // UnmarshalCompact implements core.CompactCodec.
 func (e *Engine) UnmarshalCompact(data []byte) (*Compact, error) { return UnmarshalCompact(data) }
 
+// UnmarshalCompacts implements core.CompactCodec: the compacts share
+// one slab (see UnmarshalCompacts).
+func (e *Engine) UnmarshalCompacts(blobs [][]byte) ([]*Compact, error) {
+	return UnmarshalCompacts(blobs)
+}
+
+// DetachCompact implements core.CompactCodec: a copy that owns its
+// samples.
+func (e *Engine) DetachCompact(c *Compact) *Compact { return c.clone() }
+
 // unionAggregator adapts Union to core.Aggregator. scratch carries one
 // live sketch's samples from under its lock into the union, reused from
 // sketch to sketch.
