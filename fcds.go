@@ -38,6 +38,14 @@
 // unchanged: the relaxation bound r = 2·N·b and Flush/Close behave
 // exactly as for per-item updates.
 //
+// On amd64 CPUs with AVX-512 (F and DQ), the uint64 batch hash and Θ
+// pre-filter run in a vector kernel, eight values per step, with output
+// bit-identical to the Go loop that runs everywhere else: 1.3–2.2 ns
+// per item against the loop's 3.5–6.8, about 2.7× faster (4 096 values,
+// 1 in 1 024 surviving, one core of a 2-vCPU AVX-512 Xeon whose speed
+// varied between runs). The choice is made once at start-up from the
+// CPU; there is no setting.
+//
 // # Quick start
 //
 //	c := fcds.NewConcurrentTheta(fcds.ConcurrentThetaConfig{

@@ -4,6 +4,13 @@
 // are uniformly distributed over the 64-bit space, which is the property
 // the Θ sketch analysis (order statistics over uniform variables) relies
 // on. The implementation is self-contained and allocation-free.
+//
+// The two uint64 batch loops, AppendSumUint64 and
+// AppendThetaUint64Filtered, have a vector kernel on amd64
+// (kernel_amd64.s): AVX-512 hashes eight values per step. It is chosen
+// once at init from CPUID and XGETBV, with no setting; the Go loops are
+// the reference its output equals bit for bit, and the only code on
+// every other architecture and CPU.
 package hash
 
 import (
@@ -20,6 +27,16 @@ const (
 // Sketches must share a seed to be mergeable; the seed is part of the
 // sketch "identity".
 const DefaultSeed uint64 = 9001
+
+// useVector routes AppendSumUint64 and AppendThetaUint64Filtered
+// through the vector kernels. kernel_amd64.go sets it once at init from
+// the CPU's features; it is false on every other architecture. Tests
+// flip it to run both paths.
+var useVector bool
+
+// lanes is the number of values one vector-kernel step hashes; a batch
+// tail shorter than this runs the Go loop.
+const lanes = 8
 
 // Sum128 computes the 128-bit MurmurHash3 (x64 variant) of data with the
 // given seed and returns the two 64-bit halves.
@@ -148,7 +165,14 @@ func SumUint64(v, seed uint64) (uint64, uint64) {
 // the loop body because SumUint64 is past the compiler's inlining
 // budget, and a per-item call is the dominant overhead of a fused
 // batch pass. Outputs are bit-identical to SumUint64.
+//
+// On amd64 with AVX-512 the whole vectors of vs go through a vector
+// kernel (kernel_amd64.s) and only the tail runs the loop below; the
+// loop is the reference the kernel's output equals.
 func AppendSumUint64(dst []uint64, vs []uint64, seed uint64) []uint64 {
+	if useVector {
+		dst, vs = appendSumVector(dst, vs, seed)
+	}
 	for _, v := range vs {
 		k1 := v * c1
 		k1 = k1<<31 | k1>>33

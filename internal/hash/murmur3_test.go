@@ -239,35 +239,37 @@ func TestSum128StringZeroAllocs(t *testing.T) {
 
 // TestAppendBatchHashesMatchScalar pins the fused batch loops to their
 // scalar counterparts element for element, including the Θ-space fold
-// and the hint filter.
+// and the hint filter, on the Go loops and on the vector kernels.
 func TestAppendBatchHashesMatchScalar(t *testing.T) {
-	vs := make([]uint64, 300)
-	for i := range vs {
-		vs[i] = uint64(i) * 0x9e3779b97f4a7c15
-	}
-	h1s := AppendSumUint64(nil, vs, DefaultSeed)
-	if len(h1s) != len(vs) {
-		t.Fatalf("AppendSumUint64 returned %d hashes for %d values", len(h1s), len(vs))
-	}
-	for i, v := range vs {
-		if want, _ := SumUint64(v, DefaultSeed); h1s[i] != want {
-			t.Fatalf("AppendSumUint64[%d] = %#x, want %#x", i, h1s[i], want)
+	withPaths(t, func(t *testing.T) {
+		vs := make([]uint64, 300)
+		for i := range vs {
+			vs[i] = uint64(i) * 0x9e3779b97f4a7c15
 		}
-	}
-	hint := MaxThetaValue / 3
-	got := AppendThetaUint64Filtered(nil, vs, DefaultSeed, hint)
-	var want []uint64
-	for _, v := range vs {
-		if h := ThetaHashUint64(v, DefaultSeed); h < hint {
-			want = append(want, h)
+		h1s := AppendSumUint64(nil, vs, DefaultSeed)
+		if len(h1s) != len(vs) {
+			t.Fatalf("AppendSumUint64 returned %d hashes for %d values", len(h1s), len(vs))
 		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("filtered batch kept %d hashes, scalar path kept %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("filtered batch[%d] = %#x, want %#x", i, got[i], want[i])
+		for i, v := range vs {
+			if want, _ := SumUint64(v, DefaultSeed); h1s[i] != want {
+				t.Fatalf("AppendSumUint64[%d] = %#x, want %#x", i, h1s[i], want)
+			}
 		}
-	}
+		hint := MaxThetaValue / 3
+		got := AppendThetaUint64Filtered(nil, vs, DefaultSeed, hint)
+		var want []uint64
+		for _, v := range vs {
+			if h := ThetaHashUint64(v, DefaultSeed); h < hint {
+				want = append(want, h)
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("filtered batch kept %d hashes, scalar path kept %d", len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("filtered batch[%d] = %#x, want %#x", i, got[i], want[i])
+			}
+		}
+	})
 }

@@ -33,7 +33,16 @@ func ThetaHashString(s string, seed uint64) uint64 {
 // SumUint64 and fold63 with the pre-filter comparison into one loop so
 // batch ingestion pays no per-item call overhead (SumUint64 is past
 // the inlining budget); outputs are bit-identical to ThetaHashUint64.
+//
+// On amd64 with AVX-512 the whole vectors of vs go through a vector
+// kernel that hashes, folds, compares and packs eight values per step;
+// the survivors keep their order and only the tail of fewer than eight
+// runs the loop below, which is the reference the kernel's output
+// equals.
 func AppendThetaUint64Filtered(dst []uint64, vs []uint64, seed, hint uint64) []uint64 {
+	if useVector {
+		dst, vs = appendThetaVector(dst, vs, seed, hint)
+	}
 	for _, v := range vs {
 		k1 := v * c1
 		k1 = k1<<31 | k1>>33

@@ -85,7 +85,7 @@ func (s *Sketch) UpdateHash(h uint64) {
 	rho := rank(h, s.p)
 	if old := s.regs[idx]; rho > old {
 		s.regs[idx] = rho
-		s.sum += math.Exp2(-float64(rho)) - math.Exp2(-float64(old))
+		s.sum += pow2neg[rho] - pow2neg[old]
 		if old == 0 {
 			s.zeros--
 		}
@@ -119,7 +119,7 @@ func (s *Sketch) recalc() {
 	s.zeros = 0
 	floor := uint8(math.MaxUint8)
 	for _, r := range s.regs {
-		s.sum += math.Exp2(-float64(r))
+		s.sum += pow2neg[r]
 		if r == 0 {
 			s.zeros++
 		}
@@ -127,6 +127,16 @@ func (s *Sketch) recalc() {
 	}
 	s.floor = floor
 }
+
+// pow2neg[r] is 2^-r for every rank a register can hold (at most
+// 64-p+1). 2^-r is exact for integer r, so the sums over it equal the
+// math.Exp2 sums they replace bit for bit, without a call per register.
+var pow2neg = func() (t [65]float64) {
+	for r := range t {
+		t[r] = math.Exp2(-float64(r))
+	}
+	return t
+}()
 
 // alpha is the HLL bias-correction constant for m registers.
 func alpha(m int) float64 {

@@ -2,6 +2,7 @@ package hll
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 )
 
@@ -189,5 +190,41 @@ func BenchmarkEstimate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Estimate()
+	}
+}
+
+// TestRegisterSumMatchesExp2 holds the table-driven register sum to the
+// math.Exp2 sum it replaced, bit for bit, in recalc and in UpdateHash,
+// at every precision over random registers.
+func TestRegisterSumMatchesExp2(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	for p := uint8(4); p <= 18; p++ {
+		s := New(p)
+		maxRank := 64 - int(p) + 1
+		for i := range s.regs {
+			s.regs[i] = uint8(rng.IntN(maxRank + 1))
+		}
+		s.recalc()
+		var want float64
+		for _, r := range s.regs {
+			want += math.Exp2(-float64(r))
+		}
+		if math.Float64bits(s.sum) != math.Float64bits(want) {
+			t.Fatalf("p=%d: recalc sum %v, Exp2 sum %v", p, s.sum, want)
+		}
+		s.Reset()
+		want = s.sum
+		for range 4 << p {
+			// Shift some hashes right so high ranks occur too.
+			h := rng.Uint64() >> (rng.IntN(64-int(p)) &^ 7)
+			idx := h >> (64 - p)
+			if rho, old := rank(h, p), s.regs[idx]; rho > old {
+				want += math.Exp2(-float64(rho)) - math.Exp2(-float64(old))
+			}
+			s.UpdateHash(h)
+		}
+		if math.Float64bits(s.sum) != math.Float64bits(want) {
+			t.Fatalf("p=%d: UpdateHash sum %v, Exp2 sum %v", p, s.sum, want)
+		}
 	}
 }
