@@ -167,10 +167,16 @@ type Engine[V, S, C any] interface {
 	// UpdateBatch(i, vs) and UpdateHashedBatch(i, HashValue of each v)
 	// leave a sketch in the same state. The identity for families whose
 	// values are not hashed (quantiles). Composites that look at items
-	// before a sketch does (a keyed table's grouping pass) call it once
-	// per item, so staged values have one meaning whatever entry point
-	// they came through.
+	// before a sketch does (a keyed table's grouping pass) map every
+	// value this way, so staged values have one meaning whatever entry
+	// point they came through; single items go through HashValue.
 	HashValue(v V) V
+	// AppendHashValues is the batch form of HashValue: it appends
+	// HashValue of each element of vs to dst, in order, and returns the
+	// extended slice — bit-identical to a HashValue loop, but one call
+	// per run, through the family's batch hash kernel. A keyed table's
+	// batch pass hashes its values a block at a time through it.
+	AppendHashValues(dst, vs []V) []V
 	// NewAggregator returns a fresh many-compact merger.
 	NewAggregator() Aggregator[C]
 	// QueryCompact answers the family's query from a compact alone —

@@ -49,6 +49,11 @@ func (e *Engine) HashValue(v uint64) uint64 {
 	return h
 }
 
+// AppendHashValues implements core.Engine.
+func (e *Engine) AppendHashValues(dst, vs []uint64) []uint64 {
+	return hash.AppendSumUint64(dst, vs, e.cfg.Seed)
+}
+
 // ShouldAdd implements core.FilterEngine (Algorithm 1 line 26): hint
 // is a lower bound on every register, so only a hash whose rank exceeds
 // it can raise one.

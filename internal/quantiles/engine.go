@@ -30,6 +30,9 @@ func (e *Engine) Param() uint32 { return uint32(e.cfg.K) }
 // HashValue implements core.Engine: quantiles ingest raw samples.
 func (e *Engine) HashValue(v float64) float64 { return v }
 
+// AppendHashValues implements core.Engine.
+func (e *Engine) AppendHashValues(dst, vs []float64) []float64 { return append(dst, vs...) }
+
 // NumWriters implements core.Engine.
 func (e *Engine) NumWriters() int { return e.cfg.Writers }
 

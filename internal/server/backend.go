@@ -93,12 +93,18 @@ type backend interface {
 	bind(name string, jnl *atomic.Pointer[Journal])
 }
 
-// ingestScratch is the per-frame group-index run for the one batch
-// shape with no fixed stride on either side (string keys + string
-// items), where the key and item runs must be walked in two passes —
-// pooled per backend so concurrent connections never share slices.
-type ingestScratch struct {
+// ingestScratch is one frame's decode scratch, pooled per backend so
+// concurrent connections never share it: gis is the group-index run for
+// the one batch shape with no fixed stride on either side (string keys +
+// string items), where the key and item runs must be walked in two
+// passes; ks and vs are the block a (uint64 key, raw value) frame is
+// decoded into before the table stages it. The block is not on the
+// stack because the table hands the values to its engine, an interface
+// call, so a stack array would move to the heap on every frame.
+type ingestScratch[K, V any] struct {
 	gis []int32
+	ks  [decodeBlock]K
+	vs  [decodeBlock]V
 }
 
 // tableBackend adapts one keyed table to the backend surface.
@@ -217,7 +223,7 @@ func Register[K table.Key, V, S, C any](s *Server, name string, t *table.Table[K
 	for i := 0; i < t.NumWriters(); i++ {
 		b.pool <- t.Writer(i)
 	}
-	b.scratch.New = func() any { return &ingestScratch{} }
+	b.scratch.New = func() any { return new(ingestScratch[K, V]) }
 	return s.register(name, b)
 }
 
@@ -361,6 +367,10 @@ func (b *tableBackend[K, V, S, C]) ingest(r *wire.Reader, stringItems bool) (int
 	return count, nil
 }
 
+// decodeBlock is how many (uint64 key, raw value) pairs decodeInto
+// decodes before it stages them: one block of the table's pass 1.
+const decodeBlock = 256
+
 // decodeInto streams one keyed-batch payload straight into w's grouping
 // scratch — no intermediate key/value slices, no second grouping pass
 // (the old path decoded into pooled scratch that UpdateKeyedBatch then
@@ -382,15 +392,23 @@ func (b *tableBackend[K, V, S, C]) decodeInto(w *table.Writer[K, V, S, C], r *wi
 			for i := 0; i < count; i++ {
 				// String items are hashed into the family's space here,
 				// exactly like the table's own keyed string-batch path,
-				// and staged as hashes; raw values are hashed by BatchAdd.
+				// and staged as hashes; raw values are hashed by BatchAddRun.
 				w.BatchAddHashed(u64Key[K](kr.Uint64()), b.str.HashString(viewString(vr.StringView())))
 			}
 		} else {
 			if vr.Remaining() != count*8 {
 				return errBadPayload("batch body length mismatch")
 			}
-			for i := 0; i < count; i++ {
-				w.BatchAdd(u64Key[K](kr.Uint64()), wireVal[V](vr.Uint64()))
+			// Both runs are whole (checked above), so they decode a block
+			// at a time and the table hashes each block in one call.
+			sc := b.scratch.Get().(*ingestScratch[K, V])
+			defer b.scratch.Put(sc)
+			for i := 0; i < count; i += decodeBlock {
+				n := min(count-i, decodeBlock)
+				for j := range n {
+					sc.ks[j], sc.vs[j] = u64Key[K](kr.Uint64()), wireVal[V](vr.Uint64())
+				}
+				w.BatchAddRun(sc.ks[:n], sc.vs[:n])
 			}
 		}
 		if vr.Err != nil {
@@ -435,7 +453,7 @@ func (b *tableBackend[K, V, S, C]) decodeInto(w *table.Writer[K, V, S, C], r *wi
 		// index and pass 2 walks the item run appending hashed items to
 		// those groups. Group indices fit int32: count is bounded by
 		// maxFrame/minEntry, far under 2^31.
-		sc := b.scratch.Get().(*ingestScratch)
+		sc := b.scratch.Get().(*ingestScratch[K, V])
 		defer b.scratch.Put(sc)
 		if cap(sc.gis) < count {
 			sc.gis = make([]int32, count)

@@ -18,7 +18,7 @@ import (
 // sent as KEYED_BATCH and as KEYED_STRING_BATCH frames, to uint64- and
 // string-keyed tables, leaves every per-key compact byte-identical to
 // that of an in-process table fed one item at a time. The frames reach
-// the table through BatchAdd/BatchAddHashed (uint64 keys) and
+// the table through BatchAddRun/BatchAddHashed (uint64 keys) and
 // BatchLookup/BatchGroup/BatchAppend/BatchAppendHashed (string keys);
 // a value hashed twice, or not at all, on any of them fails here.
 func TestWireIngestMatchesItemAtATime(t *testing.T) {

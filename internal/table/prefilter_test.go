@@ -650,10 +650,8 @@ func TestPrefilterBatchReset(t *testing.T) {
 
 	// Half a frame staged, then discarded.
 	clock.Store(1)
-	for _, v := range dead[:150] {
-		w.BatchAdd(hotKey, v)
-	}
-	w.BatchAdd(7, 1) // a key the table has never seen
+	w.BatchAddRun(repeatKey(hotKey, 150), dead[:150])
+	w.BatchAddRun([]uint64{7}, []uint64{1}) // a key the table has never seen
 	w.BatchReset()
 	w.BatchCommit() // nothing staged: a no-op
 	if st := tab.Stats(); st.Prefiltered != st0.Prefiltered || st.Keys != st0.Keys || touched() != t0 {
@@ -662,9 +660,7 @@ func TestPrefilterBatchReset(t *testing.T) {
 
 	// A whole frame, every item dropped: committed, counted, credited.
 	clock.Store(2)
-	for _, v := range dead {
-		w.BatchAdd(hotKey, v)
-	}
+	w.BatchAddRun(repeatKey(hotKey, len(dead)), dead)
 	w.BatchCommit()
 	st := tab.Stats()
 	if d := st.Prefiltered - st0.Prefiltered; d != int64(len(dead)) {

@@ -24,11 +24,13 @@
 // tables serialize to a binary snapshot that merges with snapshots from
 // other processes for distributed aggregation.
 //
-// A keyed batch is ingested in two passes. Pass 1 looks at every item
-// once: it hashes the value into the family's space (core.Engine's
-// HashValue — staged values have that one meaning whatever entry point
-// they came through), finds the key's group in the batch, and appends.
-// Pass 2 resolves each distinct key's entry and hands the key's run to
+// A keyed batch is ingested in two passes. Pass 1 works through the
+// batch in blocks of up to 256 items: it hashes a block's values into
+// the family's space in one call (core.Engine's AppendHashValues, the
+// batch form of HashValue — staged values have that one meaning
+// whatever entry point they came through) and a block's uint64 keys in
+// another (string keys one by one), then finds each item's group in the
+// batch and appends. Pass 2 resolves each distinct key's entry and hands the key's run to
 // its sketch under the entry's lock. Each Writer keeps a direct-mapped
 // key→entry cache whose slot holds, for a resident key, its entry and
 // a shard-epoch stamp (bumped whenever a key leaves the shard's map),

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/fcds/fcds/internal/core"
+	"github.com/fcds/fcds/internal/hash"
 )
 
 // writerCacheSize is the per-writer direct-mapped entry-cache size (a
@@ -15,8 +16,17 @@ import (
 // map and pass 1 drops 89 % of all items; 2 048 slots leave 52 and drop
 // 95 %; 4 096 leave 31 (96 %) and 8 192 leave 15 (97 %), each doubling
 // past 2 048 worth a few percent of throughput. 2 048 slots of 64 B
-// (uint64 keys) are 128 KB per writer handle.
+// (uint64 keys) are 128 KB per writer handle; pass 1's block arrays
+// (stageBlock) add 4 KB.
 const writerCacheSize = 2048
+
+// stageBlock is the most items pass 1 hashes at once: a block's uint64
+// keys are hashed by one hash.AppendSumUint64 call and its raw values
+// by one core.Engine AppendHashValues call, into the writer's block
+// arrays, and the block is then grouped and filtered item by item.
+// 256 items keep both arrays at 2 KB; a batch-sized scratch instead
+// would grow every handle with its largest batch.
+const stageBlock = 256
 
 // Writer returns the i-th writer handle (0 <= i < Config.Writers).
 // Each handle must be used by at most one goroutine at a time.
@@ -79,6 +89,11 @@ type Writer[K Key, V, S, C any] struct {
 	cache   []cslot[K, V, S, C]
 	chits   int64
 	cmisses int64
+
+	// kh and vh are pass 1's block arrays: the key hashes and the staged
+	// values of at most stageBlock items.
+	kh [stageBlock]uint64
+	vh [stageBlock]V
 }
 
 // keyRef is what a writer knows about one key without asking the table:
@@ -224,18 +239,14 @@ func (w *Writer[K, V, S, C]) UpdateKeyed(k K, v V) {
 // (dropped at once if the key's cached hint rules it out), the distinct
 // keys are grouped by shard so each shard lock is taken at most once,
 // and each key's surviving run enters its sketch through the pre-hashed
-// batch path. Slices must have equal length.
+// batch path. Slices must have equal length. It is BatchAddRun and
+// BatchCommit in one call.
 func (w *Writer[K, V, S, C]) UpdateKeyedBatch(keys []K, vals []V) {
-	if len(keys) != len(vals) {
-		panic(fmt.Sprintf("table: UpdateKeyedBatch length mismatch: %d keys, %d values", len(keys), len(vals)))
-	}
+	checkRun("UpdateKeyedBatch", len(keys), len(vals), "values")
 	if len(keys) == 0 {
 		return
 	}
-	eng := w.t.eng
-	for i, k := range keys {
-		w.stage(k, eng.HashValue(vals[i]))
-	}
+	w.stageRun(keys, vals, true)
 	w.apply()
 }
 
@@ -243,16 +254,19 @@ func (w *Writer[K, V, S, C]) UpdateKeyedBatch(keys []K, vals []V) {
 // already item hashes in the sketch family's hash space (the engine's
 // HashValue or its string twin).
 func (w *Writer[K, V, S, C]) UpdateKeyedHashedBatch(keys []K, hs []V) {
-	if len(keys) != len(hs) {
-		panic(fmt.Sprintf("table: UpdateKeyedHashedBatch length mismatch: %d keys, %d hashes", len(keys), len(hs)))
-	}
+	checkRun("UpdateKeyedHashedBatch", len(keys), len(hs), "hashes")
 	if len(keys) == 0 {
 		return
 	}
-	for i, k := range keys {
-		w.stage(k, hs[i])
-	}
+	w.stageRun(keys, hs, false)
 	w.apply()
+}
+
+// checkRun panics unless a batch's key and value runs have equal length.
+func checkRun(op string, keys, vals int, what string) {
+	if keys != vals {
+		panic(fmt.Sprintf("table: %s length mismatch: %d keys, %d %s", op, keys, vals, what))
+	}
 }
 
 // StringWriter is the Writer of a table whose engine also hashes
@@ -261,36 +275,44 @@ type StringWriter[K Key, V, S, C any] struct{ *Writer[K, V, S, C] }
 
 // UpdateKeyedStringBatch ingests parallel (key, string item) slices:
 // each item is hashed by the engine's HashString in the grouping pass
-// (zero-alloc string hashing, no intermediate hashed slice), so log
-// pipelines need no pre-hash step.
+// (zero-alloc string hashing, a block at a time into the writer's block
+// array), so log pipelines need no pre-hash step.
 func (w *StringWriter[K, V, S, C]) UpdateKeyedStringBatch(keys []K, items []string) {
-	if len(keys) != len(items) {
-		panic(fmt.Sprintf("table: UpdateKeyedStringBatch length mismatch: %d keys, %d items", len(keys), len(items)))
-	}
+	checkRun("UpdateKeyedStringBatch", len(keys), len(items), "items")
 	if len(keys) == 0 {
 		return
 	}
 	str := w.t.eng.(core.StringEngine[V])
-	for i, k := range keys {
-		w.stage(k, str.HashString(items[i]))
+	for len(keys) > 0 {
+		n := min(len(keys), stageBlock)
+		hs := w.vh[:n]
+		for i, s := range items[:n] {
+			hs[i] = str.HashString(s)
+		}
+		w.stageBlock(keys[:n], hs)
+		keys, items = keys[n:], items[n:]
 	}
 	w.apply()
 }
 
-// BatchAdd stages one (key, raw value) update without applying it. It
-// is pass 1 of the grouped ingestion exposed as a streaming entry
-// point: a decoder walking a wire frame can feed pairs one at a time —
-// no intermediate key/value slices — and commit the whole batch with
-// BatchCommit. Staged state is invisible to queries until committed.
+// BatchAddRun stages parallel runs of keys and raw values without
+// applying them. It is pass 1 of the grouped ingestion exposed as a
+// streaming entry point: a decoder walking a wire frame can feed it the
+// frame a block at a time — no frame-sized key/value slices — and
+// commit the whole batch with BatchCommit. Staged state is invisible to
+// queries until committed. Slices must have equal length.
 //
-// Staged values have one meaning, the family's hashed form: BatchAdd
+// Staged values have one meaning, the family's hashed form: BatchAddRun
 // and BatchAppend hash the raw value on the way in, BatchAddHashed and
 // BatchAppendHashed take a value that already is a hash.
-func (w *Writer[K, V, S, C]) BatchAdd(k K, v V) { w.stage(k, w.t.eng.HashValue(v)) }
+func (w *Writer[K, V, S, C]) BatchAddRun(keys []K, vals []V) {
+	checkRun("BatchAddRun", len(keys), len(vals), "values")
+	w.stageRun(keys, vals, true)
+}
 
-// BatchAddHashed is BatchAdd for a value that is already an item hash
-// in the sketch family's hash space.
-func (w *Writer[K, V, S, C]) BatchAddHashed(k K, h V) { w.stage(k, h) }
+// BatchAddHashed stages one (key, item hash) update: a value that is
+// already an item hash in the sketch family's hash space.
+func (w *Writer[K, V, S, C]) BatchAddHashed(k K, h V) { w.add(w.group(k, keyHash(k)), h) }
 
 // BatchLookup reports the group index k is staged under, without
 // retaining k. It lets a streaming decoder probe with a transient view
@@ -304,7 +326,7 @@ func (w *Writer[K, V, S, C]) BatchLookup(k K) (int, bool) { return w.lookup(k, k
 
 // BatchGroup registers k in the staged batch (first sight allowed) and
 // returns its group index for BatchAppend.
-func (w *Writer[K, V, S, C]) BatchGroup(k K) int { return w.group(k) }
+func (w *Writer[K, V, S, C]) BatchGroup(k K) int { return w.group(k, keyHash(k)) }
 
 // BatchAppend stages one raw value onto a group obtained from
 // BatchLookup or BatchGroup.
@@ -348,9 +370,45 @@ func (w *Writer[K, V, S, C]) endBatch() {
 	w.gen++
 }
 
-// stage is pass 1 for one item, whatever entry point it came through:
-// h is the value in the family's hashed form.
-func (w *Writer[K, V, S, C]) stage(k K, h V) { w.add(w.group(k), h) }
+// stageRun is pass 1 for parallel runs of keys and values, a block of
+// at most stageBlock items at a time: raw values are hashed by one
+// AppendHashValues call per block, hashed ones are staged as they are.
+func (w *Writer[K, V, S, C]) stageRun(keys []K, vals []V, raw bool) {
+	for len(keys) > 0 {
+		n := min(len(keys), stageBlock)
+		hs := vals[:n]
+		if raw {
+			hs = w.t.eng.AppendHashValues(w.vh[:0], hs)
+		}
+		w.stageBlock(keys[:n], hs)
+		keys, vals = keys[n:], vals[n:]
+	}
+}
+
+// stageBlock is pass 1 for at most stageBlock items, whatever entry
+// point they came through: hs are the values in the family's hashed
+// form. The keys are hashed at once, then each item is grouped and
+// filtered.
+func (w *Writer[K, V, S, C]) stageBlock(keys []K, hs []V) {
+	kh := w.keyHashes(keys)
+	for i, k := range keys {
+		w.add(w.group(k, kh[i]), hs[i])
+	}
+}
+
+// keyHashes returns keyHash of each of at most stageBlock keys, in the
+// writer's block array: uint64 keys in one hash.AppendSumUint64 call,
+// string keys one by one.
+func (w *Writer[K, V, S, C]) keyHashes(keys []K) []uint64 {
+	if ks, ok := any(keys).([]uint64); ok {
+		return hash.AppendSumUint64(w.kh[:0], ks, shardSeed)
+	}
+	kh := w.kh[:len(keys)]
+	for i, k := range keys {
+		kh[i] = keyHash(k)
+	}
+	return kh
+}
 
 // add stages h onto group gi, unless the group's hint says the key's
 // sketch would discard it (Algorithm 1 line 26, asked before the item
@@ -365,9 +423,8 @@ func (w *Writer[K, V, S, C]) add(gi int, h V) {
 }
 
 // group resolves k's group in the staged batch, registering the key
-// with its shard on first sight.
-func (w *Writer[K, V, S, C]) group(k K) int {
-	h := keyHash(k)
+// with its shard on first sight; h is keyHash(k).
+func (w *Writer[K, V, S, C]) group(k K, h uint64) int {
 	gi, ok := w.lookup(k, h)
 	if !ok {
 		gi = w.register(k, h)

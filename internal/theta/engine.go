@@ -87,6 +87,12 @@ func (e *Engine) HashString(s string) uint64 { return hash.ThetaHashString(s, e.
 // HashValue implements core.Engine: the item's Θ-space hash.
 func (e *Engine) HashValue(v uint64) uint64 { return hash.ThetaHashUint64(v, e.cfg.Seed) }
 
+// AppendHashValues implements core.Engine: the fused batch loop with a
+// hint no Θ-space hash reaches, so every value's hash is kept.
+func (e *Engine) AppendHashValues(dst, vs []uint64) []uint64 {
+	return hash.AppendThetaUint64Filtered(dst, vs, e.cfg.Seed, math.MaxUint64)
+}
+
 // ShouldAdd implements core.FilterEngine (Algorithm 1 line 26): only
 // hashes below the hinted Θ can affect the sketch.
 func (e *Engine) ShouldAdd(hint, h uint64) bool { return h < hint }
