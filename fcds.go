@@ -350,6 +350,16 @@
 // violations close the connection. See internal/server/wire for the
 // full layout.
 //
+// Every keyed frame, KEYED_BATCH or KEYED_STRING_BATCH with either key
+// type, reaches the table writer's pass 1 a block at a time: the
+// server splits the payload into its key run and its item run, then
+// decodes the two in lockstep, 256 pairs per block, and stages each
+// block through the same block stager an in-process batch goes
+// through — no frame-sized slices. A string key is staged as a view of
+// the connection's read buffer and copied only where the table keeps
+// it: a key new to the batch and not resident in the writer's entry
+// cache. A frame of warm keys allocates nothing.
+//
 // Snapshot shipping composes with the table snapshots above into the
 // distributed-aggregation path: an edge node serves its tables,
 // periodically pulls its own merged snapshot (or lets a pipeline pull

@@ -94,17 +94,16 @@ type backend interface {
 }
 
 // ingestScratch is one frame's decode scratch, pooled per backend so
-// concurrent connections never share it: gis is the group-index run for
-// the one batch shape with no fixed stride on either side (string keys +
-// string items), where the key and item runs must be walked in two
-// passes; ks and vs are the block a (uint64 key, raw value) frame is
-// decoded into before the table stages it. The block is not on the
-// stack because the table hands the values to its engine, an interface
-// call, so a stack array would move to the heap on every frame.
+// concurrent connections never share it: ks and vs are the block of
+// keys and items (raw values or string-item hashes) every frame shape
+// is decoded into before the table stages it. A string key in ks is a
+// view of the frame, valid until decodeInto returns. The block is not
+// on the stack because the table hands the values to its engine, an
+// interface call, so a stack array would move to the heap on every
+// frame.
 type ingestScratch[K, V any] struct {
-	gis []int32
-	ks  [decodeBlock]K
-	vs  [decodeBlock]V
+	ks [decodeBlock]K
+	vs [decodeBlock]V
 }
 
 // tableBackend adapts one keyed table to the backend surface.
@@ -298,9 +297,10 @@ func wireVal[V any](v uint64) V {
 	return out
 }
 
-// strKey is u64Key for string wire keys. s may be a transient view of
-// the read buffer ONLY where the key is not retained (BatchLookup
-// probes); keys that reach BatchGroup must be owned copies.
+// strKey is u64Key for string wire keys. s may be a view of the read
+// buffer only where the key is borrowed: staged through BatchAddRun or
+// BatchAddHashed, which copy what the table keeps. Anywhere else it
+// must be an owned copy.
 func strKey[K table.Key](s string) K {
 	var k K
 	*(any(&k).(*string)) = s
@@ -367,118 +367,86 @@ func (b *tableBackend[K, V, S, C]) ingest(r *wire.Reader, stringItems bool) (int
 	return count, nil
 }
 
-// decodeBlock is how many (uint64 key, raw value) pairs decodeInto
-// decodes before it stages them: one block of the table's pass 1.
+// decodeBlock is how many pairs decodeInto decodes before it stages
+// them: one block of the table's pass 1.
 const decodeBlock = 256
 
 // decodeInto streams one keyed-batch payload straight into w's grouping
-// scratch — no intermediate key/value slices, no second grouping pass
-// (the old path decoded into pooled scratch that UpdateKeyedBatch then
-// regrouped, touching every key twice). The wire layout is one run of
-// keys then one run of values; whenever at least one run has a fixed
-// stride, the two runs are walked in lockstep with two cursors over the
-// same payload.
+// scratch, a block at a time — no frame-sized key/value slices, no
+// second grouping pass. The wire layout is one run of keys then one run
+// of items, so the payload is first split into a cursor over each: at
+// a fixed offset for uint64 keys, from the tail for string keys with
+// 8-byte values, and by one skip pass over the key lengths for string
+// keys with string items. The two cursors then advance in lockstep,
+// decodeBlock pairs at a time. A block's keys are decoded by one loop
+// and its items by another, each chosen once per block by shape: a
+// string key is a view of the payload, which the table copies only
+// where it keeps the key; a raw value is staged with BatchAddRun, which
+// hashes it, and a string item is hashed here and staged with
+// BatchAddHashed.
 func (b *tableBackend[K, V, S, C]) decodeInto(w *table.Writer[K, V, S, C], r *wire.Reader, count int, stringItems bool) error {
+	u64 := b.keyType() == wire.KeyTypeUint64
+	var kr, vr wire.Reader
 	switch {
-	case b.keyType() == wire.KeyTypeUint64:
-		// Fixed 8-byte keys: the value run starts at a computable
-		// offset, so keys and values stream pairwise in one pass.
-		kr := wire.Reader{Buf: r.Bytes(count * 8)}
+	case u64:
+		kr.Buf = r.Bytes(count * 8)
 		if r.Err != nil {
 			return errBadPayload("truncated batch body")
 		}
-		vr := wire.Reader{Buf: r.Rest()}
-		if stringItems {
-			for i := 0; i < count; i++ {
-				// String items are hashed into the family's space here,
-				// exactly like the table's own keyed string-batch path,
-				// and staged as hashes; raw values are hashed by BatchAddRun.
-				w.BatchAddHashed(u64Key[K](kr.Uint64()), b.str.HashString(viewString(vr.StringView())))
-			}
-		} else {
-			if vr.Remaining() != count*8 {
-				return errBadPayload("batch body length mismatch")
-			}
-			// Both runs are whole (checked above), so they decode a block
-			// at a time and the table hashes each block in one call.
-			sc := b.scratch.Get().(*ingestScratch[K, V])
-			defer b.scratch.Put(sc)
-			for i := 0; i < count; i += decodeBlock {
-				n := min(count-i, decodeBlock)
-				for j := range n {
-					sc.ks[j], sc.vs[j] = u64Key[K](kr.Uint64()), wireVal[V](vr.Uint64())
-				}
-				w.BatchAddRun(sc.ks[:n], sc.vs[:n])
-			}
+		vr.Buf = r.Rest()
+		if !stringItems && vr.Remaining() != count*8 {
+			return errBadPayload("batch body length mismatch")
 		}
-		if vr.Err != nil {
-			return errBadPayload("truncated batch body")
-		}
-		if vr.Remaining() != 0 {
-			return errBadPayload("%d trailing bytes after batch", vr.Remaining())
-		}
-
 	case !stringItems:
-		// String keys, fixed 8-byte values: the value run is exactly the
-		// payload tail, so the split point is computable from the end.
-		rem := r.Remaining()
-		vlen := count * 8
+		rem, vlen := r.Remaining(), count*8
 		if rem < vlen {
 			return errBadPayload("truncated batch body")
 		}
 		all := r.Rest()
-		kr := wire.Reader{Buf: all[:rem-vlen]}
-		vr := wire.Reader{Buf: all[rem-vlen:]}
-		for i := 0; i < count; i++ {
-			// Probe with a view of the key bytes; copy off the read
-			// buffer only when the table has no copy of the key yet (the
-			// grouping scratch retains registered keys).
-			view := kr.StringView()
-			gi, ok := w.BatchLookup(strKey[K](viewString(view)))
-			if !ok {
-				gi = w.BatchGroup(strKey[K](string(view)))
-			}
-			w.BatchAppend(gi, wireVal[V](vr.Uint64()))
-		}
-		if kr.Err != nil {
-			return errBadPayload("truncated batch body")
-		}
-		if kr.Remaining() != 0 {
-			return errBadPayload("%d trailing bytes after batch", kr.Remaining())
-		}
-
+		kr.Buf, vr.Buf = all[:rem-vlen], all[rem-vlen:]
 	default:
-		// String keys and string items: neither run has a fixed stride,
-		// so pass 1 walks the key run recording each position's group
-		// index and pass 2 walks the item run appending hashed items to
-		// those groups. Group indices fit int32: count is bounded by
-		// maxFrame/minEntry, far under 2^31.
-		sc := b.scratch.Get().(*ingestScratch[K, V])
-		defer b.scratch.Put(sc)
-		if cap(sc.gis) < count {
-			sc.gis = make([]int32, count)
+		all := r.Buf
+		for range count {
+			r.StringView()
 		}
-		gis := sc.gis[:count]
-		for i := range gis {
-			view := r.StringView()
-			gi, ok := w.BatchLookup(strKey[K](viewString(view)))
-			if !ok {
-				gi = w.BatchGroup(strKey[K](string(view)))
+		if r.Err != nil {
+			return errBadPayload("truncated batch body")
+		}
+		kr.Buf, vr.Buf = all[:len(all)-r.Remaining()], r.Rest()
+	}
+	sc := b.scratch.Get().(*ingestScratch[K, V])
+	defer b.scratch.Put(sc)
+	for i := 0; i < count; i += decodeBlock {
+		n := min(count-i, decodeBlock)
+		ks, vs := sc.ks[:n], sc.vs[:n]
+		if u64 {
+			for j := range ks {
+				ks[j] = u64Key[K](kr.Uint64())
 			}
-			gis[i] = int32(gi)
+		} else {
+			for j := range ks {
+				ks[j] = strKey[K](viewString(kr.StringView()))
+			}
 		}
-		if r.Err != nil {
-			return errBadPayload("truncated batch body")
+		if stringItems {
+			for j := range vs {
+				vs[j] = b.str.HashString(viewString(vr.StringView()))
+			}
+			w.BatchAddHashed(ks, vs)
+		} else {
+			for j := range vs {
+				vs[j] = wireVal[V](vr.Uint64())
+			}
+			w.BatchAddRun(ks, vs)
 		}
-		for i := range gis {
-			w.BatchAppendHashed(int(gis[i]), b.str.HashString(viewString(r.StringView())))
-		}
-		if r.Err != nil {
-			return errBadPayload("truncated batch body")
-		}
-		if r.Remaining() != 0 {
-			return errBadPayload("%d trailing bytes after batch", r.Remaining())
-		}
+	}
+	// The split measured one run exactly (both for uint64 keys with raw
+	// values); only the other can come up short or leave bytes over.
+	if kr.Err != nil || vr.Err != nil {
+		return errBadPayload("truncated batch body")
+	}
+	if n := kr.Remaining() + vr.Remaining(); n != 0 {
+		return errBadPayload("%d trailing bytes after batch", n)
 	}
 	return nil
 }

@@ -1,68 +1,151 @@
 package server
 
 import (
+	"fmt"
+	"strconv"
 	"testing"
 
 	"github.com/fcds/fcds/internal/server/wire"
 	"github.com/fcds/fcds/internal/table"
 )
 
-// TestServeHotpathZeroAllocs pins the server's zero-copy ingest path at
-// 0 allocs per frame: handle checkout, the streaming decode straight
-// into the writer's grouping scratch (no intermediate key/value slices,
-// no interface boxing per key), and the batch commit. It mirrors the
-// table-side pin (internal/table's TestKeyedBatchInstrumentedZeroAllocs)
-// one layer up: buffer sized so runs never hand off to the propagator
-// pool, uint64 keys (string keys are copied on first sight by design —
-// the table retains them).
-func TestServeHotpathZeroAllocs(t *testing.T) {
-	tab := table.NewTheta(table.ThetaConfig[uint64]{
+// frameShapes are the four keyed-frame shapes decodeInto takes: uint64
+// or string keys, with 8-byte values or string items.
+var frameShapes = []struct {
+	name        string
+	kt          byte
+	stringItems bool
+}{
+	{"uint64/raw", wire.KeyTypeUint64, false},
+	{"uint64/strings", wire.KeyTypeUint64, true},
+	{"string/raw", wire.KeyTypeString, false},
+	{"string/strings", wire.KeyTypeString, true},
+}
+
+// shapeBackends registers a uint64- and a string-keyed Θ table with one
+// writer, sized so runs rarely hand off to the propagator pool, and
+// returns each one's backend by key type.
+func shapeBackends(tb testing.TB) map[byte]backend {
+	s := New(Config{})
+	u := table.NewTheta(table.ThetaConfig[uint64]{
 		Table: table.Config[uint64]{Writers: 1, Shards: 8},
 		K:     256, MaxError: 1, BufferSize: 1 << 14,
 	})
-	defer tab.Close()
-	s := New(Config{})
-	if err := Register(s, "ev", tab.Table); err != nil {
-		t.Fatal(err)
+	tb.Cleanup(u.Close)
+	str := table.NewTheta(table.ThetaConfig[string]{
+		Table: table.Config[string]{Writers: 1, Shards: 8},
+		K:     256, MaxError: 1, BufferSize: 1 << 14,
+	})
+	tb.Cleanup(str.Close)
+	if err := Register(s, "u", u.Table); err != nil {
+		tb.Fatal(err)
 	}
-	b, ok := s.lookup("ev")
-	if !ok {
-		t.Fatal("table not registered")
+	if err := Register(s, "s", str.Table); err != nil {
+		tb.Fatal(err)
 	}
+	bu, _ := s.lookup("u")
+	bs, _ := s.lookup("s")
+	return map[byte]backend{wire.KeyTypeUint64: bu, wire.KeyTypeString: bs}
+}
 
-	// One KEYED_BATCH payload body (the bytes after the table name),
-	// exactly as a frame delivers it: key type, count, key run, value
-	// run. 8 distinct keys so the writer cache stays warm.
-	const batch = 512
-	payload := []byte{wire.KeyTypeUint64}
-	payload = wire.AppendUvarint(payload, batch)
-	for i := 0; i < batch; i++ {
-		payload = wire.AppendUint64(payload, uint64(i%8))
+// shapePayload is one keyed-batch payload body (the bytes after the
+// table name), exactly as a frame delivers it: key type, count, key run,
+// item run. Its n pairs cycle through nkeys distinct keys; the items
+// come from the xorshift stream that starts at seed (nonzero).
+func shapePayload(kt byte, stringItems bool, n, nkeys int, seed uint64) []byte {
+	payload := []byte{kt}
+	payload = wire.AppendUvarint(payload, uint64(n))
+	for i := 0; i < n; i++ {
+		if kt == wire.KeyTypeUint64 {
+			payload = wire.AppendUint64(payload, uint64(i%nkeys))
+		} else {
+			payload = wire.AppendString(payload, fmt.Sprintf("tenant-%d", i%nkeys))
+		}
 	}
-	x := uint64(1)
-	for i := 0; i < batch; i++ {
+	x := seed
+	for i := 0; i < n; i++ {
 		x ^= x << 13
 		x ^= x >> 7
 		x ^= x << 17
-		payload = wire.AppendUint64(payload, x)
-	}
-
-	// The cursor lives outside the loop exactly like a connection's
-	// reused connState cursor — the pointer handed through the backend
-	// interface escapes once, not per frame.
-	var r wire.Reader
-	ingest := func() {
-		r = wire.Reader{Buf: payload}
-		if n, err := b.ingest(&r, false); err != nil || n != batch {
-			t.Fatalf("ingest: n=%d err=%v", n, err)
+		if stringItems {
+			payload = wire.AppendString(payload, strconv.FormatUint(x, 36))
+		} else {
+			payload = wire.AppendUint64(payload, x)
 		}
 	}
-	// Warm up: create the key sketches and fill the writer cache.
-	for i := 0; i < 8; i++ {
-		ingest()
+	return payload
+}
+
+// TestServeHotpathZeroAllocs pins the server's zero-copy ingest path at
+// 0 allocs per frame, for each of the four frame shapes: handle
+// checkout, the streaming decode straight into the writer's grouping
+// scratch (no intermediate key/value slices, no interface boxing per
+// key), and the batch commit. It mirrors the table-side pin
+// (internal/table's TestKeyedBatchInstrumentedZeroAllocs) one layer up:
+// buffer sized so runs never hand off to the propagator pool, keys warm.
+// A string key is staged as a view of the payload and copied only where
+// the table starts to keep it, so a warm one is never copied.
+func TestServeHotpathZeroAllocs(t *testing.T) {
+	backends := shapeBackends(t)
+	const batch = 512
+	for _, sh := range frameShapes {
+		t.Run(sh.name, func(t *testing.T) {
+			b := backends[sh.kt]
+			// 8 distinct keys so the writer cache stays warm.
+			payload := shapePayload(sh.kt, sh.stringItems, batch, 8, 1)
+
+			// The cursor lives outside the loop exactly like a connection's
+			// reused connState cursor — the pointer handed through the backend
+			// interface escapes once, not per frame.
+			var r wire.Reader
+			ingest := func() {
+				r = wire.Reader{Buf: payload}
+				if n, err := b.ingest(&r, sh.stringItems); err != nil || n != batch {
+					t.Fatalf("ingest: n=%d err=%v", n, err)
+				}
+			}
+			// Warm up: create the key sketches and fill the writer cache.
+			for i := 0; i < 8; i++ {
+				ingest()
+			}
+			if avg := testing.AllocsPerRun(50, ingest); avg != 0 {
+				t.Errorf("server ingest allocates %.1f allocs/op, want 0", avg)
+			}
+		})
 	}
-	if avg := testing.AllocsPerRun(50, ingest); avg != 0 {
-		t.Errorf("server ingest allocates %.1f allocs/op, want 0", avg)
+}
+
+// BenchmarkKeyedBatchShapes prices one keyed frame of each shape through
+// tableBackend.ingest — split, block decode, pass 1 and commit — on warm
+// keys: a ring of 64 frames of 2 048 pairs over 64 keys, so each key
+// sees 8·K distinct items and the writer's filter drops most, as on a
+// hot table. It reports ns/item.
+func BenchmarkKeyedBatchShapes(b *testing.B) {
+	backends := shapeBackends(b)
+	const batch, nkeys, ring = 2048, 64, 64
+	for _, sh := range frameShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			be := backends[sh.kt]
+			payloads := make([][]byte, ring)
+			for i := range payloads {
+				payloads[i] = shapePayload(sh.kt, sh.stringItems, batch, nkeys, uint64(i+1))
+			}
+			var r wire.Reader
+			ingest := func(i int) {
+				r = wire.Reader{Buf: payloads[i%ring]}
+				if n, err := be.ingest(&r, sh.stringItems); err != nil || n != batch {
+					b.Fatalf("ingest: n=%d err=%v", n, err)
+				}
+			}
+			for i := range 2 * ring {
+				ingest(i)
+			}
+			b.ResetTimer()
+			for i := range b.N {
+				ingest(i)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/item")
+		})
 	}
 }
 

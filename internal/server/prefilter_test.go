@@ -17,10 +17,10 @@ import (
 // above K, so the server's table writer filters most of it in pass 1 —
 // sent as KEYED_BATCH and as KEYED_STRING_BATCH frames, to uint64- and
 // string-keyed tables, leaves every per-key compact byte-identical to
-// that of an in-process table fed one item at a time. The frames reach
-// the table through BatchAddRun/BatchAddHashed (uint64 keys) and
-// BatchLookup/BatchGroup/BatchAppend/BatchAppendHashed (string keys);
-// a value hashed twice, or not at all, on any of them fails here.
+// that of an in-process table fed one item at a time. Every frame
+// reaches the table a block at a time, raw values through BatchAddRun
+// and string items, hashed by the server, through BatchAddHashed; a
+// value hashed twice, or not at all, on either fails here.
 func TestWireIngestMatchesItemAtATime(t *testing.T) {
 	const n, chunk, nkeys = 40_000, 1000, 30
 	rng := rand.New(rand.NewSource(7))

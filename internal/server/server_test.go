@@ -3,7 +3,10 @@ package server_test
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"net"
+	"strconv"
+	"sync"
 	"testing"
 
 	"github.com/fcds/fcds/internal/quantiles"
@@ -639,5 +642,72 @@ func TestCompressedFlagWithoutNegotiation(t *testing.T) {
 	// Fatal: the server hangs up after a framing error.
 	if _, _, _, err := wire.ReadFrame(nc, &buf, 0); err == nil {
 		t.Fatal("connection still open after framing error")
+	}
+}
+
+// TestWireStringKeysAcrossConnections: four connections ingest string
+// keys at once, as KEYED_BATCH and KEYED_STRING_BATCH frames of 300
+// pairs, into a table whose key cap evicts and re-creates keys all the
+// time. The server stages each key as a view of its connection's read
+// buffer, which the next frame overwrites; a view the table kept past
+// its frame would surface as a key no client sent, or, under -race, as
+// a read of a buffer another goroutine is filling.
+func TestWireStringKeysAcrossConnections(t *testing.T) {
+	const clients, frames, pairs, nkeys = 4, 200, 300, 200
+	tab := table.NewTheta(table.ThetaConfig[string]{
+		Table: table.Config[string]{Writers: 2, Shards: 8, MaxKeys: 32},
+	})
+	defer tab.Close()
+	s, addr := startServer(t, server.Config{})
+	if err := server.Register(s, "ev", tab.Table); err != nil {
+		t.Fatal(err)
+	}
+	names := make(map[string]bool, nkeys)
+	for i := range nkeys {
+		names[fmt.Sprintf("wire-key-%03d", i)] = true
+	}
+	var wg sync.WaitGroup
+	for ci := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c, err := client.Dial(addr)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer c.Close()
+			rng := rand.New(rand.NewSource(int64(ci)))
+			keys, vals, items := make([]string, pairs), make([]uint64, pairs), make([]string, pairs)
+			for f := range frames {
+				for j := range keys {
+					keys[j] = fmt.Sprintf("wire-key-%03d", rng.Intn(nkeys))
+					vals[j] = rng.Uint64()
+					items[j] = strconv.FormatUint(vals[j], 36)
+				}
+				if f%2 == 0 {
+					err = c.Ingest("ev", keys, vals)
+				} else {
+					err = c.IngestStrings("ev", keys, items)
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			if err := c.Flush(); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	tab.Drain()
+	tab.Snapshot().ForEach(func(k string, _ *theta.Compact) {
+		if !names[k] {
+			t.Errorf("the table holds key %q, which no client sent", k)
+		}
+	})
+	if st := tab.Stats(); st.EvictionsCap == 0 {
+		t.Fatalf("no key was evicted: the test needs keys re-created")
 	}
 }

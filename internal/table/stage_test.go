@@ -158,6 +158,15 @@ func checkStaged[K table.Key, V, S, C any](t testing.TB, f stageFamily[K, V, S, 
 			w.BatchCommit()
 		})
 	})
+	check("BatchAddHashed", want, wantKeys, func(w *table.Writer[K, V, S, C]) {
+		ahs := f.eng.AppendHashValues(nil, vals)
+		inBatches(len(keys), n, func(lo, hi int) {
+			mid := lo + (hi-lo)/3
+			w.BatchAddHashed(keys[lo:mid], ahs[lo:mid])
+			w.BatchAddHashed(keys[mid:hi], ahs[mid:hi])
+			w.BatchCommit()
+		})
+	})
 	if items == nil {
 		return
 	}

@@ -1,8 +1,16 @@
 package table
 
 import (
+	"bytes"
 	"fmt"
+	"math/rand"
+	"slices"
+	"sync/atomic"
 	"testing"
+	"unsafe"
+
+	"github.com/fcds/fcds/internal/core"
+	"github.com/fcds/fcds/internal/theta"
 )
 
 // TestThetaStringItemBatch: UpdateKeyedStringBatch must agree exactly
@@ -113,5 +121,88 @@ func TestStringItemBatchZeroAlloc(t *testing.T) {
 	// but the per-item hashing and grouping must not allocate.
 	if avg > 8 {
 		t.Fatalf("steady-state string keyed batch allocates %.1f/op, want <= 8", avg)
+	}
+}
+
+// TestBatchAddCopiesBorrowedKeys: string keys staged through BatchAddRun
+// and BatchAddHashed may alias a buffer that their caller overwrites
+// once the call returns, as a wire decoder's read buffer is. Keys repeat
+// within and across 256-item blocks, some first seen by each entry
+// point, and a key cap evicts and re-creates keys between rounds; the
+// table must end with the keys and the image of one fed owned copies
+// through UpdateKeyedBatch.
+func TestBatchAddCopiesBorrowedKeys(t *testing.T) {
+	const width, run1, run2 = 6, 300, 400
+	// Each round's keys overflow the cap of 8, evicting the keys of the
+	// round before that it does not name; the last round re-creates the
+	// keys the second one evicted.
+	rounds := [][]int{{0, 1, 2, 3, 4, 5, 6, 7}, {4, 5, 6, 7, 8, 9, 10, 11}, {0, 1, 2, 3, 8, 9, 10, 11}}
+	keyAt := func(set []int, i int) string {
+		j := i % 5 // the first run names set[:5]
+		if i >= run1 {
+			j = i * 3 % len(set) // the second names all, set[5:] first
+		}
+		return fmt.Sprintf("key-%02d", set[j])
+	}
+	cfg := ThetaConfig[string]{Table: Config[string]{Writers: 1, Shards: 1, MaxKeys: 8}, K: 16}
+	got, want := NewTheta(cfg), NewTheta(cfg)
+	defer got.Close()
+	defer want.Close()
+	var clock atomic.Int64
+	got.now, want.now = clock.Load, clock.Load
+
+	buf := make([]byte, (run1+run2)*width)
+	views := make([]string, run1+run2)
+	for i := range views {
+		views[i] = unsafe.String(&buf[i*width], width)
+	}
+	rng := rand.New(rand.NewSource(48))
+	gw, ww := got.Writer(0), want.Writer(0)
+	for r, set := range rounds {
+		clock.Store(int64(r + 1))
+		owned, vals := make([]string, len(views)), make([]uint64, len(views))
+		for i := range views {
+			owned[i], vals[i] = keyAt(set, i), rng.Uint64()
+			copy(buf[i*width:], owned[i])
+		}
+		ww.UpdateKeyedBatch(owned, vals)
+		gw.BatchAddRun(views[:run1], vals[:run1])
+		gw.BatchAddHashed(views[run1:], got.eng.AppendHashValues(nil, vals[run1:]))
+		for i := range buf {
+			buf[i] = 'x' // the buffer is reused before the batch commits
+		}
+		gw.BatchCommit()
+	}
+	if st := want.Stats(); st.EvictionsCap != 8 {
+		t.Fatalf("the reference evicted %d keys, want 8: the rounds no longer re-create keys", st.EvictionsCap)
+	}
+
+	keysAndImage := func(tab *ThetaTable[string]) ([]string, []byte) {
+		tab.Drain()
+		var keys []string
+		tab.Snapshot().ForEach(func(k string, _ *theta.Compact) { keys = append(keys, k) })
+		slices.Sort(keys)
+		b, err := tab.SnapshotBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// SnapshotBinary lists keys in walk order; its decoded snapshot
+		// re-encodes them in key order.
+		s, err := UnmarshalSnapshot[string](b, core.CompactCodec[*theta.Compact](tab.eng))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b, err = s.MarshalBinary(); err != nil {
+			t.Fatal(err)
+		}
+		return keys, b
+	}
+	gotKeys, gotImg := keysAndImage(got)
+	wantKeys, wantImg := keysAndImage(want)
+	if !slices.Equal(gotKeys, wantKeys) {
+		t.Fatalf("staged from a reused buffer, the table holds keys %q; fed owned copies, %q", gotKeys, wantKeys)
+	}
+	if !bytes.Equal(gotImg, wantImg) {
+		t.Fatalf("staged from a reused buffer, the table's image differs from one fed owned copies (%d vs %d bytes)", len(gotImg), len(wantImg))
 	}
 }

@@ -25,13 +25,18 @@
 // other processes for distributed aggregation.
 //
 // A keyed batch is ingested in two passes. Pass 1 works through the
-// batch in blocks of up to 256 items: it hashes a block's values into
-// the family's space in one call (core.Engine's AppendHashValues, the
-// batch form of HashValue — staged values have that one meaning
-// whatever entry point they came through) and a block's uint64 keys in
-// another (string keys one by one), then finds each item's group in the
-// batch and appends. Pass 2 resolves each distinct key's entry and hands the key's run to
-// its sketch under the entry's lock. Each Writer keeps a direct-mapped
+// batch in blocks of up to 256 items, and every batch entry point — the
+// in-process UpdateKeyed*Batch calls and the staging pair BatchAddRun /
+// BatchAddHashed a wire decoder feeds — reaches it through one block
+// stager: it hashes a block's values into the family's space in one
+// call (core.Engine's AppendHashValues, the batch form of HashValue —
+// staged values have that one meaning whatever entry point they came
+// through) and a block's uint64 keys in another (string keys one by
+// one), then finds each item's group in the batch and appends. The
+// staging pair takes keys that may alias the caller's buffer; a string
+// key is copied only where the writer first keeps it. Pass 2 resolves
+// each distinct key's entry and hands the key's run to its sketch
+// under the entry's lock. Each Writer keeps a direct-mapped
 // key→entry cache whose slot holds, for a resident key, its entry and
 // a shard-epoch stamp (bumped whenever a key leaves the shard's map),
 // its group in the batch being staged, and — for a family with

@@ -2,6 +2,7 @@ package table
 
 import (
 	"fmt"
+	"strings"
 
 	"github.com/fcds/fcds/internal/core"
 	"github.com/fcds/fcds/internal/hash"
@@ -25,7 +26,8 @@ const writerCacheSize = 2048
 // by one core.Engine AppendHashValues call, into the writer's block
 // arrays, and the block is then grouped and filtered item by item.
 // 256 items keep both arrays at 2 KB; a batch-sized scratch instead
-// would grow every handle with its largest batch.
+// would grow every handle with its largest batch. The server decodes a
+// keyed frame in blocks of the same size.
 const stageBlock = 256
 
 // Writer returns the i-th writer handle (0 <= i < Config.Writers).
@@ -63,6 +65,11 @@ func (t *Table[K, V, S, C]) Writer(i int) *Writer[K, V, S, C] {
 // key's sketch gave when it last took a run from this writer, and pass
 // 1 drops an item that fails ShouldAdd against it on the spot — before
 // the item reaches a map, a lock or a sketch.
+//
+// Every batch entry point, the staging pair BatchAddRun/BatchAddHashed
+// included, reaches pass 1 through one block stager (stageBlock). The
+// staging pair takes borrowed keys, and the writer owns the rule that
+// a key it keeps must be owned: group copies it where it is first kept.
 type Writer[K Key, V, S, C any] struct {
 	t  *Table[K, V, S, C]
 	id int
@@ -246,7 +253,7 @@ func (w *Writer[K, V, S, C]) UpdateKeyedBatch(keys []K, vals []V) {
 	if len(keys) == 0 {
 		return
 	}
-	w.stageRun(keys, vals, true)
+	w.stageRun(keys, vals, true, false)
 	w.apply()
 }
 
@@ -258,7 +265,7 @@ func (w *Writer[K, V, S, C]) UpdateKeyedHashedBatch(keys []K, hs []V) {
 	if len(keys) == 0 {
 		return
 	}
-	w.stageRun(keys, hs, false)
+	w.stageRun(keys, hs, false, false)
 	w.apply()
 }
 
@@ -289,52 +296,31 @@ func (w *StringWriter[K, V, S, C]) UpdateKeyedStringBatch(keys []K, items []stri
 		for i, s := range items[:n] {
 			hs[i] = str.HashString(s)
 		}
-		w.stageBlock(keys[:n], hs)
+		w.stageBlock(keys[:n], hs, false)
 		keys, items = keys[n:], items[n:]
 	}
 	w.apply()
 }
 
 // BatchAddRun stages parallel runs of keys and raw values without
-// applying them. It is pass 1 of the grouped ingestion exposed as a
-// streaming entry point: a decoder walking a wire frame can feed it the
-// frame a block at a time — no frame-sized key/value slices — and
-// commit the whole batch with BatchCommit. Staged state is invisible to
-// queries until committed. Slices must have equal length.
-//
-// Staged values have one meaning, the family's hashed form: BatchAddRun
-// and BatchAppend hash the raw value on the way in, BatchAddHashed and
-// BatchAppendHashed take a value that already is a hash.
+// applying them: pass 1 of UpdateKeyedBatch as a streaming entry point,
+// which a wire decoder feeds a block at a time before one BatchCommit.
+// The keys are borrowed: they may alias a buffer (a network read
+// buffer) that only has to stay valid until the call returns. Staged
+// state is invisible to queries until committed. Slices must have
+// equal length.
 func (w *Writer[K, V, S, C]) BatchAddRun(keys []K, vals []V) {
 	checkRun("BatchAddRun", len(keys), len(vals), "values")
-	w.stageRun(keys, vals, true)
+	w.stageRun(keys, vals, true, true)
 }
 
-// BatchAddHashed stages one (key, item hash) update: a value that is
-// already an item hash in the sketch family's hash space.
-func (w *Writer[K, V, S, C]) BatchAddHashed(k K, h V) { w.add(w.group(k, keyHash(k)), h) }
-
-// BatchLookup reports the group index k is staged under, without
-// retaining k. It lets a streaming decoder probe with a transient view
-// of a key (bytes aliasing a network buffer) and only materialize an
-// owned copy — via BatchGroup — when the table has no copy of its own:
-// a key resident in the writer's entry cache is registered from the
-// slot's copy on first sight, any other key must have been registered
-// by BatchGroup already. The grouping scratch retains registered keys,
-// so a view must never reach BatchGroup.
-func (w *Writer[K, V, S, C]) BatchLookup(k K) (int, bool) { return w.lookup(k, keyHash(k)) }
-
-// BatchGroup registers k in the staged batch (first sight allowed) and
-// returns its group index for BatchAppend.
-func (w *Writer[K, V, S, C]) BatchGroup(k K) int { return w.group(k, keyHash(k)) }
-
-// BatchAppend stages one raw value onto a group obtained from
-// BatchLookup or BatchGroup.
-func (w *Writer[K, V, S, C]) BatchAppend(gi int, v V) { w.add(gi, w.t.eng.HashValue(v)) }
-
-// BatchAppendHashed is BatchAppend for a value that is already an item
-// hash.
-func (w *Writer[K, V, S, C]) BatchAppendHashed(gi int, h V) { w.add(gi, h) }
+// BatchAddHashed is BatchAddRun for values that already are item hashes
+// in the sketch family's hash space: UpdateKeyedHashedBatch's staging
+// twin.
+func (w *Writer[K, V, S, C]) BatchAddHashed(keys []K, hs []V) {
+	checkRun("BatchAddHashed", len(keys), len(hs), "hashes")
+	w.stageRun(keys, hs, false, true)
+}
 
 // BatchCommit applies every staged update and leaves the scratch
 // empty, exactly as UpdateKeyedBatch's pass 2 would. A batch whose
@@ -373,26 +359,27 @@ func (w *Writer[K, V, S, C]) endBatch() {
 // stageRun is pass 1 for parallel runs of keys and values, a block of
 // at most stageBlock items at a time: raw values are hashed by one
 // AppendHashValues call per block, hashed ones are staged as they are.
-func (w *Writer[K, V, S, C]) stageRun(keys []K, vals []V, raw bool) {
+// borrowed keys may alias a buffer the caller reuses (see group).
+func (w *Writer[K, V, S, C]) stageRun(keys []K, vals []V, raw, borrowed bool) {
 	for len(keys) > 0 {
 		n := min(len(keys), stageBlock)
 		hs := vals[:n]
 		if raw {
 			hs = w.t.eng.AppendHashValues(w.vh[:0], hs)
 		}
-		w.stageBlock(keys[:n], hs)
+		w.stageBlock(keys[:n], hs, borrowed)
 		keys, vals = keys[n:], vals[n:]
 	}
 }
 
 // stageBlock is pass 1 for at most stageBlock items, whatever entry
-// point they came through: hs are the values in the family's hashed
-// form. The keys are hashed at once, then each item is grouped and
-// filtered.
-func (w *Writer[K, V, S, C]) stageBlock(keys []K, hs []V) {
+// point, in-process or a wire decoder's, they came through: hs are the
+// values in the family's hashed form. The keys are hashed at once, then
+// each item is grouped and filtered.
+func (w *Writer[K, V, S, C]) stageBlock(keys []K, hs []V, borrowed bool) {
 	kh := w.keyHashes(keys)
 	for i, k := range keys {
-		w.add(w.group(k, kh[i]), hs[i])
+		w.add(w.group(k, kh[i], borrowed), hs[i])
 	}
 }
 
@@ -422,27 +409,29 @@ func (w *Writer[K, V, S, C]) add(gi int, h V) {
 	g.vals = append(g.vals, h)
 }
 
-// group resolves k's group in the staged batch, registering the key
-// with its shard on first sight; h is keyHash(k).
-func (w *Writer[K, V, S, C]) group(k K, h uint64) int {
-	gi, ok := w.lookup(k, h)
-	if !ok {
-		gi = w.register(k, h)
-		w.gidx[k] = gi
-	}
-	return gi
-}
-
-// lookup finds k's group: through its cache slot when the key is
-// resident (entering it into the batch on first sight), through gidx
-// otherwise. No slot is filled or handed to another key while a batch
-// is being staged, so a key is found the same way every time.
-func (w *Writer[K, V, S, C]) lookup(k K, h uint64) (int, bool) {
+// group resolves k's group in the staged batch: through its cache slot
+// when the key is resident (entering it into the batch on first sight),
+// through gidx otherwise, registering the key with its shard on first
+// sight; h is keyHash(k). No slot is filled or handed to another key
+// while a batch is being staged, so a key is found the same way every
+// time. Registering is where a writer starts to keep a key (in its
+// group and gidx, then the shard map and the entry cache), so a
+// borrowed string key is cloned there, through a pointer so K is never
+// boxed, and nowhere else: a resident key is entered from its slot's
+// own copy.
+func (w *Writer[K, V, S, C]) group(k K, h uint64, borrowed bool) int {
 	if s := w.resident(k, h); s != nil && (s.gen == w.gen || w.enter(s)) {
-		return int(s.gi), true
+		return int(s.gi)
 	}
-	gi, ok := w.gidx[k]
-	return gi, ok
+	if gi, ok := w.gidx[k]; ok {
+		return gi
+	}
+	if p, str := any(&k).(*string); borrowed && str {
+		*p = strings.Clone(*p)
+	}
+	gi := w.register(k, h)
+	w.gidx[k] = gi
+	return gi
 }
 
 // enter registers a resident key on its first item of a batch, after
