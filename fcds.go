@@ -43,10 +43,10 @@
 // bit-identical to the Go loop that runs everywhere else: 1.3–2.2 ns
 // per item against the loop's 3.5–6.8, about 2.7× faster (4 096 values,
 // 1 in 1 024 surviving, one core of a 2-vCPU AVX-512 Xeon whose speed
-// varied between runs). Keyed tables and keyed windows reach the same
-// kernel: their batch paths hash a batch's uint64 keys and uint64 values
-// a block at a time through it. The choice is made once at start-up
-// from the CPU; there is no setting.
+// varied between runs). Keyed tables and windows reach the same
+// kernel: their writers hash a batch's uint64 values (and a table's
+// uint64 keys) through it before any sketch sees them. The choice is
+// made once at start-up from the CPU; there is no setting.
 //
 // # Quick start
 //
@@ -84,8 +84,10 @@
 // lifecycle for every family — writer slots made on first use, flush,
 // query, compact, reset and close — and a family contributes only its
 // sequential half: update by hash, merge a buffer, compact, filter
-// hint, floor and estimate, plus the loop that hashes and filters a
-// batch.
+// hint, floor and estimate, plus the loop that filters a batch of
+// hashes. A raw value becomes a hash in one kind of place, the writer
+// of the composite that holds the sketch (a table's, a window's or a
+// standalone sketch's): every live sketch takes hashes only.
 //
 // A Θ key's life is flat → concurrent, and the table picks the
 // representation from the key's own update count. A key still in
@@ -274,7 +276,8 @@
 //	})
 //	defer w.Close()
 //	w.AutoRotate()
-//	w.Writer(i).UpdateBatch(ids)    // same batch pipeline per epoch
+//	wr := w.Writer(i)               // one handle per goroutine, kept
+//	wr.UpdateBatch(ids)             // hashed once, filtered per epoch
 //	last10m := w.QueryWindow()      // uniques over the last ~10 minutes
 //
 // WindowedTheta/WindowedQuantiles/WindowedHLL window one stream: one

@@ -47,16 +47,17 @@ func ones(n int) []int64 {
 	return us
 }
 
-// TestUpdateBatchEquivalence checks that UpdateBatch is observably
-// identical to calling Update element by element, across batch sizes
-// that undershoot, exactly hit, and span multiple buffer boundaries.
+// TestUpdateBatchEquivalence checks that UpdateBatchPrefiltered is
+// observably identical to calling Update element by element (on a
+// sketch that filters nothing), across batch sizes that undershoot,
+// exactly hit, and span multiple buffer boundaries.
 func TestUpdateBatchEquivalence(t *testing.T) {
 	for _, batchLen := range []int{1, 3, 8, 17, 100} {
 		s, _, _ := newBatchCounting(Config{Writers: 1, BufferSize: 8, DoubleBuffering: true})
 		w := s.Writer(0)
 		const batches = 7
 		for i := 0; i < batches; i++ {
-			w.UpdateBatch(ones(batchLen))
+			w.UpdateBatchPrefiltered(ones(batchLen))
 		}
 		w.Flush()
 		if got, want := s.Query(), int64(batches*batchLen); got != want {
@@ -71,7 +72,7 @@ func TestUpdateBatchEquivalence(t *testing.T) {
 func TestUpdateBatchUsesBatchLocal(t *testing.T) {
 	s, _, locals := newBatchCounting(Config{Writers: 1, BufferSize: 8, DoubleBuffering: true})
 	w := s.Writer(0)
-	w.UpdateBatch(ones(64))
+	w.UpdateBatchPrefiltered(ones(64))
 	w.Flush()
 	s.Close()
 	items, slices := 0, 0
@@ -90,29 +91,6 @@ func TestUpdateBatchUsesBatchLocal(t *testing.T) {
 	}
 }
 
-// TestUpdateBatchFiltered checks ShouldAdd is honoured by the generic
-// batch path, including runs that straddle rejected elements.
-func TestUpdateBatchFiltered(t *testing.T) {
-	s, g, _ := newBatchCounting(Config{Writers: 1, BufferSize: 4, DoubleBuffering: true})
-	defer s.Close()
-	g.filterOn = true
-	g.hintVal.Store(5) // ShouldAdd rejects u < 5
-	w := s.Writer(0)
-	// Hint piggybacking lags one handoff (the writer reads the prop
-	// word at the start of its NEXT handoff), so two full rounds are
-	// needed before the writer filters with hint 5 — exactly as in the
-	// per-item path.
-	w.UpdateBatch([]int64{10, 10, 10, 10})
-	w.UpdateBatch([]int64{10, 10, 10, 10})
-	w.Flush()
-	// Alternating admitted/rejected elements: only u >= 5 may count.
-	w.UpdateBatch([]int64{1, 7, 2, 7, 3, 7, 4, 7, 1, 1, 7, 7, 7, 7, 7, 7})
-	w.Flush()
-	if got, want := s.Query(), int64(8*10+10*7); got != want {
-		t.Errorf("filtered batch total = %d, want %d", got, want)
-	}
-}
-
 // TestUpdateBatchEagerTransition spans the eager-to-lazy switch inside
 // a single batch: the eager prefix must be applied directly and the
 // remainder must flow through the buffers, with nothing lost.
@@ -121,7 +99,7 @@ func TestUpdateBatchEagerTransition(t *testing.T) {
 		Writers: 1, BufferSize: 4, EagerLimit: 10, DoubleBuffering: true,
 	})
 	w := s.Writer(0)
-	w.UpdateBatch(ones(25)) // 10 eager + 15 lazy
+	w.UpdateBatchPrefiltered(ones(25)) // 10 eager + 15 lazy
 	if s.Eager() {
 		t.Error("still eager after exceeding EagerLimit in one batch")
 	}
@@ -137,7 +115,7 @@ func TestUpdateBatchEagerTransition(t *testing.T) {
 func TestUpdateBatchParSketch(t *testing.T) {
 	s, _, _ := newBatchCounting(Config{Writers: 2, BufferSize: 3, DoubleBuffering: false})
 	w := s.Writer(0)
-	w.UpdateBatch(ones(50))
+	w.UpdateBatchPrefiltered(ones(50))
 	w.Flush()
 	s.Close()
 	if got := s.Query(); got != 50 {
@@ -152,7 +130,7 @@ func TestPropagatorIsQueueDriven(t *testing.T) {
 	s, _, _ := newBatchCounting(Config{Writers: 8, BufferSize: 2, DoubleBuffering: true})
 	w := s.Writer(0)
 	const updates = 1000 // 500 handoffs from one writer
-	w.UpdateBatch(ones(updates))
+	w.UpdateBatchPrefiltered(ones(updates))
 	w.Flush()
 	if got := s.fullScans.Load(); got != 0 {
 		t.Errorf("propagator performed %d full scans before Close, want 0", got)
@@ -181,7 +159,7 @@ func TestHandoffQueueManyWriters(t *testing.T) {
 			defer wg.Done()
 			w := s.Writer(i)
 			for sent := 0; sent < perWriter; sent += 100 {
-				w.UpdateBatch(ones(100))
+				w.UpdateBatchPrefiltered(ones(100))
 			}
 			w.Flush()
 		}(i)

@@ -29,8 +29,8 @@
 // §5.3's flat phase and the floor cell). Each family (Θ, quantiles,
 // HLL) implements only the Family interface: its sequential global
 // sketch (update by hash, merge a local, compact, hint, floor,
-// estimate) and its hash-and-filter batch loop, plus the codec and
-// aggregator of Engine.
+// estimate) and its batch pre-filter, plus the codec and aggregator of
+// Engine.
 package core
 
 import (
@@ -407,7 +407,7 @@ type Writer[U any, S any] struct {
 	b       int
 	hint    uint64
 	// scratch holds a batch's surviving updates between a family's
-	// hash-and-filter loop and the buffered path (FamilySketch), reused
+	// batch pre-filter and the buffered path (FamilySketch), reused
 	// so steady-state batches do not allocate.
 	scratch []U
 
@@ -438,25 +438,18 @@ func (w *Writer[U, S]) Update(u U) {
 	}
 }
 
-// UpdateBatch processes a slice of updates as if Update were called on
-// each element in order, amortising the eager-phase check, the hint
-// load, and the counter arithmetic over the whole slice: the eager
-// prefix is applied under one lock acquisition, and the local buffer
-// is filled in contiguous runs (a single UpdateSlice call per run when
-// the local implements BatchLocal) with a handoff at each buffer
-// boundary.
-func (w *Writer[U, S]) UpdateBatch(us []U) { w.updateBatch(us, true) }
-
-// UpdateBatchPrefiltered is UpdateBatch for callers that have already
-// applied ShouldAdd to every element — the sketch instantiations
-// pre-filter in the same pass that hashes the raw items, so the
-// framework skips the per-item ShouldAdd interface call entirely.
-// Elements filtered against a hint that has since become stale are
-// still safe to admit: pre-filtering is an optimisation and the global
-// sketch re-checks every update on merge.
-func (w *Writer[U, S]) UpdateBatchPrefiltered(us []U) { w.updateBatch(us, false) }
-
-func (w *Writer[U, S]) updateBatch(us []U, filter bool) {
+// UpdateBatchPrefiltered processes a run of updates its caller has
+// already filtered against the writer's hint (the family's batch
+// pre-filter, Family.Batch, or the standalone writers' own hash loops),
+// as if Update were called on each element in order but without the
+// per-item ShouldAdd: the eager prefix is applied under one lock
+// acquisition, and the local buffer is filled in contiguous runs (a
+// single UpdateSlice call per run when the local implements
+// BatchLocal) with a handoff at each buffer boundary. Elements filtered
+// against a hint that has since become stale are still safe to admit:
+// pre-filtering is an optimisation and the global sketch re-checks
+// every update on merge.
+func (w *Writer[U, S]) UpdateBatchPrefiltered(us []U) {
 	if len(us) == 0 {
 		return
 	}
@@ -473,41 +466,17 @@ func (w *Writer[U, S]) updateBatch(us []U, filter bool) {
 	local := w.local[w.cur]
 	bulk, isBulk := local.(BatchLocal[U])
 	for len(us) > 0 {
-		room := w.b - w.counter
-		var run []U
-		if filter {
-			// One scan: skip the rejected prefix, then take the admitted
-			// run that fits the remaining buffer space (each element is
-			// checked exactly once).
-			i := 0
-			for i < len(us) && !p.global.ShouldAdd(w.hint, us[i]) {
-				i++
-			}
-			n := i
-			if n < len(us) {
-				n++ // us[i] is known admitted, and room >= 1 always holds
-				for n < len(us) && n-i < room && p.global.ShouldAdd(w.hint, us[n]) {
-					n++
-				}
-			}
-			run, us = us[i:n], us[n:]
+		n := min(len(us), w.b-w.counter)
+		run := us[:n]
+		us = us[n:]
+		if isBulk {
+			bulk.UpdateSlice(run)
 		} else {
-			n := len(us)
-			if n > room {
-				n = room
+			for _, u := range run {
+				local.Update(u)
 			}
-			run, us = us[:n], us[n:]
 		}
-		if len(run) > 0 {
-			if isBulk {
-				bulk.UpdateSlice(run)
-			} else {
-				for _, u := range run {
-					local.Update(u)
-				}
-			}
-			w.counter += len(run)
-		}
+		w.counter += n
 		if w.counter == w.b {
 			w.handoff()
 			// handoff flipped cur (and may have refreshed hint and b).

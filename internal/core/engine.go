@@ -3,7 +3,7 @@ package core
 import "sync/atomic"
 
 // This file defines the mergeable-sketch engine abstraction: the one
-// place the sketch lifecycle — create, fused batch ingest, wait-free
+// place the sketch lifecycle — create, hashed batch ingest, wait-free
 // query, compact snapshot, serialize, merge, reset — is described, so
 // generic composites (keyed tables, epoch-ring windows) are written
 // once and instantiated per family. The lifecycle itself is written
@@ -14,7 +14,8 @@ import "sync/atomic"
 // Type parameters, shared by every interface here:
 //
 //	V — the raw value type writers ingest (uint64 items, float64
-//	    samples, ...);
+//	    samples, ...), and the type of its HashValue, which is what a
+//	    live sketch takes;
 //	S — the wait-free query snapshot type (an estimate, an immutable
 //	    quantiles snapshot, ...);
 //	C — the compact type: an immutable point-in-time copy that can be
@@ -115,16 +116,14 @@ type Aggregator[C any] interface {
 // driven by at most one goroutine at a time (its writer, or an owner
 // holding exclusive access, e.g. a table evictor).
 type EngineSketch[V, S, C any] interface {
-	// Update ingests one value through writer slot i.
-	Update(writer int, v V)
-	// UpdateBatch ingests a slice of values through writer slot i via
-	// the family's fused hash+pre-filter batch pipeline.
-	UpdateBatch(writer int, vals []V)
-	// UpdateHashedBatch ingests values that were already mapped by the
-	// engine's HashValue (or its string twin): keyed tables hash in
-	// their grouping pass and commit every run through here. Families
-	// whose value type is not a hash space (quantiles) treat it as
-	// UpdateBatch.
+	// UpdateHashed ingests one value through writer slot i. h is
+	// already mapped by the engine's HashValue (or its string twin): a
+	// live sketch takes hashed values only, and the composite's writer
+	// (a table's, a window's) is the one place a raw value becomes one.
+	UpdateHashed(writer int, h V)
+	// UpdateHashedBatch is UpdateHashed for a run: the family's batch
+	// pre-filter drops what the writer's hint rules out, and the rest
+	// enters the framework in bulk.
 	UpdateHashedBatch(writer int, hs []V)
 	// Flush hands off writer slot i's buffered updates and waits until
 	// they are folded into the global sketch.
@@ -163,13 +162,12 @@ type Engine[V, S, C any] interface {
 	// NewSketch creates one live concurrent sketch attached to the given
 	// propagation executor.
 	NewSketch(pool *PropagatorPool) EngineSketch[V, S, C]
-	// HashValue maps a raw value to the form UpdateHashedBatch ingests:
-	// UpdateBatch(i, vs) and UpdateHashedBatch(i, HashValue of each v)
-	// leave a sketch in the same state. The identity for families whose
-	// values are not hashed (quantiles). Composites that look at items
-	// before a sketch does (a keyed table's grouping pass) map every
-	// value this way, so staged values have one meaning whatever entry
-	// point they came through; single items go through HashValue.
+	// HashValue maps a raw value to the form a live sketch ingests
+	// (EngineSketch.UpdateHashed and UpdateHashedBatch): the identity
+	// for families whose values are not hashed (quantiles). Every
+	// composite's writer maps each raw value this way before any sketch
+	// sees it, so a value has one meaning whatever entry point it came
+	// through.
 	HashValue(v V) V
 	// AppendHashValues is the batch form of HashValue: it appends
 	// HashValue of each element of vs to dst, in order, and returns the
@@ -190,7 +188,7 @@ type Engine[V, S, C any] interface {
 }
 
 // StringEngine is an optional Engine capability: hashing a string item
-// into the form UpdateHashedBatch ingests, as HashValue does a raw
+// into the form a live sketch ingests, as HashValue does a raw
 // value. It is what lets a composite take string items — a keyed
 // table's string batches, the server's string-item frames. Θ and HLL
 // implement it; quantiles, whose values are samples rather than items,

@@ -11,7 +11,9 @@ import (
 // holds per key and a window per epoch — written once for every family:
 // FamilySketch. A family supplies its sequential half (Family and
 // FamilyGlobal: update by hash, merge a local, compact, hint, floor and
-// estimate) and its hash-and-filter batch loop. §5.3's flat phase
+// estimate) and its batch pre-filter. Every value a FamilySketch takes
+// is already hashed (Engine.HashValue): the composite's writer hashes,
+// the sketch never does. §5.3's flat phase
 // (FlatFamily), the floor cell (a global that is a FloorSketch) and an
 // in-place read (an InPlaceAggregator) are optional.
 
@@ -25,11 +27,10 @@ type Family[V, S, C any] interface {
 	// NewGlobal returns a new sketch's global, preloaded with the values
 	// a flat phase collected (nil if none), which it takes over.
 	NewGlobal(flat []V) FamilyGlobal[V, S, C]
-	// Batch is the family's hash-and-filter batch loop: the updates for
-	// vals — raw values, or HashValue results when hashed — that g can
-	// still take against a writer's hint, collected in *scratch unless
-	// they are vals itself.
-	Batch(g FamilyGlobal[V, S, C], scratch *[]V, vals []V, hashed bool, hint uint64) []V
+	// Batch is the family's batch pre-filter: the hashes of hs that g
+	// can still take against a writer's hint, collected in *scratch
+	// unless they are hs itself.
+	Batch(g FamilyGlobal[V, S, C], scratch *[]V, hs []V, hint uint64) []V
 	// InPlace returns agg as an InPlaceAggregator when the family reads
 	// its sketches into agg in place, nil when agg takes compacts.
 	InPlace(agg Aggregator[C]) InPlaceAggregator[V, S, C]
@@ -56,11 +57,11 @@ type FamilyGlobal[V, S, C any] interface {
 // global from those updates and goes through the buffered path, on a
 // stream where r/n ≤ e holds by then.
 type FlatFamily[V, S, C any] interface {
-	// FlatAdd appends v (raw, or hashed) to flat unless flat holds it
-	// already, and returns flat with v's floor (see FloorSketch). It
-	// takes one value, by value, so that a single-item Update hands the
+	// FlatAdd appends the hash h to flat unless flat holds it already,
+	// and returns flat with h's floor (see FloorSketch). It takes one
+	// value, by value, so that a single-item UpdateHashed hands the
 	// family nothing that escapes.
-	FlatAdd(flat []V, v V, hashed bool) ([]V, uint64)
+	FlatAdd(flat []V, h V) ([]V, uint64)
 	// FlatQuery answers Query for a flat sketch holding n values.
 	FlatQuery(n int) S
 	// FlatCompact returns the compact of a flat sketch holding vals,
@@ -200,22 +201,22 @@ func (s *FamilySketch[V, S, C]) open() {
 // false means the sketch is concurrent — it was, or this run would
 // reach the limit and materialized it — and the caller takes the
 // writer path.
-func (s *FamilySketch[V, S, C]) flatAdd(vals []V, hashed bool) bool {
+func (s *FamilySketch[V, S, C]) flatAdd(hs []V) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.live.Load() != nil {
 		return false
 	}
 	s.open()
-	if int(s.applied)+len(vals) >= int(s.limit) {
+	if int(s.applied)+len(hs) >= int(s.limit) {
 		s.materialize()
 		return false
 	}
 	ff := s.fam.(FlatFamily[V, S, C])
 	flat, low := s.flat, uint64(math.MaxUint64)
-	for _, v := range vals {
+	for _, h := range hs {
 		var l uint64
-		flat, l = ff.FlatAdd(flat, v, hashed)
+		flat, l = ff.FlatAdd(flat, h)
 		low = min(low, l)
 	}
 	if low < s.low {
@@ -227,39 +228,34 @@ func (s *FamilySketch[V, S, C]) flatAdd(vals []V, hashed bool) bool {
 		s.low = low
 	}
 	s.flat = flat
-	s.applied += int32(len(vals))
+	s.applied += int32(len(hs))
 	s.n.Store(int32(len(flat)))
 	return true
 }
 
-// Update implements EngineSketch.
-func (s *FamilySketch[V, S, C]) Update(i int, v V) {
+// UpdateHashed implements EngineSketch.
+func (s *FamilySketch[V, S, C]) UpdateHashed(i int, h V) {
 	l := s.live.Load()
 	if l == nil {
-		if s.flatAdd([]V{v}, false) {
+		if s.flatAdd([]V{h}) {
 			return
 		}
 		l = s.live.Load()
 	}
-	l.Writer(i).Update(s.fam.HashValue(v))
+	l.Writer(i).Update(h)
 }
 
-// UpdateBatch implements EngineSketch.
-func (s *FamilySketch[V, S, C]) UpdateBatch(i int, vals []V) { s.updateBatch(i, vals, false) }
-
 // UpdateHashedBatch implements EngineSketch.
-func (s *FamilySketch[V, S, C]) UpdateHashedBatch(i int, hs []V) { s.updateBatch(i, hs, true) }
-
-func (s *FamilySketch[V, S, C]) updateBatch(i int, vals []V, hashed bool) {
+func (s *FamilySketch[V, S, C]) UpdateHashedBatch(i int, hs []V) {
 	l := s.live.Load()
 	if l == nil {
-		if s.flatAdd(vals, hashed) {
+		if s.flatAdd(hs) {
 			return
 		}
 		l = s.live.Load()
 	}
 	w := l.Writer(i)
-	w.UpdateBatchPrefiltered(s.fam.Batch(l.g, &w.scratch, vals, hashed, w.hint))
+	w.UpdateBatchPrefiltered(s.fam.Batch(l.g, &w.scratch, hs, w.hint))
 }
 
 // Flush implements EngineSketch; a flat sketch buffers nothing.

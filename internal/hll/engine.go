@@ -86,14 +86,10 @@ func (e *Engine) NewGlobal([]uint64) core.FamilyGlobal[uint64, float64, *Sketch]
 	return NewGlobal(e.cfg.Precision, e.cfg.Seed)
 }
 
-// Batch implements core.Family: hash raw values; keep every hash (see
+// Batch implements core.Family: keep every hash (see
 // GlobalSketch.CalcHint).
-func (e *Engine) Batch(_ core.FamilyGlobal[uint64, float64, *Sketch], scratch *[]uint64, vals []uint64, hashed bool, _ uint64) []uint64 {
-	if hashed {
-		return vals
-	}
-	*scratch = hash.AppendSumUint64((*scratch)[:0], vals, e.cfg.Seed)
-	return *scratch
+func (e *Engine) Batch(_ core.FamilyGlobal[uint64, float64, *Sketch], _ *[]uint64, hs []uint64, _ uint64) []uint64 {
+	return hs
 }
 
 // InPlace implements core.Family: aggregators take compacts.

@@ -62,7 +62,7 @@ func (e *Engine) NewGlobal([]float64) core.FamilyGlobal[float64, *Snapshot, *Ske
 
 // Batch implements core.Family: samples are ingested as they are, and
 // nothing is filtered.
-func (e *Engine) Batch(_ core.FamilyGlobal[float64, *Snapshot, *Sketch], _ *[]float64, vals []float64, _ bool, _ uint64) []float64 {
+func (e *Engine) Batch(_ core.FamilyGlobal[float64, *Snapshot, *Sketch], _ *[]float64, vals []float64, _ uint64) []float64 {
 	return vals
 }
 

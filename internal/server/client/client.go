@@ -94,7 +94,6 @@ type response struct {
 type Client struct {
 	nc          net.Conn
 	version     byte
-	maxFrame    int
 	dialTimeout time.Duration
 
 	// wmu guards the write path: the frame-accumulation buffer, its
@@ -120,12 +119,6 @@ type Client struct {
 
 // Option configures Dial/New.
 type Option func(*Client)
-
-// WithMaxFrame bounds response payload sizes (default
-// wire.DefaultMaxFrame).
-func WithMaxFrame(n int) Option {
-	return func(c *Client) { c.maxFrame = n }
-}
 
 // WithDialTimeout bounds connection establishment: the TCP connect
 // (Dial only) and the HELLO exchange each must complete within d, so a
@@ -168,10 +161,7 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 // New wraps an established connection (any net.Conn — tests use
 // in-memory pipes) and negotiates the protocol version.
 func New(nc net.Conn, opts ...Option) (*Client, error) {
-	c := &Client{
-		nc:       nc,
-		maxFrame: wire.DefaultMaxFrame,
-	}
+	c := &Client{nc: nc}
 	c.drained = sync.NewCond(&c.pmu)
 	for _, o := range opts {
 		o(c)
@@ -206,7 +196,7 @@ func (c *Client) Version() byte { return c.version }
 func (c *Client) readLoop() {
 	var rbuf []byte
 	for {
-		_, typ, payload, err := wire.ReadFrame(c.nc, &rbuf, c.maxFrame)
+		_, typ, payload, err := wire.ReadFrame(c.nc, &rbuf, wire.DefaultMaxFrame)
 		c.pmu.Lock()
 		if err != nil {
 			if c.fatal == nil {

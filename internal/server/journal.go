@@ -646,14 +646,6 @@ func (j *Journal) rewriteLocked() error {
 	return nil
 }
 
-// LSN returns the highest LSN assigned so far (0 before the first
-// append).
-func (j *Journal) LSN() uint64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.nextLSN - 1
-}
-
 // Stats returns a snapshot of the journal's counters.
 func (j *Journal) Stats() JournalStats {
 	j.mu.Lock()

@@ -43,9 +43,6 @@ import (
 
 // Config configures a Server. The zero value is usable.
 type Config struct {
-	// MaxFrame bounds one frame's payload size in bytes (<= 0 means
-	// wire.DefaultMaxFrame). Oversized frames fail the connection.
-	MaxFrame int
 	// IdleTimeout closes a connection whose next frame does not arrive
 	// within it, so half-open peers (an edge that lost power, a NAT
 	// entry that expired) cannot pin goroutines and writer slots
@@ -557,7 +554,7 @@ func (s *Server) serveConn(nc net.Conn) {
 	}()
 
 	cs := &connState{}
-	fr := wire.NewFrameReader(nc, wire.DefaultReadBurst, s.cfg.MaxFrame)
+	fr := wire.NewFrameReader(nc, wire.DefaultReadBurst, wire.DefaultMaxFrame)
 	bw := bufio.NewWriterSize(nc, writeBurst)
 	negotiated := byte(0) // no HELLO yet
 

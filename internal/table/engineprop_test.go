@@ -31,7 +31,7 @@ func evictMergeRoundTrip[V, S, C any](t *testing.T, eng core.Engine[V, S, C], st
 	var blobs [][]byte
 	for _, st := range streams {
 		sk := eng.NewSketch(pool)
-		sk.UpdateBatch(0, st)
+		sk.UpdateHashedBatch(0, eng.AppendHashValues(nil, st))
 		sk.Flush(0)
 		blob, err := eng.MarshalCompact(sk.Compact())
 		if err != nil {
@@ -54,7 +54,7 @@ func evictMergeRoundTrip[V, S, C any](t *testing.T, eng core.Engine[V, S, C], st
 
 	dsk := eng.NewSketch(pool)
 	for _, st := range streams {
-		dsk.UpdateBatch(0, st)
+		dsk.UpdateHashedBatch(0, eng.AppendHashValues(nil, st))
 	}
 	dsk.Flush(0)
 	direct = dsk.Compact()
@@ -172,14 +172,14 @@ func TestEngineSketchReset(t *testing.T) {
 	{
 		eng := theta.NewEngine(theta.ConcurrentConfig{K: 2048, Writers: 2, MaxError: 1})
 		sk := eng.NewSketch(pool)
-		sk.UpdateBatch(0, junkU)
-		sk.UpdateBatch(1, junkU[:100])
+		sk.UpdateHashedBatch(0, eng.AppendHashValues(nil, junkU))
+		sk.UpdateHashedBatch(1, eng.AppendHashValues(nil, junkU[:100]))
 		sk.Flush(0)
 		sk.Reset()
-		sk.UpdateBatch(0, valsU)
+		sk.UpdateHashedBatch(0, eng.AppendHashValues(nil, valsU))
 		sk.Flush(0)
 		fresh := eng.NewSketch(pool)
-		fresh.UpdateBatch(0, valsU)
+		fresh.UpdateHashedBatch(0, eng.AppendHashValues(nil, valsU))
 		fresh.Flush(0)
 		runReset("theta", sk.Query(), fresh.Query())
 		sk.Close()
@@ -188,13 +188,13 @@ func TestEngineSketchReset(t *testing.T) {
 	{
 		eng := hll.NewEngine(hll.ConcurrentConfig{Precision: 10, Writers: 2})
 		sk := eng.NewSketch(pool)
-		sk.UpdateBatch(0, junkU)
+		sk.UpdateHashedBatch(0, eng.AppendHashValues(nil, junkU))
 		sk.Flush(0)
 		sk.Reset()
-		sk.UpdateBatch(0, valsU)
+		sk.UpdateHashedBatch(0, eng.AppendHashValues(nil, valsU))
 		sk.Flush(0)
 		fresh := eng.NewSketch(pool)
-		fresh.UpdateBatch(0, valsU)
+		fresh.UpdateHashedBatch(0, eng.AppendHashValues(nil, valsU))
 		fresh.Flush(0)
 		runReset("hll", sk.Query(), fresh.Query())
 		sk.Close()
@@ -203,14 +203,14 @@ func TestEngineSketchReset(t *testing.T) {
 	{
 		qeng := quantiles.NewEngine(quantiles.ConcurrentConfig{K: 64, Writers: 2})
 		sk := qeng.NewSketch(pool)
-		sk.UpdateBatch(0, []float64{1e9, -1e9, 42})
+		sk.UpdateHashedBatch(0, qeng.AppendHashValues(nil, []float64{1e9, -1e9, 42}))
 		sk.Flush(0)
 		sk.Reset()
 		vals := make([]float64, 5000)
 		for i := range vals {
 			vals[i] = float64(i)
 		}
-		sk.UpdateBatch(0, vals)
+		sk.UpdateHashedBatch(0, qeng.AppendHashValues(nil, vals))
 		sk.Flush(0)
 		snap := sk.Query()
 		if snap.N() != 5000 {

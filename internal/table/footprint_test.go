@@ -41,7 +41,7 @@ func TestConcurrentThetaKeyFootprint(t *testing.T) {
 				for i := range buf {
 					buf[i] = uint64(k)<<32 | uint64(off+w*len(buf)+i)
 				}
-				s.UpdateBatch(w, buf[:])
+				s.UpdateHashedBatch(w, eng.AppendHashValues(nil, buf[:]))
 			}
 		}
 	}

@@ -36,7 +36,10 @@
 // staging pair takes keys that may alias the caller's buffer; a string
 // key is copied only where the writer first keeps it. Pass 2 resolves
 // each distinct key's entry and hands the key's run to its sketch
-// under the entry's lock. Each Writer keeps a direct-mapped
+// under the entry's lock. A single UpdateKeyed hashes its one value
+// with HashValue. Either way the Writer is the one place a raw value
+// becomes a hash: a key's sketch takes hashed values only
+// (core.EngineSketch's UpdateHashed and UpdateHashedBatch). Each Writer keeps a direct-mapped
 // key→entry cache whose slot holds, for a resident key, its entry and
 // a shard-epoch stamp (bumped whenever a key leaves the shard's map),
 // its group in the batch being staged, and — for a family with
@@ -83,7 +86,7 @@
 // (flat → concurrent), never by an option. While it is in the paper's
 // eager phase (§5.3: fewer than 2/e² updates, processed sequentially
 // because r would dominate so short a stream) it is flat: one mutex and
-// one array of distinct hashes inside the engine's sketch adapter, not
+// one array of distinct hashes inside its core.FamilySketch, not
 // attached to the pool, every update visible on return. The update that
 // reaches the eager limit builds the concurrent sketch from that array,
 // and from then on the key is what the paragraphs above describe. For a

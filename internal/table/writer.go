@@ -231,7 +231,7 @@ func (w *Writer[K, V, S, C]) UpdateKeyed(k K, v V) {
 	} else {
 		t.wstats[w.id].hits.Add(1)
 	}
-	e.sk.Update(w.id, v)
+	e.sk.UpdateHashed(w.id, t.eng.HashValue(v))
 	if t.ages {
 		e.touched.Store(t.now())
 	}

@@ -30,7 +30,7 @@ func TestAddToMatchesAddCompact(t *testing.T) {
 			for i := range vals {
 				vals[i] = uint64(i)
 			}
-			sk.UpdateBatch(0, vals)
+			sk.UpdateHashedBatch(0, eng.AppendHashValues(nil, vals))
 			sk.Flush(0)
 			for pi, prior := range priors {
 				viaAdd, inPlace := eng.NewAggregator(), eng.NewAggregator()

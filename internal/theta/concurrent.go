@@ -435,12 +435,14 @@ func (w *ConcurrentWriter) UpdateHash(h uint64) { w.w.Update(h) }
 // hashes enter the framework in bulk. This is the recommended
 // high-throughput ingestion path for numeric streams.
 func (w *ConcurrentWriter) UpdateUint64Batch(vs []uint64) {
-	w.w.UpdateBatchPrefiltered(w.eng.Batch(w.global, &w.scratch, vs, false, w.w.Hint()))
+	hint := w.global.filterHint(w.w.Hint())
+	w.scratch = hash.AppendThetaUint64Filtered(w.scratch[:0], vs, w.eng.cfg.Seed, hint)
+	w.w.UpdateBatchPrefiltered(w.scratch)
 }
 
 // UpdateHashBatch processes a slice of pre-hashed Θ-space items.
 func (w *ConcurrentWriter) UpdateHashBatch(hs []uint64) {
-	w.w.UpdateBatchPrefiltered(w.eng.Batch(w.global, &w.scratch, hs, true, w.w.Hint()))
+	w.w.UpdateBatchPrefiltered(w.eng.Batch(w.global, &w.scratch, hs, w.w.Hint()))
 }
 
 // UpdateStringBatch processes a slice of string items in one

@@ -137,21 +137,18 @@ func (e *Engine) newGlobal() *GlobalSketch {
 	return g
 }
 
-// Batch implements core.Family: Θ's one-pass hash and pre-filter.
-func (e *Engine) Batch(g core.FamilyGlobal[uint64, float64, *Compact], scratch *[]uint64, vals []uint64, hashed bool, hint uint64) []uint64 {
+// Batch implements core.Family: Θ's pre-filter, the hashes below the
+// writer's Θ.
+func (e *Engine) Batch(g core.FamilyGlobal[uint64, float64, *Compact], scratch *[]uint64, hs []uint64, hint uint64) []uint64 {
 	hint = g.(*GlobalSketch).filterHint(hint)
-	if !hashed {
-		*scratch = hash.AppendThetaUint64Filtered((*scratch)[:0], vals, e.cfg.Seed, hint)
-		return *scratch
-	}
-	hs := (*scratch)[:0]
-	for _, h := range vals {
+	out := (*scratch)[:0]
+	for _, h := range hs {
 		if h < hint {
-			hs = append(hs, h)
+			out = append(out, h)
 		}
 	}
-	*scratch = hs
-	return hs
+	*scratch = out
+	return out
 }
 
 // InPlace implements core.Family: a sketch is read in place into its
@@ -166,10 +163,7 @@ func (e *Engine) InPlace(agg core.Aggregator[*Compact]) core.InPlaceAggregator[u
 // FlatAdd implements core.FlatFamily: the flat phase keeps the distinct
 // Θ-space hashes below 1 (exact mode, deduplicated by linear scan), and
 // a sketch's floor is the least hash ever offered to it.
-func (e *Engine) FlatAdd(flat []uint64, h uint64, hashed bool) ([]uint64, uint64) {
-	if !hashed {
-		h = hash.ThetaHashUint64(h, e.cfg.Seed)
-	}
+func (e *Engine) FlatAdd(flat []uint64, h uint64) ([]uint64, uint64) {
 	if h < hash.MaxThetaValue && !slices.Contains(flat, h) {
 		flat = append(flat, h)
 	}

@@ -46,7 +46,7 @@ func marshal(t *testing.T, c *Compact) []byte {
 // TestFlatSketchLifecycle walks one sketch through the flat phase and
 // out of it: every update visible on return and nothing attached to the
 // pool while flat, duplicates within and across runs counted once on
-// all three update paths, the compact byte-identical to a Concurrent's,
+// both update paths, the compact byte-identical to a Concurrent's,
 // and the run that would reach the limit materializing first.
 func TestFlatSketchLifecycle(t *testing.T) {
 	pool := core.NewPropagatorPool(1)
@@ -58,15 +58,15 @@ func TestFlatSketchLifecycle(t *testing.T) {
 	var items []uint64
 	add := func(vs ...uint64) { items = append(items, vs...) }
 
-	sk.Update(0, 1)
-	sk.Update(0, 1) // duplicate across calls
+	sk.UpdateHashed(0, eng.HashValue(1))
+	sk.UpdateHashed(0, eng.HashValue(1)) // duplicate across calls
 	add(1)
-	sk.UpdateBatch(0, []uint64{2, 3, 3, 2, 1}) // duplicates inside one run and across runs
+	sk.UpdateHashedBatch(0, eng.AppendHashValues(nil, []uint64{2, 3, 3, 2, 1})) // duplicates inside one run and across runs
 	add(2, 3)
 	sk.UpdateHashedBatch(0, []uint64{
 		hash.ThetaHashUint64(4, eng.Seed()),
 		hash.ThetaHashUint64(4, eng.Seed()),
-		hash.ThetaHashUint64(1, eng.Seed()), // same item as the raw 1 above
+		hash.ThetaHashUint64(1, eng.Seed()), // same item as the 1 above
 		hash.MaxThetaValue,                  // outside Θ space: dropped, as the writer path drops it
 	})
 	add(4)
@@ -83,7 +83,7 @@ func TestFlatSketchLifecycle(t *testing.T) {
 
 	// 11 updates applied so far. Stay one short of the limit.
 	for v := uint64(100); v < 100+flatLimit-11-1; v++ {
-		sk.Update(0, v)
+		sk.UpdateHashed(0, eng.HashValue(v))
 		add(v)
 		if got := sk.Query(); got != float64(len(items)) {
 			t.Fatalf("after item %d: flat estimate = %v, want %d", v, got, len(items))
@@ -94,7 +94,7 @@ func TestFlatSketchLifecycle(t *testing.T) {
 	}
 	// The update that reaches the limit materializes first and is
 	// buffered (r = 2·N·b = 8 here), so only a flush makes it visible.
-	sk.Update(0, 1000)
+	sk.UpdateHashed(0, eng.HashValue(1000))
 	add(1000)
 	if n := pool.Sketches(); n != 1 {
 		t.Fatalf("pool serves %d sketches after the limit, want 1", n)
@@ -116,14 +116,15 @@ func TestFlatSketchLifecycle(t *testing.T) {
 func TestFlatSketchBigRunMaterializes(t *testing.T) {
 	pool := core.NewPropagatorPool(1)
 	defer pool.Close()
-	sk := flatEngine(1).NewSketch(pool)
+	eng := flatEngine(1)
+	sk := eng.NewSketch(pool)
 	defer sk.Close()
-	sk.UpdateBatch(0, []uint64{1, 2, 3})
+	sk.UpdateHashedBatch(0, eng.AppendHashValues(nil, []uint64{1, 2, 3}))
 	run := make([]uint64, flatLimit)
 	for i := range run {
 		run[i] = uint64(i + 2) // overlaps the flat items 2 and 3
 	}
-	sk.UpdateBatch(0, run)
+	sk.UpdateHashedBatch(0, eng.AppendHashValues(nil, run))
 	if n := pool.Sketches(); n != 1 {
 		t.Fatalf("pool serves %d sketches, want 1", n)
 	}
@@ -145,7 +146,8 @@ func TestFlatSketchResetAndClose(t *testing.T) {
 	for i := range run {
 		run[i] = uint64(i)
 	}
-	sk.UpdateBatch(0, run)
+	hs := eng.AppendHashValues(nil, run)
+	sk.UpdateHashedBatch(0, hs)
 	sk.Flush(0)
 	if n := pool.Sketches(); n != 1 {
 		t.Fatalf("pool serves %d sketches, want 1", n)
@@ -154,11 +156,11 @@ func TestFlatSketchResetAndClose(t *testing.T) {
 	if n, est := pool.Sketches(), sk.Query(); n != 0 || est != 0 {
 		t.Fatalf("after Reset: %d pool sketches, estimate %v; want 0, 0", n, est)
 	}
-	sk.UpdateBatch(0, []uint64{1, 2})
+	sk.UpdateHashedBatch(0, eng.AppendHashValues(nil, []uint64{1, 2}))
 	if got := sk.Query(); got != 2 {
 		t.Fatalf("estimate after Reset and two items = %v, want 2", got)
 	}
-	sk.UpdateBatch(0, run)
+	sk.UpdateHashedBatch(0, hs)
 	sk.Flush(0)
 	if n := pool.Sketches(); n != 1 {
 		t.Fatalf("after Reset and a run to the eager limit: %d pool sketches, want 1", n)
@@ -170,11 +172,10 @@ func TestFlatSketchResetAndClose(t *testing.T) {
 	}
 
 	flat := eng.NewSketch(pool)
-	flat.Update(0, 1)
+	flat.UpdateHashed(0, eng.HashValue(1))
 	flat.Close()
 	for name, use := range map[string]func(core.EngineSketch[uint64, float64, *Compact]){
-		"Update":            func(s core.EngineSketch[uint64, float64, *Compact]) { s.Update(0, 2) },
-		"UpdateBatch":       func(s core.EngineSketch[uint64, float64, *Compact]) { s.UpdateBatch(0, []uint64{2}) },
+		"UpdateHashed":      func(s core.EngineSketch[uint64, float64, *Compact]) { s.UpdateHashed(0, 2) },
 		"UpdateHashedBatch": func(s core.EngineSketch[uint64, float64, *Compact]) { s.UpdateHashedBatch(0, []uint64{2}) },
 		"Flush":             func(s core.EngineSketch[uint64, float64, *Compact]) { s.Flush(0) },
 		"Query":             func(s core.EngineSketch[uint64, float64, *Compact]) { s.Query() },
@@ -219,7 +220,8 @@ func TestFlatSketchWritersRaceThroughLimit(t *testing.T) {
 	const writers, perWriter = 4, 150 // 600 updates against a limit of 200
 	pool := core.NewPropagatorPool(2)
 	defer pool.Close()
-	sk := flatEngine(writers).NewSketch(pool)
+	eng := flatEngine(writers)
+	sk := eng.NewSketch(pool)
 	defer sk.Close()
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -253,9 +255,10 @@ func TestFlatSketchWritersRaceThroughLimit(t *testing.T) {
 				v := uint64(w*perWriter + i)
 				switch i % 3 {
 				case 0:
-					sk.Update(w, v)
+					sk.UpdateHashed(w, eng.HashValue(v))
 				case 1:
-					sk.UpdateBatch(w, []uint64{v, v}) // a duplicate in the run
+					h := eng.HashValue(v)
+					sk.UpdateHashedBatch(w, []uint64{h, h}) // a duplicate in the run
 				default:
 					// Every writer also resends item 0: a duplicate across writers.
 					sk.UpdateHashedBatch(w, []uint64{hash.ThetaHashUint64(v, hash.DefaultSeed), hash.ThetaHashUint64(0, hash.DefaultSeed)})

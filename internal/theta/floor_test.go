@@ -47,11 +47,11 @@ func TestFloorFallsOnEveryPath(t *testing.T) {
 		cell.Store(math.MaxUint64)
 		sk := flatEng.NewSketch(pool)
 		sk.(core.FloorSketch).SetFloor(&cell)
-		sk.UpdateBatch(0, vals[:30])
+		sk.UpdateHashedBatch(0, flatEng.AppendHashValues(nil, vals[:30]))
 		check("flatAdd", &cell, minHash(vals[:30]))
 		// The flat array materializes through AbsorbCompact; the run that
 		// crossed the limit goes through the buffers and Merge.
-		sk.UpdateBatch(0, vals[30:])
+		sk.UpdateHashedBatch(0, flatEng.AppendHashValues(nil, vals[30:]))
 		sk.Flush(0)
 		check("flat, then concurrent", &cell, minHash(vals))
 		sk.Close()
@@ -59,21 +59,21 @@ func TestFloorFallsOnEveryPath(t *testing.T) {
 		cell.Store(math.MaxUint64)
 		sk = noEager.NewSketch(pool)
 		sk.(core.FloorSketch).SetFloor(&cell)
-		sk.UpdateBatch(0, vals[100:])
+		sk.UpdateHashedBatch(0, noEager.AppendHashValues(nil, vals[100:]))
 		sk.Flush(0)
 		check("Merge", &cell, minHash(vals[100:]))
 		sk.Close()
 
 		cell.Store(math.MaxUint64)
 		sk = flatEng.NewSketch(pool)
-		sk.UpdateBatch(0, vals[:20])
+		sk.UpdateHashedBatch(0, flatEng.AppendHashValues(nil, vals[:20]))
 		sk.(core.FloorSketch).SetFloor(&cell)
 		check("SetFloor on a flat sketch", &cell, minHash(vals[:20]))
 		sk.Close()
 
 		cell.Store(math.MaxUint64)
 		sk = noEager.NewSketch(pool)
-		sk.UpdateBatch(0, vals[200:])
+		sk.UpdateHashedBatch(0, noEager.AppendHashValues(nil, vals[200:]))
 		sk.Flush(0)
 		sk.(core.FloorSketch).SetFloor(&cell)
 		check("SetFloor on a concurrent sketch", &cell, minHash(vals[200:]))

@@ -37,15 +37,16 @@ func estimationCompact(k, n int, salt uint64) *Compact {
 func TestProducersHandOverUnordered(t *testing.T) {
 	pool := core.NewPropagatorPool(1)
 	defer pool.Close()
-	flat := flatEngine(1).NewSketch(pool)
+	flatEng, concEng := flatEngine(1), NewEngine(ConcurrentConfig{K: 256, MaxError: 1})
+	flat := flatEng.NewSketch(pool)
 	defer flat.Close()
-	conc := NewEngine(ConcurrentConfig{K: 256, MaxError: 1}).NewSketch(pool)
+	conc := concEng.NewSketch(pool)
 	defer conc.Close()
 	for i := uint64(0); i < 5000; i++ {
 		if i < flatLimit/2 {
-			flat.Update(0, i)
+			flat.UpdateHashed(0, flatEng.HashValue(i))
 		}
-		conc.Update(0, i)
+		conc.UpdateHashed(0, concEng.HashValue(i))
 	}
 	conc.Flush(0)
 
@@ -239,7 +240,7 @@ func TestDisabledEagerPhaseStaysDisabled(t *testing.T) {
 	grown := base.NewSketch(pool)
 	defer grown.Close()
 	for i := uint64(0); i < uint64(base.cfg.EagerLimit)+10; i++ {
-		grown.Update(0, i)
+		grown.UpdateHashed(0, base.HashValue(i))
 	}
 	if concurrentOf(grown).Eager() {
 		t.Error("materialized flat key runs core's eager phase")

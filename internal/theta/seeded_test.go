@@ -17,7 +17,7 @@ func compactOfStream(eng *Engine, pool *core.PropagatorPool, rng *rand.Rand, n i
 	for i := range vs {
 		vs[i] = rng.Uint64()
 	}
-	sk.UpdateBatch(0, vs)
+	sk.UpdateHashedBatch(0, eng.AppendHashValues(nil, vs))
 	sk.Flush(0)
 	return sk.Compact()
 }

@@ -51,8 +51,7 @@ func (r *ring[V, S, C]) mark(n int) {
 	}
 }
 
-func (r *ring[V, S, C]) Update(i int, v V)         { r.mark(1); r.live.Update(i, v) }
-func (r *ring[V, S, C]) UpdateBatch(i int, vs []V) { r.mark(len(vs)); r.live.UpdateBatch(i, vs) }
+func (r *ring[V, S, C]) UpdateHashed(i int, h V) { r.mark(1); r.live.UpdateHashed(i, h) }
 func (r *ring[V, S, C]) UpdateHashedBatch(i int, hs []V) {
 	r.mark(len(hs))
 	r.live.UpdateHashedBatch(i, hs)

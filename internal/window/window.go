@@ -239,7 +239,8 @@ func New[V, S, C any](eng core.Engine[V, S, C], cfg Config) *Windowed[V, S, C] {
 
 // Writer returns the i-th ingestion handle (0 <= i < the engine's
 // writer count). Each handle must be used by at most one goroutine at
-// a time.
+// a time; keep it across calls, since it holds the scratch its batches
+// are hashed into.
 func (w *Windowed[V, S, C]) Writer(i int) *Writer[V, S, C] {
 	if i < 0 || i >= w.eng.NumWriters() {
 		panic(fmt.Sprintf("window: writer index %d out of range [0,%d)", i, w.eng.NumWriters()))
@@ -334,27 +335,36 @@ func (w *Windowed[V, S, C]) Close() {
 
 // Writer is a single-goroutine window ingestion handle driving writer
 // slot i of the ring's live sketch. A rotation flushes the slot as it
-// seals the epoch, so a handle never migrates anything.
+// seals the epoch, so a handle never migrates anything. The handle is
+// where a raw value becomes a hash (core.Engine.HashValue): the ring
+// takes hashed values only.
 type Writer[V, S, C any] struct {
 	w  *Windowed[V, S, C]
 	id int
+	// hs holds a batch's hashes, reused so steady-state batches do not
+	// allocate.
+	hs []V
 }
 
 // Update ingests one value into the active epoch.
 func (w *Writer[V, S, C]) Update(v V) {
+	h := w.w.eng.HashValue(v)
 	w.w.rw.RLock()
 	if r := w.w.r; r != nil {
-		r.Update(w.id, v)
+		r.UpdateHashed(w.id, h)
 	}
 	w.w.rw.RUnlock()
 }
 
-// UpdateBatch ingests a slice of values into the active epoch through
-// the engine's fused batch pipeline.
+// UpdateBatch ingests a slice of values into the active epoch: they are
+// hashed in one call of the engine's batch hash, before the handle
+// takes the window's lock, and the hashes go through the live sketch's
+// batch pre-filter.
 func (w *Writer[V, S, C]) UpdateBatch(vs []V) {
+	w.hs = w.w.eng.AppendHashValues(w.hs[:0], vs)
 	w.w.rw.RLock()
 	if r := w.w.r; r != nil {
-		r.UpdateBatch(w.id, vs)
+		r.UpdateHashedBatch(w.id, w.hs)
 	}
 	w.w.rw.RUnlock()
 }

@@ -348,17 +348,37 @@ func TestRotateRecyclesExpiredSketch(t *testing.T) {
 	}
 }
 
-// TestWindowUpdateZeroAllocs: a single-item Update of a standalone Θ
-// window whose live sketch is still flat allocates nothing: MaxError
-// 0.1 keeps it flat for 2/e² = 200 updates, and every call repeats one
-// value, so the flat set does not grow.
+// TestWindowUpdateZeroAllocs: the standalone Θ window's writer hashes
+// into a scratch it keeps, so once warm neither Update nor UpdateBatch
+// allocates. A flat window (MaxError 0.1 keeps it flat for 2/e² = 200
+// updates) is fed repeated values, so the flat set does not grow; a
+// concurrent one (no eager phase) a 512-value batch, over and over.
 func TestWindowUpdateZeroAllocs(t *testing.T) {
-	eng := theta.NewEngine(theta.ConcurrentConfig{K: 2048, Writers: 1, MaxError: 0.1})
-	w := New(eng, Config{Slots: 2, Width: time.Hour})
-	defer w.Close()
-	wr := w.Writer(0)
-	wr.Update(42)
-	if avg := testing.AllocsPerRun(50, func() { wr.Update(42) }); avg != 0 {
-		t.Errorf("Writer.Update on a flat window allocates %.1f allocs/op, want 0", avg)
+	flatEng := theta.NewEngine(theta.ConcurrentConfig{K: 2048, Writers: 1, MaxError: 0.1})
+	concEng := theta.NewEngine(theta.ConcurrentConfig{K: 256, Writers: 1, MaxError: 1})
+	batch := make([]uint64, 512)
+	for i := range batch {
+		batch[i] = uint64(i)
+	}
+	for _, c := range []struct {
+		name string
+		eng  *theta.Engine
+		warm int
+		use  func(*Writer[uint64, float64, *theta.Compact])
+	}{
+		{"Update/flat", flatEng, 1, func(wr *Writer[uint64, float64, *theta.Compact]) { wr.Update(42) }},
+		{"UpdateBatch/flat", flatEng, 1, func(wr *Writer[uint64, float64, *theta.Compact]) { wr.UpdateBatch(batch[:2]) }},
+		{"UpdateBatch/concurrent", concEng, 8, func(wr *Writer[uint64, float64, *theta.Compact]) { wr.UpdateBatch(batch) }},
+	} {
+		w := New(c.eng, Config{Slots: 2, Width: time.Hour})
+		wr := w.Writer(0)
+		for range c.warm {
+			c.use(wr)
+		}
+		wr.Flush()
+		if avg := testing.AllocsPerRun(50, func() { c.use(wr) }); avg != 0 {
+			t.Errorf("%s: %.1f allocs/op, want 0", c.name, avg)
+		}
+		w.Close()
 	}
 }
