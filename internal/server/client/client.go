@@ -15,14 +15,15 @@
 // A Client is safe for concurrent use; ingest frames from concurrent
 // goroutines are serialized at the write buffer.
 //
-// Frames accumulate in one write buffer — payloads are built in place
-// behind a reserved header that is patched once the length is known —
-// and large snapshot blobs are queued as their own writev segments, so
-// a flush hands the kernel the whole burst in a single vectored write
-// instead of copying blobs through the buffer.
+// The client frames as the server does: each frame is built in one
+// reused scratch slice behind a header patched once the length is
+// known, and written through a 64 KiB bufio.Writer (a snapshot blob
+// larger than the buffer's free space goes straight to the socket);
+// responses are read through a wire.FrameReader.
 package client
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -96,16 +97,12 @@ type Client struct {
 	version     byte
 	dialTimeout time.Duration
 
-	// wmu guards the write path: the frame-accumulation buffer, its
-	// segment list, and enqueueing onto the pending queue (the enqueue
-	// must be ordered identically to the writes).
+	// wmu guards the write path: the buffered writer, the frame
+	// scratch, and enqueueing onto the pending queue (the enqueue must
+	// be ordered identically to the writes).
 	wmu   sync.Mutex
-	wbuf  []byte      // accumulated frame bytes; headers patched in place
-	segs  net.Buffers // closed segments: wbuf ranges interleaved with caller blobs
-	wmark int         // start of the open wbuf segment
-	wpend int         // bytes pending across segs plus the open segment
-	iov   net.Buffers // flush scratch: every segment of one flush
-	wv    net.Buffers // the header Buffers.WriteTo consumes, over iov's array
+	bw    *bufio.Writer
+	frame []byte // the frame being built: header, then payload
 
 	// pmu guards the pending-response FIFO and the latched errors.
 	pmu      sync.Mutex
@@ -161,7 +158,7 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 // New wraps an established connection (any net.Conn — tests use
 // in-memory pipes) and negotiates the protocol version.
 func New(nc net.Conn, opts ...Option) (*Client, error) {
-	c := &Client{nc: nc}
+	c := &Client{nc: nc, bw: bufio.NewWriterSize(nc, writeBurst)}
 	c.drained = sync.NewCond(&c.pmu)
 	for _, o := range opts {
 		o(c)
@@ -191,12 +188,22 @@ func New(nc net.Conn, opts ...Option) (*Client, error) {
 // Version returns the negotiated protocol version.
 func (c *Client) Version() byte { return c.version }
 
+// readWindow is the response reader's window. Responses are small;
+// pulls and rollups larger than it spill into the reader's own buffer,
+// so a client does not hold the server's 128 KiB read window.
+const readWindow = 4 << 10
+
 // readLoop consumes response frames and delivers them, in order, to
 // the pending-operation FIFO.
 func (c *Client) readLoop() {
-	var rbuf []byte
+	fr := wire.NewFrameReader(c.nc, readWindow, wire.DefaultMaxFrame)
 	for {
-		_, typ, payload, err := wire.ReadFrame(c.nc, &rbuf, wire.DefaultMaxFrame)
+		_, typ, flags, payload, err := fr.Next()
+		if err == nil && flags != 0 {
+			// No flag bit is ever negotiated: as on the server, a
+			// flagged frame is a fatal framing error.
+			err = fmt.Errorf("%w: frame flags %#x", wire.ErrBadHeader, flags)
+		}
 		c.pmu.Lock()
 		if err != nil {
 			if c.fatal == nil {
@@ -253,152 +260,66 @@ func parseServerError(payload []byte) error {
 	return &ServerError{Code: code, Msg: msg}
 }
 
-// writeBurst is the accumulation threshold: once at least this many
-// bytes are pending, send flushes inline, so a long async ingest run
-// still reaches the kernel in large vectored writes rather than
-// growing the buffer without bound.
+// writeBurst sizes the buffered writer, as the server's response
+// writer: a long async ingest run reaches the kernel in 64 KiB writes.
 const writeBurst = 64 << 10
 
-// vectoredMin is the blob size past which a snapshot payload tail is
-// queued as its own writev segment instead of copied through the
-// accumulation buffer.
-const vectoredMin = 4 << 10
-
-// send assembles one frame under the write lock and enqueues its
-// pending slot (nil ch = asynchronous). build appends the payload
-// directly into the accumulation buffer behind a reserved header that
-// is patched once the length is known. blob, when non-nil, is a
-// payload tail the caller keeps alive until its response arrives
-// (snapshot pushes are synchronous), queued as its own writev segment
-// when large enough.
+// send builds one frame under the write lock — build appends the
+// payload to the scratch slice behind a header patched once the length
+// is known — enqueues its pending slot (nil ch = asynchronous), and
+// writes the frame, then blob, an optional payload tail written as is,
+// through the buffered writer. blob is not kept past the call.
 func (c *Client) send(version, typ byte, ch chan response, blob []byte, build func(dst []byte) []byte) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	c.pmu.Lock()
-	if c.fatal != nil {
-		err := c.fatal
-		c.pmu.Unlock()
-		return err
-	}
-	if c.closed {
-		c.pmu.Unlock()
-		return ErrClosed
-	}
-	c.pmu.Unlock()
+	c.frame = build(append(c.frame[:0], make([]byte, wire.HeaderSize)...))
+	wire.PutHeader(c.frame, version, typ, 0, len(c.frame)-wire.HeaderSize+len(blob))
 
-	if blob != nil && len(blob) < vectoredMin {
-		// Small blob: copying through the buffer beats an extra iovec.
-		inner, tail := build, blob
-		build = func(dst []byte) []byte { return append(inner(dst), tail...) }
-		blob = nil
-	}
-
-	start, mark0, nsegs0 := len(c.wbuf), c.wmark, len(c.segs)
-	c.wbuf = append(c.wbuf, make([]byte, wire.HeaderSize)...)
-	c.wbuf = build(c.wbuf)
-	n := len(c.wbuf) - start - wire.HeaderSize + len(blob)
-	wire.PutHeader(c.wbuf[start:], version, typ, 0, n)
-	c.wpend += len(c.wbuf) - start
-	if blob != nil {
-		// Close the open wbuf segment and queue the caller's bytes as
-		// their own segment: they reach the kernel without a copy.
-		// Closed segments stay valid when wbuf later grows — they alias
-		// the array wbuf had when they were closed, whose bytes are
-		// final (append may move wbuf to a new array, never mutate the
-		// old one's prefix).
-		c.segs = append(c.segs, c.wbuf[c.wmark:len(c.wbuf):len(c.wbuf)], blob)
-		c.wmark = len(c.wbuf)
-		c.wpend += len(blob)
-	}
-
-	// Enqueue before flushing: the response cannot arrive before the
+	// Enqueue before writing: the response cannot arrive before the
 	// frame bytes leave, and the reader must find the slot when it
-	// does. fatal is re-checked under the same lock — if the read loop
-	// died while the frame was being built, an enqueued slot would
-	// never be delivered and a sync caller would block forever.
+	// does. fatal is checked under the same lock — if the read loop has
+	// died, an enqueued slot would never be delivered and a sync caller
+	// would block forever.
 	c.pmu.Lock()
-	if c.fatal != nil {
+	if c.fatal != nil || c.closed {
 		err := c.fatal
+		if err == nil {
+			err = ErrClosed
+		}
 		c.pmu.Unlock()
-		// Roll the frame back out of the accumulation state: it was
-		// never enqueued, so it must never reach the wire.
-		c.wpend -= len(c.wbuf) - start + len(blob)
-		c.wbuf = c.wbuf[:start]
-		c.wmark = mark0
-		c.segs = c.segs[:nsegs0]
 		return err
 	}
 	c.pending = append(c.pending, ch)
 	c.npending++
 	c.pmu.Unlock()
 
-	if c.wpend < writeBurst {
-		return nil
+	_, err := c.bw.Write(c.frame)
+	if err == nil {
+		_, err = c.bw.Write(blob)
 	}
-	if err := c.flushLocked(); err != nil {
-		// The write failed, so the server may have seen a partial burst
-		// and will never answer this slot. Remove it (still the tail —
-		// wmu is held, so nothing enqueued after us) and latch the
-		// failure: leaving the slot would desync the in-order response
-		// FIFO and deliver later responses to the wrong operations.
-		err = fmt.Errorf("client: write: %w", err)
-		c.pmu.Lock()
-		if n := len(c.pending); n > 0 {
-			c.pending = c.pending[:n-1]
-			c.npending--
-		}
-		if c.fatal == nil {
-			c.fatal = err
-		}
-		c.drained.Broadcast()
-		c.pmu.Unlock()
-		c.nc.Close() // wake the read loop so it fails waiters out
-		return err
+	if err != nil {
+		return c.writeFailed(err)
 	}
 	return nil
 }
 
-// flushLocked writes every pending segment with one vectored write
-// (writev) and resets the accumulation state. Callers hold wmu.
-func (c *Client) flushLocked() error {
-	if c.wpend == 0 {
-		return nil
-	}
-	c.iov = c.iov[:0]
-	c.iov = append(c.iov, c.segs...)
-	if tail := c.wbuf[c.wmark:]; len(tail) > 0 {
-		c.iov = append(c.iov, tail)
-	}
-	var err error
-	if len(c.iov) == 1 {
-		_, err = c.nc.Write(c.iov[0])
-	} else {
-		// WriteTo consumes the header it is called on, so it gets its
-		// own over iov's array. A field and not a local: WriteTo's
-		// receiver escapes, and a local header would be moved to the
-		// heap on every flush.
-		c.wv = c.iov
-		_, err = c.wv.WriteTo(c.nc)
-	}
-	c.segs = c.segs[:0]
-	c.wbuf = c.wbuf[:0]
-	c.wmark = 0
-	c.wpend = 0
-	return err
-}
-
-// flushWrites flushes the accumulated frames; a failure is
-// connection-fatal (the server may have seen a partial frame), so it
-// latches c.fatal and closes the connection — the read loop then fails
-// every pending slot out, instead of leaving waiters blocked on
-// responses that can never arrive.
+// flushWrites flushes the buffered frames.
 func (c *Client) flushWrites() error {
 	c.wmu.Lock()
-	err := c.flushLocked()
+	err := c.bw.Flush()
 	c.wmu.Unlock()
-	if err == nil {
-		return nil
+	if err != nil {
+		return c.writeFailed(err)
 	}
+	return nil
+}
+
+// writeFailed latches a write failure: it is connection-fatal (the
+// server may have seen a partial frame and will answer no later one),
+// so it sets c.fatal and closes the connection — the read loop then
+// fails every pending slot out, instead of leaving waiters blocked on
+// responses that can never arrive.
+func (c *Client) writeFailed(err error) error {
 	err = fmt.Errorf("client: write: %w", err)
 	c.pmu.Lock()
 	if c.fatal == nil {
@@ -415,9 +336,8 @@ func (c *Client) roundTrip(version, typ byte, build func(dst []byte) []byte) (re
 	return c.roundTripBlob(version, typ, nil, build)
 }
 
-// roundTripBlob is roundTrip with a payload tail that may ship as its
-// own writev segment; blob stays alive until the response arrives,
-// which is exactly the zero-copy retention contract send requires.
+// roundTripBlob is roundTrip with a payload tail written after the
+// built part of the frame (see send).
 func (c *Client) roundTripBlob(version, typ byte, blob []byte, build func(dst []byte) []byte) (response, error) {
 	ch := make(chan response, 1)
 	if err := c.send(version, typ, ch, blob, build); err != nil {

@@ -1,6 +1,7 @@
 package client
 
 import (
+	"bufio"
 	"bytes"
 	"net"
 	"sync"
@@ -16,10 +17,10 @@ type discardConn struct{ net.Conn }
 
 func (discardConn) Write(p []byte) (int, error) { return len(p), nil }
 
-// newDiscardClient returns a client whose pending FIFO never has to grow
-// within n sends.
-func newDiscardClient(n int) *Client {
-	c := &Client{nc: discardConn{}, version: wire.Version, pending: make([]chan response, 0, n)}
+// newTestClient returns a client over nc, with no read loop, whose
+// pending FIFO never has to grow within n sends.
+func newTestClient(nc net.Conn, n int) *Client {
+	c := &Client{nc: nc, bw: bufio.NewWriterSize(nc, writeBurst), version: wire.Version, pending: make([]chan response, 0, n)}
 	c.drained = sync.NewCond(&c.pmu)
 	return c
 }
@@ -86,9 +87,9 @@ func TestEncoderFrames(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c := newDiscardClient(1)
-			w := &captureConn{c: c}
-			c.nc = w
+			w := &captureConn{}
+			c := newTestClient(w, 1)
+			w.c = c
 			tc.send(c) // a query fails once its frame is written
 			if err := c.flushWrites(); err != nil {
 				t.Fatal(err)
@@ -122,7 +123,7 @@ func TestIngestEncodeZeroAllocs(t *testing.T) {
 		"IngestStringsU64": func(c *Client) error { return c.IngestStringsU64("t", uk, sv) },
 	} {
 		// Enough warm-up sends to grow the write buffer past a burst.
-		c := newDiscardClient(2*runs + 64)
+		c := newTestClient(discardConn{}, 2*runs+64)
 		for range 64 {
 			if err := send(c); err != nil {
 				t.Fatal(err)

@@ -279,8 +279,8 @@ func TestServerRejectsGarbage(t *testing.T) {
 	if err := wire.WriteFrame(nc, wire.Version, wire.FrameHealth, nil); err != nil {
 		t.Fatal(err)
 	}
-	var buf []byte
-	_, typ, payload, err := wire.ReadFrame(nc, &buf, 0)
+	fr := wire.NewFrameReader(nc, 0, 0)
+	_, typ, _, payload, err := fr.Next()
 	if err != nil || typ != wire.FrameErr {
 		t.Fatalf("first response: typ=%#x err=%v", typ, err)
 	}
@@ -288,7 +288,7 @@ func TestServerRejectsGarbage(t *testing.T) {
 	if err != nil || code != wire.ErrCodeBadFrame {
 		t.Fatalf("error code = %d (%v), want ErrCodeBadFrame", code, err)
 	}
-	if _, _, _, err := wire.ReadFrame(nc, &buf, 0); err == nil {
+	if _, _, _, _, err := fr.Next(); err == nil {
 		t.Fatal("connection stayed open after fatal error")
 	}
 
@@ -301,13 +301,14 @@ func TestServerRejectsGarbage(t *testing.T) {
 	if err := wire.WriteFrame(nc2, wire.Version, wire.FrameHello, []byte{wire.Version}); err != nil {
 		t.Fatal(err)
 	}
-	if _, typ, _, err = wire.ReadFrame(nc2, &buf, 0); err != nil || typ != wire.FrameHello {
+	fr2 := wire.NewFrameReader(nc2, 0, 0)
+	if _, typ, _, _, err = fr2.Next(); err != nil || typ != wire.FrameHello {
 		t.Fatalf("hello response: typ=%#x err=%v", typ, err)
 	}
 	if err := wire.WriteFrame(nc2, 99, wire.FrameHealth, nil); err != nil {
 		t.Fatal(err)
 	}
-	_, typ, payload, err = wire.ReadFrame(nc2, &buf, 0)
+	_, typ, _, payload, err = fr2.Next()
 	if err != nil || typ != wire.FrameErr {
 		t.Fatalf("version-mismatch response: typ=%#x err=%v", typ, err)
 	}
@@ -335,8 +336,8 @@ func TestServerSurvivesHugeBatchCount(t *testing.T) {
 	if err := wire.WriteFrame(nc, wire.Version, wire.FrameHello, []byte{wire.Version}); err != nil {
 		t.Fatal(err)
 	}
-	var buf []byte
-	if _, typ, _, err := wire.ReadFrame(nc, &buf, 0); err != nil || typ != wire.FrameHello {
+	fr := wire.NewFrameReader(nc, 0, 0)
+	if _, typ, _, _, err := fr.Next(); err != nil || typ != wire.FrameHello {
 		t.Fatalf("hello: typ=%#x err=%v", typ, err)
 	}
 
@@ -346,7 +347,7 @@ func TestServerSurvivesHugeBatchCount(t *testing.T) {
 	if err := wire.WriteFrame(nc, wire.Version, wire.FrameKeyedBatch, payload); err != nil {
 		t.Fatal(err)
 	}
-	_, typ, resp, err := wire.ReadFrame(nc, &buf, 0)
+	_, typ, _, resp, err := fr.Next()
 	if err != nil || typ != wire.FrameErr {
 		t.Fatalf("huge-count response: typ=%#x err=%v", typ, err)
 	}
@@ -358,7 +359,7 @@ func TestServerSurvivesHugeBatchCount(t *testing.T) {
 	if err := wire.WriteFrame(nc, wire.Version, wire.FrameHealth, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, typ, _, err := wire.ReadFrame(nc, &buf, 0); err != nil || typ != wire.FrameValue {
+	if _, typ, _, _, err := fr.Next(); err != nil || typ != wire.FrameValue {
 		t.Fatalf("post-error health: typ=%#x err=%v", typ, err)
 	}
 }
@@ -571,16 +572,16 @@ func TestClientDownshift(t *testing.T) {
 	if err := wire.WriteFrame(nc, 7, wire.FrameHello, []byte{7}); err != nil {
 		t.Fatal(err)
 	}
-	var buf []byte
-	_, typ, payload, err := wire.ReadFrame(nc, &buf, 0)
+	_, typ, _, payload, err := wire.NewFrameReader(nc, 0, 0).Next()
 	if err != nil || typ != wire.FrameHello || len(payload) != 1 || payload[0] != wire.Version {
 		t.Fatalf("downshift: typ=%#x payload=% x err=%v", typ, payload, err)
 	}
 }
 
 // helloRaw opens a raw socket, sends a HELLO with the given payload and
-// returns the socket with the server's reply payload.
-func helloRaw(t *testing.T, addr string, offer []byte) (net.Conn, []byte) {
+// returns the socket, its frame reader and the server's reply payload
+// (valid until the reader's next frame).
+func helloRaw(t *testing.T, addr string, offer []byte) (net.Conn, *wire.FrameReader, []byte) {
 	t.Helper()
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -590,12 +591,12 @@ func helloRaw(t *testing.T, addr string, offer []byte) (net.Conn, []byte) {
 	if err := wire.WriteFrame(nc, wire.Version, wire.FrameHello, offer); err != nil {
 		t.Fatal(err)
 	}
-	var buf []byte
-	_, typ, payload, err := wire.ReadFrame(nc, &buf, 0)
+	fr := wire.NewFrameReader(nc, 0, 0)
+	_, typ, _, payload, err := fr.Next()
 	if err != nil || typ != wire.FrameHello {
 		t.Fatalf("hello % x: typ=%#x err=%v", offer, typ, err)
 	}
-	return nc, payload
+	return nc, fr, payload
 }
 
 // TestCompressionDisabledServer pins wire interop with clients that
@@ -604,15 +605,14 @@ func helloRaw(t *testing.T, addr string, offer []byte) (net.Conn, []byte) {
 // frames then work.
 func TestCompressionDisabledServer(t *testing.T) {
 	_, addr := startServer(t, server.Config{})
-	nc, reply := helloRaw(t, addr, []byte{wire.Version, 1})
+	nc, fr, reply := helloRaw(t, addr, []byte{wire.Version, 1})
 	if len(reply) != 2 || reply[0] != wire.Version || reply[1] != 0 {
 		t.Fatalf("two-byte hello: reply % x, want %02x 00", reply, wire.Version)
 	}
-	var buf []byte
 	if err := wire.WriteFrame(nc, wire.Version, wire.FrameHealth, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, typ, _, err := wire.ReadFrame(nc, &buf, 0); err != nil || typ != wire.FrameValue {
+	if _, typ, _, _, err := fr.Next(); err != nil || typ != wire.FrameValue {
 		t.Fatalf("plain frame after two-byte hello: typ=%#x err=%v", typ, err)
 	}
 }
@@ -622,7 +622,7 @@ func TestCompressionDisabledServer(t *testing.T) {
 // compressed flag) set is then a fatal framing error.
 func TestCompressedFlagWithoutNegotiation(t *testing.T) {
 	_, addr := startServer(t, server.Config{})
-	nc, reply := helloRaw(t, addr, []byte{wire.Version})
+	nc, fr, reply := helloRaw(t, addr, []byte{wire.Version})
 	if len(reply) != 1 || reply[0] != wire.Version {
 		t.Fatalf("one-byte hello: reply % x, want %02x", reply, wire.Version)
 	}
@@ -631,8 +631,7 @@ func TestCompressedFlagWithoutNegotiation(t *testing.T) {
 	if _, err := nc.Write(frame); err != nil {
 		t.Fatal(err)
 	}
-	var buf []byte
-	_, typ, resp, err := wire.ReadFrame(nc, &buf, 0)
+	_, typ, _, resp, err := fr.Next()
 	if err != nil || typ != wire.FrameErr {
 		t.Fatalf("flagged frame: typ=%#x err=%v", typ, err)
 	}
@@ -640,7 +639,7 @@ func TestCompressedFlagWithoutNegotiation(t *testing.T) {
 		t.Fatalf("error code = %d, want ErrCodeBadFrame", code)
 	}
 	// Fatal: the server hangs up after a framing error.
-	if _, _, _, err := wire.ReadFrame(nc, &buf, 0); err == nil {
+	if _, _, _, _, err := fr.Next(); err == nil {
 		t.Fatal("connection still open after framing error")
 	}
 }

@@ -169,46 +169,10 @@ func PutHeader(hdr []byte, version, typ, flags byte, n int) {
 	hdr[7] = 0
 }
 
-// ReadFrame reads one frame from r into *buf (grown and reused across
-// calls — the per-connection zero-alloc read path) and returns the
-// header fields plus the payload slice aliasing *buf. maxFrame bounds
-// the payload length (<= 0 means DefaultMaxFrame).
-func ReadFrame(r io.Reader, buf *[]byte, maxFrame int) (version, typ byte, payload []byte, err error) {
-	if maxFrame <= 0 {
-		maxFrame = DefaultMaxFrame
-	}
-	var hdr [HeaderSize]byte
-	if _, err = io.ReadFull(r, hdr[:]); err != nil {
-		return 0, 0, nil, err
-	}
-	// Bound the length while still unsigned: converting to int first
-	// would wrap lengths >= 2^31 negative on 32-bit platforms, slip past
-	// the maxFrame check, and panic slicing the buffer.
-	n32 := binary.LittleEndian.Uint32(hdr[0:4])
-	version, typ = hdr[4], hdr[5]
-	if hdr[6] != 0 || hdr[7] != 0 {
-		return version, typ, nil, ErrBadHeader
-	}
-	if uint64(n32) > uint64(maxFrame) {
-		return version, typ, nil, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, n32, maxFrame)
-	}
-	n := int(n32)
-	if cap(*buf) < n {
-		*buf = make([]byte, n, n+n/2)
-	}
-	payload = (*buf)[:n]
-	if _, err = io.ReadFull(r, payload); err != nil {
-		return version, typ, nil, fmt.Errorf("%w: %v", ErrShortPayload, err)
-	}
-	return version, typ, payload, nil
-}
-
 // WriteFrame writes one frame (header + payload) to w.
 func WriteFrame(w io.Writer, version, typ byte, payload []byte) error {
 	var hdr [HeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	hdr[4] = version
-	hdr[5] = typ
+	PutHeader(hdr[:], version, typ, 0, len(payload))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}

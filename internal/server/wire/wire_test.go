@@ -9,7 +9,7 @@ import (
 )
 
 // TestFrameRoundTrip pins the header layout byte for byte and the
-// read/write round trip, including buffer reuse across frames.
+// WriteFrame → FrameReader round trip across frames.
 func TestFrameRoundTrip(t *testing.T) {
 	var out bytes.Buffer
 	payloads := [][]byte{
@@ -32,41 +32,45 @@ func TestFrameRoundTrip(t *testing.T) {
 		t.Fatalf("header bytes = % x", raw[4:8])
 	}
 
-	var buf []byte
+	fr := NewFrameReader(&out, 0, 0)
 	for i, want := range payloads {
-		ver, typ, payload, err := ReadFrame(&out, &buf, 0)
+		ver, typ, flags, payload, err := fr.Next()
 		if err != nil {
 			t.Fatalf("read %d: %v", i, err)
 		}
-		if ver != Version || typ != byte(0x10+i) || !bytes.Equal(payload, want) {
-			t.Fatalf("frame %d: ver=%d typ=%#x payload %d bytes", i, ver, typ, len(payload))
+		if ver != Version || typ != byte(0x10+i) || flags != 0 || !bytes.Equal(payload, want) {
+			t.Fatalf("frame %d: ver=%d typ=%#x flags=%#x payload %d bytes", i, ver, typ, flags, len(payload))
 		}
 	}
-	if _, _, _, err := ReadFrame(&out, &buf, 0); err != io.EOF {
+	if _, _, _, _, err := fr.Next(); err != io.EOF {
 		t.Fatalf("read past end: %v, want EOF", err)
 	}
 }
 
-// TestFrameLimits pins oversized-frame and reserved-byte rejection.
+// TestFrameLimits pins FrameReader's oversized-frame, reserved-byte
+// and truncated-payload rejection.
 func TestFrameLimits(t *testing.T) {
 	var out bytes.Buffer
 	if err := WriteFrame(&out, Version, FrameHealth, make([]byte, 100)); err != nil {
 		t.Fatal(err)
 	}
-	var buf []byte
-	if _, _, _, err := ReadFrame(bytes.NewReader(out.Bytes()), &buf, 64); !errors.Is(err, ErrFrameTooLarge) {
+	next := func(raw []byte, maxFrame int) error {
+		_, _, _, _, err := NewFrameReader(bytes.NewReader(raw), 0, maxFrame).Next()
+		return err
+	}
+	if err := next(out.Bytes(), 64); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversized frame: %v, want ErrFrameTooLarge", err)
 	}
 
 	raw := append([]byte{}, out.Bytes()...)
-	raw[6] = 1 // reserved byte must be zero
-	if _, _, _, err := ReadFrame(bytes.NewReader(raw), &buf, 0); !errors.Is(err, ErrBadHeader) {
+	raw[7] = 1 // reserved byte must be zero
+	if err := next(raw, 0); !errors.Is(err, ErrBadHeader) {
 		t.Fatalf("reserved byte set: %v, want ErrBadHeader", err)
 	}
 
 	// Truncated payload.
 	trunc := out.Bytes()[:HeaderSize+10]
-	if _, _, _, err := ReadFrame(bytes.NewReader(trunc), &buf, 0); !errors.Is(err, ErrShortPayload) {
+	if err := next(trunc, 0); !errors.Is(err, ErrShortPayload) {
 		t.Fatalf("truncated payload: %v, want ErrShortPayload", err)
 	}
 }
@@ -157,9 +161,9 @@ func TestFrameReaderBurst(t *testing.T) {
 	}
 }
 
-// TestFrameReaderRejectsReservedByte pins the strictness FrameReader
-// inherits from ReadFrame: a nonzero reserved byte 7 is a framing
-// error. Byte 6 (flags) is returned raw for the caller to police.
+// TestFrameReaderRejectsReservedByte pins FrameReader's strictness: a
+// nonzero reserved byte 7 is a framing error. Byte 6 (flags) is
+// returned raw for the caller to police.
 func TestFrameReaderRejectsReservedByte(t *testing.T) {
 	var raw []byte
 	raw = AppendHeader(raw, Version, FrameHello, 1)
