@@ -14,7 +14,7 @@ import (
 // pipeServer serves a scripted server on the far end of a net.Pipe and
 // returns the client's end. It answers HELLO with this build's version
 // and hands every later frame, numbered from 1, to answer, which writes
-// the response (or holds it back).
+// the response (or holds it back); an error from answer hangs up.
 func pipeServer(t *testing.T, answer func(w io.Writer, n int, typ byte, payload []byte) error) net.Conn {
 	t.Helper()
 	cconn, sconn := net.Pipe()
@@ -54,10 +54,14 @@ func TestClientRejectsFlaggedResponse(t *testing.T) {
 				if n < 3 {
 					return nil // hold the two ingest acks back
 				}
+				// The bad frame, then a hang-up: a client that took the
+				// frame as an ack would see EOF, not a framing error.
 				bad := wire.AppendHeader(nil, wire.Version, wire.FrameOK, 0)
 				bad[tc.at] = 1
-				_, err := w.Write(bad)
-				return err
+				if _, err := w.Write(bad); err != nil {
+					return err
+				}
+				return io.EOF
 			})
 			c, err := New(nc)
 			if err != nil {
@@ -73,11 +77,11 @@ func TestClientRejectsFlaggedResponse(t *testing.T) {
 			if !errors.Is(qerr, wire.ErrBadHeader) {
 				t.Fatalf("query answered by a bad header: %v, want ErrBadHeader", qerr)
 			}
-			if err := c.Flush(); err != qerr {
-				t.Fatalf("Flush with two acks pending: %v, want the latched %v", err, qerr)
+			if err := c.Flush(); !errors.Is(err, wire.ErrBadHeader) {
+				t.Fatalf("Flush with two acks pending: %v, want the latched ErrBadHeader", err)
 			}
-			if _, err := c.Health(); err != qerr {
-				t.Fatalf("next call: %v, want the latched %v", err, qerr)
+			if _, err := c.Health(); !errors.Is(err, wire.ErrBadHeader) {
+				t.Fatalf("next call: %v, want the latched ErrBadHeader", err)
 			}
 		})
 	}
@@ -244,8 +248,8 @@ func TestFramingAcrossWriteBuffer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := wire.AppendHeader(nil, version, typ, len(payload))
-		got[6] = flags
+		got := make([]byte, wire.HeaderSize, wire.HeaderSize+len(payload))
+		wire.PutHeader(got, version, typ, flags, len(payload))
 		got = append(got, payload...)
 		next := &batchFrames
 		if typ == wire.FrameQuery {
